@@ -18,7 +18,9 @@ the operator's own state.
 
 The base class is a complete, correct backend: every method delegates
 to the operator's reference implementation (the vectorized-NumPy
-formulation the package has always run).  Subclasses override only the
+formulation the package has always run), except on the fine grid,
+where every backend shares the one production kernel of
+:mod:`repro.dirac.wilson_kernel`.  Subclasses override only the
 kernels whose formulation they change, which keeps exotic backends
 honest — anything they do not reimplement is the baseline by
 construction.
@@ -81,9 +83,15 @@ class ArrayBackend:
 
         Works for any :class:`~repro.dirac.stencil.StencilOperator`;
         this is the term red-black Schur preconditioning applies twice
-        per matvec, so it is hot on every level.
+        per matvec, so it is hot on every level.  Operators exposing
+        Wilson-Clover internals run the production half-spinor kernel.
         """
-        return op.hop_sum_reference(v)
+        from ..dirac.wilson_kernel import wilson_kernel_for
+
+        kernel = wilson_kernel_for(op)
+        if kernel is None:
+            return op.hop_sum_reference(v)
+        return kernel.hop_sum_sites(v[None])[0]
 
     def clover_apply(self, blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Apply per-site chiral blocks ``(V, 2, b, b)`` to ``(V, ns, nc)``.
@@ -113,11 +121,13 @@ class ArrayBackend:
     # ------------------------------------------------------------------
     def wilson_apply(self, op, v: np.ndarray) -> np.ndarray:
         """Full fused Wilson-Clover application ``M v``."""
-        return op.apply_reference(v)
+        return self.wilson_apply_multi(op, v[None])[0]
 
     def wilson_apply_multi(self, op, vs: np.ndarray) -> np.ndarray:
         """Batched ``M`` over a ``(K, V, 4, 3)`` right-hand-side stack."""
-        return op.apply_multi_reference(vs)
+        from ..dirac.wilson_kernel import wilson_kernel_for
+
+        return wilson_kernel_for(op).apply_sites(vs)
 
     # ------------------------------------------------------------------
     # coarse dense-block stencil

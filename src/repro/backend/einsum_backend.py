@@ -12,14 +12,9 @@ The formulation changes relative to the NumPy baseline:
   latency-bound small-grid stencil into a single BLAS dispatch (the
   coarse grids are exactly where the paper's Figure 2 says exposed
   parallelism decides throughput).
-* **Fine hops, batched only** — for ``K > 1`` right-hand sides the
-  Wilson hop terms run through the spin-compressed stacked-GEMM engine
-  of :mod:`repro.dirac.mrhs` (half-spinor compression, one
-  ``(8, V, 3, 3) @ (8, V, 3, 2K)`` batched link GEMM, fused
-  reconstruction).  At ``K = 1`` the engine's gather/reshape overhead
-  exceeds what the GEMM saves — measured ~2.8x slower than the fused
-  baseline on the quick-bench lattice — so single-vector fine applies
-  deliberately stay on the reference formulation.
+* **Fine hops** — not reformulated here: every backend runs the one
+  production Wilson-Clover kernel (:mod:`repro.dirac.wilson_kernel`)
+  through the base class.
 * **Clover / diagonal blocks** — the two chirality block multiplies
   fold into one ``(V, 2, b, b) @ (V, 2, b, 1)`` batched matmul.
 * **Transfers** — the per-chirality loop folds into one batched GEMM
@@ -34,17 +29,6 @@ import numpy as np
 from .base import ArrayBackend
 
 
-def _has_wilson_internals(op) -> bool:
-    return (
-        all(
-            hasattr(op, attr)
-            for attr in ("_u_fwd", "_u_bwd", "_diag_blocks", "_diag_inv")
-        )
-        and op.ns == 4
-        and op.nc == 3
-    )
-
-
 def _has_dense_blocks(op) -> bool:
     return hasattr(op, "x_blocks") and hasattr(op, "hop_blocks")
 
@@ -55,7 +39,7 @@ class EinsumBackend(ArrayBackend):
     name = "einsum"
     description = (
         "batched-einsum/BLAS formulation: gather-GEMM coarse stencil, "
-        "spin-compressed stacked-GEMM fine hops, fused-chirality transfers"
+        "fused-chirality transfers"
     )
 
     # ------------------------------------------------------------------
@@ -69,34 +53,7 @@ class EinsumBackend(ArrayBackend):
     def hop_sum(self, op, v: np.ndarray) -> np.ndarray:
         if _has_dense_blocks(op):
             return self._coarse_gather_apply(op, v[None], with_diag=False)[0]
-        # fine-grid hops: the batched engine loses at K=1 (see module
-        # docstring); the reference sweep is already fully vectorized
         return super().hop_sum(op, v)
-
-    # ------------------------------------------------------------------
-    # fine-grid Wilson-Clover
-    # ------------------------------------------------------------------
-    def _wilson_hop_engine(self, op):
-        def build():
-            from ..dirac.mrhs import BatchedHopSum
-
-            return BatchedHopSum(op)
-
-        return self.op_cache(op, "hop_engine", build)
-
-    def wilson_apply(self, op, v: np.ndarray) -> np.ndarray:
-        # K=1: the fused reference apply wins (module docstring); the
-        # engine serves wilson_apply_multi where the batch amortizes it
-        return super().wilson_apply(op, v)
-
-    def wilson_apply_multi(self, op, vs: np.ndarray) -> np.ndarray:
-        if not _has_wilson_internals(op):
-            return super().wilson_apply_multi(op, vs)
-        from ..dirac.mrhs import blocks_apply_multi
-
-        return blocks_apply_multi(
-            op._diag_blocks, vs
-        ) + self._wilson_hop_engine(op).apply(vs)
 
     # ------------------------------------------------------------------
     # coarse dense-block stencil: the gather-GEMM formulation

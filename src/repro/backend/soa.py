@@ -14,11 +14,10 @@ the CPU image of that idea:
 * every hop term maps one parity plane onto the other, so the hop sum
   becomes two dense parity-to-parity sweeps with *no* zero-padded
   full-lattice intermediates;
-* on the fine grid each parity sweep goes through the spin-compressed
-  half-spinor engine of :mod:`repro.dirac.mrhs`, so the gathered
-  neighbour data is the packed ``(2K)``-component half-spinor block —
-  half-spinors stored contiguously per parity, exactly the compressed
-  exchange layout of the paper's Section 6;
+* on the fine grid each parity sweep is the production half-spinor
+  kernel of :mod:`repro.dirac.wilson_kernel` — the gathered neighbour
+  data is the spin-compressed 2-spinor, the compressed exchange layout
+  of the paper's Section 6;
 * on coarse grids the parity sweeps are the dense-block stacked GEMMs
   of :class:`repro.dirac.mrhs._DenseBlockHop`.
 
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import ArrayBackend
-from .einsum_backend import _has_dense_blocks, _has_wilson_internals
+from .einsum_backend import _has_dense_blocks
 
 
 def parity_sites(lattice) -> tuple[np.ndarray, np.ndarray]:
@@ -84,47 +83,61 @@ def unpack_parity(packed: PackedParityField) -> np.ndarray:
 
 
 class _ParityKernels:
-    """Per-operator packed state: parity site tables, parity-restricted
-    hop engines (one per direction of the bipartite graph) and the
-    parity-gathered site-local blocks."""
+    """Per-operator packed state: parity site tables and the
+    parity-to-parity hop / site-local sweeps on packed planes.
+
+    The fine grid has no sweeps of its own: it converts the site-major
+    plane to the site-fastest order of the production kernel
+    (:mod:`repro.dirac.wilson_kernel`) and back.
+    """
 
     def __init__(self, op):
-        from ..dirac.mrhs import BatchedHopSum, _DenseBlockHop
+        from ..dirac.mrhs import _DenseBlockHop
+        from ..dirac.wilson_kernel import wilson_kernel_for
 
         self.even, self.odd = parity_sites(op.lattice)
-        if _has_wilson_internals(op):
+        self.wilson = wilson_kernel_for(op)
+        if self.wilson is not None:
             self.kind = "wilson"
-            self.hop_to_even = BatchedHopSum(
-                op, out_sites=self.even, src_sites=self.odd
-            )
-            self.hop_to_odd = BatchedHopSum(
-                op, out_sites=self.odd, src_sites=self.even
-            )
-            self.diag = (
-                np.ascontiguousarray(op._diag_blocks[self.even]),
-                np.ascontiguousarray(op._diag_blocks[self.odd]),
-            )
         elif _has_dense_blocks(op):
             self.kind = "dense"
-            self.hop_to_even = _DenseBlockHop(
-                op, out_sites=self.even, src_sites=self.odd
+            self._hops = (
+                _DenseBlockHop(op, out_sites=self.even, src_sites=self.odd),
+                _DenseBlockHop(op, out_sites=self.odd, src_sites=self.even),
             )
-            self.hop_to_odd = _DenseBlockHop(
-                op, out_sites=self.odd, src_sites=self.even
-            )
-            self.diag = (
+            self._diag = (
                 np.ascontiguousarray(op.x_blocks[self.even]),
                 np.ascontiguousarray(op.x_blocks[self.odd]),
             )
         else:
             self.kind = "generic"
 
-    def diag_apply(self, plane_blocks: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        from ..dirac.mrhs import _dense_blocks_apply_multi, blocks_apply_multi
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the packed tables held here (setup-cache accounting);
+        the fine grid's live in the shared kernel and are counted there."""
+        if self.kind != "dense":
+            return 0
+        return sum(table.nbytes for table in self._hops + self._diag)
 
+    def _wilson_sweep(self, sweep, parity: int, plane: np.ndarray) -> np.ndarray:
+        from ..dirac.wilson_kernel import to_site_fastest, to_site_major
+
+        return to_site_major(sweep(parity, to_site_fastest(plane)))
+
+    def hop(self, parity: int, src: np.ndarray) -> np.ndarray:
+        """Hop sum landing on ``parity`` from the opposite plane's stack."""
         if self.kind == "wilson":
-            return blocks_apply_multi(plane_blocks, vs)
-        return _dense_blocks_apply_multi(plane_blocks, vs)
+            return self._wilson_sweep(self.wilson.hop, parity, src)
+        return self._hops[parity].apply(src)
+
+    def diag(self, parity: int, vs: np.ndarray) -> np.ndarray:
+        """Site-local term on one plane's stack."""
+        if self.kind == "wilson":
+            return self._wilson_sweep(self.wilson.diag, parity, vs)
+        from ..dirac.mrhs import _dense_blocks_apply_multi
+
+        return _dense_blocks_apply_multi(self._diag[parity], vs)
 
 
 class SoABackend(ArrayBackend):
@@ -158,16 +171,14 @@ class SoABackend(ArrayBackend):
         """
         kern = self._kernels(op)
         ve, vo = planes[0], planes[1]
-        out_e = kern.diag_apply(kern.diag[0], ve) + kern.hop_to_even.apply(vo)
-        out_o = kern.diag_apply(kern.diag[1], vo) + kern.hop_to_odd.apply(ve)
+        out_e = kern.diag(0, ve) + kern.hop(0, vo)
+        out_o = kern.diag(1, vo) + kern.hop(1, ve)
         return np.stack([out_e, out_o])
 
     def hop_sum_packed_multi(self, op, planes: np.ndarray) -> np.ndarray:
         """Hop-only parity sweeps on packed ``(2, K, V/2, ns, nc)`` data."""
         kern = self._kernels(op)
-        return np.stack(
-            [kern.hop_to_even.apply(planes[1]), kern.hop_to_odd.apply(planes[0])]
-        )
+        return np.stack([kern.hop(0, planes[1]), kern.hop(1, planes[0])])
 
     # ------------------------------------------------------------------
     # canonical-layout API: pack, sweep, unpack
@@ -182,18 +193,11 @@ class SoABackend(ArrayBackend):
         out[:, kern.odd] = out_planes[1]
         return out
 
-    # Single-vector entry points stay on the site-major reference: a
-    # lone K=1 application round-trips through the pack permutation
-    # without a batch to amortize it (measured ~1.6x slower on the
-    # quick-bench lattice).  The packed layout pays where the paper's
-    # Section 9 says it does — the *_multi entry points and the
-    # packed-plane API above, where the parity planes are the storage
-    # format rather than a per-call conversion.
-    def wilson_apply_multi(self, op, vs: np.ndarray) -> np.ndarray:
-        if self._kernels(op).kind != "wilson":
-            return super().wilson_apply_multi(op, vs)
-        return self._apply_via_planes(op, vs, hops_only=False)
-
+    # The fine grid needs no override: the base class already runs the
+    # production parity-to-parity kernel.  Single-vector coarse applies
+    # stay on the site-major reference: a lone K=1 application
+    # round-trips through the pack permutation without a batch to
+    # amortize it (measured ~1.6x slower on the quick-bench lattice).
     def coarse_apply_multi(self, op, vs: np.ndarray) -> np.ndarray:
         if self._kernels(op).kind != "dense":
             return super().coarse_apply_multi(op, vs)

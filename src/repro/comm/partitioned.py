@@ -1,10 +1,13 @@
 """Domain-decomposed application of a stencil operator.
 
-``PartitionedOperator`` reproduces ``op.apply`` exactly while sourcing
-every cross-subdomain neighbour value through the simulated MPI halo
-exchange — the same decomposition QUDA runs across GPUs.  The test
-suite asserts bit-level agreement with the single-domain operator, and
-the traffic log feeds the strong-scaling machine model.
+``PartitionedOperator`` reproduces the operator's site-major
+per-direction formulation exactly while sourcing every cross-subdomain
+neighbour value through the simulated MPI halo exchange — the same
+decomposition QUDA runs across GPUs.  The test suite asserts bit-level
+agreement with that formulation (``apply_reference`` on the fine grid,
+``apply`` on coarse grids) and roundoff agreement with the fine grid's
+production kernel; the traffic log feeds the strong-scaling machine
+model.
 """
 
 from __future__ import annotations
@@ -80,9 +83,8 @@ class PartitionedOperator:
         """Relative deviation of the halo-exchanged apply from ``op.apply``.
 
         The decomposition is a pure data-movement rewrite, so the two
-        paths must agree to roundoff (the test suite asserts bit-level
-        equality); this is the probe form the verification registry
-        samples.
+        paths must agree to roundoff; this is the probe form the
+        verification registry samples.
         """
         ref = self.op.apply(v)
         got = self.apply(v)

@@ -16,6 +16,14 @@ This wrapper works for *any* :class:`~repro.dirac.stencil.StencilOperator`
 — the fine Wilson-Clover matrix and every coarse Galerkin operator —
 because the paper applies red-black preconditioning on all levels
 (Section 7.1).
+
+Two evaluations of the same algebra live here.  The ``*_reference``
+methods lift half-fields into zero-padded full-lattice arrays and call
+the operator's public primitives: correct for any stencil operator, the
+path coarse operators run, and the oracle for the fine grid.  When the
+operator exposes Wilson-Clover internals, ``apply`` / ``prepare_source``
+/ ``reconstruct`` instead run the half-volume site-fastest kernel of
+:mod:`repro.dirac.wilson_kernel`, which never forms the padding.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import numpy as np
 
 from ..lattice import Lattice
 from .stencil import StencilOperator
+from .wilson_kernel import wilson_kernel_for
 
 
 class SchurOperator:
@@ -70,6 +79,10 @@ class SchurOperator:
     # ------------------------------------------------------------------
     def apply(self, half: np.ndarray) -> np.ndarray:
         """``(A_pp - H_pq A_qq^{-1} H_qp) x_p`` on half-field data."""
+        return self.apply_multi(half[None])[0]
+
+    def apply_reference(self, half: np.ndarray) -> np.ndarray:
+        """The Schur matrix through zero-padded full-lattice fields."""
         full = self.lift(half)
         hop1 = self.op.apply_hopping(full)  # lives on opposite parity
         mid = self.op.apply_diag_inv(hop1)
@@ -79,22 +92,54 @@ class SchurOperator:
 
     matvec = apply
 
+    def apply_multi(self, halves: np.ndarray) -> np.ndarray:
+        """The Schur matrix on a ``(K, V/2, ns, nc)`` stack: one kernel
+        call on the fine grid, a loop over systems anywhere else."""
+        kernel = wilson_kernel_for(self.op)
+        if kernel is None:
+            return np.stack([self.apply_reference(h) for h in halves])
+        return kernel.schur_apply_sites(self.parity, halves)
+
     # ------------------------------------------------------------------
     # source preparation / solution reconstruction
     # ------------------------------------------------------------------
     def prepare_source(self, b_full: np.ndarray) -> np.ndarray:
         """``b_p - H_pq A_qq^{-1} b_q`` — right-hand side of the Schur system."""
+        return self.prepare_multi(b_full[None])[0]
+
+    def prepare_source_reference(self, b_full: np.ndarray) -> np.ndarray:
         b_other = self.lift(self.restrict(b_full, 1 - self.parity), 1 - self.parity)
         corr = self.op.apply_hopping(self.op.apply_diag_inv(b_other))
         return self.restrict(b_full) - self.restrict(corr)
 
+    def prepare_multi(self, bs: np.ndarray) -> np.ndarray:
+        """Schur right-hand sides for a ``(K, V, ns, nc)`` stack."""
+        kernel = wilson_kernel_for(self.op)
+        if kernel is None:
+            return np.stack([self.prepare_source_reference(b) for b in bs])
+        return kernel.schur_prepare_sites(self.parity, bs)
+
     def reconstruct(self, x_half: np.ndarray, b_full: np.ndarray) -> np.ndarray:
         """Assemble the full-lattice solution from the Schur solution."""
+        return self.reconstruct_multi(x_half[None], b_full[None])[0]
+
+    def reconstruct_reference(
+        self, x_half: np.ndarray, b_full: np.ndarray
+    ) -> np.ndarray:
         x_full = self.lift(x_half)
         hop = self.op.apply_hopping(x_full)  # lives on opposite parity
         rhs_other = self.lift(self.restrict(b_full, 1 - self.parity), 1 - self.parity)
         x_other = self.op.apply_diag_inv(rhs_other - hop)
         return x_full + x_other
+
+    def reconstruct_multi(self, xs_half: np.ndarray, bs: np.ndarray) -> np.ndarray:
+        """Full-lattice solutions for stacks of Schur solutions and sources."""
+        kernel = wilson_kernel_for(self.op)
+        if kernel is None:
+            return np.stack(
+                [self.reconstruct_reference(x, b) for x, b in zip(xs_half, bs)]
+            )
+        return kernel.schur_reconstruct_sites(self.parity, xs_half, bs)
 
     # ------------------------------------------------------------------
     def gamma5_diag(self) -> np.ndarray:

@@ -1,22 +1,16 @@
-"""Batched multi-RHS kernels for the fine-grid Wilson-Clover operator.
+"""Batched multi-RHS red-black systems (paper Section 9).
 
 Paper Section 9 argues the multiple-right-hand-side reformulation pays
-because "the same stencil operator is used for all systems".  These
-kernels realize that on the fine grid:
-
-* the hop sum is evaluated once per direction for all ``K`` systems,
-  with the link matrices read once (``(V, 3, 3) @ (V, 3, 2K)`` batched
-  GEMMs instead of ``K`` separate matrix-vector sweeps);
-* every hop first compresses the 4-spinor to 2 spin components through
-  the rank-2 projector factorization (:func:`repro.dirac.gamma.
-  projector_factors`) — the half-spinor trick — halving the color work;
-* the red-black (Schur) system is applied on genuine half-volume
-  fields: hops source from one parity and land on the other, so no
-  zero-padded full-lattice intermediates are formed.
-
-:class:`BatchedSchur` is the batched analogue of
-:class:`~repro.dirac.even_odd.SchurOperator` and agrees with it to
-roundoff per system.
+because "the same stencil operator is used for all systems".  On the
+fine grid that is a property of the production kernel
+(:mod:`repro.dirac.wilson_kernel`): it takes a leading ``K`` axis and
+loops the right-hand sides inside each cache block of sites, so link
+and clover tables are read once for all ``K`` systems, and
+:class:`~repro.dirac.even_odd.SchurOperator` exposes it as
+``apply_multi`` / ``prepare_multi`` / ``reconstruct_multi``.  On coarse
+grids there is no spin structure to exploit; :class:`BatchedCoarseSchur`
+folds the batch into the right-hand side of stacked dense-block GEMMs
+on genuine half-volume fields.
 """
 
 from __future__ import annotations
@@ -25,155 +19,6 @@ import numpy as np
 
 from ..lattice import NDIM
 from .even_odd import SchurOperator
-from .gamma import chirality_slices, projector_factors
-
-
-def blocks_apply_multi(blocks: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Apply per-site chiral ``(2, 6, 6)`` blocks to ``(K, V, 4, 3)`` data.
-
-    Batched analogue of ``WilsonCloverOperator._apply_blocks``: the
-    block matrices are kept in cache across the ``K`` systems by
-    folding the batch into the GEMM's right-hand side.
-    """
-    k, vol = vs.shape[0], vs.shape[1]
-    out = np.empty_like(vs)
-    for chi, sl in enumerate(chirality_slices()):
-        # (V, 6, 6) @ (V, 6, K) -> (V, 6, K): one batched GEMM per chirality
-        x = vs[:, :, sl, :].reshape(k, vol, 6).transpose(1, 2, 0)
-        y = np.matmul(blocks[:, chi], x)
-        out[:, :, sl, :] = y.transpose(2, 0, 1).reshape(k, vol, 2, 3)
-    return out
-
-
-class BatchedHopSum:
-    """The eight-direction hop sum for ``K`` systems at once.
-
-    ``out_sites``/``src_sites`` restrict output and source to site
-    subsets (e.g. one parity each for the red-black system); ``None``
-    means the full lattice.
-
-    All eight direction terms are evaluated through three stacked GEMMs
-    so every small matrix multiply runs over a long batch axis instead
-    of broadcasting 2x4 spin matrices per term (which NumPy would not
-    dispatch to BLAS):
-
-    1. the *whole* source is spin-compressed once through the
-       concatenated rank-2 half-projectors — one ``(16, 4) @ (4, M)``
-       GEMM — before any gather, so neighbour gathers move 2-spinors,
-       not 4-spinors;
-    2. the compressed neighbours are fancy-indexed directly into the
-       link-GEMM layout and multiplied by the (boundary-phased,
-       hop-weighted) links in one ``(8, V, 3, 3) @ (8, V, 3, 2K)``
-       batched GEMM — each link matrix is read once for all ``K``
-       systems;
-    3. reconstruction *and* the sum over the eight terms are fused into
-       a single ``(4, 16) @ (16, M)`` GEMM against the concatenated
-       reconstruction factors (with the global ``-1/2`` folded in).
-    """
-
-    def __init__(self, op, out_sites: np.ndarray | None = None,
-                 src_sites: np.ndarray | None = None):
-        lat = op.lattice
-        if src_sites is None:
-            posmap = np.arange(lat.volume)
-        else:
-            posmap = np.empty(lat.volume, dtype=np.int64)
-            posmap[src_sites] = np.arange(len(src_sites))
-        m_recon, m_half, p_recon, p_half = projector_factors()
-        links, idx, recon, half = [], [], [], []
-        for mu in range(NDIM):
-            for sign in (+1, -1):
-                u = (op._u_fwd if sign > 0 else op._u_bwd)[mu]
-                table = (lat.fwd if sign > 0 else lat.bwd)[mu]
-                if out_sites is not None:
-                    u = u[out_sites]
-                    table = table[out_sites]
-                links.append(u)
-                idx.append(posmap[table])
-                recon.append((m_recon if sign > 0 else p_recon)[mu])
-                half.append((m_half if sign > 0 else p_half)[mu])
-        self._links = np.ascontiguousarray(np.stack(links))  # (8, Vo, 3, 3)
-        self._idx = np.stack(idx)                            # (8, Vo)
-        self._half_cat = np.ascontiguousarray(np.concatenate(half, axis=0))
-        self._recon_cat = np.ascontiguousarray(
-            -0.5 * np.concatenate(recon, axis=1)
-        )
-        self._vo = self._links.shape[1]
-        self._u8 = np.arange(2 * NDIM)[:, None]
-
-    def apply(self, src: np.ndarray) -> np.ndarray:
-        """``-(1/2) sum_{mu,s} P^{∓mu} U src(nbr)``: (K, Vs, 4, 3) -> (K, Vo, 4, 3)."""
-        k, vs = src.shape[0], src.shape[1]
-        vo = self._vo
-        # 1. spin-compress the whole source for all 8 terms at once
-        sf = src.transpose(2, 1, 3, 0).reshape(4, vs * 3 * k)
-        h = (self._half_cat @ sf).reshape(8, 2, vs, 3, k)
-        # 2. gather compressed neighbours straight into the link layout
-        hv = h.transpose(0, 2, 3, 1, 4).reshape(8, vs, 3, 2 * k)
-        g = hv[self._u8, self._idx]                       # (8, Vo, 3, 2K)
-        col = np.matmul(self._links, g)                   # (8, Vo, 3, 2K)
-        # 3. fused spin reconstruction + sum over the 8 terms
-        c2 = (
-            col.reshape(8, vo, 3, 2, k)
-            .transpose(0, 3, 1, 2, 4)
-            .reshape(4 * NDIM, vo * 3 * k)
-        )
-        t = (self._recon_cat @ c2).reshape(4, vo, 3, k)
-        return np.ascontiguousarray(t.transpose(3, 1, 0, 2))
-
-
-def supports_batched_schur(op) -> bool:
-    """Whether ``op`` exposes the Wilson-Clover internals the batched
-    half-volume kernels need (link copies, chiral diag blocks)."""
-    return all(
-        hasattr(op, attr)
-        for attr in ("_u_fwd", "_u_bwd", "_diag_blocks", "_diag_inv")
-    ) and op.ns == 4 and op.nc == 3
-
-
-class BatchedSchur:
-    """Batched red-black Schur system on genuine half-volume fields.
-
-    The batched analogue of :class:`~repro.dirac.even_odd.SchurOperator`
-    (parity 0): ``apply_multi`` evaluates
-    ``(A_ee - H_eo A_oo^{-1} H_oe) x_e`` for a ``(K, V/2, 4, 3)`` stack
-    without ever forming zero-padded full-lattice fields.
-    """
-
-    def __init__(self, op):
-        self.op = op
-        self.schur = SchurOperator(op, parity=0)
-        own, other = self.schur._own, self.schur._other  # noqa: SLF001
-        self._own = own
-        self._other = other
-        self._hop_to_other = BatchedHopSum(op, out_sites=other, src_sites=own)
-        self._hop_to_own = BatchedHopSum(op, out_sites=own, src_sites=other)
-        self._diag_own = np.ascontiguousarray(op._diag_blocks[own])
-        self._diag_other = np.ascontiguousarray(op._diag_blocks[other])
-        self._dinv_own = np.ascontiguousarray(op._diag_inv[own])
-        self._dinv_other = np.ascontiguousarray(op._diag_inv[other])
-
-    def apply_multi(self, halves: np.ndarray) -> np.ndarray:
-        hop1 = self._hop_to_other.apply(halves)
-        mid = blocks_apply_multi(self._dinv_other, hop1)
-        hop2 = self._hop_to_own.apply(mid)
-        return blocks_apply_multi(self._diag_own, halves) - hop2
-
-    def prepare_multi(self, bs: np.ndarray) -> np.ndarray:
-        """Schur right-hand sides ``b_e - H_eo A_oo^{-1} b_o`` for a stack."""
-        b_other = np.ascontiguousarray(bs[:, self._other])
-        corr = self._hop_to_own.apply(blocks_apply_multi(self._dinv_other, b_other))
-        return bs[:, self._own] - corr
-
-    def reconstruct_multi(self, xs_half: np.ndarray, bs: np.ndarray) -> np.ndarray:
-        """Full-lattice solutions ``x_o = A_oo^{-1}(b_o - H_oe x_e)``."""
-        hop = self._hop_to_other.apply(xs_half)
-        b_other = np.ascontiguousarray(bs[:, self._other])
-        x_other = blocks_apply_multi(self._dinv_other, b_other - hop)
-        out = np.empty_like(bs)
-        out[:, self._own] = xs_half
-        out[:, self._other] = x_other
-        return out
 
 
 def supports_dense_block_schur(op) -> bool:
@@ -186,11 +31,11 @@ def supports_dense_block_schur(op) -> bool:
 class _DenseBlockHop:
     """Eight-direction dense-block hop sum restricted to parity subsets.
 
-    The coarse-grid analogue of :class:`BatchedHopSum`: there is no spin
-    projector structure to exploit, so the whole ``(N, N)`` link block is
-    applied per direction — but the batch still folds into the GEMM's
-    right-hand side, so every link matrix is read once for all ``K``
-    systems (``(8, Vo, N, N) @ (8, Vo, N, K)`` stacked GEMMs).
+    There is no spin projector structure to exploit on a coarse grid,
+    so the whole ``(N, N)`` link block is applied per direction — but
+    the batch still folds into the GEMM's right-hand side, so every
+    link matrix is read once for all ``K`` systems
+    (``(8, Vo, N, N) @ (8, Vo, N, K)`` stacked GEMMs).
     """
 
     def __init__(self, op, out_sites: np.ndarray, src_sites: np.ndarray):
@@ -205,6 +50,10 @@ class _DenseBlockHop:
         self._links = np.ascontiguousarray(np.stack(links))  # (8, Vo, N, N)
         self._idx = np.stack(idx)                            # (8, Vo)
         self._vo = self._links.shape[1]
+
+    @property
+    def nbytes(self) -> int:
+        return self._links.nbytes + self._idx.nbytes
 
     def apply(self, src: np.ndarray) -> np.ndarray:
         """``sum_{mu,s} Y src(nbr)``: (K, Vs, ns, nc) -> (K, Vo, ns, nc)."""
@@ -230,8 +79,8 @@ def _dense_blocks_apply_multi(mats: np.ndarray, vs: np.ndarray) -> np.ndarray:
 class BatchedCoarseSchur:
     """Batched red-black Schur for dense-block (coarse) operators.
 
-    Mirrors :class:`BatchedSchur` one level down: ``apply_multi``
-    evaluates ``(X_ee - Y_eo X_oo^{-1} Y_oe) x_e`` on genuine
+    The batched methods of :class:`SchurOperator` one level down:
+    ``apply_multi`` evaluates ``(X_ee - Y_eo X_oo^{-1} Y_oe) x_e`` on genuine
     half-volume ``(K, V/2, ns, nc)`` stacks, with every dense link and
     site block read once per application for all ``K`` systems.
     """
@@ -273,35 +122,11 @@ class BatchedCoarseSchur:
         return out
 
 
-class GenericBatchedSchur:
-    """Fallback batched Schur for stencil operators without Wilson internals.
-
-    Loops per system through the zero-padded full-lattice path of
-    :class:`~repro.dirac.even_odd.SchurOperator`; correct for any
-    :class:`~repro.dirac.stencil.StencilOperator`, just not batched in
-    the kernels.
-    """
-
-    def __init__(self, op):
-        self.op = op
-        self.schur = SchurOperator(op, parity=0)
-
-    def apply_multi(self, halves: np.ndarray) -> np.ndarray:
-        return np.stack([self.schur.apply(h) for h in halves])
-
-    def prepare_multi(self, bs: np.ndarray) -> np.ndarray:
-        return np.stack([self.schur.prepare_source(b) for b in bs])
-
-    def reconstruct_multi(self, xs_half: np.ndarray, bs: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [self.schur.reconstruct(x, b) for x, b in zip(xs_half, bs)]
-        )
-
-
 def batched_schur_for(op):
-    """The fastest batched Schur wrapper ``op`` supports."""
-    if supports_batched_schur(op):
-        return BatchedSchur(op)
+    """The fastest batched red-black system ``op`` supports: stacked
+    dense-block GEMMs on a coarse operator, else
+    :class:`~repro.dirac.even_odd.SchurOperator` itself — the production
+    kernel on the fine grid, a per-system loop for any other stencil."""
     if supports_dense_block_schur(op):
         return BatchedCoarseSchur(op)
-    return GenericBatchedSchur(op)
+    return SchurOperator(op, parity=0)

@@ -121,27 +121,13 @@ class WilsonCloverOperator(StencilOperator):
         """Batched application to ``(K, V, 4, 3)``, through the active backend."""
         return get_backend().wilson_apply_multi(self, vs)
 
-    def apply_multi_reference(self, vs: np.ndarray) -> np.ndarray:
-        """Baseline batched application to ``(K, V, 4, 3)`` stacks.
-
-        Links and diag blocks are read once for all ``K`` systems and
-        every hop goes through the rank-2 spin compression — the
-        Section 9 multi-RHS reformulation of the fine dslash (see
-        :mod:`repro.dirac.mrhs`).
-        """
-        from .mrhs import BatchedHopSum, blocks_apply_multi
-
-        engine = getattr(self, "_mrhs_engine", None)
-        if engine is None:
-            engine = self._mrhs_engine = BatchedHopSum(self)
-        return blocks_apply_multi(self._diag_blocks, vs) + engine.apply(vs)
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Full application ``M v``, through the active backend."""
         return get_backend().wilson_apply(self, v)
 
     def apply_reference(self, v: np.ndarray) -> np.ndarray:
-        """Baseline fused full application (diagonal + all eight hops)."""
+        """Site-major full application (diagonal + all eight un-projected
+        hops): the oracle the production kernel is tested against."""
         lat = self.lattice
         out = self._apply_blocks(self._diag_blocks, v)
         for mu in range(NDIM):

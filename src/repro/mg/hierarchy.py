@@ -15,6 +15,7 @@ import numpy as np
 
 from ..backend import active_backend_name, use_backend
 from ..coarse import coarsen_operator
+from ..dirac.wilson_kernel import WilsonKernel, supports_wilson_kernel
 from ..lattice import Blocking
 from ..telemetry.tracer import get_tracer
 from ..transfer import Transfer
@@ -117,6 +118,14 @@ def _build_smoother(op, lp: LevelParams, params: MGParams, rng: np.random.Genera
     return SchwarzMRSmoother(
         op, partition, steps=lp.smoother_steps, omega=lp.smoother_omega
     )
+
+
+def _cached_bytes(entry) -> int:
+    """Bytes of one per-backend cache entry: an array, a tuple of
+    arrays, or a helper object that reports its own ``nbytes``."""
+    if isinstance(entry, tuple):
+        return sum(_cached_bytes(item) for item in entry)
+    return int(getattr(entry, "nbytes", 0))
 
 
 class MultigridHierarchy:
@@ -226,9 +235,13 @@ class MultigridHierarchy:
         return [lev.null_vectors for lev in self.levels if not lev.is_coarsest]
 
     def setup_memory_bytes(self) -> int:
-        """Approximate resident size of the setup: null vectors plus
-        every ndarray attribute of the level operators (coarse stencils,
-        link copies, clover blocks).  Drives LRU accounting in setup
+        """Approximate resident size of the setup: null vectors, every
+        ndarray attribute of the level operators (coarse stencils, link
+        copies, clover blocks), the fine-grid kernel tables and whatever
+        the array backends have cached on the operators.  The kernel
+        tables are built on first apply but booked at their known size
+        from the start, so a setup restored from disk counts the same as
+        one that has already run.  Drives LRU accounting in setup
         caches."""
         total = 0
         for lev in self.levels:
@@ -237,6 +250,10 @@ class MultigridHierarchy:
             for value in vars(lev.op).values():
                 if isinstance(value, np.ndarray):
                     total += value.nbytes
+            if supports_wilson_kernel(lev.op):
+                total += WilsonKernel.table_bytes(lev.op.lattice.half_volume)
+            caches = getattr(lev.op, "_backend_cache", {})
+            total += sum(_cached_bytes(entry) for entry in caches.values())
         return total
 
     def reset_stats(self) -> None:

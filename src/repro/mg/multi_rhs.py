@@ -27,11 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..backend import use_backend
-from ..dirac.mrhs import (
-    batched_schur_for,
-    supports_batched_schur,
-    supports_dense_block_schur,
-)
+from ..dirac.mrhs import batched_schur_for, supports_dense_block_schur
+from ..dirac.wilson_kernel import supports_wilson_kernel
 from ..precision import Precision
 from ..solvers.base import SolveResult
 from ..solvers.block import batched_gcr, validate_rhs_stack
@@ -160,7 +157,7 @@ def hierarchy_supports_batching(hierarchy: MultigridHierarchy) -> bool:
     if len(hierarchy.levels) < 2:
         return False
     return all(
-        supports_batched_schur(lev.op) or supports_dense_block_schur(lev.op)
+        supports_wilson_kernel(lev.op) or supports_dense_block_schur(lev.op)
         for lev in hierarchy.levels
     )
 

@@ -130,7 +130,10 @@ class TestPartitionedOperator:
         part = Partition(lat448, grid)
         pop = PartitionedOperator(wilson448, part)
         v = random_spinor(lat448, seed=9)
-        np.testing.assert_array_equal(pop.apply(v), wilson448.apply(v))
+        # a pure data-movement rewrite of the site-major formulation:
+        # bitwise equal to it, roundoff-equal to the production kernel
+        np.testing.assert_array_equal(pop.apply(v), wilson448.apply_reference(v))
+        np.testing.assert_allclose(pop.apply(v), wilson448.apply(v), rtol=0, atol=1e-12)
 
     def test_exact_agreement_coarse(self, wilson448, lat448):
         t = Transfer(

@@ -21,12 +21,11 @@ from repro.dirac import WilsonCloverOperator
 from repro.dirac.even_odd import SchurOperator
 from repro.dirac.mrhs import (
     BatchedCoarseSchur,
-    BatchedSchur,
     batched_schur_for,
-    supports_batched_schur,
     supports_dense_block_schur,
 )
 from repro.dirac.normal import AdjointOperator, NormalOperator
+from repro.dirac.wilson_kernel import supports_wilson_kernel
 from repro.gauge import disordered_field
 from repro.lattice import Lattice
 from repro.mg import LevelParams, MGParams, MultigridSolver
@@ -111,15 +110,16 @@ class TestLevelOperators:
     @pytest.mark.parametrize("k", K_CASES)
     def test_fine_schur_apply(self, mg3, k):
         op, _ = mg3
-        assert supports_batched_schur(op)
-        bschur, schur = BatchedSchur(op), SchurOperator(op, parity=0)
+        assert supports_wilson_kernel(op)
+        schur = batched_schur_for(op)
         rng = np.random.default_rng(320 + k)
         shape = (k, op.lattice.half_volume, op.ns, op.nc)
         halves = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        batched = bschur.apply_multi(halves)
+        batched = schur.apply_multi(halves)
         for i in range(k):
+            np.testing.assert_array_equal(batched[i], schur.apply(halves[i]))
             np.testing.assert_allclose(
-                batched[i], schur.apply(halves[i]), atol=1e-12
+                batched[i], schur.apply_reference(halves[i]), atol=1e-12
             )
 
     @pytest.mark.parametrize("k", K_CASES)
@@ -145,7 +145,7 @@ class TestLevelOperators:
 
     def test_batched_schur_for_dispatch(self, mg3, coarse_op):
         op, _ = mg3
-        assert isinstance(batched_schur_for(op), BatchedSchur)
+        assert isinstance(batched_schur_for(op), SchurOperator)
         assert isinstance(batched_schur_for(coarse_op), BatchedCoarseSchur)
 
     @pytest.mark.parametrize("level", [0, 1])
@@ -195,19 +195,19 @@ class TestSchurProperty:
         rng = np.random.default_rng(seed)
         u = disordered_field(lat, rng, 0.4, smear_steps=1)
         op = WilsonCloverOperator(u, mass=-0.2, c_sw=1.0)
-        bschur, schur = BatchedSchur(op), SchurOperator(op, parity=0)
+        schur = batched_schur_for(op)
         bs = np.asarray(
             rng.standard_normal((k, lat.volume, 4, 3))
             + 1j * rng.standard_normal((k, lat.volume, 4, 3))
         )
-        prep = bschur.prepare_multi(bs)
-        recon = bschur.reconstruct_multi(prep, bs)
+        prep = schur.prepare_multi(bs)
+        recon = schur.reconstruct_multi(prep, bs)
         for i in range(k):
             np.testing.assert_allclose(
-                prep[i], schur.prepare_source(bs[i]), atol=1e-11
+                prep[i], schur.prepare_source_reference(bs[i]), atol=1e-11
             )
             np.testing.assert_allclose(
-                recon[i], schur.reconstruct(prep[i], bs[i]), atol=1e-11
+                recon[i], schur.reconstruct_reference(prep[i], bs[i]), atol=1e-11
             )
 
 

@@ -148,4 +148,5 @@ class TestDecompositionProperties:
         if lat.dims[part_dir] >= 4:
             grid[part_dir] = 2
         pop = PartitionedOperator(op, Partition(lat, tuple(grid)))
-        np.testing.assert_array_equal(pop.apply(v), op.apply(v))
+        np.testing.assert_array_equal(pop.apply(v), op.apply_reference(v))
+        np.testing.assert_allclose(pop.apply(v), op.apply(v), rtol=0, atol=1e-12)

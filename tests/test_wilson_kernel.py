@@ -1,0 +1,344 @@
+"""The production Wilson-Clover kernel held to its oracles.
+
+``repro.dirac.wilson_kernel`` is the only fine-grid formulation the
+package runs; the site-major ``apply_reference`` / ``hop_sum_reference``
+and the zero-padded Schur algebra (``SchurOperator.*_reference``) exist
+to check it.  Everything here is differential: kernel vs oracle at
+``<= 1e-12`` relative, over boundary conditions, anisotropy, the
+clover-free operator, batch sizes, a lattice whose half volume leaves a
+ragged last cache block, and reduced-precision input.
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.dirac import SchurOperator, WilsonCloverOperator
+from repro.backend import use_backend
+from repro.dirac.wilson_kernel import BLOCK, WilsonKernel, wilson_kernel_for
+from repro.gauge import disordered_field
+from repro.lattice import Lattice
+from repro.mg import MultigridHierarchy
+from repro.mg.params import LevelParams, MGParams
+from repro.mg.setup import generate_null_vectors
+from repro.mg.smoother import SchurMRSmoother
+from repro.precision import Precision
+from repro.serve.cache import SetupCache
+from repro.solvers.mixed import PrecisionOperator
+from repro.workloads.datasets import ANISO40_SCALED
+from strategies import SEEDS, lattices, wilson_operators
+
+pytestmark = pytest.mark.backend
+
+RTOL = 1e-12
+BATCHES = (1, 3, 8)
+
+#: name -> (lattice extents, operator keyword arguments)
+CONFIGS = {
+    "periodic": ((4, 4, 4, 8), dict(mass=-0.2, c_sw=1.0, antiperiodic_t=False)),
+    "antiperiodic": ((4, 4, 4, 8), dict(mass=-0.2, c_sw=1.0, antiperiodic_t=True)),
+    "anisotropic": ((4, 4, 4, 8), dict(mass=-0.2, c_sw=1.0, anisotropy=3.5)),
+    "no-clover": ((4, 4, 4, 8), dict(mass=0.1, c_sw=0.0)),
+    # half volume 1296 = 2 * BLOCK + 272: the last cache block is ragged
+    "ragged": ((6, 6, 6, 12), dict(mass=-0.2, c_sw=1.0)),
+}
+
+
+def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def _cnormal(rng, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.fixture(scope="module", params=sorted(CONFIGS))
+def op(request):
+    dims, kwargs = CONFIGS[request.param]
+    lat = Lattice(dims)
+    gauge = disordered_field(lat, np.random.default_rng(len(request.param)), 0.5)
+    return WilsonCloverOperator(gauge, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def stack(op):
+    """Eight full-lattice right-hand sides."""
+    return _cnormal(np.random.default_rng(11), (max(BATCHES), op.lattice.volume, 4, 3))
+
+
+def test_ragged_config_really_is_ragged():
+    half = Lattice(CONFIGS["ragged"][0]).half_volume
+    assert half > BLOCK and half % BLOCK
+
+
+# ----------------------------------------------------------------------
+# full apply and hop sum
+# ----------------------------------------------------------------------
+def test_apply_matches_reference(op, stack):
+    v = stack[0]
+    assert _rel_err(op.apply(v), op.apply_reference(v)) <= RTOL
+
+
+def test_hop_sum_matches_reference(op, stack):
+    v = stack[0]
+    assert _rel_err(op.apply_hopping(v), op.hop_sum_reference(v)) <= RTOL
+
+
+@pytest.mark.parametrize("k", BATCHES)
+def test_apply_multi_matches_reference(op, stack, k):
+    want = np.stack([op.apply_reference(v) for v in stack[:k]])
+    got = op.apply_multi(stack[:k])
+    assert got.shape == want.shape
+    assert _rel_err(got, want) <= RTOL
+
+
+# ----------------------------------------------------------------------
+# red-black system
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("parity", (0, 1))
+def test_schur_matches_zero_padded_algebra(op, stack, parity):
+    schur = SchurOperator(op, parity=parity)
+    b = stack[0]
+    half = b[op.lattice.sites_of_parity(parity)]
+    assert _rel_err(schur.apply(half), schur.apply_reference(half)) <= RTOL
+    assert (
+        _rel_err(schur.prepare_source(b), schur.prepare_source_reference(b)) <= RTOL
+    )
+    assert (
+        _rel_err(schur.reconstruct(half, b), schur.reconstruct_reference(half, b))
+        <= RTOL
+    )
+
+
+@pytest.mark.parametrize("k", BATCHES)
+def test_batched_schur_matches_zero_padded_algebra(op, stack, k):
+    schur = SchurOperator(op, parity=0)
+    bs = stack[:k]
+    halves = bs[:, op.lattice.even_sites]
+    for got, want in (
+        (schur.apply_multi(halves), [schur.apply_reference(h) for h in halves]),
+        (schur.prepare_multi(bs), [schur.prepare_source_reference(b) for b in bs]),
+        (
+            schur.reconstruct_multi(halves, bs),
+            [schur.reconstruct_reference(h, b) for h, b in zip(halves, bs)],
+        ),
+    ):
+        want = np.stack(want)
+        assert got.shape == want.shape
+        assert _rel_err(got, want) <= RTOL
+
+
+@pytest.mark.parametrize("antiperiodic", (False, True))
+def test_schur_matches_dense_complement(antiperiodic):
+    """On 2^3x4 (forward and backward neighbours coincide in three
+    directions) the kernel's Schur matrix equals the complement of the
+    dense reference matrix."""
+    lat = Lattice((2, 2, 2, 4))
+    gauge = disordered_field(lat, np.random.default_rng(3), 0.4)
+    op = WilsonCloverOperator(gauge, mass=0.1, c_sw=1.0, antiperiodic_t=antiperiodic)
+    n = lat.volume * 12
+    dense = np.empty((n, n), dtype=np.complex128)
+    for j, unit in enumerate(np.eye(n, dtype=np.complex128)):
+        dense[:, j] = op.apply_reference(unit.reshape(lat.volume, 4, 3)).reshape(-1)
+    assert _rel_err(op.to_dense(), dense) <= RTOL
+
+    def dof(sites):
+        return (sites[:, None] * 12 + np.arange(12)).reshape(-1)
+
+    e, o = dof(lat.even_sites), dof(lat.odd_sites)
+    complement = dense[np.ix_(e, e)] - dense[np.ix_(e, o)] @ np.linalg.solve(
+        dense[np.ix_(o, o)], dense[np.ix_(o, e)]
+    )
+    assert _rel_err(SchurOperator(op, parity=0).to_dense(), complement) <= RTOL
+
+
+# ----------------------------------------------------------------------
+# reduced-precision input
+# ----------------------------------------------------------------------
+def test_complex64_input_is_computed_in_double(op, stack):
+    v32 = stack[0].astype(np.complex64)
+    got = op.apply(v32)
+    assert got.dtype == np.complex128
+    assert _rel_err(got, op.apply_reference(v32.astype(np.complex128))) <= RTOL
+
+    schur = SchurOperator(op, parity=0)
+    h32 = v32[op.lattice.even_sites]
+    got = schur.apply(h32)
+    assert got.dtype == np.complex128
+    assert _rel_err(got, schur.apply_reference(h32.astype(np.complex128))) <= RTOL
+
+    # through the wrapper the smoother uses: same rounding on the way
+    # in, so the two paths can only differ by the output rounding
+    rounded = PrecisionOperator(schur, Precision.SINGLE).apply(h32)
+    assert rounded.dtype == np.complex128
+    assert _rel_err(rounded, got) <= 1e-6
+
+
+# ----------------------------------------------------------------------
+# structure
+# ----------------------------------------------------------------------
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_parity_hop_writes_only_the_opposite_parity(data):
+    lat = data.draw(lattices())
+    op = data.draw(wilson_operators(lattice=lat))
+    parity = data.draw(st.sampled_from((0, 1)))
+    rng = np.random.default_rng(data.draw(SEEDS))
+    v = np.zeros((lat.volume, 4, 3), dtype=np.complex128)
+    own = lat.sites_of_parity(parity)
+    v[own] = _cnormal(rng, (len(own), 4, 3))
+    out = op.apply_hopping(v)
+    assert not out[own].any()
+    assert _rel_err(out, op.hop_sum_reference(v)) <= RTOL
+
+
+def test_one_kernel_per_operator(op):
+    """Smoother, full apply and the batched cycle share one table set."""
+    kernel = wilson_kernel_for(op)
+    assert wilson_kernel_for(op) is kernel
+    assert wilson_kernel_for(SchurMRSmoother(op).schur.op) is kernel
+
+
+# ----------------------------------------------------------------------
+# setup: same null vectors, same RNG stream
+# ----------------------------------------------------------------------
+class _ReferenceDriven:
+    """The operator with ``apply`` pinned to the site-major oracle."""
+
+    def __init__(self, op):
+        self.lattice, self.ns, self.nc = op.lattice, op.ns, op.nc
+        self.apply = op.apply_reference
+
+
+def _aniso40_operator() -> WilsonCloverOperator:
+    return WilsonCloverOperator(ANISO40_SCALED.gauge(), **ANISO40_SCALED.operator_kwargs())
+
+
+def test_null_vectors_match_reference_driven_setup():
+    op = _aniso40_operator()
+    rng_kernel, rng_oracle = np.random.default_rng(5), np.random.default_rng(5)
+    got = generate_null_vectors(op, 3, rng_kernel, null_iters=20)
+    want = generate_null_vectors(_ReferenceDriven(op), 3, rng_oracle, null_iters=20)
+    for g, w in zip(got, want):
+        assert _rel_err(g, w) <= 1e-9
+    # the draw order is part of the contract: cached setups and golden
+    # iteration counts depend on it
+    assert rng_kernel.standard_normal() == rng_oracle.standard_normal()
+
+
+def test_solve_counters_match_an_oracle_driven_solve(aniso40_solve, monkeypatch):
+    """"Numerics unchanged" in exact counts: on one setup, the solve
+    through the kernel and the solve through the site-major oracles take
+    the same outer iterations and the same work on every level.  (Across
+    two *setups* the level-2 counts can differ by one iteration: level-1
+    null vectors are converged-relaxation round-off, see DESIGN.md
+    section 17.)"""
+    from repro.fields import SpinorField
+    from repro.mg import MultigridSolver
+
+    ds, solver, with_kernel = aniso40_solve
+    op = WilsonCloverOperator(ds.gauge(), **ds.operator_kwargs())
+    monkeypatch.setattr("repro.dirac.wilson_kernel.wilson_kernel_for", lambda op: None)
+    monkeypatch.setattr("repro.dirac.even_odd.wilson_kernel_for", lambda op: None)
+    monkeypatch.setattr(
+        WilsonCloverOperator, "apply", WilsonCloverOperator.apply_reference
+    )
+    oracle_solver = MultigridSolver(
+        op,
+        solver.params,
+        np.random.default_rng(1),
+        null_vectors=solver.hierarchy.export_null_vectors(),
+    )
+    b = SpinorField.random(ds.lattice(), rng=np.random.default_rng(0))
+    with_oracle = oracle_solver.solve(b.data, tol=5e-6)
+    assert not hasattr(op, "_wilson_kernel")  # the oracle path really ran
+    assert with_oracle.converged
+    assert with_oracle.iterations == with_kernel.iterations
+    assert with_oracle.telemetry.level_stats == with_kernel.telemetry.level_stats
+
+
+# ----------------------------------------------------------------------
+# setup cost accounting
+# ----------------------------------------------------------------------
+def test_setup_memory_books_kernel_tables_before_they_exist(gauge44):
+    op = WilsonCloverOperator(gauge44, mass=-0.2, c_sw=1.0)
+    rng = np.random.default_rng(2)
+    params = MGParams(levels=[LevelParams(block=(2, 2, 2, 2), n_null=2)])
+    nulls = [[_cnormal(rng, (op.lattice.volume, 4, 3)) for _ in range(2)]]
+    # building from given null vectors (the restore path) never applies
+    # the fine operator, so the kernel tables do not exist yet
+    hierarchy = MultigridHierarchy.build(op, params, rng, null_vectors=nulls)
+    assert not hasattr(op, "_wilson_kernel")
+    booked = hierarchy.setup_memory_bytes()
+    op.apply(nulls[0][0])
+    tables = sum(table.nbytes for table in wilson_kernel_for(op).tables())
+    assert tables == WilsonKernel.table_bytes(op.lattice.half_volume)
+    assert tables >= op._u_fwd.nbytes + op._u_bwd.nbytes  # noqa: SLF001
+    own_arrays = sum(
+        value.nbytes
+        for lev in hierarchy.levels
+        for value in list(vars(lev.op).values()) + lev.null_vectors
+        if isinstance(value, np.ndarray)
+    )
+    assert booked == own_arrays + tables
+    assert hierarchy.setup_memory_bytes() == booked  # building them changes nothing
+
+
+def test_restored_setup_books_the_same_bytes_as_a_cold_build(gauge44, tmp_path):
+    """LRU accounting must not depend on whether the first apply (which
+    builds the kernel tables) happened before or after the insert."""
+    params = MGParams(
+        levels=[LevelParams(block=(2, 2, 2, 2), n_null=2, null_iters=5)]
+    )
+
+    def booked():
+        op = WilsonCloverOperator(gauge44, mass=-0.2, c_sw=1.0)
+        cache = SetupCache(disk_dir=str(tmp_path))
+        hierarchy = cache.get_or_build(op, params, np.random.default_rng(3))
+        return cache, hierarchy, op
+
+    cold, _, _ = booked()
+    warm, hierarchy, op = booked()
+    assert (cold.stats["misses"], warm.stats["disk_hits"]) == (1, 1)
+    assert not hasattr(op, "_wilson_kernel")
+    assert warm.nbytes == cold.nbytes
+    op.apply(hierarchy.levels[0].null_vectors[0])
+    assert hierarchy.setup_memory_bytes() == warm.nbytes
+
+
+def test_setup_memory_counts_backend_caches(gauge44):
+    op = WilsonCloverOperator(gauge44, mass=-0.2, c_sw=1.0)
+    rng = np.random.default_rng(2)
+    params = MGParams(levels=[LevelParams(block=(2, 2, 2, 2), n_null=2)])
+    nulls = [[_cnormal(rng, (op.lattice.volume, 4, 3)) for _ in range(2)]]
+    hierarchy = MultigridHierarchy.build(op, params, rng, null_vectors=nulls)
+    coarse = hierarchy.levels[1].op
+    before = hierarchy.setup_memory_bytes()
+    v = _cnormal(rng, (coarse.lattice.volume, coarse.ns, coarse.nc))
+    with use_backend("einsum"):
+        coarse.apply(v)  # caches the concatenated stencil + index table
+    cat, idx = coarse._backend_cache["einsum", "coarse_cat9"]  # noqa: SLF001
+    assert hierarchy.setup_memory_bytes() == before + cat.nbytes + idx.nbytes
+    with use_backend("soa"):
+        coarse.apply_multi(v[None])  # packed parity hop stacks and diagonals
+    assert hierarchy.setup_memory_bytes() > before + cat.nbytes + idx.nbytes
+
+
+def test_smoother_construction_stays_off_the_restore_budget():
+    """Restoring a persisted setup rebuilds every smoother; the kernel
+    tables (2-4 ms at V=1024) must not be paid there per consumer."""
+    op = _aniso40_operator()
+    begin = time.perf_counter()
+    first = SchurMRSmoother(op)
+    second = SchurMRSmoother(op, precision=Precision.HALF)
+    elapsed = time.perf_counter() - begin
+    assert elapsed < 0.010
+    v = _cnormal(np.random.default_rng(1), (op.lattice.volume, 4, 3))
+    first.apply(v)
+    second.apply(v)
+    assert wilson_kernel_for(op) is wilson_kernel_for(first.schur.op)
