@@ -1,10 +1,14 @@
 """Ablation: mixed precision with reliable updates (Sections 3.3, 4, 7.1).
 
 Solves the same red-black system at a double-precision target tolerance
-with inner BiCGStab in double, single and half storage.  Reduced
-precision costs extra outer (reliable-update) cycles but every variant
-reaches the same final accuracy — QUDA's "high speed with no loss in
-accuracy" claim — and on the modeled GPU the traffic saving wins.
+with inner BiCGStab in double, single and half precision.  Single is
+measured, not emulated: the inner stencil runs natively on complex64
+fields and complex64 link/clover tables (half the bytes of the double
+kernel), cast in and out at the operator boundary; half adds the 16-bit
+storage rounding on top of that complex64 compute.  Reduced precision
+costs extra outer (reliable-update) cycles but every variant reaches
+the same final accuracy — QUDA's "high speed with no loss in accuracy"
+claim — and on the modeled GPU the traffic saving wins.
 """
 
 import numpy as np

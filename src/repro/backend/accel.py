@@ -20,6 +20,7 @@ import importlib.util
 
 import numpy as np
 
+from ..precision import compute_dtype, reduced
 from .einsum_backend import EinsumBackend, _has_dense_blocks
 
 
@@ -59,7 +60,11 @@ def _make_numba_backend():
             out = np.empty_like(flat)
             fwd = np.ascontiguousarray(np.stack(list(lat.fwd)))
             bwd = np.ascontiguousarray(np.stack(list(lat.bwd)))
-            _coarse_apply_jit(op.x_blocks, op.hop_blocks, fwd, bwd, flat, out)
+            dtype = compute_dtype(v)
+            _coarse_apply_jit(
+                reduced(op, "x_blocks", dtype), reduced(op, "hop_blocks", dtype),
+                fwd, bwd, flat, out,
+            )
             return out.reshape(v.shape)
 
         def dense_blocks_apply(self, mats: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -87,17 +92,17 @@ def _make_cupy_backend():
             "round-trips at the protocol boundary"
         )
 
-        def _device_tables(self, op):
+        def _device_tables(self, op, dtype):
             def build():
-                cat, idx = self._coarse_tables(op, with_diag=True)
+                cat, idx = self._coarse_tables(op, True, dtype)
                 return cupy.asarray(cat), cupy.asarray(idx)
 
-            return self.op_cache(op, "cupy_cat9", build)
+            return self.op_cache(op, "cupy_cat9", build, dtype)
 
         def coarse_apply_multi(self, op, vs: np.ndarray) -> np.ndarray:
             if not _has_dense_blocks(op):
                 return super().coarse_apply_multi(op, vs)
-            cat, idx = self._device_tables(op)
+            cat, idx = self._device_tables(op, compute_dtype(vs))
             k, vol = vs.shape[0], vs.shape[1]
             n = cat.shape[1]
             flat = cupy.asarray(vs.reshape(k, vol, n)).transpose(1, 2, 0)

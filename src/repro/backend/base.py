@@ -32,6 +32,8 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..precision import COMPLEX128, compute_dtype
+
 
 class ArrayBackend:
     """A named formulation of the hot kernels.
@@ -52,14 +54,18 @@ class ArrayBackend:
     # ------------------------------------------------------------------
     # per-operator backend state
     # ------------------------------------------------------------------
-    def op_cache(self, obj: Any, key: str, factory: Callable[[], Any]) -> Any:
+    def op_cache(
+        self, obj: Any, key: str, factory: Callable[[], Any], dtype=COMPLEX128
+    ) -> Any:
         """Backend-private memo attached to ``obj``.
 
-        Entries are keyed ``(backend.name, key)`` so distinct backends
-        sharing an operator never read each other's packed layouts.
+        Entries are keyed ``(backend.name, key, dtype)``: distinct
+        backends sharing an operator never read each other's packed
+        layouts, and each precision a layout is computed at gets its own
+        tables, built the first time a field of that dtype arrives.
         """
         cache = obj.__dict__.setdefault("_backend_cache", {})
-        full_key = (self.name, key)
+        full_key = (self.name, key, np.dtype(dtype))
         if full_key not in cache:
             cache[full_key] = factory()
         return cache[full_key]
@@ -88,7 +94,7 @@ class ArrayBackend:
         """
         from ..dirac.wilson_kernel import wilson_kernel_for
 
-        kernel = wilson_kernel_for(op)
+        kernel = wilson_kernel_for(op, compute_dtype(v))
         if kernel is None:
             return op.hop_sum_reference(v)
         return kernel.hop_sum_sites(v[None])[0]
@@ -127,7 +133,7 @@ class ArrayBackend:
         """Batched ``M`` over a ``(K, V, 4, 3)`` right-hand-side stack."""
         from ..dirac.wilson_kernel import wilson_kernel_for
 
-        return wilson_kernel_for(op).apply_sites(vs)
+        return wilson_kernel_for(op, compute_dtype(vs)).apply_sites(vs)
 
     # ------------------------------------------------------------------
     # coarse dense-block stencil

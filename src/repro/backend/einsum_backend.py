@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..precision import compute_dtype, reduced
 from .base import ArrayBackend
 
 
@@ -58,10 +59,11 @@ class EinsumBackend(ArrayBackend):
     # ------------------------------------------------------------------
     # coarse dense-block stencil: the gather-GEMM formulation
     # ------------------------------------------------------------------
-    def _coarse_tables(self, op, with_diag: bool):
+    def _coarse_tables(self, op, with_diag: bool, dtype):
         """Cached ``(cat_blocks, idx)``: concatenated per-site stencil
-        matrices ``(V, N, T*N)`` and the matching ``(T, V)`` source-site
-        table (T = 9 with the diagonal term, 8 without)."""
+        matrices ``(V, N, T*N)`` at ``dtype`` (cast from the operator's
+        complex128 blocks) and the matching ``(T, V)`` source-site table
+        (T = 9 with the diagonal term, 8 without)."""
 
         def build():
             from ..lattice import NDIM
@@ -76,17 +78,17 @@ class EinsumBackend(ArrayBackend):
                 idx.append(lat.fwd[mu])
                 blocks.append(op.hop_blocks[mu, 1])
                 idx.append(lat.bwd[mu])
-            cat = np.ascontiguousarray(np.concatenate(blocks, axis=2))
+            cat = np.concatenate(blocks, axis=2, dtype=dtype, casting="same_kind")
             return cat, np.ascontiguousarray(np.stack(idx))
 
         key = "coarse_cat9" if with_diag else "coarse_cat8"
-        return self.op_cache(op, key, build)
+        return self.op_cache(op, key, build, dtype)
 
     def _coarse_gather_apply(
         self, op, vs: np.ndarray, with_diag: bool
     ) -> np.ndarray:
         """One batched GEMM per application: ``(V, N, TN) @ (V, TN, K)``."""
-        cat, idx = self._coarse_tables(op, with_diag)
+        cat, idx = self._coarse_tables(op, with_diag, compute_dtype(vs))
         k, vol = vs.shape[0], vs.shape[1]
         n = cat.shape[1]
         flat = vs.reshape(k, vol, n).transpose(1, 2, 0)  # (V, N, K)
@@ -111,14 +113,16 @@ class EinsumBackend(ArrayBackend):
     # ------------------------------------------------------------------
     # aggregation transfers: fused-chirality batched GEMMs
     # ------------------------------------------------------------------
-    def _basis_dag(self, transfer) -> np.ndarray:
-        """Cached conjugate-transposed aggregate basis ``(V_c, 2, Nc, rows)``."""
+    def _basis_dag(self, transfer, dtype) -> np.ndarray:
+        """Cached conjugate-transposed aggregate basis ``(V_c, 2, Nc, rows)``
+        at ``dtype``."""
         return self.op_cache(
             transfer,
             "basis_dag",
             lambda: np.ascontiguousarray(
-                np.conj(np.swapaxes(transfer._basis, -1, -2))
+                np.conj(np.swapaxes(transfer._basis, -1, -2)), dtype=dtype
             ),
+            dtype,
         )
 
     def _gather_chiral(self, transfer, fine: np.ndarray) -> np.ndarray:
@@ -152,7 +156,8 @@ class EinsumBackend(ArrayBackend):
 
     def restrict(self, transfer, fine: np.ndarray) -> np.ndarray:
         x = self._gather_chiral(transfer, fine)
-        return np.matmul(self._basis_dag(transfer), x[..., None])[..., 0]
+        basis_dag = self._basis_dag(transfer, compute_dtype(fine))
+        return np.matmul(basis_dag, x[..., None])[..., 0]
 
     def prolong(self, transfer, coarse: np.ndarray) -> np.ndarray:
         # the fused-chirality scatter loses to the baseline's sliced
@@ -169,7 +174,8 @@ class EinsumBackend(ArrayBackend):
         g = fines[:, agg].reshape(k, vc, bv, 2, nsb, nc)
         # (V_c, 2, rows, K): aggregate rows per coarse site, batch last
         x = g.transpose(1, 3, 2, 4, 5, 0).reshape(vc, 2, transfer._rows, k)
-        y = np.matmul(self._basis_dag(transfer), x)  # (V_c, 2, Nc, K)
+        basis_dag = self._basis_dag(transfer, compute_dtype(fines))
+        y = np.matmul(basis_dag, x)  # (V_c, 2, Nc, K)
         return np.ascontiguousarray(y.transpose(3, 0, 1, 2))
 
     def prolong_multi(self, transfer, coarses: np.ndarray) -> np.ndarray:
@@ -179,7 +185,8 @@ class EinsumBackend(ArrayBackend):
         nsb = transfer.fine_ns // 2
         nc = transfer.fine_nc
         x = coarses.transpose(1, 2, 3, 0)  # (V_c, 2, Nc, K)
-        rows = np.matmul(transfer._basis, x)  # (V_c, 2, rows, K)
+        basis = reduced(transfer, "_basis", compute_dtype(coarses))
+        rows = np.matmul(basis, x)  # (V_c, 2, rows, K)
         vals = (
             rows.reshape(vc, 2, bv, nsb, nc, k)
             .transpose(5, 0, 2, 1, 3, 4)

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..precision import compute_dtype
 from .base import ArrayBackend
 from .einsum_backend import _has_dense_blocks
 
@@ -83,7 +84,7 @@ def unpack_parity(packed: PackedParityField) -> np.ndarray:
 
 
 class _ParityKernels:
-    """Per-operator packed state: parity site tables and the
+    """Per-operator, per-dtype packed state: parity site tables and the
     parity-to-parity hop / site-local sweeps on packed planes.
 
     The fine grid has no sweeps of its own: it converts the site-major
@@ -91,23 +92,23 @@ class _ParityKernels:
     (:mod:`repro.dirac.wilson_kernel`) and back.
     """
 
-    def __init__(self, op):
+    def __init__(self, op, dtype):
         from ..dirac.mrhs import _DenseBlockHop
         from ..dirac.wilson_kernel import wilson_kernel_for
 
         self.even, self.odd = parity_sites(op.lattice)
-        self.wilson = wilson_kernel_for(op)
+        self.wilson = wilson_kernel_for(op, dtype)
         if self.wilson is not None:
             self.kind = "wilson"
         elif _has_dense_blocks(op):
             self.kind = "dense"
             self._hops = (
-                _DenseBlockHop(op, out_sites=self.even, src_sites=self.odd),
-                _DenseBlockHop(op, out_sites=self.odd, src_sites=self.even),
+                _DenseBlockHop(op, self.even, self.odd, dtype),
+                _DenseBlockHop(op, self.odd, self.even, dtype),
             )
             self._diag = (
-                np.ascontiguousarray(op.x_blocks[self.even]),
-                np.ascontiguousarray(op.x_blocks[self.odd]),
+                np.ascontiguousarray(op.x_blocks[self.even], dtype=dtype),
+                np.ascontiguousarray(op.x_blocks[self.odd], dtype=dtype),
             )
         else:
             self.kind = "generic"
@@ -123,7 +124,7 @@ class _ParityKernels:
     def _wilson_sweep(self, sweep, parity: int, plane: np.ndarray) -> np.ndarray:
         from ..dirac.wilson_kernel import to_site_fastest, to_site_major
 
-        return to_site_major(sweep(parity, to_site_fastest(plane)))
+        return to_site_major(sweep(parity, to_site_fastest(plane, self.wilson.dtype)))
 
     def hop(self, parity: int, src: np.ndarray) -> np.ndarray:
         """Hop sum landing on ``parity`` from the opposite plane's stack."""
@@ -156,8 +157,10 @@ class SoABackend(ArrayBackend):
     def unpack(self, op, packed: PackedParityField) -> np.ndarray:
         return unpack_parity(packed)
 
-    def _kernels(self, op) -> _ParityKernels:
-        return self.op_cache(op, "parity_kernels", lambda: _ParityKernels(op))
+    def _kernels(self, op, dtype) -> _ParityKernels:
+        return self.op_cache(
+            op, "parity_kernels", lambda: _ParityKernels(op, dtype), dtype
+        )
 
     # ------------------------------------------------------------------
     # packed-plane applications (the layout-native code path)
@@ -169,7 +172,7 @@ class SoABackend(ArrayBackend):
         — each hop sweep reads one contiguous parity plane and writes
         the other, with the site-local term applied in place.
         """
-        kern = self._kernels(op)
+        kern = self._kernels(op, compute_dtype(planes))
         ve, vo = planes[0], planes[1]
         out_e = kern.diag(0, ve) + kern.hop(0, vo)
         out_o = kern.diag(1, vo) + kern.hop(1, ve)
@@ -177,14 +180,14 @@ class SoABackend(ArrayBackend):
 
     def hop_sum_packed_multi(self, op, planes: np.ndarray) -> np.ndarray:
         """Hop-only parity sweeps on packed ``(2, K, V/2, ns, nc)`` data."""
-        kern = self._kernels(op)
+        kern = self._kernels(op, compute_dtype(planes))
         return np.stack([kern.hop(0, planes[1]), kern.hop(1, planes[0])])
 
     # ------------------------------------------------------------------
     # canonical-layout API: pack, sweep, unpack
     # ------------------------------------------------------------------
     def _apply_via_planes(self, op, vs: np.ndarray, hops_only: bool) -> np.ndarray:
-        kern = self._kernels(op)
+        kern = self._kernels(op, compute_dtype(vs))
         planes = np.stack([vs[:, kern.even], vs[:, kern.odd]])
         sweep = self.hop_sum_packed_multi if hops_only else self.apply_packed_multi
         out_planes = sweep(op, planes)
@@ -199,6 +202,6 @@ class SoABackend(ArrayBackend):
     # round-trips through the pack permutation without a batch to
     # amortize it (measured ~1.6x slower on the quick-bench lattice).
     def coarse_apply_multi(self, op, vs: np.ndarray) -> np.ndarray:
-        if self._kernels(op).kind != "dense":
+        if not _has_dense_blocks(op):
             return super().coarse_apply_multi(op, vs)
         return self._apply_via_planes(op, vs, hops_only=False)

@@ -6,6 +6,13 @@ structure is lost: each link carries a dense
 ``(Ns_hat Nc_hat) x (Ns_hat Nc_hat)`` matrix ``Y``, and the site-local
 term ``X`` is likewise dense (it absorbs the aggregated clover/mass
 term *and* all hops internal to the aggregates).
+
+The blocks are built and kept in complex128 (Galerkin products and
+verification read those); an application computes at the dtype of the
+field it is handed, on copies of the blocks cast to that dtype the first
+time such a field arrives (:func:`repro.precision.reduced`) — every
+kernel here is bandwidth-bound on the blocks, so a complex64 field
+halves the bytes.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import numpy as np
 from ..backend import get_backend
 from ..dirac.stencil import StencilOperator
 from ..lattice import NDIM, Lattice
+from ..precision import compute_dtype, reduced
 
 
 class CoarseOperator(StencilOperator):
@@ -61,16 +69,25 @@ class CoarseOperator(StencilOperator):
         return np.linalg.inv(self.x_blocks)
 
     # ------------------------------------------------------------------
+    def reduced_bytes(self, dtype) -> int:
+        """Bytes of the ``dtype`` copies of ``x_blocks``, their inverse
+        and ``hop_blocks`` — known before any of them is cast."""
+        entries = 2 * self.x_blocks.size + self.hop_blocks.size
+        return entries * np.dtype(dtype).itemsize
+
     def apply_diag(self, v: np.ndarray) -> np.ndarray:
-        return get_backend().dense_blocks_apply(self.x_blocks, v)
+        x_blocks = reduced(self, "x_blocks", compute_dtype(v))
+        return get_backend().dense_blocks_apply(x_blocks, v)
 
     def apply_diag_inv(self, v: np.ndarray) -> np.ndarray:
-        return get_backend().dense_blocks_apply(self._x_inv, v)
+        x_inv = reduced(self, "_x_inv", compute_dtype(v))
+        return get_backend().dense_blocks_apply(x_inv, v)
 
     def apply_hop_gathered(self, mu: int, sign: int, nbr: np.ndarray) -> np.ndarray:
         d = 0 if sign > 0 else 1
+        hop_blocks = reduced(self, "hop_blocks", compute_dtype(nbr))
         flat = nbr.reshape(self.lattice.volume, self.site_dof, 1)
-        return np.matmul(self.hop_blocks[mu, d], flat).reshape(nbr.shape)
+        return np.matmul(hop_blocks[mu, d], flat).reshape(nbr.shape)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Full application ``M v``, through the active backend."""
@@ -79,11 +96,13 @@ class CoarseOperator(StencilOperator):
     def apply_reference(self, v: np.ndarray) -> np.ndarray:
         """Baseline fused application: one gather + batched matvec per direction."""
         lat = self.lattice
+        dtype = compute_dtype(v)
+        hop_blocks = reduced(self, "hop_blocks", dtype)
         flat = v.reshape(lat.volume, self.site_dof, 1)
-        out = np.matmul(self.x_blocks, flat)
+        out = np.matmul(reduced(self, "x_blocks", dtype), flat)
         for mu in range(NDIM):
-            out += np.matmul(self.hop_blocks[mu, 0], flat[lat.fwd[mu]])
-            out += np.matmul(self.hop_blocks[mu, 1], flat[lat.bwd[mu]])
+            out += np.matmul(hop_blocks[mu, 0], flat[lat.fwd[mu]])
+            out += np.matmul(hop_blocks[mu, 1], flat[lat.bwd[mu]])
         return out.reshape(v.shape)
 
     def apply_multi(self, vs: np.ndarray) -> np.ndarray:
@@ -101,13 +120,15 @@ class CoarseOperator(StencilOperator):
         """
         lat = self.lattice
         k = vs.shape[0]
+        dtype = compute_dtype(vs)
+        hop_blocks = reduced(self, "hop_blocks", dtype)
         flat = np.ascontiguousarray(
             vs.reshape(k, lat.volume, self.site_dof).transpose(1, 2, 0)
         )
-        out = np.matmul(self.x_blocks, flat)
+        out = np.matmul(reduced(self, "x_blocks", dtype), flat)
         for mu in range(NDIM):
-            out += np.matmul(self.hop_blocks[mu, 0], flat[lat.fwd[mu]])
-            out += np.matmul(self.hop_blocks[mu, 1], flat[lat.bwd[mu]])
+            out += np.matmul(hop_blocks[mu, 0], flat[lat.fwd[mu]])
+            out += np.matmul(hop_blocks[mu, 1], flat[lat.bwd[mu]])
         return np.ascontiguousarray(out.transpose(2, 0, 1)).reshape(vs.shape)
 
     # ------------------------------------------------------------------

@@ -34,10 +34,10 @@ class PartitionedOperator:
         self.nc = op.nc
         self.lattice = op.lattice
 
-    def application_cost(self) -> tuple[float, float]:
+    def application_cost(self, dtype=np.complex128) -> tuple[float, float]:
         """Delegate ``(flops, bytes)`` to the wrapped single-rank operator;
         the exchanged halo faces book themselves onto their own spans."""
-        return self.op.application_cost()
+        return self.op.application_cost(dtype)
 
     # ------------------------------------------------------------------
     def split(self, v: np.ndarray) -> np.ndarray:

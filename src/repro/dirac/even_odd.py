@@ -24,6 +24,10 @@ path coarse operators run, and the oracle for the fine grid.  When the
 operator exposes Wilson-Clover internals, ``apply`` / ``prepare_source``
 / ``reconstruct`` instead run the half-volume site-fastest kernel of
 :mod:`repro.dirac.wilson_kernel`, which never forms the padding.
+
+Both compute at the dtype of the field they are handed: a complex64
+half-field meets the complex64 kernel (or complex64 padding and the
+operator's complex64 tables) and comes back complex64.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..lattice import Lattice
+from ..precision import compute_dtype
 from .stencil import StencilOperator
 from .wilson_kernel import wilson_kernel_for
 
@@ -64,7 +69,7 @@ class SchurOperator:
         """Embed a half-field into a zero-padded full-lattice field."""
         sites = self._own if (parity is None or parity == self.parity) else self._other
         full = np.zeros(
-            (self.lattice.volume, self.ns, self.nc), dtype=np.complex128
+            (self.lattice.volume, self.ns, self.nc), dtype=compute_dtype(half)
         )
         full[sites] = half
         return full
@@ -95,7 +100,7 @@ class SchurOperator:
     def apply_multi(self, halves: np.ndarray) -> np.ndarray:
         """The Schur matrix on a ``(K, V/2, ns, nc)`` stack: one kernel
         call on the fine grid, a loop over systems anywhere else."""
-        kernel = wilson_kernel_for(self.op)
+        kernel = wilson_kernel_for(self.op, compute_dtype(halves))
         if kernel is None:
             return np.stack([self.apply_reference(h) for h in halves])
         return kernel.schur_apply_sites(self.parity, halves)
@@ -114,7 +119,7 @@ class SchurOperator:
 
     def prepare_multi(self, bs: np.ndarray) -> np.ndarray:
         """Schur right-hand sides for a ``(K, V, ns, nc)`` stack."""
-        kernel = wilson_kernel_for(self.op)
+        kernel = wilson_kernel_for(self.op, compute_dtype(bs))
         if kernel is None:
             return np.stack([self.prepare_source_reference(b) for b in bs])
         return kernel.schur_prepare_sites(self.parity, bs)
@@ -134,7 +139,7 @@ class SchurOperator:
 
     def reconstruct_multi(self, xs_half: np.ndarray, bs: np.ndarray) -> np.ndarray:
         """Full-lattice solutions for stacks of Schur solutions and sources."""
-        kernel = wilson_kernel_for(self.op)
+        kernel = wilson_kernel_for(self.op, compute_dtype(bs))
         if kernel is None:
             return np.stack(
                 [self.reconstruct_reference(x, b) for x, b in zip(xs_half, bs)]

@@ -10,7 +10,7 @@ and clover tables are read once for all ``K`` systems, and
 ``apply_multi`` / ``prepare_multi`` / ``reconstruct_multi``.  On coarse
 grids there is no spin structure to exploit; :class:`BatchedCoarseSchur`
 folds the batch into the right-hand side of stacked dense-block GEMMs
-on genuine half-volume fields.
+on genuine half-volume fields, at the dtype of the stack it is handed.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..lattice import NDIM
+from ..precision import COMPLEX128, compute_dtype
 from .even_odd import SchurOperator
 
 
@@ -38,7 +39,9 @@ class _DenseBlockHop:
     (``(8, Vo, N, N) @ (8, Vo, N, K)`` stacked GEMMs).
     """
 
-    def __init__(self, op, out_sites: np.ndarray, src_sites: np.ndarray):
+    def __init__(
+        self, op, out_sites: np.ndarray, src_sites: np.ndarray, dtype=COMPLEX128
+    ):
         lat = op.lattice
         posmap = np.empty(lat.volume, dtype=np.int64)
         posmap[src_sites] = np.arange(len(src_sites))
@@ -47,7 +50,8 @@ class _DenseBlockHop:
             for d, table in ((0, lat.fwd[mu]), (1, lat.bwd[mu])):
                 links.append(op.hop_blocks[mu, d][out_sites])
                 idx.append(posmap[table[out_sites]])
-        self._links = np.ascontiguousarray(np.stack(links))  # (8, Vo, N, N)
+        # (8, Vo, N, N), cast from the operator's complex128 blocks
+        self._links = np.stack(links, dtype=dtype, casting="same_kind")
         self._idx = np.stack(idx)                            # (8, Vo)
         self._vo = self._links.shape[1]
 
@@ -82,40 +86,49 @@ class BatchedCoarseSchur:
     The batched methods of :class:`SchurOperator` one level down:
     ``apply_multi`` evaluates ``(X_ee - Y_eo X_oo^{-1} Y_oe) x_e`` on genuine
     half-volume ``(K, V/2, ns, nc)`` stacks, with every dense link and
-    site block read once per application for all ``K`` systems.
+    site block read once per application for all ``K`` systems.  The
+    parity-gathered link stacks and site blocks are built per dtype, the
+    first time a stack of that dtype arrives.
     """
 
     def __init__(self, op):
         self.op = op
-        self.schur = SchurOperator(op, parity=0)
-        own, other = self.schur._own, self.schur._other  # noqa: SLF001
-        self._own = own
-        self._other = other
-        self._hop_to_other = _DenseBlockHop(op, out_sites=other, src_sites=own)
-        self._hop_to_own = _DenseBlockHop(op, out_sites=own, src_sites=other)
-        x_inv = op._x_inv  # noqa: SLF001 — cached once on the operator
-        self._diag_own = np.ascontiguousarray(op.x_blocks[own])
-        self._dinv_other = np.ascontiguousarray(x_inv[other])
+        self._own = op.lattice.sites_of_parity(0)
+        self._other = op.lattice.sites_of_parity(1)
+        self._tables: dict = {}
+
+    def _at(self, dtype):
+        """``(hop to other, hop to own, X_ee, X_oo^{-1})`` at ``dtype``."""
+        tables = self._tables.get(dtype)
+        if tables is None:
+            op, own, other = self.op, self._own, self._other
+            tables = self._tables[dtype] = (
+                _DenseBlockHop(op, out_sites=other, src_sites=own, dtype=dtype),
+                _DenseBlockHop(op, out_sites=own, src_sites=other, dtype=dtype),
+                np.ascontiguousarray(op.x_blocks[own], dtype=dtype),
+                # inverted once, in double, on the operator
+                np.ascontiguousarray(op._x_inv[other], dtype=dtype),  # noqa: SLF001
+            )
+        return tables
 
     def apply_multi(self, halves: np.ndarray) -> np.ndarray:
-        hop1 = self._hop_to_other.apply(halves)
-        mid = _dense_blocks_apply_multi(self._dinv_other, hop1)
-        hop2 = self._hop_to_own.apply(mid)
-        return _dense_blocks_apply_multi(self._diag_own, halves) - hop2
+        to_other, to_own, diag_own, dinv_other = self._at(compute_dtype(halves))
+        mid = _dense_blocks_apply_multi(dinv_other, to_other.apply(halves))
+        return _dense_blocks_apply_multi(diag_own, halves) - to_own.apply(mid)
 
     def prepare_multi(self, bs: np.ndarray) -> np.ndarray:
         """Schur right-hand sides ``b_e - Y_eo X_oo^{-1} b_o`` for a stack."""
+        _, to_own, _, dinv_other = self._at(compute_dtype(bs))
         b_other = np.ascontiguousarray(bs[:, self._other])
-        corr = self._hop_to_own.apply(
-            _dense_blocks_apply_multi(self._dinv_other, b_other)
-        )
+        corr = to_own.apply(_dense_blocks_apply_multi(dinv_other, b_other))
         return bs[:, self._own] - corr
 
     def reconstruct_multi(self, xs_half: np.ndarray, bs: np.ndarray) -> np.ndarray:
         """Full-lattice solutions ``x_o = X_oo^{-1}(b_o - Y_oe x_e)``."""
-        hop = self._hop_to_other.apply(xs_half)
+        to_other, _, _, dinv_other = self._at(compute_dtype(bs))
         b_other = np.ascontiguousarray(bs[:, self._other])
-        x_other = _dense_blocks_apply_multi(self._dinv_other, b_other - hop)
+        rhs_other = b_other - to_other.apply(xs_half)
+        x_other = _dense_blocks_apply_multi(dinv_other, rhs_other)
         out = np.empty_like(bs)
         out[:, self._own] = xs_half
         out[:, self._other] = x_other

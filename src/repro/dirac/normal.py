@@ -20,7 +20,8 @@ def _g5_factor(op, v: np.ndarray) -> np.ndarray:
         return np.ones(1)
     shape = [1] * v.ndim
     shape[-2] = len(g5)
-    return g5.reshape(shape)
+    # signs at the field's own real dtype, so the product keeps it
+    return g5.reshape(shape).astype(v.real.dtype)
 
 
 class AdjointOperator:

@@ -23,6 +23,7 @@ import numpy as np
 from ..backend import get_backend
 from ..fields import SpinorField
 from ..lattice import NDIM, Lattice
+from ..precision import COMPLEX128
 
 
 class StencilOperator(abc.ABC):
@@ -193,38 +194,30 @@ class StencilOperator(abc.ABC):
         vectors = (9 + 2) * dof * 2 * precision_bytes
         return matrices, vectors
 
-    def application_cost(self) -> tuple[float, float]:
-        """``(flops, bytes)`` of one full operator application.
+    def application_cost(self, dtype=COMPLEX128) -> tuple[float, float]:
+        """``(flops, bytes)`` of one full operator application on a
+        ``dtype`` field (bytes at the itemsize actually streamed).
 
-        Cached per instance: telemetry attributes every traced stencil
-        span with this cost (:meth:`repro.telemetry.Span.attribute`), so
-        the lookup sits on the hot path even when tracing is on.
+        Cached per instance and dtype: telemetry attributes every traced
+        stencil span with this cost (:meth:`repro.telemetry.Span.attribute`),
+        so the lookup sits on the hot path even when tracing is on.
         """
-        cached = getattr(self, "_application_cost", None)
-        if cached is None:
-            volume = self.lattice.volume
-            cached = (
-                volume * self.flops_per_site(),
-                volume * self.bytes_per_site(),
-            )
-            self._application_cost = cached
-        return cached
+        return self.application_cost_multi(1, dtype)
 
-    def application_cost_multi(self, k: int) -> tuple[float, float]:
+    def application_cost_multi(self, k: int, dtype=COMPLEX128) -> tuple[float, float]:
         """``(flops, bytes)`` of one batched application over ``k`` systems.
 
         Flops scale with ``k``; the matrix traffic is paid once for the
         whole batch while the vector traffic scales with ``k``.  Cached
-        per ``(instance, k)`` like :meth:`application_cost`.
+        per ``(instance, k, dtype)``.
         """
-        cache = getattr(self, "_application_cost_multi", None)
-        if cache is None:
-            cache = self._application_cost_multi = {}
-        cached = cache.get(k)
+        cache = self.__dict__.setdefault("_application_cost", {})
+        dtype = np.dtype(dtype)
+        cached = cache.get((k, dtype))
         if cached is None:
             volume = self.lattice.volume
-            matrices, vectors = self.bytes_per_site_split()
-            cached = cache[k] = (
+            matrices, vectors = self.bytes_per_site_split(dtype.itemsize / 2)
+            cached = cache[k, dtype] = (
                 k * volume * self.flops_per_site(),
                 volume * (matrices + k * vectors),
             )

@@ -19,6 +19,7 @@ from ..backend import get_backend
 from ..fields import GaugeField
 from ..gauge.su3 import dagger
 from ..lattice import NDIM, Lattice
+from ..precision import compute_dtype, reduced
 from .clover import CloverTerm
 from .gamma import NS, chirality_slices, projectors
 from .stencil import StencilOperator
@@ -94,10 +95,12 @@ class WilsonCloverOperator(StencilOperator):
     # ------------------------------------------------------------------
     def apply_diag(self, v: np.ndarray) -> np.ndarray:
         """Clover/mass site-local term, through the active backend."""
-        return get_backend().clover_apply(self._diag_blocks, v)
+        blocks = reduced(self, "_diag_blocks", compute_dtype(v))
+        return get_backend().clover_apply(blocks, v)
 
     def apply_diag_inv(self, v: np.ndarray) -> np.ndarray:
-        return get_backend().clover_apply(self._diag_inv, v)
+        blocks = reduced(self, "_diag_inv", compute_dtype(v))
+        return get_backend().clover_apply(blocks, v)
 
     def _apply_blocks(self, blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Baseline chiral-block multiply (kept as the reference the
@@ -112,8 +115,9 @@ class WilsonCloverOperator(StencilOperator):
     # ------------------------------------------------------------------
     def apply_hop_gathered(self, mu: int, sign: int, nbr: np.ndarray) -> np.ndarray:
         """Signed hop ``-(1/2) P^{∓mu} U nbr`` with pre-gathered neighbours."""
-        links = self._u_fwd[mu] if sign > 0 else self._u_bwd[mu]
-        proj = self._proj_minus[mu] if sign > 0 else self._proj_plus[mu]
+        dtype = compute_dtype(nbr)
+        links = reduced(self, "_u_fwd" if sign > 0 else "_u_bwd", dtype)[mu]
+        proj = reduced(self, "_proj_minus" if sign > 0 else "_proj_plus", dtype)[mu]
         colored = np.matmul(links[:, None, :, :], nbr[..., None])[..., 0]
         return -0.5 * np.tensordot(colored, proj, axes=([1], [1])).transpose(0, 2, 1)
 

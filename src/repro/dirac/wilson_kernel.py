@@ -49,13 +49,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..lattice import NDIM
+from ..precision import COMPLEX128
 from .gamma import projector_factors
 
 #: Output sites per cache block.  Swept on a half hop at K=1 and K=8 on
 #: V=1024 (4^3x16, one block per parity at this length) and V=8192
-#: (8^3x16); the curve is flat within 10% from 128 to 1024 and rises at
-#: 64 (per-call overhead) and from 2048 up (the temporaries leave L2).
-#: DESIGN.md section 17 records the sweep.
+#: (8^3x16), at complex128 and complex64; the curve is flat within 10%
+#: from 128 to 1024 and rises at 64 (per-call overhead) and from 2048 up
+#: (the temporaries leave L2).  One constant serves both dtypes.
+#: DESIGN.md section 17 records the sweeps.
 BLOCK = 512
 
 _INTERNALS = ("_u_fwd", "_u_bwd", "_diag_blocks", "_diag_inv")
@@ -71,31 +73,38 @@ def supports_wilson_kernel(op) -> bool:
     )
 
 
-def wilson_kernel_for(op) -> "WilsonKernel | None":
-    """The kernel shared by every consumer of ``op``, or ``None``.
+def wilson_kernel_for(op, dtype=COMPLEX128) -> "WilsonKernel | None":
+    """The ``dtype`` kernel shared by every consumer of ``op``, or ``None``.
 
-    Built on first use and cached on the operator, so the smoother, the
-    full apply and the batched cycle read one set of tables.
+    Built on first use at that dtype and cached on the operator, so the
+    smoother, the full apply and the batched cycle read one set of
+    tables per precision — and a precision nobody computes at costs
+    nothing.
     """
-    kernel = getattr(op, "_wilson_kernel", None)
-    if kernel is None and supports_wilson_kernel(op):
-        kernel = op._wilson_kernel = WilsonKernel(op)
+    kernels = getattr(op, "_wilson_kernel", None)
+    if kernels is None:
+        if not supports_wilson_kernel(op):
+            return None
+        kernels = op._wilson_kernel = {}
+    dtype = np.dtype(dtype)
+    kernel = kernels.get(dtype)
+    if kernel is None:
+        kernel = kernels[dtype] = WilsonKernel(op, dtype)
     return kernel
 
 
-def _site_blocks(table: np.ndarray) -> list[np.ndarray]:
-    """Contiguous :data:`BLOCK`-long pieces of ``table``'s last (site) axis."""
+def _site_blocks(table: np.ndarray, dtype=None) -> list[np.ndarray]:
+    """Contiguous :data:`BLOCK`-long pieces of ``table``'s last (site)
+    axis, cast to ``dtype`` when given."""
     return [
-        np.ascontiguousarray(table[..., lo : lo + BLOCK])
+        np.ascontiguousarray(table[..., lo : lo + BLOCK], dtype=dtype)
         for lo in range(0, table.shape[-1], BLOCK)
     ]
 
 
-def to_site_fastest(sites_major: np.ndarray) -> np.ndarray:
-    """``(K, n, 4, 3)`` site-major -> ``(K, 3, 4, n)`` complex128."""
-    return np.array(
-        sites_major.transpose(0, 3, 2, 1), dtype=np.complex128, order="C"
-    )
+def to_site_fastest(sites_major: np.ndarray, dtype) -> np.ndarray:
+    """``(K, n, 4, 3)`` site-major -> ``(K, 3, 4, n)`` at ``dtype``."""
+    return np.array(sites_major.transpose(0, 3, 2, 1), dtype=dtype, order="C")
 
 
 def to_site_major(site_fastest: np.ndarray) -> np.ndarray:
@@ -111,10 +120,12 @@ class WilsonKernel:
     stacks ``(K, 3, 4, V/2)``; a field *of* parity ``p`` lists the sites
     of ``lattice.sites_of_parity(p)`` in that order.  The ``*_sites``
     methods are the same operations at the package's site-major
-    boundary.
+    boundary.  Tables, temporaries and results are all ``dtype``: a
+    complex64 kernel streams half the bytes of a complex128 one.
     """
 
-    def __init__(self, op):
+    def __init__(self, op, dtype=COMPLEX128):
+        self.dtype = dtype = np.dtype(dtype)
         lat = op.lattice
         self.half_volume = vh = lat.half_volume
         self.sites = (lat.even_sites, lat.odd_sites)
@@ -135,10 +146,10 @@ class WilsonKernel:
         # field reads (colour, half-spin | direction, site): direction
         # sits next to the site axis and one flat gather serves all eight
         self._compress = np.ascontiguousarray(
-            half.transpose(1, 0, 2).reshape(2 * 2 * NDIM, 4)
+            half.transpose(1, 0, 2).reshape(2 * 2 * NDIM, 4), dtype=dtype
         )
         self._reconstruct = np.ascontiguousarray(
-            -0.5 * recon.transpose(1, 2, 0).reshape(4, 2 * 2 * NDIM)
+            -0.5 * recon.transpose(1, 2, 0).reshape(4, 2 * 2 * NDIM), dtype=dtype
         )
 
         direction_offset = (np.arange(2 * NDIM) * vh)[:, None]
@@ -154,7 +165,7 @@ class WilsonKernel:
             )  # (8, V/2): position in the opposite-parity field
             # (column, row, direction, site): links[b] is the slab that
             # multiplies source colour b
-            self._links.append(_site_blocks(links.transpose(3, 2, 0, 1)))
+            self._links.append(_site_blocks(links.transpose(3, 2, 0, 1), dtype))
             self._gather.append(
                 [
                     block.reshape(-1)
@@ -165,14 +176,15 @@ class WilsonKernel:
             self._diag_inv.append(self._chiral_table(op._diag_inv[out_sites]))
 
     @staticmethod
-    def table_bytes(half_volume: int) -> int:
-        """Bytes of the tables a kernel over ``half_volume`` sites per
-        parity holds — known before it is built, so a setup restored
-        from disk books the same size as one that has already run."""
+    def table_bytes(half_volume: int, dtype=COMPLEX128) -> int:
+        """Bytes of the tables a ``dtype`` kernel over ``half_volume``
+        sites per parity holds — known before it is built, so a setup
+        restored from disk books the same size as one that has already
+        run."""
         complex_per_site = 2 * NDIM * 3 * 3 + 2 * 2 * 6 * 6  # links, diag + inverse
         index_per_site = 2 * NDIM
         return 2 * half_volume * (
-            complex_per_site * np.dtype(np.complex128).itemsize
+            complex_per_site * np.dtype(dtype).itemsize
             + index_per_site * np.dtype(np.int64).itemsize
         )
 
@@ -181,8 +193,7 @@ class WilsonKernel:
         per_parity = self._links + self._gather + self._diag + self._diag_inv
         return [block for blocks in per_parity for block in blocks]
 
-    @staticmethod
-    def _chiral_table(blocks: np.ndarray) -> list[np.ndarray]:
+    def _chiral_table(self, blocks: np.ndarray) -> list[np.ndarray]:
         """``(n, 2, 6, 6)`` chiral blocks -> blocked ``(3, 2, 3, 2, 2, n)``.
 
         Axes: (source colour, source half-spin, colour, chirality,
@@ -192,7 +203,7 @@ class WilsonKernel:
         """
         n = blocks.shape[0]
         split = blocks.reshape(n, 2, 2, 3, 2, 3)  # site, chi, s, c, s', c'
-        return _site_blocks(split.transpose(5, 4, 3, 1, 2, 0))
+        return _site_blocks(split.transpose(5, 4, 3, 1, 2, 0), self.dtype)
 
     # ------------------------------------------------------------------
     # site-fastest sweeps
@@ -207,14 +218,14 @@ class WilsonKernel:
         compressed = np.matmul(
             self._compress, src.reshape(k * 3, 4, vh)
         ).reshape(k, 6, 2 * NDIM * vh)
-        out = np.empty((k, 3, 4, vh), dtype=np.complex128)
+        out = np.empty((k, 3, 4, vh), dtype=self.dtype)
         for (lo, hi), links, gather in zip(
             self._bounds, self._links[parity], self._gather[parity]
         ):
             n = hi - lo
-            nbr = np.empty((6, 2 * NDIM * n), dtype=np.complex128)
+            nbr = np.empty((6, 2 * NDIM * n), dtype=self.dtype)
             by_colour = nbr.reshape(3, 1, 2, 2 * NDIM, n)
-            acc = np.empty((3, 2, 2 * NDIM, n), dtype=np.complex128)
+            acc = np.empty((3, 2, 2 * NDIM, n), dtype=self.dtype)
             tmp = np.empty_like(acc)
             u0, u1, u2 = links[0][:, None], links[1][:, None], links[2][:, None]
             for i in range(k):
@@ -245,9 +256,9 @@ class WilsonKernel:
         source = x.reshape(k, 3, 2, 2, vh).transpose(0, 1, 3, 2, 4)[
             :, :, :, None, :, None, :
         ]
-        out = np.empty((k, 3, 4, vh), dtype=np.complex128)
+        out = np.empty((k, 3, 4, vh), dtype=self.dtype)
         for (lo, hi), table in zip(self._bounds, tables):
-            prod = np.empty(table.shape, dtype=np.complex128)
+            prod = np.empty(table.shape, dtype=self.dtype)
             for i in range(k):
                 np.multiply(table, source[i, ..., lo:hi], out=prod)
                 out[i, :, :, lo:hi] = np.add.reduce(
@@ -260,12 +271,12 @@ class WilsonKernel:
     # ------------------------------------------------------------------
     def _parity_fields(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (
-            to_site_fastest(vs[:, self.sites[0]]),
-            to_site_fastest(vs[:, self.sites[1]]),
+            to_site_fastest(vs[:, self.sites[0]], self.dtype),
+            to_site_fastest(vs[:, self.sites[1]], self.dtype),
         )
 
     def _full_field(self, even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-        out = np.empty((even.shape[0], 2 * self.half_volume, 4, 3), dtype=np.complex128)
+        out = np.empty((even.shape[0], 2 * self.half_volume, 4, 3), dtype=self.dtype)
         out[:, self.sites[0]] = even.transpose(0, 3, 2, 1)
         out[:, self.sites[1]] = odd.transpose(0, 3, 2, 1)
         return out
@@ -287,7 +298,7 @@ class WilsonKernel:
     def schur_apply_sites(self, parity: int, halves: np.ndarray) -> np.ndarray:
         """``(A_pp - H_pq A_qq^{-1} H_qp) x_p`` on ``(K, V/2, 4, 3)``."""
         other = 1 - parity
-        x = to_site_fastest(halves)
+        x = to_site_fastest(halves, self.dtype)
         out = self.diag(parity, x)
         out -= self.hop(parity, self.diag_inv(other, self.hop(other, x)))
         return to_site_major(out)
@@ -295,7 +306,7 @@ class WilsonKernel:
     def schur_prepare_sites(self, parity: int, bs: np.ndarray) -> np.ndarray:
         """Schur right-hand sides ``b_p - H_pq A_qq^{-1} b_q``."""
         other = 1 - parity
-        b_other = to_site_fastest(bs[:, self.sites[other]])
+        b_other = to_site_fastest(bs[:, self.sites[other]], self.dtype)
         corr = self.hop(parity, self.diag_inv(other, b_other))
         return bs[:, self.sites[parity]] - corr.transpose(0, 3, 2, 1)
 
@@ -304,9 +315,9 @@ class WilsonKernel:
     ) -> np.ndarray:
         """Full-lattice solutions, ``x_q = A_qq^{-1} (b_q - H_qp x_p)``."""
         other = 1 - parity
-        rhs = to_site_fastest(bs[:, self.sites[other]])
-        rhs -= self.hop(other, to_site_fastest(xs_half))
-        out = np.empty(bs.shape, dtype=np.complex128)
+        rhs = to_site_fastest(bs[:, self.sites[other]], self.dtype)
+        rhs -= self.hop(other, to_site_fastest(xs_half, self.dtype))
+        out = np.empty(bs.shape, dtype=self.dtype)
         out[:, self.sites[parity]] = xs_half
         out[:, self.sites[other]] = self.diag_inv(other, rhs).transpose(0, 3, 2, 1)
         return out

@@ -5,7 +5,6 @@ from .kcycle import KCyclePreconditioner, gcr_reductions
 from .multi_rhs import (
     BatchedKCyclePreconditioner,
     BatchedSmoother,
-    BatchedTwoLevelPreconditioner,
     batched_mg_solve,
     batched_preconditioner_for,
     hierarchy_supports_batching,
@@ -24,7 +23,6 @@ __all__ = [
     "KCyclePreconditioner",
     "BatchedKCyclePreconditioner",
     "BatchedSmoother",
-    "BatchedTwoLevelPreconditioner",
     "batched_mg_solve",
     "batched_preconditioner_for",
     "hierarchy_supports_batching",

@@ -17,6 +17,7 @@ from ..backend import active_backend_name, use_backend
 from ..coarse import coarsen_operator
 from ..dirac.wilson_kernel import WilsonKernel, supports_wilson_kernel
 from ..lattice import Blocking
+from ..precision import COMPLEX128, dtype_of
 from ..telemetry.tracer import get_tracer
 from ..transfer import Transfer
 from .params import LevelParams, MGParams
@@ -237,12 +238,18 @@ class MultigridHierarchy:
     def setup_memory_bytes(self) -> int:
         """Approximate resident size of the setup: null vectors, every
         ndarray attribute of the level operators (coarse stencils, link
-        copies, clover blocks), the fine-grid kernel tables and whatever
-        the array backends have cached on the operators.  The kernel
-        tables are built on first apply but booked at their known size
-        from the start, so a setup restored from disk counts the same as
-        one that has already run.  Drives LRU accounting in setup
-        caches."""
+        copies, clover blocks), the fine-grid kernel tables, the
+        reduced-precision copies the configured precisions compute on
+        (kernel tables, coarse blocks and their inverse, transfer bases)
+        and whatever the array backends have cached on the operators.
+        Kernel tables and reduced copies are built on first use but
+        booked at their known size from the start, so a setup restored
+        from disk counts the same as one that has already run.  Drives
+        LRU accounting in setup caches."""
+        params = self.params
+        reduced_dtypes = {
+            dtype_of(p) for p in (params.smoother_precision, params.coarse_precision)
+        } - {COMPLEX128}
         total = 0
         for lev in self.levels:
             for vec in lev.null_vectors:
@@ -251,7 +258,14 @@ class MultigridHierarchy:
                 if isinstance(value, np.ndarray):
                     total += value.nbytes
             if supports_wilson_kernel(lev.op):
-                total += WilsonKernel.table_bytes(lev.op.lattice.half_volume)
+                half_volume = lev.op.lattice.half_volume
+                for dtype in {COMPLEX128} | reduced_dtypes:
+                    total += WilsonKernel.table_bytes(half_volume, dtype)
+            for dtype in reduced_dtypes:
+                # coarse operators and transfers know the size of their copies
+                for owner in (lev.op, lev.transfer):
+                    book = getattr(owner, "reduced_bytes", None)
+                    total += book(dtype) if book is not None else 0
             caches = getattr(lev.op, "_backend_cache", {})
             total += sum(_cached_bytes(entry) for entry in caches.values())
         return total

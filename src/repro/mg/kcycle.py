@@ -10,6 +10,11 @@ Each application at level ``l``:
 4. prolongate and correct,
 5. post-smooth.
 
+The cycle owns ``MGParams.coarse_precision`` (QUDA's "precondition
+precision"): ``apply`` casts the residual to it once, on entry at level
+0, and the whole body — smoothers, residuals, transfers, every nested
+coarse solve — then follows the dtype of the data.
+
 All work is recorded in the per-level :class:`~repro.mg.hierarchy.LevelStats`
 so the benchmark harness can reproduce the paper's Figure 4 time
 breakdown.
@@ -20,26 +25,30 @@ from __future__ import annotations
 import numpy as np
 
 from ..dirac.even_odd import SchurOperator
-from ..precision import Precision
+from ..precision import COMPLEX128, dtype_of, enter_precision, leave_precision
 from ..solvers.base import OperatorCounter
 from ..solvers.gcr import gcr
-from ..solvers.mixed import PrecisionOperator
+from ..solvers.mixed import reduced_storage
 from ..telemetry.tracer import get_tracer
 from .hierarchy import MGLevel, MultigridHierarchy
 
 
-def operator_application_cost(op) -> tuple[float, float]:
-    """``(flops, bytes)`` of one application, (0, 0) for opaque operators.
+def operator_application_cost(op, dtype=COMPLEX128) -> tuple[float, float]:
+    """``(flops, bytes)`` of one application to a ``dtype`` field, (0, 0)
+    for opaque operators.
 
     Most operators inherit the hook from
-    :class:`~repro.dirac.stencil.StencilOperator`; wrappers that do not
-    expose it simply go unattributed rather than breaking the solve.
+    :class:`~repro.dirac.stencil.StencilOperator` (bytes at the itemsize
+    actually streamed); wrappers that do not expose it simply go
+    unattributed rather than breaking the solve.
     """
     fn = getattr(op, "application_cost", None)
-    return fn() if fn is not None else (0.0, 0.0)
+    return fn(dtype) if fn is not None else (0.0, 0.0)
 
 
-def operator_application_cost_multi(op, k: int) -> tuple[float, float]:
+def operator_application_cost_multi(
+    op, k: int, dtype=COMPLEX128
+) -> tuple[float, float]:
     """``(flops, bytes)`` of one *batched* application over ``k`` systems.
 
     Operators exposing ``application_cost_multi`` (the stencil
@@ -48,9 +57,16 @@ def operator_application_cost_multi(op, k: int) -> tuple[float, float]:
     """
     fn = getattr(op, "application_cost_multi", None)
     if fn is not None:
-        return fn(k)
-    flops, nbytes = operator_application_cost(op)
+        return fn(k, dtype)
+    flops, nbytes = operator_application_cost(op, dtype)
     return (k * flops, k * nbytes)
+
+
+def smoothing_dtype(smoother, r: np.ndarray) -> np.dtype:
+    """The dtype ``smoother`` streams when handed ``r``: that of the
+    precision it owns, or ``r``'s own when it declares none."""
+    precision = getattr(smoother, "precision", None)
+    return r.dtype if precision is None else dtype_of(precision)
 
 
 def gcr_reductions(iterations: int, nkrylov: int) -> int:
@@ -72,20 +88,20 @@ class KCyclePreconditioner:
 
     # ------------------------------------------------------------------
     def apply(self, r: np.ndarray) -> np.ndarray:
+        rp, scale = enter_precision(r, self.hierarchy.params.coarse_precision)
+        return leave_precision(self._cycle(rp), r, scale)
+
+    def _cycle(self, r: np.ndarray) -> np.ndarray:
         lev = self.hierarchy.levels[self.level]
         assert lev.params is not None and lev.transfer is not None
-        lp = lev.params
         stats = lev.stats
         tracer = get_tracer()
 
         # span cost attribution (repro.perf); cached tuples, fetched only
         # when tracing is live so the disabled path stays two flag tests
-        op_cost = (
-            operator_application_cost(lev.op) if tracer.enabled else (0.0, 0.0)
-        )
-        tr_cost = (
-            lev.transfer.application_cost() if tracer.enabled else (0.0, 0.0)
-        )
+        traced = tracer.enabled
+        op_cost = operator_application_cost(lev.op, r.dtype) if traced else (0.0, 0.0)
+        tr_cost = lev.transfer.application_cost(r.dtype) if traced else (0.0, 0.0)
 
         with tracer.span("kcycle", level=self.level):
             # 1. pre-smooth
@@ -133,7 +149,9 @@ class KCyclePreconditioner:
                 # it runs inside the instrumented solve.* child span when
                 # the smoother is a Krylov method, so pair the cost with
                 # that span's self-time
-                flops, nbytes = operator_application_cost(lev.op)
+                flops, nbytes = operator_application_cost(
+                    lev.op, smoothing_dtype(lev.smoother, r)
+                )
                 n = lev.params.smoother_steps + 1
                 target = next(
                     (
@@ -159,7 +177,7 @@ class KCyclePreconditioner:
             cp = coarse.params
             assert cp is not None
             inner_pre = KCyclePreconditioner(self.hierarchy, self.level + 1)
-            op = OperatorCounter(self._wrap_precision(coarse.op), stats=stats)
+            op = OperatorCounter(self._stored(coarse.op), stats=stats)
             res = gcr(
                 op,
                 rc,
@@ -170,7 +188,7 @@ class KCyclePreconditioner:
             )
             stats.gcr_iters += res.iterations
             stats.reductions += gcr_reductions(res.iterations, cp.nkrylov)
-            self._attribute_matvecs(span, coarse, res.matvecs)
+            self._attribute_matvecs(span, coarse, res.matvecs, rc.dtype)
             if span is not None:
                 span.annotate(
                     coarse_iterations=res.iterations,
@@ -185,13 +203,13 @@ class KCyclePreconditioner:
             ec = inner.apply(rc)
             if params.cycle_type == "W":
                 stats.op_applies += 1
-                rc2 = rc - self._wrap_precision(coarse.op).apply(ec)
-                self._attribute_matvecs(span, coarse, 1)
+                rc2 = rc - self._stored(coarse.op).apply(ec)
+                self._attribute_matvecs(span, coarse, 1, rc.dtype)
                 ec = ec + inner.apply(rc2)
         return ec
 
     @staticmethod
-    def _attribute_matvecs(span, coarse: MGLevel, matvecs: int) -> None:
+    def _attribute_matvecs(span, coarse: MGLevel, matvecs: int, dtype) -> None:
         """Book the GCR's own matvec cost where its time is measured.
 
         Work done by nested K-cycle spans books itself, so only the
@@ -203,7 +221,7 @@ class KCyclePreconditioner:
         """
         if span is None or not matvecs:
             return
-        flops, nbytes = operator_application_cost(coarse.op)
+        flops, nbytes = operator_application_cost(coarse.op, dtype)
         target = next(
             (
                 c
@@ -224,18 +242,18 @@ class KCyclePreconditioner:
             schur = SchurOperator(coarse.op, parity=0)
             rs = schur.prepare_source(rc)
             stats.op_applies += 1
-            op = OperatorCounter(self._wrap_precision(schur), stats=stats)
+            op = OperatorCounter(self._stored(schur), stats=stats)
             res = gcr(op, rs, tol=lp.coarse_tol, maxiter=lp.coarse_maxiter, nkrylov=nk)
             stats.op_applies += 1
             ec = schur.reconstruct(res.x, rc)
         else:
-            op = OperatorCounter(self._wrap_precision(coarse.op), stats=stats)
+            op = OperatorCounter(self._stored(coarse.op), stats=stats)
             res = gcr(op, rc, tol=lp.coarse_tol, maxiter=lp.coarse_maxiter, nkrylov=nk)
             ec = res.x
         stats.gcr_iters += res.iterations
         stats.reductions += gcr_reductions(res.iterations, nk)
         extra = 2 if params.coarsest_schur else 0  # source prep + reconstruct
-        self._attribute_matvecs(span, coarse, res.matvecs + extra)
+        self._attribute_matvecs(span, coarse, res.matvecs + extra, rc.dtype)
         if span is not None:
             span.annotate(
                 coarse_iterations=res.iterations,
@@ -244,8 +262,5 @@ class KCyclePreconditioner:
             )
         return ec
 
-    def _wrap_precision(self, op):
-        precision = self.hierarchy.params.coarse_precision
-        if precision is Precision.DOUBLE:
-            return op
-        return PrecisionOperator(op, precision)
+    def _stored(self, op):
+        return reduced_storage(op, self.hierarchy.params.coarse_precision)

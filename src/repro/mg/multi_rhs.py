@@ -16,10 +16,7 @@ MR smoothing on the red-black system, batched transfers, batched
 on the coarsest level — so a batch of K right-hand sides never unstacks
 between the first restrict and the final residual check, and every
 stencil, transfer, and smoothing matrix is read once for all K systems.
-
-The two-level :class:`BatchedTwoLevelPreconditioner` from PR 2 is kept
-as the minimal reference implementation; the full-depth cycle is what
-:func:`batched_mg_solve` and the serve batcher now run.
+On a two-level hierarchy the same class is the two-level cycle.
 """
 
 from __future__ import annotations
@@ -29,15 +26,16 @@ import numpy as np
 from ..backend import use_backend
 from ..dirac.mrhs import batched_schur_for, supports_dense_block_schur
 from ..dirac.wilson_kernel import supports_wilson_kernel
-from ..precision import Precision
+from ..precision import Precision, enter_precision, leave_precision
 from ..solvers.base import SolveResult
 from ..solvers.block import batched_gcr, validate_rhs_stack
-from ..solvers.mixed import PrecisionOperator
+from ..solvers.mixed import reduced_storage
 from ..telemetry.tracer import Span, get_tracer
 from .hierarchy import MGLevel, MultigridHierarchy
 from .kcycle import (
     gcr_reductions,
     operator_application_cost_multi,
+    smoothing_dtype,
 )
 
 
@@ -56,9 +54,9 @@ class BatchedSmoother:
     The Schur system is applied by the half-volume spin-compressed
     kernels of :mod:`repro.dirac.mrhs` on the fine grid and by the
     dense-block stacked-GEMM kernels on coarse grids, falling back to a
-    per-system loop otherwise.  ``precision`` rounds the operator
-    input/output per system exactly like the sequential
-    :class:`~repro.mg.smoother.SchurMRSmoother`.
+    per-system loop otherwise.  Owns ``precision`` exactly like the
+    sequential :class:`~repro.mg.smoother.SchurMRSmoother`: cast on
+    entry, caller's dtype on exit.
     """
 
     def __init__(
@@ -72,13 +70,11 @@ class BatchedSmoother:
         self.steps = steps
         self.omega = omega
         self.precision = precision
-        self._solve_op = (
-            self.bschur
-            if precision is Precision.DOUBLE
-            else PrecisionOperator(self.bschur, precision)
-        )
+        self._solve_op = reduced_storage(self.bschur, precision)
 
     def apply_multi(self, rs: np.ndarray) -> np.ndarray:
+        caller = rs
+        rs, scale = enter_precision(rs, self.precision, batched=True)
         bs = self.bschur.prepare_multi(rs)
         xs = np.zeros_like(bs)
         res = bs.copy()
@@ -90,57 +86,7 @@ class BatchedSmoother:
             alpha = np.where(qq > 0, alpha, 0.0)
             xs += _bshape(alpha, xs) * res
             res -= _bshape(alpha, res) * q
-        return self.bschur.reconstruct_multi(xs, rs)
-
-
-class BatchedTwoLevelPreconditioner:
-    """A batched two-level cycle built from an existing hierarchy.
-
-    Pre/post batched smoothing, batched restriction/prolongation, and a
-    batched GCR on the (first) coarse level.  Built from a standard
-    :class:`MultigridHierarchy` — the setup (null vectors, Galerkin) is
-    reused unchanged; only the *apply* path is batched.  Kept as the
-    minimal reference; :class:`BatchedKCyclePreconditioner` batches the
-    full hierarchy depth.
-    """
-
-    def __init__(
-        self,
-        hierarchy: MultigridHierarchy,
-        coarse_tol: float = 0.25,
-        coarse_maxiter: int = 16,
-    ):
-        fine = hierarchy.levels[0]
-        assert fine.transfer is not None and fine.params is not None
-        self.fine_op = fine.op
-        self.transfer = fine.transfer
-        self.coarse_op = hierarchy.levels[1].op
-        self.smoother = BatchedSmoother(
-            self.fine_op,
-            steps=fine.params.smoother_steps,
-            omega=fine.params.smoother_omega,
-        )
-        self.coarse_tol = coarse_tol
-        self.coarse_maxiter = coarse_maxiter
-
-    def _restrict_multi(self, vs: np.ndarray) -> np.ndarray:
-        return self.transfer.restrict_multi(vs)
-
-    def _prolong_multi(self, vcs: np.ndarray) -> np.ndarray:
-        return self.transfer.prolong_multi(vcs)
-
-    def apply_multi(self, rs: np.ndarray) -> np.ndarray:
-        zs = self.smoother.apply_multi(rs)
-        r1 = rs - self.fine_op.apply_multi(zs)
-        rcs = self._restrict_multi(r1)
-        coarse_results = batched_gcr(
-            self.coarse_op, rcs, tol=self.coarse_tol, maxiter=self.coarse_maxiter
-        )
-        ecs = np.stack([res.x for res in coarse_results])
-        zs = zs + self._prolong_multi(ecs)
-        r2 = rs - self.fine_op.apply_multi(zs)
-        zs = zs + self.smoother.apply_multi(r2)
-        return zs
+        return leave_precision(self.bschur.reconstruct_multi(xs, rs), caller, scale)
 
 
 def hierarchy_supports_batching(hierarchy: MultigridHierarchy) -> bool:
@@ -167,10 +113,10 @@ def batched_preconditioner_for(
 ) -> "BatchedKCyclePreconditioner":
     """The hierarchy's cached full-depth batched K-cycle.
 
-    Construction builds the batched Schur kernels (gathered link
-    stacks) for every level, so the instance is cached on the hierarchy
-    and shared by all solves against it — the serve tier hits this once
-    per registered subspace.
+    Its batched Schur kernels gather their link stacks the first time
+    a stack of each dtype arrives, so the instance is cached on the
+    hierarchy and shared by all solves against it — the serve tier hits
+    this once per registered subspace.
     """
     pre = getattr(hierarchy, "_batched_kcycle", None)
     if pre is None or pre.hierarchy is not hierarchy:
@@ -213,25 +159,23 @@ class BatchedKCyclePreconditioner:
                 self._coarsest_bschur = batched_schur_for(coarse.op)
         else:
             self._inner = BatchedKCyclePreconditioner(hierarchy, level + 1)
-        self._coarse_multi_op = self._wrap_precision(coarse.op)
+        self._coarse_multi_op = self._stored(coarse.op)
 
     # ------------------------------------------------------------------
     def apply_multi(self, rs: np.ndarray) -> np.ndarray:
+        precision = self.hierarchy.params.coarse_precision
+        rp, scale = enter_precision(rs, precision, batched=True)
+        return leave_precision(self._cycle(rp), rs, scale)
+
+    def _cycle(self, rs: np.ndarray) -> np.ndarray:
         lev = self.hierarchy.levels[self.level]
         assert lev.params is not None and lev.transfer is not None
         stats = lev.stats
         k = rs.shape[0]
         tracer = get_tracer()
-        op_cost = (
-            operator_application_cost_multi(lev.op, k)
-            if tracer.enabled
-            else (0.0, 0.0)
-        )
-        tr_cost = (
-            lev.transfer.application_cost_multi(k)
-            if tracer.enabled
-            else (0.0, 0.0)
-        )
+        traced, zero = tracer.enabled, (0.0, 0.0)
+        op_cost = operator_application_cost_multi(lev.op, k, rs.dtype) if traced else zero
+        tr_cost = lev.transfer.application_cost_multi(k, rs.dtype) if traced else zero
 
         with tracer.span("kcycle", level=self.level, n_rhs=k):
             # 1. pre-smooth
@@ -277,7 +221,9 @@ class BatchedKCyclePreconditioner:
         with tracer.span("smoother", level=lev.index, phase=phase, n_rhs=k) as sp:
             out = self.smoother.apply_multi(rs)
             if tracer.enabled:
-                flops, nbytes = operator_application_cost_multi(lev.op, k)
+                flops, nbytes = operator_application_cost_multi(
+                    lev.op, k, smoothing_dtype(self.smoother, rs)
+                )
                 n = lev.params.smoother_steps + 1
                 sp.attribute(flops=n * flops, bytes=n * nbytes)
         return out
@@ -309,7 +255,7 @@ class BatchedKCyclePreconditioner:
             stats.reductions += sum(
                 gcr_reductions(res.iterations, cp.nkrylov) for res in results
             )
-            self._annotate_coarse(span, coarse, results, matvec_batches, k)
+            self._annotate_coarse(span, coarse, results, matvec_batches, rc)
             return np.stack([res.x for res in results])
         # V- or W-cycle: apply the next level's cycle directly as an
         # approximate solve, once (V) or twice with defect correction (W)
@@ -318,7 +264,7 @@ class BatchedKCyclePreconditioner:
         if params.cycle_type == "W":
             stats.op_applies += k
             rc2 = rc - self._coarse_multi_op.apply_multi(ec)
-            self._attribute_matvec_batches(span, coarse, 1, k)
+            self._attribute_matvec_batches(span, coarse, 1, rc)
             ec = ec + self._inner.apply_multi(rc2)
         return ec
 
@@ -334,7 +280,7 @@ class BatchedKCyclePreconditioner:
             assert bschur is not None
             rs = bschur.prepare_multi(rc)
             stats.op_applies += k
-            op = self._wrap_precision(bschur)
+            op = self._stored(bschur)
             results = batched_gcr(
                 op, rs, tol=lp.coarse_tol, maxiter=lp.coarse_maxiter, nkrylov=nk
             )
@@ -358,13 +304,13 @@ class BatchedKCyclePreconditioner:
             gcr_reductions(res.iterations, nk) for res in results
         )
         extra = 2 if params.coarsest_schur else 0  # source prep + reconstruct
-        self._annotate_coarse(span, coarse, results, matvec_batches + extra, k)
+        self._annotate_coarse(span, coarse, results, matvec_batches + extra, rc)
         return ec
 
     # ------------------------------------------------------------------
     @staticmethod
     def _attribute_matvec_batches(
-        span, coarse: MGLevel, matvec_batches: int, k: int
+        span, coarse: MGLevel, matvec_batches: int, rc: np.ndarray
     ) -> None:
         """Book the batched Krylov driver's matvec cost on the span.
 
@@ -375,15 +321,17 @@ class BatchedKCyclePreconditioner:
         """
         if span is None or not isinstance(span, Span) or not matvec_batches:
             return
-        flops, nbytes = operator_application_cost_multi(coarse.op, k)
+        flops, nbytes = operator_application_cost_multi(
+            coarse.op, rc.shape[0], rc.dtype
+        )
         span.attribute(
             flops=matvec_batches * flops, bytes=matvec_batches * nbytes
         )
 
     def _annotate_coarse(
-        self, span, coarse: MGLevel, results, matvec_batches: int, k: int
+        self, span, coarse: MGLevel, results, matvec_batches: int, rc: np.ndarray
     ) -> None:
-        self._attribute_matvec_batches(span, coarse, matvec_batches, k)
+        self._attribute_matvec_batches(span, coarse, matvec_batches, rc)
         if span is not None and isinstance(span, Span):
             span.annotate(
                 coarse_iterations=max(res.iterations for res in results),
@@ -391,11 +339,8 @@ class BatchedKCyclePreconditioner:
                 coarse_residual=max(res.final_residual for res in results),
             )
 
-    def _wrap_precision(self, op):
-        precision = self.hierarchy.params.coarse_precision
-        if precision is Precision.DOUBLE:
-            return op
-        return PrecisionOperator(op, precision)
+    def _stored(self, op):
+        return reduced_storage(op, self.hierarchy.params.coarse_precision)
 
 
 def batched_mg_solve(

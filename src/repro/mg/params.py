@@ -40,8 +40,13 @@ class MGParams:
     cycle_type: str = "K"  # "K" (paper), "V", or "W"
     smoother_type: str = "schur-mr"  # "schur-mr" (paper), "chebyshev", "schwarz"
     schwarz_grid: tuple[int, int, int, int] | None = None  # for "schwarz"
-    smoother_precision: Precision = Precision.DOUBLE
-    coarse_precision: Precision = Precision.DOUBLE
+    # The preconditioner is held and computed in single precision under
+    # the double outer GCR (paper Section 7.1): ``coarse_precision`` is
+    # the precision of the whole cycle body (QUDA's "precondition
+    # precision"), ``smoother_precision`` that of the smoothers inside
+    # it.  DOUBLE reproduces the all-double arithmetic bit for bit.
+    smoother_precision: Precision = Precision.SINGLE
+    coarse_precision: Precision = Precision.SINGLE
     smoother_schur: bool = True  # red-black preconditioned smoother
     coarsest_schur: bool = True  # red-black preconditioned coarsest solve
     # Opt-in runtime verification (repro.verify): "off" (default),

@@ -40,14 +40,13 @@ class DomainDecomposedOperator(StencilOperator):
         self.ns = op.ns
         self.nc = op.nc
         self.domain_of_site = domain_of_site
-        # keep-masks: 1 where the neighbour lies in the same domain
+        # keep-masks: True where the neighbour lies in the same domain
+        # (boolean, so masking a field keeps the field's dtype)
         self._keep_fwd = [
-            (domain_of_site[self.lattice.fwd[mu]] == domain_of_site).astype(float)
-            for mu in range(4)
+            domain_of_site[self.lattice.fwd[mu]] == domain_of_site for mu in range(4)
         ]
         self._keep_bwd = [
-            (domain_of_site[self.lattice.bwd[mu]] == domain_of_site).astype(float)
-            for mu in range(4)
+            domain_of_site[self.lattice.bwd[mu]] == domain_of_site for mu in range(4)
         ]
 
     @classmethod

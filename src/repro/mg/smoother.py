@@ -9,8 +9,10 @@ Two flavours:
   "red-black preconditioning on all levels" of paper Section 7.1 and is
   substantially stronger per application.
 
-Both may run in reduced precision (the paper smooths in half precision
-on the finest level).
+A smoother owns its precision: ``apply`` casts the residual to it on
+entry (no copy when the cycle already runs there) and returns the
+caller's dtype; everything in between follows the dtype of the data.
+The paper smooths in half precision on the finest level.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..dirac.even_odd import SchurOperator
-from ..precision import Precision
-from ..solvers.mixed import PrecisionOperator
+from ..precision import Precision, enter_precision, leave_precision
+from ..solvers.mixed import reduced_storage
 from ..solvers.mr import mr
 
 
@@ -41,13 +43,11 @@ class SchurMRSmoother:
         self.steps = steps
         self.omega = omega
         self.precision = precision
-        self._solve_op = (
-            self.schur
-            if precision is Precision.DOUBLE
-            else PrecisionOperator(self.schur, precision)
-        )
+        self._solve_op = reduced_storage(self.schur, precision)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        rs = self.schur.prepare_source(r)
+        rp, scale = enter_precision(r, self.precision)
+        rs = self.schur.prepare_source(rp)
         result = mr(self._solve_op, rs, maxiter=self.steps, omega=self.omega)
-        return self.schur.reconstruct(result.x, r)
+        z = self.schur.reconstruct(result.x, rp)
+        return leave_precision(z, r, scale)

@@ -146,16 +146,21 @@ def _bench_wilson_apply(repeats: int) -> list[dict]:
     v = rng.standard_normal((lat.volume, 4, 3)) + 1j * rng.standard_normal(
         (lat.volume, 4, 3)
     )
-    samples = time_repeats(lambda: op.apply(v), repeats)
-    med, _ = median_mad(samples)
-    return [
-        timing_row(
-            "kernel.wilson_clover_apply",
-            samples,
-            volume=lat.volume,
-            msites_per_s=lat.volume / med / 1e6,
+    rows = []
+    # the complex128 row is the outer solver's operator; ".single" is
+    # the same kernel on a complex64 field, what the K-cycle streams
+    for name, field in (
+        ("kernel.wilson_clover_apply", v),
+        ("kernel.wilson_clover_apply.single", v.astype(np.complex64)),
+    ):
+        samples = time_repeats(lambda: op.apply(field), repeats)
+        med, _ = median_mad(samples)
+        rows.append(
+            timing_row(
+                name, samples, volume=lat.volume, msites_per_s=lat.volume / med / 1e6
+            )
         )
-    ]
+    return rows
 
 
 def _coarse_setup():
@@ -184,19 +189,25 @@ def _bench_coarse_apply(repeats: int) -> list[dict]:
     rng = np.random.default_rng(4)
     shape = (coarse.lattice.volume, coarse.ns, coarse.nc)
     vc = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    samples = time_repeats(lambda: coarse.apply(vc), repeats)
-    med, _ = median_mad(samples)
-    flops, nbytes = coarse.application_cost()
-    return [
-        timing_row(
-            "kernel.coarse_apply",
-            samples,
-            volume=coarse.lattice.volume,
-            dof=coarse.ns * coarse.nc,
-            gflops=flops / med / 1e9,
-            gbs=nbytes / med / 1e9,
+    rows = []
+    for name, field in (
+        ("kernel.coarse_apply", vc),
+        ("kernel.coarse_apply.single", vc.astype(np.complex64)),
+    ):
+        samples = time_repeats(lambda: coarse.apply(field), repeats)
+        med, _ = median_mad(samples)
+        flops, nbytes = coarse.application_cost(field.dtype)
+        rows.append(
+            timing_row(
+                name,
+                samples,
+                volume=coarse.lattice.volume,
+                dof=coarse.ns * coarse.nc,
+                gflops=flops / med / 1e9,
+                gbs=nbytes / med / 1e9,
+            )
         )
-    ]
+    return rows
 
 
 def _bench_transfer(repeats: int) -> list[dict]:

@@ -1,12 +1,30 @@
-"""Precision emulation: double / single / half (QUDA block fixed point)."""
+"""Precision as the dtype of the data: double / single native, half
+(QUDA block fixed point) as storage rounding on top of complex64."""
 
 from .half import dequantize_half, half_roundtrip, quantize_half
-from .policy import Precision, apply_precision, dtype_of, rel_epsilon
+from .policy import (
+    COMPLEX64,
+    COMPLEX128,
+    Precision,
+    apply_precision,
+    compute_dtype,
+    dtype_of,
+    enter_precision,
+    leave_precision,
+    reduced,
+    rel_epsilon,
+)
 
 __all__ = [
+    "COMPLEX64",
+    "COMPLEX128",
     "Precision",
     "apply_precision",
+    "compute_dtype",
     "dtype_of",
+    "enter_precision",
+    "leave_precision",
+    "reduced",
     "rel_epsilon",
     "quantize_half",
     "dequantize_half",

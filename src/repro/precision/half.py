@@ -37,16 +37,23 @@ def quantize_half(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return fixed.reshape(data.shape + (2,)), scale
 
 
-def dequantize_half(fixed: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Reconstruct complex data from :func:`quantize_half` output."""
+def dequantize_half(
+    fixed: np.ndarray, scale: np.ndarray, dtype=np.complex128
+) -> np.ndarray:
+    """Reconstruct complex data (at ``dtype``) from :func:`quantize_half` output."""
     v = fixed.shape[0]
-    flat = fixed.reshape(v, -1, 2).astype(np.float64)
-    flat *= (scale.astype(np.float64) / _FIXED_MAX)[:, None, None]
-    out = flat[..., 0] + 1j * flat[..., 1]
+    real = np.finfo(dtype).dtype  # float32 for complex64
+    flat = fixed.reshape(v, -1, 2).astype(real)
+    flat *= (scale.astype(real) / real.type(_FIXED_MAX))[:, None, None]
+    out = np.empty(flat.shape[:-1], dtype=dtype)
+    out.real, out.imag = flat[..., 0], flat[..., 1]
     return out.reshape(fixed.shape[:-1])
 
 
 def half_roundtrip(data: np.ndarray) -> np.ndarray:
-    """Round ``data`` through half-precision storage (quantize + dequantize)."""
+    """Round ``data`` through half-precision storage (quantize +
+    dequantize); complex64 data comes back complex64, anything else
+    complex128."""
     fixed, scale = quantize_half(data)
-    return dequantize_half(fixed, scale)
+    wide = np.asarray(data).dtype != np.complex64
+    return dequantize_half(fixed, scale, np.complex128 if wide else np.complex64)

@@ -1,13 +1,16 @@
-"""Run-time precision policy.
+"""Run-time precision policy: precision is the dtype of the data.
 
 QUDA elevates field precision to a run-time property (Section 4): each
 field carries its precision and mixed-precision solvers convert at the
-boundaries between outer and inner iterations.  We emulate this on top
-of NumPy: ``double`` is complex128, ``single`` rounds through
-complex64, and ``half`` rounds through QUDA's 16-bit block-normalized
-fixed-point format (see :mod:`repro.precision.half`).  Computation
-always proceeds in complex128 afterwards; only the *storage rounding*
-is emulated, which is what drives mixed-precision convergence behaviour.
+boundaries between outer and inner iterations.  Here the carrier is the
+NumPy dtype.  ``double`` is complex128 and ``single`` is complex64,
+*held and computed* at that width: operators and transfers compute at
+the dtype of the field they are handed (reading reduced-precision
+copies of their tables, :func:`reduced`), and the components that own a
+precision cast at their own boundary (:func:`enter_precision` /
+:func:`leave_precision`).  ``half`` has no native dtype: it computes in
+complex64 and additionally rounds fields through QUDA's 16-bit
+block-normalized fixed-point storage (see :mod:`repro.precision.half`).
 """
 
 from __future__ import annotations
@@ -18,9 +21,12 @@ import numpy as np
 
 from .half import half_roundtrip
 
+COMPLEX64 = np.dtype(np.complex64)
+COMPLEX128 = np.dtype(np.complex128)
+
 
 class Precision(enum.Enum):
-    """Storage precision of a field."""
+    """Precision a field is held and computed at."""
 
     DOUBLE = "double"
     SINGLE = "single"
@@ -38,9 +44,63 @@ class Precision(enum.Enum):
 
 def dtype_of(precision: Precision) -> np.dtype:
     """Computation dtype used while a field is held at ``precision``."""
-    if precision is Precision.DOUBLE:
-        return np.dtype(np.complex128)
-    return np.dtype(np.complex64)
+    return COMPLEX128 if precision is Precision.DOUBLE else COMPLEX64
+
+
+def compute_dtype(field: np.ndarray) -> np.dtype:
+    """The dtype an operator computes at for ``field``: complex64 for a
+    complex64 field, complex128 for anything else."""
+    return COMPLEX64 if field.dtype == COMPLEX64 else COMPLEX128
+
+
+def reduced(owner, name: str, dtype: np.dtype) -> np.ndarray:
+    """The table ``owner.<name>`` at ``dtype``.
+
+    The complex128 original itself when that is what is asked for;
+    otherwise a copy cast once, on first use, and kept on ``owner`` —
+    so setup (which only ever runs in double) never pays for it.
+    """
+    table = getattr(owner, name)
+    if table.dtype == dtype:
+        return table
+    copies = owner.__dict__.setdefault("_reduced", {})
+    key = (name, dtype)
+    if key not in copies:
+        copies[key] = table.astype(dtype)
+    return copies[key]
+
+
+def enter_precision(
+    field: np.ndarray, precision: Precision, batched: bool = False
+) -> tuple[np.ndarray, np.ndarray | float | None]:
+    """``field`` at the compute dtype of ``precision``, and the factor
+    :func:`leave_precision` multiplies back.
+
+    A field already at that dtype is returned as is: no copy, no factor,
+    bitwise the arithmetic of the caller.  A down-cast first scales the
+    field (each system of a ``batched`` stack) to unit norm, so float32
+    range never depends on the scale of the caller's data; what consumes
+    the field is linear, so rescaling its result is exact.
+    """
+    dtype = dtype_of(precision)
+    if field.dtype == dtype:
+        return field, None
+    if dtype == COMPLEX128:
+        return field.astype(dtype), None
+    flat = field.reshape(field.shape[0] if batched else 1, -1)
+    norms = np.linalg.norm(flat, axis=1)
+    norms[norms == 0.0] = 1.0
+    scale = norms.reshape((-1,) + (1,) * (field.ndim - 1)) if batched else norms[0]
+    return (field / scale).astype(dtype), scale
+
+
+def leave_precision(result: np.ndarray, caller: np.ndarray, scale) -> np.ndarray:
+    """``result`` back at the dtype and scale of the ``caller``'s field
+    that :func:`enter_precision` took in."""
+    out = result.astype(compute_dtype(caller), copy=False)
+    if scale is not None:
+        out *= scale  # a down-cast came in, so ``out`` is a fresh copy
+    return out
 
 
 def rel_epsilon(precision: Precision) -> float:
@@ -53,7 +113,8 @@ def rel_epsilon(precision: Precision) -> float:
 
 
 def apply_precision(data: np.ndarray, precision: Precision) -> np.ndarray:
-    """Round ``data`` through the storage format of ``precision``.
+    """Round ``data`` through the storage format of ``precision`` and
+    return it at the dtype it came in (a storage round trip, not a cast).
 
     ``data`` has shape ``(V, ...)`` with one site per leading-axis entry;
     half-precision normalization is per site, as in QUDA.
@@ -61,5 +122,5 @@ def apply_precision(data: np.ndarray, precision: Precision) -> np.ndarray:
     if precision is Precision.DOUBLE:
         return np.ascontiguousarray(data, dtype=np.complex128)
     if precision is Precision.SINGLE:
-        return data.astype(np.complex64).astype(np.complex128)
+        return data.astype(np.complex64).astype(compute_dtype(data))
     return half_roundtrip(data)

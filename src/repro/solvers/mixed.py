@@ -7,21 +7,29 @@ precision, restarting the inner solver from it.  The outer loop is
 classical iterative refinement, which is how reliable updates behave at
 the granularity we model; the final accuracy is set purely by the
 double-precision outer recursion.
+
+Low precision is real here: the inner operator is applied to complex64
+fields by dtype-preserving kernels reading complex64 tables, so a
+single-precision stencil moves half the bytes of the double one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..precision import Precision, apply_precision
+from ..precision import Precision, dtype_of, half_roundtrip
 from .base import SolveResult, norm
 
 
 class PrecisionOperator:
-    """Emulate applying an operator in reduced storage precision.
+    """Apply an operator at a reduced precision for a caller in another.
 
-    Input and output vectors are rounded through the storage format —
-    the dominant effect of low-precision stencils on Krylov convergence.
+    The field is cast to the precision's compute dtype (no copy when it
+    is already there), the operator runs natively at that dtype, and the
+    result returns at the caller's dtype.  ``HALF`` has no native dtype:
+    it computes in complex64 and additionally rounds input and output
+    through the 16-bit block fixed-point storage, per site — the
+    dominant effect of half-precision stencils on Krylov convergence.
     """
 
     def __init__(self, op, precision: Precision):
@@ -30,11 +38,23 @@ class PrecisionOperator:
         self.ns = getattr(op, "ns", None)
         self.nc = getattr(op, "nc", None)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
+    def _store(self, field: np.ndarray, site_axis: int) -> np.ndarray:
+        """``field`` as the precision stores it, at the compute dtype."""
+        field = field.astype(dtype_of(self.precision), copy=False)
+        if self.precision is Precision.HALF:
+            # one norm per site of each system: fold a batch axis into the sites
+            sites = field.reshape((-1,) + field.shape[site_axis + 1 :])
+            field = half_roundtrip(sites).reshape(field.shape)
+        return field
+
+    def _run(self, fn, v: np.ndarray, site_axis: int) -> np.ndarray:
         if self.precision is Precision.DOUBLE:
-            return self.op.apply(v)
-        vq = apply_precision(v, self.precision)
-        return apply_precision(self.op.apply(vq), self.precision)
+            return fn(v)
+        out = self._store(fn(self._store(v, site_axis)), site_axis)
+        return out.astype(v.dtype, copy=False)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self._run(self.op.apply, v, site_axis=0)
 
     matvec = apply
 
@@ -45,17 +65,15 @@ class PrecisionOperator:
         return np.stack([self.op.apply(v) for v in vs])
 
     def apply_multi(self, vs: np.ndarray) -> np.ndarray:
-        """Batched application with the same per-system rounding as ``apply``.
+        """Batched application, per system identical to ``apply``."""
+        return self._run(self._apply_multi_raw, vs, site_axis=1)
 
-        ``apply_precision`` normalizes half-precision per site over the
-        leading axis, so rounding is done one system at a time to keep
-        the batched path bit-identical to K sequential applications.
-        """
-        if self.precision is Precision.DOUBLE:
-            return self._apply_multi_raw(vs)
-        vq = np.stack([apply_precision(v, self.precision) for v in vs])
-        out = self._apply_multi_raw(vq)
-        return np.stack([apply_precision(o, self.precision) for o in out])
+
+def reduced_storage(op, precision: Precision):
+    """``op`` as a cycle already computing at ``precision`` applies it:
+    itself for ``DOUBLE`` and ``SINGLE`` (the data carries the
+    precision), wrapped in the 16-bit storage rounding for ``HALF``."""
+    return PrecisionOperator(op, precision) if precision is Precision.HALF else op
 
 
 def mixed_precision_solve(

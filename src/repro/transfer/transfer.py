@@ -10,6 +10,11 @@ also rich in left low modes).
 
 The coarse grid consequently carries ``Ns_hat = 2`` spin (chirality)
 components and ``Nc_hat`` colors per site.
+
+The bases are orthonormalized and kept in complex128; ``restrict`` and
+``prolong`` compute at the dtype of the field they are handed, on a
+copy of the bases cast to that dtype the first time such a field
+arrives (:func:`repro.precision.reduced`).
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import numpy as np
 from ..backend import get_backend
 from ..fields import SpinorField
 from ..lattice import Blocking
+from ..precision import COMPLEX128, compute_dtype, reduced
 from ..dirac.gamma import chirality_slices_for
 
 
@@ -94,24 +100,28 @@ class Transfer:
     def restrict_reference(self, fine: np.ndarray) -> np.ndarray:
         """Baseline restriction: one basis GEMM per chirality."""
         vc = self.coarse_lattice.volume
-        out = np.empty((vc, 2, self.coarse_nc), dtype=np.complex128)
+        dtype = compute_dtype(fine)
+        basis = reduced(self, "_basis", dtype)
+        out = np.empty((vc, 2, self.coarse_nc), dtype=dtype)
         agg = self.blocking.agg_sites
         for chi, sl in enumerate(chirality_slices_for(self.fine_ns)):
             x = fine[:, sl, :][agg].reshape(vc, self._rows, 1)
             out[:, chi, :] = np.matmul(
-                np.conj(np.swapaxes(self._basis[:, chi], -1, -2)), x
+                np.conj(np.swapaxes(basis[:, chi], -1, -2)), x
             )[..., 0]
         return out
 
     def prolong_reference(self, coarse: np.ndarray) -> np.ndarray:
         """Baseline prolongation: one basis GEMM per chirality."""
         vf = self.fine_lattice.volume
-        out = np.zeros((vf, self.fine_ns, self.fine_nc), dtype=np.complex128)
+        dtype = compute_dtype(coarse)
+        basis = reduced(self, "_basis", dtype)
+        out = np.zeros((vf, self.fine_ns, self.fine_nc), dtype=dtype)
         agg = self.blocking.agg_sites
         bv = self.blocking.block_volume
         nsb = self.fine_ns // 2
         for chi, sl in enumerate(chirality_slices_for(self.fine_ns)):
-            x = np.matmul(self._basis[:, chi], coarse[:, chi, :, None])[..., 0]
+            x = np.matmul(basis[:, chi], coarse[:, chi, :, None])[..., 0]
             out[agg.ravel(), sl, :] = x.reshape(
                 self.coarse_lattice.volume * bv, nsb, self.fine_nc
             )
@@ -134,7 +144,9 @@ class Transfer:
         """Baseline batched restriction, batch folded into the GEMM RHS."""
         k = fines.shape[0]
         vc = self.coarse_lattice.volume
-        out = np.empty((k, vc, 2, self.coarse_nc), dtype=np.complex128)
+        dtype = compute_dtype(fines)
+        basis = reduced(self, "_basis", dtype)
+        out = np.empty((k, vc, 2, self.coarse_nc), dtype=dtype)
         agg = self.blocking.agg_sites
         for chi, sl in enumerate(chirality_slices_for(self.fine_ns)):
             # (Vc, rows, K): aggregate rows per coarse site, batch last
@@ -143,7 +155,7 @@ class Transfer:
                 .reshape(k, vc, self._rows)
                 .transpose(1, 2, 0)
             )
-            y = np.matmul(np.conj(np.swapaxes(self._basis[:, chi], -1, -2)), x)
+            y = np.matmul(np.conj(np.swapaxes(basis[:, chi], -1, -2)), x)
             out[:, :, chi, :] = y.transpose(2, 0, 1)
         return out
 
@@ -152,12 +164,14 @@ class Transfer:
         k = coarses.shape[0]
         vf = self.fine_lattice.volume
         vc = self.coarse_lattice.volume
-        out = np.zeros((k, vf, self.fine_ns, self.fine_nc), dtype=np.complex128)
+        dtype = compute_dtype(coarses)
+        basis = reduced(self, "_basis", dtype)
+        out = np.zeros((k, vf, self.fine_ns, self.fine_nc), dtype=dtype)
         agg = self.blocking.agg_sites
         bv = self.blocking.block_volume
         nsb = self.fine_ns // 2
         for chi, sl in enumerate(chirality_slices_for(self.fine_ns)):
-            x = np.matmul(self._basis[:, chi], coarses[:, :, chi, :].transpose(1, 2, 0))
+            x = np.matmul(basis[:, chi], coarses[:, :, chi, :].transpose(1, 2, 0))
             out[:, agg.ravel(), sl, :] = (
                 x.transpose(2, 0, 1).reshape(k, vc * bv, nsb, self.fine_nc)
             )
@@ -171,51 +185,40 @@ class Transfer:
         return SpinorField(self.fine_lattice, self.prolong(v.data))
 
     # ------------------------------------------------------------------
-    def application_cost(self) -> tuple[float, float]:
-        """``(flops, bytes)`` of one restrict *or* prolong application.
+    def reduced_bytes(self, dtype) -> int:
+        """Bytes of the ``dtype`` copy of the aggregate bases."""
+        return self._basis.size * np.dtype(dtype).itemsize
+
+    def application_cost(self, dtype=COMPLEX128) -> tuple[float, float]:
+        """``(flops, bytes)`` of one restrict *or* prolong of a ``dtype`` field.
 
         Both directions read the same per-aggregate bases and stream the
         fine field once (:class:`repro.gpu.kernels.TransferKernel`, at
-        the complex128 precision this implementation actually moves), so
-        one cost serves both; telemetry attributes the traced
+        the itemsize this implementation actually moves), so one cost
+        serves both; telemetry attributes the traced
         ``restrict``/``prolong`` spans with it.
         """
-        cached = getattr(self, "_application_cost", None)
-        if cached is None:
-            precision_bytes = 8.0
-            fine_volume = self.fine_lattice.volume
-            fine_dof = self.fine_ns * self.fine_nc
-            coarse_dof = self.coarse_ns * self.coarse_nc
-            basis = fine_volume * fine_dof * coarse_dof / 2
-            fine = fine_volume * fine_dof
-            cached = (
-                fine_volume * fine_dof * coarse_dof * 8.0 / 2,
-                (basis + 2 * fine) * 2 * precision_bytes,
-            )
-            self._application_cost = cached
-        return cached
+        return self.application_cost_multi(1, dtype)
 
-    def application_cost_multi(self, k: int) -> tuple[float, float]:
+    def application_cost_multi(self, k: int, dtype=COMPLEX128) -> tuple[float, float]:
         """``(flops, bytes)`` of one batched restrict/prolong over ``k`` systems.
 
         The aggregate bases are read once for the whole batch (they sit
         in the GEMM's left operand); only the fine/coarse field traffic
-        scales with ``k``.
+        scales with ``k``.  Cached per ``(k, dtype)``.
         """
-        cache = getattr(self, "_application_cost_multi", None)
-        if cache is None:
-            cache = self._application_cost_multi = {}
-        cached = cache.get(k)
+        cache = self.__dict__.setdefault("_application_cost", {})
+        dtype = np.dtype(dtype)
+        cached = cache.get((k, dtype))
         if cached is None:
-            precision_bytes = 8.0
             fine_volume = self.fine_lattice.volume
             fine_dof = self.fine_ns * self.fine_nc
             coarse_dof = self.coarse_ns * self.coarse_nc
             basis = fine_volume * fine_dof * coarse_dof / 2
             fine = fine_volume * fine_dof
-            cached = cache[k] = (
+            cached = cache[k, dtype] = (
                 k * fine_volume * fine_dof * coarse_dof * 8.0 / 2,
-                (basis + k * 2 * fine) * 2 * precision_bytes,
+                (basis + k * 2 * fine) * dtype.itemsize,
             )
         return cached
 

@@ -30,7 +30,11 @@ def mg_params_for(
     Subspace sizes are scaled down with the dataset (24 -> 6, 32 -> 8 by
     default) so the aggregate dof stays proportionate on the small
     lattices; everything else mirrors Section 7.1 — GCR(10) outer and
-    intermediate, 4 MR pre/post smoothing steps, red-black everywhere.
+    intermediate, 4 MR pre/post smoothing steps, red-black everywhere,
+    and a single-precision K-cycle (the :class:`MGParams` default: held
+    and computed in complex64) under the double outer solver.
+    ``mixed_precision`` additionally emulates the paper's 16-bit
+    smoother storage on top of that.
     """
     n1, n2 = strategy_nulls(strategy)
     levels = [
@@ -50,8 +54,7 @@ def mg_params_for(
         outer_tol=dataset.target_residuum,
         outer_maxiter=outer_maxiter,
         outer_nkrylov=10,
-        smoother_precision=Precision.HALF if mixed_precision else Precision.DOUBLE,
-        coarse_precision=Precision.SINGLE if mixed_precision else Precision.DOUBLE,
+        smoother_precision=Precision.HALF if mixed_precision else Precision.SINGLE,
         extra={"paper_strategy": strategy},
     )
 

@@ -37,6 +37,7 @@ from repro.mg.multi_rhs import (
     batched_preconditioner_for,
     hierarchy_supports_batching,
 )
+from repro.precision import Precision
 from repro.solvers import (
     batched_gcr,
     block_cg,
@@ -77,6 +78,10 @@ def mg3():
             LevelParams(block=(1, 1, 1, 2), n_null=4, null_iters=30),
         ],
         outer_tol=1e-8,
+        # batched == sequential is pinned here to rounding error (1e-10),
+        # which is a statement about the all-double arithmetic
+        smoother_precision=Precision.DOUBLE,
+        coarse_precision=Precision.DOUBLE,
     )
     solver = MultigridSolver(op, params, np.random.default_rng(5))
     return op, solver
@@ -424,7 +429,7 @@ class TestCostModel:
         """Operators without the hook cost k x the single-RHS numbers."""
 
         class Plain:
-            def application_cost(self):
+            def application_cost(self, dtype):
                 return (10.0, 100.0)
 
         assert operator_application_cost_multi(Plain(), 4) == (40.0, 400.0)

@@ -9,9 +9,10 @@ from repro.lattice import Lattice
 from repro.mg import LevelParams, MGParams, MultigridSolver
 from repro.mg.multi_rhs import (
     BatchedSmoother,
-    BatchedTwoLevelPreconditioner,
+    BatchedKCyclePreconditioner,
     batched_mg_solve,
 )
+from repro.precision import Precision
 from repro.solvers import norm
 from tests.conftest import random_spinor
 
@@ -27,6 +28,9 @@ def setup():
     params = MGParams(
         levels=[LevelParams(block=(2, 2, 2, 4), n_null=8, null_iters=50)],
         outer_tol=1e-8,
+        # batched vs single-RHS agreement is pinned below to 1e-10: double
+        smoother_precision=Precision.DOUBLE,
+        coarse_precision=Precision.DOUBLE,
     )
     solver = MultigridSolver(op, params, np.random.default_rng(5))
     bs = np.stack([random_spinor(lat, seed=910 + k) for k in range(4)])
@@ -52,7 +56,7 @@ class TestBatchedSmoother:
 class TestBatchedPreconditioner:
     def test_contracts_error_for_all_systems(self, setup):
         op, solver, bs = setup
-        pre = BatchedTwoLevelPreconditioner(solver.hierarchy)
+        pre = BatchedKCyclePreconditioner(solver.hierarchy)  # two levels here
         zs = pre.apply_multi(bs)
         for b, z in zip(bs, zs):
             assert norm(b - op.apply(z)) < 0.6 * norm(b)

@@ -1,0 +1,446 @@
+"""Precision is the dtype of the data (``pytest -m backend``).
+
+Two rules make ``Precision.SINGLE`` a real single-precision
+preconditioner (DESIGN.md section 18), and this file pins both on every
+backend:
+
+* operators, red-black systems and transfers are **dtype-preserving** —
+  a complex64 field comes back complex64, computed on complex64 tables,
+  within single-precision rounding of the complex128 oracle;
+* the components that **own a precision** (smoothers, the K-cycle) cast
+  at their own boundary and return the caller's dtype, so a default
+  cycle never lets a complex128 field cross an operator, ``DOUBLE`` is
+  bit for bit the all-double arithmetic, and a ``SINGLE`` and a
+  ``DOUBLE`` preconditioner do the same work on every level.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import warnings
+
+import numpy as np
+import pytest
+
+from repro import precision as precision_mod
+from repro.coarse import coarsen_operator
+from repro.dirac import SchurOperator, WilsonCloverOperator
+from repro.dirac.mrhs import BatchedCoarseSchur
+from repro.gauge import disordered_field
+from repro.lattice import Blocking, Lattice, Partition
+from repro.mg import (
+    BatchedSmoother,
+    KCyclePreconditioner,
+    MultigridHierarchy,
+    MultigridSolver,
+    SchurMRSmoother,
+    SchwarzMRSmoother,
+    batched_mg_solve,
+    batched_preconditioner_for,
+)
+from repro.precision import Precision
+from repro.solvers import ChebyshevSmoother, PrecisionOperator
+from repro.transfer import Transfer
+
+pytestmark = pytest.mark.backend
+
+C64, C128 = np.dtype(np.complex64), np.dtype(np.complex128)
+RTOL_SINGLE = 5e-6  # complex64 result vs the complex128 oracle
+K = 3
+
+
+def _cnormal(rng, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def _with_precisions(params, precision: Precision):
+    return dataclasses.replace(
+        params, smoother_precision=precision, coarse_precision=precision
+    )
+
+
+# ----------------------------------------------------------------------
+# (a) every entry point preserves the dtype it is handed
+# ----------------------------------------------------------------------
+class Kernels:
+    """A fine operator, its coarse image and deterministic fields."""
+
+    def __init__(self):
+        lat = Lattice((4, 4, 4, 8))
+        gauge = disordered_field(lat, np.random.default_rng(31), 0.5)
+        self.op = op = WilsonCloverOperator(gauge, mass=-0.2, c_sw=1.0, anisotropy=2.5)
+        rng = np.random.default_rng(32)
+        fine = (lat.volume, 4, 3)
+        self.transfer = Transfer(
+            Blocking(lat, (2, 2, 2, 2)), [_cnormal(rng, fine) for _ in range(4)]
+        )
+        self.coarse = coarsen_operator(op, self.transfer)
+        coarse = (self.coarse.lattice.volume, self.coarse.ns, self.coarse.nc)
+        self.v, self.vs = _cnormal(rng, fine), _cnormal(rng, (K, *fine))
+        self.vc, self.vcs = _cnormal(rng, coarse), _cnormal(rng, (K, *coarse))
+        self.schur = SchurOperator(op, parity=0)
+        self.coarse_schur = SchurOperator(self.coarse, parity=0)
+        self.batched_coarse_schur = BatchedCoarseSchur(self.coarse)
+        self.even, self.coarse_even = lat.even_sites, self.coarse.lattice.even_sites
+        self.chebyshev = ChebyshevSmoother(op, degree=3, rng=np.random.default_rng(33))
+        self.schwarz = SchwarzMRSmoother(op, Partition(lat, (1, 1, 1, 2)))
+
+
+#: name -> callable(kernels, cast); ``cast`` brings a stored complex128
+#: field to the dtype under test
+ENTRY_POINTS = {
+    "wilson.apply": lambda p, c: p.op.apply(c(p.v)),
+    "wilson.apply_multi": lambda p, c: p.op.apply_multi(c(p.vs)),
+    "wilson.apply_hopping": lambda p, c: p.op.apply_hopping(c(p.v)),
+    "wilson.apply_diag": lambda p, c: p.op.apply_diag(c(p.v)),
+    "wilson.apply_diag_inv": lambda p, c: p.op.apply_diag_inv(c(p.v)),
+    "wilson.apply_hop": lambda p, c: p.op.apply_hop(2, -1, c(p.v)),
+    "coarse.apply": lambda p, c: p.coarse.apply(c(p.vc)),
+    "coarse.apply_multi": lambda p, c: p.coarse.apply_multi(c(p.vcs)),
+    "coarse.apply_hopping": lambda p, c: p.coarse.apply_hopping(c(p.vc)),
+    "coarse.apply_diag": lambda p, c: p.coarse.apply_diag(c(p.vc)),
+    "coarse.apply_diag_inv": lambda p, c: p.coarse.apply_diag_inv(c(p.vc)),
+    "schur.lift": lambda p, c: p.schur.lift(c(p.v[p.even])),
+    "schur.apply": lambda p, c: p.schur.apply(c(p.v[p.even])),
+    "schur.apply_multi": lambda p, c: p.schur.apply_multi(c(p.vs[:, p.even])),
+    "schur.prepare_source": lambda p, c: p.schur.prepare_source(c(p.v)),
+    "schur.prepare_multi": lambda p, c: p.schur.prepare_multi(c(p.vs)),
+    "schur.reconstruct": lambda p, c: p.schur.reconstruct(c(p.v[p.even]), c(p.v)),
+    "schur.reconstruct_multi": lambda p, c: p.schur.reconstruct_multi(
+        c(p.vs[:, p.even]), c(p.vs)
+    ),
+    "coarse_schur.apply": lambda p, c: p.coarse_schur.apply(c(p.vc[p.coarse_even])),
+    "coarse_schur.apply_multi": lambda p, c: p.coarse_schur.apply_multi(
+        c(p.vcs[:, p.coarse_even])
+    ),
+    "coarse_schur.prepare_source": lambda p, c: p.coarse_schur.prepare_source(c(p.vc)),
+    "coarse_schur.reconstruct": lambda p, c: p.coarse_schur.reconstruct(
+        c(p.vc[p.coarse_even]), c(p.vc)
+    ),
+    "batched_coarse_schur.apply_multi": lambda p, c: p.batched_coarse_schur.apply_multi(
+        c(p.vcs[:, p.coarse_even])
+    ),
+    "batched_coarse_schur.prepare_multi": lambda p, c: (
+        p.batched_coarse_schur.prepare_multi(c(p.vcs))
+    ),
+    "batched_coarse_schur.reconstruct_multi": lambda p, c: (
+        p.batched_coarse_schur.reconstruct_multi(c(p.vcs[:, p.coarse_even]), c(p.vcs))
+    ),
+    "transfer.restrict": lambda p, c: p.transfer.restrict(c(p.v)),
+    "transfer.prolong": lambda p, c: p.transfer.prolong(c(p.vc)),
+    "transfer.restrict_multi": lambda p, c: p.transfer.restrict_multi(c(p.vs)),
+    "transfer.prolong_multi": lambda p, c: p.transfer.prolong_multi(c(p.vcs)),
+    # (f) smoothers that declare no precision run at the dtype they are handed
+    "chebyshev.apply": lambda p, c: p.chebyshev.apply(c(p.v)),
+    "schwarz.apply": lambda p, c: p.schwarz.apply(c(p.v)),
+}
+
+
+@pytest.fixture(scope="module")
+def kernels():
+    return Kernels()
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_point_preserves_dtype(kernels, entry):
+    fn = ENTRY_POINTS[entry]
+    # the oracle sees the same (complex64-representable) input in double
+    rounded = lambda field: field.astype(C64).astype(C128)  # noqa: E731
+    want = fn(kernels, rounded)
+    assert want.dtype == C128
+    got = fn(kernels, lambda field: field.astype(C64))
+    assert got.dtype == C64
+    assert got.shape == want.shape
+    assert _rel_err(got, want) <= RTOL_SINGLE
+
+
+@pytest.mark.parametrize("owned", (Precision.SINGLE, Precision.DOUBLE, Precision.HALF))
+@pytest.mark.parametrize("handed", (C64, C128), ids=("complex64", "complex128"))
+def test_smoothers_return_the_callers_dtype(kernels, owned, handed):
+    """Whatever precision a smoother owns, the caller gets its own dtype
+    back; SINGLE/DOUBLE results agree to single-precision rounding."""
+    p = kernels
+    for op, field, stack in ((p.op, p.v, p.vs), (p.coarse, p.vc, p.vcs)):
+        want = SchurMRSmoother(op, precision=Precision.DOUBLE).apply(field)
+        got = SchurMRSmoother(op, precision=owned).apply(field.astype(handed))
+        assert got.dtype == handed
+        many = BatchedSmoother(op, precision=owned).apply_multi(stack.astype(handed))
+        assert many.dtype == handed
+        if owned is not Precision.HALF:
+            assert _rel_err(got, want) <= RTOL_SINGLE
+            assert _rel_err(many[0], SchurMRSmoother(op).apply(stack[0])) <= RTOL_SINGLE
+
+
+def test_precision_operator_is_a_real_cast(kernels):
+    """SINGLE: astype in, native complex64 apply, caller's dtype out."""
+    p = kernels
+    wrapped = PrecisionOperator(p.op, Precision.SINGLE)
+    out = wrapped.apply(p.v)
+    assert out.dtype == C128
+    assert np.array_equal(out, p.op.apply(p.v.astype(C64)).astype(C128))
+    assert wrapped.apply(p.v.astype(C64)).dtype == C64
+    many = wrapped.apply_multi(p.vs)
+    assert many.dtype == C128
+    assert np.array_equal(many, p.op.apply_multi(p.vs.astype(C64)).astype(C128))
+    # HALF: the same complex64 compute between two 16-bit storage roundings
+    half = PrecisionOperator(p.op, Precision.HALF)
+    assert half.apply(p.v).dtype == C128
+    assert 1e-6 < _rel_err(half.apply(p.v), p.op.apply(p.v)) < 1e-3
+    assert np.array_equal(half.apply_multi(p.vs)[1], half.apply(p.vs[1]))
+
+
+# ----------------------------------------------------------------------
+# one Aniso40-scaled null space under a SINGLE and a DOUBLE preconditioner
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def twins(aniso40_solve):
+    """``(ds, single hierarchy, double hierarchy, 8 right-hand sides)``:
+    the session's default (single) hierarchy and an all-double one
+    rebuilt from the same null vectors."""
+    ds, solver, _ = aniso40_solve
+    single = solver.hierarchy
+    assert single.params.coarse_precision is Precision.SINGLE
+    assert single.params.smoother_precision is Precision.SINGLE
+    op = WilsonCloverOperator(ds.gauge(), **ds.operator_kwargs())
+    double = MultigridHierarchy.build(
+        op,
+        _with_precisions(single.params, Precision.DOUBLE),
+        np.random.default_rng(1),
+        null_vectors=single.export_null_vectors(),
+    )
+    bs = _cnormal(np.random.default_rng(41), (8, op.lattice.volume, 4, 3))
+    return ds, single, double, bs
+
+
+def test_setup_does_not_depend_on_the_configured_precisions(twins):
+    """Null vectors of a default (single) build are bit for bit those of
+    an all-double build on the same RNG: setup stays complex128."""
+    ds, single, _, _ = twins
+    params = dataclasses.replace(
+        _with_precisions(single.params, Precision.DOUBLE),
+        levels=[dataclasses.replace(lp, null_iters=8) for lp in single.params.levels],
+    )
+    op = single.levels[0].op
+    built = {
+        precision: MultigridHierarchy.build(
+            op, _with_precisions(params, precision), np.random.default_rng(9)
+        )
+        for precision in (Precision.SINGLE, Precision.DOUBLE)
+    }
+    for a, b in zip(*(h.export_null_vectors() for h in built.values())):
+        for va, vb in zip(a, b):
+            assert va.dtype == C128 and np.array_equal(va, vb)
+    x, y = (h.levels[-1].op for h in built.values())
+    assert np.array_equal(x.x_blocks, y.x_blocks)
+    assert np.array_equal(x.hop_blocks, y.hop_blocks)
+
+
+def test_single_and_double_do_the_same_work_sequentially(twins):
+    """(b) same outer iterations, same counters on every level."""
+    ds, single, double, bs = twins
+    tol = ds.target_residuum
+    for b in bs[:4]:
+        got = MultigridSolver.from_hierarchy(single).solve(b, tol=tol)
+        want = MultigridSolver.from_hierarchy(double).solve(b, tol=tol)
+        assert got.converged and want.converged
+        assert got.iterations == want.iterations
+        assert got.telemetry.level_stats == want.telemetry.level_stats
+        assert got.x.dtype == C128
+        assert _rel_err(got.x, want.x) <= 10 * tol
+
+
+@pytest.mark.parametrize("k", (1, 3, 8))
+def test_single_and_double_do_the_same_work_batched(twins, k):
+    ds, single, double, bs = twins
+    tol = ds.target_residuum
+    got = batched_mg_solve(single, bs[:k], tol=tol)
+    want = batched_mg_solve(double, bs[:k], tol=tol)
+    assert [r.iterations for r in got] == [r.iterations for r in want]
+    assert all(r.converged for r in got)
+    assert got[0].telemetry.level_stats == want[0].telemetry.level_stats
+    assert all(r.x.dtype == C128 for r in got)
+
+
+# ----------------------------------------------------------------------
+# (c) no complex128 field inside a default cycle
+# ----------------------------------------------------------------------
+class DtypeSpy:
+    """Records the dtypes entering and leaving wrapped bound methods."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+        self.seen: dict[str, set] = {}
+
+    def watch(self, owner, method: str, label: str) -> None:
+        fn = getattr(owner, method)
+        seen = self.seen.setdefault(f"{label}.{method}", set())
+
+        def spied(*args):
+            out = fn(*args)
+            seen.update(a.dtype for a in args if isinstance(a, np.ndarray))
+            seen.add(out.dtype)
+            return out
+
+        self.monkeypatch.setattr(owner, method, spied)
+
+    def watch_levels(self, hierarchy) -> None:
+        for lev in hierarchy.levels:
+            for method in (
+                "apply", "apply_multi", "apply_hopping", "apply_diag", "apply_diag_inv"
+            ):
+                self.watch(lev.op, method, f"L{lev.index}.op")
+            if lev.transfer is not None:
+                for method in ("restrict", "prolong", "restrict_multi", "prolong_multi"):
+                    self.watch(lev.transfer, method, f"L{lev.index}.transfer")
+
+
+def _fresh_default_hierarchy(twins):
+    """The session null space on a new operator: no table of any dtype
+    has been built yet."""
+    ds, single, _, _ = twins
+    op = WilsonCloverOperator(ds.gauge(), **ds.operator_kwargs())
+    return MultigridHierarchy.build(
+        op, single.params, np.random.default_rng(1),
+        null_vectors=single.export_null_vectors(),
+    )
+
+
+def test_no_complex128_field_crosses_a_default_cycle(twins, monkeypatch):
+    hierarchy = _fresh_default_hierarchy(twins)
+    r = twins[3][0]
+    spy = DtypeSpy(monkeypatch)
+    spy.watch_levels(hierarchy)
+    for lev in hierarchy.levels[:-1]:
+        spy.watch(lev.smoother, "apply", f"L{lev.index}.smoother")
+    z = KCyclePreconditioner(hierarchy, level=0).apply(r)
+    assert z.dtype == C128  # the caller's dtype
+    used = {name: dtypes for name, dtypes in spy.seen.items() if dtypes}
+    assert {"L0.op.apply", "L1.op.apply", "L2.op.apply_hopping", "L0.smoother.apply",
+            "L1.smoother.apply", "L0.transfer.restrict", "L1.transfer.prolong"} <= set(used)
+    assert all(dtypes == {C64} for dtypes in used.values()), used
+    # the fine-grid red-black system talks to the kernel directly: only
+    # the complex64 kernel was ever asked for
+    assert set(hierarchy.levels[0].op._wilson_kernel) == {C64}  # noqa: SLF001
+
+
+def test_no_complex128_field_crosses_a_default_batched_cycle(twins, monkeypatch):
+    hierarchy = _fresh_default_hierarchy(twins)
+    rs = twins[3][:K]
+    pre = batched_preconditioner_for(hierarchy)
+    spy = DtypeSpy(monkeypatch)
+    spy.watch_levels(hierarchy)
+    level, smoothers = pre, []
+    while level is not None:
+        smoothers.append(level.smoother)
+        spy.watch(level.smoother.bschur, "apply_multi", f"L{level.level}.bschur")
+        level = level._inner  # noqa: SLF001
+    zs = pre.apply_multi(rs)
+    assert zs.dtype == C128
+    used = {name: dtypes for name, dtypes in spy.seen.items() if dtypes}
+    assert {"L0.op.apply_multi", "L1.op.apply_multi", "L0.bschur.apply_multi",
+            "L1.bschur.apply_multi", "L0.transfer.restrict_multi"} <= set(used)
+    assert all(dtypes == {C64} for dtypes in used.values()), used
+    assert set(hierarchy.levels[0].op._wilson_kernel) == {C64}  # noqa: SLF001
+    for smoother in smoothers[1:]:
+        assert set(smoother.bschur._tables) == {C64}  # noqa: SLF001
+
+
+# ----------------------------------------------------------------------
+# (d) the outer solver sets the accuracy, (e) the scale of b is irrelevant
+# ----------------------------------------------------------------------
+def test_tight_outer_tolerance_converges_with_the_single_preconditioner(twins):
+    _, single, _, bs = twins
+    op, b = single.levels[0].op, bs[5]
+    result = MultigridSolver.from_hierarchy(single).solve(b, tol=1e-12)
+    assert result.converged
+    assert np.linalg.norm(b - op.apply(result.x)) / np.linalg.norm(b) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", (1e-30, 1e30))
+def test_scale_covariance(twins, scale):
+    """The level-0 cast-in normalises the residual, so float32 range
+    never sees the scale of ``b``: same iterations, same work, no
+    overflow or underflow on the way."""
+    ds, single, _, bs = twins
+    tol = ds.target_residuum
+    solver = MultigridSolver.from_hierarchy(single)
+    want = solver.solve(bs[6], tol=tol)
+    many_want = batched_mg_solve(single, bs[5:8], tol=tol)
+    with warnings.catch_warnings(), np.errstate(over="warn", under="warn"):
+        warnings.simplefilter("error")
+        got = solver.solve(bs[6] * scale, tol=tol)
+        many = batched_mg_solve(single, bs[5:8] * scale, tol=tol)
+    assert got.converged
+    assert got.iterations == want.iterations
+    assert got.telemetry.level_stats == want.telemetry.level_stats
+    assert _rel_err(got.x / scale, want.x) <= 10 * tol
+    assert [r.iterations for r in many] == [r.iterations for r in many_want]
+
+
+@pytest.mark.parametrize("smoother_type", ("chebyshev", "schwarz"))
+def test_precisionless_smoothers_follow_the_cycle(twins, smoother_type, monkeypatch):
+    """(f) in a default cycle the chebyshev and schwarz smoothers are
+    handed, and return, complex64."""
+    ds, single, _, bs = twins
+    op = single.levels[0].op
+    params = dataclasses.replace(
+        single.params, smoother_type=smoother_type, schwarz_grid=(1, 1, 1, 2)
+    )
+    hierarchy = MultigridHierarchy.build(
+        op, params, np.random.default_rng(1), null_vectors=single.export_null_vectors()
+    )
+    spy = DtypeSpy(monkeypatch)
+    spy.watch(hierarchy.levels[0].smoother, "apply", "L0.smoother")
+    assert not hasattr(hierarchy.levels[0].smoother, "precision")
+    result = MultigridSolver.from_hierarchy(hierarchy).solve(bs[0], tol=ds.target_residuum)
+    assert result.converged
+    assert spy.seen["L0.smoother.apply"] == {C64}
+
+
+# ----------------------------------------------------------------------
+# (g) DOUBLE is the all-double arithmetic, untouched
+# ----------------------------------------------------------------------
+def test_double_params_run_the_all_double_arithmetic(twins, monkeypatch):
+    """With ``DOUBLE`` precisions nothing is cast, normalised or copied:
+    the boundary hands fields through by identity, no reduced table and
+    no complex64 kernel is ever built, and ``x`` is bit for bit the
+    solve with the boundary removed (the parent commit's arithmetic;
+    DESIGN.md section 18 records the digests checked against it)."""
+    ds, single, _, bs = twins
+    op = WilsonCloverOperator(ds.gauge(), **ds.operator_kwargs())
+    double = MultigridHierarchy.build(
+        op,
+        _with_precisions(single.params, Precision.DOUBLE),
+        np.random.default_rng(1),
+        null_vectors=single.export_null_vectors(),
+    )
+    b, tol = bs[7], ds.target_residuum
+    field = bs[0]
+    entered, scale = precision_mod.enter_precision(field, Precision.DOUBLE)
+    assert entered is field and scale is None
+    assert precision_mod.leave_precision(field, field, None) is field
+
+    got = MultigridSolver.from_hierarchy(double).solve(b, tol=tol)
+    many = batched_mg_solve(double, bs[:K], tol=tol)
+    owners = [lev.op for lev in double.levels]
+    owners += [lev.transfer for lev in double.levels[:-1]]
+    assert not any(hasattr(owner, "_reduced") for owner in owners)
+    assert set(op._wilson_kernel) == {C128}  # noqa: SLF001
+
+    for module in ("repro.mg.kcycle", "repro.mg.smoother", "repro.mg.multi_rhs"):
+        monkeypatch.setattr(
+            f"{module}.enter_precision", lambda field, precision, batched=False: (field, None)
+        )
+        monkeypatch.setattr(
+            f"{module}.leave_precision", lambda result, caller, scale: result
+        )
+    want = MultigridSolver.from_hierarchy(double).solve(b, tol=tol)
+    assert got.iterations == want.iterations
+    assert np.array_equal(got.x, want.x)
+    many_want = batched_mg_solve(double, bs[:K], tol=tol)
+    for r, w in zip(many, many_want):
+        assert np.array_equal(r.x, w.x)

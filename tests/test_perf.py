@@ -112,6 +112,26 @@ class TestAttribution:
         for required in ("residual", "restrict", "prolong"):
             assert required in names
 
+    def test_cycle_spans_book_bytes_at_the_streamed_itemsize(self, measured_trace):
+        """The default K-cycle streams complex64, the outer GCR
+        complex128: same flops per application, half the bytes."""
+        from repro.telemetry.export import iter_span_dicts
+
+        def intensity(span):
+            return span["attrs"]["flops"] / span["attrs"]["bytes"]
+
+        spans = list(iter_span_dicts(measured_trace["spans"]))
+        (solve,) = [s for s in spans if s["name"] == "mg.solve"]
+        # the fine operator on complex128, booked on the outer GCR's span
+        (outer,) = [c for c in solve["children"] if c["name"] == "solve.gcr"]
+        cycle = [
+            s for s in spans
+            if s["name"] == "residual" and s["attrs"]["level"] == 0
+        ]
+        assert cycle
+        for span in cycle:
+            assert intensity(span) == pytest.approx(2 * intensity(outer))
+
     def test_attribute_trace_adds_derived_attrs(self, measured_trace):
         doc = attribute_trace(json.loads(json.dumps(measured_trace)))
         from repro.telemetry.export import iter_span_dicts

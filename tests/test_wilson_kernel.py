@@ -6,7 +6,7 @@ and the zero-padded Schur algebra (``SchurOperator.*_reference``) exist
 to check it.  Everything here is differential: kernel vs oracle at
 ``<= 1e-12`` relative, over boundary conditions, anisotropy, the
 clover-free operator, batch sizes, a lattice whose half volume leaves a
-ragged last cache block, and reduced-precision input.
+ragged last cache block, and complex64 input (``<= 5e-6``).
 """
 
 from __future__ import annotations
@@ -29,13 +29,13 @@ from repro.mg.setup import generate_null_vectors
 from repro.mg.smoother import SchurMRSmoother
 from repro.precision import Precision
 from repro.serve.cache import SetupCache
-from repro.solvers.mixed import PrecisionOperator
 from repro.workloads.datasets import ANISO40_SCALED
 from strategies import SEEDS, lattices, wilson_operators
 
 pytestmark = pytest.mark.backend
 
 RTOL = 1e-12
+RTOL_SINGLE = 5e-6  # complex64 result vs the complex128 oracle
 BATCHES = (1, 3, 8)
 
 #: name -> (lattice extents, operator keyword arguments)
@@ -160,23 +160,45 @@ def test_schur_matches_dense_complement(antiperiodic):
 # ----------------------------------------------------------------------
 # reduced-precision input
 # ----------------------------------------------------------------------
-def test_complex64_input_is_computed_in_double(op, stack):
+def test_complex64_input_is_computed_in_complex64(op, stack):
+    """Precision is the dtype of the data: a complex64 field meets the
+    complex64 kernel and comes back complex64, within single-precision
+    rounding of the double oracle on the same (rounded) input."""
     v32 = stack[0].astype(np.complex64)
+    v64 = v32.astype(np.complex128)
     got = op.apply(v32)
-    assert got.dtype == np.complex128
-    assert _rel_err(got, op.apply_reference(v32.astype(np.complex128))) <= RTOL
+    assert got.dtype == np.complex64
+    assert _rel_err(got, op.apply_reference(v64)) <= RTOL_SINGLE
+    assert wilson_kernel_for(op, np.complex64) is not wilson_kernel_for(op)
 
     schur = SchurOperator(op, parity=0)
-    h32 = v32[op.lattice.even_sites]
-    got = schur.apply(h32)
-    assert got.dtype == np.complex128
-    assert _rel_err(got, schur.apply_reference(h32.astype(np.complex128))) <= RTOL
+    h32, h64 = v32[op.lattice.even_sites], v64[op.lattice.even_sites]
+    for got, want in (
+        (schur.apply(h32), schur.apply_reference(h64)),
+        (schur.prepare_source(v32), schur.prepare_source_reference(v64)),
+        (schur.reconstruct(h32, v32), schur.reconstruct_reference(h64, v64)),
+        (schur.apply_reference(h32), schur.apply_reference(h64)),
+    ):
+        assert got.dtype == np.complex64
+        assert _rel_err(got, want) <= RTOL_SINGLE
 
-    # through the wrapper the smoother uses: same rounding on the way
-    # in, so the two paths can only differ by the output rounding
-    rounded = PrecisionOperator(schur, Precision.SINGLE).apply(h32)
-    assert rounded.dtype == np.complex128
-    assert _rel_err(rounded, got) <= 1e-6
+
+def test_complex64_input_is_computed_in_double(op, stack):
+    """...by a component that owns ``DOUBLE``: until PR 14 every operator
+    upcast silently; now only a precision owner converts, at its own
+    boundary, and hands back the caller's dtype.  The result is exactly
+    the double computation rounded once, not the complex64 one."""
+    v32 = stack[0].astype(np.complex64)
+    smoother = SchurMRSmoother(op, precision=Precision.DOUBLE)
+    got = smoother.apply(v32)
+    assert got.dtype == np.complex64
+    in_double = smoother.apply(v32.astype(np.complex128))
+    assert in_double.dtype == np.complex128
+    assert np.array_equal(got, in_double.astype(np.complex64))
+    in_single = SchurMRSmoother(op, precision=Precision.SINGLE).apply(v32)
+    assert in_single.dtype == np.complex64
+    assert not np.array_equal(got, in_single)
+    assert _rel_err(in_single, in_double) <= RTOL_SINGLE
 
 
 # ----------------------------------------------------------------------
@@ -243,8 +265,9 @@ def test_solve_counters_match_an_oracle_driven_solve(aniso40_solve, monkeypatch)
 
     ds, solver, with_kernel = aniso40_solve
     op = WilsonCloverOperator(ds.gauge(), **ds.operator_kwargs())
-    monkeypatch.setattr("repro.dirac.wilson_kernel.wilson_kernel_for", lambda op: None)
-    monkeypatch.setattr("repro.dirac.even_odd.wilson_kernel_for", lambda op: None)
+    no_kernel = lambda op, dtype=None: None  # noqa: E731
+    monkeypatch.setattr("repro.dirac.wilson_kernel.wilson_kernel_for", no_kernel)
+    monkeypatch.setattr("repro.dirac.even_odd.wilson_kernel_for", no_kernel)
     monkeypatch.setattr(
         WilsonCloverOperator, "apply", WilsonCloverOperator.apply_reference
     )
@@ -265,33 +288,77 @@ def test_solve_counters_match_an_oracle_driven_solve(aniso40_solve, monkeypatch)
 # ----------------------------------------------------------------------
 # setup cost accounting
 # ----------------------------------------------------------------------
+def _reduced_built(hierarchy) -> int:
+    """Bytes of the reduced-precision copies cast so far on the coarse
+    operators and transfers."""
+    owners = [lev.op for lev in hierarchy.levels[1:]]
+    owners += [lev.transfer for lev in hierarchy.levels[:-1]]
+    return sum(
+        copy.nbytes
+        for owner in owners
+        for copy in getattr(owner, "_reduced", {}).values()
+    )
+
+
+def _default_solve(hierarchy, seed: int = 4):
+    """One solve with the hierarchy's own (default: single) precisions,
+    on the numpy backend so no layout cache joins the accounting."""
+    from repro.mg import MultigridSolver
+
+    op = hierarchy.levels[0].op
+    b = _cnormal(np.random.default_rng(seed), (op.lattice.volume, 4, 3))
+    with use_backend("numpy"):
+        return MultigridSolver.from_hierarchy(hierarchy).solve(b, tol=1e-6)
+
+
 def test_setup_memory_books_kernel_tables_before_they_exist(gauge44):
     op = WilsonCloverOperator(gauge44, mass=-0.2, c_sw=1.0)
     rng = np.random.default_rng(2)
     params = MGParams(levels=[LevelParams(block=(2, 2, 2, 2), n_null=2)])
     nulls = [[_cnormal(rng, (op.lattice.volume, 4, 3)) for _ in range(2)]]
     # building from given null vectors (the restore path) never applies
-    # the fine operator, so the kernel tables do not exist yet
+    # the fine operator, so no kernel tables and no complex64 copies yet
     hierarchy = MultigridHierarchy.build(op, params, rng, null_vectors=nulls)
     assert not hasattr(op, "_wilson_kernel")
+    assert _reduced_built(hierarchy) == 0
+    coarse, transfer = hierarchy.levels[1].op, hierarchy.levels[0].transfer
+    coarse._x_inv  # noqa: B018, SLF001 — an operator attribute once inverted
     booked = hierarchy.setup_memory_bytes()
-    op.apply(nulls[0][0])
-    tables = sum(table.nbytes for table in wilson_kernel_for(op).tables())
-    assert tables == WilsonKernel.table_bytes(op.lattice.half_volume)
-    assert tables >= op._u_fwd.nbytes + op._u_bwd.nbytes  # noqa: SLF001
+    # the outer GCR applies level 0 in double, the default cycle applies
+    # every level in complex64
+    assert _default_solve(hierarchy).converged
+    half_volume = op.lattice.half_volume
+    tables = 0
+    for dtype in (np.complex128, np.complex64):
+        built = sum(t.nbytes for t in wilson_kernel_for(op, dtype).tables())
+        assert built == WilsonKernel.table_bytes(half_volume, dtype)
+        assert built >= (op._u_fwd.nbytes + op._u_bwd.nbytes) * np.dtype(dtype).itemsize // 16  # noqa: SLF001
+        tables += built
+    copies = coarse.reduced_bytes(np.complex64) + transfer.reduced_bytes(np.complex64)
+    assert _reduced_built(hierarchy) == copies
     own_arrays = sum(
         value.nbytes
         for lev in hierarchy.levels
         for value in list(vars(lev.op).values()) + lev.null_vectors
         if isinstance(value, np.ndarray)
     )
-    assert booked == own_arrays + tables
+    assert booked == own_arrays + tables + copies
     assert hierarchy.setup_memory_bytes() == booked  # building them changes nothing
+    # an all-double configuration builds, and books, none of the copies
+    double = MGParams(
+        levels=params.levels,
+        smoother_precision=Precision.DOUBLE,
+        coarse_precision=Precision.DOUBLE,
+    )
+    assert MultigridHierarchy(hierarchy.levels, double).setup_memory_bytes() == (
+        booked - copies - WilsonKernel.table_bytes(half_volume, np.complex64)
+    )
 
 
 def test_restored_setup_books_the_same_bytes_as_a_cold_build(gauge44, tmp_path):
     """LRU accounting must not depend on whether the first apply (which
-    builds the kernel tables) happened before or after the insert."""
+    builds the kernel tables) or the first solve (which casts the
+    complex64 copies) happened before or after the insert."""
     params = MGParams(
         levels=[LevelParams(block=(2, 2, 2, 2), n_null=2, null_iters=5)]
     )
@@ -302,13 +369,20 @@ def test_restored_setup_books_the_same_bytes_as_a_cold_build(gauge44, tmp_path):
         hierarchy = cache.get_or_build(op, params, np.random.default_rng(3))
         return cache, hierarchy, op
 
-    cold, _, _ = booked()
+    cold, cold_hierarchy, _ = booked()
     warm, hierarchy, op = booked()
     assert (cold.stats["misses"], warm.stats["disk_hits"]) == (1, 1)
     assert not hasattr(op, "_wilson_kernel")
     assert warm.nbytes == cold.nbytes
     op.apply(hierarchy.levels[0].null_vectors[0])
     assert hierarchy.setup_memory_bytes() == warm.nbytes
+    # after the first solve both hold their complex64 copies and still agree
+    for built in (cold_hierarchy, hierarchy):
+        assert _default_solve(built).converged
+        assert _reduced_built(built) > 0
+    assert hierarchy.setup_memory_bytes() == cold_hierarchy.setup_memory_bytes()
+    inverse = hierarchy.levels[1].op._x_inv.nbytes  # noqa: SLF001 — double, first inverted by the solve
+    assert hierarchy.setup_memory_bytes() == warm.nbytes + inverse
 
 
 def test_setup_memory_counts_backend_caches(gauge44):
@@ -322,7 +396,7 @@ def test_setup_memory_counts_backend_caches(gauge44):
     v = _cnormal(rng, (coarse.lattice.volume, coarse.ns, coarse.nc))
     with use_backend("einsum"):
         coarse.apply(v)  # caches the concatenated stencil + index table
-    cat, idx = coarse._backend_cache["einsum", "coarse_cat9"]  # noqa: SLF001
+    cat, idx = coarse._backend_cache["einsum", "coarse_cat9", np.dtype(np.complex128)]  # noqa: SLF001
     assert hierarchy.setup_memory_bytes() == before + cat.nbytes + idx.nbytes
     with use_backend("soa"):
         coarse.apply_multi(v[None])  # packed parity hop stacks and diagonals

@@ -6,13 +6,17 @@ host.  It times one parity-to-parity hop sum (the kernel's hot loop) at
 K=1 and K=8 on V=1024 (4^3x16, the quick-bench lattice) and V=8192
 (8^3x16) for a range of block lengths, interleaving the candidates so
 host speed steps hit all of them alike, and prints the minimum and
-median per right-hand side.  DESIGN.md section 17 records one run.
+median per right-hand side.  The kernel exists per dtype and the
+temporaries of a complex64 block are half as large, so the sweep takes
+the dtype (default: both); one constant has to serve both.  DESIGN.md
+section 17 records one run of each.
 
-    PYTHONPATH=src python tools/sweep_wilson_block.py
+    PYTHONPATH=src python tools/sweep_wilson_block.py [complex128|complex64 ...]
 """
 
 from __future__ import annotations
 
+import sys
 import time
 
 import numpy as np
@@ -27,7 +31,7 @@ BATCHES = (1, 8)
 ROUNDS = 15
 
 
-def main() -> None:
+def sweep(dtype: np.dtype) -> None:
     for dims in LATTICES:
         lat = Lattice(dims)
         gauge = disordered_field(lat, np.random.default_rng(0), 0.5)
@@ -37,12 +41,12 @@ def main() -> None:
             if block > lat.half_volume:
                 continue  # same as one block of the whole half volume
             wilson_kernel.BLOCK = block
-            kernels[block] = wilson_kernel.WilsonKernel(op)
+            kernels[block] = wilson_kernel.WilsonKernel(op, dtype)
         rng = np.random.default_rng(1)
-        print(f"{lat!r}: half volume {lat.half_volume}")
+        print(f"{dtype.name} {lat!r}: half volume {lat.half_volume}")
         for k in BATCHES:
             shape = (k, 3, 4, lat.half_volume)
-            src = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            src = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
             repeats = max(1, 10240 // (k * lat.half_volume))
             samples = {block: [] for block in kernels}
             for _ in range(ROUNDS):
@@ -60,5 +64,15 @@ def main() -> None:
                 )
 
 
+def main(argv: list[str]) -> None:
+    dtypes = [np.dtype(name) for name in argv] or [
+        np.dtype(np.complex128), np.dtype(np.complex64)
+    ]
+    for dtype in dtypes:
+        if dtype.kind != "c":
+            raise SystemExit(f"not a complex dtype: {dtype.name}")
+        sweep(dtype)
+
+
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
