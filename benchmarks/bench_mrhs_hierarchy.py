@@ -1,9 +1,10 @@
-"""K-scaling of the batched full-hierarchy multi-RHS solve (Section 9).
+"""K-scaling of the full-hierarchy multi-RHS solve (Section 9).
 
 The Richtmann–Meyer–Wettig MRHS argument (arXiv:2211.13719): batching
 only the fine grid leaves the coarse levels running one right-hand
-side at a time, and Amdahl eats the win.  With the whole hierarchy
-batched (:func:`repro.mg.multi_rhs.batched_mg_solve`) every level's
+side at a time, and Amdahl eats the win.  The solve computes on a
+stack on every level
+(:meth:`repro.mg.solver.MultigridSolver.solve_multi`): every level's
 matrices are read once per cycle for all K systems, so the wall-clock
 per right-hand side must *fall* as K grows — throughput superlinear in
 the number of solves dispatched.
@@ -23,7 +24,6 @@ import numpy as np
 
 from repro.dirac import WilsonCloverOperator
 from repro.mg import MultigridSolver
-from repro.mg.multi_rhs import batched_mg_solve, batched_preconditioner_for
 from repro.workloads import ANISO40_SCALED, mg_params_for
 
 try:
@@ -40,10 +40,10 @@ def run_mrhs_bench(
     tol: float = 5e-6,
     repeats: int = 2,
 ) -> dict:
-    """Solve K systems through the batched hierarchy for each K in ``ks``.
+    """Solve a stack of K systems for each K in ``ks``.
 
     Returns ``{"rows": [...], ...}`` with per-K wall/per-RHS/throughput
-    numbers; the setup (null vectors, Galerkin, batched kernels) is
+    numbers; the setup (null vectors, Galerkin, gathered link stacks) is
     built once and shared, matching how the serve tier amortizes it.
     """
     ds = ANISO40_SCALED
@@ -52,13 +52,12 @@ def run_mrhs_bench(
         op, mg_params_for(ds, "24/24", null_iters=null_iters),
         np.random.default_rng(1),
     )
-    # build the batched kernels (gathered link stacks) outside the timing
-    batched_preconditioner_for(solver.hierarchy)
     rng = np.random.default_rng(7)
     kmax = max(ks)
     shape = (kmax, ds.lattice().volume, 4, 3)
     bs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    batched_mg_solve(solver.hierarchy, bs[:1], tol=tol)  # warm-up
+    # warm-up: builds the gathered link stacks outside the timing
+    solver.solve_multi(bs[:1], tol=tol)
 
     rows: list[dict] = []
     for k in ks:
@@ -66,7 +65,7 @@ def run_mrhs_bench(
         results = None
         for _ in range(max(repeats, 1)):
             t0 = time.perf_counter()
-            results = batched_mg_solve(solver.hierarchy, bs[:k], tol=tol)
+            results = solver.solve_multi(bs[:k], tol=tol)
             best = min(best, time.perf_counter() - t0)
         assert results is not None
         rows.append(

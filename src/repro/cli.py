@@ -129,8 +129,8 @@ def run_trace(
 ) -> dict:
     """Run one measured MG solve on ``dataset`` with telemetry enabled.
 
-    With ``mrhs > 1`` the solve is the *batched* full-hierarchy
-    multi-RHS path (:func:`repro.mg.multi_rhs.batched_mg_solve`) over
+    With ``mrhs > 1`` the solve is one
+    :meth:`~repro.mg.solver.MultigridSolver.solve_multi` over a stack of
     that many right-hand sides, so the roofline table shows each
     level's arithmetic intensity with the operator matrices amortized
     over the batch — the coarse levels move toward (and up) the
@@ -200,8 +200,6 @@ def run_trace(
                 "iterations": int(res.iterations),
             }
         elif mrhs > 1:
-            from .mg.multi_rhs import batched_mg_solve
-
             rng = np.random.default_rng(0)
             bs = np.stack(
                 [
@@ -209,9 +207,7 @@ def run_trace(
                     for _ in range(mrhs)
                 ]
             )
-            results = batched_mg_solve(
-                mg.hierarchy, bs, tol=ds.target_residuum
-            )
+            results = mg.solve_multi(bs, tol=ds.target_residuum)
             meta = {
                 "kind": "trace-mrhs",
                 "dataset": ds.label,
@@ -333,8 +329,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         metavar="K",
-        help="for 'trace': solve K right-hand sides through the batched "
-        "full-hierarchy multi-RHS path instead of one sequential solve",
+        help="for 'trace': solve a stack of K right-hand sides in one "
+        "multi-RHS solve instead of a single one",
     )
     parser.add_argument(
         "--out",

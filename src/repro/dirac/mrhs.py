@@ -97,6 +97,13 @@ class BatchedCoarseSchur:
         self._other = op.lattice.sites_of_parity(1)
         self._tables: dict = {}
 
+    def table_bytes(self, dtype) -> int:
+        """Bytes of the parity-gathered tables at ``dtype`` (every link
+        and site block once, plus the two neighbour index tables) —
+        known before they are built."""
+        blocks = self.op.hop_blocks.size + self.op.x_blocks.size
+        return blocks * np.dtype(dtype).itemsize + 2 * 2 * NDIM * self._own.size * 8
+
     def _at(self, dtype):
         """``(hop to other, hop to own, X_ee, X_oo^{-1})`` at ``dtype``."""
         tables = self._tables.get(dtype)

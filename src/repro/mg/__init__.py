@@ -2,13 +2,6 @@
 
 from .hierarchy import LevelStats, MGLevel, MultigridHierarchy
 from .kcycle import KCyclePreconditioner, gcr_reductions
-from .multi_rhs import (
-    BatchedKCyclePreconditioner,
-    BatchedSmoother,
-    batched_mg_solve,
-    batched_preconditioner_for,
-    hierarchy_supports_batching,
-)
 from .params import LevelParams, MGParams
 from .policy import PolicyTuneResult, tune_policy
 from .schwarz import DomainDecomposedOperator, SchwarzMRSmoother
@@ -21,11 +14,6 @@ __all__ = [
     "MGLevel",
     "MultigridHierarchy",
     "KCyclePreconditioner",
-    "BatchedKCyclePreconditioner",
-    "BatchedSmoother",
-    "batched_mg_solve",
-    "batched_preconditioner_for",
-    "hierarchy_supports_batching",
     "gcr_reductions",
     "LevelParams",
     "MGParams",

@@ -240,8 +240,10 @@ class MultigridHierarchy:
         ndarray attribute of the level operators (coarse stencils, link
         copies, clover blocks), the fine-grid kernel tables, the
         reduced-precision copies the configured precisions compute on
-        (kernel tables, coarse blocks and their inverse, transfer bases)
-        and whatever the array backends have cached on the operators.
+        (kernel tables, coarse blocks and their inverse, transfer bases),
+        the parity-gathered dense-block tables of the coarse levels'
+        smoothers and whatever the array backends have cached on the
+        operators.
         Kernel tables and reduced copies are built on first use but
         booked at their known size from the start, so a setup restored
         from disk counts the same as one that has already run.  Drives
@@ -266,6 +268,9 @@ class MultigridHierarchy:
                 for owner in (lev.op, lev.transfer):
                     book = getattr(owner, "reduced_bytes", None)
                     total += book(dtype) if book is not None else 0
+            book = getattr(getattr(lev.smoother, "schur", None), "table_bytes", None)
+            if book is not None:
+                total += book(dtype_of(params.smoother_precision))
             caches = getattr(lev.op, "_backend_cache", {})
             total += sum(_cached_bytes(entry) for entry in caches.values())
         return total

@@ -10,6 +10,12 @@ Each application at level ``l``:
 4. prolongate and correct,
 5. post-smooth.
 
+The cycle computes on a stack ``(K, V, ns, nc)`` of residuals (paper
+Section 9): every smoothing step, stencil, transfer and coarse Krylov
+solve of every level is one call for all K systems, so a batch never
+unstacks between entry and exit and each matrix is read once for the
+whole batch.  A single right-hand side is the stack of one.
+
 The cycle owns ``MGParams.coarse_precision`` (QUDA's "precondition
 precision"): ``apply`` casts the residual to it once, on entry at level
 0, and the whole body — smoothers, residuals, transfers, every nested
@@ -17,56 +23,44 @@ coarse solve — then follows the dtype of the data.
 
 All work is recorded in the per-level :class:`~repro.mg.hierarchy.LevelStats`
 so the benchmark harness can reproduce the paper's Figure 4 time
-breakdown.
+breakdown; :func:`booked` and :func:`book_gcr` are the only places that
+happens.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from ..dirac.even_odd import SchurOperator
+from ..dirac.mrhs import batched_schur_for
 from ..precision import COMPLEX128, dtype_of, enter_precision, leave_precision
-from ..solvers.base import OperatorCounter
-from ..solvers.gcr import gcr
+from ..solvers.base import SolveResult, apply_stack
+from ..solvers.gcr import lockstep_gcr
 from ..solvers.mixed import reduced_storage
 from ..telemetry.tracer import get_tracer
 from .hierarchy import MGLevel, MultigridHierarchy
 
 
-def operator_application_cost(op, dtype=COMPLEX128) -> tuple[float, float]:
-    """``(flops, bytes)`` of one application to a ``dtype`` field, (0, 0)
-    for opaque operators.
-
-    Most operators inherit the hook from
-    :class:`~repro.dirac.stencil.StencilOperator` (bytes at the itemsize
-    actually streamed); wrappers that do not expose it simply go
-    unattributed rather than breaking the solve.
-    """
-    fn = getattr(op, "application_cost", None)
-    return fn(dtype) if fn is not None else (0.0, 0.0)
-
-
 def operator_application_cost_multi(
     op, k: int, dtype=COMPLEX128
 ) -> tuple[float, float]:
-    """``(flops, bytes)`` of one *batched* application over ``k`` systems.
+    """``(flops, bytes)`` of one application of ``op`` to ``k`` ``dtype``
+    fields at once.
 
     Operators exposing ``application_cost_multi`` (the stencil
-    hierarchy) get the matrices-read-once traffic model; anything else
-    falls back to ``k`` independent applications.
+    hierarchy) get the matrices-read-once traffic model; one exposing
+    only ``application_cost`` costs ``k`` independent applications; an
+    opaque wrapper goes unattributed rather than breaking the solve.
     """
     fn = getattr(op, "application_cost_multi", None)
     if fn is not None:
         return fn(k, dtype)
-    flops, nbytes = operator_application_cost(op, dtype)
+    fn = getattr(op, "application_cost", None)
+    if fn is None:
+        return (0.0, 0.0)
+    flops, nbytes = fn(dtype)
     return (k * flops, k * nbytes)
-
-
-def smoothing_dtype(smoother, r: np.ndarray) -> np.dtype:
-    """The dtype ``smoother`` streams when handed ``r``: that of the
-    precision it owns, or ``r``'s own when it declares none."""
-    precision = getattr(smoother, "precision", None)
-    return r.dtype if precision is None else dtype_of(precision)
 
 
 def gcr_reductions(iterations: int, nkrylov: int) -> int:
@@ -78,189 +72,161 @@ def gcr_reductions(iterations: int, nkrylov: int) -> int:
     return sum((i % nkrylov) + 3 for i in range(iterations))
 
 
+#: the LevelStats counter a cycle step bumps once per system
+_STEP_COUNTER = {"residual": "op_applies", "restrict": "restricts", "prolong": "prolongs"}
+
+
+def booked(lev: MGLevel, step: str, fn, *args, **attrs) -> np.ndarray:
+    """Run the cycle step ``fn(*args)`` of level ``lev`` — the stack it
+    works on last — with all of its bookkeeping: the level's work
+    counters for the K systems, the span, and the span's
+    ``(flops, bytes)`` when tracing is live."""
+    k = args[-1].shape[0]
+    stats = lev.stats
+    if step == "smoother":
+        # dslash-equivalents per system; the two reductions of an MR
+        # step are fused over the stack
+        stats.smoother_applies += (lev.params.smoother_steps + 1) * k
+        stats.reductions += 2 * lev.params.smoother_steps
+    elif step in _STEP_COUNTER:
+        counter = _STEP_COUNTER[step]
+        setattr(stats, counter, getattr(stats, counter) + k)
+    tracer = get_tracer()
+    level = lev.index + 1 if step == "coarse-solve" else lev.index
+    with tracer.span(step, level=level, n_rhs=k, **attrs) as sp:
+        out = fn(*args)
+        if tracer.enabled:
+            sp.attribute(*_step_cost(lev, step, k, args[-1].dtype))
+    return out
+
+
+def _step_cost(lev: MGLevel, step: str, k: int, dtype) -> tuple[float, float]:
+    if step in ("restrict", "prolong"):
+        return lev.transfer.application_cost_multi(k, dtype)
+    if step == "residual":
+        return operator_application_cost_multi(lev.op, k, dtype)
+    if step == "smoother":
+        # at the dtype the smoother streams: that of the precision it
+        # owns, or the cycle's when it declares none
+        precision = getattr(lev.smoother, "precision", None)
+        if precision is not None:
+            dtype = dtype_of(precision)
+        flops, nbytes = operator_application_cost_multi(lev.op, k, dtype)
+        n = lev.params.smoother_steps + 1
+        return (n * flops, n * nbytes)
+    return (0.0, 0.0)  # kcycle, coarse-solve: their children book the work
+
+
+def book_gcr(
+    lev: MGLevel, results: list[SolveResult], nkrylov: int, extra_applies: int = 0
+) -> None:
+    """Book a finished lockstep GCR over ``lev.op``: its
+    :class:`~repro.mg.hierarchy.LevelStats` for all K systems and, when
+    tracing is live, the driver's own matvec cost (plus ``extra_applies``
+    stencil-equivalents spent around it).
+
+    Work done by nested K-cycle spans books itself, so only the driver's
+    direct operator applications land here — attributed costs stay
+    exclusive, like span self-times.  They ran inside the ``solve.gcr``
+    child of the open span (whose self-time excludes the nested
+    preconditioner), so the cost goes there; the open span is the
+    fallback.
+    """
+    k = len(results)
+    applies = results[0].matvecs + extra_applies
+    stats = lev.stats
+    stats.op_applies += applies * k
+    stats.gcr_iters += sum(res.iterations for res in results)
+    stats.reductions += sum(gcr_reductions(res.iterations, nkrylov) for res in results)
+    span = get_tracer().current()
+    if span is not None:
+        flops, nbytes = operator_application_cost_multi(lev.op, k, results[0].x.dtype)
+        target = next(
+            (c for c in reversed(span.children) if c.name == "solve.gcr"), span
+        )
+        target.attribute(flops=applies * flops, bytes=applies * nbytes)
+
+
 class KCyclePreconditioner:
-    """The K-cycle at a given level of a :class:`MultigridHierarchy`."""
+    """The K-cycle at a given level of a :class:`MultigridHierarchy`.
+
+    Built once per solver: the next level's cycle and the coarsest
+    red-black system (whose link stacks are gathered the first time a
+    stack of each dtype arrives) are constructed here, not per coarse
+    solve.
+    """
 
     def __init__(self, hierarchy: MultigridHierarchy, level: int = 0):
         self.hierarchy = hierarchy
         self.level = level
-        self.last_inner_iterations = 0
+        params = hierarchy.params
+        coarse = hierarchy.levels[level + 1]
+        self._inner: KCyclePreconditioner | None = None
+        self._schur = None  # the coarsest red-black system
+        if not coarse.is_coarsest:
+            self._inner = KCyclePreconditioner(hierarchy, level + 1)
+        elif params.coarsest_schur:
+            self._schur = batched_schur_for(coarse.op)
+        # what the coarse GCR inverts, as the cycle's precision stores it
+        self._solve_op = reduced_storage(
+            coarse.op if self._schur is None else self._schur, params.coarse_precision
+        )
 
     # ------------------------------------------------------------------
     def apply(self, r: np.ndarray) -> np.ndarray:
-        rp, scale = enter_precision(r, self.hierarchy.params.coarse_precision)
-        return leave_precision(self._cycle(rp), r, scale)
-
-    def _cycle(self, r: np.ndarray) -> np.ndarray:
+        """One cycle for a residual field ``(V, ns, nc)`` or a stack
+        ``(K, V, ns, nc)`` of them."""
+        rs = r[None] if r.ndim == 3 else r
+        rp, scale = enter_precision(rs, self.hierarchy.params.coarse_precision)
         lev = self.hierarchy.levels[self.level]
-        assert lev.params is not None and lev.transfer is not None
-        stats = lev.stats
-        tracer = get_tracer()
+        z = leave_precision(booked(lev, "kcycle", self._cycle, rp), rs, scale)
+        return z[0] if r.ndim == 3 else z
 
-        # span cost attribution (repro.perf); cached tuples, fetched only
-        # when tracing is live so the disabled path stays two flag tests
-        traced = tracer.enabled
-        op_cost = operator_application_cost(lev.op, r.dtype) if traced else (0.0, 0.0)
-        tr_cost = lev.transfer.application_cost(r.dtype) if traced else (0.0, 0.0)
+    def apply_multi(self, rs: np.ndarray) -> np.ndarray:
+        """The stack protocol of the Krylov drivers: ``apply`` takes one."""
+        return self.apply(rs)
 
-        with tracer.span("kcycle", level=self.level):
-            # 1. pre-smooth
-            z = self._smooth(lev, r, phase="pre")
-
-            # 2. defect restriction
-            stats.op_applies += 1
-            with tracer.span("residual", level=self.level) as sp:
-                r1 = r - lev.op.apply(z)
-                sp.attribute(*op_cost)
-            stats.restricts += 1
-            with tracer.span("restrict", level=self.level) as sp:
-                rc = lev.transfer.restrict(r1)
-                sp.attribute(*tr_cost)
-
-            # 3. coarse solve (GCR; K-cycle-preconditioned unless coarsest)
-            with tracer.span("coarse-solve", level=self.level + 1) as sp:
-                ec = self._coarse_solve(rc, sp)
-
-            # 4. prolongate and correct
-            stats.prolongs += 1
-            with tracer.span("prolong", level=self.level) as sp:
-                z = z + lev.transfer.prolong(ec)
-                sp.attribute(*tr_cost)
-
-            # 5. post-smooth
-            stats.op_applies += 1
-            with tracer.span("residual", level=self.level) as sp:
-                r2 = r - lev.op.apply(z)
-                sp.attribute(*op_cost)
-            z = z + self._smooth(lev, r2, phase="post")
-        return z
+    def _cycle(self, rs: np.ndarray) -> np.ndarray:
+        lev = self.hierarchy.levels[self.level]
+        op, transfer, smoother = lev.op, lev.transfer, lev.smoother
+        run = partial(booked, lev)
+        # 1. pre-smooth
+        z = run("smoother", apply_stack, smoother, rs, phase="pre")
+        # 2. defect restriction
+        r1 = rs - run("residual", op.apply_multi, z)
+        rc = run("restrict", transfer.restrict_multi, r1)
+        # 3. coarse solve (GCR; K-cycle-preconditioned unless coarsest)
+        ec = run("coarse-solve", self._coarse_solve, rc)
+        # 4. prolongate and correct
+        z = z + run("prolong", transfer.prolong_multi, ec)
+        # 5. post-smooth
+        r2 = rs - run("residual", op.apply_multi, z)
+        return z + run("smoother", apply_stack, smoother, r2, phase="post")
 
     # ------------------------------------------------------------------
-    def _smooth(self, lev: MGLevel, r: np.ndarray, phase: str = "pre") -> np.ndarray:
-        assert lev.smoother is not None and lev.params is not None
-        lev.stats.smoother_applies += lev.params.smoother_steps + 1
-        lev.stats.reductions += 2 * lev.params.smoother_steps
-        tracer = get_tracer()
-        with tracer.span("smoother", level=lev.index, phase=phase) as sp:
-            out = lev.smoother.apply(r)
-            if tracer.enabled:
-                # smoother_applies counts dslash-equivalents, so the
-                # attributed cost is that many full stencil applications;
-                # it runs inside the instrumented solve.* child span when
-                # the smoother is a Krylov method, so pair the cost with
-                # that span's self-time
-                flops, nbytes = operator_application_cost(
-                    lev.op, smoothing_dtype(lev.smoother, r)
-                )
-                n = lev.params.smoother_steps + 1
-                target = next(
-                    (
-                        c
-                        for c in reversed(sp.children)
-                        if c.name.startswith("solve.")
-                    ),
-                    sp,
-                )
-                target.attribute(flops=n * flops, bytes=n * nbytes)
-        return out
-
-    def _coarse_solve(self, rc: np.ndarray, span=None) -> np.ndarray:
+    def _coarse_solve(self, rc: np.ndarray) -> np.ndarray:
         params = self.hierarchy.params
         lp = self.hierarchy.levels[self.level].params
-        assert lp is not None
         coarse = self.hierarchy.levels[self.level + 1]
-        stats = coarse.stats
-
-        if coarse.is_coarsest:
-            ec = self._coarsest_solve(coarse, rc, lp, span=span)
-        elif params.cycle_type == "K":
-            cp = coarse.params
-            assert cp is not None
-            inner_pre = KCyclePreconditioner(self.hierarchy, self.level + 1)
-            op = OperatorCounter(self._stored(coarse.op), stats=stats)
-            res = gcr(
-                op,
-                rc,
-                tol=lp.coarse_tol,
-                maxiter=lp.coarse_maxiter,
-                nkrylov=cp.nkrylov,
-                preconditioner=inner_pre,
-            )
-            stats.gcr_iters += res.iterations
-            stats.reductions += gcr_reductions(res.iterations, cp.nkrylov)
-            self._attribute_matvecs(span, coarse, res.matvecs, rc.dtype)
-            if span is not None:
-                span.annotate(
-                    coarse_iterations=res.iterations,
-                    coarse_converged=res.converged,
-                    coarse_residual=res.final_residual,
-                )
-            ec = res.x
-        else:
+        if self._inner is not None and params.cycle_type != "K":
             # V- or W-cycle: apply the next level's cycle directly as an
             # approximate solve, once (V) or twice with defect correction (W)
-            inner = KCyclePreconditioner(self.hierarchy, self.level + 1)
-            ec = inner.apply(rc)
+            ec = self._inner.apply(rc)
             if params.cycle_type == "W":
-                stats.op_applies += 1
-                rc2 = rc - self._stored(coarse.op).apply(ec)
-                self._attribute_matvecs(span, coarse, 1, rc.dtype)
-                ec = ec + inner.apply(rc2)
-        return ec
-
-    @staticmethod
-    def _attribute_matvecs(span, coarse: MGLevel, matvecs: int, dtype) -> None:
-        """Book the GCR's own matvec cost where its time is measured.
-
-        Work done by nested K-cycle spans books itself, so only the
-        driver's direct operator applications land here — attributed
-        costs stay exclusive, like span self-times.  The matvecs run
-        inside the instrumented ``solve.*`` child span (whose self-time
-        excludes the nested preconditioner), so the cost goes there;
-        the bare coarse-solve span is the fallback.
-        """
-        if span is None or not matvecs:
-            return
-        flops, nbytes = operator_application_cost(coarse.op, dtype)
-        target = next(
-            (
-                c
-                for c in reversed(getattr(span, "children", []))
-                if c.name.startswith("solve.")
-            ),
-            span,
+                rc2 = rc - booked(coarse, "residual", self._solve_op.apply_multi, ec)
+                ec = ec + self._inner.apply(rc2)
+            return ec
+        schur = self._schur
+        nkrylov = lp.nkrylov if self._inner is None else coarse.params.nkrylov
+        results = lockstep_gcr(
+            self._solve_op,
+            rc if schur is None else schur.prepare_multi(rc),
+            tol=lp.coarse_tol,
+            maxiter=lp.coarse_maxiter,
+            nkrylov=nkrylov,
+            preconditioner=self._inner,
         )
-        target.attribute(flops=matvecs * flops, bytes=matvecs * nbytes)
-
-    def _coarsest_solve(
-        self, coarse: MGLevel, rc: np.ndarray, lp, span=None
-    ) -> np.ndarray:
-        params = self.hierarchy.params
-        stats = coarse.stats
-        nk = lp.nkrylov
-        if params.coarsest_schur:
-            schur = SchurOperator(coarse.op, parity=0)
-            rs = schur.prepare_source(rc)
-            stats.op_applies += 1
-            op = OperatorCounter(self._stored(schur), stats=stats)
-            res = gcr(op, rs, tol=lp.coarse_tol, maxiter=lp.coarse_maxiter, nkrylov=nk)
-            stats.op_applies += 1
-            ec = schur.reconstruct(res.x, rc)
-        else:
-            op = OperatorCounter(self._stored(coarse.op), stats=stats)
-            res = gcr(op, rc, tol=lp.coarse_tol, maxiter=lp.coarse_maxiter, nkrylov=nk)
-            ec = res.x
-        stats.gcr_iters += res.iterations
-        stats.reductions += gcr_reductions(res.iterations, nk)
-        extra = 2 if params.coarsest_schur else 0  # source prep + reconstruct
-        self._attribute_matvecs(span, coarse, res.matvecs + extra, rc.dtype)
-        if span is not None:
-            span.annotate(
-                coarse_iterations=res.iterations,
-                coarse_converged=res.converged,
-                coarse_residual=res.final_residual,
-            )
-        return ec
-
-    def _stored(self, op):
-        return reduced_storage(op, self.hierarchy.params.coarse_precision)
+        # red-black: source preparation and reconstruction cost a stencil each
+        book_gcr(coarse, results, nkrylov, extra_applies=0 if schur is None else 2)
+        ec = np.stack([res.x for res in results])
+        return ec if schur is None else schur.reconstruct_multi(ec, rc)

@@ -3,6 +3,11 @@
 The outermost solver runs in double precision (paper Section 7.1); GCR
 is used because it is flexible and therefore tolerant of the variable
 preconditioner that the MR-smoothed K-cycle is.
+
+There is one solve, :meth:`MultigridSolver.solve_multi`, on a stack of
+right-hand sides (paper Section 9): the outer GCR advances the K
+systems in lockstep and every level of the cycle is applied to all of
+them at once.  :meth:`MultigridSolver.solve` is the stack of one.
 """
 
 from __future__ import annotations
@@ -11,12 +16,12 @@ import numpy as np
 
 from ..backend import active_backend_name, use_backend
 from ..fields import SpinorField
-from ..solvers.base import OperatorCounter, SolveResult
-from ..solvers.gcr import gcr
+from ..solvers.base import SolveResult, validate_rhs_stack
+from ..solvers.gcr import lockstep_gcr
 from ..telemetry.metrics import get_registry
 from ..telemetry.tracer import Span, get_tracer
 from .hierarchy import MultigridHierarchy
-from .kcycle import KCyclePreconditioner, gcr_reductions, operator_application_cost
+from .kcycle import KCyclePreconditioner, book_gcr
 from .params import MGParams
 
 
@@ -70,91 +75,9 @@ class MultigridSolver:
         x0: np.ndarray | None = None,
     ) -> SolveResult:
         """Solve ``M x = b``; per-level work lands in ``result.telemetry``."""
-        data = b.data if isinstance(b, SpinorField) else b
-        tol = tol if tol is not None else self.params.outer_tol
-        maxiter = maxiter if maxiter is not None else self.params.outer_maxiter
-        self.hierarchy.reset_stats()
-        fine = self.hierarchy.levels[0]
-        op = OperatorCounter(fine.op, stats=fine.stats)
-        tracer = get_tracer()
-        with use_backend(self.params.backend) as backend, tracer.span(
-            "mg.solve",
-            subspace=self.params.subspace_label(),
-            level=0,
-            backend=backend.name,
-        ) as sp:
-            result = gcr(
-                op,
-                data,
-                x0=x0,
-                tol=tol,
-                maxiter=maxiter,
-                nkrylov=self.params.outer_nkrylov,
-                preconditioner=self.preconditioner,
-            )
-        fine.stats.gcr_iters += result.iterations
-        fine.stats.reductions += gcr_reductions(
-            result.iterations, self.params.outer_nkrylov
-        )
-        if isinstance(sp, Span):
-            # The outer GCR's own matvecs (K-cycle spans book their own).
-            # They run inside the child solve.gcr span, whose self-time
-            # excludes the preconditioner subtree — book the cost there
-            # so costs partition like self-times; fall back to mg.solve
-            # if gcr ever stops opening its span.
-            flops, nbytes = operator_application_cost(fine.op)
-            target = next(
-                (c for c in sp.children if c.name == "solve.gcr"), sp
-            )
-            target.attribute(
-                flops=result.matvecs * flops, bytes=result.matvecs * nbytes
-            )
-        self._publish_telemetry(result, sp)
-        if self.params.verify_level == "solve":
-            from ..verify.runtime import verify_solve
-
-            reports = verify_solve(fine.op, data, result, origin="mg.solve")
-            result.telemetry.attrs["verify"] = [r.to_dict() for r in reports]
-        return result
-
-    def _publish_telemetry(self, result: SolveResult, sp) -> None:
-        """Fill ``result.telemetry`` and the global metrics registry."""
-        snapshot = {
-            lev.index: lev.stats.as_dict() for lev in self.hierarchy.levels
-        }
-        tele = result.telemetry
-        tele.level_stats = snapshot
-        # deprecated ``extra`` alias readers see the same snapshot
-        tele.attrs["level_stats"] = snapshot
-        tele.attrs["subspace"] = self.params.subspace_label()
-        tele.attrs["backend"] = (
-            self.params.backend
-            if self.params.backend is not None
-            else active_backend_name()
-        )
-        tele.metrics["outer_iterations"] = float(result.iterations)
-        tele.metrics["final_residual"] = float(result.final_residual)
-        if isinstance(sp, Span):
-            # the request trace this solve belongs to (serve propagation);
-            # lets slog/blackbox consumers join on the result alone
-            tele.attrs["trace_id"] = sp.trace_id
-            tele.spans = [sp.to_dict()]
-        registry = get_registry()
-        if registry.enabled:
-            registry.gauge("mg.n_levels").set(self.hierarchy.n_levels)
-            registry.counter(
-                "mg.solves", subspace=self.params.subspace_label()
-            ).inc()
-            registry.counter(
-                "mg.outer_iterations", subspace=self.params.subspace_label()
-            ).inc(result.iterations)
-            if not result.converged:
-                registry.counter(
-                    "mg.convergence_failures",
-                    subspace=self.params.subspace_label(),
-                ).inc()
-            for lev in self.hierarchy.levels:
-                lev.stats.publish(registry, lev.index)
+        data = b.data if isinstance(b, SpinorField) else np.asarray(b)
+        x0s = None if x0 is None else x0[None]
+        return self.solve_multi(data[None], tol=tol, maxiter=maxiter, x0s=x0s)[0]
 
     def solve_field(self, b: SpinorField, **kwargs) -> tuple[SpinorField, SolveResult]:
         res = self.solve(b, **kwargs)
@@ -162,22 +85,96 @@ class MultigridSolver:
         return SpinorField(lattice, res.x), res
 
     def solve_multi(
-        self, bs: np.ndarray, batched: bool = False, **kwargs
+        self,
+        bs: np.ndarray,
+        batched: bool | None = None,
+        tol: float | None = None,
+        maxiter: int | None = None,
+        x0s: np.ndarray | None = None,
     ) -> list[SolveResult]:
-        """Solve a stack of right-hand sides ``(K, V, ns, nc)``.
+        """Solve ``M x_k = b_k`` for a stack ``bs`` of shape ``(K, V, ns, nc)``.
 
-        The multigrid *setup* is shared across all K systems — the
-        dominant amortization of the paper's throughput workloads, and
-        the first half of the Section 9 multi-RHS reformulation.  With
-        ``batched=True`` the second half runs too: the whole stack goes
-        through :func:`repro.mg.multi_rhs.batched_mg_solve`, so every
-        level of the cycle is applied to all K systems at once.
+        The K systems share the multigrid setup, every stencil, transfer
+        and smoothing matrix on every level (read once per application
+        for the whole stack) and the reductions of each outer iteration;
+        their Krylov spaces stay their own, so no result depends on what
+        it was batched with.  The per-level work of the whole stack lands
+        in every ``result.telemetry``.
         """
-        if batched:
-            from .multi_rhs import batched_mg_solve
+        # ``batched`` selects nothing: callers written against the two
+        # solve paths (the benchmark harness) still pass it
+        fine = self.hierarchy.levels[0]
+        bs = validate_rhs_stack(fine.op, bs)
+        if not len(bs):
+            return []
+        tol = tol if tol is not None else self.params.outer_tol
+        maxiter = maxiter if maxiter is not None else self.params.outer_maxiter
+        self.hierarchy.reset_stats()
+        with use_backend(self.params.backend) as backend, get_tracer().span(
+            "mg.solve",
+            subspace=self.params.subspace_label(),
+            level=0,
+            n_rhs=len(bs),
+            backend=backend.name,
+        ) as sp:
+            results = lockstep_gcr(
+                fine.op,
+                bs,
+                x0s,
+                tol=tol,
+                maxiter=maxiter,
+                nkrylov=self.params.outer_nkrylov,
+                preconditioner=self.preconditioner,
+            )
+            book_gcr(fine, results, self.params.outer_nkrylov)
+        self._publish_telemetry(results, sp)
+        if self.params.verify_level == "solve":
+            from ..verify.runtime import verify_solve
 
-            kwargs.setdefault("tol", self.params.outer_tol)
-            kwargs.setdefault("maxiter", self.params.outer_maxiter)
-            kwargs.setdefault("nkrylov", self.params.outer_nkrylov)
-            return batched_mg_solve(self.hierarchy, np.asarray(bs), **kwargs)
-        return [self.solve(b, **kwargs) for b in bs]
+            for b, result in zip(bs, results):
+                reports = verify_solve(fine.op, b, result, origin="mg.solve")
+                result.telemetry.attrs["verify"] = [r.to_dict() for r in reports]
+        return results
+
+    def _publish_telemetry(self, results: list[SolveResult], sp) -> None:
+        """Fill every ``result.telemetry`` and the global metrics registry."""
+        subspace = self.params.subspace_label()
+        snapshot = {
+            lev.index: lev.stats.as_dict() for lev in self.hierarchy.levels
+        }
+        backend = (
+            self.params.backend
+            if self.params.backend is not None
+            else active_backend_name()
+        )
+        spans = [sp.to_dict()] if isinstance(sp, Span) else None
+        for result in results:
+            tele = result.telemetry
+            tele.level_stats = snapshot
+            # deprecated ``extra`` alias readers see the same snapshot
+            tele.attrs["level_stats"] = snapshot
+            tele.attrs["subspace"] = subspace
+            tele.attrs["backend"] = backend
+            tele.metrics["outer_iterations"] = float(result.iterations)
+            tele.metrics["final_residual"] = float(result.final_residual)
+            if spans is not None:
+                # the request trace this solve belongs to (serve
+                # propagation; a served batch runs under its head
+                # request's context); lets slog/blackbox consumers join
+                # on the result alone
+                tele.attrs["trace_id"] = sp.trace_id
+                tele.spans = spans
+        registry = get_registry()
+        if registry.enabled:
+            registry.gauge("mg.n_levels").set(self.hierarchy.n_levels)
+            registry.counter("mg.solves", subspace=subspace).inc(len(results))
+            registry.counter("mg.outer_iterations", subspace=subspace).inc(
+                sum(result.iterations for result in results)
+            )
+            failures = sum(not result.converged for result in results)
+            if failures:
+                registry.counter("mg.convergence_failures", subspace=subspace).inc(
+                    failures
+                )
+            for lev in self.hierarchy.levels:
+                lev.stats.publish(registry, lev.index)

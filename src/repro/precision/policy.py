@@ -71,31 +71,30 @@ def reduced(owner, name: str, dtype: np.dtype) -> np.ndarray:
 
 
 def enter_precision(
-    field: np.ndarray, precision: Precision, batched: bool = False
-) -> tuple[np.ndarray, np.ndarray | float | None]:
-    """``field`` at the compute dtype of ``precision``, and the factor
-    :func:`leave_precision` multiplies back.
+    stack: np.ndarray, precision: Precision
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The ``(K, ...)`` ``stack`` at the compute dtype of ``precision``,
+    and the factors :func:`leave_precision` multiplies back.
 
-    A field already at that dtype is returned as is: no copy, no factor,
-    bitwise the arithmetic of the caller.  A down-cast first scales the
-    field (each system of a ``batched`` stack) to unit norm, so float32
-    range never depends on the scale of the caller's data; what consumes
-    the field is linear, so rescaling its result is exact.
+    A stack already at that dtype is returned as is: no copy, no factor,
+    bitwise the arithmetic of the caller.  A down-cast first scales each
+    system to unit norm, so float32 range never depends on the scale of
+    the caller's data; what consumes the stack is linear, so rescaling
+    its result is exact.
     """
     dtype = dtype_of(precision)
-    if field.dtype == dtype:
-        return field, None
+    if stack.dtype == dtype:
+        return stack, None
     if dtype == COMPLEX128:
-        return field.astype(dtype), None
-    flat = field.reshape(field.shape[0] if batched else 1, -1)
-    norms = np.linalg.norm(flat, axis=1)
+        return stack.astype(dtype), None
+    norms = np.linalg.norm(stack.reshape(stack.shape[0], -1), axis=1)
     norms[norms == 0.0] = 1.0
-    scale = norms.reshape((-1,) + (1,) * (field.ndim - 1)) if batched else norms[0]
-    return (field / scale).astype(dtype), scale
+    scale = norms.reshape((-1,) + (1,) * (stack.ndim - 1))
+    return (stack / scale).astype(dtype), scale
 
 
 def leave_precision(result: np.ndarray, caller: np.ndarray, scale) -> np.ndarray:
-    """``result`` back at the dtype and scale of the ``caller``'s field
+    """``result`` back at the dtype and scale of the ``caller``'s stack
     that :func:`enter_precision` took in."""
     out = result.astype(compute_dtype(caller), copy=False)
     if scale is not None:

@@ -9,11 +9,10 @@ serving layer a production analysis campaign would put in front of it:
   tolerance) into one multi-RHS batch — up to ``max_batch`` systems,
   waiting at most ``max_wait_s`` for stragglers — and hands it to a
   worker pool;
-* batches on a two-level hierarchy over the fine Wilson-Clover matrix
-  run through :func:`~repro.mg.multi_rhs.batched_mg_solve`, the paper's
-  Section 9 multi-RHS reformulation, so every stencil matrix is read
-  once for the whole batch; anything else falls back to sequential
-  solves with the shared setup;
+* a batch is one :meth:`~repro.mg.solver.MultigridSolver.solve_multi`
+  call, the paper's Section 9 multi-RHS reformulation: every stencil,
+  transfer and smoothing matrix on every level is read once for the
+  whole batch (a lone request is the batch of one);
 * the expensive MG setup is obtained through a :class:`SetupCache`, so
   repeat registrations (or service restarts, with a disk-backed cache)
   skip the near-null-vector generation entirely.
@@ -34,13 +33,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..mg.multi_rhs import batched_mg_solve, hierarchy_supports_batching
 from ..mg.params import MGParams
 from ..mg.solver import MultigridSolver
 from ..obs.blackbox import blackbox_document, write_blackbox
 from ..obs.convergence import detect_anomalies
 from ..obs.slo import SLOMonitor
-from ..solvers.base import SolveResult
+from ..solvers.base import SolveResult, validate_rhs_stack
 from ..telemetry.context import TraceContext, activate, current_trace_id, new_trace_id
 from ..telemetry.metrics import get_registry
 from ..telemetry.tracer import get_tracer
@@ -96,7 +94,6 @@ class ServeConfig:
     max_wait_s: float = 0.05  # how long a batch head waits for stragglers
     queue_capacity: int = 64  # pending-request bound (backpressure)
     n_workers: int = 1  # solver worker threads
-    allow_batching: bool = True  # False forces the sequential path
     # Opt-in runtime verification (repro.verify): "setup" checks the
     # setup-output invariants of every registered hierarchy, "solve"
     # additionally recomputes each delivered result's residual.
@@ -150,7 +147,6 @@ class _OperatorEntry:
     op: object
     params: MGParams
     solver: MultigridSolver
-    batchable: bool
 
 
 class SolveService:
@@ -234,13 +230,10 @@ class SolveService:
             reports = verify_setup(hierarchy, origin="serve.register")
             self._book_verify(reports)
         solver = MultigridSolver.from_hierarchy(hierarchy, params)
-        # batched kernels now cover the full hierarchy depth (fine
-        # Wilson-Clover + dense-block coarse levels), not just two-level
-        batchable = hierarchy_supports_batching(hierarchy)
         with self._cond:
             if self._closed:
                 raise ServiceClosedError("service is closed")
-            self._ops[name] = _OperatorEntry(op, params, solver, batchable)
+            self._ops[name] = _OperatorEntry(op, params, solver)
 
     def operators(self) -> list[str]:
         with self._cond:
@@ -288,8 +281,10 @@ class SolveService:
     ) -> Future:
         """Enqueue one right-hand side; returns a future of SolveResult.
 
-        Raises :class:`ServiceOverloadedError` when the queue is full
-        and :class:`ServiceClosedError` after shutdown.  ``timeout_s``
+        Raises :class:`ServiceOverloadedError` when the queue is full,
+        :class:`ServiceClosedError` after shutdown, and :class:`ValueError`
+        for a right-hand side of the wrong shape for the operator or
+        with non-finite entries (it is never enqueued).  ``timeout_s``
         bounds the time the request may wait before its batch starts;
         expired requests fail with :class:`SolveTimeoutError`.
 
@@ -300,6 +295,7 @@ class SolveService:
         """
         registry = get_registry()
         trace_id = current_trace_id() or new_trace_id()
+        rhs = np.asarray(rhs)
         with self._cond:
             if self._closed:
                 raise ServiceClosedError("service is closed")
@@ -308,6 +304,10 @@ class SolveService:
                 raise KeyError(
                     f"unknown operator {op_name!r}; registered: {sorted(self._ops)}"
                 )
+            # a malformed right-hand side is its submitter's error:
+            # refused here, it cannot fail the well-formed requests of
+            # the batch it would have been coalesced into
+            validate_rhs_stack(entry.op, rhs[None])
             if len(self._pending) >= self.config.queue_capacity:
                 self.stats["rejected"] += 1
                 if registry.enabled:
@@ -326,7 +326,7 @@ class SolveService:
                 )
             req = _Request(
                 op_name=op_name,
-                rhs=np.asarray(rhs),
+                rhs=rhs,
                 tol=tol if tol is not None else entry.params.outer_tol,
                 timeout_s=timeout_s,
                 id=next(self._ids),
@@ -511,9 +511,7 @@ class SolveService:
                 )
         self.stats["batches"] += 1
         self.stats["batched_systems"] += len(live)
-        batched = (
-            self.config.allow_batching and entry.batchable and len(live) > 1
-        )
+        mode = "batched" if len(live) > 1 else "single"
         with self._cond:
             self._in_flight += len(live)
             in_flight = self._in_flight
@@ -524,7 +522,7 @@ class SolveService:
             op=head.op_name,
             request_ids=[req.id for req in live],
             batch_size=len(live),
-            mode="batched" if batched else "sequential",
+            mode=mode,
             in_flight=in_flight,
             trace_id=head.trace_id,
             trace_ids=[req.trace_id for req in live],
@@ -541,7 +539,7 @@ class SolveService:
             batch_attrs = dict(
                 op=head.op_name,
                 size=len(live),
-                mode="batched" if batched else "sequential",
+                mode=mode,
                 request_ids=[req.id for req in live],
                 trace_ids=[req.trace_id for req in live],
             )
@@ -552,18 +550,10 @@ class SolveService:
             ):
                 t0 = time.perf_counter()
                 c0 = time.thread_time()
-                if batched:
-                    results = batched_mg_solve(
-                        entry.solver.hierarchy,
-                        np.stack([req.rhs for req in live]),
-                        tol=head.tol,
-                        maxiter=entry.params.outer_maxiter,
-                        nkrylov=entry.params.outer_nkrylov,
-                    )
-                else:
-                    results = [
-                        entry.solver.solve(req.rhs, tol=req.tol) for req in live
-                    ]
+                # the batch key is (operator, tolerance): one tol for all
+                results = entry.solver.solve_multi(
+                    np.stack([req.rhs for req in live]), tol=head.tol
+                )
                 dt = time.perf_counter() - t0
                 cdt = time.thread_time() - c0
         except Exception as exc:  # propagate solver failures to every waiter

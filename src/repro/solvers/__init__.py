@@ -1,12 +1,20 @@
 """Krylov solvers: CG/CGNE/CGNR, BiCGStab, MR, flexible GCR, mixed precision."""
 
-from .base import ConvergenceError, OperatorCounter, SolveResult, norm, norm2, vdot
+from .base import (
+    ConvergenceError,
+    OperatorCounter,
+    SolveResult,
+    norm,
+    norm2,
+    validate_rhs_stack,
+    vdot,
+)
 from .bicgstab import bicgstab
 from .cg import cg, cgne, cgnr
-from .block import batched_gcr, block_cg, block_gcr, sequential_gcr, validate_rhs_stack
+from .block import block_cg, block_gcr, sequential_gcr
 from .chebyshev import ChebyshevSmoother, estimate_lambda_max
 from .eig import condition_estimate, deflated_cg, lanczos_lowest
-from .gcr import GCRSolver, gcr
+from .gcr import batched_gcr, gcr
 from .gmres import ca_gmres, gmres
 from .mixed import PrecisionOperator, mixed_precision_solve
 from .mr import MRSmoother, mr
@@ -32,7 +40,6 @@ __all__ = [
     "condition_estimate",
     "deflated_cg",
     "lanczos_lowest",
-    "GCRSolver",
     "gcr",
     "ca_gmres",
     "gmres",

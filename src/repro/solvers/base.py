@@ -29,6 +29,64 @@ def norm(a: np.ndarray) -> float:
     return float(np.sqrt(norm2(a)))
 
 
+def batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-system inner products ``<a_k, b_k>`` of two ``(K, ...)`` stacks:
+    the K reductions of a lockstep step, fused into one pass."""
+    k = a.shape[0]
+    return np.einsum("ki,ki->k", np.conj(a.reshape(k, -1)), b.reshape(k, -1))
+
+
+def per_system(c: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """One coefficient per system, shaped to broadcast over the stack ``like``."""
+    return c.reshape((like.shape[0],) + (1,) * (like.ndim - 1))
+
+
+def apply_stack(op, vs: np.ndarray) -> np.ndarray:
+    """``op`` on a ``(K, ...)`` stack: its ``apply_multi`` when it has
+    one, else ``apply`` system by system (counting and partitioned
+    wrappers, Chebyshev and Schwarz smoothers, dense test operators)."""
+    fn = getattr(op, "apply_multi", None)
+    if fn is not None:
+        return fn(vs)
+    return np.stack([op.apply(v) for v in vs])
+
+
+def validate_rhs_stack(op, bs: np.ndarray) -> np.ndarray:
+    """Check that ``bs`` is a well-formed, finite ``(K, ...)`` stack for
+    ``op``; the check of the entry points that take right-hand sides
+    from outside (``solve_multi``, ``batched_gcr``, the block solvers).
+
+    A bare ``(V, ns, nc)`` field would have its *volume* axis treated as
+    the batch axis and solve V nonsense systems, and a NaN system has no
+    norm to converge against: raise a :class:`ValueError` naming the
+    shape, or the offending systems, instead.
+    """
+    bs = np.asarray(bs)
+    if bs.ndim < 2:
+        raise ValueError(
+            f"rhs stack must have a batch axis plus at least one field axis, "
+            f"got shape {bs.shape}"
+        )
+    lattice = getattr(op, "lattice", None)
+    ns = getattr(op, "ns", None)
+    nc = getattr(op, "nc", None)
+    if lattice is not None and ns is not None and nc is not None:
+        expect = (lattice.volume, ns, nc)
+        if bs.shape[1:] != expect:
+            raise ValueError(
+                f"rhs stack shape {bs.shape} does not match operator "
+                f"{type(op).__name__}: expected (K,) + {expect}, got "
+                f"per-system shape {bs.shape[1:]}"
+            )
+    finite = np.isfinite(bs.reshape(bs.shape[0], -1)).all(axis=1)
+    if not finite.all():
+        raise ValueError(
+            f"rhs stack has non-finite entries in system(s) "
+            f"{np.flatnonzero(~finite).tolist()} of {bs.shape[0]}"
+        )
+    return bs
+
+
 @dataclass
 class SolveResult:
     """Outcome of an iterative solve.

@@ -6,151 +6,29 @@ hand sides, we thus expose N-way additional parallelism, as well as
 increasing the temporal locality of the problem, e.g., the same stencil
 operator is used for all systems."
 
-Two families live here:
-
-* :func:`batched_gcr` advances ``K`` *independent* GCR solves in
-  lockstep: every matvec is one batched ``apply_multi`` (the stencil
-  matrices are read once for all systems) and the per-iteration global
-  reductions for all systems fuse into one collective.  The Krylov
-  spaces stay per-system — the iterates are bit-comparable to K
-  sequential solves.
-
-* :func:`block_gcr` / :func:`block_cg` are true *block* methods in the
-  O'Leary sense (the Richtmann–Meyer–Wettig MRHS-multigrid follow-up,
-  arXiv:2211.13719): all K right-hand sides share one Krylov space, so
-  each iteration enlarges the space by up to K directions and every
-  system is corrected with a K-wide coefficient matrix.  Rank
-  deficiency across the batch (nearly dependent residuals) is handled
-  by QR re-orthonormalization with column dropping, and converged
-  systems are masked out of the coefficient matrices so their residual
-  can never regress while the rest of the block continues.
+The lockstep form — K *independent* Krylov spaces advanced together —
+is :func:`repro.solvers.gcr.batched_gcr`, the one GCR loop.  Here live
+the true *block* methods in the O'Leary sense (the
+Richtmann–Meyer–Wettig MRHS-multigrid follow-up, arXiv:2211.13719):
+:func:`block_gcr` / :func:`block_cg` share one Krylov space among all K
+right-hand sides, so each iteration enlarges the space by up to K
+directions and every system is corrected with a K-wide coefficient
+matrix.  Rank deficiency across the batch (nearly dependent residuals)
+is handled by QR re-orthonormalization with column dropping, and
+converged systems are masked out of the coefficient matrices so their
+residual can never regress while the rest of the block continues.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import SolveResult, norm
+from .base import SolveResult, validate_rhs_stack
+from .gcr import gcr
 
 #: relative diagonal-of-R threshold below which a block column is
 #: treated as linearly dependent and dropped from the shared space
 RANK_TOL = 1e-10
-
-
-def validate_rhs_stack(op, bs: np.ndarray) -> np.ndarray:
-    """Check that ``bs`` is a well-formed ``(K, ...)`` stack for ``op``.
-
-    The seed stub silently accepted mismatched shapes — a bare
-    ``(V, ns, nc)`` field would have its *volume* axis treated as the
-    batch axis and solve V nonsense systems.  Raise a shaped
-    :class:`ValueError` instead.
-    """
-    bs = np.asarray(bs)
-    if bs.ndim < 2:
-        raise ValueError(
-            f"rhs stack must have a batch axis plus at least one field axis, "
-            f"got shape {bs.shape}"
-        )
-    lattice = getattr(op, "lattice", None)
-    ns = getattr(op, "ns", None)
-    nc = getattr(op, "nc", None)
-    if lattice is not None and ns is not None and nc is not None:
-        expect = (lattice.volume, ns, nc)
-        if bs.shape[1:] != expect:
-            raise ValueError(
-                f"rhs stack shape {bs.shape} does not match operator "
-                f"{type(op).__name__}: expected (K,) + {expect}, got "
-                f"per-system shape {bs.shape[1:]}"
-            )
-    return bs
-
-
-def _batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-system inner products ``<a_k, b_k>`` over a leading batch axis."""
-    k = a.shape[0]
-    return np.einsum("ki,ki->k", np.conj(a.reshape(k, -1)), b.reshape(k, -1))
-
-
-def batched_gcr(
-    op,
-    bs: np.ndarray,
-    tol: float = 1e-8,
-    maxiter: int = 1000,
-    nkrylov: int = 10,
-    preconditioner=None,
-) -> list[SolveResult]:
-    """Solve ``M x_k = b_k`` for a stack ``bs`` of shape ``(K, V, ns, nc)``.
-
-    Returns one :class:`SolveResult` per system.  Per-system (flexible
-    when ``preconditioner`` is given) GCR with batched operator and
-    preconditioner application; the restart depth is shared, so the
-    iterates match K sequential :func:`~repro.solvers.gcr.gcr` runs in
-    lockstep.  ``preconditioner`` must expose ``apply_multi``.
-    """
-    bs = validate_rhs_stack(op, bs)
-    k = bs.shape[0]
-    xs = np.zeros_like(bs)
-    rs = bs.copy()
-    bnorms = np.array([norm(b) for b in bs])
-    active = bnorms > 0
-    targets = tol * bnorms
-    matvec_batches = 0
-    iters = np.zeros(k, dtype=int)
-    histories: list[list[float]] = [[norm(rs[i]) / bnorms[i]] if active[i] else [0.0] for i in range(k)]
-
-    zs: list[np.ndarray] = []
-    ws: list[np.ndarray] = []
-    wnorm2: list[np.ndarray] = []
-
-    it = 0
-    while it < maxiter and active.any():
-        if len(zs) == nkrylov:
-            zs.clear()
-            ws.clear()
-            wnorm2.clear()
-        if preconditioner is not None:
-            z = preconditioner.apply_multi(rs)
-        else:
-            z = rs.copy()
-        w = op.apply_multi(z)  # one batched matvec for all systems
-        matvec_batches += 1
-        for zi, wi, wn in zip(zs, ws, wnorm2):
-            # fused orthogonalization: K inner products in one pass
-            proj = _batch_dot(wi, w) / wn
-            w -= proj.reshape((k,) + (1,) * (w.ndim - 1)) * wi
-            z -= proj.reshape((k,) + (1,) * (z.ndim - 1)) * zi
-        wn = np.real(_batch_dot(w, w))
-        safe = np.where(wn > 0, wn, 1.0)
-        alpha = _batch_dot(w, rs) / safe
-        alpha = np.where(active & (wn > 0), alpha, 0.0)
-        xs += alpha.reshape((k,) + (1,) * (xs.ndim - 1)) * z
-        rs -= alpha.reshape((k,) + (1,) * (rs.ndim - 1)) * w
-        zs.append(z)
-        ws.append(w)
-        wnorm2.append(safe)
-        it += 1
-        rnorms = np.sqrt(np.real(_batch_dot(rs, rs)))
-        for i in range(k):
-            if active[i]:
-                iters[i] = it
-                histories[i].append(rnorms[i] / bnorms[i])
-        newly_done = active & (rnorms < targets)
-        active = active & ~newly_done
-
-    results = []
-    for i in range(k):
-        results.append(
-            SolveResult(
-                xs[i],
-                histories[i][-1] * bnorms[i] <= targets[i] if bnorms[i] > 0 else True,
-                int(iters[i]),
-                histories[i][-1],
-                histories[i],
-                matvec_batches,
-                extra={"matvec_batches": matvec_batches, "n_rhs": k},
-            )
-        )
-    return results
 
 
 def _block_results(
@@ -231,8 +109,8 @@ def block_gcr(
     contract.
 
     The space is restarted once it holds ``nkrylov * K`` directions
-    (the same memory budget as :func:`batched_gcr`'s per-system
-    restart depth).
+    (the same memory budget as the per-system restart depth of
+    :func:`~repro.solvers.gcr.batched_gcr`).
     """
     bs = validate_rhs_stack(op, bs)
     k = bs.shape[0]
@@ -359,6 +237,4 @@ def block_cg(
 
 def sequential_gcr(op, bs: np.ndarray, **kwargs) -> list[SolveResult]:
     """Reference: the same K systems solved one after another."""
-    from .gcr import gcr
-
     return [gcr(op, b, **kwargs) for b in bs]

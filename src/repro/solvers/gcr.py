@@ -6,6 +6,15 @@ the fine and intermediate levels and as the coarse-grid solver
 (Section 7.1).  GCR is *flexible*: the preconditioner may change from
 iteration to iteration, which is required because an MR-smoothed
 K-cycle is a variable preconditioner.
+
+There is one loop, :func:`lockstep_gcr`, and it works on a ``(K, ...)``
+stack (paper Section 9): K *independent* Krylov spaces advance
+together, every matvec and preconditioner application is one call for
+all systems, and the per-iteration reductions of all systems fuse into
+one.  A converged (or zero) system is masked — its coefficients are
+zeroed, so its iterate and residual stay exactly where they were while
+the rest continue.  :func:`gcr` is the batch of one and
+:func:`batched_gcr` the shape-checked stack.
 """
 
 from __future__ import annotations
@@ -13,10 +22,106 @@ from __future__ import annotations
 import numpy as np
 
 from ..telemetry.instrument import instrumented_solver
-from .base import SolveResult, norm, vdot
+from .base import (
+    SolveResult,
+    apply_stack,
+    batch_dot,
+    per_system,
+    validate_rhs_stack,
+)
 
 
 @instrumented_solver("gcr")
+def lockstep_gcr(
+    op,
+    bs: np.ndarray,
+    x0s: np.ndarray | None = None,
+    tol: float = 1e-8,
+    maxiter: int = 1000,
+    nkrylov: int = 10,
+    preconditioner=None,
+) -> list[SolveResult]:
+    """Right-preconditioned restarted GCR(``nkrylov``) on a stack ``bs``.
+
+    ``op`` and ``preconditioner`` (an approximate solve of ``M z = r``,
+    e.g. a multigrid cycle or a smoother) are applied through
+    ``apply_multi`` when they have it and system by system otherwise.
+    Each iteration performs one preconditioner application and one
+    operator application; global reductions per iteration grow with the
+    Krylov index (the classical GCR orthogonalization), which is exactly
+    the latency profile that makes the coarsest grid
+    synchronization-bound at scale (paper Figure 4).  The restart depth
+    is shared, so no system's iterates depend on what it is batched
+    with.  Returns one :class:`SolveResult` per system; ``matvecs`` is
+    the number of stacked operator applications.
+    """
+    k = bs.shape[0]
+    matvec_batches = 0
+    if x0s is None:
+        xs = np.zeros_like(bs)
+        rs = bs.copy()
+    else:
+        xs = x0s.copy()
+        rs = bs - apply_stack(op, xs)
+        matvec_batches += 1
+    bnorms = np.sqrt(np.real(batch_dot(bs, bs)))
+    active = bnorms > 0
+    targets = tol * bnorms
+    rnorms = np.sqrt(np.real(batch_dot(rs, rs)))
+    histories = [
+        [float(rnorms[i] / bnorms[i])] if active[i] else [0.0] for i in range(k)
+    ]
+    iters = np.zeros(k, dtype=int)
+
+    basis: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (z, w, <w,w>)
+    it = 0
+    while it < maxiter and active.any():
+        if len(basis) == nkrylov:  # restart
+            basis.clear()
+        z = rs.copy() if preconditioner is None else apply_stack(preconditioner, rs)
+        w = apply_stack(op, z)
+        matvec_batches += 1
+        # modified Gram-Schmidt against the current cycle's directions
+        for zi, wi, wn in basis:
+            proj = per_system(batch_dot(wi, w) / wn, w)
+            w -= proj * wi
+            z -= proj * zi
+        wn = np.real(batch_dot(w, w))
+        moving = active & (wn > 0)
+        if not moving.any():
+            # every live system broke down: a fresh space may still move
+            # them, an empty one cannot (stagnation)
+            if not basis:
+                break
+            basis.clear()
+            continue
+        wn = np.where(wn > 0, wn, 1.0)
+        alpha = np.where(moving, batch_dot(w, rs) / wn, 0.0)  # the mask
+        xs += per_system(alpha, xs) * z
+        rs -= per_system(alpha, rs) * w
+        basis.append((z, w, wn))
+        it += 1
+        rnorms = np.sqrt(np.real(batch_dot(rs, rs)))
+        for i in np.flatnonzero(active):
+            iters[i] = it
+            histories[i].append(float(rnorms[i] / bnorms[i]))
+        active &= ~(rnorms < targets)
+
+    return [
+        SolveResult(
+            xs[i],
+            # a NaN right-hand side has no norm to converge against
+            bool(bnorms[i] == 0 or histories[i][-1] * bnorms[i] <= targets[i]),
+            int(iters[i]),
+            histories[i][-1],
+            histories[i],
+            matvec_batches,
+            extra={"matvec_batches": matvec_batches, "n_rhs": k},
+        )
+        for i in range(k)
+    ]
+
+
 def gcr(
     op,
     b: np.ndarray,
@@ -26,106 +131,20 @@ def gcr(
     nkrylov: int = 10,
     preconditioner=None,
 ) -> SolveResult:
-    """Right-preconditioned restarted GCR(``nkrylov``).
-
-    ``preconditioner``, if given, must expose ``apply(r) -> z`` computing
-    an approximate solution of ``M z = r`` (e.g. a multigrid cycle or a
-    smoother).  Each iteration performs one preconditioner application
-    and one operator application; global reductions per iteration grow
-    with the Krylov index (the classical GCR orthogonalization), which
-    is exactly the latency profile that makes the coarsest grid
-    synchronization-bound at scale (paper Figure 4).
-    """
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    matvecs = 0
-    inner = 0
-    if x0 is None:
-        r = b.copy()
-    else:
-        r = b - op.apply(x)
-        matvecs += 1
-    bnorm = norm(b)
-    if bnorm == 0.0:
-        return SolveResult(x, True, 0, 0.0, [0.0], matvecs)
-    target = tol * bnorm
-    history = [norm(r) / bnorm]
-
-    zs: list[np.ndarray] = []
-    ws: list[np.ndarray] = []
-    wnorm2: list[float] = []
-    total_k = 0
-
-    while total_k < maxiter:
-        # restart cycle
-        zs.clear()
-        ws.clear()
-        wnorm2.clear()
-        for _ in range(nkrylov):
-            if total_k >= maxiter:
-                break
-            z = preconditioner.apply(r) if preconditioner is not None else r.copy()
-            if preconditioner is not None:
-                inner += getattr(preconditioner, "last_inner_iterations", 0)
-            w = op.apply(z)
-            matvecs += 1
-            # modified Gram-Schmidt against the current cycle's directions
-            for zi, wi, wn in zip(zs, ws, wnorm2):
-                proj = vdot(wi, w) / wn
-                w -= proj * wi
-                z -= proj * zi
-            wn = vdot(w, w).real
-            if wn <= 0.0:
-                break
-            alpha = vdot(w, r) / wn
-            x += alpha * z
-            r -= alpha * w
-            zs.append(z)
-            ws.append(w)
-            wnorm2.append(wn)
-            total_k += 1
-            rnorm = norm(r)
-            history.append(rnorm / bnorm)
-            if rnorm < target:
-                return SolveResult(
-                    x, True, total_k, history[-1], history, matvecs, inner
-                )
-        if not ws:
-            break  # stagnation: no progress possible
-
-    return SolveResult(x, False, total_k, history[-1], history, matvecs, inner)
+    """GCR for one system ``M x = b``: a batch of one."""
+    x0s = None if x0 is None else x0[None]
+    return lockstep_gcr(op, b[None], x0s, tol, maxiter, nkrylov, preconditioner)[0]
 
 
-class GCRSolver:
-    """GCR bound to an operator, usable itself as a preconditioner.
-
-    This is how the paper's K-cycle nests: the coarse-level "solve" is a
-    loose-tolerance GCR that is in turn preconditioned by the next
-    coarser level.
-    """
-
-    def __init__(
-        self,
-        op,
-        tol: float = 0.25,
-        maxiter: int = 10,
-        nkrylov: int = 10,
-        preconditioner=None,
-    ):
-        self.op = op
-        self.tol = tol
-        self.maxiter = maxiter
-        self.nkrylov = nkrylov
-        self.preconditioner = preconditioner
-        self.last_inner_iterations = 0
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        res = gcr(
-            self.op,
-            r,
-            tol=self.tol,
-            maxiter=self.maxiter,
-            nkrylov=self.nkrylov,
-            preconditioner=self.preconditioner,
-        )
-        self.last_inner_iterations = res.iterations + res.inner_iterations
-        return res.x
+def batched_gcr(
+    op,
+    bs: np.ndarray,
+    tol: float = 1e-8,
+    maxiter: int = 1000,
+    nkrylov: int = 10,
+    preconditioner=None,
+) -> list[SolveResult]:
+    """GCR for ``M x_k = b_k`` on a stack ``bs`` of shape ``(K, V, ns, nc)``,
+    checked against ``op`` first; one :class:`SolveResult` per system."""
+    bs = validate_rhs_stack(op, bs)
+    return lockstep_gcr(op, bs, None, tol, maxiter, nkrylov, preconditioner)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..precision import Precision, dtype_of, half_roundtrip
-from .base import SolveResult, norm
+from .base import SolveResult, apply_stack, norm
 
 
 class PrecisionOperator:
@@ -58,15 +58,9 @@ class PrecisionOperator:
 
     matvec = apply
 
-    def _apply_multi_raw(self, vs: np.ndarray) -> np.ndarray:
-        fn = getattr(self.op, "apply_multi", None)
-        if fn is not None:
-            return fn(vs)
-        return np.stack([self.op.apply(v) for v in vs])
-
     def apply_multi(self, vs: np.ndarray) -> np.ndarray:
         """Batched application, per system identical to ``apply``."""
-        return self._run(self._apply_multi_raw, vs, site_axis=1)
+        return self._run(lambda v: apply_stack(self.op, v), vs, site_axis=1)
 
 
 def reduced_storage(op, precision: Precision):

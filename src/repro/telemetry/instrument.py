@@ -83,7 +83,10 @@ def record_convergence_stream(name: str, sp, result) -> None:
 
 
 def instrumented_solver(name: str):
-    """Decorate a ``solver(op, b, ...) -> SolveResult`` entry point."""
+    """Decorate a ``solver(op, b, ...)`` entry point returning one
+    ``SolveResult``, or a list of them for a solver that advances a
+    stack of systems (one ``solve.<name>`` span for the stack, one
+    ``solve.<name>.rhs`` child carrying each system's residual stream)."""
 
     def decorate(fn):
         @functools.wraps(fn)
@@ -93,13 +96,23 @@ def instrumented_solver(name: str):
                 return fn(*args, **kwargs)
             with tracer.span(f"solve.{name}") as sp:
                 result = fn(*args, **kwargs)
+                systems = result if isinstance(result, list) else [result]
                 sp.annotate(
-                    iterations=result.iterations,
-                    matvecs=result.matvecs,
-                    converged=result.converged,
+                    iterations=max((r.iterations for r in systems), default=0),
+                    matvecs=max((r.matvecs for r in systems), default=0),
+                    converged=all(r.converged for r in systems),
+                    residual=max((r.final_residual for r in systems), default=0.0),
                 )
-                record_convergence_stream(name, sp, result)
-            record_solve(name, result)
+                if len(systems) == 1:
+                    record_convergence_stream(name, sp, systems[0])
+                else:
+                    sp.annotate(n_rhs=len(systems))
+                    for i, res in enumerate(systems):
+                        with tracer.span(f"solve.{name}.rhs", system=i) as child:
+                            child.annotate(iterations=res.iterations)
+                            record_convergence_stream(name, child, res)
+            for res in systems:
+                record_solve(name, res)
             return result
 
         return wrapper

@@ -102,9 +102,10 @@ BLOCK_SCHEMA = "repro.golden-block/v1"
 def block_golden_record(results, subject: str, tol: float) -> dict:
     """The convergence signature of one finished *block* solve.
 
-    ``results`` is the per-system :class:`SolveResult` list a block
-    solver (:func:`~repro.solvers.block.block_gcr`, :func:`~repro.mg.
-    multi_rhs.batched_mg_solve`) returns; the record freezes the
+    ``results`` is the per-system :class:`SolveResult` list a stack
+    solver (:func:`~repro.solvers.block.block_gcr`,
+    :meth:`~repro.mg.solver.MultigridSolver.solve_multi`) returns; the
+    record freezes the
     per-RHS iteration counts and final residuals plus the shared
     matvec-batch count.
     """

@@ -2,8 +2,8 @@
 
 Freezes the per-RHS convergence signature (iteration counts, shared
 matvec-batch count, final residuals) of a deterministic K=3 block-GCR
-solve on the Aniso40-scaled dataset, preconditioned by the batched
-full-depth K-cycle.  A change to the block solver or any batched level
+solve on the Aniso40-scaled dataset, preconditioned by the full-depth
+K-cycle.  A change to the block solver or any batched level
 that moves these numbers beyond the comparator's slack fails here —
 regenerate deliberately with ``pytest --regen-golden`` and commit the
 diff if the change is intended.
@@ -16,7 +16,6 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.mg.multi_rhs import batched_preconditioner_for
 from repro.solvers import block_gcr
 from repro.verify.golden import (
     BLOCK_SCHEMA,
@@ -47,7 +46,7 @@ def block_solve(aniso40_solve):
         tol=TOL,
         maxiter=solver.params.outer_maxiter,
         nkrylov=solver.params.outer_nkrylov,
-        preconditioner=batched_preconditioner_for(solver.hierarchy),
+        preconditioner=solver.preconditioner,
     )
     return ds, bs, results
 

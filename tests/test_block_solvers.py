@@ -5,7 +5,7 @@ import pytest
 
 from repro.coarse import coarsen_operator
 from repro.lattice import Blocking
-from repro.solvers import batched_gcr, gcr, norm, sequential_gcr
+from repro.solvers import OperatorCounter, batched_gcr, gcr, norm, sequential_gcr
 from repro.transfer import Transfer
 from tests.conftest import random_spinor
 
@@ -76,3 +76,26 @@ class TestBatchedGCR:
         res_g = gcr(wilson44, b, tol=1e-9, maxiter=2000)
         assert res_b.converged and res_g.converged
         assert norm(res_b.x - res_g.x) / norm(res_g.x) < 1e-5
+
+    def test_apply_only_operator_and_initial_guess(self, wilson44, lat44):
+        """An operator with only ``apply`` (the counting wrapper) is
+        looped per system, and the initial guess costs one residual."""
+        b = random_spinor(lat44, seed=421)
+        cold = gcr(wilson44, b, tol=1e-9, maxiter=2000)
+        counted = OperatorCounter(wilson44)
+        assert not hasattr(counted, "apply_multi")
+        warm = gcr(counted, b, x0=cold.x, tol=1e-9, maxiter=2000)
+        assert warm.converged and warm.iterations == 1
+        assert warm.residual_history[0] < 1e-8
+        assert counted.count == warm.matvecs == 2
+
+    def test_non_finite_system_is_never_reported_converged(self, wilson44, rhs_stack):
+        """``batched_gcr`` refuses it by index; the unchecked batch of
+        one reports it unconverged instead of "solved" by ``x = 0``."""
+        stack = rhs_stack.copy()
+        stack[2, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite.*\[2\]"):
+            batched_gcr(wilson44, stack, tol=1e-8, maxiter=50)
+        res = gcr(wilson44, stack[2], tol=1e-8, maxiter=50)
+        assert not res.converged
+

@@ -1,11 +1,19 @@
-"""Batched-hierarchy == K-sequential equivalence layer.
+"""The stack axis changes nothing: batch-independence and oracle layer.
 
-The contract that makes "MRHS all the way down" safe: every batched
-kernel — fine/coarse Schur complements, smoothers, transfers, the
-K-cycle itself, and ``batched_mg_solve`` — must reproduce K independent
-sequential runs to rounding error, for K in {1, 2, 3, 8}, including the
-K=1 degenerate case and a ragged final batch.  Anything that drifts
-from the sequential path is a numerics change, not an optimisation.
+The multigrid solve path computes on a ``(K, V, ns, nc)`` stack and a
+single right-hand side is K=1, so there is no second implementation to
+agree with.  What keeps "MRHS all the way down" safe instead:
+
+* every stacked kernel — fine/coarse Schur complements, transfers —
+  reproduces its single-field form and its ``*_reference`` oracle;
+* the smoother and one cycle application per level reproduce a literal
+  five-step oracle written from the reference kernels and
+  :func:`repro.solvers.mr.mr` (:func:`oracle_cycle`);
+* no system's result depends on what it is batched with
+  (``solve_multi(bs)[i]`` vs ``solve(bs[i])`` for K in {1, 2, 3, 8}, a
+  ragged 4+3 split), and a converged or zero system is frozen exactly
+  while the rest continue — the properties a masking or lockstep bug
+  breaks.
 
 Run the group with ``pytest -q -m mrhs``.
 """
@@ -30,19 +38,14 @@ from repro.gauge import disordered_field
 from repro.lattice import Lattice
 from repro.mg import LevelParams, MGParams, MultigridSolver
 from repro.mg.kcycle import KCyclePreconditioner, operator_application_cost_multi
-from repro.mg.multi_rhs import (
-    BatchedKCyclePreconditioner,
-    BatchedSmoother,
-    batched_mg_solve,
-    batched_preconditioner_for,
-    hierarchy_supports_batching,
-)
 from repro.precision import Precision
+from repro import telemetry
 from repro.solvers import (
     batched_gcr,
     block_cg,
     block_gcr,
     gcr,
+    mr,
     norm,
     sequential_gcr,
     validate_rhs_stack,
@@ -66,8 +69,8 @@ def mg3():
     """A deterministic three-level hierarchy (the verified reference).
 
     4x4x4x8 disordered field, two coarsenings — deep enough that the
-    batched K-cycle exercises recursion, BatchedCoarseSchur on the
-    intermediate level, and the coarsest direct Schur solve.
+    K-cycle exercises recursion, BatchedCoarseSchur on the intermediate
+    level, and the coarsest direct Schur solve.
     """
     lat = Lattice((4, 4, 4, 8))
     u = disordered_field(lat, np.random.default_rng(11), 0.55, smear_steps=1)
@@ -78,8 +81,8 @@ def mg3():
             LevelParams(block=(1, 1, 1, 2), n_null=4, null_iters=30),
         ],
         outer_tol=1e-8,
-        # batched == sequential is pinned here to rounding error (1e-10),
-        # which is a statement about the all-double arithmetic
+        # batch independence and the oracles are pinned here to rounding
+        # error (1e-10), which is a statement about the all-double arithmetic
         smoother_precision=Precision.DOUBLE,
         coarse_precision=Precision.DOUBLE,
     )
@@ -155,15 +158,15 @@ class TestLevelOperators:
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_smoother_matches_sequential(self, mg3, level):
+        """A stack is smoothed as its systems are one by one, and as the
+        reference red-black MR smooths them."""
         _, solver = mg3
         lev = solver.hierarchy.levels[level]
-        batched = BatchedSmoother(lev.op, steps=4)
         rs = stack_for(lev.op.lattice, 3, lev.op.ns, lev.op.nc, seed=340 + level)
-        zs = batched.apply_multi(rs)
+        zs = lev.smoother.apply(rs)
         for i in range(3):
-            np.testing.assert_allclose(
-                zs[i], lev.smoother.apply(rs[i]), atol=1e-10
-            )
+            np.testing.assert_allclose(zs[i], lev.smoother.apply(rs[i]), atol=1e-10)
+            np.testing.assert_allclose(zs[i], oracle_smooth(lev, rs[i]), atol=1e-10)
 
     @pytest.mark.parametrize("level", [0, 1])
     @pytest.mark.parametrize("k", K_CASES)
@@ -217,79 +220,223 @@ class TestSchurProperty:
 
 
 # ----------------------------------------------------------------------
-# full-depth K-cycle and solve equivalence
+# the literal five-step cycle (paper Section 7.1) on one field, from the
+# reference kernels: what a stack of one must reproduce on every level
+# ----------------------------------------------------------------------
+class _Ref:
+    """``apply`` -> a ``*_reference`` method (no stacked form)."""
+
+    def __init__(self, apply):
+        self.apply = apply
+
+
+def oracle_smooth(lev, r):
+    schur = SchurOperator(lev.op, parity=0)
+    half = mr(
+        _Ref(schur.apply_reference),
+        schur.prepare_source_reference(r),
+        maxiter=lev.params.smoother_steps,
+        omega=lev.params.smoother_omega,
+    ).x
+    return schur.reconstruct_reference(half, r)
+
+
+def oracle_cycle(hierarchy, level, r):
+    lev, coarse = hierarchy.levels[level], hierarchy.levels[level + 1]
+    lp = lev.params
+    loose = dict(tol=lp.coarse_tol, maxiter=lp.coarse_maxiter)
+    z = oracle_smooth(lev, r)  # 1. pre-smooth
+    rc = lev.transfer.restrict_reference(r - lev.op.apply_reference(z))  # 2.
+    if coarse.is_coarsest:  # 3. red-black GCR on the coarsest level ...
+        schur = SchurOperator(coarse.op, parity=0)
+        half = gcr(
+            _Ref(schur.apply_reference),
+            schur.prepare_source_reference(rc),
+            nkrylov=lp.nkrylov,
+            **loose,
+        ).x
+        ec = schur.reconstruct_reference(half, rc)
+    else:  # ... GCR preconditioned by the next level's cycle above it
+        ec = gcr(
+            _Ref(coarse.op.apply_reference),
+            rc,
+            nkrylov=coarse.params.nkrylov,
+            preconditioner=_Ref(lambda res: oracle_cycle(hierarchy, level + 1, res)),
+            **loose,
+        ).x
+    z = z + lev.transfer.prolong_reference(ec)  # 4. prolongate and correct
+    return z + oracle_smooth(lev, r - lev.op.apply_reference(z))  # 5. post-smooth
+
+
+class TestCycleOracle:
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_one_cycle_application_matches_the_oracle(self, mg3, level):
+        _, solver = mg3
+        lev = solver.hierarchy.levels[level]
+        rs = stack_for(lev.op.lattice, 2, lev.op.ns, lev.op.nc, seed=365 + level)
+        pre = KCyclePreconditioner(solver.hierarchy, level)
+        zs = pre.apply(rs)
+        for r, z in zip(rs, zs):
+            want = oracle_cycle(solver.hierarchy, level, r)
+            assert norm(z - want) / norm(want) < 1e-10
+            assert norm(pre.apply(r) - want) / norm(want) < 1e-10
+
+
+# ----------------------------------------------------------------------
+# full-depth K-cycle and solve: no result depends on its batch
 # ----------------------------------------------------------------------
 class TestBatchedKCycle:
     def test_preconditioner_matches_sequential(self, mg3):
         op, solver = mg3
-        batched = BatchedKCyclePreconditioner(solver.hierarchy)
-        seq = KCyclePreconditioner(solver.hierarchy)
+        pre = solver.preconditioner
         rs = stack_for(op.lattice, 4, seed=370)
-        zs = batched.apply_multi(rs)
+        zs = pre.apply(rs)
         for i in range(4):
-            z_seq = seq.apply(rs[i])
-            assert norm(zs[i] - z_seq) / norm(z_seq) < 1e-10
+            z_one = pre.apply(rs[i])
+            assert norm(zs[i] - z_one) / norm(z_one) < 1e-10
 
     def test_solve_matches_sequential(self, mg3):
         op, solver = mg3
         bs = stack_for(op.lattice, 4, seed=380)
-        batched = batched_mg_solve(solver.hierarchy, bs, tol=1e-8)
-        for res, b in zip(batched, bs):
-            seq = solver.solve(b, tol=1e-8)
-            assert res.converged and seq.converged
-            assert res.iterations == seq.iterations
-            assert norm(res.x - seq.x) / norm(seq.x) < 1e-10
+        together = solver.solve_multi(bs, tol=1e-8)
+        for res, b in zip(together, bs):
+            alone = solver.solve(b, tol=1e-8)
+            assert res.converged and alone.converged
+            assert res.iterations == alone.iterations
+            assert norm(res.x - alone.x) / norm(alone.x) < 1e-10
 
     def test_k1_degenerate(self, mg3):
-        """A batch of one is exactly the sequential solve."""
+        """A single right-hand side is the stack of one: same iterate,
+        same work booked on every level, the outer GCR's included."""
         op, solver = mg3
         b = random_spinor(op.lattice, seed=385)
-        res_b = batched_mg_solve(solver.hierarchy, b[None], tol=1e-8)[0]
+        res_b = solver.solve_multi(b[None], tol=1e-8)[0]
         res_s = solver.solve(b, tol=1e-8)
         assert res_b.iterations == res_s.iterations
-        assert norm(res_b.x - res_s.x) / max(norm(res_s.x), 1e-300) < 1e-12
+        assert np.array_equal(res_b.x, res_s.x)
+        assert res_b.telemetry.level_stats == res_s.telemetry.level_stats
+        fine = res_s.telemetry.level_stats[0]
+        assert fine["gcr_iters"] == res_s.iterations
+        # per outer iteration: the GCR's matvec and the cycle's two residuals
+        assert fine["op_applies"] == 3 * res_s.iterations
 
     def test_ragged_final_batch(self, mg3):
         """7 RHS split 4+3 equals the same 7 solved in one batch."""
         op, solver = mg3
         bs = stack_for(op.lattice, 7, seed=390)
-        whole = batched_mg_solve(solver.hierarchy, bs, tol=1e-8)
-        chunked = list(
-            batched_mg_solve(solver.hierarchy, bs[:4], tol=1e-8)
-        ) + list(batched_mg_solve(solver.hierarchy, bs[4:], tol=1e-8))
+        whole = solver.solve_multi(bs, tol=1e-8)
+        chunked = solver.solve_multi(bs[:4], tol=1e-8) + solver.solve_multi(
+            bs[4:], tol=1e-8
+        )
         for rw, rc in zip(whole, chunked):
             assert rw.iterations == rc.iterations
-            assert norm(rw.x - rc.x) / norm(rc.x) < 1e-12
+            assert norm(rw.x - rc.x) / norm(rc.x) < 1e-10
 
     def test_level_stats_in_telemetry(self, mg3):
         op, solver = mg3
         bs = stack_for(op.lattice, 2, seed=395)
-        results = batched_mg_solve(solver.hierarchy, bs, tol=1e-8)
+        results = solver.solve_multi(bs, tol=1e-8)
         stats = results[0].telemetry.level_stats
         assert set(stats) == {0, 1, 2}
         assert stats[1]["op_applies"] > 0
         assert stats[2]["op_applies"] > 0
+        # the outer GCR is booked on level 0 for every system of the stack
+        assert stats[0]["gcr_iters"] == sum(r.iterations for r in results)
+        assert all(r.telemetry.level_stats == stats for r in results)
 
 
-# ----------------------------------------------------------------------
-# batching-support predicates and caching
-# ----------------------------------------------------------------------
-class TestSupportPredicates:
-    def test_three_level_hierarchy_supported(self, mg3):
-        assert hierarchy_supports_batching(mg3[1].hierarchy)
+class TestBatchIndependence:
+    @pytest.mark.parametrize("k", K_CASES)
+    def test_system_does_not_depend_on_its_batch(self, mg3, k):
+        op, solver = mg3
+        bs = stack_for(op.lattice, k, seed=400 + k)
+        for res, b in zip(solver.solve_multi(bs, tol=1e-8), bs):
+            alone = solver.solve(b, tol=1e-8)
+            assert res.converged
+            assert res.iterations == alone.iterations
+            assert len(res.residual_history) == res.iterations + 1
+            assert norm(res.x - alone.x) / norm(alone.x) < 1e-10
 
-    def test_chebyshev_smoother_not_supported(self, mg3):
+    def test_converged_and_zero_systems_are_frozen_exactly(self, mg3):
+        """The systems of a stack converge at different iterations (and
+        one is zero): each stays bit for bit where it was when it
+        converged while the rest run on."""
+        op, solver = mg3
+        bs = stack_for(op.lattice, 8, seed=408)
+        bs[5] = 0.0
+        full = solver.solve_multi(bs, tol=1e-8)
+        iters = [r.iterations for r in full]
+        first, last = int(np.argmin(iters[:5])), int(np.argmax(iters))
+        assert 0 < iters[first] < iters[last] and all(r.converged for r in full)
+        assert iters[5] == 0 and not full[5].x.any()
+        # the same stack stopped the moment its first system converged
+        stopped = solver.solve_multi(bs, tol=1e-8, maxiter=iters[first])
+        assert stopped[first].converged and not stopped[last].converged
+        assert np.array_equal(full[first].x, stopped[first].x)
+        assert full[first].residual_history == stopped[first].residual_history
+        for i in (first, last):
+            alone = solver.solve(bs[i], tol=1e-8)
+            assert iters[i] == alone.iterations
+            assert norm(full[i].x - alone.x) / norm(alone.x) < 1e-10
+
+    def test_chebyshev_smoother_is_looped_per_system(self, mg3):
+        """A smoother with no stacked form is applied system by system
+        inside the same cycle."""
         op, _ = mg3
         params = MGParams(
             levels=[LevelParams(block=(2, 2, 2, 4), n_null=4, null_iters=10)],
             smoother_type="chebyshev",
+            coarse_precision=Precision.DOUBLE,
         )
         solver = MultigridSolver(op, params, np.random.default_rng(2))
-        assert not hierarchy_supports_batching(solver.hierarchy)
+        assert not hasattr(solver.hierarchy.levels[0].smoother, "apply_multi")
+        bs = stack_for(op.lattice, 2, seed=420)
+        for z, b in zip(solver.preconditioner.apply(bs), bs):
+            z_one = solver.preconditioner.apply(b)
+            assert norm(z - z_one) / norm(z_one) < 1e-10
+        for res, b in zip(solver.solve_multi(bs, maxiter=6), bs):
+            alone = solver.solve(b, maxiter=6)
+            np.testing.assert_allclose(
+                res.residual_history, alone.residual_history, rtol=1e-8
+            )
 
-    def test_preconditioner_is_cached(self, mg3):
-        h = mg3[1].hierarchy
-        assert batched_preconditioner_for(h) is batched_preconditioner_for(h)
+
+class TestSolveMultiBookkeeping:
+    def test_registry_counters_advance_by_k(self, mg3):
+        op, solver = mg3
+        bs = stack_for(op.lattice, 3, seed=430)
+        label = solver.params.subspace_label()
+        telemetry.enable()
+        telemetry.reset()
+        try:
+            results = solver.solve_multi(bs, tol=1e-8)
+            registry = telemetry.get_registry()
+            assert registry.value("mg.solves", subspace=label) == 3
+            assert registry.value("mg.outer_iterations", subspace=label) == sum(
+                r.iterations for r in results
+            )
+            assert registry.value("mg.gcr_iters", level=0) == sum(
+                r.iterations for r in results
+            )
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        root = results[0].telemetry.spans[0]
+        assert root["name"] == "mg.solve" and root["attrs"]["n_rhs"] == 3
+
+    def test_verify_level_solve_reports_every_system(self, mg3):
+        op, solver = mg3
+        params = MGParams(
+            levels=solver.params.levels,
+            smoother_precision=Precision.DOUBLE,
+            coarse_precision=Precision.DOUBLE,
+            verify_level="solve",
+        )
+        verified = MultigridSolver.from_hierarchy(solver.hierarchy, params)
+        results = verified.solve_multi(stack_for(op.lattice, 3, seed=440), tol=1e-8)
+        for res in results:
+            reports = res.telemetry.attrs["verify"]
+            assert reports and all(r["passed"] for r in reports)
 
 
 # ----------------------------------------------------------------------
@@ -385,11 +532,20 @@ class TestShapeValidation:
         with pytest.raises(ValueError, match="does not match operator"):
             solver_fn(wilson44, bad, tol=1e-8, maxiter=10)
 
-    def test_batched_mg_solve_rejects_wrong_volume(self, mg3):
+    def test_solve_multi_rejects_wrong_volume(self, mg3):
         _, solver = mg3
         bad = np.zeros((2, 7, 4, 3), dtype=np.complex128)
         with pytest.raises(ValueError, match="does not match operator"):
-            batched_mg_solve(solver.hierarchy, bad, tol=1e-8)
+            solver.solve_multi(bad, tol=1e-8)
+
+    def test_solve_multi_names_the_non_finite_system(self, mg3):
+        op, solver = mg3
+        bs = stack_for(op.lattice, 3, seed=450)
+        bs[1, 5, 2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite.*\[1\] of 3"):
+            solver.solve_multi(bs, tol=1e-8)
+        with pytest.raises(ValueError, match="non-finite"):
+            solver.solve(bs[1], tol=1e-8)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Batched multiple-right-hand-side multigrid (Section 9)."""
+"""Multiple-right-hand-side multigrid (Section 9): the smoother, the
+cycle and the solve on a stack of systems."""
 
 import numpy as np
 import pytest
@@ -7,11 +8,6 @@ from repro.dirac import WilsonCloverOperator
 from repro.gauge import disordered_field
 from repro.lattice import Lattice
 from repro.mg import LevelParams, MGParams, MultigridSolver
-from repro.mg.multi_rhs import (
-    BatchedSmoother,
-    BatchedKCyclePreconditioner,
-    batched_mg_solve,
-)
 from repro.precision import Precision
 from repro.solvers import norm
 from tests.conftest import random_spinor
@@ -28,7 +24,7 @@ def setup():
     params = MGParams(
         levels=[LevelParams(block=(2, 2, 2, 4), n_null=8, null_iters=50)],
         outer_tol=1e-8,
-        # batched vs single-RHS agreement is pinned below to 1e-10: double
+        # stack vs single-RHS agreement is pinned below to 1e-10: double
         smoother_precision=Precision.DOUBLE,
         coarse_precision=Precision.DOUBLE,
     )
@@ -40,24 +36,21 @@ def setup():
 class TestBatchedSmoother:
     def test_reduces_all_residuals(self, setup):
         op, solver, bs = setup
-        smoother = BatchedSmoother(op, steps=4)
-        zs = smoother.apply_multi(bs)
+        zs = solver.hierarchy.levels[0].smoother.apply(bs)
         for b, z in zip(bs, zs):
             assert norm(b - op.apply(z)) < norm(b)
 
     def test_matches_single_rhs_smoother(self, setup):
         op, solver, bs = setup
-        batched = BatchedSmoother(op, steps=4).apply_multi(bs)
-        single = solver.hierarchy.levels[0].smoother
-        for b, z in zip(bs, batched):
-            np.testing.assert_allclose(z, single.apply(b), atol=1e-10)
+        smoother = solver.hierarchy.levels[0].smoother
+        for b, z in zip(bs, smoother.apply(bs)):
+            np.testing.assert_allclose(z, smoother.apply(b), atol=1e-10)
 
 
 class TestBatchedPreconditioner:
     def test_contracts_error_for_all_systems(self, setup):
         op, solver, bs = setup
-        pre = BatchedKCyclePreconditioner(solver.hierarchy)  # two levels here
-        zs = pre.apply_multi(bs)
+        zs = solver.preconditioner.apply(bs)  # two levels here
         for b, z in zip(bs, zs):
             assert norm(b - op.apply(z)) < 0.6 * norm(b)
 
@@ -65,7 +58,7 @@ class TestBatchedPreconditioner:
 class TestBatchedMGSolve:
     def test_all_systems_converge(self, setup):
         op, solver, bs = setup
-        results = batched_mg_solve(solver.hierarchy, bs, tol=1e-8)
+        results = solver.solve_multi(bs, tol=1e-8)
         assert len(results) == 4
         for res, b in zip(results, bs):
             assert res.converged
@@ -73,21 +66,21 @@ class TestBatchedMGSolve:
 
     def test_matches_sequential_mg(self, setup):
         op, solver, bs = setup
-        batched = batched_mg_solve(solver.hierarchy, bs, tol=1e-10)
+        batched = solver.solve_multi(bs, tol=1e-10)
         for res, b in zip(batched, bs):
             seq = solver.solve(b, tol=1e-10)
             assert norm(res.x - seq.x) / norm(seq.x) < 1e-6
 
     def test_iteration_count_comparable_to_sequential(self, setup):
         op, solver, bs = setup
-        batched = batched_mg_solve(solver.hierarchy, bs, tol=1e-8)
+        batched = solver.solve_multi(bs, tol=1e-8)
         seq_iters = [solver.solve(b, tol=1e-8).iterations for b in bs]
         for res, si in zip(batched, seq_iters):
             assert res.iterations <= 3 * si
 
     def test_matvec_batches_shared(self, setup):
         op, solver, bs = setup
-        results = batched_mg_solve(solver.hierarchy, bs, tol=1e-8)
+        results = solver.solve_multi(bs, tol=1e-8)
         # one batch per outer iteration serves all 4 systems
         assert results[0].extra["matvec_batches"] <= max(
             r.iterations for r in results
@@ -97,6 +90,6 @@ class TestBatchedMGSolve:
         op, solver, bs = setup
         stack = bs.copy()
         stack[2] = 0
-        results = batched_mg_solve(solver.hierarchy, stack, tol=1e-8)
+        results = solver.solve_multi(stack, tol=1e-8)
         assert results[2].converged
         assert norm(results[2].x) == 0.0

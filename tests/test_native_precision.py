@@ -29,14 +29,11 @@ from repro.dirac.mrhs import BatchedCoarseSchur
 from repro.gauge import disordered_field
 from repro.lattice import Blocking, Lattice, Partition
 from repro.mg import (
-    BatchedSmoother,
     KCyclePreconditioner,
     MultigridHierarchy,
     MultigridSolver,
     SchurMRSmoother,
     SchwarzMRSmoother,
-    batched_mg_solve,
-    batched_preconditioner_for,
 )
 from repro.precision import Precision
 from repro.solvers import ChebyshevSmoother, PrecisionOperator
@@ -168,7 +165,7 @@ def test_smoothers_return_the_callers_dtype(kernels, owned, handed):
         want = SchurMRSmoother(op, precision=Precision.DOUBLE).apply(field)
         got = SchurMRSmoother(op, precision=owned).apply(field.astype(handed))
         assert got.dtype == handed
-        many = BatchedSmoother(op, precision=owned).apply_multi(stack.astype(handed))
+        many = SchurMRSmoother(op, precision=owned).apply(stack.astype(handed))
         assert many.dtype == handed
         if owned is not Precision.HALF:
             assert _rel_err(got, want) <= RTOL_SINGLE
@@ -257,8 +254,8 @@ def test_single_and_double_do_the_same_work_sequentially(twins):
 def test_single_and_double_do_the_same_work_batched(twins, k):
     ds, single, double, bs = twins
     tol = ds.target_residuum
-    got = batched_mg_solve(single, bs[:k], tol=tol)
-    want = batched_mg_solve(double, bs[:k], tol=tol)
+    got = MultigridSolver.from_hierarchy(single).solve_multi(bs[:k], tol=tol)
+    want = MultigridSolver.from_hierarchy(double).solve_multi(bs[:k], tol=tol)
     assert [r.iterations for r in got] == [r.iterations for r in want]
     assert all(r.converged for r in got)
     assert got[0].telemetry.level_stats == want[0].telemetry.level_stats
@@ -319,8 +316,9 @@ def test_no_complex128_field_crosses_a_default_cycle(twins, monkeypatch):
     z = KCyclePreconditioner(hierarchy, level=0).apply(r)
     assert z.dtype == C128  # the caller's dtype
     used = {name: dtypes for name, dtypes in spy.seen.items() if dtypes}
-    assert {"L0.op.apply", "L1.op.apply", "L2.op.apply_hopping", "L0.smoother.apply",
-            "L1.smoother.apply", "L0.transfer.restrict", "L1.transfer.prolong"} <= set(used)
+    assert {"L0.op.apply_multi", "L1.op.apply_multi", "L0.smoother.apply",
+            "L1.smoother.apply", "L0.transfer.restrict_multi",
+            "L1.transfer.prolong_multi"} <= set(used)
     assert all(dtypes == {C64} for dtypes in used.values()), used
     # the fine-grid red-black system talks to the kernel directly: only
     # the complex64 kernel was ever asked for
@@ -330,23 +328,23 @@ def test_no_complex128_field_crosses_a_default_cycle(twins, monkeypatch):
 def test_no_complex128_field_crosses_a_default_batched_cycle(twins, monkeypatch):
     hierarchy = _fresh_default_hierarchy(twins)
     rs = twins[3][:K]
-    pre = batched_preconditioner_for(hierarchy)
+    pre = KCyclePreconditioner(hierarchy)
     spy = DtypeSpy(monkeypatch)
     spy.watch_levels(hierarchy)
-    level, smoothers = pre, []
-    while level is not None:
-        smoothers.append(level.smoother)
-        spy.watch(level.smoother.bschur, "apply_multi", f"L{level.level}.bschur")
-        level = level._inner  # noqa: SLF001
-    zs = pre.apply_multi(rs)
+    smoothers = [lev.smoother for lev in hierarchy.levels[:-1]]
+    for level, smoother in enumerate(smoothers):
+        spy.watch(smoother.schur, "apply_multi", f"L{level}.schur")
+    spy.watch(pre._inner._schur, "apply_multi", "L2.schur")  # noqa: SLF001
+    zs = pre.apply(rs)
     assert zs.dtype == C128
     used = {name: dtypes for name, dtypes in spy.seen.items() if dtypes}
-    assert {"L0.op.apply_multi", "L1.op.apply_multi", "L0.bschur.apply_multi",
-            "L1.bschur.apply_multi", "L0.transfer.restrict_multi"} <= set(used)
+    assert {"L0.op.apply_multi", "L1.op.apply_multi", "L0.schur.apply_multi",
+            "L1.schur.apply_multi", "L2.schur.apply_multi",
+            "L0.transfer.restrict_multi"} <= set(used)
     assert all(dtypes == {C64} for dtypes in used.values()), used
     assert set(hierarchy.levels[0].op._wilson_kernel) == {C64}  # noqa: SLF001
     for smoother in smoothers[1:]:
-        assert set(smoother.bschur._tables) == {C64}  # noqa: SLF001
+        assert set(smoother.schur._tables) == {C64}  # noqa: SLF001
 
 
 # ----------------------------------------------------------------------
@@ -369,11 +367,11 @@ def test_scale_covariance(twins, scale):
     tol = ds.target_residuum
     solver = MultigridSolver.from_hierarchy(single)
     want = solver.solve(bs[6], tol=tol)
-    many_want = batched_mg_solve(single, bs[5:8], tol=tol)
+    many_want = solver.solve_multi(bs[5:8], tol=tol)
     with warnings.catch_warnings(), np.errstate(over="warn", under="warn"):
         warnings.simplefilter("error")
         got = solver.solve(bs[6] * scale, tol=tol)
-        many = batched_mg_solve(single, bs[5:8] * scale, tol=tol)
+        many = solver.solve_multi(bs[5:8] * scale, tol=tol)
     assert got.converged
     assert got.iterations == want.iterations
     assert got.telemetry.level_stats == want.telemetry.level_stats
@@ -425,15 +423,15 @@ def test_double_params_run_the_all_double_arithmetic(twins, monkeypatch):
     assert precision_mod.leave_precision(field, field, None) is field
 
     got = MultigridSolver.from_hierarchy(double).solve(b, tol=tol)
-    many = batched_mg_solve(double, bs[:K], tol=tol)
+    many = MultigridSolver.from_hierarchy(double).solve_multi(bs[:K], tol=tol)
     owners = [lev.op for lev in double.levels]
     owners += [lev.transfer for lev in double.levels[:-1]]
     assert not any(hasattr(owner, "_reduced") for owner in owners)
     assert set(op._wilson_kernel) == {C128}  # noqa: SLF001
 
-    for module in ("repro.mg.kcycle", "repro.mg.smoother", "repro.mg.multi_rhs"):
+    for module in ("repro.mg.kcycle", "repro.mg.smoother"):
         monkeypatch.setattr(
-            f"{module}.enter_precision", lambda field, precision, batched=False: (field, None)
+            f"{module}.enter_precision", lambda stack, precision: (stack, None)
         )
         monkeypatch.setattr(
             f"{module}.leave_precision", lambda result, caller, scale: result
@@ -441,6 +439,6 @@ def test_double_params_run_the_all_double_arithmetic(twins, monkeypatch):
     want = MultigridSolver.from_hierarchy(double).solve(b, tol=tol)
     assert got.iterations == want.iterations
     assert np.array_equal(got.x, want.x)
-    many_want = batched_mg_solve(double, bs[:K], tol=tol)
+    many_want = MultigridSolver.from_hierarchy(double).solve_multi(bs[:K], tol=tol)
     for r, w in zip(many, many_want):
         assert np.array_equal(r.x, w.x)

@@ -112,15 +112,14 @@ class TestTracePropagation:
         head_tid = trace_ids[0]
         for r in results[1:]:
             assert r.telemetry.attrs["batch_trace_id"] == head_tid
-        # the batched span tree carries per-iteration convergence events
-        # for every system in the batch
+        # the solve's span tree carries per-iteration convergence events
+        # for every system in the batch, under the outer GCR's span
         spans = results[0].telemetry.spans
-        assert spans and spans[0]["name"] == "mg.batched_solve"
+        assert spans and spans[0]["name"] == "mg.solve"
+        assert spans[0]["attrs"]["n_rhs"] == len(results)
         assert spans[0]["trace_id"] == head_tid
-        per_rhs = [
-            c for c in spans[0]["children"]
-            if c["name"] == "mg.batched_solve.rhs"
-        ]
+        (outer,) = [c for c in spans[0]["children"] if c["name"] == "solve.gcr"]
+        per_rhs = [c for c in outer["children"] if c["name"] == "solve.gcr.rhs"]
         assert len(per_rhs) == len(results)
         for child in per_rhs:
             events = _iteration_events(child)
@@ -303,13 +302,11 @@ class TestBlackboxDumps:
         assert len(files) == 1
 
     def test_solver_failure_produces_dump(self, op, params, cache, sources):
-        with make_service(
-            op, params, cache, max_batch=1, allow_batching=False
-        ) as svc:
+        with make_service(op, params, cache, max_batch=1) as svc:
             def boom(*args, **kwargs):
                 raise RuntimeError("injected solver failure")
 
-            svc._ops["wc"].solver.solve = boom
+            svc._ops["wc"].solver.solve_multi = boom
             future = svc.submit("wc", sources[0])
             with pytest.raises(RuntimeError, match="injected"):
                 future.result(timeout=10)

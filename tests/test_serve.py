@@ -249,6 +249,35 @@ class TestBackpressureAndTimeouts:
         assert any(o is None for o in outcomes)
 
 
+class TestBadRightHandSides:
+    """A malformed right-hand side is refused to its submitter at
+    ``submit``; it never reaches a batch, so it cannot fail (or be
+    answered on behalf of) the well-formed requests around it."""
+
+    @pytest.mark.parametrize("defect", ["wrong-shape", "nan", "inf"])
+    def test_refused_at_submit_and_neighbours_complete(
+        self, op, params, sources, defect
+    ):
+        bad = sources[1].copy()
+        if defect == "wrong-shape":
+            bad = bad[:-1]
+        else:
+            bad[3, 1, 2] = np.nan if defect == "nan" else np.inf
+        with make_service(op, params, max_batch=4, max_wait_s=0.2) as svc:
+            first = svc.submit("wc", sources[0])
+            with pytest.raises(ValueError, match="does not match|non-finite"):
+                svc.submit("wc", bad)  # no future ever exists for it
+            second = svc.submit("wc", sources[2])
+            results = [first.result(timeout=60), second.result(timeout=60)]
+        assert all(r.converged for r in results)
+        stats = svc.stats
+        assert stats["submitted"] == 2 and stats["batches"] == 1
+        assert stats["submitted"] == (
+            stats["completed"] + stats["failed"] + stats["timeouts"]
+        )
+        assert stats["failed"] == 0
+
+
 class TestServicePropagator:
     def test_propagator_routes_through_batcher(self, lattice, op, params):
         with make_service(op, params, max_batch=12) as svc:

@@ -271,6 +271,11 @@ def test_solve_counters_match_an_oracle_driven_solve(aniso40_solve, monkeypatch)
     monkeypatch.setattr(
         WilsonCloverOperator, "apply", WilsonCloverOperator.apply_reference
     )
+    monkeypatch.setattr(
+        WilsonCloverOperator,
+        "apply_multi",
+        lambda self, vs: np.stack([self.apply_reference(v) for v in vs]),
+    )
     oracle_solver = MultigridSolver(
         op,
         solver.params,
@@ -335,7 +340,11 @@ def test_setup_memory_books_kernel_tables_before_they_exist(gauge44):
         assert built >= (op._u_fwd.nbytes + op._u_bwd.nbytes) * np.dtype(dtype).itemsize // 16  # noqa: SLF001
         tables += built
     copies = coarse.reduced_bytes(np.complex64) + transfer.reduced_bytes(np.complex64)
-    assert _reduced_built(hierarchy) == copies
+    # the coarsest level is only reached through its red-black system,
+    # whose gathered tables live in the solver's cycle: the operator's
+    # own copies stay booked (what a direct application would cast) but
+    # are not cast by a solve
+    assert _reduced_built(hierarchy) == transfer.reduced_bytes(np.complex64)
     own_arrays = sum(
         value.nbytes
         for lev in hierarchy.levels
