@@ -89,6 +89,19 @@ class CoarseOperator(StencilOperator):
         flat = nbr.reshape(self.lattice.volume, self.site_dof, 1)
         return np.matmul(hop_blocks[mu, d], flat).reshape(nbr.shape)
 
+    def apply_hop_sites(
+        self, mu: int, sign: int, sites: np.ndarray, vs: np.ndarray
+    ) -> np.ndarray:
+        """Signed hop on the output sites ``sites`` for a ``(K, V, ns, nc)``
+        stack: one ``N x N`` by ``N x K`` multiply per site."""
+        lat = self.lattice
+        d = 0 if sign > 0 else 1
+        table = (lat.fwd[mu] if sign > 0 else lat.bwd[mu])[sites]
+        blocks = reduced(self, "hop_blocks", compute_dtype(vs))[mu, d][sites]
+        k, n = vs.shape[0], len(sites)
+        nbr = vs[:, table].reshape(k, n, self.site_dof).transpose(1, 2, 0)
+        return np.matmul(blocks, nbr).transpose(2, 0, 1).reshape(k, n, self.ns, self.nc)
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Full application ``M v``, through the active backend."""
         return get_backend().coarse_apply(self, v)

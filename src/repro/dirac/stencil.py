@@ -59,6 +59,27 @@ class StencilOperator(abc.ABC):
         table = self.lattice.fwd[mu] if sign > 0 else self.lattice.bwd[mu]
         return self.apply_hop_gathered(mu, sign, v[table])
 
+    def apply_hop_sites(
+        self, mu: int, sign: int, sites: np.ndarray, vs: np.ndarray
+    ) -> np.ndarray:
+        """The signed hop term of ``M v`` on the output sites ``sites``
+        only, for a stack ``vs`` of shape ``(K, V, ns, nc)``; returns
+        ``(K, len(sites), ns, nc)``.
+
+        What the Galerkin product needs of a hop: its value where it
+        crosses an aggregate boundary.  The default evaluates
+        :meth:`apply_hop_gathered` system by system on a field that is
+        zero off ``sites``; operators with per-site matrices override
+        it with one batched multiply over the slab.
+        """
+        table = (self.lattice.fwd[mu] if sign > 0 else self.lattice.bwd[mu])[sites]
+        out = np.empty((vs.shape[0], len(sites)) + vs.shape[2:], dtype=vs.dtype)
+        nbr = np.zeros_like(vs[0])
+        for i, v in enumerate(vs):
+            nbr[sites] = v[table]
+            out[i] = self.apply_hop_gathered(mu, sign, nbr)[sites]
+        return out
+
     # ------------------------------------------------------------------
     # derived operations
     # ------------------------------------------------------------------
@@ -222,3 +243,24 @@ class StencilOperator(abc.ABC):
                 volume * (matrices + k * vectors),
             )
         return cached
+
+
+def operator_application_cost_multi(
+    op, k: int, dtype=COMPLEX128
+) -> tuple[float, float]:
+    """``(flops, bytes)`` of one application of ``op`` to ``k`` ``dtype``
+    fields at once.
+
+    Operators exposing ``application_cost_multi`` (the stencil
+    hierarchy) get the matrices-read-once traffic model; one exposing
+    only ``application_cost`` costs ``k`` independent applications; an
+    opaque wrapper goes unattributed rather than breaking the solve.
+    """
+    fn = getattr(op, "application_cost_multi", None)
+    if fn is not None:
+        return fn(k, dtype)
+    fn = getattr(op, "application_cost", None)
+    if fn is None:
+        return (0.0, 0.0)
+    flops, nbytes = fn(dtype)
+    return (k * flops, k * nbytes)

@@ -121,6 +121,23 @@ class WilsonCloverOperator(StencilOperator):
         colored = np.matmul(links[:, None, :, :], nbr[..., None])[..., 0]
         return -0.5 * np.tensordot(colored, proj, axes=([1], [1])).transpose(0, 2, 1)
 
+    def apply_hop_sites(
+        self, mu: int, sign: int, sites: np.ndarray, vs: np.ndarray
+    ) -> np.ndarray:
+        """Signed hop on the output sites ``sites`` for a ``(K, V, 4, 3)``
+        stack: one ``3 x 3`` by ``3 x 4K`` multiply per site, then the
+        spin projector as one GEMM."""
+        dtype = compute_dtype(vs)
+        fwd = sign > 0
+        links = reduced(self, "_u_fwd" if fwd else "_u_bwd", dtype)[mu][sites]
+        proj = reduced(self, "_proj_minus" if fwd else "_proj_plus", dtype)[mu]
+        table = (self.lattice.fwd[mu] if fwd else self.lattice.bwd[mu])[sites]
+        k, n = vs.shape[0], len(sites)
+        # (site, colour, system * spin)
+        nbr = vs[:, table].transpose(1, 3, 0, 2).reshape(n, 3, k * 4)
+        colored = np.matmul(links, nbr).reshape(n, 3, k, 4)
+        return (-0.5 * np.matmul(colored, proj.T)).transpose(2, 0, 3, 1)
+
     def apply_multi(self, vs: np.ndarray) -> np.ndarray:
         """Batched application to ``(K, V, 4, 3)``, through the active backend."""
         return get_backend().wilson_apply_multi(self, vs)

@@ -186,8 +186,10 @@ class MultigridHierarchy:
                             nulls = [np.asarray(v, dtype=np.complex128) for v in provided]
                     else:
                         with tracer.span("null-vectors", level=index):
+                            # relax in the precision the cycle will run in
                             nulls = generate_null_vectors(
-                                current, lp.n_null, rng, null_iters=lp.null_iters
+                                current, lp.n_null, rng, null_iters=lp.null_iters,
+                                dtype=dtype_of(params.coarse_precision),
                             )
                     with tracer.span("transfer-build", level=index):
                         blocking = Blocking(current.lattice, lp.block)

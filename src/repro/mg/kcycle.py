@@ -34,33 +34,13 @@ from functools import partial
 import numpy as np
 
 from ..dirac.mrhs import batched_schur_for
+from ..dirac.stencil import operator_application_cost_multi
 from ..precision import COMPLEX128, dtype_of, enter_precision, leave_precision
 from ..solvers.base import SolveResult, apply_stack
 from ..solvers.gcr import lockstep_gcr
 from ..solvers.mixed import reduced_storage
 from ..telemetry.tracer import get_tracer
 from .hierarchy import MGLevel, MultigridHierarchy
-
-
-def operator_application_cost_multi(
-    op, k: int, dtype=COMPLEX128
-) -> tuple[float, float]:
-    """``(flops, bytes)`` of one application of ``op`` to ``k`` ``dtype``
-    fields at once.
-
-    Operators exposing ``application_cost_multi`` (the stencil
-    hierarchy) get the matrices-read-once traffic model; one exposing
-    only ``application_cost`` costs ``k`` independent applications; an
-    opaque wrapper goes unattributed rather than breaking the solve.
-    """
-    fn = getattr(op, "application_cost_multi", None)
-    if fn is not None:
-        return fn(k, dtype)
-    fn = getattr(op, "application_cost", None)
-    if fn is None:
-        return (0.0, 0.0)
-    flops, nbytes = fn(dtype)
-    return (k * flops, k * nbytes)
 
 
 def gcr_reductions(iterations: int, nkrylov: int) -> int:

@@ -270,19 +270,46 @@ def _bench_mg_solve(repeats: int) -> list[dict]:
 
 
 def _bench_mg_setup(repeats: int) -> list[dict]:
+    """A cold build, and its two bulk phases re-run level by level on
+    the built hierarchy: the stacked relaxations (``mg.setup.relax``)
+    and the stacked Galerkin products (``mg.setup.galerkin``, which is
+    also all a ``SetupCache`` disk restore recomputes)."""
+    from ..coarse import coarsen_operator
     from ..dirac import WilsonCloverOperator
-    from ..mg import MultigridHierarchy
+    from ..mg import MultigridHierarchy, generate_null_vectors
+    from ..precision import dtype_of
     from ..workloads import ANISO40_SCALED, mg_params_for
 
     ds = ANISO40_SCALED
     op = WilsonCloverOperator(ds.gauge(), **ds.operator_kwargs())
     params = mg_params_for(ds, "24/24")
+    dtype = dtype_of(params.coarse_precision)
+    built = []
 
     def setup():
-        MultigridHierarchy.build(op, params, np.random.default_rng(1))
+        built.append(MultigridHierarchy.build(op, params, np.random.default_rng(1)))
 
     samples = time_repeats(setup, repeats, warmup=0)
-    return [timing_row("mg.setup", samples, dataset=ds.label)]
+    coarsenings = [lev for lev in built[-1].levels if not lev.is_coarsest]
+
+    def relax():
+        rng = np.random.default_rng(1)
+        for lev in coarsenings:
+            generate_null_vectors(
+                lev.op, lev.params.n_null, rng, lev.params.null_iters, dtype=dtype
+            )
+
+    def galerkin():
+        for lev in coarsenings:
+            coarsen_operator(lev.op, lev.transfer)
+
+    return [
+        timing_row("mg.setup", samples, dataset=ds.label),
+        timing_row(
+            "mg.setup.relax", time_repeats(relax, repeats), dataset=ds.label, dtype=dtype.name
+        ),
+        timing_row("mg.setup.galerkin", time_repeats(galerkin, repeats), dataset=ds.label),
+    ]
 
 
 def _bench_serve_throughput(repeats: int) -> list[dict]:
@@ -324,6 +351,7 @@ SUITES: dict[str, dict[str, Callable[[int], list[dict]]]] = {
         "kernel.transfer": _bench_transfer,
         "blas.streams": _bench_blas_streams,
         "mg.solve": _bench_mg_solve,
+        "mg.setup": _bench_mg_setup,
     },
     "full": {
         "kernel.wilson_clover_apply": _bench_wilson_apply,

@@ -58,7 +58,7 @@ def reduced(owner, name: str, dtype: np.dtype) -> np.ndarray:
 
     The complex128 original itself when that is what is asked for;
     otherwise a copy cast once, on first use, and kept on ``owner`` —
-    so setup (which only ever runs in double) never pays for it.
+    so a precision nothing computes at is never paid for.
     """
     table = getattr(owner, name)
     if table.dtype == dtype:

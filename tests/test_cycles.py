@@ -27,7 +27,7 @@ def make_solver(op, cycle):
         outer_tol=1e-8,
         cycle_type=cycle,
     )
-    return MultigridSolver(op, params, np.random.default_rng(5))
+    return MultigridSolver(op, params, np.random.default_rng(4))
 
 
 class TestCycleTypes:

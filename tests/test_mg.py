@@ -39,27 +39,42 @@ def mg_solver(critical_op):
 
 
 class TestNullVectors:
+    """Relaxed in complex128 or in complex64, the vectors come back
+    complex128 and of unit norm."""
+
+    DTYPES = (np.complex128, np.complex64)
+
     def test_count_and_normalization(self, wilson448):
-        nulls = generate_null_vectors(wilson448, 3, np.random.default_rng(1), 30)
-        assert len(nulls) == 3
-        for v in nulls:
-            assert np.linalg.norm(v.ravel()) == pytest.approx(1.0)
+        for dtype in self.DTYPES:
+            nulls = generate_null_vectors(
+                wilson448, 3, np.random.default_rng(1), 30, dtype=dtype
+            )
+            assert len(nulls) == 3
+            for v in nulls:
+                assert v.dtype == np.complex128
+                assert np.linalg.norm(v.ravel()) == pytest.approx(1.0)
 
     def test_rich_in_low_modes(self, critical_op):
         # relaxation must suppress |Mv|/|v| well below a random vector's
-        nulls = generate_null_vectors(critical_op, 2, np.random.default_rng(2), 60)
         lat = critical_op.lattice
         rand = random_spinor(lat, seed=3)
         rand /= np.linalg.norm(rand.ravel())
         ray_rand = np.linalg.norm(critical_op.apply(rand).ravel())
-        for v in nulls:
-            ray = np.linalg.norm(critical_op.apply(v).ravel())
-            assert ray < 0.3 * ray_rand
+        for dtype in self.DTYPES:
+            nulls = generate_null_vectors(
+                critical_op, 2, np.random.default_rng(2), 60, dtype=dtype
+            )
+            for v in nulls:
+                ray = np.linalg.norm(critical_op.apply(v).ravel())
+                assert ray < 0.3 * ray_rand
 
     def test_vectors_differ(self, wilson448):
-        nulls = generate_null_vectors(wilson448, 2, np.random.default_rng(4), 20)
-        overlap = abs(np.vdot(nulls[0].ravel(), nulls[1].ravel()))
-        assert overlap < 0.99
+        for dtype in self.DTYPES:
+            nulls = generate_null_vectors(
+                wilson448, 2, np.random.default_rng(4), 20, dtype=dtype
+            )
+            overlap = abs(np.vdot(nulls[0].ravel(), nulls[1].ravel()))
+            assert overlap < 0.99
 
 
 class TestHierarchy:

@@ -213,27 +213,34 @@ def twins(aniso40_solve):
     return ds, single, double, bs
 
 
-def test_setup_does_not_depend_on_the_configured_precisions(twins):
-    """Null vectors of a default (single) build are bit for bit those of
-    an all-double build on the same RNG: setup stays complex128."""
+def test_setup_relaxes_in_the_cycle_precision_and_returns_double(twins):
+    """The setup reads ``coarse_precision`` (the cycle's) and nothing
+    else: the smoothers' precision does not reach it, a ``DOUBLE`` cycle
+    gets the all-double setup, and a ``SINGLE`` one relaxes the fine
+    grid in complex64 — a different complex128 basis of the same quality,
+    within single-precision distance of the double one this early."""
     ds, single, _, _ = twins
-    params = dataclasses.replace(
-        _with_precisions(single.params, Precision.DOUBLE),
-        levels=[dataclasses.replace(lp, null_iters=8) for lp in single.params.levels],
-    )
+    short = [dataclasses.replace(lp, null_iters=8) for lp in single.params.levels]
     op = single.levels[0].op
-    built = {
-        precision: MultigridHierarchy.build(
-            op, _with_precisions(params, precision), np.random.default_rng(9)
+
+    def built(smoother: Precision, coarse: Precision) -> MultigridHierarchy:
+        params = dataclasses.replace(
+            single.params, levels=short, smoother_precision=smoother, coarse_precision=coarse
         )
-        for precision in (Precision.SINGLE, Precision.DOUBLE)
-    }
-    for a, b in zip(*(h.export_null_vectors() for h in built.values())):
-        for va, vb in zip(a, b):
-            assert va.dtype == C128 and np.array_equal(va, vb)
-    x, y = (h.levels[-1].op for h in built.values())
-    assert np.array_equal(x.x_blocks, y.x_blocks)
-    assert np.array_equal(x.hop_blocks, y.hop_blocks)
+        return MultigridHierarchy.build(op, params, np.random.default_rng(9))
+
+    double = built(Precision.DOUBLE, Precision.DOUBLE)
+    for other in (built(Precision.SINGLE, Precision.DOUBLE), built(Precision.SINGLE, Precision.SINGLE)):
+        exact = other.params.coarse_precision is Precision.DOUBLE
+        for a, b in zip(other.export_null_vectors(), double.export_null_vectors()):
+            for va, vb in zip(a, b):
+                assert va.dtype == C128
+                assert np.linalg.norm(va) == pytest.approx(1.0, abs=1e-14)
+                assert np.array_equal(va, vb) if exact else 0 < _rel_err(va, vb) < 1e-3
+        x, y = other.levels[-1].op, double.levels[-1].op
+        assert x.x_blocks.dtype == C128
+        assert np.array_equal(x.x_blocks, y.x_blocks) == exact
+        assert np.array_equal(x.hop_blocks, y.hop_blocks) == exact
 
 
 def test_single_and_double_do_the_same_work_sequentially(twins):
@@ -300,10 +307,12 @@ def _fresh_default_hierarchy(twins):
     has been built yet."""
     ds, single, _, _ = twins
     op = WilsonCloverOperator(ds.gauge(), **ds.operator_kwargs())
-    return MultigridHierarchy.build(
+    hierarchy = MultigridHierarchy.build(
         op, single.params, np.random.default_rng(1),
         null_vectors=single.export_null_vectors(),
     )
+    op._wilson_kernel.clear()  # noqa: SLF001 — the Galerkin product's double kernel
+    return hierarchy
 
 
 def test_no_complex128_field_crosses_a_default_cycle(twins, monkeypatch):
@@ -442,3 +451,83 @@ def test_double_params_run_the_all_double_arithmetic(twins, monkeypatch):
     many_want = MultigridSolver.from_hierarchy(double).solve_multi(bs[:K], tol=tol)
     for r, w in zip(many, many_want):
         assert np.array_equal(r.x, w.x)
+
+
+# ----------------------------------------------------------------------
+# (h) a setup relaxed in the cycle's precision is as good, and a
+# well-conditioned function of its fine-grid null vectors
+# ----------------------------------------------------------------------
+def _aniso40_build(op, params, precision: Precision, seed: int) -> MultigridHierarchy:
+    return MultigridHierarchy.build(
+        op, dataclasses.replace(params, coarse_precision=precision),
+        np.random.default_rng(seed),
+    )
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_single_relaxed_setup_solves_like_a_double_relaxed_one(twins, seed):
+    """Outer iterations within one of the all-double setup's on every
+    setup seed, and the invariant registry green on both."""
+    from repro.verify import verify_setup
+
+    ds, single, _, bs = twins
+    op, tol = single.levels[0].op, ds.target_residuum
+    iterations = {}
+    for precision in (Precision.SINGLE, Precision.DOUBLE):
+        hierarchy = _aniso40_build(op, single.params, precision, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a violated invariant warns
+            reports = verify_setup(hierarchy)
+        for invariant in ("transfer.orthonormality", "coarse.galerkin",
+                          "coarse.gamma5_hermiticity", "dirac.gamma5_hermiticity"):
+            assert any(rep.name.startswith(invariant) for rep in reports)
+        assert all(rep.passed for rep in reports)
+        result = MultigridSolver.from_hierarchy(hierarchy).solve(bs[0], tol=tol)
+        assert result.converged
+        iterations[precision] = result.iterations
+    assert abs(iterations[Precision.SINGLE] - iterations[Precision.DOUBLE]) <= 1
+
+
+def test_fresh_builds_from_one_seed_report_identical_coarsest_counters(twins):
+    ds, single, _, bs = twins
+    op, tol = single.levels[0].op, ds.target_residuum
+    stats = []
+    for _ in range(2):
+        hierarchy = _aniso40_build(op, single.params, Precision.SINGLE, seed=3)
+        result = MultigridSolver.from_hierarchy(hierarchy).solve(bs[1], tol=tol)
+        stats.append(result.telemetry.level_stats)
+    assert stats[0] == stats[1]
+    assert stats[0][2]["gcr_iters"] > 0
+
+
+def test_coarse_null_vectors_are_a_smooth_function_of_the_fine_ones(twins):
+    """A 1e-11 relative change of the level-0 null vectors — what a
+    reassociated fine-grid reduction does to them — moves the level-1
+    null vectors by less than 1e-6.  (Relaxed to 1e-10, as they were,
+    the level-1 solve *converges* on this lattice and its error is
+    solver round-off: the same change moved them by 2-15%.)"""
+    from repro.mg import generate_null_vectors
+
+    _, single, _, _ = twins
+    fine, lp0, lp1 = single.levels[0].op, *single.params.levels
+    rng = np.random.default_rng(99)
+    nulls = single.levels[0].null_vectors
+    nudged = []
+    for vec in nulls:
+        noise = _cnormal(rng, vec.shape)
+        nudged.append(vec + 1e-11 * np.linalg.norm(vec) / np.linalg.norm(noise) * noise)
+    relaxed = []
+    for vectors in (nulls, nudged):
+        coarse = coarsen_operator(fine, Transfer(Blocking(fine.lattice, lp0.block), vectors))
+        relaxed.append(
+            generate_null_vectors(
+                coarse, lp1.n_null, np.random.default_rng(5), lp1.null_iters, dtype=C64
+            )
+        )
+    moved = max(_rel_err(a, b) for a, b in zip(*relaxed))
+    assert 0 < moved < 1e-6
+    # ... because the relaxation stopped at the floor, well short of the cap
+    from repro.mg.setup import relaxation_floor
+
+    assert relaxation_floor(C64) == pytest.approx(1e3 * np.finfo(np.float32).eps)
+    assert relaxation_floor(C128) == 1e-10

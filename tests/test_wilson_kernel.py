@@ -241,16 +241,37 @@ def _aniso40_operator() -> WilsonCloverOperator:
     return WilsonCloverOperator(ANISO40_SCALED.gauge(), **ANISO40_SCALED.operator_kwargs())
 
 
-def test_null_vectors_match_reference_driven_setup():
+def test_null_vectors_match_reference_driven_setup(monkeypatch):
+    """The stacked relaxation through the kernel equals the one driven
+    system by system through the site-major oracle, at either relaxation
+    dtype; what comes back is complex128 and of unit norm."""
+    from repro.telemetry import get_registry
+
     op = _aniso40_operator()
-    rng_kernel, rng_oracle = np.random.default_rng(5), np.random.default_rng(5)
-    got = generate_null_vectors(op, 3, rng_kernel, null_iters=20)
-    want = generate_null_vectors(_ReferenceDriven(op), 3, rng_oracle, null_iters=20)
-    for g, w in zip(got, want):
-        assert _rel_err(g, w) <= 1e-9
-    # the draw order is part of the contract: cached setups and golden
-    # iteration counts depend on it
-    assert rng_kernel.standard_normal() == rng_oracle.standard_normal()
+    registry = get_registry()
+    monkeypatch.setattr(registry, "enabled", True)
+    # (20 iterations of complex64 round-off separate the two drivers)
+    for dtype, rtol in ((np.complex128, 1e-9), (np.complex64, 2e-3)):
+        rng_kernel, rng_oracle = np.random.default_rng(5), np.random.default_rng(5)
+        booked = registry.value("mg.null_vector_generations")
+        got = generate_null_vectors(op, 3, rng_kernel, null_iters=20, dtype=dtype)
+        # booked once per vector: what the setup caches' warm-hit assertions count
+        assert registry.value("mg.null_vector_generations") == booked + 3
+        want = generate_null_vectors(
+            _ReferenceDriven(op), 3, rng_oracle, null_iters=20, dtype=dtype
+        )
+        for g, w in zip(got, want):
+            assert g.dtype == np.complex128
+            assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-14)
+            assert _rel_err(g, w) <= rtol
+        # the draw order is part of the contract: cached setups and golden
+        # iteration counts depend on it — real then imaginary part, vector
+        # by vector, 2 * n_vectors draws in all
+        replay = np.random.default_rng(5)
+        for _ in range(2 * 3):
+            replay.standard_normal((op.lattice.volume, 4, 3))
+        assert rng_kernel.standard_normal() == rng_oracle.standard_normal()
+        assert rng_oracle.standard_normal() == replay.standard_normal(2)[1]
 
 
 def test_solve_counters_match_an_oracle_driven_solve(aniso40_solve, monkeypatch):
@@ -321,10 +342,11 @@ def test_setup_memory_books_kernel_tables_before_they_exist(gauge44):
     rng = np.random.default_rng(2)
     params = MGParams(levels=[LevelParams(block=(2, 2, 2, 2), n_null=2)])
     nulls = [[_cnormal(rng, (op.lattice.volume, 4, 3)) for _ in range(2)]]
-    # building from given null vectors (the restore path) never applies
-    # the fine operator, so no kernel tables and no complex64 copies yet
+    # building from given null vectors (the restore path) applies the
+    # fine operator only in the Galerkin product, in double: no complex64
+    # kernel tables and no complex64 copies yet
     hierarchy = MultigridHierarchy.build(op, params, rng, null_vectors=nulls)
-    assert not hasattr(op, "_wilson_kernel")
+    assert list(op._wilson_kernel) == [np.dtype(np.complex128)]  # noqa: SLF001
     assert _reduced_built(hierarchy) == 0
     coarse, transfer = hierarchy.levels[1].op, hierarchy.levels[0].transfer
     coarse._x_inv  # noqa: B018, SLF001 — an operator attribute once inverted
@@ -381,7 +403,9 @@ def test_restored_setup_books_the_same_bytes_as_a_cold_build(gauge44, tmp_path):
     cold, cold_hierarchy, _ = booked()
     warm, hierarchy, op = booked()
     assert (cold.stats["misses"], warm.stats["disk_hits"]) == (1, 1)
-    assert not hasattr(op, "_wilson_kernel")
+    # the restore applied the operator in double only (the Galerkin
+    # product); the cold build also relaxed in complex64
+    assert list(op._wilson_kernel) == [np.dtype(np.complex128)]  # noqa: SLF001
     assert warm.nbytes == cold.nbytes
     op.apply(hierarchy.levels[0].null_vectors[0])
     assert hierarchy.setup_memory_bytes() == warm.nbytes

@@ -8,7 +8,13 @@ telemetry tracer and emits the same ``repro.telemetry/v1`` trace
 document the benchmarks and the ``repro trace`` CLI produce, so every
 profiling artifact shares one schema.
 
+``--phase setup`` profiles the adaptive setup instead: one traced
+``MultigridHierarchy.build`` and, per level, what its relaxation
+(``null-vectors``), orthonormalisation (``transfer-build``) and Galerkin
+product (``coarsen``) spans took and did.
+
 Usage:  python tools/profile_solve.py [dataset-label] [--json [FILE]]
+        python tools/profile_solve.py [dataset-label] --phase setup
 """
 
 from __future__ import annotations
@@ -36,6 +42,57 @@ def _run_solve(label: str):
     return ds, res
 
 
+#: span name -> column of the setup split
+_SETUP_PHASES = {
+    "null-vectors": "relax",
+    "transfer-build": "orthonormalise",
+    "coarsen": "galerkin",
+}
+
+
+def _profile_setup(label: str) -> int:
+    """Print the per-level relax / orthonormalise / Galerkin split of one
+    traced build."""
+    from repro import telemetry
+    from repro.dirac import WilsonCloverOperator
+    from repro.mg import MultigridHierarchy
+    from repro.telemetry.tracer import get_tracer
+    from repro.workloads import SCALED_FOR_PAPER, mg_params_for
+
+    ds = SCALED_FOR_PAPER[label]
+    op = WilsonCloverOperator(ds.gauge(), **ds.operator_kwargs())
+    params = mg_params_for(ds, "24/24")
+    MultigridHierarchy.build(op, params, np.random.default_rng(1))  # tables, caches
+    telemetry.enable()
+    telemetry.reset()
+    try:
+        MultigridHierarchy.build(op, params, np.random.default_rng(1))
+        (root,) = get_tracer().find("mg.setup")
+    finally:
+        telemetry.disable()
+    print(f"setup {ds.label}: {root.duration_s:.3f} s, {len(root.children)} coarsenings")
+    print(f"{'level':>5} {'relax':>8} {'orthonormalise':>15} {'galerkin':>9}  relaxation")
+    for level in root.children:
+        seconds = dict.fromkeys(_SETUP_PHASES.values(), 0.0)
+        note = ""
+        for span in level.children:
+            phase = _SETUP_PHASES.get(span.name)
+            if phase is None:
+                continue
+            seconds[phase] += span.duration_s
+            if phase == "relax":
+                a = span.attrs
+                note = (
+                    f"{a['n_rhs']} x {a['dtype']}, {a['iterations']} iterations, "
+                    f"residual <= {a['residual_max']:.1e}"
+                )
+        print(
+            f"{level.attrs['level']:>5} {seconds['relax']:>8.4f} "
+            f"{seconds['orthonormalise']:>15.4f} {seconds['galerkin']:>9.4f}  {note}"
+        )
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dataset", nargs="?", default="Aniso40")
@@ -48,7 +105,16 @@ def main(argv: list[str] | None = None) -> int:
         help="emit a repro.telemetry/v1 trace document instead of cProfile "
         "output (to FILE, or stdout when no FILE is given)",
     )
+    parser.add_argument(
+        "--phase",
+        choices=("solve", "setup"),
+        default="solve",
+        help="'setup' prints the per-level relax / orthonormalise / Galerkin "
+        "split of one traced build instead of profiling a solve",
+    )
     args = parser.parse_args(argv)
+    if args.phase == "setup":
+        return _profile_setup(args.dataset)
 
     if args.json is not None:
         from repro import telemetry
