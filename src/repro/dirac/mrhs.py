@@ -11,15 +11,45 @@ and clover tables are read once for all ``K`` systems, and
 grids there is no spin structure to exploit; :class:`BatchedCoarseSchur`
 folds the batch into the right-hand side of stacked dense-block GEMMs
 on genuine half-volume fields, at the dtype of the stack it is handed.
+
+A red-black system small enough to hold densely is not iterated on at
+all: :meth:`BatchedCoarseSchur.solve_multi` assembles the Schur matrix
+from the operator's blocks, LU-factors it once per dtype and solves a
+whole ``K``-stack with one pair of triangular solves
+(:func:`solves_directly` is the rule for the system,
+:attr:`~repro.mg.hierarchy.MGLevel.solved_directly` for where it sits
+in a hierarchy; paper Section 7.1: the coarsest grid is a latency
+problem, not a throughput one).
 """
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
+import scipy.linalg
 
 from ..lattice import NDIM
 from ..precision import COMPLEX128, compute_dtype
+from ..telemetry.metrics import get_registry
+from ..telemetry.tracer import get_tracer
 from .even_odd import SchurOperator
+
+#: Largest red-black system, in unknowns, that is factored densely
+#: instead of iterated on.  A guard on first-use cost and memory, not a
+#: measured crossover: in ``tools/sweep_coarsest_direct.py`` (synthetic
+#: operators; DESIGN.md section 20 records the run) the direct solve
+#: repays its assembly and factorisation within ~60 coarsest solves
+#: (six solves of the outer system) at every size tried, so what places
+#: the constant is what the first request of a hierarchy waits for:
+#: 0.4 s and 32 MB in complex64 at 2048 on the benchmark's coarsest
+#: lattice, about what the setup before it costs; 3-4 s — five setups —
+#: and 128 MB one doubling further.  No workload in this repository
+#: lies above it (the benchmark's coarsest systems have 96 and 1024
+#: unknowns); the iterated side is reached by ``coarsest_schur=False``,
+#: by operators that are not dense-block, by two-level hierarchies, and
+#: in tests by setting this constant.
+DIRECT_MAX_UNKNOWNS = 2048
 
 
 def supports_dense_block_schur(op) -> bool:
@@ -88,7 +118,8 @@ class BatchedCoarseSchur:
     half-volume ``(K, V/2, ns, nc)`` stacks, with every dense link and
     site block read once per application for all ``K`` systems.  The
     parity-gathered link stacks and site blocks are built per dtype, the
-    first time a stack of that dtype arrives.
+    first time a stack of that dtype arrives — and so are the dense LU
+    factors :meth:`solve_multi` solves with.
     """
 
     def __init__(self, op):
@@ -96,6 +127,12 @@ class BatchedCoarseSchur:
         self._own = op.lattice.sites_of_parity(0)
         self._other = op.lattice.sites_of_parity(1)
         self._tables: dict = {}
+        self._factors: dict = {}
+
+    @property
+    def unknowns(self) -> int:
+        """Size of the red-black system: half the sites, ``N`` per site."""
+        return self._own.size * self.op.site_dof
 
     def table_bytes(self, dtype) -> int:
         """Bytes of the parity-gathered tables at ``dtype`` (every link
@@ -103,6 +140,11 @@ class BatchedCoarseSchur:
         known before they are built."""
         blocks = self.op.hop_blocks.size + self.op.x_blocks.size
         return blocks * np.dtype(dtype).itemsize + 2 * 2 * NDIM * self._own.size * 8
+
+    def factor_bytes(self, dtype) -> int:
+        """Bytes of the dense LU factors at ``dtype`` and their row
+        order — known before they are computed."""
+        return self.unknowns**2 * np.dtype(dtype).itemsize + self.unknowns * 8
 
     def _at(self, dtype):
         """``(hop to other, hop to own, X_ee, X_oo^{-1})`` at ``dtype``."""
@@ -140,6 +182,94 @@ class BatchedCoarseSchur:
         out[:, self._own] = xs_half
         out[:, self._other] = x_other
         return out
+
+    # ------------------------------------------------------------------
+    # the dense form
+    # ------------------------------------------------------------------
+    def to_dense(self, dtype=COMPLEX128) -> np.ndarray:
+        """The Schur matrix as one ``(V/2 N, V/2 N)`` array, assembled
+        from the blocks at ``dtype``.
+
+        An odd site ``o`` couples its eight even neighbours pairwise
+        through ``Y(e_i <- o) X_oo^{-1}(o) Y(o <- e_j)``: one product per
+        direction pair ``(i, j)``, stacked over the odd sites.  For a
+        fixed pair ``o -> (e_i, e_j)`` is one-to-one (a shift of the
+        lattice), so each of the 64 products scatters without
+        collisions; those that land on the same block — always on the
+        diagonal, and wherever a 2-extent direction makes ``+mu`` and
+        ``-mu`` the same neighbour — accumulate from one pair to the next.
+        """
+        dtype = np.dtype(dtype)
+        to_other, to_own, diag_own, dinv_other = self._at(dtype)
+        # (8, Vh): the even neighbour of odd site o in direction j
+        nbr = to_other._idx
+        ndir, vh = nbr.shape
+        n = self.op.site_dof
+        # what carries o to that neighbour is the neighbour's own link of
+        # the opposite orientation (directions are stored as 2 mu + d)
+        out_links = to_own._links[np.arange(ndir)[:, None] ^ 1, nbr]  # (8, Vh, N, N)
+        in_links = np.matmul(dinv_other, to_other._links)  # X_oo^{-1} Y(o <- e_j)
+        dense = np.zeros((vh, n, vh, n), dtype=dtype)
+        sites = np.arange(vh)
+        dense[sites, :, sites, :] = diag_own
+        for i in range(ndir):
+            for j in range(ndir):
+                dense[nbr[i], :, nbr[j], :] -= np.matmul(out_links[i], in_links[j])
+        return dense.reshape(vh * n, vh * n)
+
+    def _factor(self, dtype):
+        """``(lu, perm)``: the LU factors of the dense Schur matrix at
+        ``dtype`` (LAPACK at that dtype) and the row order their
+        pivoting leaves — assembled and factored the first time a stack
+        of that dtype is to be solved."""
+        factor = self._factors.get(dtype)
+        if factor is None:
+            with get_tracer().span(
+                "mg.coarsest.factor", n=self.unknowns, dtype=dtype.name
+            ) as sp:
+                t0 = time.perf_counter()
+                dense = self.to_dense(dtype)
+                t1 = time.perf_counter()
+                lu, piv = scipy.linalg.lu_factor(
+                    dense, overwrite_a=True, check_finite=False
+                )
+                perm = np.arange(len(piv))
+                for row, other in enumerate(piv):  # LAPACK's sequential row swaps
+                    perm[row], perm[other] = perm[other], perm[row]
+                t2 = time.perf_counter()
+                sp.annotate(assemble_s=t1 - t0, factor_s=t2 - t1)
+            get_registry().gauge("mg.coarsest_factor_s", dtype=dtype.name).set(t2 - t0)
+            factor = self._factors[dtype] = (lu, perm)
+        return factor
+
+    def solve_multi(self, rhs_halves: np.ndarray) -> np.ndarray:
+        """Exact solutions of the red-black system for a ``(K, V/2, ns,
+        nc)`` stack of prepared right-hand sides: one pair of triangular
+        solves for all ``K`` of them (``trsm``; ``trsv`` for a single
+        one, which ``trsm`` and LAPACK's ``getrs`` run 3x slower)."""
+        lu, perm = self._factor(compute_dtype(rhs_halves))
+        trsv, trsm = scipy.linalg.get_blas_funcs(("trsv", "trsm"), (lu,))
+        k = rhs_halves.shape[0]
+        pb = rhs_halves.reshape(k, -1)[:, perm]  # a fresh copy, solved in place
+        if k == 1:
+            y = trsv(lu, pb[0], lower=1, diag=1, overwrite_x=1)
+            x = trsv(lu, y, lower=0, overwrite_x=1)
+        else:
+            y = trsm(1.0, lu, pb.T, lower=1, diag=1, overwrite_b=1)
+            x = trsm(1.0, lu, y, lower=0, overwrite_b=1).T
+        return x.reshape(rhs_halves.shape)
+
+
+def solves_directly(schur) -> bool:
+    """The one rule of the coarsest solve: a dense-block red-black
+    system of at most :data:`DIRECT_MAX_UNKNOWNS` unknowns can be solved
+    by :meth:`BatchedCoarseSchur.solve_multi`; anything else — a larger
+    system, any other operator, no red-black system at all — is
+    iterated on."""
+    return (
+        isinstance(schur, BatchedCoarseSchur)
+        and schur.unknowns <= DIRECT_MAX_UNKNOWNS
+    )
 
 
 def batched_schur_for(op):

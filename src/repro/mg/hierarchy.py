@@ -15,6 +15,7 @@ import numpy as np
 
 from ..backend import active_backend_name, use_backend
 from ..coarse import coarsen_operator
+from ..dirac.mrhs import batched_schur_for, solves_directly
 from ..dirac.wilson_kernel import WilsonKernel, supports_wilson_kernel
 from ..lattice import Blocking
 from ..precision import COMPLEX128, dtype_of
@@ -75,7 +76,9 @@ class MGLevel:
     """One level of the hierarchy.
 
     ``params``/``transfer`` describe the coarsening *from* this level and
-    are ``None`` on the coarsest level.
+    are ``None`` on the coarsest level, which instead owns ``schur``:
+    the red-black system every cycle over this hierarchy solves there
+    (``None`` with ``MGParams.coarsest_schur`` off).
     """
 
     index: int
@@ -83,12 +86,25 @@ class MGLevel:
     params: LevelParams | None = None
     transfer: Transfer | None = None
     smoother: SchurMRSmoother | None = None
+    schur: object | None = None  # BatchedCoarseSchur on a Galerkin operator
     null_vectors: list[np.ndarray] = field(default_factory=list)
     stats: LevelStats = field(default_factory=LevelStats)
 
     @property
     def is_coarsest(self) -> bool:
         return self.transfer is None
+
+    @property
+    def solved_directly(self) -> bool:
+        """Whether cycles solve ``schur`` with its dense factors instead
+        of iterating on it: small enough to hold
+        (:func:`~repro.dirac.mrhs.solves_directly`) and below a coarse
+        level.  Under the fine grid itself — a two-level hierarchy — the
+        coarsest solve *is* the fine operator's coarse-grid correction,
+        and applied exactly it was the worse stationary iteration on a
+        near-critical operator (DESIGN.md section 20); from three levels
+        on it made no measurable difference to any cycle type."""
+        return self.index > 1 and solves_directly(self.schur)
 
 
 def _build_smoother(op, lp: LevelParams, params: MGParams, rng: np.random.Generator):
@@ -207,7 +223,10 @@ class MultigridHierarchy:
                     )
                     with tracer.span("coarsen", level=index):
                         current = coarsen_operator(current, transfer)
-            levels.append(MGLevel(index=len(params.levels), op=current))
+            # tables and dense factors of the red-black system are built
+            # by the first solve, not here
+            schur = batched_schur_for(current) if params.coarsest_schur else None
+            levels.append(MGLevel(index=len(params.levels), op=current, schur=schur))
         if verbose:
             lat = current.lattice
             print(
@@ -244,16 +263,18 @@ class MultigridHierarchy:
         reduced-precision copies the configured precisions compute on
         (kernel tables, coarse blocks and their inverse, transfer bases),
         the parity-gathered dense-block tables of the coarse levels'
-        smoothers and whatever the array backends have cached on the
+        smoothers, those of the coarsest red-black system with its dense
+        LU factors where it is solved directly (in place of that
+        operator's own reduced copies, which a red-black coarsest solve
+        never casts) and whatever the array backends have cached on the
         operators.
-        Kernel tables and reduced copies are built on first use but
-        booked at their known size from the start, so a setup restored
-        from disk counts the same as one that has already run.  Drives
-        LRU accounting in setup caches."""
+        Kernel tables, reduced copies and the factors are built on first
+        use but booked at their known size from the start, so a setup
+        restored from disk counts the same as one that has already run.
+        Drives LRU accounting in setup caches."""
         params = self.params
-        reduced_dtypes = {
-            dtype_of(p) for p in (params.smoother_precision, params.coarse_precision)
-        } - {COMPLEX128}
+        cycle_dtype = dtype_of(params.coarse_precision)
+        reduced_dtypes = {dtype_of(params.smoother_precision), cycle_dtype} - {COMPLEX128}
         total = 0
         for lev in self.levels:
             for vec in lev.null_vectors:
@@ -265,9 +286,14 @@ class MultigridHierarchy:
                 half_volume = lev.op.lattice.half_volume
                 for dtype in {COMPLEX128} | reduced_dtypes:
                     total += WilsonKernel.table_bytes(half_volume, dtype)
+            red_black = getattr(lev.schur, "table_bytes", None)
+            if red_black is not None:
+                total += red_black(cycle_dtype)
+                if lev.solved_directly:
+                    total += lev.schur.factor_bytes(cycle_dtype)
             for dtype in reduced_dtypes:
                 # coarse operators and transfers know the size of their copies
-                for owner in (lev.op, lev.transfer):
+                for owner in (lev.transfer,) if red_black else (lev.op, lev.transfer):
                     book = getattr(owner, "reduced_bytes", None)
                     total += book(dtype) if book is not None else 0
             book = getattr(getattr(lev.smoother, "schur", None), "table_bytes", None)

@@ -3,12 +3,15 @@
 Each application at level ``l``:
 
 1. pre-smooth with MR (red-black preconditioned),
-2. restrict the residual,
-3. solve the coarse system with GCR — itself preconditioned by the
-   K-cycle of level ``l+1`` on intermediate levels (that nesting is what
-   makes it a K-cycle rather than a V-cycle),
+2. restrict the defect — the one the red-black smoother hands back, not
+   a recomputed one,
+3. solve the coarse system: with GCR preconditioned by the K-cycle of
+   level ``l+1`` on intermediate levels (that nesting is what makes it a
+   K-cycle rather than a V-cycle), directly on a coarsest grid small
+   enough to hold densely below a coarse level
+   (:attr:`~repro.mg.hierarchy.MGLevel.solved_directly`),
 4. prolongate and correct,
-5. post-smooth.
+5. post-smooth the recomputed defect.
 
 The cycle computes on a stack ``(K, V, ns, nc)`` of residuals (paper
 Section 9): every smoothing step, stencil, transfer and coarse Krylov
@@ -33,14 +36,14 @@ from functools import partial
 
 import numpy as np
 
-from ..dirac.mrhs import batched_schur_for
 from ..dirac.stencil import operator_application_cost_multi
-from ..precision import COMPLEX128, dtype_of, enter_precision, leave_precision
+from ..precision import dtype_of, enter_precision, leave_precision
 from ..solvers.base import SolveResult, apply_stack
 from ..solvers.gcr import lockstep_gcr
 from ..solvers.mixed import reduced_storage
 from ..telemetry.tracer import get_tracer
 from .hierarchy import MGLevel, MultigridHierarchy
+from .smoother import SchurMRSmoother
 
 
 def gcr_reductions(iterations: int, nkrylov: int) -> int:
@@ -127,13 +130,28 @@ def book_gcr(
         target.attribute(flops=applies * flops, bytes=applies * nbytes)
 
 
+def book_direct(lev: MGLevel, schur, rc: np.ndarray) -> None:
+    """Book a direct red-black solve of the stack ``rc`` on ``lev``: no
+    iteration and no reduction happened, source preparation and
+    reconstruction count a stencil each (as around the red-black GCR),
+    and the open ``coarse-solve`` span carries the pair of triangular
+    solves: ``n^2`` complex multiply-adds per system over one read of
+    the factors."""
+    k, n = rc.shape[0], schur.unknowns
+    lev.stats.op_applies += 2 * k
+    span = get_tracer().current()
+    if span is not None:
+        span.annotate(direct=True)
+        span.attribute(flops=8.0 * n * n * k, bytes=n * n * rc.dtype.itemsize)
+
+
 class KCyclePreconditioner:
     """The K-cycle at a given level of a :class:`MultigridHierarchy`.
 
-    Built once per solver: the next level's cycle and the coarsest
-    red-black system (whose link stacks are gathered the first time a
-    stack of each dtype arrives) are constructed here, not per coarse
-    solve.
+    Built once per solver: the next level's cycle is constructed here,
+    not per coarse solve.  The coarsest red-black system belongs to its
+    level, so every cycle over one hierarchy — two solvers, the fleet's
+    replicas — shares one set of parity tables and one dense factorisation.
     """
 
     def __init__(self, hierarchy: MultigridHierarchy, level: int = 0):
@@ -142,12 +160,10 @@ class KCyclePreconditioner:
         params = hierarchy.params
         coarse = hierarchy.levels[level + 1]
         self._inner: KCyclePreconditioner | None = None
-        self._schur = None  # the coarsest red-black system
         if not coarse.is_coarsest:
             self._inner = KCyclePreconditioner(hierarchy, level + 1)
-        elif params.coarsest_schur:
-            self._schur = batched_schur_for(coarse.op)
-        # what the coarse GCR inverts, as the cycle's precision stores it
+        self._schur = coarse.schur  # the coarsest red-black system, if any
+        # what the coarse solve inverts, as the cycle's precision stores it
         self._solve_op = reduced_storage(
             coarse.op if self._schur is None else self._schur, params.coarse_precision
         )
@@ -170,16 +186,20 @@ class KCyclePreconditioner:
         lev = self.hierarchy.levels[self.level]
         op, transfer, smoother = lev.op, lev.transfer, lev.smoother
         run = partial(booked, lev)
-        # 1. pre-smooth
-        z = run("smoother", apply_stack, smoother, rs, phase="pre")
+        # 1. pre-smooth; the red-black smoother hands back ``rs - M z``
+        if isinstance(smoother, SchurMRSmoother):
+            z, r1 = run("smoother", partial(smoother.apply, defect=True), rs, phase="pre")
+        else:
+            z = run("smoother", apply_stack, smoother, rs, phase="pre")
+            r1 = rs - run("residual", op.apply_multi, z)
         # 2. defect restriction
-        r1 = rs - run("residual", op.apply_multi, z)
         rc = run("restrict", transfer.restrict_multi, r1)
-        # 3. coarse solve (GCR; K-cycle-preconditioned unless coarsest)
+        # 3. coarse solve (K-cycle-preconditioned GCR; direct or GCR when coarsest)
         ec = run("coarse-solve", self._coarse_solve, rc)
         # 4. prolongate and correct
         z = z + run("prolong", transfer.prolong_multi, ec)
-        # 5. post-smooth
+        # 5. post-smooth: the coarse correction changed ``z``, so this
+        # defect is recomputed
         r2 = rs - run("residual", op.apply_multi, z)
         return z + run("smoother", apply_stack, smoother, r2, phase="post")
 
@@ -197,6 +217,11 @@ class KCyclePreconditioner:
                 ec = ec + self._inner.apply(rc2)
             return ec
         schur = self._schur
+        if coarse.solved_directly:
+            # small enough to hold densely: no Krylov space to build
+            book_direct(coarse, schur, rc)
+            half = self._solve_op.solve_multi(schur.prepare_multi(rc))
+            return schur.reconstruct_multi(half, rc)
         nkrylov = lp.nkrylov if self._inner is None else coarse.params.nkrylov
         results = lockstep_gcr(
             self._solve_op,

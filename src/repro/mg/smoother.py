@@ -17,6 +17,16 @@ A smoother owns its precision: ``apply`` casts the residual to it on
 entry (no copy when the cycle already runs there) and returns the
 caller's dtype; everything in between follows the dtype of the data.
 The paper smooths in half precision on the finest level.
+
+The smoother already holds the defect of what it returns.  With the
+opposite parity reconstructed exactly, ``r - M z`` vanishes there, and
+on the Schur parity it is the Schur residual ``b_hat - S x`` — the
+vector the MR recurrence carries (QUDA's ``use_solver_residual``).
+``apply(r, defect=True)`` hands it back beside ``z``, so the cycle does
+not spend an operator application recomputing it.  It is the defect of
+the residual *as the smoother's precision holds it*: equal to a
+recomputed ``r - M z`` to that precision's rounding (and, under
+``HALF``, to the storage rounding of the iterates).
 """
 
 from __future__ import annotations
@@ -49,8 +59,9 @@ class SchurMRSmoother:
         self.precision = precision
         self._solve_op = reduced_storage(self.schur, precision)
 
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        """Smooth a field ``(V, ns, nc)`` or a stack ``(K, V, ns, nc)``."""
+    def apply(self, r: np.ndarray, defect: bool = False):
+        """Smooth a field ``(V, ns, nc)`` or a stack ``(K, V, ns, nc)``:
+        ``z``, or ``(z, r - M z)`` with ``defect``."""
         rs = r[None] if r.ndim == 3 else r
         rp, scale = enter_precision(rs, self.precision)
         b = self.schur.prepare_multi(rp)
@@ -64,7 +75,14 @@ class SchurMRSmoother:
             x += per_system(alpha, x) * res
             res -= per_system(alpha, res) * q
         z = leave_precision(self.schur.reconstruct_multi(x, rp), rs, scale)
-        return z[0] if r.ndim == 3 else z
+        if not defect:
+            return z[0] if r.ndim == 3 else z
+        # the recurrence residual on the Schur parity, zero on the other,
+        # back through the boundary with the same per-system scale as z
+        full = np.zeros_like(rp)
+        full[:, self.schur.op.lattice.even_sites] = res
+        d = leave_precision(full, rs, scale)
+        return (z[0], d[0]) if r.ndim == 3 else (z, d)
 
     def apply_multi(self, rs: np.ndarray) -> np.ndarray:
         """The stack protocol of the Krylov drivers: ``apply`` takes one."""

@@ -312,6 +312,53 @@ def _bench_mg_setup(repeats: int) -> list[dict]:
     ]
 
 
+def _bench_mg_coarsest(repeats: int) -> list[dict]:
+    """The direct coarsest-grid solve at the paper-size subspace (N=64 on
+    a 2^3x4 coarsest lattice: 1024 red-black unknowns, the repo
+    benchmark's ``coarse_heavy`` configuration): the first use of a
+    fresh red-black system (gather the parity tables, assemble, factor,
+    solve once) and one coarsest solve of the cycle — source
+    preparation, triangular solves, reconstruction — for a K=1 and a
+    K=8 stack, in the cycle's dtype."""
+    import dataclasses
+
+    from ..dirac import WilsonCloverOperator
+    from ..dirac.mrhs import BatchedCoarseSchur
+    from ..mg import MultigridHierarchy
+    from ..precision import dtype_of
+    from ..workloads import ANISO40_SCALED, mg_params_for
+
+    ds = dataclasses.replace(
+        ANISO40_SCALED, null_scale=1, blockings=[(2, 2, 2, 2), (1, 1, 1, 2)]
+    )
+    op = WilsonCloverOperator(ds.gauge(), **ds.operator_kwargs())
+    params = mg_params_for(ds, "24/32", null_iters=6)
+    hierarchy = MultigridHierarchy.build(op, params, np.random.default_rng(1))
+    coarsest = hierarchy.levels[-1]
+    schur, dtype = coarsest.schur, dtype_of(params.coarse_precision)
+    rng = np.random.default_rng(2)
+    shape = (8, coarsest.op.lattice.volume, coarsest.op.ns, coarsest.op.nc)
+    rcs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
+    extra = dict(n=schur.unknowns, dtype=dtype.name)
+
+    def first_use():
+        fresh = BatchedCoarseSchur(coarsest.op)
+        fresh.solve_multi(fresh.prepare_multi(rcs[:1]))
+
+    def solve(rc):
+        return schur.reconstruct_multi(schur.solve_multi(schur.prepare_multi(rc)), rc)
+
+    return [
+        timing_row("mg.coarsest_factor", time_repeats(first_use, repeats), **extra),
+        timing_row(
+            "mg.coarsest_solve", time_repeats(lambda: solve(rcs[:1]), 10 * repeats), **extra
+        ),
+        timing_row(
+            "mg.coarsest_solve.k8", time_repeats(lambda: solve(rcs), 10 * repeats), **extra
+        ),
+    ]
+
+
 def _bench_serve_throughput(repeats: int) -> list[dict]:
     from ..serve import run_serve_bench
     from ..workloads import ANISO40_SCALED
@@ -352,6 +399,7 @@ SUITES: dict[str, dict[str, Callable[[int], list[dict]]]] = {
         "blas.streams": _bench_blas_streams,
         "mg.solve": _bench_mg_solve,
         "mg.setup": _bench_mg_setup,
+        "mg.coarsest": _bench_mg_coarsest,
     },
     "full": {
         "kernel.wilson_clover_apply": _bench_wilson_apply,
@@ -360,6 +408,7 @@ SUITES: dict[str, dict[str, Callable[[int], list[dict]]]] = {
         "blas.streams": _bench_blas_streams,
         "mg.solve": _bench_mg_solve,
         "mg.setup": _bench_mg_setup,
+        "mg.coarsest": _bench_mg_coarsest,
         "serve.throughput": _bench_serve_throughput,
     },
 }

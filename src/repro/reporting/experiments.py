@@ -7,7 +7,8 @@ Two modes produce the solver-comparison data:
   propagator components, double-solve error estimation.  Iteration
   counts, per-level work profiles and error/residual ratios are all
   *measured*; only the wallclock at Titan scale comes from the machine
-  model.
+  model — and the coarsest level's row of the work profile, when the
+  scaled hierarchy solved that level directly (:func:`paper_scale_stats`).
 * **replay** — take the paper's Table 3 iteration counts and a canonical
   K-cycle work profile, and price them with the machine model.  This
   isolates the time model from solver-convergence differences and is
@@ -183,7 +184,6 @@ def synthetic_level_profile(
     sm = 2 * (smoother_steps + 1)
     red0 = 4 * smoother_steps + 6
     l1 = l1_iters_per_cycle * outer_iters
-    l2 = l2_iters_per_solve * l1_iters_per_cycle * outer_iters
     return {
         0: dict(
             op_applies=3 * outer_iters,
@@ -201,15 +201,58 @@ def synthetic_level_profile(
             prolongs=l1,
             reductions=(red0 + 6) * l1,
         ),
-        2: dict(
-            op_applies=l2 + 2 * l1,
-            smoother_applies=0,
-            gcr_iters=l2,
-            restricts=0,
-            prolongs=0,
-            reductions=7.5 * l2,
-        ),
+        2: iterated_coarsest_profile(l1, l2_iters_per_solve),
     }
+
+
+def iterated_coarsest_profile(
+    coarsest_solves: float, iters_per_solve: float = 12.0
+) -> dict:
+    """The coarsest-level row of a cycle that *iterates* on its coarsest
+    grid, as the paper's does: ``iters_per_solve`` red-black GCR(10)
+    iterations per coarsest solve — a stencil each, plus source
+    preparation and reconstruction — and their reductions."""
+    l2 = iters_per_solve * coarsest_solves
+    return dict(
+        op_applies=l2 + 2 * coarsest_solves,
+        smoother_applies=0,
+        gcr_iters=l2,
+        restricts=0,
+        prolongs=0,
+        reductions=7.5 * l2,
+    )
+
+
+#: what the renderers say when :func:`paper_scale_stats` replaced a row
+COARSEST_REPRICED_NOTE = (
+    "note: the scaled hierarchy solves its coarsest grid directly (a dense "
+    "factorisation of a 16-site system: no iterations, no reductions), which "
+    "says nothing about a 2^4-per-node coarsest grid spread over hundreds of "
+    "nodes; that level is priced with the canonical iterated profile "
+    "(12 GCR iterations per measured coarsest solve)"
+)
+
+
+def paper_scale_stats(level_stats: dict[int, dict]) -> tuple[dict[int, dict], bool]:
+    """Measured ``level_stats`` as the machine model should price them
+    at paper scale, and whether the coarsest row was replaced.
+
+    A coarsest level that was solved directly books stencil work
+    (source preparation and reconstruction) but no iteration and no
+    reduction; priced as is, the modelled coarsest share collapses —
+    the opposite of Figure 4 — because a factorisation that fits one
+    host's cache was measured where the paper distributes the grid.
+    Its row is replaced by :func:`iterated_coarsest_profile` of the
+    measured number of coarsest solves (the restrictions of the level
+    above); every other row, and an iterated coarsest level, pass
+    through.
+    """
+    last = max(level_stats)
+    row = level_stats[last]
+    if last == 0 or row.get("gcr_iters") or not row.get("op_applies"):
+        return level_stats, False
+    solves = level_stats[last - 1]["restricts"]
+    return {**level_stats, last: iterated_coarsest_profile(solves)}, True
 
 
 # ----------------------------------------------------------------------
@@ -227,6 +270,9 @@ class Table3Row:
     cost_node_s: float
     speedup: float | None
     solver_time: SolverTime
+    #: the measured coarsest level was solved directly and is priced as
+    #: iterated on (:func:`paper_scale_stats`)
+    coarsest_repriced: bool = False
 
 
 def price_dataset(
@@ -277,21 +323,21 @@ def price_dataset(
             if measurements is not None:
                 m = measurements[strategy]
                 iters, iters_std = m.mean_iterations, m.std_iterations
-                stats = m.mean_level_stats()
+                stats, repriced = paper_scale_stats(m.mean_level_stats())
                 err = m.mean_error_over_residual
             else:
                 prow = _paper_row(paper.label, nodes, strategy)
                 if prow is None:
                     continue
                 iters, iters_std = prow.iterations, prow.iterations_std
-                stats = synthetic_level_profile(iters)
+                stats, repriced = synthetic_level_profile(iters), False
                 err = prow.error_over_residual
             mt = mg_time(model, levels, nodes, stats, iters)
             rows.append(
                 Table3Row(
                     paper.label, nodes, strategy, iters, iters_std,
                     mt.total_s, err, nodes * mt.total_s,
-                    bt.total_s / mt.total_s, mt,
+                    bt.total_s / mt.total_s, mt, repriced,
                 )
             )
     return rows

@@ -10,7 +10,7 @@ import sys
 
 from ..machine import MachineModel, TITAN, node_power_watts
 from ..workloads import table3_rows
-from .experiments import Table3Row, compute_all_rows
+from .experiments import COARSEST_REPRICED_NOTE, Table3Row, compute_all_rows
 from .format import render_table
 
 
@@ -53,7 +53,10 @@ def render(rows: list[Table3Row], mode: str) -> str:
         f"Table 3 ({mode} mode): multigrid vs BiCGStab at Titan scale "
         f"(model wallclock; paper columns for reference)"
     )
-    return render_table(headers, body, title=title)
+    out = render_table(headers, body, title=title)
+    if any(r.coarsest_repriced for r in rows):
+        out += "\n" + COARSEST_REPRICED_NOTE
+    return out
 
 
 def main(mode: str = "replay", n_rhs: int = 2, verbose: bool = True) -> str:

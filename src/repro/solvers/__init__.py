@@ -13,7 +13,6 @@ from .bicgstab import bicgstab
 from .cg import cg, cgne, cgnr
 from .block import block_cg, block_gcr, sequential_gcr
 from .chebyshev import ChebyshevSmoother, estimate_lambda_max
-from .eig import condition_estimate, deflated_cg, lanczos_lowest
 from .gcr import batched_gcr, gcr
 from .gmres import ca_gmres, gmres
 from .mixed import PrecisionOperator, mixed_precision_solve
@@ -37,9 +36,6 @@ __all__ = [
     "ChebyshevSmoother",
     "estimate_lambda_max",
     "sequential_gcr",
-    "condition_estimate",
-    "deflated_cg",
-    "lanczos_lowest",
     "gcr",
     "ca_gmres",
     "gmres",

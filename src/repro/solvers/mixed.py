@@ -62,6 +62,11 @@ class PrecisionOperator:
         """Batched application, per system identical to ``apply``."""
         return self._run(lambda v: apply_stack(self.op, v), vs, site_axis=1)
 
+    def solve_multi(self, bs: np.ndarray) -> np.ndarray:
+        """The wrapped operator's direct solve of a stack, stored on the
+        way in and out like an application."""
+        return self._run(self.op.solve_multi, bs, site_axis=1)
+
 
 def reduced_storage(op, precision: Precision):
     """``op`` as a cycle already computing at ``precision`` applies it:

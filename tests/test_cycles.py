@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dirac import WilsonCloverOperator
+from repro.dirac import WilsonCloverOperator, mrhs
 from repro.gauge import disordered_field
 from repro.lattice import Lattice
 from repro.mg import LevelParams, MGParams, MultigridSolver
@@ -64,3 +64,31 @@ class TestCycleTypes:
         per_iter_k = res_k.extra["level_stats"][1]["op_applies"] / res_k.iterations
         per_iter_v = res_v.extra["level_stats"][1]["op_applies"] / res_v.iterations
         assert per_iter_v < per_iter_k
+
+    @pytest.mark.parametrize("cycle", ["K", "V", "W"])
+    def test_direct_coarsest_solve_costs_no_cycle_type_anything(self, op3, cycle, monkeypatch):
+        # the coarsest grid of three levels is solved directly whichever
+        # cycle reaches it (V and W apply the level-1 cycle without a
+        # Krylov wrapper around it); against the GCR it replaces (size
+        # constant 0) on the same hierarchy it costs no outer iteration
+        # and, as a stationary iteration, no contraction
+        mgs = make_solver(op3, cycle)
+        assert mgs.hierarchy.levels[2].solved_directly
+        b = random_spinor(op3.lattice, seed=704)
+
+        def measure():
+            res = mgs.solve(b)
+            assert res.converged
+            e, norms = b, []
+            for _ in range(12):
+                e = e - mgs.preconditioner.apply(op3.apply(e))
+                norms.append(norm(e))
+            return res, (norms[-1] / norms[0]) ** (1.0 / 11)
+
+        direct, rate_direct = measure()
+        assert direct.extra["level_stats"][2]["gcr_iters"] == 0
+        monkeypatch.setattr(mrhs, "DIRECT_MAX_UNKNOWNS", 0)
+        iterated, rate_iterated = measure()
+        assert iterated.extra["level_stats"][2]["gcr_iters"] > 0
+        assert direct.iterations <= iterated.iterations
+        assert rate_direct < 1.02 * rate_iterated < 1.0

@@ -283,10 +283,11 @@ class DtypeSpy:
         fn = getattr(owner, method)
         seen = self.seen.setdefault(f"{label}.{method}", set())
 
-        def spied(*args):
-            out = fn(*args)
+        def spied(*args, **kwargs):
+            out = fn(*args, **kwargs)
             seen.update(a.dtype for a in args if isinstance(a, np.ndarray))
-            seen.add(out.dtype)
+            # ``smoother.apply(r, defect=True)`` returns a pair
+            seen.update(o.dtype for o in (out if isinstance(out, tuple) else (out,)))
             return out
 
         self.monkeypatch.setattr(owner, method, spied)
@@ -343,17 +344,22 @@ def test_no_complex128_field_crosses_a_default_batched_cycle(twins, monkeypatch)
     smoothers = [lev.smoother for lev in hierarchy.levels[:-1]]
     for level, smoother in enumerate(smoothers):
         spy.watch(smoother.schur, "apply_multi", f"L{level}.schur")
-    spy.watch(pre._inner._schur, "apply_multi", "L2.schur")  # noqa: SLF001
+    # the coarsest red-black system belongs to its level and is solved directly
+    coarsest = hierarchy.levels[-1].schur
+    assert pre._inner._schur is coarsest  # noqa: SLF001
+    for method in ("prepare_multi", "solve_multi", "reconstruct_multi"):
+        spy.watch(coarsest, method, "L2.schur")
     zs = pre.apply(rs)
     assert zs.dtype == C128
     used = {name: dtypes for name, dtypes in spy.seen.items() if dtypes}
     assert {"L0.op.apply_multi", "L1.op.apply_multi", "L0.schur.apply_multi",
-            "L1.schur.apply_multi", "L2.schur.apply_multi",
-            "L0.transfer.restrict_multi"} <= set(used)
+            "L1.schur.apply_multi", "L2.schur.prepare_multi", "L2.schur.solve_multi",
+            "L2.schur.reconstruct_multi", "L0.transfer.restrict_multi"} <= set(used)
     assert all(dtypes == {C64} for dtypes in used.values()), used
     assert set(hierarchy.levels[0].op._wilson_kernel) == {C64}  # noqa: SLF001
     for smoother in smoothers[1:]:
         assert set(smoother.schur._tables) == {C64}  # noqa: SLF001
+    assert set(coarsest._tables) == set(coarsest._factors) == {C64}  # noqa: SLF001
 
 
 # ----------------------------------------------------------------------
@@ -497,7 +503,9 @@ def test_fresh_builds_from_one_seed_report_identical_coarsest_counters(twins):
         result = MultigridSolver.from_hierarchy(hierarchy).solve(bs[1], tol=tol)
         stats.append(result.telemetry.level_stats)
     assert stats[0] == stats[1]
-    assert stats[0][2]["gcr_iters"] > 0
+    # the coarsest level is solved directly: what it still counts are the
+    # source preparations and reconstructions, one pair per level-1 cycle
+    assert stats[0][2]["op_applies"] == 2 * stats[0][1]["restricts"] > 0
 
 
 def test_coarse_null_vectors_are_a_smooth_function_of_the_fine_ones(twins):

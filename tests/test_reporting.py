@@ -1,9 +1,16 @@
 """Report generators: formatting and replay-mode content."""
 
+import numpy as np
 import pytest
 
 from repro.reporting import fig2, fig3, fig4, table1, table2, table3
-from repro.reporting.experiments import compute_all_rows, synthetic_level_profile
+from repro.reporting.experiments import (
+    COARSEST_REPRICED_NOTE,
+    compute_all_rows,
+    iterated_coarsest_profile,
+    paper_scale_stats,
+    synthetic_level_profile,
+)
 from repro.reporting.format import render_series, render_table
 
 
@@ -85,7 +92,8 @@ class TestReplayRows:
 
 class TestFig4:
     def test_coarsest_fraction_grows(self):
-        nodes, per_level = fig4.compute(mode="replay")
+        nodes, per_level, repriced = fig4.compute(mode="replay")
+        assert not repriced
         totals = [
             sum(per_level[k][i] for k in per_level) for i in range(len(nodes))
         ]
@@ -95,6 +103,83 @@ class TestFig4:
     def test_render(self):
         out = fig4.render(mode="replay")
         assert "Figure 4" in out and "level 3" in out
+
+
+class TestFig4MeasuredCoarsest:
+    """A scaled hierarchy solves its 16-site coarsest grid directly; the
+    machine model must not price that as the paper's coarsest grid."""
+
+    @pytest.fixture(scope="class")
+    def trace_path(self, aniso40_solve, tmp_path_factory):
+        from repro import telemetry
+        from repro.fields import SpinorField
+
+        ds, solver, _ = aniso40_solve
+        b = SpinorField.random(ds.lattice(), rng=np.random.default_rng(0))
+        path = tmp_path_factory.mktemp("fig4") / "trace.json"
+        telemetry.enable()
+        telemetry.reset()
+        try:
+            result = solver.solve(b.data, tol=5e-6)
+            telemetry.write_trace(path, meta={"kind": "test"})
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        assert result.telemetry.level_stats[2]["gcr_iters"] == 0
+        return path
+
+    def test_direct_coarsest_row_is_repriced_as_iterated(self, aniso40_solve):
+        stats = aniso40_solve[2].telemetry.level_stats
+        priced, repriced = paper_scale_stats(stats)
+        assert repriced
+        solves = stats[1]["restricts"]
+        assert priced[2] == iterated_coarsest_profile(solves)
+        assert priced[2]["gcr_iters"] == 12 * solves
+        assert priced[2]["op_applies"] == 14 * solves
+        assert priced[2]["reductions"] == 90 * solves
+        assert priced[0] is stats[0] and priced[1] is stats[1]
+        # an iterated coarsest level and the replay profile pass through
+        again, repriced = paper_scale_stats(priced)
+        assert again is priced and not repriced
+        synthetic = synthetic_level_profile(17.0)
+        assert paper_scale_stats(synthetic) == (synthetic, False)
+        assert synthetic[2] == iterated_coarsest_profile(synthetic[1]["restricts"])
+
+    def test_coarsest_fraction_still_grows_with_node_count(self, trace_path):
+        nodes, per_level, repriced = fig4.compute(trace=str(trace_path))
+        assert repriced
+        totals = [sum(per_level[k][i] for k in per_level) for i in range(len(nodes))]
+        fracs = [per_level["level 3"][i] / totals[i] for i in range(len(nodes))]
+        assert all(b > a for a, b in zip(fracs, fracs[1:]))
+        assert fracs[-1] > 0.2
+
+    def test_rendered_figure_says_so(self, trace_path):
+        out = fig4.render(trace=str(trace_path))
+        assert COARSEST_REPRICED_NOTE in out
+        assert COARSEST_REPRICED_NOTE not in fig4.render(mode="replay")
+
+    def test_table3_says_so_only_for_rows_it_repriced(self, aniso40_solve):
+        from repro.reporting.experiments import SolverMeasurement, price_dataset
+        from repro.telemetry import SolveTelemetry
+        from repro.workloads import PAPER_DATASETS
+
+        direct = aniso40_solve[2].telemetry.level_stats
+        iterated = paper_scale_stats(direct)[0]
+
+        def rows_of(level_stats):
+            measurements = {
+                name: SolverMeasurement(name, [11.0], [1.0], [SolveTelemetry(level_stats)])
+                for name in ("BiCGStab", "24/24")
+            }
+            return price_dataset(PAPER_DATASETS["Aniso40"], measurements)
+
+        rows = rows_of(direct)
+        assert [r.coarsest_repriced for r in rows] == [r.solver != "BiCGStab" for r in rows]
+        assert COARSEST_REPRICED_NOTE in table3.render(rows, "measured")
+        # a measured hierarchy that iterated on its coarsest grid is priced as measured
+        rows = rows_of(iterated)
+        assert not any(r.coarsest_repriced for r in rows)
+        assert COARSEST_REPRICED_NOTE not in table3.render(rows, "measured")
 
 
 class TestSyntheticProfile:

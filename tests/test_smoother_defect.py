@@ -1,0 +1,138 @@
+"""The red-black smoother hands back the defect it already holds.
+
+With the opposite parity reconstructed exactly, ``r - M z`` is zero
+there and the Schur residual ``b_hat - S x`` — the vector the MR
+recurrence carries — on the Schur parity.  ``apply(r, defect=True)``
+returns it beside ``z`` and the cycle's pre-smoothing step restricts it
+instead of spending an operator application (DESIGN.md section 20).
+Pinned here: the identity at every precision boundary the smoother can
+sit behind, that it is a return value (nothing parked on the shared
+smoother), that the cycle still reaches the smoother through
+``lev.smoother.apply`` (what the benchmark harness wraps), and that
+smoothers without the identity keep their operator application.
+
+Run the group with ``pytest -q -m mrhs``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.mg import (
+    KCyclePreconditioner,
+    LevelParams,
+    MGParams,
+    MultigridSolver,
+    SchurMRSmoother,
+)
+from repro.precision import Precision
+from tests.conftest import random_spinor
+
+pytestmark = pytest.mark.mrhs
+
+C64, C128 = np.dtype(np.complex64), np.dtype(np.complex128)
+
+
+def _stack(op, k: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    shape = (k, op.lattice.volume, op.ns, op.nc)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _rel(got: np.ndarray, want: np.ndarray, scale: np.ndarray) -> float:
+    """Worst per-system error relative to the norm of its residual."""
+    k = got.shape[0]
+    err = np.linalg.norm((got - want).reshape(k, -1), axis=1)
+    return float((err / np.linalg.norm(scale.reshape(k, -1), axis=1)).max())
+
+
+#: (smoother precision, dtype of the cycle handing the stack in, tolerance)
+BOUNDARIES = {
+    "double": (Precision.DOUBLE, C128, 1e-12),
+    "single": (Precision.SINGLE, C64, 1e-5),
+    "single-in-double-cycle": (Precision.SINGLE, C128, 1e-5),
+    "half": (Precision.HALF, C64, 1e-3),
+}
+
+
+@pytest.mark.parametrize("level", (0, 1))
+@pytest.mark.parametrize("k", (1, 3))
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_defect_is_the_recomputed_one(aniso40_solve, level, k, boundary):
+    precision, dtype, tol = BOUNDARIES[boundary]
+    lev = aniso40_solve[1].hierarchy.levels[level]
+    smoother = SchurMRSmoother(
+        lev.op, steps=lev.params.smoother_steps, omega=lev.params.smoother_omega,
+        precision=precision,
+    )
+    # per-system scales apart (far apart where a cast-in normalises each
+    # system): the defect must come back at the same scale as z
+    scales = (1e-20, 1.0, 1e12) if dtype == C128 else (1e-3, 1.0, 1e3)
+    rs = _stack(lev.op, k, seed=40 + level) * np.array(scales[:k]).reshape(k, 1, 1, 1)
+    rs = rs.astype(dtype)
+    held = {name: id(value) for name, value in vars(smoother).items()}
+    z, d = smoother.apply(rs, defect=True)
+    # a return value: nothing parked on the smoother
+    assert {name: id(value) for name, value in vars(smoother).items()} == held
+    assert z.dtype == d.dtype == dtype and d.shape == rs.shape
+    np.testing.assert_array_equal(z, smoother.apply(rs))
+    wide = rs.astype(C128)
+    want = wide - lev.op.apply_multi(z.astype(C128))
+    assert _rel(d, want, wide) <= tol
+    # exactly zero where the smoother reconstructed exactly
+    assert not d[:, lev.op.lattice.sites_of_parity(1)].any()
+    assert d[:, lev.op.lattice.sites_of_parity(0)].any()
+
+
+def test_bare_field_returns_a_pair_of_fields(aniso40_solve):
+    lev = aniso40_solve[1].hierarchy.levels[1]
+    r = _stack(lev.op, 1, seed=44)[0].astype(C64)
+    z, d = lev.smoother.apply(r, defect=True)
+    zs, ds = lev.smoother.apply(r[None], defect=True)
+    assert z.shape == d.shape == r.shape
+    np.testing.assert_array_equal(z, zs[0])
+    np.testing.assert_array_equal(d, ds[0])
+
+
+def test_cycle_reaches_the_smoother_through_its_instance_attribute(aniso40_solve, monkeypatch):
+    """The benchmark harness times a level's smoother by shadowing
+    ``lev.smoother.apply`` on the instance; both smoothing steps of a
+    cycle must go through it, the first asking for the defect."""
+    hierarchy = aniso40_solve[1].hierarchy
+    calls: dict[int, list] = {}
+    for lev in hierarchy.levels[:-1]:
+        def spied(*args, _fn=lev.smoother.apply, _seen=calls.setdefault(lev.index, []), **kw):
+            _seen.append(kw)
+            return _fn(*args, **kw)
+
+        monkeypatch.setattr(lev.smoother, "apply", spied)
+    pre = KCyclePreconditioner(hierarchy, level=0)
+    hierarchy.reset_stats()
+    pre.apply(random_spinor(hierarchy.levels[0].op.lattice, seed=45))
+    assert calls[0] == [{"defect": True}, {}]
+    cycles_l1 = hierarchy.levels[1].stats.restricts
+    assert calls[1] == [{"defect": True}, {}] * cycles_l1
+    # one recomputed defect per cycle is all that is left
+    assert hierarchy.levels[0].stats.op_applies == 1
+    assert hierarchy.levels[1].stats.op_applies == (
+        hierarchy.levels[1].stats.gcr_iters + cycles_l1
+    )
+
+
+@pytest.mark.parametrize("smoother_type", ("chebyshev", "schwarz"))
+def test_smoothers_without_the_identity_keep_their_operator_application(
+    wilson44, lat44, smoother_type
+):
+    params = MGParams(
+        levels=[LevelParams(block=(2, 2, 2, 2), n_null=4, null_iters=10)],
+        smoother_type=smoother_type,
+        schwarz_grid=(1, 1, 1, 2),
+        outer_tol=1e-6,
+    )
+    solver = MultigridSolver(wilson44, params, np.random.default_rng(3))
+    assert not isinstance(solver.hierarchy.levels[0].smoother, SchurMRSmoother)
+    result = solver.solve(random_spinor(lat44, seed=46))
+    assert result.converged
+    # the GCR's matvec and both defects of every cycle
+    assert result.telemetry.level_stats[0]["op_applies"] == 3 * result.iterations

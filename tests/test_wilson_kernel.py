@@ -361,19 +361,26 @@ def test_setup_memory_books_kernel_tables_before_they_exist(gauge44):
         assert built == WilsonKernel.table_bytes(half_volume, dtype)
         assert built >= (op._u_fwd.nbytes + op._u_bwd.nbytes) * np.dtype(dtype).itemsize // 16  # noqa: SLF001
         tables += built
-    copies = coarse.reduced_bytes(np.complex64) + transfer.reduced_bytes(np.complex64)
-    # the coarsest level is only reached through its red-black system,
-    # whose gathered tables live in the solver's cycle: the operator's
-    # own copies stay booked (what a direct application would cast) but
-    # are not cast by a solve
-    assert _reduced_built(hierarchy) == transfer.reduced_bytes(np.complex64)
+    copies = transfer.reduced_bytes(np.complex64)
+    # the coarsest level is only reached through its red-black system:
+    # its gathered tables live on the level and are booked in place of
+    # the operator's own copies, which no solve casts (a two-level
+    # hierarchy iterates there, so there are no dense factors to book)
+    assert _reduced_built(hierarchy) == copies
+    schur = hierarchy.levels[1].schur
+    red_black = {dtype: schur.table_bytes(dtype) for dtype in (np.complex128, np.complex64)}
+    (to_other, to_own, diag, dinv), = schur._tables.values()  # noqa: SLF001
+    assert not schur._factors  # noqa: SLF001
+    assert red_black[np.complex64] == (
+        to_other.nbytes + to_own.nbytes + diag.nbytes + dinv.nbytes
+    )
     own_arrays = sum(
         value.nbytes
         for lev in hierarchy.levels
         for value in list(vars(lev.op).values()) + lev.null_vectors
         if isinstance(value, np.ndarray)
     )
-    assert booked == own_arrays + tables + copies
+    assert booked == own_arrays + tables + copies + red_black[np.complex64]
     assert hierarchy.setup_memory_bytes() == booked  # building them changes nothing
     # an all-double configuration builds, and books, none of the copies
     double = MGParams(
@@ -383,6 +390,7 @@ def test_setup_memory_books_kernel_tables_before_they_exist(gauge44):
     )
     assert MultigridHierarchy(hierarchy.levels, double).setup_memory_bytes() == (
         booked - copies - WilsonKernel.table_bytes(half_volume, np.complex64)
+        - red_black[np.complex64] + red_black[np.complex128]
     )
 
 
