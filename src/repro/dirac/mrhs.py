@@ -160,6 +160,11 @@ class BatchedCoarseSchur:
             )
         return tables
 
+    def drop_tables(self, dtype) -> None:
+        """Forget the parity tables at ``dtype``; the next stack of that
+        dtype gathers them again."""
+        self._tables.pop(np.dtype(dtype), None)
+
     def apply_multi(self, halves: np.ndarray) -> np.ndarray:
         to_other, to_own, diag_own, dinv_other = self._at(compute_dtype(halves))
         mid = _dense_blocks_apply_multi(dinv_other, to_other.apply(halves))

@@ -76,9 +76,10 @@ class MGLevel:
     """One level of the hierarchy.
 
     ``params``/``transfer`` describe the coarsening *from* this level and
-    are ``None`` on the coarsest level, which instead owns ``schur``:
-    the red-black system every cycle over this hierarchy solves there
-    (``None`` with ``MGParams.coarsest_schur`` off).
+    are ``None`` on the coarsest level.  ``schur`` is the one red-black
+    system of ``op``: what the setup relaxes, what the smoother sweeps
+    and, on the coarsest level, what every cycle over this hierarchy
+    solves (``None`` there with ``MGParams.coarsest_schur`` off).
     """
 
     index: int
@@ -86,7 +87,7 @@ class MGLevel:
     params: LevelParams | None = None
     transfer: Transfer | None = None
     smoother: SchurMRSmoother | None = None
-    schur: object | None = None  # BatchedCoarseSchur on a Galerkin operator
+    schur: object | None = None  # SchurOperator, BatchedCoarseSchur on a Galerkin operator
     null_vectors: list[np.ndarray] = field(default_factory=list)
     stats: LevelStats = field(default_factory=LevelStats)
 
@@ -97,24 +98,28 @@ class MGLevel:
     @property
     def solved_directly(self) -> bool:
         """Whether cycles solve ``schur`` with its dense factors instead
-        of iterating on it: small enough to hold
+        of iterating on it: the coarsest level's, small enough to hold
         (:func:`~repro.dirac.mrhs.solves_directly`) and below a coarse
         level.  Under the fine grid itself — a two-level hierarchy — the
         coarsest solve *is* the fine operator's coarse-grid correction,
         and applied exactly it was the worse stationary iteration on a
         near-critical operator (DESIGN.md section 20); from three levels
         on it made no measurable difference to any cycle type."""
-        return self.index > 1 and solves_directly(self.schur)
+        return self.is_coarsest and self.index > 1 and solves_directly(self.schur)
 
 
-def _build_smoother(op, lp: LevelParams, params: MGParams, rng: np.random.Generator):
-    """Construct the configured smoother for one level."""
+def _build_smoother(
+    op, schur, lp: LevelParams, params: MGParams, rng: np.random.Generator
+):
+    """Construct the configured smoother for one level, over the
+    level's red-black system ``schur``."""
     if params.smoother_type == "schur-mr":
         return SchurMRSmoother(
             op,
             steps=lp.smoother_steps,
             omega=lp.smoother_omega,
             precision=params.smoother_precision,
+            schur=schur,
         )
     if params.smoother_type == "chebyshev":
         from ..solvers.chebyshev import ChebyshevSmoother
@@ -130,7 +135,7 @@ def _build_smoother(op, lp: LevelParams, params: MGParams, rng: np.random.Genera
     except ValueError:
         return SchurMRSmoother(
             op, steps=lp.smoother_steps, omega=lp.smoother_omega,
-            precision=params.smoother_precision,
+            precision=params.smoother_precision, schur=schur,
         )
     return SchwarzMRSmoother(
         op, partition, steps=lp.smoother_steps, omega=lp.smoother_omega
@@ -191,6 +196,8 @@ class MultigridHierarchy:
                         f"null vectors ({lp.null_iters} relaxation iters each)"
                     )
                 with tracer.span("mg.setup.level", level=index):
+                    # gathers nothing until a stack arrives
+                    schur = batched_schur_for(current)
                     if null_vectors is not None:
                         provided = null_vectors[index]
                         if len(provided) != lp.n_null:
@@ -205,12 +212,12 @@ class MultigridHierarchy:
                             # relax in the precision the cycle will run in
                             nulls = generate_null_vectors(
                                 current, lp.n_null, rng, null_iters=lp.null_iters,
-                                dtype=dtype_of(params.coarse_precision),
+                                dtype=dtype_of(params.coarse_precision), schur=schur,
                             )
                     with tracer.span("transfer-build", level=index):
                         blocking = Blocking(current.lattice, lp.block)
                         transfer = Transfer(blocking, nulls)
-                    smoother = _build_smoother(current, lp, params, rng)
+                    smoother = _build_smoother(current, schur, lp, params, rng)
                     levels.append(
                         MGLevel(
                             index=index,
@@ -218,13 +225,13 @@ class MultigridHierarchy:
                             params=lp,
                             transfer=transfer,
                             smoother=smoother,
+                            schur=schur,
                             null_vectors=nulls,
                         )
                     )
                     with tracer.span("coarsen", level=index):
                         current = coarsen_operator(current, transfer)
-            # tables and dense factors of the red-black system are built
-            # by the first solve, not here
+            # its tables and dense factors are built by the first solve
             schur = batched_schur_for(current) if params.coarsest_schur else None
             levels.append(MGLevel(index=len(params.levels), op=current, schur=schur))
         if verbose:
@@ -262,15 +269,17 @@ class MultigridHierarchy:
         copies, clover blocks), the fine-grid kernel tables, the
         reduced-precision copies the configured precisions compute on
         (kernel tables, coarse blocks and their inverse, transfer bases),
-        the parity-gathered dense-block tables of the coarse levels'
-        smoothers, those of the coarsest red-black system with its dense
+        the parity-gathered dense-block tables of each coarse level's
+        one red-black system at the dtype that streams them — the
+        smoother's, on the coarsest level the cycle's with its dense
         LU factors where it is solved directly (in place of that
         operator's own reduced copies, which a red-black coarsest solve
-        never casts) and whatever the array backends have cached on the
-        operators.
-        Kernel tables, reduced copies and the factors are built on first
-        use but booked at their known size from the start, so a setup
-        restored from disk counts the same as one that has already run.
+        never casts) — and whatever the array backends have cached on
+        the operators.
+        Kernel tables, reduced copies, the factors and the inverse site
+        blocks of a level that relaxes are built on first use but booked
+        at their known size from the start, so a setup restored from
+        disk counts the same as one that has already run.
         Drives LRU accounting in setup caches."""
         params = self.params
         cycle_dtype = dtype_of(params.coarse_precision)
@@ -282,11 +291,16 @@ class MultigridHierarchy:
             for value in vars(lev.op).values():
                 if isinstance(value, np.ndarray):
                     total += value.nbytes
+            if lev.index and not lev.is_coarsest and "_x_inv" not in vars(lev.op):
+                # inverted by this level's relaxation; a restored setup
+                # leaves it to the first solve
+                total += lev.op.x_blocks.nbytes
             if supports_wilson_kernel(lev.op):
                 half_volume = lev.op.lattice.half_volume
                 for dtype in {COMPLEX128} | reduced_dtypes:
                     total += WilsonKernel.table_bytes(half_volume, dtype)
-            red_black = getattr(lev.schur, "table_bytes", None)
+            # the coarsest level is only reached through its system
+            red_black = getattr(lev.schur, "table_bytes", None) if lev.is_coarsest else None
             if red_black is not None:
                 total += red_black(cycle_dtype)
                 if lev.solved_directly:

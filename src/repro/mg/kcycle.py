@@ -3,15 +3,21 @@
 Each application at level ``l``:
 
 1. pre-smooth with MR (red-black preconditioned),
-2. restrict the defect — the one the red-black smoother hands back, not
-   a recomputed one,
+2. restrict the defect,
 3. solve the coarse system: with GCR preconditioned by the K-cycle of
    level ``l+1`` on intermediate levels (that nesting is what makes it a
    K-cycle rather than a V-cycle), directly on a coarsest grid small
    enough to hold densely below a coarse level
    (:attr:`~repro.mg.hierarchy.MGLevel.solved_directly`),
 4. prolongate and correct,
-5. post-smooth the recomputed defect.
+5. post-smooth the defect of the corrected iterate.
+
+With the red-black smoother the two smoothings are one relaxation of
+the Schur system, held across the coarse correction
+(:class:`~repro.mg.smoother.SchurMRSmoother`): the first hands back its
+defect instead of an iterate, the second restarts from the corrected
+Schur-parity iterate and reconstructs the other parity once.  The
+cycle then applies no operator of its own.
 
 The cycle computes on a stack ``(K, V, ns, nc)`` of residuals (paper
 Section 9): every smoothing step, stencil, transfer and coarse Krylov
@@ -67,8 +73,10 @@ def booked(lev: MGLevel, step: str, fn, *args, **attrs) -> np.ndarray:
     k = args[-1].shape[0]
     stats = lev.stats
     if step == "smoother":
-        # dslash-equivalents per system; the two reductions of an MR
-        # step are fused over the stack
+        # dslash-equivalents per system: the MR steps plus one — source
+        # preparation and reconstruction, half each; a held pair spends
+        # it as 1/2 + steps, then 1 + steps + 1/2, the same sum.  The
+        # two reductions of an MR step are fused over the stack
         stats.smoother_applies += (lev.params.smoother_steps + 1) * k
         stats.reductions += 2 * lev.params.smoother_steps
     elif step in _STEP_COUNTER:
@@ -162,7 +170,8 @@ class KCyclePreconditioner:
         self._inner: KCyclePreconditioner | None = None
         if not coarse.is_coarsest:
             self._inner = KCyclePreconditioner(hierarchy, level + 1)
-        self._schur = coarse.schur  # the coarsest red-black system, if any
+        # the coarsest level is solved on its red-black system, if any
+        self._schur = coarse.schur if coarse.is_coarsest else None
         # what the coarse solve inverts, as the cycle's precision stores it
         self._solve_op = reduced_storage(
             coarse.op if self._schur is None else self._schur, params.coarse_precision
@@ -186,9 +195,11 @@ class KCyclePreconditioner:
         lev = self.hierarchy.levels[self.level]
         op, transfer, smoother = lev.op, lev.transfer, lev.smoother
         run = partial(booked, lev)
+        red_black = isinstance(smoother, SchurMRSmoother)
         # 1. pre-smooth; the red-black smoother hands back ``rs - M z``
-        if isinstance(smoother, SchurMRSmoother):
-            z, r1 = run("smoother", partial(smoother.apply, defect=True), rs, phase="pre")
+        # and holds ``z`` on the Schur parity
+        if red_black:
+            r1, held = run("smoother", partial(smoother.apply, hold=True), rs, phase="pre")
         else:
             z = run("smoother", apply_stack, smoother, rs, phase="pre")
             r1 = rs - run("residual", op.apply_multi, z)
@@ -197,9 +208,11 @@ class KCyclePreconditioner:
         # 3. coarse solve (K-cycle-preconditioned GCR; direct or GCR when coarsest)
         ec = run("coarse-solve", self._coarse_solve, rc)
         # 4. prolongate and correct
-        z = z + run("prolong", transfer.prolong_multi, ec)
-        # 5. post-smooth: the coarse correction changed ``z``, so this
-        # defect is recomputed
+        e = run("prolong", transfer.prolong_multi, ec)
+        # 5. post-smooth the defect of the corrected iterate
+        if red_black:
+            return run("smoother", partial(smoother.apply, resume=(held, e)), rs, phase="post")
+        z = z + e
         r2 = rs - run("residual", op.apply_multi, z)
         return z + run("smoother", apply_stack, smoother, r2, phase="post")
 

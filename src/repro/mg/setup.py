@@ -6,6 +6,16 @@ rich in the slow-to-converge (near-null) eigenmodes of ``M``.  We
 realize the relaxation with BiCGStab capped at ``null_iters``
 iterations — the surviving error is the near-null component.
 
+What is relaxed is the red-black system, the one every level smooths
+and solves on (paper Section 7.1; QUDA generates its null vectors with
+the preconditioned operator it smooths with).  ``M v = 0`` holds exactly
+when ``S v_e = 0`` and ``v_o = -A_oo^{-1} H_oe v_e``, so the even half
+of the random start is relaxed on the Schur complement ``S`` — better
+conditioned than ``M``, it gives up its fast modes in two thirds of the
+iterations — and the odd half is reconstructed: ``M v`` then vanishes on
+the odd sites identically and is ``S v_e`` on the even ones (DESIGN.md
+section 21).
+
 All vectors of a level relax together, as one ``(n_vectors, V, ns, nc)``
 stack through the lockstep BiCGStab (many vectors, one operator: the
 links are read once per application for the whole stack,
@@ -20,9 +30,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..coarse import CoarseOperator
+from ..dirac.mrhs import batched_schur_for
 from ..dirac.stencil import operator_application_cost_multi
 from ..precision import COMPLEX128
-from ..solvers.base import apply_stack
 from ..solvers.bicgstab import lockstep_bicgstab
 from ..telemetry.metrics import get_registry
 from ..telemetry.tracer import get_tracer
@@ -33,8 +43,8 @@ def relaxation_floor(dtype) -> float:
     say to a cycle that computes in ``dtype``: ``1e3`` units of its
     round-off, and never below ``1e-10``.
 
-    What a relaxation leaves is the error ``x0 - y``; once the residual
-    of ``M y = M x0`` is within a few digits of the round-off, further
+    What a relaxation leaves is the error ``x0_e - y``; once the residual
+    of ``S y = S x0_e`` is within a few digits of the round-off, further
     iterations replace the slow modes in that error by solver noise.
     On a coarse level small enough for the capped solve to *converge*
     that noise would be the whole "null vector", so the relaxation
@@ -46,21 +56,23 @@ def relaxation_floor(dtype) -> float:
 
 def _book_relaxation(op, results, dtype) -> None:
     """Say on the open span (``null-vectors`` under ``build``) what the
-    stacked relaxation did, and book its operator applications: the one
-    that formed the right-hand sides there, the solver's on its
+    stacked relaxation did, and book its Schur applications, a
+    stencil-equivalent each: the one that formed the right-hand sides
+    and the reconstruction's half there, the solver's on its
     ``solve.bicgstab`` child, where they ran."""
     span = get_tracer().current()
     if span is None:
         return
     k = len(results)
     span.annotate(
+        system="red-black",
         n_rhs=k,
         dtype=dtype.name,
         iterations=max(res.iterations for res in results),
         residual_max=max(res.final_residual for res in results),
     )
     flops, nbytes = operator_application_cost_multi(op, k, dtype)
-    span.attribute(flops=flops, bytes=nbytes)
+    span.attribute(flops=1.5 * flops, bytes=1.5 * nbytes)
     solve = next((c for c in reversed(span.children) if c.name == "solve.bicgstab"), span)
     applies = results[0].telemetry.attrs["matvec_batches"]
     solve.attribute(flops=applies * flops, bytes=applies * nbytes)
@@ -74,15 +86,19 @@ def generate_null_vectors(
     ns: int | None = None,
     nc: int | None = None,
     dtype=COMPLEX128,
+    schur=None,
 ) -> list[np.ndarray]:
     """Generate ``n_vectors`` near-null-space vectors of ``op``.
 
     Each vector starts from an independent Gaussian random field ``x0``
-    (drawn real part then imaginary part, vector by vector).  Relaxing
-    ``M x = 0`` from ``x0`` is algebraically identical to removing from
-    ``x0`` the part a ``null_iters``-step Krylov solve of ``M y = M x0``
-    can capture; the remainder ``x0 - y`` is the slow-mode-rich error
-    the aggregates must span.
+    (drawn real part then imaginary part, vector by vector, on the full
+    lattice).  Relaxing ``S x = 0`` from its even half ``x0_e`` is
+    algebraically identical to removing from ``x0_e`` the part a
+    ``null_iters``-step Krylov solve of ``S y = S x0_e`` can capture;
+    the remainder ``v_e = x0_e - y`` with its reconstruction
+    ``v_o = -A_oo^{-1} H_oe v_e`` is the slow-mode-rich error the
+    aggregates must span.  ``schur`` is the red-black system of ``op``
+    when its level already owns one.
 
     ``dtype`` is the precision of the cycle the vectors are for.  Each
     system relaxes until ``null_iters`` or :func:`relaxation_floor` of
@@ -107,10 +123,21 @@ def generate_null_vectors(
         field.real = rng.standard_normal(shape)
         field.imag = rng.standard_normal(shape)
     floor = relaxation_floor(dtype)
-    if isinstance(op, CoarseOperator):
-        dtype = COMPLEX128
-    x0 = x0.astype(dtype, copy=False)
-    results = lockstep_bicgstab(op, apply_stack(op, x0), tol=floor, maxiter=null_iters)
-    _book_relaxation(op, results, dtype)
-    vecs = (x0 - np.stack([res.x for res in results])).astype(np.complex128, copy=False)
-    return [vec / np.linalg.norm(vec.ravel()) for vec in vecs]
+    relaxed_in = COMPLEX128 if isinstance(op, CoarseOperator) else dtype
+    schur = schur if schur is not None else batched_schur_for(op)
+    x0_e = x0[:, op.lattice.even_sites].astype(relaxed_in, copy=False)
+    results = lockstep_bicgstab(
+        schur, schur.apply_multi(x0_e), tol=floor, maxiter=null_iters
+    )
+    _book_relaxation(op, results, relaxed_in)
+    v_e = x0_e - np.stack([res.x for res in results])
+    # against a zero source: v_o = -A_oo^{-1} H_oe v_e
+    vecs = schur.reconstruct_multi(v_e, np.zeros(x0.shape, dtype=relaxed_in))
+    if relaxed_in != dtype:
+        # not resident beside the tables the cycle streams; a smoother
+        # configured to compute here gathers them again on first use
+        schur.drop_tables(relaxed_in)
+    return [
+        vec / np.linalg.norm(vec.ravel())
+        for vec in vecs.astype(np.complex128, copy=False)
+    ]

@@ -18,18 +18,24 @@ entry (no copy when the cycle already runs there) and returns the
 caller's dtype; everything in between follows the dtype of the data.
 The paper smooths in half precision on the finest level.
 
-The smoother already holds the defect of what it returns.  With the
-opposite parity reconstructed exactly, ``r - M z`` vanishes there, and
-on the Schur parity it is the Schur residual ``b_hat - S x`` — the
-vector the MR recurrence carries (QUDA's ``use_solver_residual``).
-``apply(r, defect=True)`` hands it back beside ``z``, so the cycle does
-not spend an operator application recomputing it.  It is the defect of
-the residual *as the smoother's precision holds it*: equal to a
-recomputed ``r - M z`` to that precision's rounding (and, under
-``HALF``, to the storage rounding of the iterates).
+A cycle smooths twice for one residual ``r`` and stays on the Schur
+parity in between (DESIGN.md section 21).  ``apply(r, hold=True)`` stops
+before the reconstruction and returns the defect ``r - M z`` of the
+``z`` it did not form — zero where the reconstruction is exact, the
+Schur residual ``b_hat - S x`` the MR recurrence carries on the Schur
+parity (QUDA's ``use_solver_residual``) — beside the :class:`Held`
+iterate.  ``apply(r, resume=(held, e))`` continues from ``z + e``:
+``b_hat(r - M (z + e)) = b_hat(r) - S (x + e_e)``, the other parity of
+``z + e`` cancels, so one Schur application restarts the recurrence and
+the one reconstruction, from ``r``, is that of the final iterate.  The
+held iterate is a value handed back in, at the smoother's precision and
+on the per-system scale its residual entered with; nothing is parked
+here.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,11 +45,27 @@ from ..solvers.base import batch_dot, per_system
 from ..solvers.mixed import reduced_storage
 
 
+class Held(NamedTuple):
+    """A smoothing stopped before its reconstruction."""
+
+    source: np.ndarray  # b_hat(r), prepared once
+    x: np.ndarray  # the Schur-parity iterate
+    scale: np.ndarray | None  # what ``enter_precision`` divided r by
+
+
+def _entered(stack: np.ndarray, dtype, scale) -> np.ndarray:
+    """``stack`` as a computation that entered its precision on
+    ``scale`` holds it."""
+    return (stack if scale is None else stack / scale).astype(dtype, copy=False)
+
+
 class SchurMRSmoother:
     """MR relaxation of the even-parity Schur system with exact odd update.
 
     ``apply(r)`` returns an approximate solution ``z`` of ``M z = r``
     from a zero initial guess, suitable as a (variable) preconditioner.
+    ``schur`` is the red-black system of ``op`` when its level already
+    owns one.
     """
 
     def __init__(
@@ -52,21 +74,31 @@ class SchurMRSmoother:
         steps: int = 4,
         omega: float = 0.85,
         precision: Precision = Precision.DOUBLE,
+        schur=None,
     ):
-        self.schur = batched_schur_for(op)
+        self.schur = schur if schur is not None else batched_schur_for(op)
         self.steps = steps
         self.omega = omega
         self.precision = precision
         self._solve_op = reduced_storage(self.schur, precision)
 
-    def apply(self, r: np.ndarray, defect: bool = False):
-        """Smooth a field ``(V, ns, nc)`` or a stack ``(K, V, ns, nc)``:
-        ``z``, or ``(z, r - M z)`` with ``defect``."""
+    def apply(self, r: np.ndarray, resume=None, hold: bool = False):
+        """Smooth a field ``(V, ns, nc)`` or a stack ``(K, V, ns, nc)``
+        by ``steps`` MR steps — from zero, or from ``held`` plus the
+        correction ``e`` with ``resume=(held, e)``.  Returns ``z``, or
+        ``(r - M z, held)`` with ``hold``."""
         rs = r[None] if r.ndim == 3 else r
-        rp, scale = enter_precision(rs, self.precision)
-        b = self.schur.prepare_multi(rp)
-        x = np.zeros_like(b)
-        res = b.copy()
+        even = self.schur.op.lattice.even_sites
+        if resume is None:
+            rp, scale = enter_precision(rs, self.precision)
+            b = self.schur.prepare_multi(rp)
+            x = np.zeros_like(b)
+            res = b.copy()
+        else:
+            (b, x, scale), e = resume
+            rp = _entered(rs, b.dtype, scale)
+            x = x + _entered(e.reshape(rs.shape)[:, even], b.dtype, scale)
+            res = b - self._solve_op.apply_multi(x)
         for _ in range(self.steps):
             q = self._solve_op.apply_multi(res)
             qq = np.real(batch_dot(q, q))
@@ -74,15 +106,15 @@ class SchurMRSmoother:
             alpha = np.where(qq > 0, alpha, 0.0)  # a zero system stays put
             x += per_system(alpha, x) * res
             res -= per_system(alpha, res) * q
+        if hold:
+            # the recurrence residual on the Schur parity, zero on the
+            # other, back through the boundary on the scale z would have
+            full = np.zeros_like(rp)
+            full[:, even] = res
+            d = leave_precision(full, rs, scale)
+            return (d[0] if r.ndim == 3 else d), Held(b, x, scale)
         z = leave_precision(self.schur.reconstruct_multi(x, rp), rs, scale)
-        if not defect:
-            return z[0] if r.ndim == 3 else z
-        # the recurrence residual on the Schur parity, zero on the other,
-        # back through the boundary with the same per-system scale as z
-        full = np.zeros_like(rp)
-        full[:, self.schur.op.lattice.even_sites] = res
-        d = leave_precision(full, rs, scale)
-        return (z[0], d[0]) if r.ndim == 3 else (z, d)
+        return z[0] if r.ndim == 3 else z
 
     def apply_multi(self, rs: np.ndarray) -> np.ndarray:
         """The stack protocol of the Krylov drivers: ``apply`` takes one."""

@@ -6,7 +6,9 @@ session-scoped: tests treat them as immutable.
 
 from __future__ import annotations
 
+import importlib.util
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -74,6 +76,17 @@ def blocking44(lat44):
     return Blocking(lat44, (2, 2, 2, 2))
 
 
+def load_tool(name: str):
+    """``tools/<name>.py`` as a module: the sweep scripts own the
+    alternatives ``src/`` decided against (the full-system setup
+    relaxation), and tests that compare against one use the tool's."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"tools_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def random_spinor(lattice, ns=4, nc=3, seed=0):
     r = np.random.default_rng(seed)
     shape = (lattice.volume, ns, nc)
@@ -129,3 +142,18 @@ def aniso40_solve():
     b = SpinorField.random(ds.lattice(), rng=np.random.default_rng(0))
     result = solver.solve(b.data, tol=5e-6)
     return ds, solver, result
+
+
+@pytest.fixture(scope="session")
+def aniso40_parent_solver(aniso40_solve):
+    """The canonical solver on the null space of the commits before the
+    red-black setup (PRs 16-17): the same operator, parameters and
+    generator seed, every level relaxed on the full system.  Below level
+    0 two fresh setups of two commits are not comparable; counters
+    recorded from the parent are pinned on this one."""
+    from repro.mg import MultigridSolver
+
+    ds, solver, _ = aniso40_solve
+    op = WilsonCloverOperator(ds.gauge(), **ds.operator_kwargs())
+    with load_tool("sweep_setup_relaxation").full_system_relaxation():
+        return MultigridSolver(op, solver.params, np.random.default_rng(1))

@@ -109,8 +109,10 @@ class TestAttribution:
         assert costed, "no span booked any flops"
         names = {s["name"] for s in costed}
         # the K-cycle hot phases all book work
-        for required in ("residual", "restrict", "prolong"):
+        for required in ("smoother", "restrict", "prolong"):
             assert required in names
+        # a red-black cycle recomputes no defect (DESIGN.md section 21)
+        assert "residual" not in {s["name"] for s in iter_span_dicts(measured_trace["spans"])}
 
     def test_cycle_spans_book_bytes_at_the_streamed_itemsize(self, measured_trace):
         """The default K-cycle streams complex64, the outer GCR
@@ -126,7 +128,7 @@ class TestAttribution:
         (outer,) = [c for c in solve["children"] if c["name"] == "solve.gcr"]
         cycle = [
             s for s in spans
-            if s["name"] == "residual" and s["attrs"]["level"] == 0
+            if s["name"] == "smoother" and s["attrs"]["level"] == 0
         ]
         assert cycle
         for span in cycle:

@@ -1,15 +1,19 @@
-"""The red-black smoother hands back the defect it already holds.
+"""The red-black smoother hands back the defect it already holds, and
+holds the iterate it did not reconstruct.
 
 With the opposite parity reconstructed exactly, ``r - M z`` is zero
 there and the Schur residual ``b_hat - S x`` — the vector the MR
-recurrence carries — on the Schur parity.  ``apply(r, defect=True)``
-returns it beside ``z`` and the cycle's pre-smoothing step restricts it
-instead of spending an operator application (DESIGN.md section 20).
+recurrence carries — on the Schur parity.  ``apply(r, hold=True)``
+returns it beside the held Schur-parity iterate, the cycle's
+pre-smoothing step restricts it instead of spending an operator
+application, and ``apply(r, resume=(held, e))`` continues from the
+corrected iterate (DESIGN.md sections 20 and 21).
 Pinned here: the identity at every precision boundary the smoother can
-sit behind, that it is a return value (nothing parked on the shared
-smoother), that the cycle still reaches the smoother through
-``lev.smoother.apply`` (what the benchmark harness wraps), and that
-smoothers without the identity keep their operator application.
+sit behind — for the ``z`` the held iterate reconstructs to — that what
+travels is a return value (nothing parked on the shared smoother), that
+the cycle still reaches the smoother through ``lev.smoother.apply``
+(what the benchmark harness wraps), and that smoothers without the
+identity keep their operator application.
 
 Run the group with ``pytest -q -m mrhs``.
 """
@@ -26,7 +30,7 @@ from repro.mg import (
     MultigridSolver,
     SchurMRSmoother,
 )
-from repro.precision import Precision
+from repro.precision import Precision, dtype_of
 from tests.conftest import random_spinor
 
 pytestmark = pytest.mark.mrhs
@@ -71,53 +75,63 @@ def test_defect_is_the_recomputed_one(aniso40_solve, level, k, boundary):
     scales = (1e-20, 1.0, 1e12) if dtype == C128 else (1e-3, 1.0, 1e3)
     rs = _stack(lev.op, k, seed=40 + level) * np.array(scales[:k]).reshape(k, 1, 1, 1)
     rs = rs.astype(dtype)
-    held = {name: id(value) for name, value in vars(smoother).items()}
-    z, d = smoother.apply(rs, defect=True)
-    # a return value: nothing parked on the smoother
-    assert {name: id(value) for name, value in vars(smoother).items()} == held
-    assert z.dtype == d.dtype == dtype and d.shape == rs.shape
-    np.testing.assert_array_equal(z, smoother.apply(rs))
+    parked = {name: id(value) for name, value in vars(smoother).items()}
+    d, held = smoother.apply(rs, hold=True)
+    # return values: nothing parked on the smoother
+    assert {name: id(value) for name, value in vars(smoother).items()} == parked
+    assert d.dtype == dtype and d.shape == rs.shape
+    # the held iterate is at the smoother's precision, half a lattice wide
+    assert held.x.dtype == held.source.dtype == dtype_of(precision)
+    assert held.x.shape == (k, lev.op.lattice.half_volume) + rs.shape[2:]
+    # resumed with no correction and no further step it is the z of
+    # apply(rs), bit for bit: the same source, the same scale
+    z = smoother.apply(rs)
+    idle = SchurMRSmoother(lev.op, steps=0, precision=precision, schur=smoother.schur)
+    np.testing.assert_array_equal(idle.apply(rs, resume=(held, np.zeros_like(rs))), z)
     wide = rs.astype(C128)
     want = wide - lev.op.apply_multi(z.astype(C128))
     assert _rel(d, want, wide) <= tol
-    # exactly zero where the smoother reconstructed exactly
+    # exactly zero where the smoother reconstructs exactly
     assert not d[:, lev.op.lattice.sites_of_parity(1)].any()
     assert d[:, lev.op.lattice.sites_of_parity(0)].any()
+    assert {name: id(value) for name, value in vars(smoother).items()} == parked
 
 
 def test_bare_field_returns_a_pair_of_fields(aniso40_solve):
     lev = aniso40_solve[1].hierarchy.levels[1]
     r = _stack(lev.op, 1, seed=44)[0].astype(C64)
-    z, d = lev.smoother.apply(r, defect=True)
-    zs, ds = lev.smoother.apply(r[None], defect=True)
-    assert z.shape == d.shape == r.shape
-    np.testing.assert_array_equal(z, zs[0])
+    d, held = lev.smoother.apply(r, hold=True)
+    ds, helds = lev.smoother.apply(r[None], hold=True)
+    assert d.shape == r.shape
     np.testing.assert_array_equal(d, ds[0])
+    np.testing.assert_array_equal(held.x, helds.x)
+    z = lev.smoother.apply(r, resume=(held, r))
+    assert z.shape == r.shape
+    np.testing.assert_array_equal(z, lev.smoother.apply(r[None], resume=(helds, r[None]))[0])
 
 
 def test_cycle_reaches_the_smoother_through_its_instance_attribute(aniso40_solve, monkeypatch):
     """The benchmark harness times a level's smoother by shadowing
     ``lev.smoother.apply`` on the instance; both smoothing steps of a
-    cycle must go through it, the first asking for the defect."""
+    cycle must go through it, the first holding its iterate, the second
+    resuming from it."""
     hierarchy = aniso40_solve[1].hierarchy
     calls: dict[int, list] = {}
     for lev in hierarchy.levels[:-1]:
         def spied(*args, _fn=lev.smoother.apply, _seen=calls.setdefault(lev.index, []), **kw):
-            _seen.append(kw)
+            _seen.append(sorted(kw))
             return _fn(*args, **kw)
 
         monkeypatch.setattr(lev.smoother, "apply", spied)
     pre = KCyclePreconditioner(hierarchy, level=0)
     hierarchy.reset_stats()
     pre.apply(random_spinor(hierarchy.levels[0].op.lattice, seed=45))
-    assert calls[0] == [{"defect": True}, {}]
+    assert calls[0] == [["hold"], ["resume"]]
     cycles_l1 = hierarchy.levels[1].stats.restricts
-    assert calls[1] == [{"defect": True}, {}] * cycles_l1
-    # one recomputed defect per cycle is all that is left
-    assert hierarchy.levels[0].stats.op_applies == 1
-    assert hierarchy.levels[1].stats.op_applies == (
-        hierarchy.levels[1].stats.gcr_iters + cycles_l1
-    )
+    assert calls[1] == [["hold"], ["resume"]] * cycles_l1
+    # a red-black cycle applies no operator of its own
+    assert hierarchy.levels[0].stats.op_applies == 0
+    assert hierarchy.levels[1].stats.op_applies == hierarchy.levels[1].stats.gcr_iters
 
 
 @pytest.mark.parametrize("smoother_type", ("chebyshev", "schwarz"))

@@ -230,11 +230,16 @@ def test_one_kernel_per_operator(op):
 # setup: same null vectors, same RNG stream
 # ----------------------------------------------------------------------
 class _ReferenceDriven:
-    """The operator with ``apply`` pinned to the site-major oracle."""
+    """The operator with ``apply`` and the primitives the red-black
+    algebra composes pinned to the site-major oracles: its
+    ``SchurOperator`` finds no kernel and runs the zero-padded
+    ``*_reference`` path over them."""
 
     def __init__(self, op):
         self.lattice, self.ns, self.nc = op.lattice, op.ns, op.nc
         self.apply = op.apply_reference
+        self.apply_hopping = op.hop_sum_reference
+        self.apply_diag, self.apply_diag_inv = op.apply_diag, op.apply_diag_inv
 
 
 def _aniso40_operator() -> WilsonCloverOperator:

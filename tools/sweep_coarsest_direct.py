@@ -25,11 +25,12 @@ dominant site term, scaled so that the GCR needs the 4-7 iterations the
 Galerkin operators of the benchmark need (printed) — because timings
 depend on sizes, not values.  DESIGN.md section 20 records one run.
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/sweep_coarsest_direct.py
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/sweep_coarsest_direct.py [--smoke]
 """
 
 from __future__ import annotations
 
+import sys
 import time
 
 import numpy as np
@@ -69,7 +70,7 @@ def _median_time(fn, rounds: int) -> float:
     return float(np.median(time_repeats(fn, rounds, warmup=0)))
 
 
-def sweep(dims, n: int, rng) -> None:
+def sweep(dims, n: int, rng, rounds: int = ROUNDS) -> None:
     lattice = Lattice(dims)
     schur = BatchedCoarseSchur(synthetic_operator(lattice, n, rng))
     size = schur.unknowns
@@ -110,7 +111,7 @@ def sweep(dims, n: int, rng) -> None:
             assert err < 1e-3, (name, err)
         samples = {name: [] for name in candidates}
         repeats = max(1, 2048 // size)
-        for _ in range(ROUNDS):
+        for _ in range(rounds):
             for name, fn in candidates.items():
                 begin = time.perf_counter()
                 for _ in range(repeats):
@@ -129,13 +130,16 @@ def sweep(dims, n: int, rng) -> None:
         )
 
 
-def main() -> None:
+def main(argv: list[str]) -> None:
+    smoke = argv == ["--smoke"]  # one lattice, two sizes, two rounds
+    if argv and not smoke:
+        raise SystemExit(f"usage: {sys.argv[0]} [--smoke]")
     print(f"DIRECT_MAX_UNKNOWNS = {DIRECT_MAX_UNKNOWNS}; {DTYPE.name}")
     rng = np.random.default_rng(0)
-    for dims in LATTICES:
-        for n in DOFS:
-            sweep(dims, n, rng)
+    for dims in LATTICES[:1] if smoke else LATTICES:
+        for n in DOFS[:2] if smoke else DOFS:
+            sweep(dims, n, rng, rounds=2 if smoke else ROUNDS)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
