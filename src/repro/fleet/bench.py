@@ -82,7 +82,6 @@ def run_fleet_bench(
     fleet: FleetSpec | None = None,
     null_iters: int = 40,
     max_batch: int = 4,
-    max_wait_s: float = 0.01,
     spill_threshold: int = 3,
     rhs_seed: int = 2016,
     setup_seed: int = 7,
@@ -169,7 +168,6 @@ def run_fleet_bench(
                 spill_threshold=spill_threshold,
                 serve=ServeConfig(
                     max_batch=max_batch,
-                    max_wait_s=max_wait_s,
                     queue_capacity=max(4 * n_requests, 64),
                     n_workers=1,
                 ),

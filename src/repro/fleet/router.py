@@ -38,6 +38,7 @@ import numpy as np
 
 from ..obs.slo import SLOMonitor
 from ..serve.cache import SetupCache, setup_cache_key
+from ..serve.counters import Counters
 from ..serve.service import ServeConfig, ServiceOverloadedError
 from ..telemetry.context import TraceContext, activate, current_trace
 from ..telemetry.metrics import get_registry
@@ -115,13 +116,9 @@ class FleetRouter:
         }
         self._entries: dict[str, _FleetEntry] = {}
         self._lock = threading.Lock()
-        self.stats = {
-            "routed": 0,
-            "routed_home": 0,
-            "spilled": 0,
-            "replications": 0,
-            "shed": 0,
-        }
+        self.stats = Counters(
+            ("routed", "routed_home", "spilled", "replications", "shed")
+        )
         self.slo_monitor = (
             SLOMonitor(self.config.slo_specs) if self.config.slo_specs else None
         )
@@ -209,8 +206,7 @@ class FleetRouter:
             # claim the slot inside the lock; adopt outside it
             entry.replicas.append(target.node.id)
         target.adopt(name, entry.op, entry.params, entry.hierarchy)
-        with self._lock:
-            self.stats["replications"] += 1
+        self.stats.bump("replications")
         registry = get_registry()
         if registry.enabled:
             registry.counter(
@@ -270,8 +266,7 @@ class FleetRouter:
             self._book_routed(name, candidate, entry)
             self._watch(fut, t0, name, candidate)
             return fut
-        with self._lock:
-            self.stats["shed"] += 1
+        self.stats.bump("shed")
         registry = get_registry()
         if registry.enabled:
             registry.counter("fleet.shed", op=name).inc()
@@ -291,12 +286,8 @@ class FleetRouter:
     def _book_routed(self, name: str, shard: FleetShard, entry) -> None:
         home = entry.replicas[0]
         spilled = shard.node.id != home
-        with self._lock:
-            self.stats["routed"] += 1
-            if spilled:
-                self.stats["spilled"] += 1
-            else:
-                self.stats["routed_home"] += 1
+        self.stats.bump("spilled" if spilled else "routed_home")
+        self.stats.bump("routed")
         registry = get_registry()
         if registry.enabled:
             registry.counter(
@@ -342,12 +333,11 @@ class FleetRouter:
             replicas = {
                 name: list(e.replicas) for name, e in self._entries.items()
             }
-            stats = dict(self.stats)
         return {
             "fleet": self.fleet.to_dict(),
             "spill_threshold": self.config.spill_threshold,
             "replicas": replicas,
-            "stats": stats,
+            "stats": self.stats.snapshot(),
             "shards": self.shard_stats(),
         }
 

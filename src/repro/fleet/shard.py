@@ -1,7 +1,7 @@
 """One fleet shard: a node-local solve service with a device model.
 
 Each :class:`FleetShard` owns a full :class:`~repro.serve.SolveService`
-(its own dispatcher, worker pool and :class:`~repro.serve.SetupCache`)
+(its own worker threads and :class:`~repro.serve.SetupCache`)
 standing in for one node of the fleet.  Because every shard actually
 runs on the same CPU, the node's *device* enters as a simulated speed
 factor derived from its roofline (:func:`repro.fleet.spec.speed_factor`):

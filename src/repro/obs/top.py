@@ -153,7 +153,7 @@ def run_top(
         SLOSpec("latency-p99", "latency_p99", threshold=60.0, window_s=120.0),
         *DEFAULT_SLOS[1:],
     )
-    config = ServeConfig(max_batch=4, max_wait_s=0.02, slo_specs=slos)
+    config = ServeConfig(max_batch=4, slo_specs=slos)
     stop = threading.Event()
     try:
         with SolveService(config) as svc:

@@ -240,17 +240,25 @@ def _bench_blas_streams(repeats: int) -> list[dict]:
     ]
 
 
-def _bench_mg_solve(repeats: int) -> list[dict]:
+def _aniso40_problem():
+    """Aniso40-scaled: dataset, operator, 24/24 parameters, one
+    right-hand side — what ``mg.solve`` and the serve row both solve."""
     from ..dirac import WilsonCloverOperator
-    from ..mg import MultigridSolver
-    from ..workloads import ANISO40_SCALED, mg_params_for
+    from ..workloads import ANISO40_SCALED as ds
+    from ..workloads import mg_params_for
 
-    ds = ANISO40_SCALED
     op = WilsonCloverOperator(ds.gauge(), **ds.operator_kwargs())
-    mg = MultigridSolver(op, mg_params_for(ds, "24/24"), np.random.default_rng(1))
     rng = np.random.default_rng(2)
     vol = ds.lattice().volume
     b = rng.standard_normal((vol, 4, 3)) + 1j * rng.standard_normal((vol, 4, 3))
+    return ds, op, mg_params_for(ds, "24/24"), b
+
+
+def _bench_mg_solve(repeats: int) -> list[dict]:
+    from ..mg import MultigridSolver
+
+    ds, op, params, b = _aniso40_problem()
+    mg = MultigridSolver(op, params, np.random.default_rng(1))
     iterations = []
 
     def solve():
@@ -267,6 +275,25 @@ def _bench_mg_solve(repeats: int) -> list[dict]:
             tol=ds.target_residuum,
         )
     ]
+
+
+def _bench_serve_overhead(repeats: int) -> list[dict]:
+    """What the serve layer adds to a lone warm request: the wall of
+    ``svc.solve`` minus the seconds ``solve_s_total`` advanced, over ten
+    requests on an idle service (queue, worker wake-up, bookkeeping)."""
+    from ..serve import SolveService
+
+    ds, op, params, b = _aniso40_problem()
+    samples = []
+    with SolveService() as svc:
+        svc.register(ds.label, op, params, np.random.default_rng(1))
+        for _ in range(11):
+            busy, t0 = svc.stats["solve_s_total"], time.perf_counter()
+            svc.solve(ds.label, b, tol=ds.target_residuum)
+            wall = time.perf_counter() - t0
+            samples.append(wall - (svc.stats["solve_s_total"] - busy))
+    # the first request pays first-use construction inside the worker
+    return [timing_row("serve.warm_overhead", samples[1:], dataset=ds.label)]
 
 
 def _bench_mg_setup(repeats: int) -> list[dict]:
@@ -398,6 +425,7 @@ SUITES: dict[str, dict[str, Callable[[int], list[dict]]]] = {
         "kernel.transfer": _bench_transfer,
         "blas.streams": _bench_blas_streams,
         "mg.solve": _bench_mg_solve,
+        "serve.warm_overhead": _bench_serve_overhead,
         "mg.setup": _bench_mg_setup,
         "mg.coarsest": _bench_mg_coarsest,
     },
@@ -407,6 +435,7 @@ SUITES: dict[str, dict[str, Callable[[int], list[dict]]]] = {
         "kernel.transfer": _bench_transfer,
         "blas.streams": _bench_blas_streams,
         "mg.solve": _bench_mg_solve,
+        "serve.warm_overhead": _bench_serve_overhead,
         "mg.setup": _bench_mg_setup,
         "mg.coarsest": _bench_mg_coarsest,
         "serve.throughput": _bench_serve_throughput,

@@ -3,6 +3,7 @@
 from . import slog
 from .bench import render_table, run_serve_bench
 from .cache import SetupCache, operator_fingerprint, setup_cache_key
+from .counters import Counters
 from .service import (
     ServeConfig,
     ServiceClosedError,
@@ -12,6 +13,7 @@ from .service import (
 )
 
 __all__ = [
+    "Counters",
     "ServeConfig",
     "ServiceClosedError",
     "ServiceOverloadedError",

@@ -39,7 +39,6 @@ def run_serve_bench(
     tol: float | None = None,
     rhs_seed: int = 2016,
     setup_seed: int = 7,
-    max_wait_s: float = 0.05,
     verbose: bool = False,
     slo_specs: tuple = DEFAULT_SLOS,
     metrics_out: str | None = None,
@@ -50,8 +49,13 @@ def run_serve_bench(
     The same request burst (identical right-hand sides, submitted
     back-to-back) runs once per batch size against one shared setup
     cache, so only the first configuration pays the adaptive setup and
-    the comparison isolates the batching effect.  Returns a JSON-safe
-    document (schema ``repro.serve-bench/v1``).
+    the comparison isolates the batching effect.  The requests are
+    submitted one by one, as an open loop of independent clients would:
+    the worker starts on what is pending when it wakes (the first
+    request, and whatever else the loop enqueued by then) and batches
+    then form behind it — at most ``1 + ceil((n - 1) / max_batch)`` for
+    the burst; a row's ``batches`` also counts the warm-up solve.
+    Returns a JSON-safe document (schema ``repro.serve-bench/v1``).
 
     Each run is measured against ``slo_specs`` (the defaults unless
     overridden; pass an empty tuple to disable) and the final document
@@ -79,7 +83,6 @@ def run_serve_bench(
     for max_batch in batch_sizes:
         config = ServeConfig(
             max_batch=max_batch,
-            max_wait_s=max_wait_s,
             queue_capacity=max(2 * n_requests, 8),
             n_workers=1,
             slo_specs=tuple(slo_specs),

@@ -1,14 +1,17 @@
-"""The solve service: request queue, dynamic batching, worker pool.
+"""The solve service: request queue, dynamic batching, worker threads.
 
 A long-lived front end for the multigrid solver, shaped like the
 serving layer a production analysis campaign would put in front of it:
 
-* clients :meth:`~SolveService.submit` single right-hand sides and get
-  a future back;
-* a dispatcher coalesces pending requests for the same (operator,
-  tolerance) into one multi-RHS batch — up to ``max_batch`` systems,
-  waiting at most ``max_wait_s`` for stragglers — and hands it to a
-  worker pool;
+* clients :meth:`~SolveService.submit` single right-hand sides, or
+  :meth:`~SolveService.submit_many` a burst atomically, and get futures;
+* ``n_workers`` worker threads pull: a free worker takes the oldest
+  pending request plus everything pending for the same (operator,
+  tolerance), up to ``max_batch`` systems.  Work-conserving: a lone
+  request starts at once, requests coalesce exactly while every worker
+  is busy, a burst is one batch (a straggler window was measured at
+  +0.05 s per request for at most 1.18x per right-hand side and
+  removed; DESIGN.md section 9);
 * a batch is one :meth:`~repro.mg.solver.MultigridSolver.solve_multi`
   call, the paper's Section 9 multi-RHS reformulation: every stencil,
   transfer and smoothing matrix on every level is read once for the
@@ -17,19 +20,23 @@ serving layer a production analysis campaign would put in front of it:
   repeat registrations (or service restarts, with a disk-backed cache)
   skip the near-null-vector generation entirely.
 
-Backpressure is a bounded queue: once ``queue_capacity`` requests are
-pending, :meth:`~SolveService.submit` raises
-:class:`ServiceOverloadedError` instead of buffering unboundedly.
+Backpressure is a bounded queue: a request stays in it until a worker
+takes it, and once ``queue_capacity`` requests are pending
+:meth:`~SolveService.submit` raises :class:`ServiceOverloadedError`.
+Every accepted request ends in exactly one counted outcome: after
+:meth:`~SolveService.close`, ``submitted == completed + failed +
+timeouts + cancelled`` (a ``rejected`` request was never ``submitted``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import Future
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -43,6 +50,7 @@ from ..telemetry.context import TraceContext, activate, current_trace_id, new_tr
 from ..telemetry.metrics import get_registry
 from ..telemetry.tracer import get_tracer
 from .cache import SetupCache
+from .counters import Counters
 from .slog import log_event
 
 
@@ -54,7 +62,7 @@ class ServiceOverloadedError(RuntimeError):
     the message string: ``queue_depth`` and ``capacity`` describe the
     queue at rejection time, ``retry_after_s`` estimates when a slot
     should free up (queue depth times the service's observed mean
-    solve time, floored at the batching wait).
+    solve time, floored at one solve).
     """
 
     def __init__(
@@ -88,10 +96,17 @@ class SolveTimeoutError(TimeoutError):
 
 @dataclass
 class ServeConfig:
-    """Tuning knobs of the service."""
+    """Tuning knobs of the service.
+
+    The batcher has no timer to tune: a free worker takes what is
+    pending (module docstring), ``max_batch`` bounds a batch and nothing
+    sizes a wait.
+    """
 
     max_batch: int = 8  # systems coalesced into one multi-RHS solve
-    max_wait_s: float = 0.05  # how long a batch head waits for stragglers
+    # accepted and discarded — the frozen benchmarks/e2e harness still
+    # passes the straggler window this used to size (ROADMAP 0(g))
+    max_wait_s: InitVar[object] = None
     queue_capacity: int = 64  # pending-request bound (backpressure)
     n_workers: int = 1  # solver worker threads
     # Opt-in runtime verification (repro.verify): "setup" checks the
@@ -113,7 +128,7 @@ class ServeConfig:
     # stitched cross-shard traces separate into one track per node.
     label: str | None = None
 
-    def __post_init__(self):
+    def __post_init__(self, max_wait_s=None):
         from ..verify.runtime import validate_level
 
         validate_level(self.verify_level)
@@ -157,8 +172,7 @@ class SolveService:
         cache = SetupCache(disk_dir="setup-cache")
         with SolveService(ServeConfig(max_batch=8), cache=cache) as svc:
             svc.register("aniso", op, params)
-            futures = [svc.submit("aniso", b) for b in sources]
-            results = [f.result() for f in futures]
+            results = svc.solve_many("aniso", sources)
 
     Futures resolve to the same :class:`~repro.solvers.base.SolveResult`
     the direct solver returns.
@@ -176,24 +190,17 @@ class SolveService:
         self._cond = threading.Condition()
         self._closed = False
         self._ids = itertools.count(1)
-        self.stats = {
-            "submitted": 0,
-            "completed": 0,
-            "rejected": 0,
-            "timeouts": 0,
-            "failed": 0,
-            "batches": 0,
-            "batched_systems": 0,
-            "verify_checks": 0,
-            "verify_failures": 0,
-            "stalls_detected": 0,
-            "blackbox_dumps": 0,
-            "solve_s_total": 0.0,
-            # thread-CPU seconds spent solving: unlike the wall total
-            # this excludes cross-service contention on shared cores,
-            # which is what the fleet tier's device-time model needs
-            "solve_cpu_s_total": 0.0,
-        }
+        self.stats = Counters(
+            (
+                "submitted", "completed", "rejected", "timeouts", "failed",
+                "cancelled", "batches", "batched_systems", "verify_checks",
+                "verify_failures", "stalls_detected", "blackbox_dumps",
+            ),
+            # the thread-CPU total excludes cross-service contention on
+            # shared cores, which is what the fleet tier's device-time
+            # model needs
+            seconds=("solve_s_total", "solve_cpu_s_total"),
+        )
         self.slo_monitor = (
             SLOMonitor(self.config.slo_specs) if self.config.slo_specs else None
         )
@@ -201,18 +208,16 @@ class SolveService:
         #: when no blackbox_dir is configured)
         self.last_blackbox: dict | None = None
         self._in_flight = 0
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.n_workers, thread_name_prefix="serve-worker"
-        )
-        # One permit per worker: the dispatcher takes a batch only when a
-        # worker can run it, so waiting requests stay in the bounded
-        # pending queue (where submit() can reject them) instead of
-        # draining into the executor's unbounded internal queue.
-        self._slots = threading.Semaphore(self.config.n_workers)
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="serve-dispatcher", daemon=True
-        )
-        self._dispatcher.start()
+        # Workers pull: a request stays in the bounded pending queue
+        # (where submit() can reject it) until a worker takes it.
+        self._workers = [
+            threading.Thread(
+                target=self._work, name=f"serve-worker-{i}", daemon=True
+            )
+            for i in range(self.config.n_workers)
+        ]
+        for worker in self._workers:
+            worker.start()
 
     # -- registration ---------------------------------------------------
     def register(
@@ -246,7 +251,7 @@ class SolveService:
             return len(self._pending)
 
     def in_flight(self) -> int:
-        """Systems currently being solved by the worker pool."""
+        """Systems taken by a worker and not yet settled."""
         with self._cond:
             return self._in_flight
 
@@ -257,19 +262,13 @@ class SolveService:
 
     def _retry_after_locked(self) -> float:
         """Retry-hint seconds; caller holds ``self._cond``."""
-        completed = max(self.stats["completed"], 1)
-        mean_solve = self.stats["solve_s_total"] / completed
-        return max(
-            self.config.max_wait_s, len(self._pending) * mean_solve
-        )
+        mean_solve = self.stats["solve_s_total"] / max(self.stats["completed"], 1)
+        return max(len(self._pending), 1) * mean_solve
 
     def _book_verify(self, reports) -> None:
         """Fold runtime-verification reports into the service stats."""
-        with self._cond:
-            self.stats["verify_checks"] += len(reports)
-            self.stats["verify_failures"] += sum(
-                1 for r in reports if not r.passed
-            )
+        self.stats.bump("verify_checks", len(reports))
+        self.stats.bump("verify_failures", sum(1 for r in reports if not r.passed))
 
     # -- submission -----------------------------------------------------
     def submit(
@@ -283,19 +282,34 @@ class SolveService:
 
         Raises :class:`ServiceOverloadedError` when the queue is full,
         :class:`ServiceClosedError` after shutdown, and :class:`ValueError`
-        for a right-hand side of the wrong shape for the operator or
-        with non-finite entries (it is never enqueued).  ``timeout_s``
-        bounds the time the request may wait before its batch starts;
-        expired requests fail with :class:`SolveTimeoutError`.
+        for a right-hand side of the wrong shape for the operator, of a
+        non-numeric dtype or with non-finite entries (it is never
+        enqueued).  ``timeout_s`` bounds the time the request may wait
+        before its batch starts; expired requests fail with
+        :class:`SolveTimeoutError`.
 
         This is the trace ingress: each request gets a ``trace_id``
         here (inheriting the caller's active trace context if one is
         open) that then rides the queue, the batch, the solve spans,
         every slog record and the metric exemplars of this request.
         """
+        return self.submit_many(op_name, [rhs], tol, timeout_s)[0]
+
+    def submit_many(
+        self,
+        op_name: str,
+        rhs_list,
+        tol: float | None = None,
+        timeout_s: float | None = None,
+    ) -> list[Future]:
+        """Enqueue a burst under one acquisition of the queue lock, so
+        the next free worker takes it as one batch per ``max_batch``.
+
+        All or nothing: one malformed right-hand side, or a burst that
+        does not fit the queue (one larger than ``queue_capacity`` never
+        does), raises as :meth:`submit` does and enqueues none of it.
+        """
         registry = get_registry()
-        trace_id = current_trace_id() or new_trace_id()
-        rhs = np.asarray(rhs)
         with self._cond:
             if self._closed:
                 raise ServiceClosedError("service is closed")
@@ -306,47 +320,58 @@ class SolveService:
                 )
             # a malformed right-hand side is its submitter's error:
             # refused here, it cannot fail the well-formed requests of
-            # the batch it would have been coalesced into
-            validate_rhs_stack(entry.op, rhs[None])
-            if len(self._pending) >= self.config.queue_capacity:
-                self.stats["rejected"] += 1
+            # the batch it would have been coalesced into.  Everything
+            # accepted is complex128 (what np.stack gave a mixed batch
+            # anyway): a request is solved the same alone and coalesced.
+            stack = [
+                validate_rhs_stack(entry.op, np.asarray(b)[None])[0].astype(
+                    np.complex128, copy=False
+                )
+                for b in rhs_list
+            ]
+            depth = len(self._pending)
+            if depth + len(stack) > self.config.queue_capacity:
+                self.stats.bump("rejected", len(stack))
                 if registry.enabled:
-                    registry.counter("serve.rejected", op=op_name).inc()
+                    registry.counter("serve.rejected", op=op_name).inc(len(stack))
                 log_event(
-                    "rejected",
-                    op=op_name,
-                    queue_depth=len(self._pending),
-                    trace_id=trace_id,
+                    "rejected", op=op_name, queue_depth=depth, burst=len(stack)
                 )
                 raise ServiceOverloadedError(
-                    f"queue full ({self.config.queue_capacity} pending)",
-                    queue_depth=len(self._pending),
+                    f"queue full ({depth} pending + {len(stack)} > "
+                    f"{self.config.queue_capacity})",
+                    queue_depth=depth,
                     capacity=self.config.queue_capacity,
                     retry_after_s=self._retry_after_locked(),
                 )
-            req = _Request(
-                op_name=op_name,
-                rhs=rhs,
-                tol=tol if tol is not None else entry.params.outer_tol,
-                timeout_s=timeout_s,
-                id=next(self._ids),
-                trace_id=trace_id,
-            )
-            self._pending.append(req)
-            self.stats["submitted"] += 1
+            requests = [
+                _Request(
+                    op_name=op_name,
+                    rhs=rhs,
+                    tol=tol if tol is not None else entry.params.outer_tol,
+                    timeout_s=timeout_s,
+                    id=next(self._ids),
+                    trace_id=current_trace_id() or new_trace_id(),
+                )
+                for rhs in stack
+            ]
+            self._pending.extend(requests)
+            self.stats.bump("submitted", len(requests))
+            depth = len(self._pending)
             self._cond.notify_all()
         if registry.enabled:
-            registry.counter("serve.requests", op=op_name).inc()
-            registry.gauge("serve.queue_depth").set(len(self._pending))
-        log_event(
-            "enqueued",
-            request_id=req.id,
-            op=op_name,
-            tol=req.tol,
-            queue_depth=len(self._pending),
-            trace_id=req.trace_id,
-        )
-        return req.future
+            registry.counter("serve.requests", op=op_name).inc(len(requests))
+            registry.gauge("serve.queue_depth").set(depth)
+        for req in requests:
+            log_event(
+                "enqueued",
+                request_id=req.id,
+                op=op_name,
+                tol=req.tol,
+                queue_depth=depth,
+                trace_id=req.trace_id,
+            )
+        return [req.future for req in requests]
 
     def solve(
         self,
@@ -364,9 +389,8 @@ class SolveService:
         rhs_list,
         tol: float | None = None,
     ) -> list[SolveResult]:
-        """Submit a burst and gather the results in order."""
-        futures = [self.submit(op_name, b, tol=tol) for b in rhs_list]
-        return [f.result() for f in futures]
+        """:meth:`submit_many` and gather the results in order."""
+        return [f.result() for f in self.submit_many(op_name, rhs_list, tol=tol)]
 
     # -- lifecycle ------------------------------------------------------
     def close(self, drain: bool = True) -> None:
@@ -381,14 +405,25 @@ class SolveService:
                 return
             self._closed = True
             if not drain:
-                while self._pending:
-                    req = self._pending.popleft()
-                    req.future.set_exception(
-                        ServiceClosedError("service closed before dispatch")
-                    )
+                self._cancel_pending_locked()
             self._cond.notify_all()
-        self._dispatcher.join()
-        self._pool.shutdown(wait=True)
+        for worker in self._workers:
+            worker.join()
+        with self._cond:
+            self._cancel_pending_locked()  # non-empty only if a worker died
+        if __debug__:
+            s = self.stats.snapshot()
+            settled = s["completed"] + s["failed"] + s["timeouts"] + s["cancelled"]
+            assert s["submitted"] == settled and self._in_flight == 0, s
+
+    def _cancel_pending_locked(self) -> None:
+        self.stats.bump("cancelled", len(self._pending))
+        while self._pending:
+            future = self._pending.popleft().future
+            if future.set_running_or_notify_cancel():  # else: the caller cancelled
+                future.set_exception(
+                    ServiceClosedError("service closed before dispatch")
+                )
 
     def __enter__(self) -> "SolveService":
         return self
@@ -396,199 +431,190 @@ class SolveService:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- dispatcher -----------------------------------------------------
+    # -- workers --------------------------------------------------------
+    def _work(self) -> None:
+        while (batch := self._take_batch()) is not None:
+            self._run_batch(batch)
+
     def _take_batch(self) -> list[_Request] | None:
-        """Block until a coalesced batch is ready (None = shut down)."""
-        cfg = self.config
+        """Block until something is pending; take the head and what is
+        pending with its (op, tol), up to ``max_batch`` (None = shut down)."""
         with self._cond:
             while not self._pending:
                 if self._closed:
                     return None
                 self._cond.wait()
             head = self._pending.popleft()
-            batch = [head]
-            key = (head.op_name, head.tol)
-            deadline = time.perf_counter() + cfg.max_wait_s
-            while len(batch) < cfg.max_batch:
-                self._extract_matching(batch, key, cfg.max_batch)
-                if len(batch) >= cfg.max_batch:
-                    break
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0 or self._closed:
-                    break
-                self._cond.wait(remaining)
+            batch, kept = [head], deque()
+            for req in self._pending:  # oldest first
+                same = (req.op_name, req.tol) == (head.op_name, head.tol)
+                if same and len(batch) < self.config.max_batch:
+                    batch.append(req)
+                else:
+                    kept.append(req)
+            self._pending = kept
+            self._in_flight += len(batch)
             registry = get_registry()
             if registry.enabled:
                 registry.gauge("serve.queue_depth").set(len(self._pending))
+                registry.gauge("serve.in_flight").set(self._in_flight)
             return batch
 
-    def _extract_matching(self, batch, key, max_batch) -> None:
-        """Move pending requests with the same (op, tol) into ``batch``."""
-        kept: deque[_Request] = deque()
-        while self._pending and len(batch) < max_batch:
-            req = self._pending.popleft()
-            if (req.op_name, req.tol) == key:
-                batch.append(req)
-            else:
-                kept.append(req)
-        kept.extend(self._pending)
-        self._pending.clear()
-        self._pending.extend(kept)
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            self._slots.acquire()
-            batch = self._take_batch()
-            if batch is None:
-                self._slots.release()
-                return
-            self._pool.submit(self._run_batch, batch)
-
     # -- execution ------------------------------------------------------
-    def _settle_in_flight(self, registry, n: int) -> None:
-        """Retire ``n`` in-flight systems and refresh the gauge."""
-        with self._cond:
-            self._in_flight -= n
-            in_flight = self._in_flight
-        if registry.enabled:
-            registry.gauge("serve.in_flight").set(in_flight)
+    @contextlib.contextmanager
+    def _reporting(self, what: str):
+        """Around the sinks of one lifecycle edge: a sink that raises is
+        logged and costs neither a caller their result nor the worker
+        its loop."""
+        try:
+            yield
+        except Exception as exc:
+            log_event("sink_failed", sink=what, error=repr(exc))
 
     def _run_batch(self, batch: list[_Request]) -> None:
-        try:
-            self._run_batch_inner(batch)
-        finally:
-            self._slots.release()
-
-    def _run_batch_inner(self, batch: list[_Request]) -> None:
+        """Settle every request of ``batch`` with exactly one outcome."""
         registry = get_registry()
+        # past this line no caller can cancel: every future below is
+        # RUNNING, so the call that settles it cannot race one
+        started = [
+            req for req in batch if req.future.set_running_or_notify_cancel()
+        ]
+        self.stats.bump("cancelled", len(batch) - len(started))
+        try:
+            self._serve(started, registry)
+        except BaseException as exc:  # no waiter hangs, whatever escaped
+            failed = [req for req in started if not req.future.done()]
+            self.stats.bump("failed", len(failed))
+            for req in failed:
+                req.future.set_exception(exc)
+            with self._reporting("failed"):
+                self._report_failed(failed, exc)
+            if not isinstance(exc, Exception):
+                raise
+        finally:
+            with self._cond:
+                self._in_flight -= len(batch)
+                in_flight = self._in_flight
+            if registry.enabled:
+                registry.gauge("serve.in_flight").set(in_flight)
+
+    def _report_failed(self, failed: list[_Request], exc: BaseException) -> None:
+        if not failed:
+            return
+        head = failed[0]
+        log_event(
+            "failed",
+            op=head.op_name,
+            request_ids=[req.id for req in failed],
+            error=repr(exc),
+            trace_id=head.trace_id,
+            trace_ids=[req.trace_id for req in failed],
+        )
+        if self.slo_monitor is not None:
+            now = time.perf_counter()
+            for req in failed:
+                self.slo_monitor.record(now - req.enqueued_at, error=True)
+        self._dump_blackbox(
+            "failure",
+            trace_id=head.trace_id,
+            meta={
+                "op": head.op_name,
+                "error": repr(exc),
+                "request_ids": [req.id for req in failed],
+            },
+        )
+
+    def _serve(self, started: list[_Request], registry) -> None:
         now = time.perf_counter()
         live: list[_Request] = []
-        for req in batch:
-            if req.expired(now):
-                self.stats["timeouts"] += 1
+        for req in started:
+            if not req.expired(now):
+                live.append(req)
+                continue
+            waited = now - req.enqueued_at
+            self.stats.bump("timeouts")
+            req.future.set_exception(
+                SolveTimeoutError(
+                    f"request {req.id} waited {waited:.3f}s > {req.timeout_s}s"
+                )
+            )
+            with self._reporting("timeout"):
                 if registry.enabled:
                     registry.counter("serve.timeouts", op=req.op_name).inc()
                 log_event(
                     "timeout",
                     request_id=req.id,
                     op=req.op_name,
-                    waited_s=now - req.enqueued_at,
+                    waited_s=waited,
                     trace_id=req.trace_id,
                 )
                 if self.slo_monitor is not None:
-                    self.slo_monitor.record(
-                        now - req.enqueued_at, timed_out=True
-                    )
-                req.future.set_exception(
-                    SolveTimeoutError(
-                        f"request {req.id} waited "
-                        f"{now - req.enqueued_at:.3f}s > {req.timeout_s}s"
-                    )
-                )
+                    self.slo_monitor.record(waited, timed_out=True)
                 self._dump_blackbox(
                     "timeout",
                     trace_id=req.trace_id,
                     meta={
                         "request_id": req.id,
                         "op": req.op_name,
-                        "waited_s": now - req.enqueued_at,
+                        "waited_s": waited,
                         "timeout_s": req.timeout_s,
                     },
                 )
-            elif req.future.set_running_or_notify_cancel():
-                live.append(req)
         if not live:
             return
         head = live[0]
         entry = self._ops[head.op_name]
-        if registry.enabled:
-            registry.histogram("serve.batch_size", op=head.op_name).observe(
-                len(live)
-            )
-            for req in live:
-                registry.histogram("serve.queue_wait_s").observe(
-                    now - req.enqueued_at
-                )
-        self.stats["batches"] += 1
-        self.stats["batched_systems"] += len(live)
+        self.stats.bump("batches")
+        self.stats.bump("batched_systems", len(live))
         mode = "batched" if len(live) > 1 else "single"
-        with self._cond:
-            self._in_flight += len(live)
-            in_flight = self._in_flight
-        if registry.enabled:
-            registry.gauge("serve.in_flight").set(in_flight)
-        log_event(
-            "dispatched",
-            op=head.op_name,
-            request_ids=[req.id for req in live],
-            batch_size=len(live),
-            mode=mode,
-            in_flight=in_flight,
-            trace_id=head.trace_id,
-            trace_ids=[req.trace_id for req in live],
-        )
-        try:
-            # The worker thread adopts the batch head's trace context:
-            # every span the solve opens (mg.solve, kcycle, halo, ...)
-            # inherits its trace_id, and the batch span links the other
-            # coalesced traces explicitly.
-            head_ctx = TraceContext(
-                trace_id=head.trace_id,
-                attrs={"request_id": head.id, "op": head.op_name},
-            )
-            batch_attrs = dict(
-                op=head.op_name,
-                size=len(live),
-                mode=mode,
-                request_ids=[req.id for req in live],
-                trace_ids=[req.trace_id for req in live],
-            )
-            if self.config.label:
-                batch_attrs["shard"] = self.config.label
-            with activate(head_ctx), get_tracer().span(
-                "serve.batch", **batch_attrs
-            ):
-                t0 = time.perf_counter()
-                c0 = time.thread_time()
-                # the batch key is (operator, tolerance): one tol for all
-                results = entry.solver.solve_multi(
-                    np.stack([req.rhs for req in live]), tol=head.tol
+        request_ids = [req.id for req in live]
+        trace_ids = [req.trace_id for req in live]
+        with self._reporting("dispatched"):
+            if registry.enabled:
+                registry.histogram("serve.batch_size", op=head.op_name).observe(
+                    len(live)
                 )
-                dt = time.perf_counter() - t0
-                cdt = time.thread_time() - c0
-        except Exception as exc:  # propagate solver failures to every waiter
-            self.stats["failed"] += len(live)
-            self._settle_in_flight(registry, len(live))
-            log_event(
-                "failed",
-                op=head.op_name,
-                request_ids=[req.id for req in live],
-                error=repr(exc),
-                trace_id=head.trace_id,
-                trace_ids=[req.trace_id for req in live],
-            )
-            if self.slo_monitor is not None:
-                now = time.perf_counter()
                 for req in live:
-                    self.slo_monitor.record(now - req.enqueued_at, error=True)
-            for req in live:
-                if not req.future.done():
-                    req.future.set_exception(exc)
-            self._dump_blackbox(
-                "failure",
+                    registry.histogram("serve.queue_wait_s").observe(
+                        now - req.enqueued_at
+                    )
+            log_event(
+                "dispatched",
+                op=head.op_name,
+                request_ids=request_ids,
+                batch_size=len(live),
+                mode=mode,
+                in_flight=self.in_flight(),
                 trace_id=head.trace_id,
-                meta={
-                    "op": head.op_name,
-                    "error": repr(exc),
-                    "request_ids": [req.id for req in live],
-                },
+                trace_ids=trace_ids,
             )
-            return
-        with self._cond:
-            self.stats["solve_s_total"] += dt
-            self.stats["solve_cpu_s_total"] += cdt
-        if registry.enabled:
-            registry.histogram("serve.solve_s", op=head.op_name).observe(dt)
+        # The worker thread adopts the batch head's trace context:
+        # every span the solve opens (mg.solve, kcycle, halo, ...)
+        # inherits its trace_id, and the batch span links the other
+        # coalesced traces explicitly.
+        head_ctx = TraceContext(
+            trace_id=head.trace_id,
+            attrs={"request_id": head.id, "op": head.op_name},
+        )
+        batch_attrs = dict(
+            op=head.op_name,
+            size=len(live),
+            mode=mode,
+            request_ids=request_ids,
+            trace_ids=trace_ids,
+        )
+        if self.config.label:
+            batch_attrs["shard"] = self.config.label
+        with activate(head_ctx), get_tracer().span("serve.batch", **batch_attrs):
+            t0 = time.perf_counter()
+            c0 = time.thread_time()
+            # the batch key is (operator, tolerance): one tol for all
+            results = entry.solver.solve_multi(
+                np.stack([req.rhs for req in live]), tol=head.tol
+            )
+            dt = time.perf_counter() - t0
+            cdt = time.thread_time() - c0
+        self.stats.add_seconds(solve_s_total=dt, solve_cpu_s_total=cdt)
         if self.config.verify_level == "solve":
             from ..verify.runtime import verify_solve
 
@@ -601,41 +627,48 @@ class SolveService:
                 self._book_verify(reports)
         done = time.perf_counter()
         for req, res in zip(live, results):
-            self.stats["completed"] += 1
-            latency = done - req.enqueued_at
             # each result carries its own request's trace; the batch ran
             # under the head's context, which stays visible alongside
             batch_tid = res.telemetry.attrs.get("trace_id")
             if batch_tid is not None and batch_tid != req.trace_id:
                 res.telemetry.attrs["batch_trace_id"] = batch_tid
             res.telemetry.attrs["trace_id"] = req.trace_id
-            if registry.enabled:
-                # the exemplar ties this latency sample back to the
-                # request's span tree and slog records
-                registry.histogram(
-                    "serve.request_latency_s", op=req.op_name
-                ).observe(latency, trace_id=req.trace_id)
-            log_event(
-                "completed",
-                request_id=req.id,
-                op=req.op_name,
-                latency_s=latency,
-                solve_s=dt,
-                iterations=int(res.iterations),
-                converged=bool(res.converged),
-                trace_id=req.trace_id,
-            )
-            if self.slo_monitor is not None:
-                self.slo_monitor.record(
-                    latency, converged=bool(res.converged)
-                )
-            self._check_stall(req, res)
+            # where this request's time went: waiting for a worker, then
+            # the solve of the batch it rode in
+            res.telemetry.attrs["serve"] = {
+                "queue_wait_s": now - req.enqueued_at,
+                "solve_s": dt,
+                "batch_size": len(live),
+            }
+            self.stats.bump("completed")
             req.future.set_result(res)
-        self._settle_in_flight(registry, len(live))
-        if registry.enabled:
-            registry.counter("serve.completed", op=head.op_name).inc(len(live))
-        if self.slo_monitor is not None:
-            self.slo_monitor.evaluate()
+        with self._reporting("completed"):
+            for req, res in zip(live, results):
+                latency = done - req.enqueued_at
+                if registry.enabled:
+                    # the exemplar ties this latency sample back to the
+                    # request's span tree and slog records
+                    registry.histogram(
+                        "serve.request_latency_s", op=req.op_name
+                    ).observe(latency, trace_id=req.trace_id)
+                log_event(
+                    "completed",
+                    request_id=req.id,
+                    op=req.op_name,
+                    latency_s=latency,
+                    iterations=int(res.iterations),
+                    converged=bool(res.converged),
+                    trace_id=req.trace_id,
+                    **res.telemetry.attrs["serve"],
+                )
+                if self.slo_monitor is not None:
+                    self.slo_monitor.record(latency, converged=bool(res.converged))
+                self._check_stall(req, res)
+            if registry.enabled:
+                registry.histogram("serve.solve_s", op=head.op_name).observe(dt)
+                registry.counter("serve.completed", op=head.op_name).inc(len(live))
+            if self.slo_monitor is not None:
+                self.slo_monitor.evaluate()
 
     # -- postmortem -----------------------------------------------------
     def _check_stall(self, req: _Request, res: SolveResult) -> None:
@@ -652,7 +685,7 @@ class SolveService:
         severe = [v for v in verdicts if v.severity == "error"]
         if not severe:
             return
-        self.stats["stalls_detected"] += len(severe)
+        self.stats.bump("stalls_detected", len(severe))
         registry = get_registry()
         if registry.enabled:
             for v in severe:
@@ -697,8 +730,7 @@ class SolveService:
             meta.setdefault("shard", self.config.label)
         doc = blackbox_document(reason, trace_id=trace_id, meta=meta)
         self.last_blackbox = doc
-        with self._cond:
-            self.stats["blackbox_dumps"] += 1
+        self.stats.bump("blackbox_dumps")
         path = None
         if self.config.blackbox_dir is not None:
             try:

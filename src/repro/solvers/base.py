@@ -59,9 +59,14 @@ def validate_rhs_stack(op, bs: np.ndarray) -> np.ndarray:
     A bare ``(V, ns, nc)`` field would have its *volume* axis treated as
     the batch axis and solve V nonsense systems, and a NaN system has no
     norm to converge against: raise a :class:`ValueError` naming the
-    shape, or the offending systems, instead.
+    shape, the dtype or the offending systems instead.  Real and integer
+    stacks come back complex (the solvers update iterates in place with
+    complex coefficients); a complex stack comes back as it is, complex64
+    included — the cycle hands those to ``batched_gcr`` on purpose.
     """
     bs = np.asarray(bs)
+    if not np.issubdtype(bs.dtype, np.number):
+        raise ValueError(f"rhs stack has non-numeric dtype {bs.dtype}")
     if bs.ndim < 2:
         raise ValueError(
             f"rhs stack must have a batch axis plus at least one field axis, "
@@ -84,6 +89,8 @@ def validate_rhs_stack(op, bs: np.ndarray) -> np.ndarray:
             f"rhs stack has non-finite entries in system(s) "
             f"{np.flatnonzero(~finite).tolist()} of {bs.shape[0]}"
         )
+    if bs.dtype.kind != "c":
+        bs = bs.astype(np.result_type(bs, np.complex64))
     return bs
 
 

@@ -6,9 +6,9 @@ and every downstream observation — spans, ``slog`` lifecycle records,
 flight-recorder events, metric exemplars — carries it, so a timed-out
 or stalled solve can be reassembled from any one of those streams.
 
-The context is *thread-local* because the serve tier hops threads: the
-dispatcher hands a batch to a worker, which calls :func:`activate`
-with the batch head's context before running the solve, so spans opened
+The context is *thread-local* because the serve tier hops threads: a
+worker takes a batch off the queue and calls :func:`activate` with the
+batch head's context before running the solve, so spans opened
 on the worker thread inherit the right ``trace_id`` without any solver
 knowing about requests.
 

@@ -85,9 +85,9 @@ def run_propagator(
         The double solve runs at ``tol * error_check_factor``.
     service / operator_name:
         A :class:`~repro.serve.SolveService` and the name ``op`` is
-        registered under.  When given, all component solves are
-        submitted as a burst so the service's dynamic batcher coalesces
-        them into multi-RHS solves.  ``direct=True`` forces the old
+        registered under.  When given, all component solves go in as
+        one atomic burst (``submit_many``), which the service's workers
+        take as multi-RHS batches.  ``direct=True`` forces the old
         one-at-a-time path through ``solve`` even when a service is
         supplied.
     """
@@ -147,13 +147,10 @@ def _run_propagator_service(
     ]
 
     result = PropagatorResult()
-    submitted = []
-    for b in sources:
-        t0 = time.perf_counter()
-        fut = service.submit(operator_name, b.data)
-        submitted.append((fut, t0))
+    t0 = time.perf_counter()
+    futures = service.submit_many(operator_name, [b.data for b in sources])
     solves: list[SolveResult] = []
-    for fut, t0 in submitted:
+    for fut in futures:
         res = fut.result()
         solves.append(res)
         result.iterations.append(res.iterations)
@@ -167,11 +164,10 @@ def _run_propagator_service(
     tight_tol = min(
         res.final_residual * error_check_factor for res in solves
     )
-    tight_futures = [
-        service.submit(operator_name, b.data, tol=tight_tol) for b in sources
-    ]
-    for res, fut in zip(solves, tight_futures):
-        tight = fut.result()
+    tights = service.solve_many(
+        operator_name, [b.data for b in sources], tol=tight_tol
+    )
+    for res, tight in zip(solves, tights):
         err = norm(res.x - tight.x) / max(norm(tight.x), 1e-300)
         rel_resid = max(res.final_residual, 1e-300)
         result.error_over_residual.append(err / rel_resid)

@@ -6,9 +6,11 @@ session-scoped: tests treat them as immutable.
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import os
 import pathlib
+import threading
 
 import numpy as np
 import pytest
@@ -96,6 +98,38 @@ def random_spinor(lattice, ns=4, nc=3, seed=0):
 @pytest.fixture(scope="session")
 def spinor44(lat44):
     return random_spinor(lat44, seed=1)
+
+
+@contextlib.contextmanager
+def busy_workers(svc, op_name, rhs):
+    """Hold every worker of ``svc`` inside the solve of a blocker request
+    until the block exits; yields the blockers' futures.
+
+    Workers pull, so requests coalesce exactly while every worker is
+    busy: what is submitted inside the block is still pending when the
+    first worker frees up, which makes "these requests form one batch" a
+    fact of the test instead of a matter of thread timing.
+    """
+    solver = svc._ops[op_name].solver
+    real = solver.solve_multi
+    entered, release = threading.Semaphore(0), threading.Event()
+
+    def gated(bs, **kwargs):
+        entered.release()
+        assert release.wait(60), "busy_workers block never exited"
+        return real(bs, **kwargs)
+
+    solver.solve_multi = gated
+    blockers = []
+    try:
+        for _ in range(svc.config.n_workers):  # one by one: one batch each
+            blockers.append(svc.submit(op_name, rhs))
+            assert entered.acquire(timeout=60), "no worker took the blocker"
+        solver.solve_multi = real  # only the blockers are gated
+        yield blockers
+    finally:
+        solver.solve_multi = real
+        release.set()
 
 
 # -- hypothesis profiles -----------------------------------------------

@@ -97,7 +97,7 @@ def hierarchies(ops, params):
 def make_router(fleet, hierarchies, **cfg_kwargs) -> FleetRouter:
     cfg = RouterConfig(
         spill_threshold=cfg_kwargs.pop("spill_threshold", 2),
-        serve=ServeConfig(max_batch=4, max_wait_s=0.01, queue_capacity=64),
+        serve=ServeConfig(max_batch=4, queue_capacity=64),
         **cfg_kwargs,
     )
     return FleetRouter(fleet, cfg, hierarchy_source=hierarchies)

@@ -544,6 +544,30 @@ class TestShapeValidation:
         with pytest.raises(ValueError, match="non-finite"):
             solver.solve(bs[1], tol=1e-8)
 
+    def test_dtype_is_checked_and_real_stacks_come_back_complex(self, wilson44, lat44):
+        shape = (2, lat44.volume, 4, 3)
+        with pytest.raises(ValueError, match="non-numeric dtype object"):
+            validate_rhs_stack(wilson44, np.zeros(shape, dtype=object))
+        for given, expect in [
+            (np.float64, np.complex128),
+            (np.int64, np.complex128),
+            (np.float32, np.complex64),
+        ]:
+            assert validate_rhs_stack(wilson44, np.ones(shape, given)).dtype == expect
+        # the cycle's own complex64 stacks pass through untouched, uncopied
+        single = np.ones(shape, np.complex64)
+        assert validate_rhs_stack(wilson44, single) is single
+
+    def test_solve_multi_takes_a_real_stack(self, mg3):
+        # raised UFuncTypeError in the first in-place update before
+        op, solver = mg3
+        bs = stack_for(op.lattice, 2, seed=451)
+        real = solver.solve_multi(bs.real.copy(), tol=1e-8)
+        promoted = solver.solve_multi(bs.real.astype(np.complex128), tol=1e-8)
+        for r, p in zip(real, promoted):
+            assert r.converged and r.iterations == p.iterations
+            np.testing.assert_array_equal(r.x, p.x)
+
 
 # ----------------------------------------------------------------------
 # cost model: batching moves levels toward the bandwidth ceiling

@@ -68,8 +68,7 @@ def sources(lattice):
 
 
 def make_service(op, params, cache, **cfg_kwargs) -> SolveService:
-    cfg = ServeConfig(**{"max_wait_s": 0.05, **cfg_kwargs})
-    svc = SolveService(cfg, cache=cache)
+    svc = SolveService(ServeConfig(**cfg_kwargs), cache=cache)
     svc.register("wc", op, params, rng=np.random.default_rng(5))
     return svc
 
@@ -97,11 +96,11 @@ class TestTracePropagation:
         telemetry.enable()
         telemetry.reset()
         try:
-            with make_service(
-                op, params, cache, max_batch=4, max_wait_s=0.02
-            ) as svc:
-                futures = [svc.submit("wc", b) for b in sources]
-                results = [f.result() for f in futures]
+            with make_service(op, params, cache, max_batch=4) as svc:
+                # a burst is enqueued atomically: one batch, whatever
+                # the thread timing
+                futures = svc.submit_many("wc", sources)
+                results = [f.result(timeout=60) for f in futures]
         finally:
             telemetry.disable()
 
@@ -150,10 +149,8 @@ class TestForensicsServe:
         telemetry.enable()
         telemetry.reset()
         try:
-            with make_service(
-                op, params, cache, max_batch=4, max_wait_s=0.2
-            ) as svc:
-                futures = [svc.submit("wc", b) for b in rhs]
+            with make_service(op, params, cache, max_batch=4) as svc:
+                futures = svc.submit_many("wc", rhs)
                 results = [f.result(timeout=60) for f in futures]
             doc = telemetry.trace_document()
         finally:
@@ -269,7 +266,6 @@ class TestBlackboxDumps:
                 params,
                 cache,
                 max_batch=4,
-                max_wait_s=0.02,
                 blackbox_dir=str(tmp_path),
             ) as svc:
                 # a healthy solve first, so the recorder and tracer hold
@@ -362,14 +358,15 @@ class TestServeSLOs:
             SLOSpec("timeouts", "timeout_rate", threshold=0.4),
         )
         with make_service(
-            op, params, cache, max_batch=4, max_wait_s=0.02, slo_specs=specs
+            op, params, cache, max_batch=4, slo_specs=specs
         ) as svc:
             svc.solve("wc", sources[0])
             future = svc.submit("wc", sources[1], timeout_s=0.0)
             with pytest.raises(TimeoutError):
                 future.result(timeout=10)
             _wait_for(lambda: svc.stats["timeouts"] >= 1)
-            statuses = {s.spec.name: s for s in svc.slo_monitor.evaluate()}
+        # read after close(): the request is settled before it is reported
+        statuses = {s.spec.name: s for s in svc.slo_monitor.evaluate()}
         assert statuses["latency-p99"].n == 2
         assert statuses["timeouts"].bad == 1
         assert statuses["timeouts"].measured == pytest.approx(0.5)

@@ -25,6 +25,7 @@ from repro.serve import (
 )
 from repro.telemetry.metrics import get_registry
 from repro.workloads import run_propagator
+from tests.conftest import busy_workers
 
 pytestmark = pytest.mark.serve
 
@@ -64,8 +65,7 @@ def sources(lattice):
 
 
 def make_service(op, params, **cfg_kwargs) -> SolveService:
-    cfg = ServeConfig(**{"max_wait_s": 0.05, **cfg_kwargs})
-    svc = SolveService(cfg)
+    svc = SolveService(ServeConfig(**cfg_kwargs))
     svc.register("wc", op, params, rng=np.random.default_rng(5))
     return svc
 
@@ -93,6 +93,35 @@ class TestBatchedEquivalence:
             results = [f.result() for f in futures]
         assert svc.stats["batches"] < len(sources)
         assert any(r.extra.get("n_rhs", 1) > 1 for r in results)
+
+    def test_a_burst_is_one_batch(self, op, params, sources):
+        with make_service(op, params, max_batch=8) as svc:
+            results = svc.solve_many("wc", sources)
+        assert svc.stats["batches"] == 1
+        assert svc.stats["batched_systems"] == len(sources)
+        for r in results:
+            assert r.telemetry.attrs["serve"]["batch_size"] == len(sources)
+            assert r.telemetry.attrs["serve"]["solve_s"] > 0
+
+    @pytest.mark.parametrize(
+        "cfg", [{}, {"max_wait_s": 5.0}], ids=["default", "max_wait_s-is-discarded"]
+    )
+    def test_a_lone_request_costs_its_solve(self, op, params, sources, cfg):
+        # work-conserving: an idle worker takes a lone request at once.
+        # Before, the batch head waited max_wait_s (0.05 s by default)
+        # for stragglers with the worker idle.
+        with make_service(op, params, **cfg) as svc:
+            svc.solve("wc", sources[0])  # first-use construction
+            overheads, waits = [], []
+            for b in sources[1:4]:
+                busy = svc.stats["solve_s_total"]
+                t0 = time.perf_counter()
+                res = svc.solve("wc", b)
+                wall = time.perf_counter() - t0
+                overheads.append(wall - (svc.stats["solve_s_total"] - busy))
+                waits.append(res.telemetry.attrs.get("serve", {}).get("queue_wait_s"))
+        assert min(overheads) <= 0.02
+        assert min(waits) <= 0.02  # the request's own record says the same
 
     def test_mixed_tolerances_do_not_coalesce(self, op, params, sources):
         with make_service(op, params, max_batch=8) as svc:
@@ -208,7 +237,7 @@ class TestBackpressureAndTimeouts:
             # the single worker is busy with the first request; the
             # bounded pending queue behind it fills and rejects
             blocker = svc.submit("wc", sources[0])
-            time.sleep(0.1)  # let the dispatcher pick up the blocker
+            time.sleep(0.1)  # let the worker pick up the blocker
             with pytest.raises(ServiceOverloadedError):
                 for b in sources:
                     svc.submit("wc", b)
@@ -237,7 +266,7 @@ class TestBackpressureAndTimeouts:
         assert all(f.result().converged for f in futures)
 
     def test_close_without_drain_fails_pending(self, op, params, sources):
-        svc = make_service(op, params, max_batch=1, max_wait_s=0.0)
+        svc = make_service(op, params, max_batch=1)
         futures = [svc.submit("wc", b) for b in sources]
         svc.close(drain=False)
         outcomes = []
@@ -263,15 +292,20 @@ class TestBadRightHandSides:
             bad = bad[:-1]
         else:
             bad[3, 1, 2] = np.nan if defect == "nan" else np.inf
-        with make_service(op, params, max_batch=4, max_wait_s=0.2) as svc:
-            first = svc.submit("wc", sources[0])
-            with pytest.raises(ValueError, match="does not match|non-finite"):
-                svc.submit("wc", bad)  # no future ever exists for it
-            second = svc.submit("wc", sources[2])
+        with make_service(op, params, max_batch=4) as svc:
+            # behind a busy worker the two good requests are one batch —
+            # the batch the bad one would have been coalesced into
+            with busy_workers(svc, "wc", sources[3]) as (blocker,):
+                first = svc.submit("wc", sources[0])
+                with pytest.raises(ValueError, match="does not match|non-finite"):
+                    svc.submit("wc", bad)  # no future ever exists for it
+                second = svc.submit("wc", sources[2])
+            blocker.result(timeout=60)
             results = [first.result(timeout=60), second.result(timeout=60)]
         assert all(r.converged for r in results)
-        stats = svc.stats
-        assert stats["submitted"] == 2 and stats["batches"] == 1
+        assert all(r.telemetry.attrs["serve"]["batch_size"] == 2 for r in results)
+        stats = svc.stats  # the blocker is one more request and one more batch
+        assert stats["submitted"] - 1 == 2 and stats["batches"] - 1 == 1
         assert stats["submitted"] == (
             stats["completed"] + stats["failed"] + stats["timeouts"]
         )
