@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..backend import active_backend_name, use_backend
-from ..coarse import coarsen_operator
+from ..coarse import CoarseOperator, coarsen_operator
 from ..dirac.mrhs import batched_schur_for, solves_directly
 from ..dirac.wilson_kernel import WilsonKernel, supports_wilson_kernel
-from ..lattice import Blocking
+from ..lattice import NDIM, Blocking
 from ..precision import COMPLEX128, dtype_of
 from ..telemetry.tracer import get_tracer
 from ..transfer import Transfer
@@ -142,6 +142,25 @@ def _build_smoother(
     )
 
 
+def _level(
+    index: int, op, lp: LevelParams, params: MGParams, rng: np.random.Generator,
+    schur, transfer: Transfer, nulls: list[np.ndarray],
+) -> MGLevel:
+    """One coarsening level, whether its transfer was just built or
+    loaded: the level owns ``schur`` and a smoother over it."""
+    smoother = _build_smoother(op, schur, lp, params, rng)
+    return MGLevel(
+        index=index, op=op, params=lp, transfer=transfer, smoother=smoother,
+        schur=schur, null_vectors=nulls,
+    )
+
+
+def _coarsest_level(index: int, op, params: MGParams) -> MGLevel:
+    # its tables and dense factors are built by the first solve
+    schur = batched_schur_for(op) if params.coarsest_schur else None
+    return MGLevel(index=index, op=op, schur=schur)
+
+
 def _cached_bytes(entry) -> int:
     """Bytes of one per-backend cache entry: an array, a tuple of
     arrays, or a helper object that reports its own ``nbytes``."""
@@ -172,8 +191,8 @@ class MultigridHierarchy:
         (as returned by :meth:`export_null_vectors`) — skips the
         expensive ``generate_null_vectors`` relaxation entirely; the
         transfer, Galerkin coarsening and smoothers are rebuilt from
-        them deterministically.  This is the restart path of the solve
-        service's persistent setup cache.
+        them deterministically.  A setup cache file of the first format
+        (null vectors only) restores through this path once.
         """
         if null_vectors is not None and len(null_vectors) != len(params.levels):
             raise ValueError(
@@ -217,29 +236,60 @@ class MultigridHierarchy:
                     with tracer.span("transfer-build", level=index):
                         blocking = Blocking(current.lattice, lp.block)
                         transfer = Transfer(blocking, nulls)
-                    smoother = _build_smoother(current, schur, lp, params, rng)
                     levels.append(
-                        MGLevel(
-                            index=index,
-                            op=current,
-                            params=lp,
-                            transfer=transfer,
-                            smoother=smoother,
-                            schur=schur,
-                            null_vectors=nulls,
-                        )
+                        _level(index, current, lp, params, rng, schur, transfer, nulls)
                     )
                     with tracer.span("coarsen", level=index):
                         current = coarsen_operator(current, transfer)
-            # its tables and dense factors are built by the first solve
-            schur = batched_schur_for(current) if params.coarsest_schur else None
-            levels.append(MGLevel(index=len(params.levels), op=current, schur=schur))
+            levels.append(_coarsest_level(len(params.levels), current, params))
         if verbose:
             lat = current.lattice
             print(
                 f"[mg setup] coarsest level {len(levels) - 1}: {lat!r} "
                 f"ns={current.ns} nc={current.nc}"
             )
+        return cls._verified(levels, params)
+
+    @classmethod
+    def from_arrays(
+        cls, fine_op, params: MGParams, arrays: dict[str, np.ndarray]
+    ) -> "MultigridHierarchy":
+        """Assemble the hierarchy whose :meth:`arrays` these are, computing
+        nothing: no relaxation, no QR, no Galerkin product, no operator
+        apply.  Every array is checked against ``fine_op`` and ``params``
+        level by level; a missing one, or one of another shape or dtype,
+        raises ``ValueError``.  The restart path of the solve service's
+        persistent setup cache."""
+
+        def member(name: str, shape: tuple[int, ...]) -> np.ndarray:
+            found = arrays.get(name)
+            if found is None or found.shape != shape or found.dtype != np.complex128:
+                got = "nothing" if found is None else f"{found.dtype} {found.shape}"
+                raise ValueError(f"setup array {name!r}: need complex128 {shape}, got {got}")
+            return found
+
+        rng = np.random.default_rng()  # drawn from by a Chebyshev smoother only
+        levels: list[MGLevel] = []
+        current = fine_op
+        with use_backend(params.backend):
+            for index, lp in enumerate(params.levels):
+                volume, ns, nc = current.lattice.volume, current.ns, current.nc
+                blocking = Blocking(current.lattice, lp.block)
+                vc, n = blocking.coarse.volume, 2 * lp.n_null
+                rows = blocking.block_volume * (ns // 2) * nc
+                nulls = list(member(f"null{index}", (lp.n_null, volume, ns, nc)))
+                basis = member(f"basis{index}", (vc, 2, rows, lp.n_null))
+                transfer = Transfer.from_basis(blocking, basis, ns, nc)
+                schur = batched_schur_for(current)
+                levels.append(_level(index, current, lp, params, rng, schur, transfer, nulls))
+                x = member(f"x{index + 1}", (vc, n, n))
+                hop = member(f"hop{index + 1}", (NDIM, 2, vc, n, n))
+                current = CoarseOperator(blocking.coarse, x, hop, 2, lp.n_null)
+            levels.append(_coarsest_level(len(params.levels), current, params))
+        return cls._verified(levels, params)
+
+    @classmethod
+    def _verified(cls, levels: list[MGLevel], params: MGParams) -> "MultigridHierarchy":
         hierarchy = cls(levels, params)
         if params.verify_level != "off":
             # opt-in sampled invariant checking of the setup output
@@ -262,6 +312,21 @@ class MultigridHierarchy:
         params) reproduces this hierarchy without any relaxation work.
         """
         return [lev.null_vectors for lev in self.levels if not lev.is_coarsest]
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The setup as named complex128 arrays, for persistence: per
+        coarsening ``i`` its null-vector stack ``null{i}`` and transfer
+        basis ``basis{i}``, and the Galerkin operator of the level below,
+        ``x{i+1}`` / ``hop{i+1}``.  :meth:`from_arrays` (same operator,
+        same params) reassembles this hierarchy from them."""
+        out: dict[str, np.ndarray] = {}
+        for lev in self.levels[:-1]:
+            below = self.levels[lev.index + 1].op
+            out[f"null{lev.index}"] = np.stack(lev.null_vectors)
+            out[f"basis{lev.index}"] = lev.transfer._basis
+            out[f"x{lev.index + 1}"] = below.x_blocks
+            out[f"hop{lev.index + 1}"] = below.hop_blocks
+        return out
 
     def setup_memory_bytes(self) -> int:
         """Approximate resident size of the setup: null vectors, every

@@ -26,6 +26,7 @@ import os
 import pathlib
 import platform
 import subprocess
+import tempfile
 import time
 from typing import Callable
 
@@ -296,11 +297,26 @@ def _bench_serve_overhead(repeats: int) -> list[dict]:
     return [timing_row("serve.warm_overhead", samples[1:], dataset=ds.label)]
 
 
+def _bench_serve_restore(repeats: int) -> list[dict]:
+    """A warm restart: a fresh ``SetupCache`` over a persisted 24/24
+    setup loads the hierarchy (``get_or_build``, a disk hit)."""
+    from ..mg import MultigridHierarchy
+    from ..serve import SetupCache
+
+    ds, op, params, _ = _aniso40_problem()
+    hierarchy = MultigridHierarchy.build(op, params, np.random.default_rng(1))
+    with tempfile.TemporaryDirectory() as disk_dir:
+        SetupCache(disk_dir=disk_dir).seed(op, params, hierarchy)
+        samples = time_repeats(
+            lambda: SetupCache(disk_dir=disk_dir).get_or_build(op, params), 3 * repeats
+        )
+    return [timing_row("serve.restore", samples, dataset=ds.label)]
+
+
 def _bench_mg_setup(repeats: int) -> list[dict]:
     """A cold build, and its two bulk phases re-run level by level on
     the built hierarchy: the stacked relaxations (``mg.setup.relax``)
-    and the stacked Galerkin products (``mg.setup.galerkin``, which is
-    also all a ``SetupCache`` disk restore recomputes)."""
+    and the stacked Galerkin products (``mg.setup.galerkin``)."""
     from ..coarse import coarsen_operator
     from ..dirac import WilsonCloverOperator
     from ..mg import MultigridHierarchy, generate_null_vectors
@@ -426,6 +442,7 @@ SUITES: dict[str, dict[str, Callable[[int], list[dict]]]] = {
         "blas.streams": _bench_blas_streams,
         "mg.solve": _bench_mg_solve,
         "serve.warm_overhead": _bench_serve_overhead,
+        "serve.restore": _bench_serve_restore,
         "mg.setup": _bench_mg_setup,
         "mg.coarsest": _bench_mg_coarsest,
     },
@@ -436,6 +453,7 @@ SUITES: dict[str, dict[str, Callable[[int], list[dict]]]] = {
         "blas.streams": _bench_blas_streams,
         "mg.solve": _bench_mg_solve,
         "serve.warm_overhead": _bench_serve_overhead,
+        "serve.restore": _bench_serve_restore,
         "mg.setup": _bench_mg_setup,
         "mg.coarsest": _bench_mg_coarsest,
         "serve.throughput": _bench_serve_throughput,

@@ -12,13 +12,19 @@ its whole lifetime, including restarts.
 * an in-memory LRU keyed by the deterministic content fingerprint of
   (gauge field, operator scalars, canonicalized params), accounted and
   evicted by :meth:`MultigridHierarchy.setup_memory_bytes`;
-* optional disk persistence of the near-null vectors — the only state
-  that is expensive to recompute; transfers, Galerkin coarse operators
-  and smoothers are rebuilt deterministically from them on load — so a
-  restarted service skips ``generate_null_vectors`` entirely;
+* optional disk persistence of the built hierarchy — its
+  :meth:`~MultigridHierarchy.arrays`: null vectors, transfer bases and
+  Galerkin coarse operators — so a restarted service loads the setup
+  with :meth:`~MultigridHierarchy.from_arrays` and runs no relaxation,
+  no QR and no Galerkin product.  Files are uncompressed (``np.savez``):
+  complex128 arrays compress by ~3%, and decompressing cost ~10% of a
+  restore.  Each is written under a temporary name and renamed into
+  place, so no reader sees half of one;
 * revalidation on load: a stored entry is used only if its recorded
-  gauge/params fingerprints match the live request, otherwise it is
-  treated as a miss and rebuilt.
+  gauge/operator/params fingerprints match the live request, otherwise
+  it is treated as a miss and rebuilt.  A file of the first format
+  (null vectors only, ``version`` 1) is still a disk hit: it is rebuilt
+  from its null vectors once and rewritten in the current format.
 """
 
 from __future__ import annotations
@@ -26,10 +32,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import threading
 import zipfile
 import zlib
 from collections import OrderedDict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,20 +47,15 @@ from ..mg.params import MGParams
 from ..telemetry.metrics import get_registry
 from ..telemetry.tracer import get_tracer
 
-_DISK_VERSION = 1
+_DISK_VERSION = 2
+_NULL_VECTORS_ONLY = 1  # the first format: rebuilt from its null vectors
 
 # Operator scalar attributes that (with the gauge field) determine the
 # fine matrix, and therefore the null space the setup produces.
 _OP_SCALARS = ("mass", "c_sw", "antiperiodic_t", "anisotropy", "hop_weights")
 
 
-def operator_fingerprint(op) -> str:
-    """Deterministic content hash of a fine operator.
-
-    Combines the gauge-field fingerprint with the operator class name
-    and its defining scalars, so two processes constructing the same
-    Wilson-Clover matrix agree on the key.
-    """
+def _operator_fingerprint(op, gauge_fp: str) -> str:
     scalars = {
         name: getattr(op, name) for name in _OP_SCALARS if hasattr(op, name)
     }
@@ -62,17 +65,45 @@ def operator_fingerprint(op) -> str:
         default=list,
     )
     h = hashlib.sha256()
-    h.update(gauge_fingerprint(op.gauge).encode())
+    h.update(gauge_fp.encode())
     h.update(payload.encode())
     return h.hexdigest()
 
 
+def operator_fingerprint(op) -> str:
+    """Deterministic content hash of a fine operator.
+
+    Combines the gauge-field fingerprint with the operator class name
+    and its defining scalars, so two processes constructing the same
+    Wilson-Clover matrix agree on the key.
+    """
+    return _operator_fingerprint(op, gauge_fingerprint(op.gauge))
+
+
+class _Fingerprints(NamedTuple):
+    """What a lookup hashes, once: the cache key derives from it and a
+    persisted file records and is checked against it."""
+
+    gauge_fp: str
+    op_fp: str
+    params_fp: str
+
+    @classmethod
+    def of(cls, op, params: MGParams) -> "_Fingerprints":
+        gauge_fp = gauge_fingerprint(op.gauge)
+        return cls(gauge_fp, _operator_fingerprint(op, gauge_fp), params.fingerprint())
+
+    @property
+    def key(self) -> str:
+        h = hashlib.sha256()
+        h.update(self.op_fp.encode())
+        h.update(self.params_fp.encode())
+        return h.hexdigest()
+
+
 def setup_cache_key(op, params: MGParams) -> str:
     """The cache key for one (operator, MG configuration) pair."""
-    h = hashlib.sha256()
-    h.update(operator_fingerprint(op).encode())
-    h.update(params.fingerprint().encode())
-    return h.hexdigest()
+    return _Fingerprints.of(op, params).key
 
 
 class SetupCache:
@@ -85,8 +116,10 @@ class SetupCache:
         :meth:`MultigridHierarchy.setup_memory_bytes`).  ``None`` means
         unbounded; the most recently used entry is never evicted.
     disk_dir:
-        Directory for persisted near-null vectors (created on demand).
-        ``None`` disables persistence.
+        Directory for persisted setups (created on demand), one
+        uncompressed ``mgsetup-<key>.npz`` per entry holding the
+        hierarchy's arrays; a restart loads them instead of computing
+        anything.  ``None`` disables persistence.
 
     Thread safety: concurrent ``get_or_build`` calls for *different*
     keys build in parallel; calls for the same key serialize on a
@@ -117,7 +150,8 @@ class SetupCache:
         rng: np.random.Generator | None = None,
     ) -> MultigridHierarchy:
         """The hierarchy for ``(op, params)`` — cached, restored, or built."""
-        key = setup_cache_key(op, params)
+        fps = _Fingerprints.of(op, params)
+        key = fps.key
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
@@ -133,13 +167,13 @@ class SetupCache:
                     self._entries.move_to_end(key)
                     self._book("hits", tier="memory")
                     return cached[0]
-            hierarchy = self._restore(key, op, params)
+            hierarchy = self._restore(fps, op, params)
             if hierarchy is None:
                 self._book("misses")
                 rng = rng if rng is not None else np.random.default_rng()
                 with get_tracer().span("serve.setup_cache.build"):
                     hierarchy = MultigridHierarchy.build(op, params, rng)
-                self._persist(key, op, params, hierarchy)
+                self._persist(fps, params, hierarchy)
             self._insert(key, hierarchy)
             return hierarchy
 
@@ -148,19 +182,20 @@ class SetupCache:
 
         This is the replication path of the fleet tier: when a router
         spills a hot operator onto a second shard, the new shard adopts
-        the donor's hierarchy (in production: ships the null vectors
-        over the wire) instead of re-running the adaptive setup.  The
-        entry goes through the normal LRU accounting and, with a disk
-        directory configured, is persisted like a built one.  Returns
-        the cache key.
+        the donor's hierarchy (in production: ships its arrays over the
+        wire) instead of re-running the adaptive setup.  The entry goes
+        through the normal LRU accounting and, with a disk directory
+        configured, is persisted like a built one.  Returns the cache
+        key.
         """
-        key = setup_cache_key(op, params)
+        fps = _Fingerprints.of(op, params)
+        key = fps.key
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
                 return key
         self._book("seeded")
-        self._persist(key, op, params, hierarchy)
+        self._persist(fps, params, hierarchy)
         self._insert(key, hierarchy)
         return key
 
@@ -210,55 +245,64 @@ class SetupCache:
             return None
         return os.path.join(self.disk_dir, f"mgsetup-{key}.npz")
 
-    def _persist(self, key: str, op, params: MGParams, hierarchy) -> None:
-        path = self._path(key)
+    def _persist(self, fps: _Fingerprints, params: MGParams, hierarchy) -> None:
+        path = self._path(fps.key)
         if path is None:
             return
         os.makedirs(self.disk_dir, exist_ok=True)
-        payload = {
-            f"level{i}": np.stack(vecs)
-            for i, vecs in enumerate(hierarchy.export_null_vectors())
-        }
         with get_tracer().span("serve.setup_cache.persist"):
-            np.savez_compressed(
-                path,
-                version=_DISK_VERSION,
-                n_levels=len(payload),
-                gauge_fp=gauge_fingerprint(op.gauge),
-                op_fp=operator_fingerprint(op),
-                params_fp=params.fingerprint(),
-                **payload,
+            fd, tmp = tempfile.mkstemp(
+                prefix=f"mgsetup-{fps.key}.", suffix=".tmp", dir=self.disk_dir
             )
+            try:
+                # a file object: np.savez appends ".npz" to a bare path
+                with os.fdopen(fd, "wb") as fh:
+                    np.savez(
+                        fh,
+                        version=_DISK_VERSION,
+                        n_levels=len(params.levels),
+                        **fps._asdict(),
+                        **hierarchy.arrays(),
+                    )
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
 
-    def _restore(self, key: str, op, params: MGParams):
-        """Rebuild a hierarchy from persisted null vectors, or ``None``."""
-        path = self._path(key)
+    def _restore(self, fps: _Fingerprints, op, params: MGParams):
+        """Load the persisted hierarchy, or ``None``."""
+        path = self._path(fps.key)
         if path is None or not os.path.exists(path):
             return None
+        header = {"version", "n_levels", *fps._fields}
         try:
-            with np.load(path) as data:
+            with open(path, "rb") as fh, np.load(fh) as data:
+                version = int(data["version"])
                 ok = (
-                    int(data["version"]) == _DISK_VERSION
-                    and str(data["gauge_fp"]) == gauge_fingerprint(op.gauge)
-                    and str(data["op_fp"]) == operator_fingerprint(op)
-                    and str(data["params_fp"]) == params.fingerprint()
+                    version in (_NULL_VECTORS_ONLY, _DISK_VERSION)
+                    and all(str(data[name]) == fp for name, fp in fps._asdict().items())
                     and int(data["n_levels"]) == len(params.levels)
                 )
                 if not ok:
                     self._book("invalid")
                     return None
-                nulls = [
-                    list(data[f"level{i}"]) for i in range(len(params.levels))
-                ]
+                arrays = {name: data[name] for name in data.files if name not in header}
+            with get_tracer().span("serve.setup_cache.restore", version=version):
+                if version == _DISK_VERSION:
+                    hierarchy = MultigridHierarchy.from_arrays(op, params, arrays)
+                else:
+                    nulls = [list(arrays[f"level{i}"]) for i in range(len(params.levels))]
+                    hierarchy = MultigridHierarchy.build(
+                        op, params, np.random.default_rng(), null_vectors=nulls
+                    )
         except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, zlib.error):
             # A truncated npz raises zipfile.BadZipFile and a corrupted
-            # member zlib.error/EOFError — none of which are OSError; a
-            # damaged cache file must mean "rebuild", never a crash.
+            # member zlib.error/EOFError — none of which are OSError — and
+            # a member of the wrong shape or dtype ValueError; a damaged
+            # cache file must mean "rebuild", never a crash.
             self._book("invalid")
             return None
-        with get_tracer().span("serve.setup_cache.restore"):
-            hierarchy = MultigridHierarchy.build(
-                op, params, np.random.default_rng(), null_vectors=nulls
-            )
+        if version == _NULL_VECTORS_ONLY:
+            self._persist(fps, params, hierarchy)
         self._book("disk_hits", tier="disk")
         return hierarchy

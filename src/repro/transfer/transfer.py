@@ -48,30 +48,23 @@ class Transfer:
             raise ValueError(
                 f"null vectors must have shape (V_fine, ns, nc), got {first.shape}"
             )
-        self.blocking = blocking
-        self.fine_lattice = blocking.fine
-        self.coarse_lattice = blocking.coarse
-        self.fine_ns = first.shape[1]
-        self.fine_nc = first.shape[2]
-        self.coarse_nc = len(null_vectors)
-        self.coarse_ns = 2
-
-        if self.fine_ns % 2:
-            raise ValueError(f"fine ns must be even for a chirality split, got {self.fine_ns}")
-        rows = blocking.block_volume * (self.fine_ns // 2) * self.fine_nc
-        if rows < self.coarse_nc:
+        fine_ns, fine_nc, coarse_nc = first.shape[1], first.shape[2], len(null_vectors)
+        if fine_ns % 2:
+            raise ValueError(f"fine ns must be even for a chirality split, got {fine_ns}")
+        rows = blocking.block_volume * (fine_ns // 2) * fine_nc
+        if rows < coarse_nc:
             raise ValueError(
                 f"aggregate dof ({rows}) smaller than number of null vectors "
-                f"({self.coarse_nc}); enlarge the blocks or use fewer vectors"
+                f"({coarse_nc}); enlarge the blocks or use fewer vectors"
             )
 
         stack = np.stack(null_vectors, axis=-1)  # (V_f, ns, nc, Nc_hat)
-        vc = self.coarse_lattice.volume
-        basis = np.empty((vc, 2, rows, self.coarse_nc), dtype=np.complex128)
-        for chi, sl in enumerate(chirality_slices_for(self.fine_ns)):
+        vc = blocking.coarse.volume
+        basis = np.empty((vc, 2, rows, coarse_nc), dtype=np.complex128)
+        for chi, sl in enumerate(chirality_slices_for(fine_ns)):
             chi_part = stack[:, sl, :, :]  # (V_f, ns/2, nc, Nc_hat)
             gathered = chi_part[blocking.agg_sites]  # (Vc, bv, ns/2, nc, Nc_hat)
-            mat = gathered.reshape(vc, rows, self.coarse_nc)
+            mat = gathered.reshape(vc, rows, coarse_nc)
             q, r = np.linalg.qr(mat)
             diag = np.abs(np.einsum("vkk->vk", r))
             if np.any(diag < 1e-12 * np.sqrt(rows)):
@@ -80,9 +73,30 @@ class Transfer:
                     "regenerate with different random seeds"
                 )
             basis[:, chi] = q
+        self._adopt(blocking, basis, fine_ns, fine_nc)
+
+    @classmethod
+    def from_basis(
+        cls, blocking: Blocking, basis: np.ndarray, fine_ns: int, fine_nc: int
+    ) -> "Transfer":
+        """The transfer over an already orthonormal ``basis`` of shape
+        ``(V_c, 2, rows, Nc_hat)``, as a built transfer holds it: no QR.
+        This is how a persisted setup is restored."""
+        transfer = cls.__new__(cls)
+        transfer._adopt(blocking, basis, fine_ns, fine_nc)
+        return transfer
+
+    def _adopt(self, blocking: Blocking, basis: np.ndarray, fine_ns: int, fine_nc: int):
+        self.blocking = blocking
+        self.fine_lattice = blocking.fine
+        self.coarse_lattice = blocking.coarse
+        self.fine_ns = fine_ns
+        self.fine_nc = fine_nc
+        self.coarse_nc = basis.shape[-1]
+        self.coarse_ns = 2
         # basis rows are ordered (block site, spin-in-chirality, color)
         self._basis = basis
-        self._rows = rows
+        self._rows = basis.shape[2]
 
     # ------------------------------------------------------------------
     def restrict(self, fine: np.ndarray) -> np.ndarray:
