@@ -3,7 +3,6 @@
 from .hierarchy import LevelStats, MGLevel, MultigridHierarchy
 from .kcycle import KCyclePreconditioner, gcr_reductions
 from .params import LevelParams, MGParams
-from .policy import PolicyTuneResult, tune_policy
 from .schwarz import DomainDecomposedOperator, SchwarzMRSmoother
 from .setup import generate_null_vectors
 from .smoother import SchurMRSmoother
@@ -17,8 +16,6 @@ __all__ = [
     "gcr_reductions",
     "LevelParams",
     "MGParams",
-    "PolicyTuneResult",
-    "tune_policy",
     "DomainDecomposedOperator",
     "SchwarzMRSmoother",
     "generate_null_vectors",

@@ -1,9 +1,11 @@
 """Multigrid parameter blocks.
 
-Defaults mirror the paper's Section 7.1 configuration: a three-level
-K-cycle, GCR(10) outer and intermediate solvers, four pre/post MR
-smoothing steps, red-black preconditioning on every level, and loose
-coarse-grid tolerances.
+The structure follows the paper's Section 7.1 configuration: a K-cycle,
+GCR(10) outer and intermediate solvers, MR smoothing, red-black
+preconditioning on every level, and loose coarse-grid tolerances.  The
+smoothing schedule defaults to a generic four pre/post MR steps per
+level; the presets (``repro.workloads.presets.mg_params_for``) smooth
+with the schedule measured by ``tools/sweep_smoothing.py``.
 """
 
 from __future__ import annotations

@@ -9,6 +9,13 @@ from .datasets import ScaledDataset
 # the paper's three subspace strategies
 PAPER_STRATEGIES = ("24/24", "24/32", "32/32")
 
+#: MR steps per smoothing on the fine level and on every coarser smoothed
+#: level: the schedule ``tools/sweep_smoothing.py`` measured and adopted
+#: (DESIGN.md section 23).  The fine level smooths longer so that the
+#: outer GCR iterates less for about the same level-0 smoother work
+FINE_SMOOTHER_STEPS = 10
+COARSE_SMOOTHER_STEPS = 2
+
 
 def strategy_nulls(strategy: str) -> tuple[int, int]:
     """Parse '24/32' into per-level subspace sizes."""
@@ -29,12 +36,14 @@ def mg_params_for(
 
     Subspace sizes are scaled down with the dataset (24 -> 6, 32 -> 8 by
     default) so the aggregate dof stays proportionate on the small
-    lattices; everything else mirrors Section 7.1 — GCR(10) outer and
-    intermediate, 4 MR pre/post smoothing steps, red-black everywhere,
-    and a single-precision K-cycle (the :class:`MGParams` default: held
-    and computed in complex64) under the double outer solver.
-    ``mixed_precision`` additionally emulates the paper's 16-bit
-    smoother storage on top of that.
+    lattices.  The structure follows Section 7.1 — GCR(10) outer and
+    intermediate, MR smoothing, red-black everywhere, and a
+    single-precision K-cycle (the :class:`MGParams` default: held and
+    computed in complex64) under the double outer solver — and the
+    smoothing schedule is the measured one,
+    :data:`FINE_SMOOTHER_STEPS` / :data:`COARSE_SMOOTHER_STEPS` pre/post
+    MR steps.  ``mixed_precision`` additionally emulates the paper's
+    16-bit smoother storage on top of that.
     """
     n1, n2 = strategy_nulls(strategy)
     levels = [
@@ -42,11 +51,13 @@ def mg_params_for(
             block=dataset.blockings[0],
             n_null=dataset.scaled_null(n1),
             null_iters=null_iters,
+            smoother_steps=FINE_SMOOTHER_STEPS,
         ),
         LevelParams(
             block=dataset.blockings[1],
             n_null=dataset.scaled_null(n2),
             null_iters=null_iters,
+            smoother_steps=COARSE_SMOOTHER_STEPS,
         ),
     ]
     return MGParams(

@@ -182,12 +182,14 @@ def aniso40_solve():
 def aniso40_parent_solver(aniso40_solve):
     """The canonical solver on the null space of the commits before the
     red-black setup (PRs 16-17): the same operator, parameters and
-    generator seed, every level relaxed on the full system.  Below level
-    0 two fresh setups of two commits are not comparable; counters
-    recorded from the parent are pinned on this one."""
+    generator seed, every level relaxed on the full system, and the
+    4/4 smoothing schedule those commits ran.  Below level 0 two fresh
+    setups of two commits are not comparable; counters recorded from
+    the parent are pinned on this one."""
     from repro.mg import MultigridSolver
 
     ds, solver, _ = aniso40_solve
     op = WilsonCloverOperator(ds.gauge(), **ds.operator_kwargs())
+    params = load_tool("sweep_smoothing").with_schedule(solver.params, 4, 4)
     with load_tool("sweep_setup_relaxation").full_system_relaxation():
-        return MultigridSolver(op, solver.params, np.random.default_rng(1))
+        return MultigridSolver(op, params, np.random.default_rng(1))

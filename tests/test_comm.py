@@ -147,7 +147,10 @@ class TestPartitionedOperator:
         v = rng.standard_normal((mc.lattice.volume, 2, 4)) + 1j * rng.standard_normal(
             (mc.lattice.volume, 2, 4)
         )
-        np.testing.assert_array_equal(pop.apply(v), mc.apply(v))
+        # bitwise equal to the fused formulation it rewrites, roundoff-
+        # equal to whatever the active backend's apply reassociates
+        np.testing.assert_array_equal(pop.apply(v), mc.apply_reference(v))
+        np.testing.assert_allclose(pop.apply(v), mc.apply(v), rtol=0, atol=1e-12)
 
     def test_traffic_matches_analytic(self, wilson448, lat448):
         for grid in [(1, 1, 1, 2), (2, 2, 2, 2)]:

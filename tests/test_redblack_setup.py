@@ -233,8 +233,8 @@ def test_half_precision_smoothing_stays_within_one_outer_iteration_of_the_parent
 ):
     """Under ``HALF`` every Schur application goes through the 16-bit
     storage, the restarting one of the second smoothing included; on the
-    parent's null space the canonical solve took 11 outer iterations at
-    the parent commit."""
+    parent's null space and 4/4 schedule the canonical solve took 11
+    outer iterations at the parent commit."""
     parent = aniso40_parent_solver
     params = dataclasses.replace(parent.params, smoother_precision=Precision.HALF)
     solver = MultigridSolver(
@@ -251,7 +251,7 @@ def test_concurrent_cycles_over_one_hierarchy_return_the_single_threaded_result(
     """What travels from a cycle's first smoothing to its second is a
     return value: N threads driving one shared preconditioner, each on
     its own stack, get bit for bit what they get alone.  (The
-    ``LevelStats`` counters they all bump are ROADMAP item 5's race, and
+    ``LevelStats`` counters they all bump are ROADMAP item 2's race, and
     not read here.)"""
     hierarchy = aniso40_solve[1].hierarchy
     pre = KCyclePreconditioner(hierarchy, level=0)

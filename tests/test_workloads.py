@@ -117,6 +117,30 @@ class TestPresets:
         assert p.levels[0].n_null == 8
 
 
+def test_the_preset_schedule_smooths_longer_and_iterates_less(aniso40_solve):
+    """On one null space (Aniso40-scaled 24/24, setup seed 1) the presets'
+    smoothing schedule takes fewer outer iterations than 4/4 for about
+    the same level-0 smoother applications: the work moves from the
+    outer GCR into each smoothing (DESIGN.md section 23)."""
+    from repro.fields import SpinorField
+    from repro.mg import MultigridSolver
+    from tests.conftest import load_tool
+
+    ds, solver, preset = aniso40_solve
+    params = load_tool("sweep_smoothing").with_schedule(solver.params, 4, 4)
+    assert params != solver.params
+    four = MultigridSolver(
+        solver.hierarchy.levels[0].op, params, np.random.default_rng(1),
+        null_vectors=solver.hierarchy.export_null_vectors(),
+    )
+    b = SpinorField.random(ds.lattice(), rng=np.random.default_rng(0))
+    baseline = four.solve(b.data, tol=5e-6)
+    assert preset.converged and baseline.converged
+    assert preset.iterations < baseline.iterations
+    smoothed = preset.telemetry.level_stats[0]["smoother_applies"]
+    assert smoothed <= 1.2 * baseline.telemetry.level_stats[0]["smoother_applies"]
+
+
 class TestPaperReference:
     def test_table3_row_count(self):
         assert len(TABLE3) == 31

@@ -17,8 +17,9 @@ complex64:
   at K=1 and ``trsm`` above) and one GEMM against the explicit inverse;
 
 and prints the break-even, in coarsest solves, of the LU and the inverse
-form against GCR (a solve of the outer system runs ~11 of them, a
-12-column propagator ~130) and of the inverse's extra first-use cost
+form against GCR (a solve of the outer system runs one per level-1
+iteration, ~5 on the 24/24 benchmark configuration, a 12-column
+propagator ~65) and of the inverse's extra first-use cost
 against the production solve.  The candidates of one size are
 interleaved so that host speed steps hit all of them alike.  The operator is synthetic — random dense blocks with a
 dominant site term, scaled so that the GCR needs the 4-7 iterations the
