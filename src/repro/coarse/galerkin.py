@@ -13,14 +13,21 @@ hop term evaluated where it crosses an aggregate boundary, so
 
     ``Y[mu, d] = R (hop_{mu,d} P)|_boundary``,   ``X = R M P - sum Y``.
 
-All ``2 * Nc_hat`` columns travel as one stack through ``prolong_multi``,
-``apply_multi`` and ``restrict_multi`` (many vectors, one operator), the
-full operator is applied once rather than term by term, and each hop is
-evaluated only on its direction's boundary sites.  This is exact (tested
-against ``R M P`` on dense matrices).
+All ``2 * Nc_hat`` columns travel as one stack: ``P e_j`` is column
+``j`` of the basis laid out on the lattice (a scatter, not a GEMM
+against the identity), ``M P`` is one ``apply_multi`` and one
+``restrict_multi``.  A hop leaves the aggregate from the same in-block
+slots in every aggregate — the boundary slab of its direction, a
+``1/b_mu`` share of the block — so each hop is evaluated on those sites
+only, in aggregate order, and restricted against only the matching rows
+of the basis (:meth:`~repro.transfer.Transfer.restrict_slab`): no
+zero-padded lattice is built or read.  This is exact (tested against
+``R M P`` on dense matrices).
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -30,20 +37,35 @@ from ..telemetry.tracer import get_tracer
 from ..transfer import Transfer
 from .coarse_op import CoarseOperator
 
-#: Prolonged columns held at once.  The stack, its image under ``M`` and
-#: one zero-padded hop are live together, so the working set is three
-#: times this.  Swept 256 kB to 64 MB on the benchmark configurations:
-#: flat from 4 MB up, 2-3x slower at 256 kB (DESIGN.md section 19).
+#: Prolonged columns held at once.  The stack and its image under ``M``
+#: are live together, next to one boundary slab (a ``1/b_mu`` share of
+#: the stack), so the working set is about twice this.  Swept 256 kB to
+#: 64 MB on the benchmark configurations: flat from 4 MB up, 2-3x slower
+#: at 256 kB (DESIGN.md section 19).
 _CHUNK_BYTES = 1 << 24
 
 
 def coarsen_operator(op: StencilOperator, transfer: Transfer) -> CoarseOperator:
-    """Compute the Galerkin coarse operator of ``op`` through ``transfer``."""
+    """Compute the Galerkin coarse operator of ``op`` through ``transfer``.
+
+    Leaves ``op`` as it found it: array-backend tables the complex128
+    products build on it (the cycle computes on its own precision) are
+    dropped again, so a built and a restored hierarchy hold the same."""
     if transfer.fine_lattice != op.lattice:
         raise ValueError("transfer fine lattice does not match operator lattice")
     if transfer.fine_ns != op.ns or transfer.fine_nc != op.nc:
         raise ValueError("transfer dof does not match operator dof")
+    tables = dict(vars(op).get("_backend_cache", {}))
+    try:
+        return _galerkin_product(op, transfer)
+    finally:
+        if tables:
+            op._backend_cache = tables
+        else:
+            vars(op).pop("_backend_cache", None)
 
+
+def _galerkin_product(op: StencilOperator, transfer: Transfer) -> CoarseOperator:
     blocking = transfer.blocking
     coarse = transfer.coarse_lattice
     ns_c, nc_c = transfer.coarse_ns, transfer.coarse_nc
@@ -53,50 +75,64 @@ def coarsen_operator(op: StencilOperator, transfer: Transfer) -> CoarseOperator:
 
     x_blocks = np.empty((vc, n, n), dtype=np.complex128)
     hop_blocks = np.empty((NDIM, 2, vc, n, n), dtype=np.complex128)
-    # the fine sites whose (mu, d) hop reads another aggregate
-    boundary = [
-        (mu, d, sign, np.flatnonzero(crosses(mu)))
-        for mu in range(NDIM)
+    # the in-block slots whose (mu, d) hop reads another aggregate (the
+    # same in every aggregate) and those fine sites, aggregate by aggregate
+    first = blocking.agg_sites[0]
+    boundary = []
+    for mu in range(NDIM):
         for d, (sign, crosses) in enumerate(
             ((+1, blocking.crosses_block_fwd), (-1, blocking.crosses_block_bwd))
-        )
-    ]
-
-    def columns(coarse_stack: np.ndarray) -> np.ndarray:
-        """``(K, vc, 2, Nc_hat)`` restricted images as ``(vc, n, K)`` columns."""
-        return coarse_stack.reshape(-1, vc, n).transpose(1, 2, 0)
+        ):
+            slots = np.flatnonzero(crosses(mu)[first])
+            boundary.append((mu, d, sign, slots, blocking.agg_sites[:, slots].ravel()))
 
     field_bytes = vf * op.ns * op.nc * np.dtype(np.complex128).itemsize
     chunk = max(1, _CHUNK_BYTES // field_bytes)
-    hop_share = sum(len(sites) for *_, sites in boundary) / (2 * NDIM * vf)
+    slab_share = sum(len(slots) for _, _, _, slots, _ in boundary) / blocking.block_volume
     span = get_tracer().current()
+    spent = {"hop_s": 0.0, "restrict_s": 0.0}
+
+    def timed(phase: str, fn, *args):
+        """``fn(*args)``, its seconds booked to ``phase`` when traced."""
+        if span is None:
+            return fn(*args)
+        start = time.perf_counter()
+        out = fn(*args)
+        spent[phase] += time.perf_counter() - start
+        return out
+
     for lo in range(0, n, chunk):
         cols = slice(lo, min(lo + chunk, n))
         k = cols.stop - lo
-        units = np.zeros((k, vc, n), dtype=np.complex128)
-        units[np.arange(k), :, np.arange(lo, cols.stop)] = 1.0
-        basis_fine = transfer.prolong_multi(units.reshape(k, vc, ns_c, nc_c))
-        x_blocks[:, :, cols] = columns(
-            transfer.restrict_multi(op.apply_multi(basis_fine))
+        basis_fine = transfer.unit_columns(cols)
+        image = timed("hop_s", op.apply_multi, basis_fine)
+        x_blocks[:, :, cols] = (
+            timed("restrict_s", transfer.restrict_multi, image)
+            .reshape(k, vc, n)
+            .transpose(1, 2, 0)
         )
-        crossing = np.zeros_like(basis_fine)
-        for mu, d, sign, sites in boundary:
-            crossing[:, sites] = op.apply_hop_sites(mu, sign, sites, basis_fine)
-            link = columns(transfer.restrict_multi(crossing))
-            crossing[:, sites] = 0.0
+        del image
+        for mu, d, sign, slots, sites in boundary:
+            slab = timed("hop_s", op.apply_hop_sites, mu, sign, sites, basis_fine)
+            slab = slab.reshape((k, vc, len(slots)) + slab.shape[2:])
+            link = timed("restrict_s", transfer.restrict_slab, slab, slots)
+            link = link.reshape(vc, n, k)
             hop_blocks[mu, d, :, :, cols] = link
             x_blocks[:, :, cols] -= link
         if span is not None:
-            # the GEMMs (one prolong, nine restricts), one full apply and
-            # the boundary slabs' share of its eight hops
+            # the GEMMs (one restrict of the image, the slabs' share of
+            # one per hop), one full apply and the slabs' share of its
+            # eight hops
             t_flops, t_bytes = transfer.application_cost_multi(k)
             m_flops, m_bytes = op.application_cost_multi(k)
-            applies = 1 + hop_share
+            restricts = 1 + slab_share
+            applies = 1 + slab_share / (2 * NDIM)
             span.attribute(
-                flops=10 * t_flops + applies * m_flops,
-                bytes=10 * t_bytes + applies * m_bytes,
+                flops=restricts * t_flops + applies * m_flops,
+                bytes=restricts * t_bytes + applies * m_bytes,
             )
-
+    if span is not None:
+        span.annotate(**spent)
     return CoarseOperator(coarse, x_blocks, hop_blocks, ns_c, nc_c)
 
 

@@ -112,9 +112,10 @@ def book_gcr(
     lev: MGLevel, results: list[SolveResult], nkrylov: int, extra_applies: int = 0
 ) -> None:
     """Book a finished lockstep GCR over ``lev.op``: its
-    :class:`~repro.mg.hierarchy.LevelStats` for all K systems and, when
-    tracing is live, the driver's own matvec cost (plus ``extra_applies``
-    stencil-equivalents spent around it).
+    :class:`~repro.mg.hierarchy.LevelStats` for the applications each of
+    the K systems received while it ran and, when tracing is live, the
+    solver's own matvec cost (plus ``extra_applies`` stencil-equivalents
+    per system spent around it).
 
     Work done by nested K-cycle spans books itself, so only the driver's
     direct operator applications land here — attributed costs stay
@@ -124,18 +125,20 @@ def book_gcr(
     fallback.
     """
     k = len(results)
-    applies = results[0].matvecs + extra_applies
+    # the GCR applies its operator to the systems still running only
+    applies = sum(res.matvecs for res in results) + extra_applies * k
     stats = lev.stats
-    stats.op_applies += applies * k
+    stats.op_applies += applies
     stats.gcr_iters += sum(res.iterations for res in results)
     stats.reductions += sum(gcr_reductions(res.iterations, nkrylov) for res in results)
     span = get_tracer().current()
     if span is not None:
+        # per system of a k-stack: its share of the matrix traffic
         flops, nbytes = operator_application_cost_multi(lev.op, k, results[0].x.dtype)
         target = next(
             (c for c in reversed(span.children) if c.name == "solve.gcr"), span
         )
-        target.attribute(flops=applies * flops, bytes=applies * nbytes)
+        target.attribute(flops=applies * flops / k, bytes=applies * nbytes / k)
 
 
 def book_direct(lev: MGLevel, schur, rc: np.ndarray) -> None:

@@ -59,23 +59,26 @@ def _book_relaxation(op, results, dtype) -> None:
     stacked relaxation did, and book its Schur applications, a
     stencil-equivalent each: the one that formed the right-hand sides
     and the reconstruction's half there, the solver's on its
-    ``solve.bicgstab`` child, where they ran."""
+    ``solve.bicgstab`` child, where they ran — each system's share of a
+    stacked application for every one it received while it ran
+    (``applies``; a stopped system receives none)."""
     span = get_tracer().current()
     if span is None:
         return
     k = len(results)
+    applies = sum(res.matvecs for res in results)
     span.annotate(
         system="red-black",
         n_rhs=k,
         dtype=dtype.name,
         iterations=max(res.iterations for res in results),
         residual_max=max(res.final_residual for res in results),
+        applies=applies,
     )
     flops, nbytes = operator_application_cost_multi(op, k, dtype)
     span.attribute(flops=1.5 * flops, bytes=1.5 * nbytes)
     solve = next((c for c in reversed(span.children) if c.name == "solve.bicgstab"), span)
-    applies = results[0].telemetry.attrs["matvec_batches"]
-    solve.attribute(flops=applies * flops, bytes=applies * nbytes)
+    solve.attribute(flops=applies * flops / k, bytes=applies * nbytes / k)
 
 
 def generate_null_vectors(

@@ -41,10 +41,22 @@ def per_system(c: np.ndarray, like: np.ndarray) -> np.ndarray:
     return c.reshape((like.shape[0],) + (1,) * (like.ndim - 1))
 
 
-def apply_stack(op, vs: np.ndarray) -> np.ndarray:
+def apply_stack(op, vs: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
     """``op`` on a ``(K, ...)`` stack: its ``apply_multi`` when it has
     one, else ``apply`` system by system (counting and partitioned
-    wrappers, Chebyshev and Schwarz smoothers, dense test operators)."""
+    wrappers, Chebyshev and Schwarz smoothers, dense test operators).
+
+    ``live`` (the indices of the systems still running) restricts the
+    work to ``vs[live]``: the other rows come back zero, and are not
+    applied at all — a lockstep loop pays for its live systems only."""
+    if live is not None:
+        if not len(live):
+            return np.zeros_like(vs)
+        if len(live) < len(vs):
+            applied = apply_stack(op, vs[live])
+            out = np.zeros((len(vs),) + applied.shape[1:], dtype=applied.dtype)
+            out[live] = applied
+            return out
     fn = getattr(op, "apply_multi", None)
     if fn is not None:
         return fn(vs)

@@ -10,11 +10,12 @@ a few dozen iterations it is also the relaxation of the adaptive setup
 There is one loop, :func:`lockstep_bicgstab`, and it works on a
 ``(K, ...)`` stack the way :func:`repro.solvers.gcr.lockstep_gcr` does:
 K independent recurrences advance together, each of the two matvecs of
-an iteration is one call for all systems and the reductions of all
-systems fuse into one.  A system that has converged, broken down
-beyond repair or started from a zero right-hand side is masked — its
-coefficients are zeroed, so its iterate stays exactly where it was
-while the rest continue.  :func:`bicgstab` is the batch of one.
+an iteration is one call for all running systems and the reductions of
+all systems fuse into one.  A system that has converged, broken down
+beyond repair or started from a zero right-hand side leaves the stack's
+work — the operator is applied to the running systems only — and is
+masked: its coefficients are zeroed, so its iterate stays exactly where
+it was while the rest continue.  :func:`bicgstab` is the batch of one.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ def lockstep_bicgstab(
     """BiCGStab with restart-on-breakdown on a stack ``bs``.
 
     ``op`` is applied through ``apply_multi`` when it has it and system
-    by system otherwise.  Every system runs the recurrence it would run
-    alone: it restarts from its own residual when its ``rho`` or
+    by system otherwise, to the systems still running.  Every system
+    runs the recurrence it would run alone: it restarts from its own residual when its ``rho`` or
     ``omega`` breaks down, stops at the half step when ``|s|`` is
     already below its target, and stops for good — unconverged, at its
     last finite iterate — if a step coefficient is not finite.  The
@@ -108,7 +109,7 @@ def lockstep_bicgstab(
             rho_old[broken] = alpha[broken] = omega[broken] = 1.0
         beta = _ratio(rho, rho_old, active) * _ratio(alpha, omega, active)
         ps = rs + per_system(beta, rs) * (ps - per_system(omega, rs) * vs)
-        vs = apply_stack(op, ps)
+        vs = apply_stack(op, ps, np.flatnonzero(active))
         matvec_batches += 1
         matvecs[active] += 1
         alpha = _ratio(rho, batch_dot(r0s, vs), active)
@@ -128,7 +129,7 @@ def lockstep_bicgstab(
             alpha[half] = 0.0
             if not active.any():
                 break
-        ts = apply_stack(op, ss)
+        ts = apply_stack(op, ss, np.flatnonzero(active))
         matvec_batches += 1
         matvecs[active] += 1
         tt = np.real(batch_dot(ts, ts))

@@ -11,9 +11,11 @@ There is one loop, :func:`lockstep_gcr`, and it works on a ``(K, ...)``
 stack (paper Section 9): K *independent* Krylov spaces advance
 together, every matvec and preconditioner application is one call for
 all systems, and the per-iteration reductions of all systems fuse into
-one.  A converged (or zero) system is masked — its coefficients are
-zeroed, so its iterate and residual stay exactly where they were while
-the rest continue.  :func:`gcr` is the batch of one and
+one.  A converged (or zero) system leaves the stack's work: the
+preconditioner and the operator are applied to the live systems only
+(:func:`~repro.solvers.base.apply_stack` with ``live``), and its
+coefficients are zeroed, so its iterate and residual stay exactly where
+they were while the rest continue.  :func:`gcr` is the batch of one and
 :func:`batched_gcr` the shape-checked stack.
 """
 
@@ -52,11 +54,14 @@ def lockstep_gcr(
     the latency profile that makes the coarsest grid
     synchronization-bound at scale (paper Figure 4).  The restart depth
     is shared, so no system's iterates depend on what it is batched
-    with.  Returns one :class:`SolveResult` per system; ``matvecs`` is
-    the number of stacked operator applications.
+    with.  Only the systems still running are handed to ``op`` and
+    ``preconditioner``.  Returns one :class:`SolveResult` per system;
+    ``matvecs`` counts the operator applications made while that system
+    was running, ``telemetry.attrs["matvec_batches"]`` the stacked calls.
     """
     k = bs.shape[0]
     matvec_batches = 0
+    matvecs = np.zeros(k, dtype=int)
     if x0s is None:
         xs = np.zeros_like(bs)
         rs = bs.copy()
@@ -64,6 +69,7 @@ def lockstep_gcr(
         xs = x0s.copy()
         rs = bs - apply_stack(op, xs)
         matvec_batches += 1
+        matvecs += 1
     bnorms = np.sqrt(np.real(batch_dot(bs, bs)))
     active = bnorms > 0
     targets = tol * bnorms
@@ -78,9 +84,15 @@ def lockstep_gcr(
     while it < maxiter and active.any():
         if len(basis) == nkrylov:  # restart
             basis.clear()
-        z = rs.copy() if preconditioner is None else apply_stack(preconditioner, rs)
-        w = apply_stack(op, z)
+        live = np.flatnonzero(active)
+        if preconditioner is None:
+            z = rs.copy()
+            z[~active] = 0
+        else:
+            z = apply_stack(preconditioner, rs, live)
+        w = apply_stack(op, z, live)
         matvec_batches += 1
+        matvecs[live] += 1
         # modified Gram-Schmidt against the current cycle's directions
         for zi, wi, wn in basis:
             proj = per_system(batch_dot(wi, w) / wn, w)
@@ -115,7 +127,7 @@ def lockstep_gcr(
             int(iters[i]),
             histories[i][-1],
             histories[i],
-            matvec_batches,
+            int(matvecs[i]),
             extra={"matvec_batches": matvec_batches, "n_rhs": k},
         )
         for i in range(k)

@@ -191,6 +191,51 @@ class Transfer:
             )
         return out
 
+    # -- the Galerkin product's columns -----------------------------------
+    def unit_columns(self, cols: slice) -> np.ndarray:
+        """``P e_j`` for the coarse dofs ``j`` in ``cols`` (``j = chirality
+        * Nc_hat + colour``, one at every coarse site), complex128
+        ``(K, V_f, ns, nc)``: column ``j`` of the basis laid out on the
+        fine lattice, scattered rather than prolonged."""
+        vc = self.coarse_lattice.volume
+        nsb, nc = self.fine_ns // 2, self.fine_nc
+        sites = self.blocking.agg_sites.ravel()
+        out = np.zeros(
+            (cols.stop - cols.start, self.fine_lattice.volume, self.fine_ns, nc),
+            dtype=np.complex128,
+        )
+        for chi, sl in enumerate(chirality_slices_for(self.fine_ns)):
+            first = chi * self.coarse_nc  # the chirality's first dof
+            lo = max(cols.start, first)
+            hi = min(cols.stop, first + self.coarse_nc)
+            if lo >= hi:
+                continue
+            vals = self._basis[:, chi, :, lo - first : hi - first]
+            out[lo - cols.start : hi - cols.start, :, sl][:, sites] = (
+                vals.reshape(vc * self.blocking.block_volume, nsb, nc, hi - lo)
+                .transpose(3, 0, 1, 2)
+            )
+        return out
+
+    def restrict_slab(self, slab: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """``R`` of a ``(K, V_f, ns, nc)`` stack that vanishes outside the
+        in-block ``slots``, handed over as those sites only, aggregate by
+        aggregate: ``slab`` is ``(K, V_c, len(slots), ns, nc)``.  Only
+        the matching rows of the basis are read — one ``(Nc_hat,
+        rows) @ (rows, K)`` GEMM per aggregate and chirality, batch
+        last.  Returns ``(V_c, 2, Nc_hat, K)``."""
+        k, vc = slab.shape[0], self.coarse_lattice.volume
+        dtype = compute_dtype(slab)
+        basis = reduced(self, "_basis", dtype)
+        bv = self.blocking.block_volume
+        out = np.empty((vc, 2, self.coarse_nc, k), dtype=dtype)
+        for chi, sl in enumerate(chirality_slices_for(self.fine_ns)):
+            rows = basis[:, chi].reshape(vc, bv, -1, self.coarse_nc)[:, slots]
+            rows = rows.reshape(vc, -1, self.coarse_nc)
+            x = slab[:, :, :, sl].reshape(k, vc, -1).transpose(1, 2, 0)
+            out[:, chi] = np.matmul(np.conj(np.swapaxes(rows, -1, -2)), x)
+        return out
+
     # -- SpinorField conveniences ----------------------------------------
     def restrict_field(self, v: SpinorField) -> SpinorField:
         return SpinorField(self.coarse_lattice, self.restrict(v.data))

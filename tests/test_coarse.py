@@ -96,6 +96,21 @@ class TestStackedConstruction:
             assert np.abs(coarse.x_blocks - want.x_blocks).max() <= 1e-13 * scale
             assert np.abs(coarse.hop_blocks - want.hop_blocks).max() <= 1e-13 * scale
 
+    def test_a_quarter_block_slab_equals_the_term_by_term_construction(
+        self, wilson448, lat448
+    ):
+        """An extent-4 direction: each of its boundary slabs is a quarter
+        of the block, the other directions' a half."""
+        transfer = Transfer(
+            Blocking(lat448, (2, 2, 2, 4)),
+            [random_spinor(lat448, seed=720 + k) for k in range(3)],
+        )
+        got = coarsen_operator(wilson448, transfer)
+        want = coarsen_term_by_term(wilson448, transfer)
+        scale = np.abs(want.x_blocks).max()
+        assert np.abs(got.x_blocks - want.x_blocks).max() <= 1e-13 * scale
+        assert np.abs(got.hop_blocks - want.hop_blocks).max() <= 1e-13 * scale
+
     def test_column_chunks_give_the_same_blocks(self, two_levels, monkeypatch):
         fine, transfer, coarse = two_levels[0]
         field_bytes = fine.lattice.volume * fine.site_dof * 16

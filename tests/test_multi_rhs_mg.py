@@ -93,3 +93,22 @@ class TestBatchedMGSolve:
         results = solver.solve_multi(stack, tol=1e-8)
         assert results[2].converged
         assert norm(results[2].x) == 0.0
+
+
+class TestLiveWork:
+    def test_a_stack_books_the_cycles_of_its_live_systems(self, setup):
+        """Every outer iteration of a system runs one cycle on it and
+        none after it converged: level-0 smoothing is ``2 (steps + 1)``
+        per system-iteration, not per stack-iteration."""
+        op, solver, bs = setup
+        points = np.zeros((4,) + bs.shape[1:], dtype=bs.dtype)
+        for j in range(4):
+            points[j, 7 * (j + 4), j, 1] = 1.0
+        results = solver.solve_multi(np.concatenate([bs, points]), tol=1e-8)
+        iterations = [res.iterations for res in results]
+        assert len(set(iterations)) > 1  # staggered convergence
+        steps = solver.hierarchy.levels[0].params.smoother_steps
+        stats = results[0].telemetry.level_stats[0]
+        assert stats["smoother_applies"] == 2 * (steps + 1) * sum(iterations)
+        # the outer GCR applies the fine operator once per system-iteration
+        assert stats["op_applies"] == sum(iterations)

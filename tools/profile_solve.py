@@ -11,7 +11,9 @@ profiling artifact shares one schema.
 ``--phase setup`` profiles the adaptive setup instead: one traced
 ``MultigridHierarchy.build`` and, per level, what its relaxation
 (``null-vectors``), orthonormalisation (``transfer-build``) and Galerkin
-product (``coarsen``) spans took and did.
+product (``coarsen``, split into its operator hops and its restricts)
+spans took and did — for the relaxation, the applications its running
+systems needed against those a lockstep stack would have run.
 
 Usage:  python tools/profile_solve.py [dataset-label] [--json [FILE]]
         python tools/profile_solve.py [dataset-label] --phase setup
@@ -50,6 +52,26 @@ _SETUP_PHASES = {
 }
 
 
+def _relaxation_note(span) -> str:
+    """What one ``null-vectors`` span's stacked relaxation ran: its
+    systems, their iteration range and the applications they needed
+    (live) out of those a stack without masking would have run."""
+    a = span.attrs
+    solve = next(c for c in span.children if c.name == "solve.bicgstab")
+    # a stack of one has no per-system children
+    iterations = [
+        c.attrs["iterations"] for c in solve.children if c.name.endswith(".rhs")
+    ] or [a["iterations"]]
+    # the longest-running system received every stacked apply
+    stacked = a["n_rhs"] * solve.attrs["matvecs"]
+    low, high = min(iterations), max(iterations)
+    spread = f"{low}" if low == high else f"{low}–{high}"
+    return (
+        f"{a['n_rhs']} x {a['dtype']}, {spread} iterations, "
+        f"{a['applies']} of {stacked} applies, residual <= {a['residual_max']:.1e}"
+    )
+
+
 def _profile_setup(label: str) -> int:
     """Print the per-level relax / orthonormalise / Galerkin split of one
     traced build."""
@@ -71,9 +93,13 @@ def _profile_setup(label: str) -> int:
     finally:
         telemetry.disable()
     print(f"setup {ds.label}: {root.duration_s:.3f} s, {len(root.children)} coarsenings")
-    print(f"{'level':>5} {'relax':>8} {'orthonormalise':>15} {'galerkin':>9}  relaxation")
+    print(
+        f"{'level':>5} {'relax':>8} {'orthonormalise':>15} {'galerkin':>9} "
+        f"{'hops':>8} {'restricts':>9}  relaxation"
+    )
     for level in root.children:
         seconds = dict.fromkeys(_SETUP_PHASES.values(), 0.0)
+        split = {"hop_s": 0.0, "restrict_s": 0.0}
         note = ""
         for span in level.children:
             phase = _SETUP_PHASES.get(span.name)
@@ -81,14 +107,14 @@ def _profile_setup(label: str) -> int:
                 continue
             seconds[phase] += span.duration_s
             if phase == "relax":
-                a = span.attrs
-                note = (
-                    f"{a['n_rhs']} x {a['dtype']}, {a['iterations']} iterations, "
-                    f"residual <= {a['residual_max']:.1e}"
-                )
+                note = _relaxation_note(span)
+            elif phase == "galerkin":
+                for key in split:
+                    split[key] += span.attrs.get(key, 0.0)
         print(
             f"{level.attrs['level']:>5} {seconds['relax']:>8.4f} "
-            f"{seconds['orthonormalise']:>15.4f} {seconds['galerkin']:>9.4f}  {note}"
+            f"{seconds['orthonormalise']:>15.4f} {seconds['galerkin']:>9.4f} "
+            f"{split['hop_s']:>8.4f} {split['restrict_s']:>9.4f}  {note}"
         )
     return 0
 
