@@ -21,7 +21,6 @@ from functools import cached_property
 
 import numpy as np
 
-from ..backend import get_backend
 from ..dirac.stencil import StencilOperator
 from ..lattice import NDIM, Lattice
 from ..precision import compute_dtype, reduced
@@ -77,11 +76,11 @@ class CoarseOperator(StencilOperator):
 
     def apply_diag(self, v: np.ndarray) -> np.ndarray:
         x_blocks = reduced(self, "x_blocks", compute_dtype(v))
-        return get_backend().dense_blocks_apply(x_blocks, v)
+        return np.matmul(x_blocks, v.reshape(len(v), self.site_dof, 1)).reshape(v.shape)
 
     def apply_diag_inv(self, v: np.ndarray) -> np.ndarray:
         x_inv = reduced(self, "_x_inv", compute_dtype(v))
-        return get_backend().dense_blocks_apply(x_inv, v)
+        return np.matmul(x_inv, v.reshape(len(v), self.site_dof, 1)).reshape(v.shape)
 
     def apply_hop_gathered(self, mu: int, sign: int, nbr: np.ndarray) -> np.ndarray:
         d = 0 if sign > 0 else 1
@@ -103,11 +102,7 @@ class CoarseOperator(StencilOperator):
         return np.matmul(blocks, nbr).transpose(2, 0, 1).reshape(k, n, self.ns, self.nc)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Full application ``M v``, through the active backend."""
-        return get_backend().coarse_apply(self, v)
-
-    def apply_reference(self, v: np.ndarray) -> np.ndarray:
-        """Baseline fused application: one gather + batched matvec per direction."""
+        """Full application ``M v``: one gather + batched matvec per direction."""
         lat = self.lattice
         dtype = compute_dtype(v)
         hop_blocks = reduced(self, "hop_blocks", dtype)
@@ -119,11 +114,7 @@ class CoarseOperator(StencilOperator):
         return out.reshape(v.shape)
 
     def apply_multi(self, vs: np.ndarray) -> np.ndarray:
-        """Batched application to ``(K, V, ns, nc)``, through the active backend."""
-        return get_backend().coarse_apply_multi(self, vs)
-
-    def apply_multi_reference(self, vs: np.ndarray) -> np.ndarray:
-        """Baseline batched application to ``(K, V, ns, nc)``: matrices loaded once.
+        """Batched application to ``(K, V, ns, nc)``: matrices loaded once.
 
         Batch-last ``(V, N, N) @ (V, N, K)`` stacked GEMMs — one per
         direction regardless of K, so every dense link matrix is read

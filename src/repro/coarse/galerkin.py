@@ -46,26 +46,11 @@ _CHUNK_BYTES = 1 << 24
 
 
 def coarsen_operator(op: StencilOperator, transfer: Transfer) -> CoarseOperator:
-    """Compute the Galerkin coarse operator of ``op`` through ``transfer``.
-
-    Leaves ``op`` as it found it: array-backend tables the complex128
-    products build on it (the cycle computes on its own precision) are
-    dropped again, so a built and a restored hierarchy hold the same."""
+    """Compute the Galerkin coarse operator of ``op`` through ``transfer``."""
     if transfer.fine_lattice != op.lattice:
         raise ValueError("transfer fine lattice does not match operator lattice")
     if transfer.fine_ns != op.ns or transfer.fine_nc != op.nc:
         raise ValueError("transfer dof does not match operator dof")
-    tables = dict(vars(op).get("_backend_cache", {}))
-    try:
-        return _galerkin_product(op, transfer)
-    finally:
-        if tables:
-            op._backend_cache = tables
-        else:
-            vars(op).pop("_backend_cache", None)
-
-
-def _galerkin_product(op: StencilOperator, transfer: Transfer) -> CoarseOperator:
     blocking = transfer.blocking
     coarse = transfer.coarse_lattice
     ns_c, nc_c = transfer.coarse_ns, transfer.coarse_nc

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import get_backend
 from ..fields import GaugeField
 from ..gauge.su3 import dagger
 from ..lattice import NDIM, Lattice
@@ -23,6 +22,7 @@ from ..precision import compute_dtype, reduced
 from .clover import CloverTerm
 from .gamma import NS, chirality_slices, projectors
 from .stencil import StencilOperator
+from .wilson_kernel import wilson_kernel_for
 
 TIME_DIR = 3
 
@@ -94,17 +94,15 @@ class WilsonCloverOperator(StencilOperator):
 
     # ------------------------------------------------------------------
     def apply_diag(self, v: np.ndarray) -> np.ndarray:
-        """Clover/mass site-local term, through the active backend."""
-        blocks = reduced(self, "_diag_blocks", compute_dtype(v))
-        return get_backend().clover_apply(blocks, v)
+        """Clover/mass site-local term."""
+        return self._apply_blocks(reduced(self, "_diag_blocks", compute_dtype(v)), v)
 
     def apply_diag_inv(self, v: np.ndarray) -> np.ndarray:
-        blocks = reduced(self, "_diag_inv", compute_dtype(v))
-        return get_backend().clover_apply(blocks, v)
+        return self._apply_blocks(reduced(self, "_diag_inv", compute_dtype(v)), v)
 
     def _apply_blocks(self, blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Baseline chiral-block multiply (kept as the reference the
-        backend protocol's default ``clover_apply`` mirrors)."""
+        """Per-site chiral ``6x6`` blocks ``(V, 2, 6, 6)`` applied to
+        ``(V, 4, 3)``, one stacked matvec per chirality."""
         vol = v.shape[0]
         out = np.empty_like(v)
         for chi, sl in enumerate(chirality_slices()):
@@ -138,13 +136,17 @@ class WilsonCloverOperator(StencilOperator):
         colored = np.matmul(links, nbr).reshape(n, 3, k, 4)
         return (-0.5 * np.matmul(colored, proj.T)).transpose(2, 0, 3, 1)
 
+    def apply_hopping(self, v: np.ndarray) -> np.ndarray:
+        """Sum of all eight hop terms, by the production kernel."""
+        return wilson_kernel_for(self, compute_dtype(v)).hop_sum_sites(v[None])[0]
+
     def apply_multi(self, vs: np.ndarray) -> np.ndarray:
-        """Batched application to ``(K, V, 4, 3)``, through the active backend."""
-        return get_backend().wilson_apply_multi(self, vs)
+        """Batched application to ``(K, V, 4, 3)`` by the production kernel."""
+        return wilson_kernel_for(self, compute_dtype(vs)).apply_sites(vs)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Full application ``M v``, through the active backend."""
-        return get_backend().wilson_apply(self, v)
+        """Full application ``M v`` by the production kernel."""
+        return wilson_kernel_for(self, compute_dtype(v)).apply_sites(v[None])[0]
 
     def apply_reference(self, v: np.ndarray) -> np.ndarray:
         """Site-major full application (diagonal + all eight un-projected

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..backend import active_backend_name, use_backend
 from ..coarse import CoarseOperator, coarsen_operator
 from ..dirac.mrhs import batched_schur_for, solves_directly
 from ..dirac.wilson_kernel import WilsonKernel, supports_wilson_kernel
@@ -161,14 +160,6 @@ def _coarsest_level(index: int, op, params: MGParams) -> MGLevel:
     return MGLevel(index=index, op=op, schur=schur)
 
 
-def _cached_bytes(entry) -> int:
-    """Bytes of one per-backend cache entry: an array, a tuple of
-    arrays, or a helper object that reports its own ``nbytes``."""
-    if isinstance(entry, tuple):
-        return sum(_cached_bytes(item) for item in entry)
-    return int(getattr(entry, "nbytes", 0))
-
-
 class MultigridHierarchy:
     """The complete level stack for a fine operator and an :class:`MGParams`."""
 
@@ -202,11 +193,7 @@ class MultigridHierarchy:
         tracer = get_tracer()
         levels: list[MGLevel] = []
         current = fine_op
-        with use_backend(params.backend), tracer.span(
-            "mg.setup",
-            n_levels=len(params.levels) + 1,
-            backend=active_backend_name() if params.backend is None else params.backend,
-        ):
+        with tracer.span("mg.setup", n_levels=len(params.levels) + 1):
             for index, lp in enumerate(params.levels):
                 if verbose:
                     print(
@@ -271,21 +258,20 @@ class MultigridHierarchy:
         rng = np.random.default_rng()  # drawn from by a Chebyshev smoother only
         levels: list[MGLevel] = []
         current = fine_op
-        with use_backend(params.backend):
-            for index, lp in enumerate(params.levels):
-                volume, ns, nc = current.lattice.volume, current.ns, current.nc
-                blocking = Blocking(current.lattice, lp.block)
-                vc, n = blocking.coarse.volume, 2 * lp.n_null
-                rows = blocking.block_volume * (ns // 2) * nc
-                nulls = list(member(f"null{index}", (lp.n_null, volume, ns, nc)))
-                basis = member(f"basis{index}", (vc, 2, rows, lp.n_null))
-                transfer = Transfer.from_basis(blocking, basis, ns, nc)
-                schur = batched_schur_for(current)
-                levels.append(_level(index, current, lp, params, rng, schur, transfer, nulls))
-                x = member(f"x{index + 1}", (vc, n, n))
-                hop = member(f"hop{index + 1}", (NDIM, 2, vc, n, n))
-                current = CoarseOperator(blocking.coarse, x, hop, 2, lp.n_null)
-            levels.append(_coarsest_level(len(params.levels), current, params))
+        for index, lp in enumerate(params.levels):
+            volume, ns, nc = current.lattice.volume, current.ns, current.nc
+            blocking = Blocking(current.lattice, lp.block)
+            vc, n = blocking.coarse.volume, 2 * lp.n_null
+            rows = blocking.block_volume * (ns // 2) * nc
+            nulls = list(member(f"null{index}", (lp.n_null, volume, ns, nc)))
+            basis = member(f"basis{index}", (vc, 2, rows, lp.n_null))
+            transfer = Transfer.from_basis(blocking, basis, ns, nc)
+            schur = batched_schur_for(current)
+            levels.append(_level(index, current, lp, params, rng, schur, transfer, nulls))
+            x = member(f"x{index + 1}", (vc, n, n))
+            hop = member(f"hop{index + 1}", (NDIM, 2, vc, n, n))
+            current = CoarseOperator(blocking.coarse, x, hop, 2, lp.n_null)
+        levels.append(_coarsest_level(len(params.levels), current, params))
         return cls._verified(levels, params)
 
     @classmethod
@@ -339,8 +325,7 @@ class MultigridHierarchy:
         smoother's, on the coarsest level the cycle's with its dense
         LU factors where it is solved directly (in place of that
         operator's own reduced copies, which a red-black coarsest solve
-        never casts) — and whatever the array backends have cached on
-        the operators.
+        never casts).
         Kernel tables, reduced copies, the factors and the inverse site
         blocks of a level that relaxes are built on first use but booked
         at their known size from the start, so a setup restored from
@@ -378,8 +363,6 @@ class MultigridHierarchy:
             book = getattr(getattr(lev.smoother, "schur", None), "table_bytes", None)
             if book is not None:
                 total += book(dtype_of(params.smoother_precision))
-            caches = getattr(lev.op, "_backend_cache", {})
-            total += sum(_cached_bytes(entry) for entry in caches.values())
         return total
 
     def reset_stats(self) -> None:

@@ -57,13 +57,6 @@ class MGParams:
     # Purely observational — never changes the numerics — and therefore
     # excluded from the configuration fingerprint.
     verify_level: str = "off"
-    # Array backend (repro.backend) the hierarchy build and solve run
-    # on: None inherits the ambient selection (use_backend scope,
-    # REPRO_BACKEND, or the numpy baseline).  Backends are held to the
-    # baseline bitwise-equivalent-iteration behaviour by the
-    # differential suite, so like verify_level this is excluded from
-    # the fingerprint: every backend shares setup-cache entries.
-    backend: str | None = None
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -112,7 +105,6 @@ class MGParams:
 
         out = _clean(asdict(self))
         out.pop("verify_level", None)
-        out.pop("backend", None)
         return out
 
     def fingerprint(self) -> str:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import active_backend_name, use_backend
 from ..fields import SpinorField
 from ..solvers.base import SolveResult, validate_rhs_stack
 from ..solvers.gcr import lockstep_gcr
@@ -110,12 +109,11 @@ class MultigridSolver:
         tol = tol if tol is not None else self.params.outer_tol
         maxiter = maxiter if maxiter is not None else self.params.outer_maxiter
         self.hierarchy.reset_stats()
-        with use_backend(self.params.backend) as backend, get_tracer().span(
+        with get_tracer().span(
             "mg.solve",
             subspace=self.params.subspace_label(),
             level=0,
             n_rhs=len(bs),
-            backend=backend.name,
         ) as sp:
             results = lockstep_gcr(
                 fine.op,
@@ -142,11 +140,6 @@ class MultigridSolver:
         snapshot = {
             lev.index: lev.stats.as_dict() for lev in self.hierarchy.levels
         }
-        backend = (
-            self.params.backend
-            if self.params.backend is not None
-            else active_backend_name()
-        )
         spans = [sp.to_dict()] if isinstance(sp, Span) else None
         for result in results:
             tele = result.telemetry
@@ -154,7 +147,6 @@ class MultigridSolver:
             # deprecated ``extra`` alias readers see the same snapshot
             tele.attrs["level_stats"] = snapshot
             tele.attrs["subspace"] = subspace
-            tele.attrs["backend"] = backend
             tele.metrics["outer_iterations"] = float(result.iterations)
             tele.metrics["final_residual"] = float(result.final_residual)
             if spans is not None:

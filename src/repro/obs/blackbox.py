@@ -113,12 +113,8 @@ def blackbox_document(
     the most recent finished root spans (bounded at
     :data:`MAX_DUMP_SPANS`) under the triggering ``reason`` and
     ``trace_id`` — everything a postmortem needs to reconnect one
-    request's slog lifecycle, spans and convergence behavior.  The
-    active array backend is stamped on so layout-specific stalls
-    (``REPRO_BACKEND``/``MGParams.backend``) stay distinguishable after
-    the fact.
+    request's slog lifecycle, spans and convergence behavior.
     """
-    from ..backend import active_backend_name
     from ..telemetry.metrics import get_registry
     from ..telemetry.tracer import get_tracer
 
@@ -134,7 +130,6 @@ def blackbox_document(
         "ts": now,
         "ts_iso": iso_ts(now),
         "trace_id": trace_id,
-        "backend": active_backend_name(),
         "events": recorder.snapshot(),
         "events_recorded": recorder.recorded,
         "spans": [root.to_dict() for root in roots],
@@ -181,8 +176,7 @@ def render_blackbox(doc: dict, last_events: int = 20) -> str:
     """Human-readable postmortem summary (the ``repro blackbox`` view)."""
     lines = [
         f"blackbox dump — reason: {doc['reason']}  at {doc.get('ts_iso', '?')}",
-        f"trace_id: {doc.get('trace_id') or '(none)'}   "
-        f"backend: {doc.get('backend') or '(unrecorded)'}",
+        f"trace_id: {doc.get('trace_id') or '(none)'}",
         f"events: {len(doc['events'])} in ring "
         f"({doc.get('events_recorded', len(doc['events']))} recorded), "
         f"spans: {len(doc['spans'])} roots",

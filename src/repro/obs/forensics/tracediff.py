@@ -5,7 +5,7 @@
 ``(level, name)`` with the level inherited from the nearest ancestor,
 exactly like the Figure 4 aggregation — and reports per-node exclusive
 self-time deltas **and** booked flops/bytes deltas.  Cost deltas matter
-independently of timing: a backend swap that changes self-time but not
+independently of timing: a kernel change that moves self-time but not
 flops is a layout effect, one that changes flops is an algorithm
 change, and the distinction is the first question a perf review asks.
 

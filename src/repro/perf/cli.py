@@ -3,7 +3,7 @@
 Routed from :mod:`repro.cli` (``python -m repro.cli bench ...`` /
 ``... perf ...``)::
 
-    repro bench run [--suite quick|full] [--repeats K] [--backend NAME]
+    repro bench run [--suite quick|full] [--repeats K]
                     [--ledger-dir DIR] [--no-trajectory] [--out FILE]
     repro bench list
     repro perf diff A B [--tolerance T] [--z Z] [--warn-only] [--json FILE]
@@ -56,10 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--out", default=None, metavar="FILE",
         help="also write the entry to FILE (e.g. a CI artifact path)",
-    )
-    run.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="array backend to measure under (default: REPRO_BACKEND or numpy)",
     )
     bench_sub.add_parser("list", help="list suites and their benchmarks")
 
@@ -133,10 +129,7 @@ def perf_main(argv: list[str]) -> int:
         return 0
 
     if args.group == "bench" and args.command == "run":
-        from ..backend import use_backend
-
-        with use_backend(args.backend):
-            doc = run_suite(args.suite, repeats=args.repeats, verbose=True)
+        doc = run_suite(args.suite, repeats=args.repeats, verbose=True)
         archive, trajectory = append_entry(
             doc,
             ledger_dir=args.ledger_dir,

@@ -44,15 +44,10 @@ MAX_TRAJECTORY_POINTS = 200
 # the shared envelope (benchmarks/_shared.py re-exports these)
 # ----------------------------------------------------------------------
 def host_metadata() -> dict:
-    from ..backend import active_backend_name
-
     return {
         "platform": platform.platform(),
         "python": platform.python_version(),
         "machine": platform.machine(),
-        # the array backend the measurements ran on: layout rankings
-        # (repro perf diff) are only meaningful backend-to-baseline
-        "backend": active_backend_name(),
     }
 
 
@@ -495,7 +490,7 @@ def run_suite(
         "git": git_metadata(),
         "env": {
             key: os.environ[key]
-            for key in ("REPRO_BENCH_RHS", "REPRO_BACKEND")
+            for key in ("REPRO_BENCH_RHS",)
             if key in os.environ
         },
     }

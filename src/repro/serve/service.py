@@ -721,11 +721,6 @@ class SolveService:
         the log stream instead of raised.
         """
         meta = dict(meta or {})
-        # the per-op layout choice, next to the process-wide backend the
-        # document itself records — layout-specific stalls need both
-        entry = self._ops.get(meta.get("op")) if meta.get("op") else None
-        if entry is not None:
-            meta.setdefault("op_backend", entry.params.backend)
         if self.config.label:
             meta.setdefault("shard", self.config.label)
         doc = blackbox_document(reason, trace_id=trace_id, meta=meta)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import get_backend
 from ..fields import SpinorField
 from ..lattice import Blocking
 from ..precision import COMPLEX128, compute_dtype, reduced
@@ -100,33 +99,12 @@ class Transfer:
 
     # ------------------------------------------------------------------
     def restrict(self, fine: np.ndarray) -> np.ndarray:
-        """``R v = P^dag v``: fine ``(V_f, ns, nc)`` -> coarse ``(V_c, 2, Nc_hat)``.
-
-        Dispatches through the active backend (the per-aggregate basis
-        GEMMs are layout-sensitive like every other hot kernel).
-        """
-        return get_backend().restrict(self, fine)
+        """``R v = P^dag v``: fine ``(V_f, ns, nc)`` -> coarse ``(V_c, 2, Nc_hat)``."""
+        return self._restrict_rows(fine[None])[..., 0]
 
     def prolong(self, coarse: np.ndarray) -> np.ndarray:
-        """``P v``: coarse ``(V_c, 2, Nc_hat)`` -> fine ``(V_f, ns, nc)``."""
-        return get_backend().prolong(self, coarse)
-
-    def restrict_reference(self, fine: np.ndarray) -> np.ndarray:
-        """Baseline restriction: one basis GEMM per chirality."""
-        vc = self.coarse_lattice.volume
-        dtype = compute_dtype(fine)
-        basis = reduced(self, "_basis", dtype)
-        out = np.empty((vc, 2, self.coarse_nc), dtype=dtype)
-        agg = self.blocking.agg_sites
-        for chi, sl in enumerate(chirality_slices_for(self.fine_ns)):
-            x = fine[:, sl, :][agg].reshape(vc, self._rows, 1)
-            out[:, chi, :] = np.matmul(
-                np.conj(np.swapaxes(basis[:, chi], -1, -2)), x
-            )[..., 0]
-        return out
-
-    def prolong_reference(self, coarse: np.ndarray) -> np.ndarray:
-        """Baseline prolongation: one basis GEMM per chirality."""
+        """``P v``: coarse ``(V_c, 2, Nc_hat)`` -> fine ``(V_f, ns, nc)``:
+        one basis GEMM per chirality."""
         vf = self.fine_lattice.volume
         dtype = compute_dtype(coarse)
         basis = reduced(self, "_basis", dtype)
@@ -148,14 +126,52 @@ class Transfer:
         The aggregate bases are read once for all ``K`` systems by
         folding the batch into the GEMM right-hand side (Section 9).
         """
-        return get_backend().restrict_multi(self, fines)
+        return np.ascontiguousarray(self._restrict_rows(fines).transpose(3, 0, 1, 2))
+
+    def _restrict_rows(self, fines: np.ndarray) -> np.ndarray:
+        """``R`` of a ``(K, V_f, ns, nc)`` stack as ``(V_c, 2, Nc_hat, K)``.
+
+        Both chiralities in one gather and one GEMM per aggregate,
+        written ``conj(basis^T conj(x))``: conjugating the gathered
+        field and the result is cheaper than conjugating the basis
+        (``rows x Nc_hat`` per aggregate) on every call, and keeps no
+        second resident copy of it.
+        """
+        k = fines.shape[0]
+        vc, bv = self.coarse_lattice.volume, self.blocking.block_volume
+        g = fines[:, self.blocking.agg_sites].reshape(
+            k, vc, bv, 2, self.fine_ns // 2, self.fine_nc
+        )
+        # (V_c, 2, rows, K): aggregate rows per coarse site, batch last
+        x = g.transpose(1, 3, 2, 4, 5, 0).reshape(vc, 2, self._rows, k)
+        np.conjugate(x, out=x)  # the gather copied: ``fines`` is untouched
+        basis = reduced(self, "_basis", compute_dtype(fines))
+        y = np.matmul(np.swapaxes(basis, -1, -2), x)
+        return np.conjugate(y, out=y)
 
     def prolong_multi(self, coarses: np.ndarray) -> np.ndarray:
-        """Batched ``P``: ``(K, V_c, 2, Nc_hat)`` -> ``(K, V_f, ns, nc)``."""
-        return get_backend().prolong_multi(self, coarses)
+        """Batched ``P``: ``(K, V_c, 2, Nc_hat)`` -> ``(K, V_f, ns, nc)``,
+        batch folded into the GEMM right-hand side."""
+        k = coarses.shape[0]
+        vf = self.fine_lattice.volume
+        vc = self.coarse_lattice.volume
+        dtype = compute_dtype(coarses)
+        basis = reduced(self, "_basis", dtype)
+        out = np.zeros((k, vf, self.fine_ns, self.fine_nc), dtype=dtype)
+        agg = self.blocking.agg_sites
+        bv = self.blocking.block_volume
+        nsb = self.fine_ns // 2
+        for chi, sl in enumerate(chirality_slices_for(self.fine_ns)):
+            x = np.matmul(basis[:, chi], coarses[:, :, chi, :].transpose(1, 2, 0))
+            out[:, agg.ravel(), sl, :] = (
+                x.transpose(2, 0, 1).reshape(k, vc * bv, nsb, self.fine_nc)
+            )
+        return out
 
     def restrict_multi_reference(self, fines: np.ndarray) -> np.ndarray:
-        """Baseline batched restriction, batch folded into the GEMM RHS."""
+        """Batched restriction one chirality at a time against the
+        conjugated basis: the oracle :meth:`restrict` and
+        :meth:`restrict_multi` are tested against."""
         k = fines.shape[0]
         vc = self.coarse_lattice.volume
         dtype = compute_dtype(fines)
@@ -171,24 +187,6 @@ class Transfer:
             )
             y = np.matmul(np.conj(np.swapaxes(basis[:, chi], -1, -2)), x)
             out[:, :, chi, :] = y.transpose(2, 0, 1)
-        return out
-
-    def prolong_multi_reference(self, coarses: np.ndarray) -> np.ndarray:
-        """Baseline batched prolongation, batch folded into the GEMM RHS."""
-        k = coarses.shape[0]
-        vf = self.fine_lattice.volume
-        vc = self.coarse_lattice.volume
-        dtype = compute_dtype(coarses)
-        basis = reduced(self, "_basis", dtype)
-        out = np.zeros((k, vf, self.fine_ns, self.fine_nc), dtype=dtype)
-        agg = self.blocking.agg_sites
-        bv = self.blocking.block_volume
-        nsb = self.fine_ns // 2
-        for chi, sl in enumerate(chirality_slices_for(self.fine_ns)):
-            x = np.matmul(basis[:, chi], coarses[:, :, chi, :].transpose(1, 2, 0))
-            out[:, agg.ravel(), sl, :] = (
-                x.transpose(2, 0, 1).reshape(k, vc * bv, nsb, self.fine_nc)
-            )
         return out
 
     # -- the Galerkin product's columns -----------------------------------

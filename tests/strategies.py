@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from repro.backend import available_backends
 from repro.dirac import WilsonCloverOperator
 from repro.gauge import disordered_field, random_su3
 from repro.lattice import Lattice
@@ -65,8 +64,8 @@ def site_fields(draw, lattice: Lattice | None = None, max_k: int = 4):
     """A ``(K, V, ns, nc)`` complex field stack with drawn internal dof.
 
     Internal degrees of freedom cover both the fine-grid (4, 3) shape
-    and coarse-grid (2, nc_hat) shapes, so layout properties (packing,
-    parity masks) are exercised for every operator family.
+    and coarse-grid (2, nc_hat) shapes, so layout properties (parity
+    planes) are exercised for every operator family.
     """
     lat = lattice if lattice is not None else draw(lattices())
     ns = draw(st.sampled_from([2, 4]))
@@ -75,14 +74,6 @@ def site_fields(draw, lattice: Lattice | None = None, max_k: int = 4):
     rng = np.random.default_rng(draw(SEEDS))
     shape = (k, lat.volume, ns, nc)
     return lat, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def backend_names(include_baseline: bool = True):
-    """Strategy over registered backend names (optional ones included)."""
-    names = available_backends()
-    if not include_baseline:
-        names = tuple(n for n in names if n != "numpy")
-    return st.sampled_from(names)
 
 
 @st.composite

@@ -29,7 +29,6 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.backend import use_backend
 from repro.dirac import WilsonCloverOperator
 from repro.dirac import mrhs
 from repro.dirac.even_odd import SchurOperator
@@ -234,11 +233,9 @@ def test_level_owns_one_system_built_on_first_use_and_booked_from_the_start(prec
     cycles = [solver.preconditioner._inner for solver in (first, second)]  # noqa: SLF001
     assert cycles[0]._schur is cycles[1]._schur is schur  # noqa: SLF001
     b = random_spinor(hierarchy.levels[0].op.lattice, seed=32)
-    # (on the numpy backend, so that no layout cache joins the accounting)
-    with use_backend("numpy"):
-        assert first.solve(b).converged
-        factor = schur._factors[dtype]  # noqa: SLF001
-        assert second.solve(b).converged
+    assert first.solve(b).converged
+    factor = schur._factors[dtype]  # noqa: SLF001
+    assert second.solve(b).converged
     assert list(schur._factors) == [dtype]  # noqa: SLF001
     assert schur._factors[dtype] is factor  # noqa: SLF001 — one factor per hierarchy
     # the booked delta is what the first solve built, and still the booking
@@ -250,8 +247,7 @@ def test_level_owns_one_system_built_on_first_use_and_booked_from_the_start(prec
     # double, first inverted by the solve: the coarsest level's only
     extra = coarsest.op._x_inv.nbytes  # noqa: SLF001
     assert hierarchy.setup_memory_bytes() == booked + extra
-    with use_backend("numpy"):
-        assert MultigridSolver.from_hierarchy(restored).solve(b).converged
+    assert MultigridSolver.from_hierarchy(restored).solve(b).converged
     assert restored.setup_memory_bytes() == booked + extra
 
 

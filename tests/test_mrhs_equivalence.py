@@ -230,6 +230,18 @@ class _Ref:
         self.apply = apply
 
 
+def reference_apply(op):
+    """The single-field oracle of ``op``: the Wilson-Clover operator's
+    site-major reference; a coarse operator's ``apply`` is its one
+    formulation."""
+    return getattr(op, "apply_reference", op.apply)
+
+
+def reference_restrict(transfer, fine):
+    """``R fine`` one chirality at a time against the conjugated basis."""
+    return transfer.restrict_multi_reference(fine[None])[0]
+
+
 def oracle_smooth(lev, r):
     schur = SchurOperator(lev.op, parity=0)
     half = mr(
@@ -246,7 +258,7 @@ def oracle_cycle(hierarchy, level, r):
     lp = lev.params
     loose = dict(tol=lp.coarse_tol, maxiter=lp.coarse_maxiter)
     z = oracle_smooth(lev, r)  # 1. pre-smooth
-    rc = lev.transfer.restrict_reference(r - lev.op.apply_reference(z))  # 2.
+    rc = reference_restrict(lev.transfer, r - reference_apply(lev.op)(z))  # 2.
     if coarse.is_coarsest:  # 3. the red-black system, solved exactly, on the coarsest level ...
         schur = SchurOperator(coarse.op, parity=0)
         rhs = schur.prepare_source_reference(rc)
@@ -254,14 +266,14 @@ def oracle_cycle(hierarchy, level, r):
         ec = schur.reconstruct_reference(half, rc)
     else:  # ... GCR preconditioned by the next level's cycle above it
         ec = gcr(
-            _Ref(coarse.op.apply_reference),
+            _Ref(reference_apply(coarse.op)),
             rc,
             nkrylov=coarse.params.nkrylov,
             preconditioner=_Ref(lambda res: oracle_cycle(hierarchy, level + 1, res)),
             **loose,
         ).x
-    z = z + lev.transfer.prolong_reference(ec)  # 4. prolongate and correct
-    return z + oracle_smooth(lev, r - lev.op.apply_reference(z))  # 5. post-smooth
+    z = z + lev.transfer.prolong(ec)  # 4. prolongate and correct
+    return z + oracle_smooth(lev, r - reference_apply(lev.op)(z))  # 5. post-smooth
 
 
 class TestCycleOracle:

@@ -1,8 +1,7 @@
-"""Precision is the dtype of the data (``pytest -m backend``).
+"""Precision is the dtype of the data.
 
 Two rules make ``Precision.SINGLE`` a real single-precision
-preconditioner (DESIGN.md section 18), and this file pins both on every
-backend:
+preconditioner (DESIGN.md section 18), and this file pins both:
 
 * operators, red-black systems and transfers are **dtype-preserving** —
   a complex64 field comes back complex64, computed on complex64 tables,
@@ -38,8 +37,6 @@ from repro.mg import (
 from repro.precision import Precision
 from repro.solvers import ChebyshevSmoother, PrecisionOperator
 from repro.transfer import Transfer
-
-pytestmark = pytest.mark.backend
 
 C64, C128 = np.dtype(np.complex64), np.dtype(np.complex128)
 RTOL_SINGLE = 5e-6  # complex64 result vs the complex128 oracle

@@ -371,27 +371,6 @@ class TestFlightRecorder:
         with pytest.raises(ValueError):
             validate_blackbox({"schema": BLACKBOX_SCHEMA, "version": 99})
 
-    def test_dump_records_active_backend(self):
-        from repro.backend import active_backend_name, use_backend
-
-        doc = blackbox_document(
-            "failure",
-            recorder=FlightRecorder(capacity=4),
-            registry=MetricsRegistry(enabled=True),
-            tracer=Tracer(enabled=True),
-        )
-        assert doc["backend"] == active_backend_name()
-        validate_blackbox(doc)
-        assert f"backend: {doc['backend']}" in render_blackbox(doc)
-        with use_backend("einsum"):
-            doc = blackbox_document(
-                "failure",
-                recorder=FlightRecorder(capacity=4),
-                registry=MetricsRegistry(enabled=True),
-                tracer=Tracer(enabled=True),
-            )
-        assert doc["backend"] == "einsum"
-
 
 # ----------------------------------------------------------------------
 # SLO window math

@@ -104,6 +104,55 @@ class TestChirality:
             np.testing.assert_allclose(pr, v, atol=1e-11)
 
 
+def _ensemble_transfer(ensemble: str):
+    """A fine operator and a 2^4-blocked transfer of four random near-null
+    vectors: a rough disordered field, an anisotropic one on distinct
+    extents, and the free field without clover."""
+    from repro.dirac import WilsonCloverOperator
+    from repro.gauge import disordered_field, free_field
+
+    if ensemble == "rough":
+        lat = Lattice((4, 4, 4, 4))
+        gauge = disordered_field(lat, np.random.default_rng(101), 0.7)
+        op = WilsonCloverOperator(gauge, mass=-0.25, c_sw=1.0)
+    elif ensemble == "aniso":
+        lat = Lattice((4, 4, 4, 8))
+        gauge = disordered_field(lat, np.random.default_rng(102), 0.4, smear_steps=1)
+        op = WilsonCloverOperator(gauge, mass=-0.3, c_sw=1.3, anisotropy=2.5)
+    else:
+        lat = Lattice((4, 4, 4, 4))
+        op = WilsonCloverOperator(free_field(lat), mass=0.1, c_sw=0.0)
+    nulls = [random_spinor(lat, seed=500 + k) for k in range(4)]
+    return op, Transfer(Blocking(lat, (2, 2, 2, 2)), nulls)
+
+
+class TestFusedRestrict:
+    """``restrict`` / ``restrict_multi`` gather both chiralities at once
+    and multiply by the unconjugated basis; ``restrict_multi_reference``
+    runs one chirality at a time against the conjugated basis."""
+
+    @pytest.mark.parametrize("k", (1, 3, 8))
+    @pytest.mark.parametrize("ensemble", ("rough", "aniso", "free"))
+    def test_matches_the_per_chirality_reference(self, ensemble, k):
+        op, t = _ensemble_transfer(ensemble)
+        rng = np.random.default_rng(600 + k)
+        shape = (k, op.lattice.volume, 4, 3)
+        fines = op.apply_multi(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        want = t.restrict_multi_reference(fines)
+        scale = np.abs(want).max()
+        for dtype, rtol in ((np.complex128, 1e-12), (np.complex64, 5e-6)):
+            stack = fines.astype(dtype)
+            got = t.restrict_multi(stack)
+            assert got.dtype == dtype and got.shape == want.shape
+            assert np.abs(got - want).max() <= rtol * scale
+            for i in range(k):
+                one = t.restrict(stack[i])
+                assert one.dtype == dtype
+                assert np.abs(one - want[i]).max() <= rtol * scale
+            # the conjugation runs on the gathered copy, not the input
+            np.testing.assert_array_equal(stack, fines.astype(dtype))
+
+
 class TestFieldInterface:
     def test_restrict_field(self, transfer44, lat44):
         from repro.fields import SpinorField

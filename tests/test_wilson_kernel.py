@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dirac import SchurOperator, WilsonCloverOperator
-from repro.backend import use_backend
 from repro.dirac.wilson_kernel import BLOCK, WilsonKernel, wilson_kernel_for
 from repro.gauge import disordered_field
 from repro.lattice import Lattice
@@ -31,8 +30,6 @@ from repro.precision import Precision
 from repro.serve.cache import SetupCache
 from repro.workloads.datasets import ANISO40_SCALED
 from strategies import SEEDS, lattices, wilson_operators
-
-pytestmark = pytest.mark.backend
 
 RTOL = 1e-12
 RTOL_SINGLE = 5e-6  # complex64 result vs the complex128 oracle
@@ -298,6 +295,9 @@ def test_solve_counters_match_an_oracle_driven_solve(aniso40_solve, monkeypatch)
         WilsonCloverOperator, "apply", WilsonCloverOperator.apply_reference
     )
     monkeypatch.setattr(
+        WilsonCloverOperator, "apply_hopping", WilsonCloverOperator.hop_sum_reference
+    )
+    monkeypatch.setattr(
         WilsonCloverOperator,
         "apply_multi",
         lambda self, vs: np.stack([self.apply_reference(v) for v in vs]),
@@ -332,14 +332,12 @@ def _reduced_built(hierarchy) -> int:
 
 
 def _default_solve(hierarchy, seed: int = 4):
-    """One solve with the hierarchy's own (default: single) precisions,
-    on the numpy backend so no layout cache joins the accounting."""
+    """One solve with the hierarchy's own (default: single) precisions."""
     from repro.mg import MultigridSolver
 
     op = hierarchy.levels[0].op
     b = _cnormal(np.random.default_rng(seed), (op.lattice.volume, 4, 3))
-    with use_backend("numpy"):
-        return MultigridSolver.from_hierarchy(hierarchy).solve(b, tol=1e-6)
+    return MultigridSolver.from_hierarchy(hierarchy).solve(b, tol=1e-6)
 
 
 def test_setup_memory_books_kernel_tables_before_they_exist(gauge44):
@@ -429,24 +427,6 @@ def test_restored_setup_books_the_same_bytes_as_a_cold_build(gauge44, tmp_path):
     assert hierarchy.setup_memory_bytes() == cold_hierarchy.setup_memory_bytes()
     inverse = hierarchy.levels[1].op._x_inv.nbytes  # noqa: SLF001 — double, first inverted by the solve
     assert hierarchy.setup_memory_bytes() == warm.nbytes + inverse
-
-
-def test_setup_memory_counts_backend_caches(gauge44):
-    op = WilsonCloverOperator(gauge44, mass=-0.2, c_sw=1.0)
-    rng = np.random.default_rng(2)
-    params = MGParams(levels=[LevelParams(block=(2, 2, 2, 2), n_null=2)])
-    nulls = [[_cnormal(rng, (op.lattice.volume, 4, 3)) for _ in range(2)]]
-    hierarchy = MultigridHierarchy.build(op, params, rng, null_vectors=nulls)
-    coarse = hierarchy.levels[1].op
-    before = hierarchy.setup_memory_bytes()
-    v = _cnormal(rng, (coarse.lattice.volume, coarse.ns, coarse.nc))
-    with use_backend("einsum"):
-        coarse.apply(v)  # caches the concatenated stencil + index table
-    cat, idx = coarse._backend_cache["einsum", "coarse_cat9", np.dtype(np.complex128)]  # noqa: SLF001
-    assert hierarchy.setup_memory_bytes() == before + cat.nbytes + idx.nbytes
-    with use_backend("soa"):
-        coarse.apply_multi(v[None])  # packed parity hop stacks and diagonals
-    assert hierarchy.setup_memory_bytes() > before + cat.nbytes + idx.nbytes
 
 
 def test_smoother_construction_stays_off_the_restore_budget():
