@@ -60,12 +60,12 @@ def test_bench_ca_gmres_coarse_solve(benchmark, coarse_system, s):
     )
     assert res.converged
     benchmark.extra_info["matvecs"] = res.matvecs
-    benchmark.extra_info["reductions"] = res.extra["reductions"]
+    benchmark.extra_info["reductions"] = res.telemetry.attrs["reductions"]
     record_row(
         "ablation_ca_gmres",
         benchmark=f"ca_gmres.s{s}",
         matvecs=res.matvecs,
-        reductions=res.extra["reductions"],
+        reductions=res.telemetry.attrs["reductions"],
     )
 
 
@@ -83,18 +83,18 @@ def test_sync_reduction_at_scale(benchmark, coarse_system, capsys):
         coarsest = levels[2]
         t_red = model.reduction_time(coarsest, 512)
         st = model.stencil_cost(coarsest, 512)
-        t_g = res_g.matvecs * st.total_s + res_g.extra["reductions"] * t_red
-        t_ca = res_ca.matvecs * st.total_s + res_ca.extra["reductions"] * t_red
+        t_g = res_g.matvecs * st.total_s + res_g.telemetry.attrs["reductions"] * t_red
+        t_ca = res_ca.matvecs * st.total_s + res_ca.telemetry.attrs["reductions"] * t_red
         return res_g, res_ca, t_g, t_ca
 
     res_g, res_ca, t_g, t_ca = benchmark.pedantic(evaluate, rounds=1, iterations=1)
     with capsys.disabled():
         print(
             f"\nAblation (coarsest solve at 512 nodes, Titan model):\n"
-            f"  GMRES   : {res_g.matvecs:4d} matvecs, {res_g.extra['reductions']:5d} "
+            f"  GMRES   : {res_g.matvecs:4d} matvecs, {res_g.telemetry.attrs['reductions']:5d} "
             f"reductions -> {1e3 * t_g:7.2f} ms\n"
-            f"  CA-GMRES: {res_ca.matvecs:4d} matvecs, {res_ca.extra['reductions']:5d} "
+            f"  CA-GMRES: {res_ca.matvecs:4d} matvecs, {res_ca.telemetry.attrs['reductions']:5d} "
             f"reductions -> {1e3 * t_ca:7.2f} ms ({t_g / t_ca:.2f}x faster)"
         )
-    assert res_ca.extra["reductions"] < res_g.extra["reductions"] / 2
+    assert res_ca.telemetry.attrs["reductions"] < res_g.telemetry.attrs["reductions"] / 2
     assert t_ca < t_g

@@ -50,12 +50,12 @@ def test_bench_cycle_types(benchmark, problem, cycle):
     res = benchmark.pedantic(solve, rounds=1, iterations=1)
     assert res.converged
     benchmark.extra_info["outer_iterations"] = res.iterations
-    benchmark.extra_info["coarse_ops"] = res.extra["level_stats"][1]["op_applies"]
+    benchmark.extra_info["coarse_ops"] = res.telemetry.level_stats[1]["op_applies"]
     record_row(
         "ablation_cycles_schwarz",
         benchmark=f"cycle.{cycle}",
         outer_iterations=res.iterations,
-        coarse_ops=res.extra["level_stats"][1]["op_applies"],
+        coarse_ops=res.telemetry.level_stats[1]["op_applies"],
     )
 
 

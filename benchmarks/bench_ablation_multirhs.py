@@ -11,7 +11,7 @@ import pytest
 
 from repro.coarse import coarsen_operator
 from repro.lattice import Blocking, Lattice
-from repro.solvers import batched_gcr, sequential_gcr
+from repro.solvers import batched_gcr, gcr
 from repro.transfer import Transfer
 
 from tests.conftest import random_spinor
@@ -124,7 +124,7 @@ def test_bench_batched_vs_sequential_solve(benchmark, coarse_op, rhs12, capsys):
         batched = batched_gcr(coarse_op, rhs12[:6], tol=1e-6, maxiter=600)
         t_b = time.perf_counter() - t0
         t0 = time.perf_counter()
-        seq = sequential_gcr(coarse_op, rhs12[:6], tol=1e-6, maxiter=600)
+        seq = [gcr(coarse_op, b, tol=1e-6, maxiter=600) for b in rhs12[:6]]
         t_s = time.perf_counter() - t0
         return batched, seq, t_b, t_s
 

@@ -55,12 +55,12 @@ def test_bench_precision_sweep(benchmark, system, precision):
     # no loss in accuracy regardless of inner precision
     assert norm(bs - schur.apply(res.x)) / norm(bs) < 1e-10
     benchmark.extra_info["inner_iterations"] = res.iterations
-    benchmark.extra_info["outer_cycles"] = res.extra["outer"]
+    benchmark.extra_info["outer_cycles"] = res.telemetry.attrs["outer"]
     record_row(
         "ablation_precision",
         benchmark=f"mixed_precision.{precision.name.lower()}",
         inner_iterations=res.iterations,
-        outer_cycles=res.extra["outer"],
+        outer_cycles=res.telemetry.attrs["outer"],
     )
 
 
@@ -77,4 +77,4 @@ def test_half_needs_more_outer_cycles(benchmark, system):
         return out
 
     res = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    assert res[Precision.HALF].extra["outer"] >= res[Precision.DOUBLE].extra["outer"]
+    assert res[Precision.HALF].telemetry.attrs["outer"] >= res[Precision.DOUBLE].telemetry.attrs["outer"]

@@ -38,7 +38,7 @@ def run_with_subspace(problem, n_null):
     res = mg.solve(b)
     assert res.converged
     coarse_dim = mg.hierarchy.levels[1].op.lattice.volume * 2 * n_null
-    return res.iterations, res.extra["level_stats"], coarse_dim
+    return res.iterations, res.telemetry.level_stats, coarse_dim
 
 
 @pytest.mark.parametrize("n_null", [2, 4, 8, 12])

@@ -26,7 +26,7 @@ from repro.machine import (
     mg_level_specs,
 )
 from repro.mg import SchwarzMRSmoother
-from repro.solvers import MRSmoother, batched_gcr, ca_gmres, gcr, gmres, sequential_gcr
+from repro.solvers import MRSmoother, batched_gcr, ca_gmres, gcr, gmres
 from repro.transfer import Transfer
 from repro.workloads import ISO64
 
@@ -50,7 +50,7 @@ def main() -> None:
     batched = batched_gcr(coarse, bs, tol=1e-8, maxiter=800)
     t_b = time.perf_counter() - t0
     t0 = time.perf_counter()
-    sequential_gcr(coarse, bs, tol=1e-8, maxiter=800)
+    [gcr(coarse, b, tol=1e-8, maxiter=800) for b in bs]
     t_s = time.perf_counter() - t0
     print(f"8 systems: batched {t_b:.2f}s, sequential {t_s:.2f}s "
           f"({t_s / t_b:.2f}x from operator reuse); all converged: "
@@ -61,11 +61,11 @@ def main() -> None:
     b = rng.standard_normal(cshape) + 1j * rng.standard_normal(cshape)
     res_g = gmres(coarse, b, tol=1e-8, maxiter=600)
     print(f"GMRES      : {res_g.matvecs:4d} matvecs, "
-          f"{res_g.extra['reductions']:5d} global reductions")
+          f"{res_g.telemetry.attrs['reductions']:5d} global reductions")
     for s in (2, 4, 8):
         res = ca_gmres(coarse, b, tol=1e-8, maxiter=600, s=s)
         print(f"CA-GMRES({s}): {res.matvecs:4d} matvecs, "
-              f"{res.extra['reductions']:5d} global reductions "
+              f"{res.telemetry.attrs['reductions']:5d} global reductions "
               f"(converged={res.converged})")
 
     # -- 3. Schwarz smoothing ----------------------------------------------

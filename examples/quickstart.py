@@ -79,7 +79,7 @@ def main() -> None:
         f"\niteration reduction vs BiCGStab: "
         f"{res_bi.iterations / res_mg.iterations:.1f}x"
     )
-    print("per-level work:", res_mg.extra["level_stats"])
+    print("per-level work:", res_mg.telemetry.level_stats)
 
     # the paper's robustness observation: stable MG vs chaotic BiCGStab
     from repro.reporting.convergence import render_history, smoothness

@@ -3,10 +3,10 @@ Lattice QCD Multigrid on GPUs Using Fine-Grained Parallelization"
 (SC 2016, arXiv:1612.07873).
 
 The package provides the full stack the paper builds on: lattice
-geometry, SU(3) gauge fields (synthetic, heatbath and HMC generated),
-the Wilson-Clover Dirac operator (isotropic and anisotropic),
+geometry, synthetic SU(3) gauge ensembles, the Wilson-Clover Dirac
+operator (isotropic and anisotropic),
 Krylov solvers (CG/BiCGStab/GCR/GMRES/CA-GMRES/MR) with mixed precision
-and multi-RHS batching, adaptive geometric multigrid with
+and lockstep multi-RHS batching, adaptive geometric multigrid with
 chirality-preserving aggregation and Galerkin coarse operators
 (K/V/W-cycles, Schur/Chebyshev/Schwarz smoothers), a domain-decomposed
 (simulated-MPI) execution path, and calibrated GPU/cluster performance

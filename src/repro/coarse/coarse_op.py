@@ -101,20 +101,8 @@ class CoarseOperator(StencilOperator):
         nbr = vs[:, table].reshape(k, n, self.site_dof).transpose(1, 2, 0)
         return np.matmul(blocks, nbr).transpose(2, 0, 1).reshape(k, n, self.ns, self.nc)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Full application ``M v``: one gather + batched matvec per direction."""
-        lat = self.lattice
-        dtype = compute_dtype(v)
-        hop_blocks = reduced(self, "hop_blocks", dtype)
-        flat = v.reshape(lat.volume, self.site_dof, 1)
-        out = np.matmul(reduced(self, "x_blocks", dtype), flat)
-        for mu in range(NDIM):
-            out += np.matmul(hop_blocks[mu, 0], flat[lat.fwd[mu]])
-            out += np.matmul(hop_blocks[mu, 1], flat[lat.bwd[mu]])
-        return out.reshape(v.shape)
-
-    def apply_multi(self, vs: np.ndarray) -> np.ndarray:
-        """Batched application to ``(K, V, ns, nc)``: matrices loaded once.
+    def _apply_multi(self, vs: np.ndarray) -> np.ndarray:
+        """Application to a ``(K, V, ns, nc)`` stack: matrices loaded once.
 
         Batch-last ``(V, N, N) @ (V, N, K)`` stacked GEMMs — one per
         direction regardless of K, so every dense link matrix is read

@@ -76,8 +76,6 @@ class PartitionedOperator:
             sp.attribute(flops=flops, bytes=nbytes)
         return out
 
-    matvec = apply
-
     # ------------------------------------------------------------------
     def consistency_violation(self, v: np.ndarray) -> float:
         """Relative deviation of the halo-exchanged apply from ``op.apply``.

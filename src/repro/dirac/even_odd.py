@@ -95,8 +95,6 @@ class SchurOperator:
         out = self.op.apply_diag(full) - hop2
         return self.restrict(out)
 
-    matvec = apply
-
     def apply_multi(self, halves: np.ndarray) -> np.ndarray:
         """The Schur matrix on a ``(K, V/2, ns, nc)`` stack: one kernel
         call on the fine grid, a loop over systems anywhere else."""

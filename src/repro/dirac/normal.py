@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .stencil import apply_stack
+
 
 def _g5_factor(op, v: np.ndarray) -> np.ndarray:
     """gamma5 broadcast against ``v``'s spin axis (axis -2), shape-agnostic."""
@@ -36,19 +38,12 @@ class AdjointOperator:
         return self.op.gamma5_diag()
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        g5 = _g5_factor(self.op, v)
-        return g5 * self.op.apply(g5 * v)
-
-    matvec = apply
+        return self.apply_multi(v[None])[0]
 
     def apply_multi(self, vs: np.ndarray) -> np.ndarray:
-        # _g5_factor broadcasts at the spin axis (-2), so the batched
-        # stack reuses the wrapped operator's batched kernels directly
-        g5 = _g5_factor(self.op, vs)
-        fn = getattr(self.op, "apply_multi", None)
-        if fn is not None:
-            return g5 * fn(g5 * vs)
-        return g5 * np.stack([self.op.apply(v) for v in g5 * vs])
+        # gamma5 of one system broadcasts over the stack axis
+        g5 = _g5_factor(self.op, vs[0])
+        return g5 * apply_stack(self.op, g5 * vs)
 
 
 class NormalOperator:
@@ -61,15 +56,10 @@ class NormalOperator:
         self.nc = op.nc
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.adjoint.apply(self.op.apply(v))
-
-    matvec = apply
+        return self.apply_multi(v[None])[0]
 
     def apply_multi(self, vs: np.ndarray) -> np.ndarray:
-        fn = getattr(self.op, "apply_multi", None)
-        if fn is not None:
-            return self.adjoint.apply_multi(fn(vs))
-        return self.adjoint.apply_multi(np.stack([self.op.apply(v) for v in vs]))
+        return self.adjoint.apply_multi(apply_stack(self.op, vs))
 
 
 def gamma5_hermiticity_violation(op, v: np.ndarray, w: np.ndarray) -> float:

@@ -104,22 +104,24 @@ class StencilOperator(abc.ABC):
     hop_sum_reference = apply_hopping
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Full matrix application ``M v`` on raw data.
-
-        Subclasses may override with a fused implementation; the default
-        composes the primitives.
-        """
-        return self.apply_diag(v) + self.apply_hopping(v)
+        """Full matrix application ``M v`` on raw data: the stack of one."""
+        return self._apply_multi(v[None])[0]
 
     def apply_multi(self, vs: np.ndarray) -> np.ndarray:
         """Apply to ``K`` right-hand sides at once, shape ``(K, V, ns, nc)``.
 
         The multiple-right-hand-side reformulation of paper Section 9:
         the same stencil matrices serve all systems, increasing temporal
-        locality and exposing K-way extra parallelism.  The default
-        loops; subclasses override with a genuinely batched kernel.
+        locality and exposing K-way extra parallelism.
         """
-        return np.stack([self.apply(v) for v in vs])
+        return self._apply_multi(vs)
+
+    def _apply_multi(self, vs: np.ndarray) -> np.ndarray:
+        """The one body of :meth:`apply` and :meth:`apply_multi` (called
+        directly, so neither public method runs through the other).  The
+        default composes the primitives system by system; subclasses
+        override it with a genuinely batched kernel."""
+        return np.stack([self.apply_diag(v) + self.apply_hopping(v) for v in vs])
 
     # -- SpinorField conveniences ----------------------------------------
     def __call__(self, v: SpinorField) -> SpinorField:
@@ -258,3 +260,25 @@ def operator_application_cost_multi(
         return (0.0, 0.0)
     flops, nbytes = fn(dtype)
     return (k * flops, k * nbytes)
+
+
+def apply_stack(op, vs: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
+    """``op`` on a ``(K, ...)`` stack: its ``apply_multi`` when it has
+    one, else ``apply`` system by system (counting and partitioned
+    wrappers, Chebyshev and Schwarz smoothers, dense test operators).
+
+    ``live`` (the indices of the systems still running) restricts the
+    work to ``vs[live]``: the other rows come back zero, and are not
+    applied at all — a lockstep loop pays for its live systems only."""
+    if live is not None:
+        if not len(live):
+            return np.zeros_like(vs)
+        if len(live) < len(vs):
+            applied = apply_stack(op, vs[live])
+            out = np.zeros((len(vs),) + applied.shape[1:], dtype=applied.dtype)
+            out[live] = applied
+            return out
+    fn = getattr(op, "apply_multi", None)
+    if fn is not None:
+        return fn(vs)
+    return np.stack([op.apply(v) for v in vs])

@@ -140,13 +140,9 @@ class WilsonCloverOperator(StencilOperator):
         """Sum of all eight hop terms, by the production kernel."""
         return wilson_kernel_for(self, compute_dtype(v)).hop_sum_sites(v[None])[0]
 
-    def apply_multi(self, vs: np.ndarray) -> np.ndarray:
-        """Batched application to ``(K, V, 4, 3)`` by the production kernel."""
+    def _apply_multi(self, vs: np.ndarray) -> np.ndarray:
+        """Application to a ``(K, V, 4, 3)`` stack by the production kernel."""
         return wilson_kernel_for(self, compute_dtype(vs)).apply_sites(vs)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Full application ``M v`` by the production kernel."""
-        return wilson_kernel_for(self, compute_dtype(v)).apply_sites(v[None])[0]
 
     def apply_reference(self, v: np.ndarray) -> np.ndarray:
         """Site-major full application (diagonal + all eight un-projected

@@ -125,7 +125,7 @@ def run_fleet_bench(
     params = two_level_params(dataset, null_iters=null_iters)
 
     # distinct ensembles: the same configuration at shifted quark
-    # masses (a correlator mass scan) — distinct fingerprints, so the
+    # masses (a quark-mass scan) — distinct fingerprints, so the
     # router sees n_ops independent cache keys
     base_kwargs = dataset.operator_kwargs()
     ops = {}

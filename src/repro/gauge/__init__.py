@@ -8,8 +8,6 @@ from .compression import (
     reconstruct12,
 )
 from .generate import disordered_field, free_field, hot_start
-from .heatbath import heatbath_sweep, quenched_ensemble
-from .hmc import hmc_ensemble, hmc_trajectory, leapfrog, wilson_action
 from .io import gauge_fingerprint, load_gauge, load_spinor, save_gauge, save_spinor
 from .loops import average_plaquette, clover_leaves, field_strength, plaquette_field
 from .smear import ape_smear, staple_sum
@@ -37,12 +35,6 @@ __all__ = [
     "save_spinor",
     "free_field",
     "hot_start",
-    "heatbath_sweep",
-    "quenched_ensemble",
-    "hmc_ensemble",
-    "hmc_trajectory",
-    "leapfrog",
-    "wilson_action",
     "average_plaquette",
     "clover_leaves",
     "field_strength",

@@ -42,9 +42,9 @@ from functools import partial
 
 import numpy as np
 
-from ..dirac.stencil import operator_application_cost_multi
+from ..dirac.stencil import apply_stack, operator_application_cost_multi
 from ..precision import dtype_of, enter_precision, leave_precision
-from ..solvers.base import SolveResult, apply_stack
+from ..solvers.base import SolveResult
 from ..solvers.gcr import lockstep_gcr
 from ..solvers.mixed import reduced_storage
 from ..telemetry.tracer import get_tracer

@@ -49,7 +49,6 @@ class MGParams:
     # it.  DOUBLE reproduces the all-double arithmetic bit for bit.
     smoother_precision: Precision = Precision.SINGLE
     coarse_precision: Precision = Precision.SINGLE
-    smoother_schur: bool = True  # red-black preconditioned smoother
     coarsest_schur: bool = True  # red-black preconditioned coarsest solve
     # Opt-in runtime verification (repro.verify): "off" (default),
     # "setup" samples the setup-output invariants after every hierarchy

@@ -144,8 +144,6 @@ class MultigridSolver:
         for result in results:
             tele = result.telemetry
             tele.level_stats = snapshot
-            # deprecated ``extra`` alias readers see the same snapshot
-            tele.attrs["level_stats"] = snapshot
             tele.attrs["subspace"] = subspace
             tele.metrics["outer_iterations"] = float(result.iterations)
             tele.metrics["final_residual"] = float(result.final_residual)

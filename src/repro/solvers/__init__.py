@@ -11,7 +11,6 @@ from .base import (
 )
 from .bicgstab import bicgstab
 from .cg import cg, cgne, cgnr
-from .block import block_cg, block_gcr, sequential_gcr
 from .chebyshev import ChebyshevSmoother, estimate_lambda_max
 from .gcr import batched_gcr, gcr
 from .gmres import ca_gmres, gmres
@@ -30,12 +29,9 @@ __all__ = [
     "cgne",
     "cgnr",
     "batched_gcr",
-    "block_cg",
-    "block_gcr",
     "validate_rhs_stack",
     "ChebyshevSmoother",
     "estimate_lambda_max",
-    "sequential_gcr",
     "gcr",
     "ca_gmres",
     "gmres",

@@ -41,32 +41,10 @@ def per_system(c: np.ndarray, like: np.ndarray) -> np.ndarray:
     return c.reshape((like.shape[0],) + (1,) * (like.ndim - 1))
 
 
-def apply_stack(op, vs: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
-    """``op`` on a ``(K, ...)`` stack: its ``apply_multi`` when it has
-    one, else ``apply`` system by system (counting and partitioned
-    wrappers, Chebyshev and Schwarz smoothers, dense test operators).
-
-    ``live`` (the indices of the systems still running) restricts the
-    work to ``vs[live]``: the other rows come back zero, and are not
-    applied at all — a lockstep loop pays for its live systems only."""
-    if live is not None:
-        if not len(live):
-            return np.zeros_like(vs)
-        if len(live) < len(vs):
-            applied = apply_stack(op, vs[live])
-            out = np.zeros((len(vs),) + applied.shape[1:], dtype=applied.dtype)
-            out[live] = applied
-            return out
-    fn = getattr(op, "apply_multi", None)
-    if fn is not None:
-        return fn(vs)
-    return np.stack([op.apply(v) for v in vs])
-
-
 def validate_rhs_stack(op, bs: np.ndarray) -> np.ndarray:
     """Check that ``bs`` is a well-formed, finite ``(K, ...)`` stack for
     ``op``; the check of the entry points that take right-hand sides
-    from outside (``solve_multi``, ``batched_gcr``, the block solvers).
+    from outside (``solve_multi``, ``batched_gcr``).
 
     A bare ``(V, ns, nc)`` field would have its *volume* axis treated as
     the batch axis and solve V nonsense systems, and a NaN system has no
@@ -110,9 +88,8 @@ def validate_rhs_stack(op, bs: np.ndarray) -> np.ndarray:
 class SolveResult:
     """Outcome of an iterative solve.
 
-    ``telemetry`` is the typed measurement payload; ``extra`` is kept
-    for one release as a deprecated alias of ``telemetry.attrs`` (reads
-    and writes land in the same dict).
+    ``telemetry`` is the typed measurement payload; the ``extra``
+    constructor keyword seeds ``telemetry.attrs``.
     """
 
     x: np.ndarray
@@ -152,14 +129,6 @@ class SolveResult:
         )
 
 
-def _extra_alias(self: SolveResult) -> dict:
-    """Deprecated: use ``result.telemetry`` (typed) instead."""
-    return self.telemetry.attrs
-
-
-SolveResult.extra = property(_extra_alias)  # type: ignore[assignment]
-
-
 class OperatorCounter:
     """Wrap an operator and count applications.
 
@@ -185,8 +154,6 @@ class OperatorCounter:
         if self.metric is not None:
             self.metric.inc()
         return self.op.apply(v)
-
-    matvec = apply
 
     def reset(self) -> None:
         self.count = 0

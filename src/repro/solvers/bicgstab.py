@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..dirac.stencil import apply_stack
 from ..telemetry.instrument import instrumented_solver
-from .base import SolveResult, apply_stack, batch_dot, per_system
+from .base import SolveResult, batch_dot, per_system
 
 _BREAKDOWN = 1e-30
 

@@ -13,7 +13,7 @@ together, every matvec and preconditioner application is one call for
 all systems, and the per-iteration reductions of all systems fuse into
 one.  A converged (or zero) system leaves the stack's work: the
 preconditioner and the operator are applied to the live systems only
-(:func:`~repro.solvers.base.apply_stack` with ``live``), and its
+(:func:`~repro.dirac.stencil.apply_stack` with ``live``), and its
 coefficients are zeroed, so its iterate and residual stay exactly where
 they were while the rest continue.  :func:`gcr` is the batch of one and
 :func:`batched_gcr` the shape-checked stack.
@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..dirac.stencil import apply_stack
 from ..telemetry.instrument import instrumented_solver
 from .base import (
     SolveResult,
-    apply_stack,
     batch_dot,
     per_system,
     validate_rhs_stack,

@@ -10,7 +10,7 @@ orthogonalizes the whole block with a single tall-skinny QR — one
 global synchronization per ``s`` iterations.
 
 Both solvers report their global-reduction counts in
-``SolveResult.extra['reductions']`` so the machine model can price the
+``result.telemetry.attrs['reductions']`` so the machine model can price the
 difference.
 """
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..dirac.stencil import apply_stack
 from ..precision import Precision, dtype_of, half_roundtrip
-from .base import SolveResult, apply_stack, norm
+from .base import SolveResult, norm
 
 
 class PrecisionOperator:
@@ -38,34 +39,30 @@ class PrecisionOperator:
         self.ns = getattr(op, "ns", None)
         self.nc = getattr(op, "nc", None)
 
-    def _store(self, field: np.ndarray, site_axis: int) -> np.ndarray:
-        """``field`` as the precision stores it, at the compute dtype."""
-        field = field.astype(dtype_of(self.precision), copy=False)
+    def _store(self, fields: np.ndarray) -> np.ndarray:
+        """A ``(K, ...)`` stack as the precision stores it, at the compute dtype."""
+        fields = fields.astype(dtype_of(self.precision), copy=False)
         if self.precision is Precision.HALF:
-            # one norm per site of each system: fold a batch axis into the sites
-            sites = field.reshape((-1,) + field.shape[site_axis + 1 :])
-            field = half_roundtrip(sites).reshape(field.shape)
-        return field
+            # one norm per site of each system: fold the stack axis into the sites
+            sites = fields.reshape((-1,) + fields.shape[2:])
+            fields = half_roundtrip(sites).reshape(fields.shape)
+        return fields
 
-    def _run(self, fn, v: np.ndarray, site_axis: int) -> np.ndarray:
+    def _run(self, fn, vs: np.ndarray) -> np.ndarray:
         if self.precision is Precision.DOUBLE:
-            return fn(v)
-        out = self._store(fn(self._store(v, site_axis)), site_axis)
-        return out.astype(v.dtype, copy=False)
+            return fn(vs)
+        return self._store(fn(self._store(vs))).astype(vs.dtype, copy=False)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self._run(self.op.apply, v, site_axis=0)
-
-    matvec = apply
+        return self.apply_multi(v[None])[0]
 
     def apply_multi(self, vs: np.ndarray) -> np.ndarray:
-        """Batched application, per system identical to ``apply``."""
-        return self._run(lambda v: apply_stack(self.op, v), vs, site_axis=1)
+        return self._run(lambda v: apply_stack(self.op, v), vs)
 
     def solve_multi(self, bs: np.ndarray) -> np.ndarray:
         """The wrapped operator's direct solve of a stack, stored on the
         way in and out like an application."""
-        return self._run(self.op.solve_multi, bs, site_axis=1)
+        return self._run(self.op.solve_multi, bs)
 
 
 def reduced_storage(op, precision: Precision):

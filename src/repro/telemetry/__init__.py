@@ -15,7 +15,7 @@ instrumentation into the library itself (Clark et al., SC 2016):
 * :mod:`~repro.telemetry.metrics` — a registry of counters, gauges and
   labelled histograms that absorbs the formerly scattered accounting
   (``OperatorCounter`` counts, per-level ``LevelStats``,
-  ``SolveResult.extra`` dicts): matvecs, reductions, bytes moved and
+  per-solve ``telemetry.attrs``): matvecs, reductions, bytes moved and
   iteration counts all flow through one API.
 * :mod:`~repro.telemetry.export` — serialization of a (tracer,
   registry) pair into one JSON trace document (schema

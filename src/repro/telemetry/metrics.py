@@ -1,8 +1,8 @@
 """Metrics registry: counters, gauges, and labelled histograms.
 
 One registry supersedes the accounting that used to be scattered across
-``OperatorCounter`` instances, per-level ``LevelStats`` and ad-hoc
-``SolveResult.extra`` dicts.  A metric is identified by a name plus a
+``OperatorCounter`` instances, per-level ``LevelStats`` and per-solve
+``telemetry.attrs``.  A metric is identified by a name plus a
 frozen label set, so ``registry.counter("mg.op_applies", level=2)`` and
 ``level=1`` are independent series that export side by side.
 

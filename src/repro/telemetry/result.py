@@ -1,10 +1,10 @@
 """Typed telemetry payload carried by every solve result.
 
-:class:`SolveTelemetry` replaces the untyped ``SolveResult.extra``
-grab-bag: per-level work profiles, solver-scope metrics and (when
-tracing is enabled) the span tree all live in named fields with a JSON
-round-trip.  ``SolveResult.extra`` remains as a deprecated alias that
-reads and writes :attr:`SolveTelemetry.attrs`.
+Per-level work profiles, solver-scope metrics and (when tracing is
+enabled) the span tree all live in named fields of
+:class:`SolveTelemetry` with a JSON round-trip; solver-specific extras
+(``reductions``, ``matvec_batches``, ...) go in
+:attr:`SolveTelemetry.attrs`.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ class SolveTelemetry:
     ``spans`` holds serialized root spans (see
     :meth:`~repro.telemetry.tracer.Span.to_dict`) when tracing was on
     during the solve.  ``metrics`` carries scalar solve-scope metrics;
-    ``attrs`` is the compatibility home of everything that used to go
-    into ``extra``.
+    ``attrs`` holds solver-specific extras.
     """
 
     level_stats: dict[int, dict[str, float]] = field(default_factory=dict)

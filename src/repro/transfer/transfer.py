@@ -103,21 +103,8 @@ class Transfer:
         return self._restrict_rows(fine[None])[..., 0]
 
     def prolong(self, coarse: np.ndarray) -> np.ndarray:
-        """``P v``: coarse ``(V_c, 2, Nc_hat)`` -> fine ``(V_f, ns, nc)``:
-        one basis GEMM per chirality."""
-        vf = self.fine_lattice.volume
-        dtype = compute_dtype(coarse)
-        basis = reduced(self, "_basis", dtype)
-        out = np.zeros((vf, self.fine_ns, self.fine_nc), dtype=dtype)
-        agg = self.blocking.agg_sites
-        bv = self.blocking.block_volume
-        nsb = self.fine_ns // 2
-        for chi, sl in enumerate(chirality_slices_for(self.fine_ns)):
-            x = np.matmul(basis[:, chi], coarse[:, chi, :, None])[..., 0]
-            out[agg.ravel(), sl, :] = x.reshape(
-                self.coarse_lattice.volume * bv, nsb, self.fine_nc
-            )
-        return out
+        """``P v``: coarse ``(V_c, 2, Nc_hat)`` -> fine ``(V_f, ns, nc)``."""
+        return self._prolong_multi(coarse[None])[0]
 
     # -- batched (multi-RHS) variants ------------------------------------
     def restrict_multi(self, fines: np.ndarray) -> np.ndarray:
@@ -150,8 +137,12 @@ class Transfer:
         return np.conjugate(y, out=y)
 
     def prolong_multi(self, coarses: np.ndarray) -> np.ndarray:
-        """Batched ``P``: ``(K, V_c, 2, Nc_hat)`` -> ``(K, V_f, ns, nc)``,
-        batch folded into the GEMM right-hand side."""
+        """Batched ``P``: ``(K, V_c, 2, Nc_hat)`` -> ``(K, V_f, ns, nc)``."""
+        return self._prolong_multi(coarses)
+
+    def _prolong_multi(self, coarses: np.ndarray) -> np.ndarray:
+        """The one body of :meth:`prolong` and :meth:`prolong_multi`: one
+        basis GEMM per chirality, batch folded into its right-hand side."""
         k = coarses.shape[0]
         vf = self.fine_lattice.volume
         vc = self.coarse_lattice.volume

@@ -27,8 +27,6 @@ refactors cannot silently change solver behaviour.
 
 from .context import VerifyContext
 from .golden import (
-    block_golden_record,
-    compare_block_golden,
     compare_golden,
     golden_record,
     load_golden,
@@ -48,8 +46,6 @@ __all__ = [
     "SEVERITIES",
     "VerificationReport",
     "VerifyContext",
-    "block_golden_record",
-    "compare_block_golden",
     "compare_golden",
     "get",
     "golden_record",

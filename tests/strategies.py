@@ -125,8 +125,6 @@ class DenseOperator:
     def apply(self, v: np.ndarray) -> np.ndarray:
         return (self.mat @ v.reshape(-1)).reshape(v.shape)
 
-    matvec = apply
-
     def apply_multi(self, vs: np.ndarray) -> np.ndarray:
         k = vs.shape[0]
         return (self.mat @ vs.reshape(k, -1).T).T.reshape(vs.shape)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.coarse import coarsen_operator
 from repro.lattice import Blocking
-from repro.solvers import OperatorCounter, batched_gcr, gcr, norm, sequential_gcr
+from repro.solvers import OperatorCounter, batched_gcr, gcr, norm
 from repro.transfer import Transfer
 from tests.conftest import random_spinor
 
@@ -51,15 +51,15 @@ class TestBatchedGCR:
 
     def test_matches_sequential_solutions(self, wilson44, rhs_stack):
         batched = batched_gcr(wilson44, rhs_stack, tol=1e-10, maxiter=2000)
-        seq = sequential_gcr(wilson44, rhs_stack, tol=1e-10, maxiter=2000)
+        seq = [gcr(wilson44, b, tol=1e-10, maxiter=2000) for b in rhs_stack]
         for rb, rs in zip(batched, seq):
             assert norm(rb.x - rs.x) / norm(rs.x) < 1e-6
 
     def test_shared_matvec_batches(self, wilson44, rhs_stack):
         # one batched matvec serves all K systems: the locality win
         results = batched_gcr(wilson44, rhs_stack, tol=1e-8, maxiter=2000)
-        batches = results[0].extra["matvec_batches"]
-        seq = sequential_gcr(wilson44, rhs_stack, tol=1e-8, maxiter=2000)
+        batches = results[0].telemetry.attrs["matvec_batches"]
+        seq = [gcr(wilson44, b, tol=1e-8, maxiter=2000) for b in rhs_stack]
         total_seq_matvecs = sum(r.matvecs for r in seq)
         assert batches < total_seq_matvecs  # K-fold operator-load saving
 

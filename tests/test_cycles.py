@@ -65,8 +65,8 @@ class TestCycleTypes:
         b = random_spinor(op3.lattice, seed=703)
         res_k = make_solver(op3, "K").solve(b)
         res_v = make_solver(op3, "V").solve(b)
-        per_iter_k = res_k.extra["level_stats"][1]["op_applies"] / res_k.iterations
-        per_iter_v = res_v.extra["level_stats"][1]["op_applies"] / res_v.iterations
+        per_iter_k = res_k.telemetry.level_stats[1]["op_applies"] / res_k.iterations
+        per_iter_v = res_v.telemetry.level_stats[1]["op_applies"] / res_v.iterations
         assert per_iter_v < per_iter_k
 
     @pytest.mark.parametrize("cycle", ["K", "V", "W"])
@@ -90,9 +90,9 @@ class TestCycleTypes:
             return res, (norms[-1] / norms[0]) ** (1.0 / 11)
 
         direct, rate_direct = measure()
-        assert direct.extra["level_stats"][2]["gcr_iters"] == 0
+        assert direct.telemetry.level_stats[2]["gcr_iters"] == 0
         monkeypatch.setattr(mrhs, "DIRECT_MAX_UNKNOWNS", 0)
         iterated, rate_iterated = measure()
-        assert iterated.extra["level_stats"][2]["gcr_iters"] > 0
+        assert iterated.telemetry.level_stats[2]["gcr_iters"] > 0
         assert direct.iterations <= iterated.iterations
         assert rate_direct < 1.02 * rate_iterated < 1.0

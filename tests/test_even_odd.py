@@ -83,10 +83,6 @@ class TestSchurStructure:
         cond_red = np.linalg.cond(red)
         assert cond_red < cond_full
 
-    def test_matvec_alias(self, schur2, lat2):
-        v = random_spinor(lat2, seed=8)[: schur2.half_volume]
-        assert np.array_equal(schur2.matvec(v), schur2.apply(v))
-
 
 class TestCoarseSchur:
     def test_coarse_schur_matches_direct(self, wilson44, lat44):

@@ -33,7 +33,7 @@ class TestGMRES:
         b = random_spinor(lat44, seed=302)
         res = gmres(wilson44, b, tol=1e-6, maxiter=500)
         # Arnoldi costs O(j) reductions per step: at least 2 per iter
-        assert res.extra["reductions"] >= 2 * res.iterations
+        assert res.telemetry.attrs["reductions"] >= 2 * res.iterations
 
     def test_restart_still_converges(self, wilson44, lat44):
         b = random_spinor(lat44, seed=303)
@@ -63,8 +63,8 @@ class TestCAGMRES:
         res_g = gmres(wilson44, b, tol=1e-8, maxiter=2000)
         res_ca = ca_gmres(wilson44, b, tol=1e-8, maxiter=2000, s=4)
         assert res_ca.converged
-        red_per_matvec_g = res_g.extra["reductions"] / res_g.matvecs
-        red_per_matvec_ca = res_ca.extra["reductions"] / res_ca.matvecs
+        red_per_matvec_g = res_g.telemetry.attrs["reductions"] / res_g.matvecs
+        red_per_matvec_ca = res_ca.telemetry.attrs["reductions"] / res_ca.matvecs
         assert red_per_matvec_ca < 0.5 * red_per_matvec_g
 
     def test_works_on_coarse_operator(self, wilson448, lat448):

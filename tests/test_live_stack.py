@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from repro.dirac.mrhs import batched_schur_for
+from repro.dirac.stencil import apply_stack
 from repro.mg.setup import relaxation_floor
-from repro.solvers.base import apply_stack
 from repro.solvers.bicgstab import lockstep_bicgstab
 from repro.solvers.gcr import lockstep_gcr
 from strategies import DenseOperator

@@ -176,7 +176,7 @@ class TestMultigridSolver:
     def test_level_stats_recorded(self, mg_solver, critical_op):
         b = random_spinor(critical_op.lattice, seed=13)
         res = mg_solver.solve(b)
-        stats = res.extra["level_stats"]
+        stats = res.telemetry.level_stats
         assert set(stats.keys()) == {0, 1}
         assert stats[0]["smoother_applies"] > 0
         assert stats[0]["restricts"] == stats[0]["prolongs"] > 0
@@ -214,7 +214,7 @@ class TestMultigridSolver:
         b = random_spinor(critical_op.lattice, seed=17)
         res = mgs.solve(b)
         assert res.converged
-        assert set(res.extra["level_stats"].keys()) == {0, 1, 2}
+        assert set(res.telemetry.level_stats.keys()) == {0, 1, 2}
 
     def test_subspace_label(self, mg_solver):
         assert mg_solver.params.subspace_label() == "8"

@@ -42,16 +42,13 @@ from repro.precision import Precision
 from repro import telemetry
 from repro.solvers import (
     batched_gcr,
-    block_cg,
-    block_gcr,
     gcr,
     mr,
     norm,
-    sequential_gcr,
     validate_rhs_stack,
 )
 from tests.conftest import random_spinor
-from tests.strategies import SEEDS, DenseOperator
+from tests.strategies import SEEDS
 
 pytestmark = pytest.mark.mrhs
 
@@ -449,82 +446,6 @@ class TestSolveMultiBookkeeping:
 
 
 # ----------------------------------------------------------------------
-# block-Krylov outer solvers
-# ----------------------------------------------------------------------
-class TestBlockGCR:
-    def test_matches_gcr_solutions(self, wilson44, lat44):
-        bs = np.stack([random_spinor(lat44, seed=500 + i) for i in range(3)])
-        blk = block_gcr(wilson44, bs, tol=1e-9, maxiter=500)
-        for res, b in zip(blk, bs):
-            assert res.converged
-            seq = gcr(wilson44, b, tol=1e-9, maxiter=500)
-            assert norm(res.x - seq.x) / norm(seq.x) < 1e-5
-
-    def test_shared_space_beats_lockstep(self, wilson44, lat44):
-        """The block Krylov space serves every RHS: batches <= worst seq."""
-        bs = np.stack([random_spinor(lat44, seed=510 + i) for i in range(4)])
-        blk = block_gcr(wilson44, bs, tol=1e-8, maxiter=500)
-        seq = sequential_gcr(wilson44, bs, tol=1e-8, maxiter=500)
-        assert all(r.converged for r in blk)
-        assert blk[0].extra["matvec_batches"] <= max(r.iterations for r in seq)
-
-    def test_rank_deficient_duplicates(self, wilson44, lat44):
-        """Duplicate RHS columns are dropped by the QR, not fatal."""
-        b = random_spinor(lat44, seed=520)
-        bs = np.stack([b, b, b])
-        blk = block_gcr(wilson44, bs, tol=1e-8, maxiter=500)
-        assert all(r.converged for r in blk)
-        np.testing.assert_array_equal(blk[0].x, blk[1].x)
-        np.testing.assert_array_equal(blk[0].x, blk[2].x)
-
-    def test_zero_rhs_in_block(self, wilson44, lat44):
-        bs = np.stack([random_spinor(lat44, seed=530), np.zeros_like(
-            random_spinor(lat44))])
-        blk = block_gcr(wilson44, bs, tol=1e-8, maxiter=500)
-        assert blk[1].converged and norm(blk[1].x) == 0.0
-
-
-class TestBlockCG:
-    def test_spd_dense_matches_direct(self):
-        rng = np.random.default_rng(3)
-        n, k = 24, 3
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        a = a @ a.conj().T + n * np.eye(n)
-        op = DenseOperator(a)
-        bs = rng.standard_normal((k, 1, 1, n)) + 1j * rng.standard_normal(
-            (k, 1, 1, n)
-        )
-        blk = block_cg(op, bs, tol=1e-10, maxiter=200)
-        for res, b in zip(blk, bs):
-            assert res.converged
-            direct = np.linalg.solve(a, b.reshape(-1))
-            assert np.linalg.norm(res.x.reshape(-1) - direct) < 1e-7
-
-    def test_duplicate_columns(self):
-        rng = np.random.default_rng(4)
-        n = 16
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        a = a @ a.conj().T + n * np.eye(n)
-        b = rng.standard_normal((1, 1, n)) + 1j * rng.standard_normal((1, 1, n))
-        blk = block_cg(DenseOperator(a), np.stack([b, b]), tol=1e-10,
-                       maxiter=200)
-        assert all(r.converged for r in blk)
-        np.testing.assert_allclose(blk[0].x, blk[1].x, atol=1e-12)
-
-    def test_shares_matvec_batches(self):
-        rng = np.random.default_rng(5)
-        n, k = 32, 4
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        a = a @ a.conj().T + n * np.eye(n)
-        bs = rng.standard_normal((k, 1, 1, n)) + 1j * rng.standard_normal(
-            (k, 1, 1, n)
-        )
-        blk = block_cg(DenseOperator(a), bs, tol=1e-10, maxiter=200)
-        assert all(r.converged for r in blk)
-        assert blk[0].extra["matvec_batches"] <= n
-
-
-# ----------------------------------------------------------------------
 # shape validation: malformed stacks fail loudly
 # ----------------------------------------------------------------------
 class TestShapeValidation:
@@ -532,10 +453,7 @@ class TestShapeValidation:
         with pytest.raises(ValueError, match="stack"):
             validate_rhs_stack(wilson44, np.zeros(12, dtype=np.complex128))
 
-    @pytest.mark.parametrize(
-        "solver_fn", [batched_gcr, block_gcr, block_cg],
-        ids=["batched_gcr", "block_gcr", "block_cg"],
-    )
+    @pytest.mark.parametrize("solver_fn", [batched_gcr], ids=["batched_gcr"])
     def test_wrong_site_shape_rejected(self, wilson44, lat44, solver_fn):
         bad = np.zeros((2, lat44.volume, 4, 2), dtype=np.complex128)  # nc=2
         with pytest.raises(ValueError, match="does not match operator"):

@@ -82,7 +82,7 @@ class TestBatchedMGSolve:
         op, solver, bs = setup
         results = solver.solve_multi(bs, tol=1e-8)
         # one batch per outer iteration serves all 4 systems
-        assert results[0].extra["matvec_batches"] <= max(
+        assert results[0].telemetry.attrs["matvec_batches"] <= max(
             r.iterations for r in results
         )
 

@@ -92,7 +92,7 @@ class TestBatchedEquivalence:
             futures = [svc.submit("wc", b) for b in sources]
             results = [f.result() for f in futures]
         assert svc.stats["batches"] < len(sources)
-        assert any(r.extra.get("n_rhs", 1) > 1 for r in results)
+        assert any(r.telemetry.attrs.get("n_rhs", 1) > 1 for r in results)
 
     def test_a_burst_is_one_batch(self, op, params, sources):
         with make_service(op, params, max_batch=8) as svc:
@@ -128,8 +128,8 @@ class TestBatchedEquivalence:
             f1 = svc.submit("wc", sources[0], tol=1e-5)
             f2 = svc.submit("wc", sources[1], tol=1e-7)
             r1, r2 = f1.result(), f2.result()
-        assert r1.extra.get("n_rhs", 1) == 1
-        assert r2.extra.get("n_rhs", 1) == 1
+        assert r1.telemetry.attrs.get("n_rhs", 1) == 1
+        assert r2.telemetry.attrs.get("n_rhs", 1) == 1
 
     def test_unknown_operator_rejected(self, op, params, sources):
         with make_service(op, params) as svc:

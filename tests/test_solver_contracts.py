@@ -19,8 +19,6 @@ from hypothesis import strategies as st
 from repro.solvers import (
     batched_gcr,
     bicgstab,
-    block_cg,
-    block_gcr,
     cg,
     gcr,
     norm,
@@ -159,29 +157,3 @@ class TestConvergenceMasking:
         bs = _rhs_stack(op, 4, seed)
         results = batched_gcr(op, bs, tol=TOL, maxiter=2000)
         check_masking_contract(op, bs, results, TOL)
-
-    @given(sys_=dense_systems(kind="general"), seed=st.integers(0, 2**31))
-    @settings(**SETTINGS)
-    def test_block_gcr_masks_converged(self, sys_, seed):
-        op, _b = sys_
-        bs = _rhs_stack(op, 4, seed)
-        results = block_gcr(op, bs, tol=TOL, maxiter=2000)
-        check_masking_contract(op, bs, results, TOL)
-
-    @given(sys_=dense_systems(kind="spd"), seed=st.integers(0, 2**31))
-    @settings(**SETTINGS)
-    def test_block_cg_masks_converged(self, sys_, seed):
-        op, _b = sys_
-        bs = _rhs_stack(op, 4, seed)
-        results = block_cg(op, bs, tol=TOL, maxiter=2000)
-        check_masking_contract(op, bs, results, TOL)
-
-    @given(dense_systems(kind="general"))
-    @settings(**SETTINGS)
-    def test_histories_cover_shared_iterations(self, sys_):
-        """Every system's history spans the full shared-space run."""
-        op, _b = sys_
-        bs = _rhs_stack(op, 3, 17)
-        results = block_gcr(op, bs, tol=TOL, maxiter=2000)
-        lengths = {len(r.residual_history) for r in results}
-        assert len(lengths) == 1  # frozen systems repeat their last value

@@ -46,7 +46,7 @@ class TestOperatorCounter:
     def test_matvec_alias(self, wilson44, lat44):
         counter = OperatorCounter(wilson44)
         v = random_spinor(lat44, seed=5)
-        np.testing.assert_array_equal(counter.matvec(v), wilson44.apply(v))
+        np.testing.assert_array_equal(counter.apply(v), wilson44.apply(v))
         assert counter.count == 1
 
 
@@ -62,5 +62,5 @@ class TestSolveResult:
     def test_defaults(self):
         r = SolveResult(np.zeros(2), False, 0, 1.0)
         assert r.residual_history == []
-        assert r.extra == {}
+        assert r.telemetry.attrs == {}
         assert r.inner_iterations == 0

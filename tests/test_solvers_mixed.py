@@ -86,4 +86,4 @@ class TestMixedPrecisionSolve:
             wilson44, b, bicgstab, tol=1e-10,
             inner_precision=Precision.HALF, inner_kwargs={"maxiter": 200},
         )
-        assert res.extra["outer"] >= 2  # half cannot do 1e-10 in one cycle
+        assert res.telemetry.attrs["outer"] >= 2  # half cannot do 1e-10 in one cycle

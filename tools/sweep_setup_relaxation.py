@@ -32,7 +32,7 @@ from repro.dirac import WilsonCloverOperator
 from repro.fields import SpinorField
 from repro.mg import MultigridSolver, hierarchy, setup
 from repro.precision import COMPLEX128
-from repro.solvers.base import apply_stack
+from repro.dirac.stencil import apply_stack
 from repro.solvers.bicgstab import lockstep_bicgstab
 from repro.workloads import SCALED_FOR_PAPER, mg_params_for
 
