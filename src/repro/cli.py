@@ -19,7 +19,6 @@ Usage::
                                [--ops N] [--requests N] [--null-iters N]
                                [--metrics-out FILE] [--out DIR]
     python -m repro.cli blackbox [path] [--events N]
-    python -m repro.cli top    [dataset] [--interval S] [--frames N]
     python -m repro.cli check  [dataset] [--json out.json] [--strategy 24/24]
                                [--invariants a,b,...] [--max-needs TIER]
     python -m repro.cli bench  run [--suite quick|full] | list
@@ -81,11 +80,6 @@ automatically instead of being discarded after rendering.
 (``repro.blackbox/v1``): pointed at a directory it lists the dumps,
 pointed at a file it renders the incident timeline (``--events N``
 controls how much of the tail is shown).
-
-``top`` drives a demo service under synthetic load and renders a live
-terminal dashboard (throughput, latency quantiles, queue depth, cache
-hit rate, SLO burn rates); ``--frames N`` renders a fixed number of
-frames and exits, for non-interactive use.
 """
 
 from __future__ import annotations
@@ -97,7 +91,7 @@ from . import telemetry
 
 ARTIFACTS = [
     "table1", "table2", "table3", "fig2", "fig3", "fig4", "all", "trace",
-    "serve-bench", "fleet-bench", "check", "blackbox", "top",
+    "serve-bench", "fleet-bench", "check", "blackbox",
 ]
 
 # command groups routed to the perf CLI (repro.perf.cli)
@@ -459,30 +453,10 @@ def main(argv: list[str] | None = None) -> int:
         help="blackbox: flight-recorder events to show from the tail "
         "(default 20)",
     )
-    parser.add_argument(
-        "--interval",
-        type=float,
-        default=1.0,
-        help="top: seconds between dashboard refreshes (default 1.0)",
-    )
-    parser.add_argument(
-        "--frames",
-        type=int,
-        default=0,
-        help="top: render N frames then exit (default 0 = until interrupted)",
-    )
     args = parser.parse_args(argv)
 
     if args.artifact == "blackbox":
         return main_blackbox(args)
-
-    if args.artifact == "top":
-        from .obs.top import run_top
-
-        dataset = resolve_dataset(args.dataset)
-        return run_top(
-            dataset, interval_s=args.interval, frames=args.frames
-        )
 
     if args.artifact == "check":
         from .verify.runner import main_check

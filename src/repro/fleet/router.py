@@ -24,7 +24,7 @@ without an active :class:`~repro.telemetry.context.TraceContext` gets
 one here, and the context is activated around the shard hop so the
 node-local service (and every span, slog record and metric exemplar
 below it) inherits the same ``trace_id``.  Router-level SLOs reuse
-:mod:`repro.obs.slo` over per-request outcomes observed at the router.
+:mod:`repro.obs.slo`, subscribed to the router's lifecycle events.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ import numpy as np
 from ..obs.slo import SLOMonitor
 from ..serve.cache import SetupCache, setup_cache_key
 from ..serve.counters import Counters
-from ..serve.service import ServeConfig, ServiceOverloadedError
+from ..serve.service import ServeConfig, ServiceOverloadedError, book_metrics
+from ..serve.slog import RequestEvent, publish
 from ..telemetry.context import TraceContext, activate, current_trace
-from ..telemetry.metrics import get_registry
 from .shard import FleetShard
 from .spec import FleetSpec
 
@@ -122,6 +122,11 @@ class FleetRouter:
         self.slo_monitor = (
             SLOMonitor(self.config.slo_specs) if self.config.slo_specs else None
         )
+        self._subscribers = [
+            (("registered", "replicated", "routed", "shed"), book_metrics)
+        ]
+        if self.slo_monitor is not None:
+            self._subscribers.append((None, self.slo_monitor.observe))
 
     # -- placement ------------------------------------------------------
     def affinity_order(self, fingerprint: str) -> list[str]:
@@ -174,9 +179,7 @@ class FleetRouter:
                 hierarchy=hierarchy,
                 replicas=[home],
             )
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("fleet.registered", shard=home, op=name).inc()
+        self._emit(RequestEvent("registered", name, shard=home))
         return home
 
     def operators(self) -> list[str]:
@@ -207,11 +210,7 @@ class FleetRouter:
             entry.replicas.append(target.node.id)
         target.adopt(name, entry.op, entry.params, entry.hierarchy)
         self.stats.bump("replications")
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "fleet.replications", shard=target.node.id, op=name
-            ).inc()
+        self._emit(RequestEvent("replicated", name, shard=target.node.id))
 
     def _pick_shard(self, name: str, entry: _FleetEntry) -> FleetShard:
         """Affinity with load-aware spill.
@@ -263,13 +262,17 @@ class FleetRouter:
                 ):
                     last_overload = exc
                 continue
-            self._book_routed(name, candidate, entry)
+            spilled = candidate.node.id != entry.replicas[0]
+            self.stats.bump("spilled" if spilled else "routed_home")
+            self.stats.bump("routed")
+            self._emit(RequestEvent(
+                "routed", name, queue_depth=candidate.queue_depth(),
+                shard=candidate.node.id, affinity="spill" if spilled else "home",
+            ))
             self._watch(fut, t0, name, candidate)
             return fut
         self.stats.bump("shed")
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("fleet.shed", op=name).inc()
+        self._emit(RequestEvent("shed", name))
         assert last_overload is not None
         raise ServiceOverloadedError(
             f"all {len(ordered)} replica(s) of {name!r} overloaded; "
@@ -283,42 +286,26 @@ class FleetRouter:
         """Blocking convenience wrapper around :meth:`submit`."""
         return self.submit(name, rhs, tol=tol, timeout_s=timeout_s).result()
 
-    def _book_routed(self, name: str, shard: FleetShard, entry) -> None:
-        home = entry.replicas[0]
-        spilled = shard.node.id != home
-        self.stats.bump("spilled" if spilled else "routed_home")
-        self.stats.bump("routed")
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "fleet.routed",
-                shard=shard.node.id,
-                op=name,
-                affinity="spill" if spilled else "home",
-            ).inc()
+    def _emit(self, event: RequestEvent) -> None:
+        publish(self._subscribers, event)
 
     def _watch(self, fut, t0: float, name: str, shard: FleetShard) -> None:
-        """Stamp fleet attribution and feed the router SLO monitor."""
+        """Stamp fleet attribution and emit the request's outcome."""
 
         def _done(f):
-            latency = time.perf_counter() - t0
-            exc = f.exception()
-            if exc is None:
-                res = f.result()
+            fields = {"waits_s": (time.perf_counter() - t0,)}
+            if f.cancelled():  # f.exception() would raise CancelledError
+                kind = "cancelled"
+            elif (exc := f.exception()) is not None:
+                kind = "timeout" if isinstance(exc, TimeoutError) else "failed"
+            else:
+                kind, res = "completed", f.result()
                 res.telemetry.attrs["fleet"] = {
                     "shard": shard.node.id,
                     "device": shard.node.device_name,
                 }
-                if self.slo_monitor is not None:
-                    self.slo_monitor.record(
-                        latency, converged=bool(res.converged)
-                    )
-            elif self.slo_monitor is not None:
-                self.slo_monitor.record(
-                    latency,
-                    error=True,
-                    timed_out=isinstance(exc, TimeoutError),
-                )
+                fields["results"] = (res,)
+            self._emit(RequestEvent(kind, name, shard=shard.node.id, **fields))
 
         fut.add_done_callback(_done)
 

@@ -25,7 +25,6 @@ import numpy as np
 
 from ..serve.cache import SetupCache
 from ..serve.service import ServeConfig, SolveService
-from ..telemetry.metrics import get_registry
 from .spec import FleetNode
 
 
@@ -74,23 +73,16 @@ class FleetShard:
 
     # -- submission -----------------------------------------------------
     def submit(self, op_name, rhs, tol=None, timeout_s=None):
-        """Forward to the node-local service, booking routing stats.
+        """Forward to the node-local service, counting what is routed here.
 
         The caller (router) activates the request's trace context
         before calling, so the service's ingress inherits the fleet
-        trace id.
+        trace id, and books the ``fleet.shard.*`` series from its
+        ``routed`` event.
         """
         fut = self.service.submit(op_name, rhs, tol=tol, timeout_s=timeout_s)
         with self._lock:
             self.routed[op_name] = self.routed.get(op_name, 0) + 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "fleet.shard.requests", shard=self.node.id, op=op_name
-            ).inc()
-            registry.gauge(
-                "fleet.shard.queue_depth", shard=self.node.id
-            ).set(self.service.queue_depth())
         return fut
 
     # -- load signals ---------------------------------------------------

@@ -12,8 +12,6 @@ the substrate a production serve tier debugs itself with:
   serve tier writes on timeout, failure or detected stall;
 * :mod:`~repro.obs.slo` — declarative SLO specs evaluated over sliding
   windows with burn-rate alerting into the structured log;
-* :mod:`~repro.obs.top` — the ``repro top`` live dashboard over
-  metrics-registry snapshots;
 * :mod:`~repro.obs.forensics` — performance forensics over exported
   traces: critical-path extraction, the halo overlap-headroom report,
   Perfetto timeline export, span-granular trace diffing and the bench
@@ -63,13 +61,11 @@ from .forensics import (
 )
 from .slo import (
     DEFAULT_SLOS,
-    RequestOutcome,
     SLOMonitor,
     SLOSpec,
     SLOStatus,
     render_slo_table,
 )
-from .top import Dashboard, run_top
 
 __all__ = [
     "BLACKBOX_SCHEMA",
@@ -77,11 +73,9 @@ __all__ = [
     "CriticalPathReport",
     "DEFAULT_DETECTOR",
     "DEFAULT_SLOS",
-    "Dashboard",
     "DetectorConfig",
     "FlightRecorder",
     "OverlapReport",
-    "RequestOutcome",
     "SLOMonitor",
     "SLOSpec",
     "SLOStatus",
@@ -102,7 +96,6 @@ __all__ = [
     "render_critical_path",
     "render_overlap",
     "render_slo_table",
-    "run_top",
     "scan_trajectory",
     "subsample_history",
     "validate_blackbox",

@@ -3,13 +3,13 @@
 A service-level objective here is a statement like "99% of requests in
 the last 10 minutes complete within 30 s" or "fewer than 1% of requests
 in the window fail to converge".  :class:`SLOMonitor` holds a set of
-:class:`SLOSpec` declarations, ingests one :class:`RequestOutcome` per
-finished request (the same data the serve tier books into the
-:class:`~repro.telemetry.metrics.MetricsRegistry`), maintains the
-sliding window, and evaluates compliance plus *burn rate* — how fast
-the error budget is being consumed relative to the rate that would
-exactly exhaust it over the window (burn rate 1.0 = on budget, 2.0 =
-budget gone in half a window).  Breaches and fast burns are pushed into
+:class:`SLOSpec` declarations, observes the request-lifecycle events
+(:class:`repro.serve.slog.RequestEvent`) the serve tier also books its
+metrics from, keeps the sliding window of per-request outcomes, and
+evaluates compliance plus *burn rate* — how fast the error budget is
+being consumed relative to the rate that would exactly exhaust it over
+the window (burn rate 1.0 = on budget, 2.0 = budget gone in half a
+window).  Breaches and fast burns are pushed into
 the ``repro.serve`` structured log (and therefore the flight recorder),
 so an SLO alert lands in the same stream a postmortem reads.
 
@@ -31,8 +31,8 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 #: objective name -> implied error-budget fraction for latency quantiles
 _LATENCY_OBJECTIVES = {
@@ -92,23 +92,21 @@ DEFAULT_SLOS: tuple[SLOSpec, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class RequestOutcome:
+class _Outcome(NamedTuple):
     """What one finished request contributes to the windows."""
 
     ts: float
     latency_s: float
-    error: bool = False
-    timed_out: bool = False
-    converged: bool = True
+    kind: str  # completed | failed | timeout
+    converged: bool
 
     def bad_for(self, spec: SLOSpec) -> bool:
         if spec.objective in _LATENCY_OBJECTIVES:
             return self.latency_s > spec.threshold
         if spec.objective == "error_rate":
-            return self.error or self.timed_out
+            return self.kind != "completed"
         if spec.objective == "timeout_rate":
-            return self.timed_out
+            return self.kind == "timeout"
         return not self.converged  # convergence_failure_rate
 
 
@@ -165,7 +163,7 @@ MAX_OUTCOMES = 65536
 class SLOMonitor:
     """Sliding-window SLO evaluation over per-request outcomes.
 
-    ``record`` is called once per finished request; ``evaluate`` prunes
+    ``observe`` takes every lifecycle event; ``evaluate`` prunes
     the window and returns one :class:`SLOStatus` per spec.  Burn rates
     above ``alert_burn_rate`` (and any outright breach) emit
     ``slo_alert`` events through ``alert`` — by default into the
@@ -184,36 +182,20 @@ class SLOMonitor:
             raise ValueError("SLOMonitor needs at least one spec")
         self.alert_burn_rate = float(alert_burn_rate)
         self._alert = alert if alert is not None else _default_alert
-        self._outcomes: deque[RequestOutcome] = deque(maxlen=MAX_OUTCOMES)
+        self._outcomes: deque[_Outcome] = deque(maxlen=MAX_OUTCOMES)
         self._max_window = max(s.window_s for s in self.specs)
         self._alerted: set[str] = set()  # specs currently in alert state
 
     # -- ingestion ------------------------------------------------------
-    def record(
-        self,
-        latency_s: float,
-        error: bool = False,
-        timed_out: bool = False,
-        converged: bool = True,
-        ts: float | None = None,
-    ) -> None:
-        self._outcomes.append(
-            RequestOutcome(
-                ts=ts if ts is not None else time.time(),
-                latency_s=float(latency_s),
-                error=bool(error),
-                timed_out=bool(timed_out),
-                converged=bool(converged),
-            )
-        )
-
-    def record_result(self, latency_s: float, result, ts: float | None = None) -> None:
-        """Convenience: ingest a SolveResult-shaped object."""
-        self.record(
-            latency_s,
-            converged=bool(getattr(result, "converged", True)),
-            ts=ts,
-        )
+    def observe(self, event) -> None:
+        """Take one request-lifecycle event: ``completed``, ``failed`` and
+        ``timeout`` add one outcome per request they settle, at the
+        event's ``ts``; every other kind (``cancelled`` too) is ignored."""
+        if event.kind not in ("completed", "failed", "timeout"):
+            return
+        for i, latency in enumerate(event.waits_s):
+            ok = not event.results or bool(event.results[i].converged)
+            self._outcomes.append(_Outcome(event.ts, latency, event.kind, ok))
 
     def _prune(self, now: float) -> None:
         horizon = now - self._max_window
@@ -271,13 +253,6 @@ class SLOMonitor:
                 measured=status.measured,
                 threshold=status.spec.threshold,
             )
-
-    def compliant(self, now: float | None = None) -> bool:
-        return all(s.compliant for s in self.evaluate(now))
-
-    # -- rendering ------------------------------------------------------
-    def render(self, now: float | None = None, title: str = "SLO compliance") -> str:
-        return render_slo_table(self.evaluate(now), title=title)
 
 
 def render_slo_table(statuses: Sequence[SLOStatus], title: str = "SLO compliance") -> str:

@@ -7,7 +7,7 @@ the log(N) global-synchronization cost of the coarse-grid GCR solver
 Measured mode is backed by the telemetry layer: the per-level work
 profiles come from :class:`~repro.telemetry.SolveTelemetry` payloads
 recorded during real solves (the same data ``repro trace`` serializes),
-and :func:`render_from_trace` prices a previously exported trace
+and ``render(trace=path)`` prices a previously exported trace
 document without re-running any solve.  A scaled hierarchy solves its
 coarsest grid directly; that level is then priced with the canonical
 iterated profile (:func:`~.experiments.paper_scale_stats`) and the
@@ -122,11 +122,6 @@ def render(mode: str = "replay", n_rhs: int = 2, trace: str | None = None) -> st
     if repriced:
         out += "\n" + COARSEST_REPRICED_NOTE
     return out
-
-
-def render_from_trace(path: str) -> str:
-    """Price Figure 4 from a trace document exported by the telemetry layer."""
-    return render(trace=path)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ timeouts + cancelled`` (a ``rejected`` request was never ``submitted``).
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import threading
 import time
@@ -51,7 +50,7 @@ from ..telemetry.metrics import get_registry
 from ..telemetry.tracer import get_tracer
 from .cache import SetupCache
 from .counters import Counters
-from .slog import log_event
+from .slog import RequestEvent, log_event, log_request_event, publish
 
 
 class ServiceOverloadedError(RuntimeError):
@@ -119,8 +118,8 @@ class ServeConfig:
     # to disk for `repro blackbox`.
     blackbox_dir: str | None = None
     # Declarative SLOs (repro.obs.slo.SLOSpec); non-empty installs an
-    # SLOMonitor fed per finished request, with burn-rate alerts into
-    # the structured log.
+    # SLOMonitor that observes every finished request, with burn-rate
+    # alerts into the structured log.
     slo_specs: tuple = ()
     # Identity of this service on shared timelines: fleet shards set it
     # to their node id, and every serve.batch span then carries a
@@ -140,6 +139,50 @@ class ServeConfig:
             )
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
+
+
+def book_metrics(event: RequestEvent) -> None:
+    """The metrics subscriber: every ``serve.*`` and ``fleet.*`` series,
+    for the service and the router alike."""
+    registry = get_registry()
+    if registry.enabled:
+        kind, op, n = event.kind, event.op, len(event.request_ids)
+        if event.in_flight is not None:  # a service edge: its queue now
+            registry.gauge("serve.queue_depth").set(event.queue_depth)
+            registry.gauge("serve.in_flight").set(event.in_flight)
+        if kind == "enqueued":
+            registry.counter("serve.requests", op=op).inc(n)
+        elif kind == "rejected":
+            registry.counter("serve.rejected", op=op).inc(event.burst)
+        elif kind == "timeout":
+            registry.counter("serve.timeouts", op=op).inc()
+        elif kind == "dispatched":
+            registry.histogram("serve.batch_size", op=op).observe(n)
+            for wait in event.waits_s:
+                registry.histogram("serve.queue_wait_s").observe(wait)
+        elif kind == "completed":
+            latency = registry.histogram("serve.request_latency_s", op=op)
+            for wait, tid in zip(event.waits_s, event.trace_ids):
+                # the exemplar ties this sample to the request's spans and slog
+                latency.observe(wait, trace_id=tid)
+            registry.histogram("serve.solve_s", op=op).observe(event.solve_s)
+            registry.counter("serve.completed", op=op).inc(n)
+        elif kind == "stall":
+            for v in event.verdicts:
+                registry.counter("serve.stalls", op=op, kind=v.kind).inc()
+        elif kind == "routed":
+            shard = event.shard
+            registry.counter(
+                "fleet.routed", shard=shard, op=op, affinity=event.affinity
+            ).inc()
+            registry.counter("fleet.shard.requests", shard=shard, op=op).inc()
+            depth = registry.gauge("fleet.shard.queue_depth", shard=shard)
+            depth.set(event.queue_depth)
+        elif kind in ("registered", "replicated"):
+            name = "fleet.registered" if kind == "registered" else "fleet.replications"
+            registry.counter(name, shard=event.shard, op=op).inc()
+        elif kind == "shed":
+            registry.counter("fleet.shed", op=op).inc()
 
 
 @dataclass
@@ -208,6 +251,16 @@ class SolveService:
         #: when no blackbox_dir is configured)
         self.last_blackbox: dict | None = None
         self._in_flight = 0
+        # every lifecycle edge is one RequestEvent handed to these
+        # (kinds, sink) pairs in order; kinds None takes every event
+        slo = [(None, self._observe_slo)] if self.slo_monitor is not None else []
+        self._subscribers = [
+            (None, book_metrics),
+            (None, log_request_event),
+            *slo,
+            (("completed",), self._check_stall),
+            (("timeout", "failed", "stall"), self._dump_blackbox),
+        ]
         # Workers pull: a request stays in the bounded pending queue
         # (where submit() can reject it) until a worker takes it.
         self._workers = [
@@ -309,7 +362,6 @@ class SolveService:
         does not fit the queue (one larger than ``queue_capacity`` never
         does), raises as :meth:`submit` does and enqueues none of it.
         """
-        registry = get_registry()
         with self._cond:
             if self._closed:
                 raise ServiceClosedError("service is closed")
@@ -332,11 +384,10 @@ class SolveService:
             depth = len(self._pending)
             if depth + len(stack) > self.config.queue_capacity:
                 self.stats.bump("rejected", len(stack))
-                if registry.enabled:
-                    registry.counter("serve.rejected", op=op_name).inc(len(stack))
-                log_event(
-                    "rejected", op=op_name, queue_depth=depth, burst=len(stack)
+                rejected = RequestEvent(
+                    "rejected", op_name, queue_depth=depth, burst=len(stack)
                 )
+                self._emit(rejected)
                 raise ServiceOverloadedError(
                     f"queue full ({depth} pending + {len(stack)} > "
                     f"{self.config.queue_capacity})",
@@ -357,20 +408,9 @@ class SolveService:
             ]
             self._pending.extend(requests)
             self.stats.bump("submitted", len(requests))
-            depth = len(self._pending)
+            enqueued = self._event("enqueued", requests, tol=requests[0].tol)
             self._cond.notify_all()
-        if registry.enabled:
-            registry.counter("serve.requests", op=op_name).inc(len(requests))
-            registry.gauge("serve.queue_depth").set(depth)
-        for req in requests:
-            log_event(
-                "enqueued",
-                request_id=req.id,
-                op=op_name,
-                tol=req.tol,
-                queue_depth=depth,
-                trace_id=req.trace_id,
-            )
+        self._emit(enqueued)
         return [req.future for req in requests]
 
     def solve(
@@ -411,6 +451,9 @@ class SolveService:
             worker.join()
         with self._cond:
             self._cancel_pending_locked()  # non-empty only if a worker died
+        # the subscribers are bound methods: kept, they would leave a
+        # closed service (and its hierarchies) to the cycle collector
+        self._subscribers = []
         if __debug__:
             s = self.stats.snapshot()
             settled = s["completed"] + s["failed"] + s["timeouts"] + s["cancelled"]
@@ -454,140 +497,87 @@ class SolveService:
                     kept.append(req)
             self._pending = kept
             self._in_flight += len(batch)
-            registry = get_registry()
-            if registry.enabled:
-                registry.gauge("serve.queue_depth").set(len(self._pending))
-                registry.gauge("serve.in_flight").set(self._in_flight)
             return batch
 
-    # -- execution ------------------------------------------------------
-    @contextlib.contextmanager
-    def _reporting(self, what: str):
-        """Around the sinks of one lifecycle edge: a sink that raises is
-        logged and costs neither a caller their result nor the worker
-        its loop."""
-        try:
-            yield
-        except Exception as exc:
-            log_event("sink_failed", sink=what, error=repr(exc))
+    # -- events ---------------------------------------------------------
+    def _event(
+        self, kind: str, reqs: list[_Request], at: float | None = None, **fields
+    ) -> RequestEvent:
+        """``kind`` crossed by ``reqs`` at ``at`` (``perf_counter``
+        seconds, default now), with the queue as it stands."""
+        at = time.perf_counter() if at is None else at
+        with self._cond:
+            depth, in_flight = len(self._pending), self._in_flight
+        return RequestEvent(
+            kind,
+            reqs[0].op_name,
+            request_ids=tuple(req.id for req in reqs),
+            trace_ids=tuple(req.trace_id for req in reqs),
+            waits_s=tuple(at - req.enqueued_at for req in reqs),
+            queue_depth=depth,
+            in_flight=in_flight,
+            **fields,
+        )
 
+    def _emit(self, event: RequestEvent) -> None:
+        publish(self._subscribers, event)
+
+    # -- execution ------------------------------------------------------
     def _run_batch(self, batch: list[_Request]) -> None:
-        """Settle every request of ``batch`` with exactly one outcome."""
-        registry = get_registry()
+        """Settle every request of ``batch`` with exactly one outcome.
+
+        An outcome is counted and its future settled first; the request
+        then leaves ``in_flight``, and only then is its event emitted.
+        """
+        now = time.perf_counter()
         # past this line no caller can cancel: every future below is
         # RUNNING, so the call that settles it cannot race one
         started = [
             req for req in batch if req.future.set_running_or_notify_cancel()
         ]
         self.stats.bump("cancelled", len(batch) - len(started))
+        live = [req for req in started if not req.expired(now)]
+        expired = [req for req in started if req.expired(now)]
+        for req in expired:
+            self.stats.bump("timeouts")
+            req.future.set_exception(
+                SolveTimeoutError(
+                    f"request {req.id} waited {now - req.enqueued_at:.3f}s "
+                    f"> {req.timeout_s}s"
+                )
+            )
+        with self._cond:
+            self._in_flight -= len(batch) - len(live)
+        for req in expired:
+            self._emit(self._event("timeout", [req], now, timeout_s=req.timeout_s))
+        if not live:
+            return
+        outcome = None  # the _event arguments of the batch's outcome
         try:
-            self._serve(started, registry)
+            outcome = self._serve(live, now)
         except BaseException as exc:  # no waiter hangs, whatever escaped
-            failed = [req for req in started if not req.future.done()]
+            failed = [req for req in live if not req.future.done()]
             self.stats.bump("failed", len(failed))
             for req in failed:
                 req.future.set_exception(exc)
-            with self._reporting("failed"):
-                self._report_failed(failed, exc)
+            if failed:
+                outcome = dict(kind="failed", reqs=failed, error=repr(exc))
             if not isinstance(exc, Exception):
                 raise
         finally:
             with self._cond:
-                self._in_flight -= len(batch)
-                in_flight = self._in_flight
-            if registry.enabled:
-                registry.gauge("serve.in_flight").set(in_flight)
+                self._in_flight -= len(live)
+            if outcome is not None:
+                self._emit(self._event(**outcome))
 
-    def _report_failed(self, failed: list[_Request], exc: BaseException) -> None:
-        if not failed:
-            return
-        head = failed[0]
-        log_event(
-            "failed",
-            op=head.op_name,
-            request_ids=[req.id for req in failed],
-            error=repr(exc),
-            trace_id=head.trace_id,
-            trace_ids=[req.trace_id for req in failed],
-        )
-        if self.slo_monitor is not None:
-            now = time.perf_counter()
-            for req in failed:
-                self.slo_monitor.record(now - req.enqueued_at, error=True)
-        self._dump_blackbox(
-            "failure",
-            trace_id=head.trace_id,
-            meta={
-                "op": head.op_name,
-                "error": repr(exc),
-                "request_ids": [req.id for req in failed],
-            },
-        )
-
-    def _serve(self, started: list[_Request], registry) -> None:
-        now = time.perf_counter()
-        live: list[_Request] = []
-        for req in started:
-            if not req.expired(now):
-                live.append(req)
-                continue
-            waited = now - req.enqueued_at
-            self.stats.bump("timeouts")
-            req.future.set_exception(
-                SolveTimeoutError(
-                    f"request {req.id} waited {waited:.3f}s > {req.timeout_s}s"
-                )
-            )
-            with self._reporting("timeout"):
-                if registry.enabled:
-                    registry.counter("serve.timeouts", op=req.op_name).inc()
-                log_event(
-                    "timeout",
-                    request_id=req.id,
-                    op=req.op_name,
-                    waited_s=waited,
-                    trace_id=req.trace_id,
-                )
-                if self.slo_monitor is not None:
-                    self.slo_monitor.record(waited, timed_out=True)
-                self._dump_blackbox(
-                    "timeout",
-                    trace_id=req.trace_id,
-                    meta={
-                        "request_id": req.id,
-                        "op": req.op_name,
-                        "waited_s": waited,
-                        "timeout_s": req.timeout_s,
-                    },
-                )
-        if not live:
-            return
+    def _serve(self, live: list[_Request], now: float) -> dict:
+        """Dispatch, solve and deliver one batch; returns the
+        :meth:`_event` arguments of its ``completed`` event."""
         head = live[0]
         entry = self._ops[head.op_name]
         self.stats.bump("batches")
         self.stats.bump("batched_systems", len(live))
-        mode = "batched" if len(live) > 1 else "single"
-        request_ids = [req.id for req in live]
-        trace_ids = [req.trace_id for req in live]
-        with self._reporting("dispatched"):
-            if registry.enabled:
-                registry.histogram("serve.batch_size", op=head.op_name).observe(
-                    len(live)
-                )
-                for req in live:
-                    registry.histogram("serve.queue_wait_s").observe(
-                        now - req.enqueued_at
-                    )
-            log_event(
-                "dispatched",
-                op=head.op_name,
-                request_ids=request_ids,
-                batch_size=len(live),
-                mode=mode,
-                in_flight=self.in_flight(),
-                trace_id=head.trace_id,
-                trace_ids=trace_ids,
-            )
+        self._emit(self._event("dispatched", live, now))
         # The worker thread adopts the batch head's trace context:
         # every span the solve opens (mg.solve, kcycle, halo, ...)
         # inherits its trace_id, and the batch span links the other
@@ -599,9 +589,9 @@ class SolveService:
         batch_attrs = dict(
             op=head.op_name,
             size=len(live),
-            mode=mode,
-            request_ids=request_ids,
-            trace_ids=trace_ids,
+            mode="batched" if len(live) > 1 else "single",
+            request_ids=[req.id for req in live],
+            trace_ids=[req.trace_id for req in live],
         )
         if self.config.label:
             batch_attrs["shard"] = self.config.label
@@ -642,77 +632,36 @@ class SolveService:
             }
             self.stats.bump("completed")
             req.future.set_result(res)
-        with self._reporting("completed"):
-            for req, res in zip(live, results):
-                latency = done - req.enqueued_at
-                if registry.enabled:
-                    # the exemplar ties this latency sample back to the
-                    # request's span tree and slog records
-                    registry.histogram(
-                        "serve.request_latency_s", op=req.op_name
-                    ).observe(latency, trace_id=req.trace_id)
-                log_event(
-                    "completed",
-                    request_id=req.id,
-                    op=req.op_name,
-                    latency_s=latency,
-                    iterations=int(res.iterations),
-                    converged=bool(res.converged),
-                    trace_id=req.trace_id,
-                    **res.telemetry.attrs["serve"],
-                )
-                if self.slo_monitor is not None:
-                    self.slo_monitor.record(latency, converged=bool(res.converged))
-                self._check_stall(req, res)
-            if registry.enabled:
-                registry.histogram("serve.solve_s", op=head.op_name).observe(dt)
-                registry.counter("serve.completed", op=head.op_name).inc(len(live))
-            if self.slo_monitor is not None:
-                self.slo_monitor.evaluate()
+        return dict(
+            kind="completed", reqs=live, at=done, results=tuple(results), solve_s=dt
+        )
 
-    # -- postmortem -----------------------------------------------------
-    def _check_stall(self, req: _Request, res: SolveResult) -> None:
-        """Run the convergence detector over a delivered result.
+    # -- subscribers ----------------------------------------------------
+    def _observe_slo(self, event: RequestEvent) -> None:
+        self.slo_monitor.observe(event)
+        if event.kind == "completed":  # once per settled batch
+            self.slo_monitor.evaluate()
+
+    def _check_stall(self, event: RequestEvent) -> None:
+        """Run the convergence detector over each delivered result.
 
         Works from the result's residual history directly, so stalls
         are caught even with the tracer off.  Error-severity verdicts
-        (stall/divergence) trigger a blackbox dump; plateaus only count.
+        (stall/divergence) are counted and emitted as a ``stall`` event.
         """
-        history = getattr(res, "residual_history", None)
-        if not history or len(history) < 2:
-            return
-        verdicts = detect_anomalies(history)
-        severe = [v for v in verdicts if v.severity == "error"]
-        if not severe:
-            return
-        self.stats.bump("stalls_detected", len(severe))
-        registry = get_registry()
-        if registry.enabled:
-            for v in severe:
-                registry.counter(
-                    "serve.stalls", op=req.op_name, kind=v.kind
-                ).inc()
-        log_event(
-            "stall",
-            request_id=req.id,
-            op=req.op_name,
-            kinds=[v.kind for v in severe],
-            trace_id=req.trace_id,
-        )
-        self._dump_blackbox(
-            "stall",
-            trace_id=req.trace_id,
-            meta={
-                "request_id": req.id,
-                "op": req.op_name,
-                "verdicts": [v.to_dict() for v in severe],
-            },
-        )
+        for rid, tid, res in zip(event.request_ids, event.trace_ids, event.results):
+            verdicts = detect_anomalies(res.residual_history)
+            severe = tuple(v for v in verdicts if v.severity == "error")
+            if severe:
+                self.stats.bump("stalls_detected", len(severe))
+                stall = RequestEvent(
+                    "stall", event.op, (rid,), (tid,), verdicts=severe
+                )
+                self._emit(stall)
 
-    def _dump_blackbox(
-        self, reason: str, trace_id: str | None = None, meta: dict | None = None
-    ) -> dict:
-        """Assemble a repro.blackbox/v1 postmortem document.
+    def _dump_blackbox(self, event: RequestEvent) -> None:
+        """Assemble a repro.blackbox/v1 postmortem document for a
+        ``timeout``, ``failed`` or ``stall`` event.
 
         The dump is always retained in memory as ``self.last_blackbox``;
         when ``config.blackbox_dir`` is set it is also written to disk
@@ -720,9 +669,19 @@ class SolveService:
         must never take the service down, so disk errors are folded into
         the log stream instead of raised.
         """
-        meta = dict(meta or {})
+        reason = "failure" if event.kind == "failed" else event.kind
+        trace_id = event.trace_ids[0]
+        if event.kind == "failed":
+            ids = list(event.request_ids)
+            meta = {"op": event.op, "error": event.error, "request_ids": ids}
+        else:
+            meta = {"op": event.op, "request_id": event.request_ids[0]}
+        if event.kind == "timeout":
+            meta.update(waited_s=event.waits_s[0], timeout_s=event.timeout_s)
+        elif event.kind == "stall":
+            meta["verdicts"] = [v.to_dict() for v in event.verdicts]
         if self.config.label:
-            meta.setdefault("shard", self.config.label)
+            meta["shard"] = self.config.label
         doc = blackbox_document(reason, trace_id=trace_id, meta=meta)
         self.last_blackbox = doc
         self.stats.bump("blackbox_dumps")
@@ -743,4 +702,3 @@ class SolveService:
             trace_id=trace_id,
             path=str(path) if path is not None else None,
         )
-        return doc

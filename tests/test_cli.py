@@ -1,8 +1,11 @@
 """The command-line entry point."""
 
+import json
+
 import pytest
 
 from repro.cli import main
+from repro.obs.blackbox import blackbox_document, iso_ts, write_blackbox
 
 
 class TestCli:
@@ -111,3 +114,42 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "unknown dataset" in err and "valid datasets" in err
+
+
+@pytest.mark.obs
+class TestBlackboxCommand:
+    """``repro blackbox``: the only reader of dumps on disk."""
+
+    @pytest.fixture()
+    def dumps(self, tmp_path):
+        paths = []
+        for ts, reason in ((1000.0, "timeout"), (2000.0, "stall")):
+            doc = blackbox_document(reason, trace_id=reason[0] * 32, meta={"op": "w"})
+            doc["ts"], doc["ts_iso"] = ts, iso_ts(ts)
+            paths.append(write_blackbox(tmp_path, doc))
+        return paths
+
+    def test_a_directory_lists_dumps_newest_first(self, dumps, tmp_path, capsys):
+        assert main(["blackbox", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("2 blackbox dump(s)")
+        assert [line.split()[0] for line in lines[1:]] == [
+            dumps[1].name, dumps[0].name
+        ]
+        assert "reason=stall" in lines[1] and "reason=timeout" in lines[2]
+
+    def test_a_file_renders_the_incident(self, dumps, capsys):
+        assert main(["blackbox", str(dumps[0]), "--events", "5"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("blackbox dump — reason: timeout")
+        assert "trace_id: " + "t" * 32 in out and "meta: op=w" in out
+
+    def test_a_missing_path_exits_2(self, tmp_path, capsys):
+        assert main(["blackbox", str(tmp_path / "absent.json")]) == 2
+        assert "no such file" in capsys.readouterr().err
+
+    def test_a_foreign_json_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps({"schema": "repro.telemetry/v1"}))
+        assert main(["blackbox", str(path)]) == 2
+        assert "unknown blackbox schema" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import time
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.gauge import disordered_field
 from repro.gpu.device import DEVICES, K20X
 from repro.lattice import Lattice
 from repro.mg import LevelParams, MGParams
+from repro.obs.slo import SLOSpec
 from repro.serve import (
     ServeConfig,
     ServiceOverloadedError,
@@ -32,6 +34,7 @@ from repro.serve import (
     setup_cache_key,
 )
 from repro.telemetry.context import TraceContext, activate
+from tests.conftest import busy_workers
 
 pytestmark = pytest.mark.fleet
 
@@ -323,3 +326,36 @@ class TestTracePropagation:
             router.register("m0", ops["m0"], params)
             res = router.solve("m0", sources[1])
         assert res.telemetry.attrs["trace_id"]
+
+
+# -- routed outcomes ----------------------------------------------------
+
+
+class TestRoutedOutcomes:
+    def test_a_cancelled_routed_request_is_no_outcome(
+        self, fleet, hierarchies, ops, params, sources
+    ):
+        # f.exception() on a cancelled future raises CancelledError; in a
+        # done-callback concurrent.futures logs it as "exception calling
+        # callback"
+        records: list[logging.LogRecord] = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        futures_log = logging.getLogger("concurrent.futures")
+        futures_log.addHandler(handler)
+        spec = SLOSpec("latency-p99", "latency_p99", threshold=60.0)
+        try:
+            with make_router(fleet, hierarchies, slo_specs=(spec,)) as router:
+                home = router.register("m0", ops["m0"], params)
+                svc = router.shards[home].service
+                with busy_workers(svc, "m0", sources[0]):
+                    queued = router.submit("m0", sources[1])
+                    assert queued.cancel()
+                assert router.solve("m0", sources[2]).converged
+        finally:
+            futures_log.removeHandler(handler)
+        assert records == []
+        assert svc.stats["cancelled"] == 1
+        # the window holds the routed solve, not the cancelled request
+        (status,) = router.slo_monitor.evaluate()
+        assert status.n == 1

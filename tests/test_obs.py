@@ -1,6 +1,6 @@
 """The observability layer: trace context, span events, OTLP export,
 histogram reservoirs, the convergence detector, the flight recorder,
-SLO window math and the dashboard renderer.
+and SLO window math.
 
 Unit-level and fast; the serve-integration half (trace propagation
 through a real batched round-trip, timeout-triggered blackbox dumps)
@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+from types import SimpleNamespace
 
 import pytest
 
@@ -40,7 +41,7 @@ from repro.obs.slo import (
     SLOSpec,
     render_slo_table,
 )
-from repro.obs.top import Dashboard
+from repro.serve.slog import RequestEvent
 from repro.telemetry import (
     MetricsRegistry,
     TraceContext,
@@ -375,6 +376,12 @@ class TestFlightRecorder:
 # ----------------------------------------------------------------------
 # SLO window math
 # ----------------------------------------------------------------------
+def settled(latency_s, kind="completed", converged=True, ts=0.0):
+    """One request's outcome event as the serve tier emits it."""
+    results = (SimpleNamespace(converged=converged),) if kind == "completed" else ()
+    return RequestEvent(kind, "op", waits_s=(latency_s,), results=results, ts=ts)
+
+
 class TestSLOWindowMath:
     def test_spec_validation_and_budgets(self):
         spec = SLOSpec("p99", "latency_p99", threshold=30.0)
@@ -389,9 +396,9 @@ class TestSLOWindowMath:
     def test_sliding_window_prunes_old_outcomes(self):
         spec = SLOSpec("err", "error_rate", threshold=0.5, window_s=10.0)
         mon = SLOMonitor((spec,), alert=lambda *a, **k: None)
-        mon.record(1.0, error=True, ts=100.0)  # will age out
-        mon.record(1.0, ts=108.0)
-        mon.record(1.0, ts=109.0)
+        mon.observe(settled(1.0, "failed", ts=100.0))  # will age out
+        mon.observe(settled(1.0, ts=108.0))
+        mon.observe(settled(1.0, ts=109.0))
         (status,) = mon.evaluate(now=115.0)  # window covers [105, 115]
         assert status.n == 2 and status.bad == 0
         assert status.compliant and status.measured == 0.0
@@ -400,9 +407,9 @@ class TestSLOWindowMath:
         spec = SLOSpec("p99", "latency_p99", threshold=1.0, window_s=60.0)
         mon = SLOMonitor((spec,), alert=lambda *a, **k: None)
         for _ in range(98):
-            mon.record(0.1, ts=10.0)
-        mon.record(50.0, ts=10.0)  # two outliers: the interpolated p99
-        mon.record(50.0, ts=10.0)  # lands inside them
+            mon.observe(settled(0.1, ts=10.0))
+        mon.observe(settled(50.0, ts=10.0))  # two outliers: the interpolated p99
+        mon.observe(settled(50.0, ts=10.0))  # lands inside them
         (status,) = mon.evaluate(now=11.0)
         assert status.n == 100 and status.bad == 2
         assert status.measured > 1.0
@@ -415,11 +422,11 @@ class TestSLOWindowMath:
         )
         mon = SLOMonitor((spec,), alert=lambda *a, **k: None)
         for ok in (True, True, True, False):
-            mon.record(0.5, converged=ok, ts=5.0)
+            mon.observe(settled(0.5, converged=ok, ts=5.0))
         (status,) = mon.evaluate(now=6.0)
         assert status.measured == pytest.approx(0.25)
         assert status.compliant  # at budget, not over
-        mon.record(0.5, converged=False, ts=5.5)
+        mon.observe(settled(0.5, converged=False, ts=5.5))
         (status,) = mon.evaluate(now=6.0)
         assert not status.compliant
 
@@ -429,18 +436,18 @@ class TestSLOWindowMath:
         mon = SLOMonitor(
             (spec,), alert=lambda event, **f: fired.append((event, f))
         )
-        mon.record(1.0, error=True, ts=100.0)
+        mon.observe(settled(1.0, "failed", ts=100.0))
         mon.evaluate(now=100.5)
         mon.evaluate(now=100.6)  # still breached: no duplicate alert
         assert [e for e, _ in fired] == ["slo_alert"]
         assert fired[0][1]["slo"] == "err"
-        mon.record(1.0, ts=109.9)  # breach ages out of the window
+        mon.observe(settled(1.0, ts=109.9))  # breach ages out of the window
         mon.evaluate(now=110.0)
         assert [e for e, _ in fired] == ["slo_alert", "slo_recovered"]
 
     def test_render_table(self):
         mon = SLOMonitor(DEFAULT_SLOS, alert=lambda *a, **k: None)
-        mon.record(0.2, ts=100.0)
+        mon.observe(settled(0.2, ts=100.0))
         text = render_slo_table(mon.evaluate(now=101.0))
         assert "latency-p99" in text and "verdict" in text
         assert "ok" in text and "BREACH" not in text
@@ -482,46 +489,3 @@ class TestSlogRecords:
         slog.log_event("probe", request_id=99)  # logger unconfigured
         assert rec.recorded == before + 1
         assert rec.snapshot(last=1)[0]["kind"] == "probe"
-
-
-# ----------------------------------------------------------------------
-# dashboard rendering
-# ----------------------------------------------------------------------
-class TestDashboard:
-    def test_frame_from_synthetic_registry(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.counter("serve.completed", op="w").inc(10)
-        reg.gauge("serve.queue_depth").set(3)
-        reg.gauge("serve.in_flight").set(2)
-        for v in (0.1, 0.2, 0.3):
-            reg.histogram("serve.request_latency_s", op="w").observe(v)
-        mon = SLOMonitor(DEFAULT_SLOS, alert=lambda *a, **k: None)
-        mon.record(0.2)
-        dash = Dashboard(registry=reg, slo_monitor=mon)
-        first = dash.frame(now=100.0)
-        assert "queue depth" in first and "SLO compliance" in first
-        reg.counter("serve.completed", op="w").inc(5)
-        second = dash.frame(now=101.0)
-        assert "5.00 req/s" in second  # delta over one second
-
-    def test_frame_on_empty_window_renders_placeholder(self):
-        reg = MetricsRegistry(enabled=True)  # no completions observed yet
-        frame = Dashboard(registry=reg).frame(now=100.0)
-        assert "window warming up" in frame
-        assert "p95" not in frame  # zero quantiles would mislead
-
-    def test_cache_hit_rate_dash_before_first_lookup(self):
-        class _Cache:
-            stats = {"hits": 0, "disk_hits": 0, "misses": 0}
-
-        class _Service:
-            cache = _Cache()
-            slo_monitor = None
-
-            def operators(self):
-                return []
-
-        reg = MetricsRegistry(enabled=True)
-        frame = Dashboard(registry=reg, service=_Service()).frame(now=100.0)
-        assert "setup cache hit rate      —" in frame
-        assert "0.0%" not in frame

@@ -314,17 +314,14 @@ class TestBlackboxDumps:
         assert svc.stats["failed"] == 1
 
     def test_stall_detection_dumps_and_counts(self, op, params, cache):
-        from repro.serve.service import _Request
+        from repro.serve.slog import RequestEvent
+
+        def delivered(res):
+            return RequestEvent(
+                "completed", "wc", (77,), ("a" * 32,), (1.0,), results=(res,)
+            )
 
         with make_service(op, params, cache, max_batch=1) as svc:
-            req = _Request(
-                op_name="wc",
-                rhs=np.zeros(1),
-                tol=TOL,
-                timeout_s=None,
-                id=77,
-                trace_id="a" * 32,
-            )
             stalled = SolveResult(
                 x=np.zeros(1),
                 converged=False,
@@ -332,7 +329,7 @@ class TestBlackboxDumps:
                 final_residual=0.5,
                 residual_history=[1.0, 0.5] + [0.5] * 10,
             )
-            svc._check_stall(req, stalled)
+            svc._check_stall(delivered(stalled))
             healthy = SolveResult(
                 x=np.zeros(1),
                 converged=True,
@@ -340,7 +337,7 @@ class TestBlackboxDumps:
                 final_residual=1e-8,
                 residual_history=[10.0**-i for i in range(9)],
             )
-            svc._check_stall(req, healthy)  # must not double-count
+            svc._check_stall(delivered(healthy))  # must not double-count
         assert svc.stats["stalls_detected"] == 1
         assert svc.stats["blackbox_dumps"] == 1
         doc = svc.last_blackbox

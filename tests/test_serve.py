@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -258,6 +260,25 @@ class TestBackpressureAndTimeouts:
         svc.close()
         with pytest.raises(ServiceClosedError):
             svc.submit("wc", sources[0])
+
+    @pytest.mark.parametrize("slo", [False, True])
+    def test_a_closed_service_goes_with_its_last_reference(
+        self, op, params, sources, slo
+    ):
+        # a service holds its hierarchies: left to the cycle collector,
+        # a closed one would free them inside some later, unrelated call
+        from repro.obs.slo import DEFAULT_SLOS
+
+        svc = make_service(op, params, slo_specs=DEFAULT_SLOS if slo else ())
+        assert svc.solve("wc", sources[0]).converged
+        svc.close()
+        gc.disable()
+        try:
+            ref = weakref.ref(svc)
+            del svc
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_close_drains_pending(self, op, params, sources):
         svc = make_service(op, params, max_batch=4)

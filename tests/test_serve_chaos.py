@@ -123,35 +123,47 @@ class TestFailures:
 
     @pytest.mark.parametrize("sink", ["_check_stall", "log_event", "slo"])
     def test_a_raising_sink_costs_no_one_their_result(
-        self, service, sources, n_workers, sink, monkeypatch
+        self, service, sources, n_workers, sink
     ):
         # at the parent commit the exception is swallowed by the executor:
         # the future never resolves and in_flight stays 1 for good
+        from repro import telemetry
         from repro.obs.slo import SLOSpec
-        from repro.serve import service as service_module
+        from repro.serve.slog import log_request_event
 
         spec = SLOSpec("latency-p99", "latency_p99", threshold=60.0)
         svc = service(n_workers=n_workers, max_batch=4, slo_specs=(spec,))
+        target = {
+            "_check_stall": svc._check_stall,
+            "log_event": log_request_event,
+            "slo": svc._observe_slo,
+        }[sink]
 
-        def broken(*args, **kwargs):
-            raise RuntimeError(f"injected {sink} failure")
+        def broken(event):
+            if event.kind == "completed":
+                raise RuntimeError(f"injected {sink} failure")
+            target(event)
 
-        if sink == "_check_stall":
-            svc._check_stall = broken
-        elif sink == "slo":
-            svc.slo_monitor.record = broken
-        else:
-            real = service_module.log_event
-            monkeypatch.setattr(
-                service_module,
-                "log_event",
-                lambda event, **f: broken() if event == "completed" else real(event, **f),
-            )
-        results = [outcome(f) for f in svc.submit_many("wc", sources[:2])]
-        assert all(r.converged for r in results)
-        assert svc.solve("wc", sources[2], timeout_s=WAIT).converged
-        s = ledger(svc)
+        svc._subscribers = [
+            (kinds, broken if fn == target else fn)
+            for kinds, fn in svc._subscribers
+        ]
+        telemetry.enable()
+        telemetry.reset()
+        try:
+            results = [outcome(f) for f in svc.submit_many("wc", sources[:2])]
+            assert all(r.converged for r in results)
+            assert svc.solve("wc", sources[2], timeout_s=WAIT).converged
+            s = ledger(svc)
+            # the other sinks still booked both batches
+            completed = telemetry.get_registry().value("serve.completed", op="wc")
+        finally:
+            telemetry.disable()
         assert (s["completed"], s["failed"]) == (3, 0)
+        assert completed == 3
+        if sink != "slo":
+            (status,) = svc.slo_monitor.evaluate()
+            assert status.n == 3
         failed_sinks = [
             e for e in get_recorder().snapshot() if e["kind"] == "sink_failed"
         ]
