@@ -7,12 +7,19 @@ structure is lost: each link carries a dense
 term ``X`` is likewise dense (it absorbs the aggregated clover/mass
 term *and* all hops internal to the aggregates).
 
-The blocks are built and kept in complex128 (Galerkin products and
-verification read those); an application computes at the dtype of the
-field it is handed, on copies of the blocks cast to that dtype the first
-time such a field arrives (:func:`repro.precision.reduced`) — every
-kernel here is bandwidth-bound on the blocks, so a complex64 field
-halves the bytes.
+The blocks are built and kept in complex128, per direction and
+orientation (Galerkin products, the setup cache and verification read
+those).  An application reads them as one row of blocks per site over
+the site itself and its *distinct* neighbours
+(:class:`~repro.dirac.mrhs._DenseBlockHop`): on an extent-2 direction
+``x + mu`` and ``x - mu`` are one site, and its two links are summed
+once into one block, so a coarse grid of extent 2 in three directions
+reads 6 blocks per site instead of 9, in one GEMM.  The table is built
+at the dtype of the field being applied, the first time such a field
+arrives — every kernel here is bandwidth-bound on the blocks, so a
+complex64 field halves the bytes.  The per-direction hops
+(``apply_hop*``, ``hop_sum_reference``) stay as the oracle, on copies
+of the blocks cast on first use (:func:`repro.precision.reduced`).
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ..dirac.mrhs import _DenseBlockHop
 from ..dirac.stencil import StencilOperator
 from ..lattice import NDIM, Lattice
 from ..precision import compute_dtype, reduced
@@ -62,17 +70,35 @@ class CoarseOperator(StencilOperator):
         self.nc = nc
         self.x_blocks = np.ascontiguousarray(x_blocks)
         self.hop_blocks = np.ascontiguousarray(hop_blocks)
+        self._tables: dict = {}
 
     @cached_property
     def _x_inv(self) -> np.ndarray:
         return np.linalg.inv(self.x_blocks)
 
     # ------------------------------------------------------------------
+    def _table(self, dtype) -> _DenseBlockHop:
+        """``[X | Y_1 .. Y_D]`` per site at ``dtype``, gathered the first
+        time a stack of that dtype arrives."""
+        table = self._tables.get(dtype)
+        if table is None:
+            sites = np.arange(self.lattice.volume)
+            table = self._tables[dtype] = _DenseBlockHop(
+                self, sites, sites, dtype=dtype, diag=self.x_blocks
+            )
+        return table
+
+    def drop_tables(self, dtype) -> None:
+        """Forget the table at ``dtype``; the next stack of that dtype
+        gathers it again."""
+        self._tables.pop(np.dtype(dtype), None)
+
     def reduced_bytes(self, dtype) -> int:
-        """Bytes of the ``dtype`` copies of ``x_blocks``, their inverse
-        and ``hop_blocks`` — known before any of them is cast."""
-        entries = 2 * self.x_blocks.size + self.hop_blocks.size
-        return entries * np.dtype(dtype).itemsize
+        """Bytes of the ``dtype`` table an application reads — known
+        before it is built."""
+        return _DenseBlockHop.table_bytes(
+            self.lattice, self.lattice.volume, self.site_dof, dtype, diag=True
+        )
 
     def apply_diag(self, v: np.ndarray) -> np.ndarray:
         x_blocks = reduced(self, "x_blocks", compute_dtype(v))
@@ -102,26 +128,12 @@ class CoarseOperator(StencilOperator):
         return np.matmul(blocks, nbr).transpose(2, 0, 1).reshape(k, n, self.ns, self.nc)
 
     def _apply_multi(self, vs: np.ndarray) -> np.ndarray:
-        """Application to a ``(K, V, ns, nc)`` stack: matrices loaded once.
-
-        Batch-last ``(V, N, N) @ (V, N, K)`` stacked GEMMs — one per
-        direction regardless of K, so every dense link matrix is read
-        once for the whole batch and the multiply dispatches to BLAS
-        (the temporal-locality win of the multiple-right-hand-side
-        reformulation, Section 9).
-        """
-        lat = self.lattice
-        k = vs.shape[0]
-        dtype = compute_dtype(vs)
-        hop_blocks = reduced(self, "hop_blocks", dtype)
-        flat = np.ascontiguousarray(
-            vs.reshape(k, lat.volume, self.site_dof).transpose(1, 2, 0)
-        )
-        out = np.matmul(reduced(self, "x_blocks", dtype), flat)
-        for mu in range(NDIM):
-            out += np.matmul(hop_blocks[mu, 0], flat[lat.fwd[mu]])
-            out += np.matmul(hop_blocks[mu, 1], flat[lat.bwd[mu]])
-        return np.ascontiguousarray(out.transpose(2, 0, 1)).reshape(vs.shape)
+        """Application to a ``(K, V, ns, nc)`` stack: one gather and one
+        batched ``(V, N, (D+1) N) @ (V, (D+1) N, K)`` GEMM, so every
+        block is read once for the whole batch and the multiply
+        dispatches to BLAS (the temporal-locality win of the
+        multiple-right-hand-side reformulation, Section 9)."""
+        return self._table(compute_dtype(vs)).apply(vs)
 
     # ------------------------------------------------------------------
     def link_hermiticity_violation(self) -> float:

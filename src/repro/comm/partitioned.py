@@ -5,9 +5,9 @@ per-direction formulation exactly while sourcing every cross-subdomain
 neighbour value through the simulated MPI halo exchange — the same
 decomposition QUDA runs across GPUs.  The test suite asserts bit-level
 agreement with that formulation (``apply_reference`` on the fine grid,
-``apply`` on coarse grids) and roundoff agreement with the fine grid's
-production kernel; the traffic log feeds the strong-scaling machine
-model.
+the diagonal then ``(mu, +)``, ``(mu, -)`` hops for ``mu = 0..3`` on
+coarse grids) and roundoff agreement with each grid's production
+kernel; the traffic log feeds the strong-scaling machine model.
 """
 
 from __future__ import annotations

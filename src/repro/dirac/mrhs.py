@@ -9,8 +9,12 @@ and clover tables are read once for all ``K`` systems, and
 :class:`~repro.dirac.even_odd.SchurOperator` exposes it as
 ``apply_multi`` / ``prepare_multi`` / ``reconstruct_multi``.  On coarse
 grids there is no spin structure to exploit; :class:`BatchedCoarseSchur`
-folds the batch into the right-hand side of stacked dense-block GEMMs
-on genuine half-volume fields, at the dtype of the stack it is handed.
+folds the batch into the right-hand side of one dense-block GEMM per
+site and hop on genuine half-volume fields, at the dtype of the stack it
+is handed.  A site's row of blocks spans its *distinct* neighbours only
+(:class:`_DenseBlockHop`, which :class:`~repro.coarse.CoarseOperator`
+applies too): on an extent-2 direction ``x + mu`` and ``x - mu`` are one
+site and their links are summed once, when the table is built.
 
 A red-black system small enough to hold densely is not iterated on at
 all: :meth:`BatchedCoarseSchur.solve_multi` assembles the Schur matrix
@@ -42,9 +46,12 @@ from .even_odd import SchurOperator
 #: repays its assembly and factorisation within ~60 coarsest solves
 #: (six solves of the outer system) at every size tried, so what places
 #: the constant is what the first request of a hierarchy waits for:
-#: 0.4 s and 32 MB in complex64 at 2048 on the benchmark's coarsest
-#: lattice, about what the setup before it costs; 3-4 s — five setups —
-#: and 128 MB one doubling further.  No workload in this repository
+#: 0.6 s and 32 MB in complex64 at 2048 on the benchmark's coarsest
+#: lattice (2-core host, single-threaded BLAS; the assembly is 0.19 s of
+#: it since it forms one product per pair of distinct neighbours, 0.41 s
+#: with one per pair of directions — DESIGN.md section 26), about what
+#: the setup before it costs; 3-4 s — five setups — and 128 MB one
+#: doubling further (section 20's run).  No workload in this repository
 #: lies above it (the benchmark's coarsest systems have 96 and 1024
 #: unknowns); the iterated side is reached by ``coarsest_schur=False``,
 #: by operators that are not dense-block, by two-level hierarchies, and
@@ -59,44 +66,90 @@ def supports_dense_block_schur(op) -> bool:
     return hasattr(op, "x_blocks") and hasattr(op, "hop_blocks")
 
 
-class _DenseBlockHop:
-    """Eight-direction dense-block hop sum restricted to parity subsets.
+def neighbour_slots(lattice) -> list[tuple[int, int | None]]:
+    """The distinct neighbours of a site of ``lattice``, in stencil order:
+    ``(mu, 0)`` for ``x + mu``, ``(mu, 1)`` for ``x - mu`` and
+    ``(mu, None)`` for both at once.  Extents are even and at least 2,
+    so the two neighbours along ``mu`` coincide exactly where the extent
+    is 2 (where ``fwd[mu]`` equals ``bwd[mu]``).  Read from the extents,
+    so that booking a table builds no neighbour table: a restored
+    hierarchy books its tables before any solve touches its lattices."""
+    slots: list[tuple[int, int | None]] = []
+    for mu in range(NDIM):
+        if lattice.dims[mu] == 2:
+            slots.append((mu, None))
+        else:
+            slots += [(mu, 0), (mu, 1)]
+    return slots
 
-    There is no spin projector structure to exploit on a coarse grid,
-    so the whole ``(N, N)`` link block is applied per direction — but
-    the batch still folds into the GEMM's right-hand side, so every
-    link matrix is read once for all ``K`` systems
-    (``(8, Vo, N, N) @ (8, Vo, N, K)`` stacked GEMMs).
+
+class _DenseBlockHop:
+    """The dense-block stencil from a source site set to an output site
+    set, as one row of blocks per output site over its *distinct*
+    neighbour sites.
+
+    There is no spin projector structure to exploit on a coarse grid, so
+    each neighbour's whole ``(N, N)`` link block is applied — but where a
+    direction has extent 2, ``x + mu`` and ``x - mu`` are one site and
+    their two links are summed once, here, into one block.  An output
+    site then reads ``D = 8 - (extent-2 directions)`` neighbours (plus
+    itself when ``diag`` gives its own block): a ``(V_out, N, D N)``
+    table and a ``(V_out, D)`` gather index.  An application is one
+    gather of the source to ``(V_out, D N, K)`` and one batched GEMM
+    against the table, with the batch last, so every block is read once
+    for all ``K`` systems.
     """
 
     def __init__(
-        self, op, out_sites: np.ndarray, src_sites: np.ndarray, dtype=COMPLEX128
+        self, op, out_sites: np.ndarray, src_sites: np.ndarray, dtype=COMPLEX128,
+        diag: np.ndarray | None = None,
     ):
         lat = op.lattice
         posmap = np.empty(lat.volume, dtype=np.int64)
         posmap[src_sites] = np.arange(len(src_sites))
-        links, idx = [], []
-        for mu in range(NDIM):
-            for d, table in ((0, lat.fwd[mu]), (1, lat.bwd[mu])):
-                links.append(op.hop_blocks[mu, d][out_sites])
-                idx.append(posmap[table[out_sites]])
-        # (8, Vo, N, N), cast from the operator's complex128 blocks
-        self._links = np.stack(links, dtype=dtype, casting="same_kind")
-        self._idx = np.stack(idx)                            # (8, Vo)
-        self._vo = self._links.shape[1]
+        self.slots = neighbour_slots(lat)
+        blocks, sites = [], []
+        if diag is not None:
+            blocks.append(diag[out_sites])
+            sites.append(out_sites)
+        for mu, d in self.slots:
+            fwd, bwd = op.hop_blocks[mu]
+            if d is None:  # extent 2: one site, both links
+                blocks.append(fwd[out_sites] + bwd[out_sites])
+            else:
+                blocks.append((fwd, bwd)[d][out_sites])
+            sites.append((lat.bwd[mu] if d == 1 else lat.fwd[mu])[out_sites])
+        self._vo, n = len(out_sites), op.site_dof
+        # (Vo, N, D N), cast from the operator's complex128 blocks
+        self._rows = np.stack(blocks, axis=2, dtype=dtype, casting="same_kind").reshape(
+            self._vo, n, -1
+        )
+        self._idx = posmap[np.stack(sites, axis=1)]          # (Vo, D)
+
+    @staticmethod
+    def table_bytes(lattice, out_volume: int, n: int, dtype, diag: bool = False) -> int:
+        """Bytes of the table and index for ``out_volume`` output sites of
+        ``lattice`` at ``dtype`` — known before they are built."""
+        d = len(neighbour_slots(lattice)) + diag
+        return out_volume * d * (n * n * np.dtype(dtype).itemsize + 8)
 
     @property
     def nbytes(self) -> int:
-        return self._links.nbytes + self._idx.nbytes
+        return self._rows.nbytes + self._idx.nbytes
+
+    def blocks(self) -> np.ndarray:
+        """The table as ``(V_out, N, D, N)``: block ``[:, :, j]`` multiplies
+        the source at ``_idx[:, j]``."""
+        n = self._rows.shape[1]
+        return self._rows.reshape(self._vo, n, -1, n)
 
     def apply(self, src: np.ndarray) -> np.ndarray:
-        """``sum_{mu,s} Y src(nbr)``: (K, Vs, ns, nc) -> (K, Vo, ns, nc)."""
+        """``sum_j Y_j src(nbr_j)``: (K, Vs, ns, nc) -> (K, Vo, ns, nc)."""
         k, vs = src.shape[0], src.shape[1]
         ns, nc = src.shape[2], src.shape[3]
         flat = src.reshape(k, vs, ns * nc).transpose(1, 2, 0)  # (Vs, N, K)
-        g = flat[self._idx]                                    # (8, Vo, N, K)
-        col = np.matmul(self._links, g)                        # (8, Vo, N, K)
-        out = col.sum(axis=0)                                  # (Vo, N, K)
+        g = np.take(flat, self._idx, axis=0).reshape(self._vo, -1, k)  # (Vo, D N, K)
+        out = np.matmul(self._rows, g)                         # (Vo, N, K)
         return np.ascontiguousarray(out.transpose(2, 0, 1)).reshape(
             k, self._vo, ns, nc
         )
@@ -135,11 +188,12 @@ class BatchedCoarseSchur:
         return self._own.size * self.op.site_dof
 
     def table_bytes(self, dtype) -> int:
-        """Bytes of the parity-gathered tables at ``dtype`` (every link
-        and site block once, plus the two neighbour index tables) —
-        known before they are built."""
-        blocks = self.op.hop_blocks.size + self.op.x_blocks.size
-        return blocks * np.dtype(dtype).itemsize + 2 * 2 * NDIM * self._own.size * 8
+        """Bytes of the parity-gathered tables at ``dtype`` (both hops'
+        distinct-neighbour rows and indices, ``X_ee`` and ``X_oo^{-1}``)
+        — known before they are built."""
+        vh, n = self._own.size, self.op.site_dof
+        hops = 2 * _DenseBlockHop.table_bytes(self.op.lattice, vh, n, dtype)
+        return hops + 2 * vh * n * n * np.dtype(dtype).itemsize
 
     def factor_bytes(self, dtype) -> int:
         """Bytes of the dense LU factors at ``dtype`` and their row
@@ -195,31 +249,34 @@ class BatchedCoarseSchur:
         """The Schur matrix as one ``(V/2 N, V/2 N)`` array, assembled
         from the blocks at ``dtype``.
 
-        An odd site ``o`` couples its eight even neighbours pairwise
-        through ``Y(e_i <- o) X_oo^{-1}(o) Y(o <- e_j)``: one product per
-        direction pair ``(i, j)``, stacked over the odd sites.  For a
-        fixed pair ``o -> (e_i, e_j)`` is one-to-one (a shift of the
-        lattice), so each of the 64 products scatters without
-        collisions; those that land on the same block — always on the
-        diagonal, and wherever a 2-extent direction makes ``+mu`` and
-        ``-mu`` the same neighbour — accumulate from one pair to the next.
+        An odd site ``o`` couples its ``D`` distinct even neighbours
+        pairwise through ``Y(e_i <- o) X_oo^{-1}(o) Y(o <- e_j)``: one
+        product per neighbour pair ``(i, j)``, stacked over the odd sites
+        (``D^2`` of them; 64 with no extent-2 direction).  For a fixed
+        pair ``o -> (e_i, e_j)`` is one-to-one (a shift of the lattice),
+        so each product scatters without collisions; those that land on
+        the same block — the diagonal ones — accumulate from one pair to
+        the next.
         """
         dtype = np.dtype(dtype)
         to_other, to_own, diag_own, dinv_other = self._at(dtype)
-        # (8, Vh): the even neighbour of odd site o in direction j
-        nbr = to_other._idx
+        slots = to_other.slots
+        # (D, Vh): the even neighbour of odd site o in slot j
+        nbr = to_other._idx.T
         ndir, vh = nbr.shape
         n = self.op.site_dof
-        # what carries o to that neighbour is the neighbour's own link of
-        # the opposite orientation (directions are stored as 2 mu + d)
-        out_links = to_own._links[np.arange(ndir)[:, None] ^ 1, nbr]  # (8, Vh, N, N)
-        in_links = np.matmul(dinv_other, to_other._links)  # X_oo^{-1} Y(o <- e_j)
+        # what carries o to that neighbour is the neighbour's own block of
+        # the opposite slot: backward for forward, the same one on extent 2
+        opposite = np.array([slots.index((mu, d if d is None else 1 - d)) for mu, d in slots])
+        out_links = to_own.blocks()[nbr, :, opposite[:, None], :]  # (D, Vh, N, N)
+        # X_oo^{-1} Y(o <- e_j), (Vh, N, D, N)
+        in_links = np.matmul(dinv_other, to_other._rows).reshape(vh, n, ndir, n)
         dense = np.zeros((vh, n, vh, n), dtype=dtype)
         sites = np.arange(vh)
         dense[sites, :, sites, :] = diag_own
         for i in range(ndir):
             for j in range(ndir):
-                dense[nbr[i], :, nbr[j], :] -= np.matmul(out_links[i], in_links[j])
+                dense[nbr[i], :, nbr[j], :] -= np.matmul(out_links[i], in_links[:, :, j])
         return dense.reshape(vh * n, vh * n)
 
     def _factor(self, dtype):

@@ -227,7 +227,12 @@ class MultigridHierarchy:
                         _level(index, current, lp, params, rng, schur, transfer, nulls)
                     )
                     with tracer.span("coarsen", level=index):
-                        current = coarsen_operator(current, transfer)
+                        coarse = coarsen_operator(current, transfer)
+                    if index and dtype_of(params.coarse_precision) != COMPLEX128:
+                        # the product applied this coarse operator in
+                        # complex128; the cycle streams another dtype
+                        current.drop_tables(COMPLEX128)
+                    current = coarse
             levels.append(_coarsest_level(len(params.levels), current, params))
         if verbose:
             lat = current.lattice
@@ -318,14 +323,14 @@ class MultigridHierarchy:
         """Approximate resident size of the setup: null vectors, every
         ndarray attribute of the level operators (coarse stencils, link
         copies, clover blocks), the fine-grid kernel tables, the
-        reduced-precision copies the configured precisions compute on
-        (kernel tables, coarse blocks and their inverse, transfer bases),
-        the parity-gathered dense-block tables of each coarse level's
-        one red-black system at the dtype that streams them — the
-        smoother's, on the coarsest level the cycle's with its dense
-        LU factors where it is solved directly (in place of that
-        operator's own reduced copies, which a red-black coarsest solve
-        never casts).
+        reduced-precision copies of the transfer bases, the
+        distinct-neighbour table of each coarse operator the cycle
+        applies, at the cycle's dtype, and the parity-gathered
+        dense-block tables of each coarse level's one red-black system
+        at the dtype that streams them — the smoother's, on the coarsest
+        level the cycle's with its dense LU factors where it is solved
+        directly (in place of that operator's own table, which a
+        red-black coarsest solve never builds).
         Kernel tables, reduced copies, the factors and the inverse site
         blocks of a level that relaxes are built on first use but booked
         at their known size from the start, so a setup restored from
@@ -356,10 +361,13 @@ class MultigridHierarchy:
                 if lev.solved_directly:
                     total += lev.schur.factor_bytes(cycle_dtype)
             for dtype in reduced_dtypes:
-                # coarse operators and transfers know the size of their copies
-                for owner in (lev.transfer,) if red_black else (lev.op, lev.transfer):
-                    book = getattr(owner, "reduced_bytes", None)
-                    total += book(dtype) if book is not None else 0
+                # transfers know the size of their copies
+                book = getattr(lev.transfer, "reduced_bytes", None)
+                total += book(dtype) if book is not None else 0
+            book = getattr(lev.op, "reduced_bytes", None)
+            if book is not None and red_black is None:
+                # a coarse operator the cycle applies: its table at that dtype
+                total += book(cycle_dtype)
             book = getattr(getattr(lev.smoother, "schur", None), "table_bytes", None)
             if book is not None:
                 total += book(dtype_of(params.smoother_precision))

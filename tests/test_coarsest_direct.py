@@ -214,8 +214,8 @@ def test_level_owns_one_system_built_on_first_use_and_booked_from_the_start(prec
         hierarchy.levels[:-1] + [type(coarsest)(index=coarsest.index, op=coarsest.op)],
         hierarchy.params,
     )
-    # in place of the operator's own reduced copies, which no solve casts
-    unread = coarsest.op.reduced_bytes(dtype) if dtype != C128 else 0
+    # in place of the operator's own table, which no solve builds
+    unread = coarsest.op.reduced_bytes(dtype)
     delta = booked - (bare.setup_memory_bytes() - unread)
     assert delta == schur.table_bytes(dtype) + schur.factor_bytes(dtype)
     # restored from disk books the same as cold-built: the restore ran no
@@ -249,6 +249,30 @@ def test_level_owns_one_system_built_on_first_use_and_booked_from_the_start(prec
     assert hierarchy.setup_memory_bytes() == booked + extra
     assert MultigridSolver.from_hierarchy(restored).solve(b).converged
     assert restored.setup_memory_bytes() == booked + extra
+
+
+def test_no_complex128_table_outlives_the_setup_of_a_complex64_cycle():
+    """Level 1's relaxation and the Galerkin product below it apply level
+    1 in complex128; a cycle that streams complex64 keeps none of the
+    complex128 distinct-neighbour tables they built, after build or
+    after a solve."""
+    hierarchy = _three_level(seed=33)
+    assert dtype_of(hierarchy.params.coarse_precision) == C64
+
+    def complex128_tables():
+        return [
+            (lev.index, type(owner).__name__)
+            for lev in hierarchy.levels[1:]
+            for owner in (lev.op, lev.schur)
+            if C128 in getattr(owner, "_tables", {})
+        ]
+
+    assert not complex128_tables()
+    b = random_spinor(hierarchy.levels[0].op.lattice, seed=34)
+    assert MultigridSolver.from_hierarchy(hierarchy).solve(b).converged
+    assert not complex128_tables()
+    # the level-1 GCR built the operator's table at the cycle's dtype only
+    assert set(hierarchy.levels[1].op._tables) == {C64}  # noqa: SLF001
 
 
 def test_two_level_hierarchy_iterates_on_its_coarsest_grid():

@@ -147,8 +147,15 @@ class TestPartitionedOperator:
         v = rng.standard_normal((mc.lattice.volume, 2, 4)) + 1j * rng.standard_normal(
             (mc.lattice.volume, 2, 4)
         )
-        # a pure data-movement rewrite of the coarse apply: bitwise equal
-        np.testing.assert_array_equal(pop.apply(v), mc.apply(v))
+        # a pure data-movement rewrite of the per-direction formulation,
+        # summed in its order: bitwise equal to it, roundoff-equal to the
+        # production apply (which sums coincident links first)
+        reference = mc.apply_diag(v)
+        for mu in range(NDIM):
+            for sign in (+1, -1):
+                reference += mc.apply_hop(mu, sign, v)
+        np.testing.assert_array_equal(pop.apply(v), reference)
+        np.testing.assert_allclose(pop.apply(v), mc.apply(v), rtol=0, atol=1e-12)
 
     def test_traffic_matches_analytic(self, wilson448, lat448):
         for grid in [(1, 1, 1, 2), (2, 2, 2, 2)]:

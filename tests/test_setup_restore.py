@@ -95,6 +95,20 @@ def test_traced_restore_runs_no_setup_work(round_trip):
     assert not [name for name in names if name.startswith(SETUP_WORK)]
 
 
+def test_a_restore_builds_no_table_it_books(round_trip, op, tmp_path):
+    """A restore books the coarse tables at their known size and builds
+    none of them — nor the coarse lattices' neighbour tables the first
+    solve gathers them through."""
+    built = round_trip[0]
+    SetupCache(disk_dir=str(tmp_path)).seed(op, built.params, built)
+    restored = SetupCache(disk_dir=str(tmp_path)).get_or_build(op, built.params)
+    assert restored.setup_memory_bytes() == round_trip[2][0]
+    for lev in restored.levels[1:]:
+        assert not lev.op._tables  # noqa: SLF001
+        assert lev.schur is None or not lev.schur._tables  # noqa: SLF001
+        assert not {"fwd", "bwd"} & set(vars(lev.op.lattice))
+
+
 def test_one_gauge_fingerprint_per_disk_hit(round_trip, op, tmp_path, monkeypatch):
     built = round_trip[0]
     SetupCache(disk_dir=str(tmp_path)).seed(op, built.params, built)
