@@ -12,7 +12,6 @@ Usage::
     python -m repro.cli trace  [dataset] [--telemetry out.json] [--otlp out.otlp.json]
                                [--perfetto out.perfetto.json] [--convergence]
                                [--critical-path] [--partition 1x1x2x2]
-    python -m repro.cli trace  diff A B [--tolerance T] [--top N] [--warn-only]
     python -m repro.cli serve-bench [dataset] [--batch-sizes 1,4,8,16] [--requests N]
                                [--metrics-out FILE] [--blackbox-out DIR]
     python -m repro.cli fleet-bench [dataset] [--shards 1,2,4,8] [--skew both]
@@ -28,11 +27,12 @@ Usage::
 ``bench``/``perf`` route to the performance-observability layer
 (:mod:`repro.perf.cli`): ``bench run`` executes a curated measurement
 suite into the content-addressed ledger (+ ``BENCH_<suite>.json``
-trajectory file), ``perf diff`` compares two ledger entries or trace
-documents with a median/MAD noise model and exits nonzero on
-regression.  Dataset arguments are case-insensitive and accept both
-paper labels (``Aniso40``) and scaled labels (``aniso40-scaled``);
-unknown names print the valid list and exit 2.
+trajectory file), ``perf diff`` compares two ledger entries (per
+benchmark, with a median/MAD noise model) or two trace documents (per
+level and span name: self-time, span count, flops/bytes) and exits
+nonzero on regression.  Dataset arguments are case-insensitive and
+accept both paper labels (``Aniso40``) and scaled labels
+(``aniso40-scaled``); unknown names print the valid list and exit 2.
 
 ``check`` runs the numerical-invariant registry (:mod:`repro.verify`)
 against a scaled dataset: gauge-field sanity, gamma5-hermiticity,
@@ -67,10 +67,8 @@ renders the per-level convergence-history tables extracted from the
 iteration event streams; ``--critical-path`` prints the longest
 self-time-weighted span chain and the halo overlap-headroom report;
 ``--partition AxBxCxD`` runs the outer solve through the simulated
-halo exchange so those reports have comm spans to classify.
-``trace diff A B`` aligns two trace documents node-by-node (per-level
-span self-times and flops/bytes, with a noise band) and exits nonzero
-on regression — the span-granular complement of ``perf diff``.
+halo exchange so those reports have comm spans to classify; ``perf
+diff A B`` compares two such trace documents node by node.
 Measured-mode artifacts accept
 ``--telemetry FILE`` to export the trace of their solves; with
 ``--out DIR`` the trace is persisted to ``DIR/trace.json``
@@ -229,10 +227,10 @@ def run_trace(
         from .perf import aggregate_level_costs, roofline_table
 
         label = ds.label if mrhs <= 1 else f"{ds.label} (K={mrhs} batched)"
-        per_level = telemetry.aggregate_level_seconds(doc["spans"])
         print(
             telemetry.level_breakdown_table(
-                per_level, title=f"trace {label}: exclusive seconds per level"
+                telemetry.span_table(doc["spans"]),
+                title=f"trace {label}: exclusive seconds per level",
             )
         )
         print()
@@ -292,10 +290,6 @@ def main(argv: list[str] | None = None) -> int:
         from .perf.cli import perf_main
 
         return perf_main(argv)
-    if argv[:2] == ["trace", "diff"]:
-        from .obs.forensics.tracediff import trace_diff_main
-
-        return trace_diff_main(argv[2:])
 
     parser = argparse.ArgumentParser(
         prog="repro",

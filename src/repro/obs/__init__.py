@@ -14,8 +14,8 @@ the substrate a production serve tier debugs itself with:
   windows with burn-rate alerting into the structured log;
 * :mod:`~repro.obs.forensics` — performance forensics over exported
   traces: critical-path extraction, the halo overlap-headroom report,
-  Perfetto timeline export, span-granular trace diffing and the bench
-  trajectory regression scan.
+  Perfetto timeline export and the bench trajectory regression scan
+  (two traces are compared by ``repro perf diff``).
 
 Everything here consumes the trace context of
 :mod:`repro.telemetry.context`: one ``trace_id`` generated at serve
@@ -48,10 +48,8 @@ from .convergence import (
 from .forensics import (
     CriticalPathReport,
     OverlapReport,
-    TraceDiff,
     TrendReport,
     critical_path,
-    diff_trace_documents,
     overlap_report,
     perfetto_document,
     render_critical_path,
@@ -79,14 +77,12 @@ __all__ = [
     "SLOMonitor",
     "SLOSpec",
     "SLOStatus",
-    "TraceDiff",
     "TrendReport",
     "blackbox_document",
     "collect_convergence_series",
     "convergence_report",
     "critical_path",
     "detect_anomalies",
-    "diff_trace_documents",
     "get_recorder",
     "load_blackbox",
     "overlap_report",

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ..telemetry.export import walk
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -197,13 +199,6 @@ def record_convergence(
 # ----------------------------------------------------------------------
 # reporting (`repro trace --convergence`)
 # ----------------------------------------------------------------------
-def _walk_with_level(span: dict, level: int):
-    level = int(span.get("attrs", {}).get("level", level))
-    yield span, level
-    for child in span.get("children", []):
-        yield from _walk_with_level(child, level)
-
-
 def collect_convergence_series(spans: Iterable[dict]) -> list[dict]:
     """Extract every span-borne residual series from a serialized forest.
 
@@ -212,33 +207,32 @@ def collect_convergence_series(spans: Iterable[dict]) -> list[dict]:
     with the multigrid level inherited from the nearest ancestor.
     """
     out: list[dict] = []
-    for root in spans:
-        for span, level in _walk_with_level(root, 0):
-            events = span.get("events", [])
-            points = [
-                (int(e["attrs"]["iteration"]), float(e["attrs"]["residual"]))
-                for e in events
-                if e.get("name") == "iteration" and "attrs" in e
-            ]
-            if not points:
-                continue
-            anomalies = [
-                {
-                    "kind": e["name"],
-                    "severity": e.get("severity", "info"),
-                    **e.get("attrs", {}),
-                }
-                for e in events
-                if e.get("name") in ("plateau", "stall", "divergence")
-            ]
-            out.append(
-                {
-                    "level": level,
-                    "span": span["name"],
-                    "points": points,
-                    "anomalies": anomalies,
-                }
-            )
+    for span, level in walk(spans):
+        events = span.get("events", [])
+        points = [
+            (int(e["attrs"]["iteration"]), float(e["attrs"]["residual"]))
+            for e in events
+            if e.get("name") == "iteration" and "attrs" in e
+        ]
+        if not points:
+            continue
+        anomalies = [
+            {
+                "kind": e["name"],
+                "severity": e.get("severity", "info"),
+                **e.get("attrs", {}),
+            }
+            for e in events
+            if e.get("name") in ("plateau", "stall", "divergence")
+        ]
+        out.append(
+            {
+                "level": level,
+                "span": span["name"],
+                "points": points,
+                "anomalies": anomalies,
+            }
+        )
     return out
 
 

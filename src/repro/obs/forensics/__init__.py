@@ -18,12 +18,14 @@ questions every later performance PR is judged by:
   export (track per shard, thread per multigrid level, convergence
   events as instants) so any trace — including stitched fleet runs —
   opens in ui.perfetto.dev;
-* :mod:`~repro.obs.forensics.tracediff` — span-granular trace diffing
-  (align two traces by level/name, compare self-seconds and
-  flops/bytes with a noise band) behind ``repro trace diff A B``;
 * :mod:`~repro.obs.forensics.trend` — sequential regression scanning
   over the ``BENCH_<suite>.history.json`` trajectory with median/MAD
   robust z-scores, behind ``repro perf trend`` (warn-only in CI).
+
+The span-walking modules take a span's level and self-time from
+:mod:`repro.telemetry.export` (``walk`` / ``self_seconds``), the same
+rule the per-level span table uses; two traces are compared node by
+node with ``repro perf diff`` (:mod:`repro.perf.diff`).
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .overlap import (
     render_overlap,
 )
 from .perfetto import perfetto_document, write_perfetto
-from .tracediff import TraceDiff, TraceDiffRow, diff_trace_documents
 from .trend import (
     TrendPointVerdict,
     TrendReport,
@@ -56,12 +57,9 @@ __all__ = [
     "CriticalPathReport",
     "OverlapGroup",
     "OverlapReport",
-    "TraceDiff",
-    "TraceDiffRow",
     "TrendPointVerdict",
     "TrendReport",
     "critical_path",
-    "diff_trace_documents",
     "load_trajectory",
     "overlap_report",
     "perfetto_document",

@@ -1,7 +1,7 @@
 """Critical-path extraction over serialized span forests.
 
-The per-level breakdown (:func:`repro.telemetry.aggregate_level_seconds`)
-answers "where did the time go in aggregate"; the critical path answers
+The per-level span table (:func:`repro.telemetry.span_table`) answers
+"where did the time go in aggregate"; the critical path answers
 "which single chain of nested spans bounds the wall clock".  Because
 spans nest by call order and self-times partition a tree exactly, the
 longest root→leaf path *weighted by exclusive self-time* is the chain
@@ -21,7 +21,9 @@ spent but how far each hop sits from the machine's ceiling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
+
+from ...telemetry.export import self_seconds, walk
 
 #: roofline attributes copied onto path nodes when present
 _CARRIED_ATTRS = (
@@ -32,10 +34,6 @@ _CARRIED_ATTRS = (
     "flops",
     "bytes",
 )
-
-
-def _self_seconds(span: dict) -> float:
-    return span["duration_s"] - sum(c["duration_s"] for c in span["children"])
 
 
 @dataclass
@@ -98,8 +96,8 @@ def critical_path(spans: Iterable[dict]) -> CriticalPathReport:
     ``spans`` is the serialized forest (``doc["spans"]``).  The path
     weight of a span is its self-time plus the heaviest path weight
     among its children; the report follows the argmax chain from the
-    heaviest root.  The ``level`` attribute is inherited from the
-    nearest ancestor, exactly like the per-level aggregation.
+    heaviest root.  Each hop's level comes from
+    :func:`repro.telemetry.export.walk`, exactly like the span table.
     """
     roots = list(spans)
     report = CriticalPathReport(total_s=sum(r["duration_s"] for r in roots))
@@ -107,7 +105,7 @@ def critical_path(spans: Iterable[dict]) -> CriticalPathReport:
         return report
 
     def weight(span: dict) -> float:
-        w = _self_seconds(span)
+        w = self_seconds(span)
         if span["children"]:
             w += max(weight(c) for c in span["children"])
         return w
@@ -115,20 +113,17 @@ def critical_path(spans: Iterable[dict]) -> CriticalPathReport:
     best_root = max(roots, key=weight)
     report.root_s = best_root["duration_s"]
 
-    # follow the argmax chain, inheriting the level attribute downward
-    chain: list[tuple[dict, int]] = []
-    node, level = best_root, 0
-    while True:
-        level = int(node.get("attrs", {}).get("level", level))
-        chain.append((node, level))
-        if not node["children"]:
-            break
-        node = max(node["children"], key=weight)
+    # follow the argmax chain
+    level_of = {id(span): level for span, level in walk([best_root])}
+    chain = [best_root]
+    while chain[-1]["children"]:
+        chain.append(max(chain[-1]["children"], key=weight))
 
-    report.path_s = sum(_self_seconds(s) for s, _ in chain)
+    report.path_s = sum(self_seconds(s) for s in chain)
     cumulative = 0.0
-    for depth, (span, level) in enumerate(chain):
-        self_s = _self_seconds(span)
+    for depth, span in enumerate(chain):
+        level = level_of[id(span)]
+        self_s = self_seconds(span)
         cumulative += self_s
         attrs = span.get("attrs", {})
         carried = {k: attrs[k] for k in _CARRIED_ATTRS if k in attrs}
@@ -182,29 +177,3 @@ def render_critical_path(
     for r in rows:
         lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)))
     return "\n".join(lines)
-
-
-def hot_spans(
-    spans: Iterable[dict], top: int = 10
-) -> list[tuple[str, int, float]]:
-    """The ``top`` (name, level, self-seconds) buckets across the forest.
-
-    A flat complement to the path view: the path names the binding
-    chain, this names the heaviest aggregate buckets regardless of
-    where they sit (useful when the same kernel appears on many paths).
-    """
-    buckets: dict[tuple[str, int], float] = {}
-
-    def visit(span: dict, level: int) -> None:
-        level = int(span.get("attrs", {}).get("level", level))
-        key = (span["name"], level)
-        buckets[key] = buckets.get(key, 0.0) + _self_seconds(span)
-        for child in span["children"]:
-            visit(child, level)
-
-    for root in spans:
-        visit(root, 0)
-    ranked: Sequence[tuple[tuple[str, int], float]] = sorted(
-        buckets.items(), key=lambda kv: -kv[1]
-    )
-    return [(name, level, s) for (name, level), s in ranked[:top]]

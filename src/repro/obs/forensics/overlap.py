@@ -31,13 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from ...telemetry.export import self_seconds, walk
+
 #: span names treated as communication (the halo exchange of
 #: repro.comm.halo; "comm.halo" kept as an alias for older traces)
 COMM_SPAN_NAMES = ("halo.exchange", "comm.halo")
-
-
-def _self_seconds(span: dict) -> float:
-    return span["duration_s"] - sum(c["duration_s"] for c in span["children"])
 
 
 @dataclass
@@ -136,11 +134,10 @@ def overlap_report(
     roots = list(spans)
     report = OverlapReport(measured_s=sum(r["duration_s"] for r in roots))
 
-    def visit(span: dict, level: int) -> None:
-        level = int(span.get("attrs", {}).get("level", level))
+    for span, level in walk(roots):
         comm = [c for c in span["children"] if c["name"] in comm_names]
         if comm:
-            compute_s = _self_seconds(span) + sum(
+            compute_s = self_seconds(span) + sum(
                 c["duration_s"]
                 for c in span["children"]
                 if c["name"] not in comm_names
@@ -181,11 +178,6 @@ def overlap_report(
             report.groups.append(group)
             report.comm_s += comm_s
             report.hideable_s += group.hideable_s
-        for child in span["children"]:
-            visit(child, level)
-
-    for root in roots:
-        visit(root, 0)
     return report
 
 

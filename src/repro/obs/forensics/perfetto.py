@@ -32,6 +32,8 @@ import json
 import pathlib
 from typing import Any, Iterable
 
+from ...telemetry.export import walk
+
 #: fallback process name when no span carries a shard attribute
 DEFAULT_TRACK = "repro"
 
@@ -49,24 +51,17 @@ def _json_safe(value: Any) -> Any:
 
 def _collect_tracks(docs: list[dict]) -> tuple[dict[str, int], dict[int, int]]:
     """Stable pid per shard name and tid per level across all documents."""
-    shards: set[str] = set()
-    levels: set[int] = set()
-
-    def visit(span: dict, shard: str, level: int) -> None:
-        shard = str(span.get("attrs", {}).get("shard", shard))
-        level = int(span.get("attrs", {}).get("level", level))
-        shards.add(shard)
-        levels.add(level)
-        for child in span.get("children", []):
-            visit(child, shard, level)
-
-    for doc in docs:
-        for root in doc.get("spans", []):
-            visit(root, DEFAULT_TRACK, 0)
-    if not shards:
-        shards = {DEFAULT_TRACK}
-    if not levels:
-        levels = {0}
+    roots = [root for doc in docs for root in doc.get("spans", [])]
+    levels = {level for _, level in walk(roots)} or {0}
+    # the inherited shard of every span is an explicit one, or the
+    # default track for spans under a root that names none
+    shards = {
+        str(span["attrs"]["shard"])
+        for span, _ in walk(roots)
+        if "shard" in span.get("attrs", {})
+    }
+    if not shards or any("shard" not in root.get("attrs", {}) for root in roots):
+        shards.add(DEFAULT_TRACK)
     pid_of = {name: i + 1 for i, name in enumerate(sorted(shards))}
     tid_of = {level: i + 1 for i, level in enumerate(sorted(levels))}
     return pid_of, tid_of

@@ -25,7 +25,6 @@ point is named even when later entries normalized it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -257,11 +256,3 @@ def trend_main(args) -> int:
     if args.warn_only:
         return 0
     return report.exit_code
-
-
-def iter_changepoints(report: TrendReport) -> Iterable[TrendPointVerdict]:
-    """All non-ok verdicts, historical changepoints then latest points."""
-    yield from report.changepoints
-    for key in sorted(report.latest):
-        if report.latest[key].verdict != "ok":
-            yield report.latest[key]

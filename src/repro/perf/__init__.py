@@ -15,8 +15,8 @@ claims live in:
   suites persisted to a content-addressed ledger plus the
   ``BENCH_<suite>.json`` trajectory file at the repo root;
 * :mod:`~repro.perf.diff` — ``repro perf diff``: median-of-k + MAD
-  noise-aware comparison of two entries, exiting nonzero on regression
-  (the CI gate every future PR inherits).
+  noise-aware comparison of two ledger entries or two trace documents,
+  exiting nonzero on regression (the CI gate every future PR inherits).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .attribution import (
     aggregate_level_costs,
     attribute_trace,
     roofline_table,
-    trace_cost_summary,
 )
 from .diff import PerfDiff, compare_documents, series_from_document
 from .ledger import (
@@ -57,5 +56,4 @@ __all__ = [
     "roofline_table",
     "run_suite",
     "series_from_document",
-    "trace_cost_summary",
 ]

@@ -9,8 +9,8 @@ The solver hot paths book ``flops``/``bytes`` costs onto their spans
   carries a cost, pairing the cost with the span's *self* time (costs
   are booked exclusively, exactly like self-times, so no work is
   counted twice);
-* :func:`aggregate_level_costs` slices the forest into per-(level,
-  phase) totals — seconds, flops, bytes and the derived rates — the
+* :func:`aggregate_level_costs` adds the derived rates to every row of
+  the per-(level, phase) :func:`~repro.telemetry.span_table` — the
   measured analogue of the paper's Figure 4 wallclock breakdown with
   Figure 2's fraction-of-roofline column attached;
 * :func:`roofline_table` renders that as the table ``repro trace``
@@ -26,19 +26,14 @@ machinery prices modeled traces where the fractions are meaningful.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Iterable
 
-from ..telemetry.export import iter_span_dicts
+from ..telemetry.export import iter_span_dicts, self_seconds, span_table
 from .roofline import Roofline, resolve_roofline
 
 # span attrs consumed / produced by the attribution pass
 COST_ATTRS = ("flops", "bytes")
 DERIVED_ATTRS = ("gflops", "gbs", "arithmetic_intensity", "roofline_fraction")
-
-
-def self_seconds(span: dict) -> float:
-    """Exclusive (self) time of one serialized span."""
-    return span["duration_s"] - sum(c["duration_s"] for c in span["children"])
 
 
 def derive_rates(
@@ -79,44 +74,25 @@ def attribute_trace(doc: dict, device=None) -> dict:
 
 def aggregate_level_costs(
     spans: Iterable[dict], device=None
-) -> dict[int, dict[str, dict[str, float]]]:
-    """Per-(level, span-name) cost totals with derived rates.
+) -> dict[tuple[int, str], dict[str, float]]:
+    """The :func:`~repro.telemetry.span_table` with derived rates per row.
 
-    Mirrors :func:`repro.telemetry.aggregate_level_seconds` — self-times
-    partition the forest exactly and the ``level`` attribute is
-    inherited from the nearest ancestor — but additionally sums the
-    attributed ``flops``/``bytes`` and derives GFLOPS, GB/s, intensity
-    and roofline fraction per bucket.
+    Each (level, span-name) row's summed ``flops``/``bytes`` are paired
+    with its summed self-time into GFLOPS, GB/s, intensity and roofline
+    fraction.
     """
     roofline = resolve_roofline(device)
-    out: dict[int, dict[str, dict[str, float]]] = {}
-
-    def visit(span: dict, level: int) -> None:
-        attrs = span.get("attrs", {})
-        level = int(attrs.get("level", level))
-        bucket = out.setdefault(level, {}).setdefault(
-            span["name"], {"seconds": 0.0, "flops": 0.0, "bytes": 0.0}
-        )
-        bucket["seconds"] += self_seconds(span)
-        bucket["flops"] += float(attrs.get("flops", 0.0))
-        bucket["bytes"] += float(attrs.get("bytes", 0.0))
-        for child in span["children"]:
-            visit(child, level)
-
-    for root in spans:
-        visit(root, 0)
-    for per_name in out.values():
-        for bucket in per_name.values():
-            bucket.update(
-                derive_rates(
-                    bucket["flops"], bucket["bytes"], bucket["seconds"], roofline
-                )
-            )
-    return out
+    return {
+        key: {
+            **row,
+            **derive_rates(row["flops"], row["bytes"], row["self_s"], roofline),
+        }
+        for key, row in span_table(spans).items()
+    }
 
 
 def roofline_table(
-    per_level: dict[int, dict[str, dict[str, float]]],
+    costs: dict[tuple[int, str], dict[str, float]],
     roofline: Roofline | None = None,
     title: str | None = None,
 ) -> str:
@@ -132,26 +108,24 @@ def roofline_table(
         "GFLOPS", "GB/s", "AI", "roof%",
     ]
     rows: list[list[str]] = []
-    for level in sorted(per_level):
-        for name in sorted(
-            per_level[level], key=lambda n: -per_level[level][n]["seconds"]
-        ):
-            b = per_level[level][name]
-            if b["flops"] <= 0.0 and b["bytes"] <= 0.0:
-                continue
-            rows.append(
-                [
-                    str(level),
-                    name,
-                    f"{b['seconds']:.4g}",
-                    f"{b['flops'] / 1e9:.4g}",
-                    f"{b['bytes'] / 1e9:.4g}",
-                    f"{b['gflops']:.4g}",
-                    f"{b['gbs']:.4g}",
-                    f"{b['arithmetic_intensity']:.3g}",
-                    f"{100.0 * b['roofline_fraction']:.3g}",
-                ]
-            )
+    for (level, name), b in sorted(
+        costs.items(), key=lambda kv: (kv[0][0], -kv[1]["self_s"])
+    ):
+        if b["flops"] <= 0.0 and b["bytes"] <= 0.0:
+            continue
+        rows.append(
+            [
+                str(level),
+                name,
+                f"{b['self_s']:.4g}",
+                f"{b['flops'] / 1e9:.4g}",
+                f"{b['bytes'] / 1e9:.4g}",
+                f"{b['gflops']:.4g}",
+                f"{b['gbs']:.4g}",
+                f"{b['arithmetic_intensity']:.3g}",
+                f"{100.0 * b['roofline_fraction']:.3g}",
+            ]
+        )
     if not rows:
         return title + "\n(no attributed spans)"
     widths = [
@@ -163,18 +137,3 @@ def roofline_table(
     for r in rows:
         lines.append("  ".join(v.rjust(w) for v, w in zip(r, widths)))
     return "\n".join(lines)
-
-
-def trace_cost_summary(doc: dict, device=None) -> dict[str, Any]:
-    """Whole-trace totals: seconds, flops, bytes and derived rates."""
-    roofline = resolve_roofline(device)
-    total_s = sum(root["duration_s"] for root in doc.get("spans", []))
-    flops = 0.0
-    nbytes = 0.0
-    for span in iter_span_dicts(doc.get("spans", [])):
-        attrs = span.get("attrs", {})
-        flops += float(attrs.get("flops", 0.0))
-        nbytes += float(attrs.get("bytes", 0.0))
-    summary = {"seconds": total_s, "flops": flops, "bytes": nbytes}
-    summary.update(derive_rates(flops, nbytes, total_s, roofline))
-    return summary

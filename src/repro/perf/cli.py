@@ -14,11 +14,14 @@ Routed from :mod:`repro.cli` (``python -m repro.cli bench ...`` /
 entry to the content-addressed ledger plus the ``BENCH_<suite>.json``
 trajectory file (and one compact point to
 ``BENCH_<suite>.history.json``).  ``perf diff`` compares two ledger
-entries or trace documents and exits 1 on regression (0 with
-``--warn-only``, which still prints the verdict — the CI perf-smoke
-mode).  ``perf trend`` scans the history trajectory sequentially with
-median/MAD robust z-scores (:mod:`repro.obs.forensics.trend`) so slow
-drifts and regressions older than the latest pairwise diff still gate.
+entries (per benchmark) or two trace documents (per level and span
+name: self-time, span count, flops/bytes) and exits 1 on regression
+(0 with ``--warn-only``, which still prints the verdict — the CI
+perf-smoke mode) and 2 on unreadable, unsupported or mismatched
+documents.  ``perf trend`` scans the history trajectory sequentially
+with median/MAD robust z-scores (:mod:`repro.obs.forensics.trend`) so
+slow drifts and regressions older than the latest pairwise diff still
+gate.
 """
 
 from __future__ import annotations
@@ -62,13 +65,14 @@ def _build_parser() -> argparse.ArgumentParser:
     perf = sub.add_parser("perf", help="performance comparisons")
     perf_sub = perf.add_subparsers(dest="command", required=True)
     diff = perf_sub.add_parser(
-        "diff", help="compare two ledger entries or trace documents"
+        "diff", help="compare two ledger entries or two trace documents"
     )
     diff.add_argument("baseline", help="baseline document (A)")
     diff.add_argument("candidate", help="candidate document (B)")
     diff.add_argument(
-        "--tolerance", type=float, default=0.10,
-        help="relative slowdown tolerated before gating (default 0.10)",
+        "--tolerance", type=float, default=None,
+        help="relative slowdown tolerated before gating "
+        "(default 0.10 for ledger entries, 0.25 for traces)",
     )
     diff.add_argument(
         "--z", type=float, default=3.0,
@@ -152,12 +156,15 @@ def perf_main(argv: list[str]) -> int:
 
     # perf diff
     try:
-        a = load_entry(args.baseline)
-        b = load_entry(args.candidate)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        diff = compare_documents(
+            load_entry(args.baseline),
+            load_entry(args.candidate),
+            tolerance=args.tolerance,
+            z=args.z,
+        )
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}")
         return 2
-    diff = compare_documents(a, b, tolerance=args.tolerance, z=args.z)
     print(diff.render())
     if args.json is not None:
         out = pathlib.Path(args.json)

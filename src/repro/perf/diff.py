@@ -1,15 +1,24 @@
 """``repro perf diff``: compare two measurements, gate on regression.
 
 Compares two ledger entries (``repro.bench/v1``) or two trace documents
-(``repro.telemetry/v1``) series-by-series.  A series regresses when it
-got slower by more than the relative tolerance *and* the change clears
-the noise band — ``z`` robust standard deviations estimated from the
-median absolute deviation of both sample sets (``sigma ≈ 1.4826 MAD``).
-Single-sample series (e.g. traces) fall back to the relative tolerance
-alone.  The verdict is an exit code: 0 clean, 1 regression — the CI
-perf-smoke job runs this warn-only against the committed
-``BENCH_quick.json`` baseline, and release branches can make it
-blocking.
+(``repro.telemetry/v1``) series-by-series.  A ledger entry gives one
+series per benchmark.  A trace gives one per row of its
+:func:`~repro.telemetry.span_table`, keyed ``L{level}/{name}``: the
+node's exclusive self-time, its span count and its booked flops/bytes.
+Cost deltas matter independently of timing — a node whose self-time
+moved but whose flops did not is a layout effect, one whose flops moved
+is an algorithm change.
+
+A series regresses when it got slower by more than the relative
+tolerance *and* the change clears the noise band — ``z`` robust
+standard deviations estimated from the median absolute deviation of
+both sample sets (``sigma ≈ 1.4826 MAD``).  Single-shot trace series
+carry no spread, so they gate on the tolerance alone, which defaults
+wider for traces (0.25) than for ledger entries (0.10); series under
+:data:`MIN_GATED_SECONDS` never gate.  The verdict is an exit code: 0
+clean, 1 regression — the CI perf-smoke job runs this warn-only against
+the committed ``BENCH_quick.json`` baseline, and release branches can
+make it blocking.
 """
 
 from __future__ import annotations
@@ -17,13 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..telemetry.export import SCHEMA as TRACE_SCHEMA
-from ..telemetry.export import aggregate_level_seconds
+from ..telemetry.export import span_table
 from .ledger import BENCH_SCHEMA, median_mad
 
 # 1.4826 scales the MAD of a normal distribution to its sigma
 MAD_TO_SIGMA = 1.4826
 # series faster than this are pure timer noise and never gate
 MIN_GATED_SECONDS = 50e-6
+# relative tolerance by the baseline's schema when none is given
+DEFAULT_TOLERANCE = {BENCH_SCHEMA: 0.10, TRACE_SCHEMA: 0.25}
 
 
 @dataclass
@@ -34,6 +45,13 @@ class Series:
     median: float
     mad: float = 0.0
     count: int = 1
+    flops: float = 0.0
+    bytes: float = 0.0
+
+
+def _cost_ratio(a: float, b: float) -> float | None:
+    """Relative change of a booked cost; undefined when ``a`` booked none."""
+    return (b - a) / a if a > 0.0 else None
 
 
 @dataclass
@@ -43,6 +61,8 @@ class DiffRow:
     b: Series | None
     verdict: str  # "ok" | "regression" | "improvement" | "added" | "removed"
     ratio: float | None = None
+    flops_ratio: float | None = None
+    bytes_ratio: float | None = None
 
     def render(self) -> str:
         if self.a is None:
@@ -50,10 +70,29 @@ class DiffRow:
         if self.b is None:
             return f"  - {self.key}: removed (was {self.a.median:.6g}s)"
         mark = {"regression": "✗", "improvement": "✓", "ok": " "}[self.verdict]
+        cost = ""
+        for name, ratio in (("flops", self.flops_ratio), ("bytes", self.bytes_ratio)):
+            if ratio is None and getattr(self.b, name) > 0.0:
+                cost += f"  {name} added"
+            elif ratio is not None and abs(ratio) > 1e-9:
+                cost += f"  {name} {ratio:+.1%}"
         return (
             f"  {mark} {self.key}: {self.a.median:.6g}s -> {self.b.median:.6g}s "
-            f"({self.ratio:+.1%})"
+            f"({self.ratio:+.1%}, n {self.a.count}->{self.b.count}){cost}"
         )
+
+    def to_dict(self) -> dict:
+        return {
+            "key": self.key,
+            "verdict": self.verdict,
+            "ratio": self.ratio,
+            "flops_ratio": self.flops_ratio,
+            "bytes_ratio": self.bytes_ratio,
+            "a_median": self.a.median if self.a else None,
+            "b_median": self.b.median if self.b else None,
+            "a_count": self.a.count if self.a else None,
+            "b_count": self.b.count if self.b else None,
+        }
 
 
 @dataclass
@@ -94,16 +133,7 @@ class PerfDiff:
             "tolerance": self.tolerance,
             "z": self.z,
             "verdict": "regression" if self.regressions else "ok",
-            "rows": [
-                {
-                    "key": r.key,
-                    "verdict": r.verdict,
-                    "ratio": r.ratio,
-                    "a_median": r.a.median if r.a else None,
-                    "b_median": r.b.median if r.b else None,
-                }
-                for r in self.rows
-            ],
+            "rows": [r.to_dict() for r in self.rows],
         }
 
 
@@ -134,12 +164,13 @@ def _series_from_bench(doc: dict) -> dict[str, Series]:
 
 
 def _series_from_trace(doc: dict) -> dict[str, Series]:
-    per_level = aggregate_level_seconds(doc.get("spans", []))
     out: dict[str, Series] = {}
-    for level in sorted(per_level):
-        for name, seconds in per_level[level].items():
-            key = f"trace/L{level}/{name}"
-            out[key] = Series(key, float(seconds))
+    for (level, name), row in span_table(doc.get("spans", [])).items():
+        key = f"L{level}/{name}"
+        out[key] = Series(
+            key, row["self_s"], count=row["count"],
+            flops=row["flops"], bytes=row["bytes"],
+        )
     return out
 
 
@@ -147,11 +178,23 @@ def _series_from_trace(doc: dict) -> dict[str, Series]:
 # the comparison
 # ----------------------------------------------------------------------
 def compare_documents(
-    a: dict, b: dict, tolerance: float = 0.10, z: float = 3.0
+    a: dict, b: dict, tolerance: float | None = None, z: float = 3.0
 ) -> PerfDiff:
-    """Compare measurement documents ``a`` (baseline) and ``b`` (new)."""
+    """Compare measurement documents ``a`` (baseline) and ``b`` (new).
+
+    Both must share one supported schema (``ValueError`` otherwise).
+    ``tolerance`` defaults by that schema (:data:`DEFAULT_TOLERANCE`).
+    Rows are ordered by absolute median delta, biggest movers first.
+    """
     series_a = series_from_document(a)
     series_b = series_from_document(b)
+    if a["schema"] != b["schema"]:
+        raise ValueError(
+            f"cannot diff a {a['schema']!r} baseline against a "
+            f"{b['schema']!r} candidate"
+        )
+    if tolerance is None:
+        tolerance = DEFAULT_TOLERANCE[a["schema"]]
     diff = PerfDiff(tolerance=tolerance, z=z)
     for key in sorted(set(series_a) | set(series_b)):
         sa, sb = series_a.get(key), series_b.get(key)
@@ -171,5 +214,16 @@ def compare_documents(
                 verdict = "regression"
             elif -delta > threshold:
                 verdict = "improvement"
-        diff.rows.append(DiffRow(key, sa, sb, verdict, ratio))
+        diff.rows.append(
+            DiffRow(
+                key, sa, sb, verdict, ratio,
+                flops_ratio=_cost_ratio(sa.flops, sb.flops),
+                bytes_ratio=_cost_ratio(sa.bytes, sb.bytes),
+            )
+        )
+    diff.rows.sort(
+        key=lambda r: -abs(
+            (r.b.median if r.b else 0.0) - (r.a.median if r.a else 0.0)
+        )
+    )
     return diff

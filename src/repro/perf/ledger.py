@@ -510,7 +510,7 @@ def trajectory_point(doc: dict) -> dict:
     """Compact one ledger entry into a trajectory point.
 
     Keeps only what the ``repro perf trend`` scan needs: a timestamp,
-    the git revision, the backend, and each benchmark's median/MAD —
+    the git revision and each benchmark's median/MAD —
     so the in-tree history file stays a few bytes per run instead of
     carrying every sample list.
     """
@@ -518,7 +518,6 @@ def trajectory_point(doc: dict) -> dict:
     return {
         "ts": meta.get("timestamp"),
         "git_rev": meta.get("git", {}).get("rev", ""),
-        "backend": doc.get("host", {}).get("backend", ""),
         "entry": entry_digest(doc)[:12],
         "benchmarks": {
             str(row["benchmark"]): {

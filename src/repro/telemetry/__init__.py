@@ -41,10 +41,10 @@ from .context import (
 from .export import (
     SCHEMA,
     SCHEMA_VERSION,
-    aggregate_level_seconds,
     level_breakdown_table,
     load_trace,
     otlp_document,
+    span_table,
     trace_document,
     validate_trace,
     write_otlp,
@@ -67,7 +67,6 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "activate",
-    "aggregate_level_seconds",
     "current_trace",
     "current_trace_id",
     "disable",
@@ -85,6 +84,7 @@ __all__ = [
     "record_solve",
     "reset",
     "span",
+    "span_table",
     "trace_document",
     "validate_trace",
     "write_otlp",

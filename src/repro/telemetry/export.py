@@ -7,17 +7,21 @@ schema ``repro.telemetry/v1``.  The same document is produced by
 artifacts, and by ``tools/profile_solve.py --json`` — so the profiling
 workflow and the reporting pipeline read identical data.
 
-:func:`aggregate_level_seconds` slices a span forest into exclusive
-per-(level, phase) seconds — the measured analogue of the paper's
-Figure 4 breakdown — and :func:`level_breakdown_table` renders it (or
-any per-level mapping) as the human-readable table the CLI prints.
+The level/self-time rule lives here and nowhere else: a span's level is
+its ``level`` attribute, inherited from the nearest ancestor
+(:func:`walk`), and its self-time is its duration minus its direct
+children's (:func:`self_seconds`).  :func:`span_table` folds a forest
+into one row per (level, span name) — self-seconds, span count, booked
+flops and bytes — the measured analogue of the paper's Figure 4
+breakdown that :func:`level_breakdown_table`, the roofline attribution
+and ``repro perf diff`` all read.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .metrics import MetricsRegistry, get_registry
 from .tracer import Tracer, get_tracer
@@ -182,63 +186,74 @@ def write_otlp(path: str | pathlib.Path, doc: dict) -> pathlib.Path:
 
 
 # ----------------------------------------------------------------------
-# per-level slicing (Figure 4 backing data)
+# the span table (Figure 4 backing data)
 # ----------------------------------------------------------------------
-def iter_span_dicts(spans: Iterable[dict]) -> Iterable[dict]:
-    """Depth-first walk over serialized spans."""
-    for span in spans:
-        yield span
-        yield from iter_span_dicts(span["children"])
+def self_seconds(span: dict) -> float:
+    """Exclusive time of one serialized span: duration minus direct children."""
+    return span["duration_s"] - sum(c["duration_s"] for c in span["children"])
 
 
-def aggregate_level_seconds(spans: Iterable[dict]) -> dict[int, dict[str, float]]:
-    """Exclusive per-(level, phase) seconds from a serialized span forest.
+def walk(spans: Iterable[dict], level: int = 0) -> Iterator[tuple[dict, int]]:
+    """Pre-order ``(span, level)`` pairs over a serialized span forest.
 
-    Each span's *self* time (duration minus direct children) is
-    attributed to its own name under the multigrid level given by its
-    ``level`` attribute, inherited from the nearest ancestor when
-    absent.  Self times partition the forest exactly, so the values sum
-    to the total traced time — the consistency property the telemetry
-    integration test asserts.
+    The level is the span's ``level`` attribute, inherited from the
+    nearest ancestor that carries one (``level`` for the roots).
     """
-    out: dict[int, dict[str, float]] = {}
+    for span in spans:
+        span_level = int(span.get("attrs", {}).get("level", level))
+        yield span, span_level
+        yield from walk(span.get("children", ()), span_level)
 
-    def visit(span: dict, level: int) -> None:
-        level = int(span.get("attrs", {}).get("level", level))
-        self_s = span["duration_s"] - sum(
-            c["duration_s"] for c in span["children"]
+
+def iter_span_dicts(spans: Iterable[dict]) -> Iterator[dict]:
+    """Depth-first walk over serialized spans."""
+    return (span for span, _ in walk(spans))
+
+
+def span_table(spans: Iterable[dict]) -> dict[tuple[int, str], dict[str, float]]:
+    """One row of ``self_s``/``count``/``flops``/``bytes`` per (level, name).
+
+    Rows appear in pre-order of first encounter.  Self-times partition
+    the forest exactly, so ``self_s`` sums to the roots' total duration;
+    costs are booked exclusively, so ``flops``/``bytes`` sum to the
+    forest's.
+    """
+    table: dict[tuple[int, str], dict[str, float]] = {}
+    for span, level in walk(spans):
+        attrs = span.get("attrs", {})
+        row = table.setdefault(
+            (level, span["name"]),
+            {"self_s": 0.0, "count": 0, "flops": 0.0, "bytes": 0.0},
         )
-        bucket = out.setdefault(level, {})
-        bucket[span["name"]] = bucket.get(span["name"], 0.0) + self_s
-        for child in span["children"]:
-            visit(child, level)
-
-    for root in spans:
-        visit(root, 0)
-    return out
+        row["self_s"] += self_seconds(span)
+        row["count"] += 1
+        row["flops"] += float(attrs.get("flops", 0.0))
+        row["bytes"] += float(attrs.get("bytes", 0.0))
+    return table
 
 
 def level_breakdown_table(
-    per_level: dict[int, dict[str, float]],
+    table: dict[tuple[int, str], dict[str, float]],
     title: str = "per-level breakdown",
-    unit: str = "s",
-    fmt: str = "{:.6g}",
 ) -> str:
-    """Render any {level: {column: value}} mapping as an aligned table."""
+    """Render a :func:`span_table`'s self-seconds: a row per level, a column per name."""
+    per_level: dict[int, dict[str, float]] = {}
+    for (level, name), row in table.items():
+        per_level.setdefault(level, {})[name] = row["self_s"]
     levels = sorted(per_level)
     columns: list[str] = []
     for lvl in levels:
         for key in per_level[lvl]:
             if key not in columns:
                 columns.append(key)
-    header = ["level"] + columns + [f"total [{unit}]"]
+    header = ["level"] + columns + ["total [s]"]
     rows: list[list[str]] = []
     for lvl in levels:
         vals = per_level[lvl]
         rows.append(
             [str(lvl)]
-            + [fmt.format(vals.get(c, 0.0)) for c in columns]
-            + [fmt.format(sum(vals.values()))]
+            + [f"{vals.get(c, 0.0):.6g}" for c in columns]
+            + [f"{sum(vals.values()):.6g}"]
         )
     widths = [
         max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])

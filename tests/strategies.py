@@ -163,3 +163,42 @@ def dense_systems(draw, kind: str = "general", max_n: int = 24):
         raise ValueError(f"unknown dense system kind {kind!r}")
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return DenseOperator(a), b
+
+
+_SPAN_NAMES = ("mg.solve", "smoother", "restrict", "prolong", "coarse-solve")
+
+
+@st.composite
+def span_forests(draw, max_spans: int = 40, max_depth: int = 4):
+    """A serialized span forest: the ``doc["spans"]`` of a trace document.
+
+    Names repeat across branches and levels, a ``level`` override sits
+    on a random subset of spans (so levels change at random depths),
+    and ``flops``/``bytes`` costs are booked on a random subset.  The
+    children of a span share at most its duration, so every self-time
+    is non-negative.
+    """
+    budget = [max_spans]
+
+    def build(duration: float, depth: int) -> dict:
+        budget[0] -= 1
+        attrs = {}
+        if draw(st.booleans()):
+            attrs["level"] = draw(st.integers(0, 3))
+        for cost in ("flops", "bytes"):
+            if draw(st.booleans()):
+                attrs[cost] = float(draw(st.integers(0, 10**9)))
+        n = 0
+        if depth < max_depth and budget[0] > 0:
+            n = draw(st.integers(0, min(3, budget[0])))
+        shares = [draw(st.floats(0.0, 1.0)) for _ in range(n)]
+        scale = draw(st.floats(0.0, 1.0)) * duration / max(sum(shares), 1.0)
+        return {
+            "name": draw(st.sampled_from(_SPAN_NAMES)),
+            "duration_s": duration,
+            "attrs": attrs,
+            "children": [build(s * scale, depth + 1) for s in shares],
+        }
+
+    n_roots = draw(st.integers(1, 3))
+    return [build(draw(st.floats(0.0, 10.0)), 0) for _ in range(n_roots)]

@@ -1,6 +1,7 @@
 """Performance forensics: critical-path extraction, the halo overlap
-model, Perfetto trace-event export, span-granular trace diffing and the
-bench-trajectory regression scan.
+model, Perfetto trace-event export, span-granular trace diffing (the
+trace side of ``repro perf diff``) and the bench-trajectory regression
+scan.
 
 Everything here runs on synthetic ``repro.telemetry/v1`` span forests
 (plus real :class:`~repro.telemetry.Tracer` round-trips for the export
@@ -18,7 +19,6 @@ import pytest
 from repro.obs.forensics import (
     COMM_SPAN_NAMES,
     critical_path,
-    diff_trace_documents,
     load_trajectory,
     overlap_report,
     perfetto_document,
@@ -27,15 +27,15 @@ from repro.obs.forensics import (
     scan_trajectory,
     write_perfetto,
 )
-from repro.obs.forensics.critical_path import hot_spans
-from repro.obs.forensics.tracediff import trace_diff_main, trace_nodes
 from repro.obs.forensics.trend import trend_main
+from repro.perf.cli import perf_main
+from repro.perf.diff import compare_documents, series_from_document
 from repro.perf.ledger import (
     TRAJECTORY_SCHEMA,
     append_trajectory_point,
     trajectory_point,
 )
-from repro.telemetry import Tracer, trace_document
+from repro.telemetry import Tracer, span_table, trace_document
 
 pytestmark = pytest.mark.obs
 
@@ -141,13 +141,15 @@ class TestCriticalPath:
         assert d["schema"] == "repro.critical-path/v1"
         assert len(d["nodes"]) == 2
 
-    def test_hot_spans_aggregates_across_paths(self):
+    def test_span_table_aggregates_across_paths(self):
         # the same kernel twice on different branches sums into one bucket
         a = span("smoother", 0.0, 0.3, level=0)
         b = span("smoother", 0.4, 0.9, level=0)
         root = span("mg.solve", 0.0, 1.0, level=0, children=[a, b])
-        ranked = hot_spans([root])
-        assert ranked[0] == ("smoother", 0, pytest.approx(0.8))
+        table = span_table([root])
+        key, row = max(table.items(), key=lambda kv: kv[1]["self_s"])
+        assert key == (0, "smoother")
+        assert row["self_s"] == pytest.approx(0.8)
 
 
 # ----------------------------------------------------------------------
@@ -288,60 +290,73 @@ class TestPerfetto:
 # ----------------------------------------------------------------------
 class TestTraceDiff:
     def _pair(self, slow=2.0):
-        a = doc_of(solve_forest(), meta={"backend": "numpy"})
+        a = doc_of(solve_forest())
         b_root = solve_forest()
         # slow the smoother down in the candidate
         b_root["children"][1]["end_s"] = 0.3 + 0.6 * slow
         b_root["children"][1]["duration_s"] = 0.6 * slow
         b_root["end_s"] = b_root["duration_s"] = 1.0 + 0.6 * (slow - 1)
-        b = doc_of(b_root, meta={"backend": "einsum"})
+        b = doc_of(b_root)
         return a, b
 
     def test_nodes_keyed_by_level_and_name(self):
-        nodes = trace_nodes(doc_of(solve_forest()))
+        nodes = series_from_document(doc_of(solve_forest()))
         assert set(nodes) == {
             "L0/mg.solve", "L0/halo.exchange", "L0/smoother", "L1/solve.gcr"
         }
-        assert nodes["L0/smoother"].self_s == pytest.approx(0.6)
+        assert nodes["L0/smoother"].median == pytest.approx(0.6)
         assert nodes["L0/smoother"].flops == pytest.approx(2e9)
 
     def test_schema_checked(self):
-        with pytest.raises(ValueError, match="trace diff needs"):
-            trace_nodes({"schema": "nope", "spans": []})
+        with pytest.raises(ValueError, match="cannot diff"):
+            series_from_document({"schema": "nope", "spans": []})
 
     def test_regression_detected_and_sorted(self):
-        diff = diff_trace_documents(*self._pair())
+        diff = compare_documents(*self._pair())
         assert diff.rows[0].key == "L0/smoother"  # biggest mover first
         assert diff.rows[0].verdict == "regression"
         assert diff.rows[0].ratio == pytest.approx(1.0)
         assert diff.exit_code == 1
-        assert "einsum" in diff.render()
 
     def test_tolerance_band_holds(self):
         a, b = self._pair(slow=1.1)  # +10% < default 25% tolerance
-        diff = diff_trace_documents(a, b)
+        diff = compare_documents(a, b)
         assert diff.regressions == []
         assert diff.exit_code == 0
 
     def test_noise_floor_never_gates(self):
         a = doc_of(span("tiny", 0.0, 10e-6))
         b = doc_of(span("tiny", 0.0, 40e-6))  # 4x but under 50us floor
-        diff = diff_trace_documents(a, b)
+        diff = compare_documents(a, b)
         assert diff.rows[0].verdict == "ok"
 
     def test_added_and_removed_nodes(self):
         a = doc_of(span("mg.solve", 0.0, 1.0))
         b = doc_of(span("mg.setup", 0.0, 1.0))
         verdicts = {r.key: r.verdict
-                    for r in diff_trace_documents(a, b).rows}
+                    for r in compare_documents(a, b).rows}
         assert verdicts == {"L0/mg.solve": "removed", "L0/mg.setup": "added"}
 
     def test_flops_ratio_flags_algorithm_change(self):
         a = doc_of(span("smoother", 0.0, 1.0, attrs={"flops": 1e9}))
         b = doc_of(span("smoother", 0.0, 1.0, attrs={"flops": 2e9}))
-        row = diff_trace_documents(a, b).rows[0]
+        row = compare_documents(a, b).rows[0]
         assert row.flops_ratio == pytest.approx(1.0)
         assert "flops +100.0%" in row.render()
+
+    def test_cost_from_zero_is_strict_json_null(self):
+        a = doc_of(span("smoother", 0.0, 1.0))
+        b = doc_of(span("smoother", 0.0, 1.0, attrs={"flops": 2e9}))
+        diff = compare_documents(a, b)
+        assert diff.rows[0].flops_ratio is None
+        assert "flops added" in diff.rows[0].render()
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        text = json.dumps(diff.to_dict())
+        (row,) = json.loads(text, parse_constant=reject)["rows"]
+        assert row["flops_ratio"] is None
 
     def test_cli_json_and_warn_only(self, tmp_path, capsys):
         a, b = self._pair()
@@ -349,20 +364,20 @@ class TestTraceDiff:
         pa.write_text(json.dumps(a))
         pb.write_text(json.dumps(b))
         out = tmp_path / "diff.json"
-        rc = trace_diff_main(
-            [str(pa), str(pb), "--warn-only", "--json", str(out)]
+        rc = perf_main(
+            ["perf", "diff", str(pa), str(pb), "--warn-only", "--json", str(out)]
         )
         assert rc == 0  # warn-only despite the regression
         payload = json.loads(out.read_text())
-        assert payload["schema"] == "repro.trace-diff/v1"
+        assert payload["schema"] == "repro.perf-diff/v1"
         assert payload["verdict"] == "regression"
         assert "REGRESSED" in capsys.readouterr().out
-        assert trace_diff_main([str(pa), str(pb)]) == 1
+        assert perf_main(["perf", "diff", str(pa), str(pb)]) == 1
 
     def test_cli_bad_input_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        rc = trace_diff_main([str(bad), str(bad)])
+        rc = perf_main(["perf", "diff", str(bad), str(bad)])
         assert rc == 2
         assert "error:" in capsys.readouterr().out
 
@@ -403,7 +418,6 @@ class TestTrajectoryLedger:
     def test_point_compaction(self):
         pt = trajectory_point(self._entry())
         assert pt["git_rev"] == "abc123"
-        assert pt["backend"] == "numpy"
         assert pt["benchmarks"]["mg.solve"]["median"] == 1.0
         assert len(pt["entry"]) == 12
 

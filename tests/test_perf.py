@@ -24,7 +24,6 @@ from repro.perf import (
     median_mad,
     resolve_roofline,
     roofline_table,
-    trace_cost_summary,
 )
 from repro.perf.attribution import DERIVED_ATTRS, self_seconds
 from repro.perf.diff import MIN_GATED_SECONDS
@@ -156,27 +155,16 @@ class TestAttribution:
         telemetry.validate_trace(doc)
 
     def test_aggregate_level_costs_partitions_seconds(self, measured_trace):
-        per_level = aggregate_level_costs(measured_trace["spans"])
-        from repro.telemetry import aggregate_level_seconds
+        costs = aggregate_level_costs(measured_trace["spans"])
+        from repro.telemetry import span_table
 
-        per_level_s = aggregate_level_seconds(measured_trace["spans"])
-        assert set(per_level) == set(per_level_s)
-        for level, phases in per_level.items():
-            for name, bucket in phases.items():
-                assert bucket["seconds"] == pytest.approx(
-                    per_level_s[level][name]
-                )
-        table = roofline_table(per_level)
+        table = span_table(measured_trace["spans"])
+        assert set(costs) == set(table)
+        for key, row in costs.items():
+            assert row["self_s"] == pytest.approx(table[key]["self_s"])
+        table = roofline_table(costs)
         assert "roofline attribution" in table
         assert "roof%" in table
-
-    def test_trace_cost_summary(self, measured_trace):
-        summary = trace_cost_summary(measured_trace)
-        assert summary["seconds"] > 0
-        assert summary["flops"] > 0
-        assert summary["gflops"] == pytest.approx(
-            summary["flops"] / summary["seconds"] / 1e9
-        )
 
     def test_attribution_math_is_exact_on_synthetic_span(self):
         doc = {
@@ -359,7 +347,7 @@ class TestPerfDiff:
     def test_trace_documents_diff_by_level_phase(self, measured_trace):
         diff = compare_documents(measured_trace, measured_trace)
         assert diff.exit_code == 0
-        assert any(r.key.startswith("trace/L0/") for r in diff.rows)
+        assert any(r.key.startswith("L0/") for r in diff.rows)
 
     def test_diff_to_dict_schema(self):
         diff = compare_documents(_fake_entry("q"), _fake_entry("q", 2.0))
@@ -428,6 +416,27 @@ class TestCli:
 
         missing = tmp_path / "nope.json"
         assert main(["perf", "diff", str(missing), str(missing)]) == 2
+        assert "error:" in capsys.readouterr().out
+
+    def test_perf_diff_cli_unsupported_schema_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        dump = tmp_path / "blackbox.json"
+        dump.write_text(json.dumps({"schema": "repro.blackbox/v1"}))
+        assert main(["perf", "diff", str(dump), str(dump)]) == 2
+        assert "error:" in capsys.readouterr().out
+
+    def test_perf_diff_cli_mixed_schemas_exit_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        entry = tmp_path / "entry.json"
+        trace = tmp_path / "trace.json"
+        entry.write_text(json.dumps(_fake_entry("quick")))
+        trace.write_text(json.dumps(
+            {"schema": telemetry.SCHEMA, "version": 1, "spans": [], "metrics": {}}
+        ))
+        assert main(["perf", "diff", str(entry), str(trace)]) == 2
+        assert main(["perf", "diff", str(trace), str(entry)]) == 2
         assert "error:" in capsys.readouterr().out
 
 

@@ -11,6 +11,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from repro import telemetry
 from repro.solvers.base import OperatorCounter, SolveResult
@@ -18,14 +19,16 @@ from repro.telemetry import (
     MetricsRegistry,
     SolveTelemetry,
     Tracer,
-    aggregate_level_seconds,
     level_breakdown_table,
     load_trace,
+    span_table,
     trace_document,
     validate_trace,
     write_trace,
 )
+from repro.telemetry.export import iter_span_dicts
 from repro.telemetry.tracer import _NULL_SPAN
+from strategies import span_forests
 
 pytestmark = pytest.mark.telemetry
 
@@ -283,18 +286,55 @@ class TestExport:
         with pytest.raises(ValueError):
             validate_trace(doc)
 
-    def test_aggregate_level_seconds_partitions_total(self):
+    def test_span_table_partitions_total(self):
         tr, reg = self._populated()
         doc = trace_document(tr, reg)
-        per_level = aggregate_level_seconds(doc["spans"])
-        assert set(per_level) == {0, 1}
-        total = sum(v for lvl in per_level.values() for v in lvl.values())
+        table = span_table(doc["spans"])
+        assert {level for level, _ in table} == {0, 1}
+        total = sum(row["self_s"] for row in table.values())
         root_total = sum(s["duration_s"] for s in doc["spans"])
         assert total == pytest.approx(root_total, rel=1e-9, abs=1e-12)
 
+    @given(forest=span_forests())
+    def test_span_table_partitions_random_forests(self, forest):
+        table = span_table(forest)
+        spans = list(iter_span_dicts(forest))
+        rows = table.values()
+        root_total = sum(s["duration_s"] for s in forest)
+        assert sum(r["self_s"] for r in rows) == pytest.approx(
+            root_total, rel=1e-9, abs=1e-12
+        )
+        assert sum(r["count"] for r in rows) == len(spans)
+        for cost in ("flops", "bytes"):
+            booked = sum(s["attrs"].get(cost, 0.0) for s in spans)
+            assert sum(r[cost] for r in rows) == pytest.approx(booked)
+
+        # every span lands in the row of its nearest level-carrying
+        # ancestor (itself included; level 0 when none carries one)
+        expected: dict[tuple[int, str], int] = {}
+
+        def visit(span, ancestors):
+            path = ancestors + [span]
+            level = next(
+                (a["attrs"]["level"] for a in reversed(path) if "level" in a["attrs"]),
+                0,
+            )
+            key = (level, span["name"])
+            expected[key] = expected.get(key, 0) + 1
+            for child in span["children"]:
+                visit(child, path)
+
+        for root in forest:
+            visit(root, [])
+        assert {key: r["count"] for key, r in table.items()} == expected
+
     def test_breakdown_table_renders_all_levels(self):
         table = level_breakdown_table(
-            {0: {"smoother": 1.5, "restrict": 0.5}, 1: {"coarse-solve": 2.0}}
+            {
+                (0, "smoother"): {"self_s": 1.5},
+                (0, "restrict"): {"self_s": 0.5},
+                (1, "coarse-solve"): {"self_s": 2.0},
+            }
         )
         assert "level" in table and "smoother" in table and "coarse-solve" in table
         assert "1.5" in table and "2" in table
@@ -368,8 +408,7 @@ class TestSolverIntegration:
 
         # exclusive per-level seconds partition the traced total exactly
         doc = trace_document()
-        per_level = aggregate_level_seconds(doc["spans"])
-        total = sum(v for lvl in per_level.values() for v in lvl.values())
+        total = sum(row["self_s"] for row in span_table(doc["spans"]).values())
         root_total = sum(s["duration_s"] for s in doc["spans"])
         assert total == pytest.approx(root_total, rel=1e-6)
 

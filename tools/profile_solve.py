@@ -165,10 +165,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             with open(args.json, "w") as fh:
                 fh.write(text + "\n")
-            per_level = telemetry.aggregate_level_seconds(doc["spans"])
             print(
                 telemetry.level_breakdown_table(
-                    per_level,
+                    telemetry.span_table(doc["spans"]),
                     title=f"profile {ds.label}: exclusive seconds per level",
                 )
             )
