@@ -145,7 +145,7 @@ def run_trace(
 
     from .dirac import WilsonCloverOperator
     from .fields import SpinorField
-    from .mg import MultigridSolver
+    from .mg import KCyclePreconditioner, MultigridSolver
     from .perf import attribute_trace
     from .workloads import mg_params_for
 
@@ -158,12 +158,10 @@ def run_trace(
         if partition is not None:
             from .comm import PartitionedOperator
             from .lattice import Partition
-            from .solvers.base import OperatorCounter
             from .solvers.gcr import gcr
 
             grid = tuple(int(x) for x in partition.lower().split("x"))
             pop = PartitionedOperator(op, Partition(ds.lattice(), grid))
-            fine = mg.hierarchy.levels[0]
             b = SpinorField.random(ds.lattice(), rng=np.random.default_rng(0))
             # mirror MultigridSolver.solve with the halo-exchanged fine
             # operator driving the outer GCR (the K-cycle still runs on
@@ -176,12 +174,12 @@ def run_trace(
                 partition=partition,
             ):
                 res = gcr(
-                    OperatorCounter(pop, stats=fine.stats),
+                    pop,
                     b.data,
                     tol=ds.target_residuum,
                     maxiter=mg.params.outer_maxiter,
                     nkrylov=mg.params.outer_nkrylov,
-                    preconditioner=mg.preconditioner,
+                    preconditioner=KCyclePreconditioner(mg.hierarchy),
                 )
             meta = {
                 "kind": "trace-partitioned",

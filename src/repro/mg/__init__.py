@@ -1,7 +1,7 @@
 """Adaptive geometric multigrid: setup, hierarchy, K-cycle, solver facade."""
 
-from .hierarchy import LevelStats, MGLevel, MultigridHierarchy
-from .kcycle import KCyclePreconditioner, gcr_reductions
+from .hierarchy import MGLevel, MultigridHierarchy
+from .kcycle import KCyclePreconditioner, LevelStats, gcr_reductions
 from .params import LevelParams, MGParams
 from .schwarz import DomainDecomposedOperator, SchwarzMRSmoother
 from .setup import generate_null_vectors

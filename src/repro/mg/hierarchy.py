@@ -25,54 +25,10 @@ from .schwarz import SchwarzMRSmoother
 from .setup import generate_null_vectors
 from .smoother import SchurMRSmoother
 
-_STAT_FIELDS = (
-    "op_applies",
-    "smoother_applies",
-    "gcr_iters",
-    "restricts",
-    "prolongs",
-    "reductions",
-)
-
-
-@dataclass
-class LevelStats:
-    """Work counters for one level, reset per outer solve.
-
-    These drive the per-level time breakdown (paper Figure 4): the
-    machine model converts them into kernel and reduction times.  The
-    counters are deliberately plain attributes (hot-path increments);
-    :meth:`as_dict` snapshots them and :meth:`publish` books them into
-    a :class:`~repro.telemetry.MetricsRegistry` under ``mg.<counter>``
-    with a ``level`` label.
-    """
-
-    op_applies: int = 0  # full-stencil applications (residuals, GCR matvecs)
-    smoother_applies: int = 0  # Schur/MR smoothing steps (dslash-equivalents)
-    gcr_iters: int = 0  # GCR iterations run at this level
-    restricts: int = 0
-    prolongs: int = 0
-    reductions: int = 0  # global inner products / norms
-
-    def reset(self) -> None:
-        for name in _STAT_FIELDS:
-            setattr(self, name, 0)
-
-    def as_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in _STAT_FIELDS}
-
-    def publish(self, registry, level: int) -> None:
-        """Accumulate this snapshot into a metrics registry."""
-        for name, value in self.as_dict().items():
-            registry.counter(f"mg.{name}", level=level).inc(value)
-
-    def total_stencil_work(self) -> int:
-        return self.op_applies + self.smoother_applies
-
-
-@dataclass
+@dataclass(frozen=True)
 class MGLevel:
-    """One level of the hierarchy.
+    """One level of the hierarchy, fixed at construction: a solve reads
+    it and counts its work elsewhere.
 
     ``params``/``transfer`` describe the coarsening *from* this level and
     are ``None`` on the coarsest level.  ``schur`` is the one red-black
@@ -88,7 +44,6 @@ class MGLevel:
     smoother: SchurMRSmoother | None = None
     schur: object | None = None  # SchurOperator, BatchedCoarseSchur on a Galerkin operator
     null_vectors: list[np.ndarray] = field(default_factory=list)
-    stats: LevelStats = field(default_factory=LevelStats)
 
     @property
     def is_coarsest(self) -> bool:
@@ -372,10 +327,3 @@ class MultigridHierarchy:
             if book is not None:
                 total += book(dtype_of(params.smoother_precision))
         return total
-
-    def reset_stats(self) -> None:
-        for lev in self.levels:
-            lev.stats.reset()
-
-    def stats_summary(self) -> dict[int, LevelStats]:
-        return {lev.index: lev.stats for lev in self.levels}

@@ -30,14 +30,17 @@ precision"): ``apply`` casts the residual to it once, on entry at level
 0, and the whole body — smoothers, residuals, transfers, every nested
 coarse solve — then follows the dtype of the data.
 
-All work is recorded in the per-level :class:`~repro.mg.hierarchy.LevelStats`
-so the benchmark harness can reproduce the paper's Figure 4 time
-breakdown; :func:`booked` and :func:`book_gcr` are the only places that
-happens.
+All work is counted in the cycle's own per-level :class:`LevelStats`
+(``KCyclePreconditioner.counts``), which a solve creates and returns in
+``result.telemetry.level_stats`` for the paper's Figure 4 time
+breakdown; the hierarchy is only read.  :func:`booked`,
+:func:`book_gcr` and :func:`book_direct` are the only places a counter
+moves.
 """
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -50,6 +53,34 @@ from ..solvers.mixed import reduced_storage
 from ..telemetry.tracer import get_tracer
 from .hierarchy import MGLevel, MultigridHierarchy
 from .smoother import SchurMRSmoother
+
+
+@dataclass
+class LevelStats:
+    """Work counters for one level of one solve.
+
+    These drive the per-level time breakdown (paper Figure 4): the
+    machine model converts them into kernel and reduction times.  The
+    counters are deliberately plain attributes (hot-path increments);
+    :meth:`as_dict` snapshots them and :meth:`publish` books them into
+    a :class:`~repro.telemetry.MetricsRegistry` under ``mg.<counter>``
+    with a ``level`` label.
+    """
+
+    op_applies: int = 0  # full-stencil applications (residuals, GCR matvecs)
+    smoother_applies: int = 0  # Schur/MR smoothing steps (dslash-equivalents)
+    gcr_iters: int = 0  # GCR iterations run at this level
+    restricts: int = 0
+    prolongs: int = 0
+    reductions: int = 0  # global inner products / norms
+
+    def as_dict(self) -> dict[str, int]:
+        return asdict(self)
+
+    def publish(self, registry, level: int) -> None:
+        """Accumulate this snapshot into a metrics registry."""
+        for name, value in self.as_dict().items():
+            registry.counter(f"mg.{name}", level=level).inc(value)
 
 
 def gcr_reductions(iterations: int, nkrylov: int) -> int:
@@ -65,13 +96,14 @@ def gcr_reductions(iterations: int, nkrylov: int) -> int:
 _STEP_COUNTER = {"residual": "op_applies", "restrict": "restricts", "prolong": "prolongs"}
 
 
-def booked(lev: MGLevel, step: str, fn, *args, **attrs) -> np.ndarray:
+def booked(
+    lev: MGLevel, stats: LevelStats, step: str, fn, *args, **attrs
+) -> np.ndarray:
     """Run the cycle step ``fn(*args)`` of level ``lev`` — the stack it
     works on last — with all of its bookkeeping: the level's work
-    counters for the K systems, the span, and the span's
+    counters ``stats`` for the K systems, the span, and the span's
     ``(flops, bytes)`` when tracing is live."""
     k = args[-1].shape[0]
-    stats = lev.stats
     if step == "smoother":
         # dslash-equivalents per system: the MR steps plus one — source
         # preparation and reconstruction, half each; a held pair spends
@@ -109,13 +141,16 @@ def _step_cost(lev: MGLevel, step: str, k: int, dtype) -> tuple[float, float]:
 
 
 def book_gcr(
-    lev: MGLevel, results: list[SolveResult], nkrylov: int, extra_applies: int = 0
+    lev: MGLevel,
+    stats: LevelStats,
+    results: list[SolveResult],
+    nkrylov: int,
+    extra_applies: int = 0,
 ) -> None:
-    """Book a finished lockstep GCR over ``lev.op``: its
-    :class:`~repro.mg.hierarchy.LevelStats` for the applications each of
-    the K systems received while it ran and, when tracing is live, the
-    solver's own matvec cost (plus ``extra_applies`` stencil-equivalents
-    per system spent around it).
+    """Book a finished lockstep GCR over ``lev.op``: into ``stats`` the
+    applications each of the K systems received while it ran and, when
+    tracing is live, the solver's own matvec cost (plus
+    ``extra_applies`` stencil-equivalents per system spent around it).
 
     Work done by nested K-cycle spans books itself, so only the driver's
     direct operator applications land here — attributed costs stay
@@ -127,7 +162,6 @@ def book_gcr(
     k = len(results)
     # the GCR applies its operator to the systems still running only
     applies = sum(res.matvecs for res in results) + extra_applies * k
-    stats = lev.stats
     stats.op_applies += applies
     stats.gcr_iters += sum(res.iterations for res in results)
     stats.reductions += sum(gcr_reductions(res.iterations, nkrylov) for res in results)
@@ -141,15 +175,15 @@ def book_gcr(
         target.attribute(flops=applies * flops / k, bytes=applies * nbytes / k)
 
 
-def book_direct(lev: MGLevel, schur, rc: np.ndarray) -> None:
-    """Book a direct red-black solve of the stack ``rc`` on ``lev``: no
+def book_direct(stats: LevelStats, schur, rc: np.ndarray) -> None:
+    """Book a direct red-black solve of the stack ``rc`` into ``stats``: no
     iteration and no reduction happened, source preparation and
     reconstruction count a stencil each (as around the red-black GCR),
     and the open ``coarse-solve`` span carries the pair of triangular
     solves: ``n^2`` complex multiply-adds per system over one read of
     the factors."""
     k, n = rc.shape[0], schur.unknowns
-    lev.stats.op_applies += 2 * k
+    stats.op_applies += 2 * k
     span = get_tracer().current()
     if span is not None:
         span.annotate(direct=True)
@@ -159,20 +193,32 @@ def book_direct(lev: MGLevel, schur, rc: np.ndarray) -> None:
 class KCyclePreconditioner:
     """The K-cycle at a given level of a :class:`MultigridHierarchy`.
 
-    Built once per solver: the next level's cycle is constructed here,
-    not per coarse solve.  The coarsest red-black system belongs to its
-    level, so every cycle over one hierarchy — two solvers, the fleet's
-    replicas — shares one set of parity tables and one dense factorisation.
+    Built once per solve: the next level's cycle is constructed here,
+    not per coarse solve, and shares ``counts`` — one
+    :class:`LevelStats` per level of the hierarchy, a fresh list unless
+    the caller passes one — so the work of every level of a solve lands
+    in the cycle it ran under and nowhere else.  The coarsest red-black
+    system belongs to its level, so every cycle over one hierarchy — two
+    solves, the fleet's replicas — shares one set of parity tables and
+    one dense factorisation.
     """
 
-    def __init__(self, hierarchy: MultigridHierarchy, level: int = 0):
+    def __init__(
+        self,
+        hierarchy: MultigridHierarchy,
+        level: int = 0,
+        counts: list[LevelStats] | None = None,
+    ):
         self.hierarchy = hierarchy
         self.level = level
+        if counts is None:
+            counts = [LevelStats() for _ in hierarchy.levels]
+        self.counts = counts
         params = hierarchy.params
         coarse = hierarchy.levels[level + 1]
         self._inner: KCyclePreconditioner | None = None
         if not coarse.is_coarsest:
-            self._inner = KCyclePreconditioner(hierarchy, level + 1)
+            self._inner = KCyclePreconditioner(hierarchy, level + 1, self.counts)
         # the coarsest level is solved on its red-black system, if any
         self._schur = coarse.schur if coarse.is_coarsest else None
         # what the coarse solve inverts, as the cycle's precision stores it
@@ -187,7 +233,8 @@ class KCyclePreconditioner:
         rs = r[None] if r.ndim == 3 else r
         rp, scale = enter_precision(rs, self.hierarchy.params.coarse_precision)
         lev = self.hierarchy.levels[self.level]
-        z = leave_precision(booked(lev, "kcycle", self._cycle, rp), rs, scale)
+        stats = self.counts[self.level]
+        z = leave_precision(booked(lev, stats, "kcycle", self._cycle, rp), rs, scale)
         return z[0] if r.ndim == 3 else z
 
     def apply_multi(self, rs: np.ndarray) -> np.ndarray:
@@ -197,7 +244,7 @@ class KCyclePreconditioner:
     def _cycle(self, rs: np.ndarray) -> np.ndarray:
         lev = self.hierarchy.levels[self.level]
         op, transfer, smoother = lev.op, lev.transfer, lev.smoother
-        run = partial(booked, lev)
+        run = partial(booked, lev, self.counts[self.level])
         red_black = isinstance(smoother, SchurMRSmoother)
         # 1. pre-smooth; the red-black smoother hands back ``rs - M z``
         # and holds ``z`` on the Schur parity
@@ -224,18 +271,19 @@ class KCyclePreconditioner:
         params = self.hierarchy.params
         lp = self.hierarchy.levels[self.level].params
         coarse = self.hierarchy.levels[self.level + 1]
+        stats = self.counts[coarse.index]
         if self._inner is not None and params.cycle_type != "K":
             # V- or W-cycle: apply the next level's cycle directly as an
             # approximate solve, once (V) or twice with defect correction (W)
             ec = self._inner.apply(rc)
             if params.cycle_type == "W":
-                rc2 = rc - booked(coarse, "residual", self._solve_op.apply_multi, ec)
+                rc2 = rc - booked(coarse, stats, "residual", self._solve_op.apply_multi, ec)
                 ec = ec + self._inner.apply(rc2)
             return ec
         schur = self._schur
         if coarse.solved_directly:
             # small enough to hold densely: no Krylov space to build
-            book_direct(coarse, schur, rc)
+            book_direct(stats, schur, rc)
             half = self._solve_op.solve_multi(schur.prepare_multi(rc))
             return schur.reconstruct_multi(half, rc)
         nkrylov = lp.nkrylov if self._inner is None else coarse.params.nkrylov
@@ -248,6 +296,6 @@ class KCyclePreconditioner:
             preconditioner=self._inner,
         )
         # red-black: source preparation and reconstruction cost a stencil each
-        book_gcr(coarse, results, nkrylov, extra_applies=0 if schur is None else 2)
+        book_gcr(coarse, stats, results, nkrylov, extra_applies=0 if schur is None else 2)
         ec = np.stack([res.x for res in results])
         return ec if schur is None else schur.reconstruct_multi(ec, rc)

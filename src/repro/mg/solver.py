@@ -20,7 +20,7 @@ from ..solvers.gcr import lockstep_gcr
 from ..telemetry.metrics import get_registry
 from ..telemetry.tracer import Span, get_tracer
 from .hierarchy import MultigridHierarchy
-from .kcycle import KCyclePreconditioner, book_gcr
+from .kcycle import KCyclePreconditioner, LevelStats, book_gcr
 from .params import MGParams
 
 
@@ -51,6 +51,8 @@ class MultigridSolver:
         self.hierarchy = MultigridHierarchy.build(
             fine_op, params, rng, verbose, null_vectors=null_vectors
         )
+        # no solve reads it (each builds its own cycle): the benchmark
+        # harness resolves the cycle class through it
         self.preconditioner = KCyclePreconditioner(self.hierarchy, level=0)
 
     @classmethod
@@ -97,8 +99,10 @@ class MultigridSolver:
         and smoothing matrix on every level (read once per application
         for the whole stack) and the reductions of each outer iteration;
         their Krylov spaces stay their own, so no result depends on what
-        it was batched with.  The per-level work of the whole stack lands
-        in every ``result.telemetry``.
+        it was batched with.  The per-level work of the whole stack is
+        counted by this call's own cycle, so solves running at once over
+        one hierarchy never book into each other's, and lands in every
+        ``result.telemetry``.
         """
         # ``batched`` selects nothing: callers written against the two
         # solve paths (the benchmark harness) still pass it
@@ -108,7 +112,7 @@ class MultigridSolver:
             return []
         tol = tol if tol is not None else self.params.outer_tol
         maxiter = maxiter if maxiter is not None else self.params.outer_maxiter
-        self.hierarchy.reset_stats()
+        cycle = KCyclePreconditioner(self.hierarchy)
         with get_tracer().span(
             "mg.solve",
             subspace=self.params.subspace_label(),
@@ -122,10 +126,10 @@ class MultigridSolver:
                 tol=tol,
                 maxiter=maxiter,
                 nkrylov=self.params.outer_nkrylov,
-                preconditioner=self.preconditioner,
+                preconditioner=cycle,
             )
-            book_gcr(fine, results, self.params.outer_nkrylov)
-        self._publish_telemetry(results, sp)
+            book_gcr(fine, cycle.counts[0], results, self.params.outer_nkrylov)
+        self._publish_telemetry(results, sp, cycle.counts)
         if self.params.verify_level == "solve":
             from ..verify.runtime import verify_solve
 
@@ -134,12 +138,13 @@ class MultigridSolver:
                 result.telemetry.attrs["verify"] = [r.to_dict() for r in reports]
         return results
 
-    def _publish_telemetry(self, results: list[SolveResult], sp) -> None:
-        """Fill every ``result.telemetry`` and the global metrics registry."""
+    def _publish_telemetry(
+        self, results: list[SolveResult], sp, counts: list[LevelStats]
+    ) -> None:
+        """Fill every ``result.telemetry`` and the global metrics registry
+        with this solve's per-level ``counts``."""
         subspace = self.params.subspace_label()
-        snapshot = {
-            lev.index: lev.stats.as_dict() for lev in self.hierarchy.levels
-        }
+        snapshot = {level: stats.as_dict() for level, stats in enumerate(counts)}
         spans = [sp.to_dict()] if isinstance(sp, Span) else None
         for result in results:
             tele = result.telemetry
@@ -166,5 +171,5 @@ class MultigridSolver:
                 registry.counter("mg.convergence_failures", subspace=subspace).inc(
                     failures
                 )
-            for lev in self.hierarchy.levels:
-                lev.stats.publish(registry, lev.index)
+            for level, stats in enumerate(counts):
+                stats.publish(registry, level)

@@ -1,7 +1,6 @@
 """Krylov solvers: CG/CGNE/CGNR, BiCGStab, MR, flexible GCR, mixed precision."""
 
 from .base import (
-    ConvergenceError,
     OperatorCounter,
     SolveResult,
     norm,
@@ -18,7 +17,6 @@ from .mixed import PrecisionOperator, mixed_precision_solve
 from .mr import MRSmoother, mr
 
 __all__ = [
-    "ConvergenceError",
     "OperatorCounter",
     "SolveResult",
     "norm",

@@ -130,34 +130,18 @@ class SolveResult:
 
 
 class OperatorCounter:
-    """Wrap an operator and count applications.
+    """Wrap an operator and count its applications in ``count``."""
 
-    The single counting wrapper of the codebase (it replaced the former
-    ``mg.kcycle._CountingOp`` duplicate): ``count`` is the local tally,
-    and every application is optionally booked into a ``stats`` sink
-    exposing ``op_applies`` (a :class:`~repro.mg.hierarchy.LevelStats`)
-    and into a metrics-registry counter via ``metric``.
-    """
-
-    def __init__(self, op, stats=None, metric=None):
+    def __init__(self, op):
         self.op = op
         self.count = 0
-        self.stats = stats
-        self.metric = metric
         self.ns = getattr(op, "ns", None)
         self.nc = getattr(op, "nc", None)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         self.count += 1
-        if self.stats is not None:
-            self.stats.op_applies += 1
-        if self.metric is not None:
-            self.metric.inc()
         return self.op.apply(v)
 
     def reset(self) -> None:
         self.count = 0
 
-
-class ConvergenceError(RuntimeError):
-    """Raised when a solver is asked to run in strict mode and stalls."""

@@ -13,10 +13,9 @@ instrumentation into the library itself (Clark et al., SC 2016):
   sliced from.  Disabled tracing returns a shared no-op span: one
   attribute test per call site, no allocation.
 * :mod:`~repro.telemetry.metrics` — a registry of counters, gauges and
-  labelled histograms that absorbs the formerly scattered accounting
-  (``OperatorCounter`` counts, per-level ``LevelStats``,
-  per-solve ``telemetry.attrs``): matvecs, reductions, bytes moved and
-  iteration counts all flow through one API.
+  labelled histograms into which every solve publishes the per-level
+  ``LevelStats`` it counted and its outer iterations: matvecs,
+  reductions, bytes moved and iteration counts all flow through one API.
 * :mod:`~repro.telemetry.export` — serialization of a (tracer,
   registry) pair into one JSON trace document (schema
   ``repro.telemetry/v1``) plus the human-readable per-level breakdown

@@ -1,10 +1,11 @@
 """Metrics registry: counters, gauges, and labelled histograms.
 
-One registry supersedes the accounting that used to be scattered across
-``OperatorCounter`` instances, per-level ``LevelStats`` and per-solve
-``telemetry.attrs``.  A metric is identified by a name plus a
-frozen label set, so ``registry.counter("mg.op_applies", level=2)`` and
-``level=1`` are independent series that export side by side.
+Every multigrid solve publishes the per-level ``LevelStats`` it counted
+(:meth:`repro.mg.kcycle.LevelStats.publish`) and its outer iterations
+here, next to the solver, serve, fleet and verify counters.  A metric
+is identified by a name plus a frozen label set, so
+``registry.counter("mg.op_applies", level=2)`` and ``level=1`` are
+independent series that export side by side.
 
 Like the tracer, a disabled registry hands out one shared null metric:
 hot paths pay a single attribute test and no allocation.

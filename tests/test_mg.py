@@ -99,11 +99,6 @@ class TestHierarchy:
         assert not levels[0].is_coarsest
         assert levels[-1].is_coarsest
 
-    def test_stats_reset(self, mg_solver):
-        mg_solver.hierarchy.levels[0].stats.op_applies = 42
-        mg_solver.hierarchy.reset_stats()
-        assert mg_solver.hierarchy.levels[0].stats.op_applies == 0
-
 
 class TestSmoother:
     def test_reduces_residual(self, critical_op):

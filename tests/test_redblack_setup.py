@@ -250,9 +250,10 @@ def test_half_precision_smoothing_stays_within_one_outer_iteration_of_the_parent
 def test_concurrent_cycles_over_one_hierarchy_return_the_single_threaded_result(aniso40_solve):
     """What travels from a cycle's first smoothing to its second is a
     return value: N threads driving one shared preconditioner, each on
-    its own stack, get bit for bit what they get alone.  (The
-    ``LevelStats`` counters they all bump are ROADMAP item 2's race, and
-    not read here.)"""
+    its own stack, get bit for bit what they get alone.  (They all bump
+    the one cycle's ``counts``, which are not read here: a solve builds
+    its own cycle, so no two solves share them —
+    ``tests/test_solve_counters.py``.)"""
     hierarchy = aniso40_solve[1].hierarchy
     pre = KCyclePreconditioner(hierarchy, level=0)
     n_threads, rounds = 6, 3  # more threads than this host has cores

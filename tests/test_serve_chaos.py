@@ -5,8 +5,8 @@ Each case runs with one and with two workers, reads every future with a
 timeout (a hang is a failure, not a stuck job) and closes with the
 ledger check: ``submitted == completed + failed + timeouts + cancelled``
 and nothing in flight.  ``level_stats`` under two workers on one entry
-is ROADMAP item 2's and is not asserted here; solutions and counters
-are.  Run the group with ``pytest -q -m chaos``.
+is pinned in ``tests/test_solve_counters.py``; solutions and counters
+are asserted here.  Run the group with ``pytest -q -m chaos``.
 """
 
 from __future__ import annotations

@@ -124,14 +124,13 @@ def test_cycle_reaches_the_smoother_through_its_instance_attribute(aniso40_solve
 
         monkeypatch.setattr(lev.smoother, "apply", spied)
     pre = KCyclePreconditioner(hierarchy, level=0)
-    hierarchy.reset_stats()
     pre.apply(random_spinor(hierarchy.levels[0].op.lattice, seed=45))
     assert calls[0] == [["hold"], ["resume"]]
-    cycles_l1 = hierarchy.levels[1].stats.restricts
+    cycles_l1 = pre.counts[1].restricts
     assert calls[1] == [["hold"], ["resume"]] * cycles_l1
     # a red-black cycle applies no operator of its own
-    assert hierarchy.levels[0].stats.op_applies == 0
-    assert hierarchy.levels[1].stats.op_applies == hierarchy.levels[1].stats.gcr_iters
+    assert pre.counts[0].op_applies == 0
+    assert pre.counts[1].op_applies == pre.counts[1].gcr_iters
 
 
 @pytest.mark.parametrize("smoother_type", ("chebyshev", "schwarz"))

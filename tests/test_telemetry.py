@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 
 from repro import telemetry
-from repro.solvers.base import OperatorCounter, SolveResult
+from repro.solvers.base import SolveResult
 from repro.telemetry import (
     MetricsRegistry,
     SolveTelemetry,
@@ -205,32 +205,6 @@ class TestMetrics:
         assert snap["counter"]["c"][0] == {"labels": {"level": 0}, "value": 1.0}
         assert snap["gauge"]["g"][0]["value"] == 2.0
         assert snap["histogram"]["h"][0]["count"] == 1
-
-
-class TestOperatorCounterUnification:
-    class _Op:
-        ns, nc = 4, 3
-
-        def apply(self, v):
-            return v
-
-    class _Stats:
-        op_applies = 0
-
-    def test_counts_and_books_into_stats_sink(self):
-        stats = self._Stats()
-        reg = MetricsRegistry()
-        op = OperatorCounter(
-            self._Op(), stats=stats, metric=reg.counter("mg.op_applies", level=1)
-        )
-        v = np.ones(3)
-        op.apply(v)
-        op.apply(v)
-        assert op.count == 2
-        assert stats.op_applies == 2
-        assert reg.value("mg.op_applies", level=1) == 2
-        op.reset()
-        assert op.count == 0
 
 
 class TestSolveResultTelemetry:
