@@ -28,6 +28,11 @@ operator exposes Wilson-Clover internals, ``apply`` / ``prepare_source``
 Both compute at the dtype of the field they are handed: a complex64
 half-field meets the complex64 kernel (or complex64 padding and the
 operator's complex64 tables) and comes back complex64.
+
+A loop that iterates on the system asks for :meth:`SchurOperator.native`:
+the same Schur matrix over the stack it computes on — the kernel's
+site-fastest one on the fine grid, the public one anywhere else
+(:class:`SiteMajorSystem`) — so it converts once, not per application.
 """
 
 from __future__ import annotations
@@ -37,7 +42,24 @@ import numpy as np
 from ..lattice import Lattice
 from ..precision import compute_dtype
 from .stencil import StencilOperator
-from .wilson_kernel import wilson_kernel_for
+from .wilson_kernel import SiteFastestSchur, wilson_kernel_for
+
+
+class SiteMajorSystem:
+    """A red-black system whose native stack is its public ``(K, V/2,
+    ns, nc)`` one: :meth:`enter` and :meth:`leave` hand the stack
+    through, ``apply_multi`` is the system's own."""
+
+    def __init__(self, system):
+        self.apply_multi = system.apply_multi
+
+    @staticmethod
+    def enter(halves: np.ndarray) -> np.ndarray:
+        return halves
+
+    @staticmethod
+    def leave(native: np.ndarray) -> np.ndarray:
+        return native
 
 
 class SchurOperator:
@@ -102,6 +124,17 @@ class SchurOperator:
         if kernel is None:
             return np.stack([self.apply_reference(h) for h in halves])
         return kernel.schur_apply_sites(self.parity, halves)
+
+    def native(self, dtype) -> SiteFastestSchur | SiteMajorSystem:
+        """This system at ``dtype`` over the stack it computes on:
+        ``enter(halves)`` / ``leave(native)`` convert a ``(K, V/2, ns,
+        nc)`` stack in and out, and ``apply_multi`` applies the Schur
+        matrix to a native stack.  Site-fastest on the fine grid (no
+        conversion per application); the public stack anywhere else."""
+        kernel = wilson_kernel_for(self.op, dtype)
+        if kernel is None:
+            return SiteMajorSystem(self)
+        return SiteFastestSchur(kernel, self.parity)
 
     # ------------------------------------------------------------------
     # source preparation / solution reconstruction

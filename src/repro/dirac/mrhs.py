@@ -37,7 +37,7 @@ from ..lattice import NDIM
 from ..precision import COMPLEX128, compute_dtype
 from ..telemetry.metrics import get_registry
 from ..telemetry.tracer import get_tracer
-from .even_odd import SchurOperator
+from .even_odd import SchurOperator, SiteMajorSystem
 
 #: Largest red-black system, in unknowns, that is factored densely
 #: instead of iterated on.  A guard on first-use cost and memory, not a
@@ -223,6 +223,11 @@ class BatchedCoarseSchur:
         to_other, to_own, diag_own, dinv_other = self._at(compute_dtype(halves))
         mid = _dense_blocks_apply_multi(dinv_other, to_other.apply(halves))
         return _dense_blocks_apply_multi(diag_own, halves) - to_own.apply(mid)
+
+    def native(self, dtype) -> SiteMajorSystem:
+        """This system over its native stack, which is the public one:
+        the tables are gathered at the dtype of the stack applied."""
+        return SiteMajorSystem(self)
 
     def prepare_multi(self, bs: np.ndarray) -> np.ndarray:
         """Schur right-hand sides ``b_e - Y_eo X_oo^{-1} b_o`` for a stack."""

@@ -38,7 +38,11 @@ one: there is no separate single-vector formulation.
 Every public entry point of the package keeps the site-major
 ``(V, 4, 3)`` / ``(V/2, 4, 3)`` shapes; the ``*_sites`` methods below
 convert on entry and exit (a transpose copy of the field, small next
-to the hop itself).  ``WilsonCloverOperator.apply_reference``,
+to the hop itself).  The MR smoother, which iterates on the red-black
+system, converts once per smoothing instead: :class:`SiteFastestSchur`
+(``SchurOperator.native``) is the system over the site-fastest stack,
+entered once and left once.
+``WilsonCloverOperator.apply_reference``,
 ``StencilOperator.hop_sum_reference`` and the zero-padded algebra of
 :class:`~repro.dirac.even_odd.SchurOperator` remain as the oracles the
 kernel is tested against (``tests/test_wilson_kernel.py``).
@@ -297,11 +301,8 @@ class WilsonKernel:
 
     def schur_apply_sites(self, parity: int, halves: np.ndarray) -> np.ndarray:
         """``(A_pp - H_pq A_qq^{-1} H_qp) x_p`` on ``(K, V/2, 4, 3)``."""
-        other = 1 - parity
-        x = to_site_fastest(halves, self.dtype)
-        out = self.diag(parity, x)
-        out -= self.hop(parity, self.diag_inv(other, self.hop(other, x)))
-        return to_site_major(out)
+        system = SiteFastestSchur(self, parity)
+        return system.leave(system.apply_multi(system.enter(halves)))
 
     def schur_prepare_sites(self, parity: int, bs: np.ndarray) -> np.ndarray:
         """Schur right-hand sides ``b_p - H_pq A_qq^{-1} b_q``."""
@@ -320,4 +321,37 @@ class WilsonKernel:
         out = np.empty(bs.shape, dtype=self.dtype)
         out[:, self.sites[parity]] = xs_half
         out[:, self.sites[other]] = self.diag_inv(other, rhs).transpose(0, 3, 2, 1)
+        return out
+
+
+class SiteFastestSchur:
+    """The red-black system of one parity over its native stack: the
+    site-fastest half-volume ``(K, 3, 4, V/2)`` the kernel sweeps.
+
+    A loop that iterates on the system converts once with :meth:`enter`,
+    applies :meth:`apply_multi` with no conversion inside, and converts
+    back once with :meth:`leave` (DESIGN.md section 28).
+    """
+
+    #: the axes of a native stack that hold one site's components
+    #: (colour, spin); the others are the system and the site
+    component_axes = (1, 2)
+
+    def __init__(self, kernel: WilsonKernel, parity: int):
+        self.kernel = kernel
+        self.parity = parity
+
+    def enter(self, halves: np.ndarray) -> np.ndarray:
+        """Site-major ``(K, V/2, 4, 3)`` -> native, at the kernel's dtype."""
+        return to_site_fastest(halves, self.kernel.dtype)
+
+    def leave(self, native: np.ndarray) -> np.ndarray:
+        """Native -> site-major ``(K, V/2, 4, 3)``."""
+        return to_site_major(native)
+
+    def apply_multi(self, x: np.ndarray) -> np.ndarray:
+        """``(A_pp - H_pq A_qq^{-1} H_qp) x_p`` on a native stack."""
+        kernel, parity, other = self.kernel, self.parity, 1 - self.parity
+        out = kernel.diag(parity, x)
+        out -= kernel.hop(parity, kernel.diag_inv(other, kernel.hop(other, x)))
         return out

@@ -108,7 +108,8 @@ def booked(
         # dslash-equivalents per system: the MR steps plus one — source
         # preparation and reconstruction, half each; a held pair spends
         # it as 1/2 + steps, then 1 + steps + 1/2, the same sum.  The
-        # two reductions of an MR step are fused over the stack
+        # two reductions of an MR step count once for the stack: one
+        # synchronisation point, however many systems it carries
         stats.smoother_applies += (lev.params.smoother_steps + 1) * k
         stats.reductions += 2 * lev.params.smoother_steps
     elif step in _STEP_COUNTER:

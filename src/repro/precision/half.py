@@ -17,43 +17,70 @@ import numpy as np
 _FIXED_MAX = 32767  # int16 positive range
 
 
-def quantize_half(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize complex site data ``(V, ...)`` to (int16 pairs, float32 scales).
+def _site_axes(ndim: int, components) -> tuple[int, ...]:
+    """The axes holding one site's components, non-negative: by default
+    every axis after the first (site-major ``(V, ...)`` data)."""
+    if components is None:
+        return tuple(range(1, ndim))
+    return tuple(axis % ndim for axis in components)
+
+
+def quantize_half(
+    data: np.ndarray, components: tuple[int, ...] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quantize complex site data to (int16 pairs, float32 scales).
+
+    ``components`` are the axes that hold one site's components; every
+    other axis indexes sites.  By default that is site-major ``(V, ...)``
+    data; a site-fastest stack names its colour and spin axes.  The
+    per-site maximum is order-independent, so the same sites give
+    bitwise the same result in either layout.
 
     Returns
     -------
     fixed:
-        int16 array of shape ``(V, ..., 2)`` holding (re, im) fractions.
+        int16 array of shape ``data.shape + (2,)`` holding (re, im) fractions.
     scale:
-        float32 array of shape ``(V,)`` holding the per-site max norm.
+        float32 array of the per-site max norm: ``data.shape`` without the
+        component axes (``(V,)`` for site-major data).
     """
     data = np.asarray(data)
-    v = data.shape[0]
-    reals = np.stack([data.real, data.imag], axis=-1).reshape(v, -1)
-    scale = np.abs(reals).max(axis=1).astype(np.float32)
-    safe = np.where(scale > 0, scale, 1.0).astype(np.float32)
-    frac = reals / safe[:, None]
+    axes = _site_axes(data.ndim, components) + (data.ndim,)
+    reals = np.stack([data.real, data.imag], axis=-1)
+    scale = np.abs(reals).max(axis=axes).astype(np.float32)
+    per_site = np.expand_dims(scale, axes)
+    safe = np.where(per_site > 0, per_site, 1.0).astype(np.float32)
+    frac = reals / safe
     fixed = np.rint(frac * _FIXED_MAX).astype(np.int16)
-    return fixed.reshape(data.shape + (2,)), scale
+    return fixed, scale
 
 
 def dequantize_half(
-    fixed: np.ndarray, scale: np.ndarray, dtype=np.complex128
+    fixed: np.ndarray,
+    scale: np.ndarray,
+    dtype=np.complex128,
+    components: tuple[int, ...] | None = None,
 ) -> np.ndarray:
-    """Reconstruct complex data (at ``dtype``) from :func:`quantize_half` output."""
-    v = fixed.shape[0]
+    """Reconstruct complex data (at ``dtype``) from :func:`quantize_half`
+    output, with the same ``components``."""
+    axes = _site_axes(fixed.ndim - 1, components) + (fixed.ndim - 1,)
     real = np.finfo(dtype).dtype  # float32 for complex64
-    flat = fixed.reshape(v, -1, 2).astype(real)
-    flat *= (scale.astype(real) / real.type(_FIXED_MAX))[:, None, None]
+    flat = fixed.astype(real)
+    flat *= np.expand_dims(scale.astype(real) / real.type(_FIXED_MAX), axes)
     out = np.empty(flat.shape[:-1], dtype=dtype)
     out.real, out.imag = flat[..., 0], flat[..., 1]
-    return out.reshape(fixed.shape[:-1])
+    return out
 
 
-def half_roundtrip(data: np.ndarray) -> np.ndarray:
+def half_roundtrip(
+    data: np.ndarray, components: tuple[int, ...] | None = None
+) -> np.ndarray:
     """Round ``data`` through half-precision storage (quantize +
-    dequantize); complex64 data comes back complex64, anything else
+    dequantize), one scale per site (see :func:`quantize_half` for
+    ``components``); complex64 data comes back complex64, anything else
     complex128."""
-    fixed, scale = quantize_half(data)
+    fixed, scale = quantize_half(data, components)
     wide = np.asarray(data).dtype != np.complex64
-    return dequantize_half(fixed, scale, np.complex128 if wide else np.complex64)
+    return dequantize_half(
+        fixed, scale, np.complex128 if wide else np.complex64, components
+    )

@@ -29,15 +29,36 @@ def norm(a: np.ndarray) -> float:
     return float(np.sqrt(norm2(a)))
 
 
+#: Most elements one BLAS ``?dotc`` call reduces.  OpenBLAS splits a dot
+#: product of more than 10 000 elements over its threads; in a lockstep
+#: loop the wake-ups cost more than they save (DESIGN.md section 28).
+DOT_BLOCK = 8192
+
+
 def batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-system inner products ``<a_k, b_k>`` of two ``(K, ...)`` stacks:
-    the K reductions of a lockstep step, fused into one pass."""
+    """Per-system inner products ``<a_k, b_k>`` of two ``(K, ...)`` stacks.
+
+    One :func:`numpy.vecdot` over the stack: a BLAS ``?dotc`` per block
+    of at most :data:`DOT_BLOCK` elements of each system's row, the
+    blocks summed in order.  Nothing in it depends on the other systems,
+    so a system's value is bitwise the same at every K (DESIGN.md
+    section 28).
+    """
     k = a.shape[0]
-    return np.einsum("ki,ki->k", np.conj(a.reshape(k, -1)), b.reshape(k, -1))
+    n = a.size // k if k else 0
+    if n <= DOT_BLOCK:
+        return np.vecdot(a.reshape(k, n), b.reshape(k, n))
+    blocks = -(-n // DOT_BLOCK)
+    while n % blocks:
+        blocks += 1
+    shape = (k, blocks, n // blocks)
+    return np.vecdot(a.reshape(shape), b.reshape(shape)).sum(axis=1)
 
 
 def per_system(c: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """One coefficient per system, shaped to broadcast over the stack ``like``."""
+    """One coefficient per system, shaped to broadcast over the stack
+    ``like``; an update ``y += per_system(c, y) * x`` is elementwise, so
+    each system's row is updated the same at every K."""
     return c.reshape((like.shape[0],) + (1,) * (like.ndim - 1))
 
 

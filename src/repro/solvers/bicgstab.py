@@ -11,11 +11,19 @@ There is one loop, :func:`lockstep_bicgstab`, and it works on a
 ``(K, ...)`` stack the way :func:`repro.solvers.gcr.lockstep_gcr` does:
 K independent recurrences advance together, each of the two matvecs of
 an iteration is one call for all running systems and the reductions of
-all systems fuse into one.  A system that has converged, broken down
-beyond repair or started from a zero right-hand side leaves the stack's
-work — the operator is applied to the running systems only — and is
-masked: its coefficients are zeroed, so its iterate stays exactly where
-it was while the rest continue.  :func:`bicgstab` is the batch of one.
+all systems fuse into one pass over the stack (:func:`fused_dot`).  A
+system that has converged, broken down beyond repair or started from a
+zero right-hand side leaves the stack's work — the operator is applied
+to the running systems only — and is masked: its coefficients are
+zeroed, so its iterate stays exactly where it was while the rest
+continue.  :func:`bicgstab` is the batch of one.
+
+Unlike GCR and the MR smoother, this loop keeps the fused reduction,
+whose rounding depends on K.  It is the adaptive setup's relaxation:
+the null space it relaxes, and the iteration counts of every level
+solved on it, follow its round-off chaotically, and one ``?dotc`` per
+system moved the level-1 counts of the canonical setup (DESIGN.md
+section 28).
 """
 
 from __future__ import annotations
@@ -24,9 +32,16 @@ import numpy as np
 
 from ..dirac.stencil import apply_stack
 from ..telemetry.instrument import instrumented_solver
-from .base import SolveResult, batch_dot, per_system
+from .base import SolveResult, per_system
 
 _BREAKDOWN = 1e-30
+
+
+def fused_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-system inner products ``<a_k, b_k>`` of two ``(K, ...)`` stacks
+    in one ``einsum`` pass over a conjugated copy."""
+    k = a.shape[0]
+    return np.einsum("ki,ki->k", np.conj(a.reshape(k, -1)), b.reshape(k, -1))
 
 
 def _zero(systems: np.ndarray, *stacks: np.ndarray) -> None:
@@ -75,10 +90,10 @@ def lockstep_bicgstab(
         rs = bs - apply_stack(op, xs)
         matvec_batches += 1
         matvecs += 1
-    bnorms = np.sqrt(np.real(batch_dot(bs, bs)))
+    bnorms = np.sqrt(np.real(fused_dot(bs, bs)))
     active = bnorms > 0
     targets = tol * bnorms
-    rnorms = np.sqrt(np.real(batch_dot(rs, rs)))
+    rnorms = np.sqrt(np.real(fused_dot(rs, rs)))
     histories = [
         [float(rnorms[i] / bnorms[i])] if active[i] else [0.0] for i in range(k)
     ]
@@ -100,12 +115,12 @@ def lockstep_bicgstab(
     it = 0
     while it < maxiter and active.any():
         it += 1
-        rho = batch_dot(r0s, rs)
+        rho = fused_dot(r0s, rs)
         broken = active & ((np.abs(rho) < _BREAKDOWN) | (np.abs(omega) < _BREAKDOWN))
         if broken.any():
             # serial breakdown: restart those systems from their residual
             r0s[broken] = rs[broken]
-            rho[broken] = batch_dot(rs[broken], rs[broken])
+            rho[broken] = fused_dot(rs[broken], rs[broken])
             _zero(broken, vs, ps)
             rho_old[broken] = alpha[broken] = omega[broken] = 1.0
         beta = _ratio(rho, rho_old, active) * _ratio(alpha, omega, active)
@@ -113,9 +128,9 @@ def lockstep_bicgstab(
         vs = apply_stack(op, ps, np.flatnonzero(active))
         matvec_batches += 1
         matvecs[active] += 1
-        alpha = _ratio(rho, batch_dot(r0s, vs), active)
+        alpha = _ratio(rho, fused_dot(r0s, vs), active)
         ss = rs - per_system(alpha, rs) * vs
-        snorms = np.sqrt(np.real(batch_dot(ss, ss)))
+        snorms = np.sqrt(np.real(fused_dot(ss, ss)))
         lost = active & ~np.isfinite(snorms)
         if lost.any():
             active &= ~lost
@@ -133,10 +148,10 @@ def lockstep_bicgstab(
         ts = apply_stack(op, ss, np.flatnonzero(active))
         matvec_batches += 1
         matvecs[active] += 1
-        tt = np.real(batch_dot(ts, ts))
-        omega = _ratio(batch_dot(ts, ss), tt, active & (tt > _BREAKDOWN))
+        tt = np.real(fused_dot(ts, ts))
+        omega = _ratio(fused_dot(ts, ss), tt, active & (tt > _BREAKDOWN))
         rs_next = ss - per_system(omega, ss) * ts
-        rnorms = np.sqrt(np.real(batch_dot(rs_next, rs_next)))
+        rnorms = np.sqrt(np.real(fused_dot(rs_next, rs_next)))
         lost = active & ~np.isfinite(rnorms)
         if lost.any():
             active &= ~lost

@@ -10,8 +10,10 @@ K-cycle is a variable preconditioner.
 There is one loop, :func:`lockstep_gcr`, and it works on a ``(K, ...)``
 stack (paper Section 9): K *independent* Krylov spaces advance
 together, every matvec and preconditioner application is one call for
-all systems, and the per-iteration reductions of all systems fuse into
-one.  A converged (or zero) system leaves the stack's work: the
+all systems, and each system's reductions are BLAS ``?dotc`` calls on
+its own row (:func:`~repro.solvers.base.batch_dot`) while its updates
+are elementwise, so no system's arithmetic depends on what it is
+batched with.  A converged (or zero) system leaves the stack's work: the
 preconditioner and the operator are applied to the live systems only
 (:func:`~repro.dirac.stencil.apply_stack` with ``live``), and its
 coefficients are zeroed, so its iterate and residual stay exactly where

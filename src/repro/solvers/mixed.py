@@ -30,7 +30,8 @@ class PrecisionOperator:
     result returns at the caller's dtype.  ``HALF`` has no native dtype:
     it computes in complex64 and additionally rounds input and output
     through the 16-bit block fixed-point storage, per site — the
-    dominant effect of half-precision stencils on Krylov convergence.
+    dominant effect of half-precision stencils on Krylov convergence —
+    in whatever layout ``op`` computes on (its ``component_axes``).
     """
 
     def __init__(self, op, precision: Precision):
@@ -43,9 +44,10 @@ class PrecisionOperator:
         """A ``(K, ...)`` stack as the precision stores it, at the compute dtype."""
         fields = fields.astype(dtype_of(self.precision), copy=False)
         if self.precision is Precision.HALF:
-            # one norm per site of each system: fold the stack axis into the sites
-            sites = fields.reshape((-1,) + fields.shape[2:])
-            fields = half_roundtrip(sites).reshape(fields.shape)
+            # one norm per site of each system: a native red-black stack
+            # names its component axes, a site-major one is (K, V, ...)
+            axes = getattr(self.op, "component_axes", None)
+            fields = half_roundtrip(fields, axes or tuple(range(2, fields.ndim)))
         return fields
 
     def _run(self, fn, vs: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from repro import precision as precision_mod
 from repro.coarse import coarsen_operator
 from repro.dirac import SchurOperator, WilsonCloverOperator
 from repro.dirac.mrhs import BatchedCoarseSchur
+from repro.dirac.wilson_kernel import SiteFastestSchur
 from repro.gauge import disordered_field
 from repro.lattice import Blocking, Lattice, Partition
 from repro.mg import (
@@ -349,7 +350,9 @@ def test_no_complex128_field_crosses_a_default_batched_cycle(twins, monkeypatch)
     spy = DtypeSpy(monkeypatch)
     spy.watch_levels(hierarchy)
     smoothers = [lev.smoother for lev in hierarchy.levels[:-1]]
-    for level, smoother in enumerate(smoothers):
+    # the fine system is applied on its native (site-fastest) stack
+    spy.watch(SiteFastestSchur, "apply_multi", "L0.schur")
+    for level, smoother in enumerate(smoothers[1:], start=1):
         spy.watch(smoother.schur, "apply_multi", f"L{level}.schur")
     # the coarsest red-black system belongs to its level and is solved directly
     coarsest = hierarchy.levels[-1].schur

@@ -30,7 +30,9 @@ from repro.mg import (
     MultigridSolver,
     SchurMRSmoother,
 )
+from repro.dirac import wilson_kernel
 from repro.precision import Precision, dtype_of
+from repro.solvers import PrecisionOperator
 from tests.conftest import random_spinor
 
 pytestmark = pytest.mark.mrhs
@@ -80,9 +82,12 @@ def test_defect_is_the_recomputed_one(aniso40_solve, level, k, boundary):
     # return values: nothing parked on the smoother
     assert {name: id(value) for name, value in vars(smoother).items()} == parked
     assert d.dtype == dtype and d.shape == rs.shape
-    # the held iterate is at the smoother's precision, half a lattice wide
+    # the held iterate is at the smoother's precision, half a lattice
+    # wide, in the native stack of the system it iterates on
     assert held.x.dtype == held.source.dtype == dtype_of(precision)
-    assert held.x.shape == (k, lev.op.lattice.half_volume) + rs.shape[2:]
+    assert held.x.shape == held.source.shape
+    native = smoother.schur.native(held.x.dtype)
+    assert native.leave(held.x).shape == (k, lev.op.lattice.half_volume) + rs.shape[2:]
     # resumed with no correction and no further step it is the z of
     # apply(rs), bit for bit: the same source, the same scale
     z = smoother.apply(rs)
@@ -149,3 +154,48 @@ def test_smoothers_without_the_identity_keep_their_operator_application(
     assert result.converged
     # the GCR's matvec and both defects of every cycle
     assert result.telemetry.level_stats[0]["op_applies"] == 3 * result.iterations
+
+
+@pytest.mark.parametrize("precision", (Precision.SINGLE, Precision.HALF))
+def test_a_smoothing_converts_its_layout_once_however_many_steps(
+    aniso40_solve, monkeypatch, precision
+):
+    """The fine red-black system iterates on the kernel's site-fastest
+    stack: a held smoothing and its resume convert between layouts a
+    fixed number of times, not twice per MR step."""
+    lev = aniso40_solve[1].hierarchy.levels[0]
+    calls = {"to_site_fastest": 0, "to_site_major": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(wilson_kernel, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(wilson_kernel, name, counted)
+    rs = _stack(lev.op, 2, seed=47).astype(C64)
+    e = _stack(lev.op, 2, seed=48).astype(C64)
+    seen = []
+    for steps in (2, 10):
+        smoother = SchurMRSmoother(
+            lev.op, steps=steps, precision=precision, schur=lev.smoother.schur
+        )
+        calls.update(dict.fromkeys(calls, 0))
+        _, held = smoother.apply(rs, hold=True)
+        smoother.apply(rs, resume=(held, e))
+        seen.append(dict(calls))
+    assert seen[0] == seen[1]
+    assert all(seen[0].values())
+
+
+def test_native_half_rounding_is_the_site_major_rounding(aniso40_solve):
+    """``HALF`` rounds each site's 12 components together in whichever
+    layout the system computes on, bit for bit."""
+    schur = aniso40_solve[1].hierarchy.levels[0].smoother.schur
+    native = schur.native(C64)
+    rng = np.random.default_rng(49)
+    shape = (3, schur.half_volume, 4, 3)
+    # per-site magnitudes apart, so that each site's scale matters
+    mags = 10.0 ** rng.integers(-6, 6, size=shape[:2] + (1, 1))
+    hs = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * mags).astype(C64)
+    want = PrecisionOperator(schur, Precision.HALF).apply_multi(hs)
+    got = native.leave(PrecisionOperator(native, Precision.HALF).apply_multi(native.enter(hs)))
+    np.testing.assert_array_equal(got, want)

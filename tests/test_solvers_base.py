@@ -4,7 +4,56 @@ import numpy as np
 import pytest
 
 from repro.solvers import OperatorCounter, SolveResult, norm, norm2, vdot
+from repro.solvers.base import batch_dot, per_system
 from tests.conftest import random_spinor
+
+#: per-system vector shapes of the benchmark: the fine half lattice, the
+#: fine full lattice and a coarse level (N = 24 per chirality block)
+STACK_SHAPES = {"fine-half": (512, 4, 3), "fine-full": (1024, 4, 3), "coarse": (32, 2, 24)}
+
+
+def _stack(shape, k, dtype, seed):
+    rng = np.random.default_rng(seed)
+    full = (k,) + shape
+    return (rng.standard_normal(full) + 1j * rng.standard_normal(full)).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", (np.complex64, np.complex128))
+@pytest.mark.parametrize("k", (1, 2, 5, 12))
+@pytest.mark.parametrize("shape", STACK_SHAPES.values(), ids=STACK_SHAPES)
+class TestLockstepBlas1:
+    """A system's reductions and updates do not depend on the stack it
+    rides in: row ``i`` is bitwise what the system gets alone, in an
+    array of its own, and the reduction agrees with the one-pass
+    ``einsum`` form (the reference, kept here) to the floating-point
+    error bound of its dtype."""
+
+    def test_batch_dot_is_the_system_alone(self, shape, k, dtype):
+        a, b = _stack(shape, k, dtype, 1), _stack(shape, k, dtype, 2)
+        got = batch_dot(a, b)
+        assert got.dtype == dtype and got.shape == (k,)
+        for i in range(k):
+            alone_a, alone_b = a[i].copy(), b[i].copy()
+            assert got[i] == batch_dot(alone_a[None], alone_b[None])[0]
+        flat_a, flat_b = a.reshape(k, -1), b.reshape(k, -1)
+        want = np.einsum("ki,ki->k", np.conj(flat_a), flat_b)
+        # |fl(a.b) - a.b| <= n eps sum |a_j| |b_j|, twice for complex
+        bound = 2 * flat_a.shape[1] * np.finfo(dtype).eps
+        scale = np.einsum("ki,ki->k", np.abs(flat_a), np.abs(flat_b))
+        assert np.all(np.abs(got - want) <= bound * scale)
+
+    def test_update_is_the_system_alone(self, shape, k, dtype):
+        x, y = _stack(shape, k, dtype, 3), _stack(shape, k, dtype, 4)
+        rng = np.random.default_rng(5)
+        alpha = (rng.standard_normal(k) + 1j * rng.standard_normal(k)).astype(dtype)
+        alpha[k // 2] = 0.0  # a masked system
+        got = y.copy()
+        got += per_system(alpha, got) * x
+        for i in range(k):
+            alone = y[i].copy()[None]
+            alone += per_system(alpha[i : i + 1], alone) * x[i].copy()[None]
+            np.testing.assert_array_equal(got[i], alone[0])
+        np.testing.assert_array_equal(got[k // 2], y[k // 2])
 
 
 class TestLinearAlgebra:

@@ -15,8 +15,18 @@ product (``coarsen``, split into its operator hops and its restricts)
 spans took and did — for the relaxation, the applications its running
 systems needed against those a lockstep stack would have run.
 
+``--phase breakdown`` prices a warm solve kernel by kernel, with the
+tracer off: it times the kernel entry points (fine hop, clover blocks,
+coarse dense-block applications, coarsest triangular solves,
+transfers) and the lockstep bookkeeping around them (per-system
+reductions, layout conversions, precision entry and exit) with
+``perf_counter`` over ten warm solves, and prints each one's share of
+the solve; what no entry point covers is the loops' elementwise vector
+updates and the Python between the calls.
+
 Usage:  python tools/profile_solve.py [dataset-label] [--json [FILE]]
         python tools/profile_solve.py [dataset-label] --phase setup
+        python tools/profile_solve.py [dataset-label] --phase breakdown
 """
 
 from __future__ import annotations
@@ -119,6 +129,98 @@ def _profile_setup(label: str) -> int:
     return 0
 
 
+#: (row, module, owner, attribute): the entry points a warm solve spends
+#: its time in.  None of them calls another, so their times add up.  A
+#: function imported by name is timed in every module that calls it.
+_BREAKDOWN = (
+    ("fine hop", "repro.dirac.wilson_kernel", "WilsonKernel", "hop"),
+    ("clover blocks", "repro.dirac.wilson_kernel", "WilsonKernel", "_chiral_apply"),
+    ("coarse dense blocks", "repro.dirac.mrhs", "_DenseBlockHop", "apply"),
+    ("coarse dense blocks", "repro.dirac.mrhs", None, "_dense_blocks_apply_multi"),
+    ("coarsest solves", "repro.dirac.mrhs", "BatchedCoarseSchur", "solve_multi"),
+    ("transfers", "repro.transfer.transfer", "Transfer", "restrict_multi"),
+    ("transfers", "repro.transfer.transfer", "Transfer", "prolong_multi"),
+    ("reductions", "repro.solvers.gcr", None, "batch_dot"),
+    ("reductions", "repro.mg.smoother", None, "batch_dot"),
+    ("layout conversions", "repro.dirac.wilson_kernel", None, "to_site_fastest"),
+    ("layout conversions", "repro.dirac.wilson_kernel", None, "to_site_major"),
+    ("precision entry/exit", "repro.mg.smoother", None, "enter_precision"),
+    ("precision entry/exit", "repro.mg.smoother", None, "leave_precision"),
+    ("precision entry/exit", "repro.mg.kcycle", None, "enter_precision"),
+    ("precision entry/exit", "repro.mg.kcycle", None, "leave_precision"),
+)
+_KERNELS = ("fine hop", "clover blocks", "coarse dense blocks", "coarsest solves", "transfers")
+_BREAKDOWN_SOLVES = 10
+
+
+def _profile_breakdown(label: str) -> int:
+    """Print where ten warm solves spend their time, entry point by
+    entry point, with the tracer off."""
+    import importlib
+    import time
+
+    from repro.dirac import WilsonCloverOperator
+    from repro.fields import SpinorField
+    from repro.mg import MultigridSolver
+    from repro.workloads import SCALED_FOR_PAPER, mg_params_for
+
+    ds = SCALED_FOR_PAPER[label]
+    op = WilsonCloverOperator(ds.gauge(), **ds.operator_kwargs())
+    b = SpinorField.random(ds.lattice(), rng=np.random.default_rng(0)).data
+    solver = MultigridSolver(op, mg_params_for(ds, "24/24"), np.random.default_rng(1))
+    solver.solve(b)  # tables, factors
+
+    seconds = {row: 0.0 for row, *_ in _BREAKDOWN}
+    calls = dict.fromkeys(seconds, 0)
+
+    def timed(fn, row):
+        def wrapper(*args, **kwargs):
+            begin = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds[row] += time.perf_counter() - begin
+                calls[row] += 1
+
+        return wrapper
+
+    patched = []
+    for row, module, owner, attr in _BREAKDOWN:
+        target = importlib.import_module(module)
+        if owner is not None:
+            target = getattr(target, owner)
+        patched.append((target, attr, getattr(target, attr)))
+        setattr(target, attr, timed(getattr(target, attr), row))
+    try:
+        begin = time.perf_counter()
+        for _ in range(_BREAKDOWN_SOLVES):
+            res = solver.solve(b)
+        total = time.perf_counter() - begin
+    finally:
+        for target, attr, fn in reversed(patched):
+            setattr(target, attr, fn)
+
+    print(
+        f"breakdown {ds.label}: {_BREAKDOWN_SOLVES} warm solves, "
+        f"{1e3 * total / _BREAKDOWN_SOLVES:.1f} ms each, {res.iterations} outer iterations"
+    )
+    print(f"{'':22s} {'ms/solve':>9} {'share':>7} {'calls/solve':>12}")
+
+    def line(row, s, n=None):
+        per = "" if n is None else f"{n / _BREAKDOWN_SOLVES:12.0f}"
+        print(f"{row:22s} {1e3 * s / _BREAKDOWN_SOLVES:9.2f} {100 * s / total:6.1f}% {per}")
+
+    for row in _KERNELS:
+        line(row, seconds[row], calls[row])
+    rest = total - sum(seconds[row] for row in _KERNELS)
+    line("everything else", rest)
+    for row in seconds:
+        if row not in _KERNELS:
+            line(f"  {row}", seconds[row], calls[row])
+    line("  updates and Python", rest - sum(s for r, s in seconds.items() if r not in _KERNELS))
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dataset", nargs="?", default="Aniso40")
@@ -133,14 +235,17 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--phase",
-        choices=("solve", "setup"),
+        choices=("solve", "setup", "breakdown"),
         default="solve",
         help="'setup' prints the per-level relax / orthonormalise / Galerkin "
-        "split of one traced build instead of profiling a solve",
+        "split of one traced build instead of profiling a solve; 'breakdown' "
+        "prints a warm solve's time per kernel entry point, tracer off",
     )
     args = parser.parse_args(argv)
     if args.phase == "setup":
         return _profile_setup(args.dataset)
+    if args.phase == "breakdown":
+        return _profile_breakdown(args.dataset)
 
     if args.json is not None:
         from repro import telemetry
