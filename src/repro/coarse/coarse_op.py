@@ -16,8 +16,9 @@ the site itself and its *distinct* neighbours
 once into one block, so a coarse grid of extent 2 in three directions
 reads 6 blocks per site instead of 9, in one GEMM.  The table is built
 at the dtype of the field being applied, the first time such a field
-arrives — every kernel here is bandwidth-bound on the blocks, so a
-complex64 field halves the bytes.  The per-direction hops
+arrives (a setup restored from disk holds it already, :meth:`adopt`) —
+every kernel here is bandwidth-bound on the blocks, so a complex64
+field halves the bytes.  The per-direction hops
 (``apply_hop*``, ``hop_sum_reference``) stay as the oracle, on copies
 of the blocks cast on first use (:func:`repro.precision.reduced`).
 """
@@ -92,6 +93,28 @@ class CoarseOperator(StencilOperator):
         """Forget the table at ``dtype``; the next stack of that dtype
         gathers it again."""
         self._tables.pop(np.dtype(dtype), None)
+
+    def streamed(self, dtype) -> dict[str, np.ndarray]:
+        """The ``dtype`` table an application reads and its index, by
+        name, gathered here if no stack of that dtype has been applied."""
+        return self._table(np.dtype(dtype)).arrays()
+
+    def streamed_layout(self, dtype) -> dict[str, tuple]:
+        """``(shape, dtype)`` of every array :meth:`streamed` returns."""
+        shapes = _DenseBlockHop.shapes(
+            self.lattice, self.lattice.volume, self.site_dof, diag=True
+        )
+        return {
+            name: (shape, np.dtype(np.int64 if name == "idx" else dtype))
+            for name, shape in shapes.items()
+        }
+
+    def adopt(self, dtype, arrays: dict[str, np.ndarray]) -> None:
+        """Hold ``arrays`` — :meth:`streamed` of an operator of this
+        shape — as the ``dtype`` table, gathering nothing."""
+        self._tables[np.dtype(dtype)] = _DenseBlockHop.adopt(
+            self.lattice, arrays["rows"], arrays["idx"]
+        )
 
     def reduced_bytes(self, dtype) -> int:
         """Bytes of the ``dtype`` table an application reads — known

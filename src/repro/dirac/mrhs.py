@@ -28,6 +28,7 @@ problem, not a throughput one).
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -45,7 +46,9 @@ from .even_odd import SchurOperator, SiteMajorSystem
 #: operators; DESIGN.md section 20 records the run) the direct solve
 #: repays its assembly and factorisation within ~60 coarsest solves
 #: (six solves of the outer system) at every size tried, so what places
-#: the constant is what the first request of a hierarchy waits for:
+#: the constant is what the first request of a cold-built hierarchy
+#: waits for (one restored from a setup file maps its factors and pays
+#: none of it, DESIGN.md section 29):
 #: 0.6 s and 32 MB in complex64 at 2048 on the benchmark's coarsest
 #: lattice (2-core host, single-threaded BLAS; the assembly is 0.19 s of
 #: it since it forms one product per pair of distinct neighbours, 0.41 s
@@ -126,12 +129,33 @@ class _DenseBlockHop:
         )
         self._idx = posmap[np.stack(sites, axis=1)]          # (Vo, D)
 
+    @classmethod
+    def adopt(cls, lattice, rows: np.ndarray, idx: np.ndarray) -> "_DenseBlockHop":
+        """The table whose :meth:`arrays` these are, gathering nothing:
+        how a restored setup holds the tables it read from disk."""
+        hop = cls.__new__(cls)
+        hop.slots = neighbour_slots(lattice)
+        hop._vo = len(idx)
+        hop._rows, hop._idx = rows, idx
+        return hop
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The table and its gather index, by the names :meth:`shapes` uses."""
+        return {"rows": self._rows, "idx": self._idx}
+
+    @staticmethod
+    def shapes(lattice, out_volume: int, n: int, diag: bool = False) -> dict[str, tuple]:
+        """Shapes of :meth:`arrays` for ``out_volume`` output sites of
+        ``lattice`` — known before they are built."""
+        d = len(neighbour_slots(lattice)) + diag
+        return {"rows": (out_volume, n, d * n), "idx": (out_volume, d)}
+
     @staticmethod
     def table_bytes(lattice, out_volume: int, n: int, dtype, diag: bool = False) -> int:
         """Bytes of the table and index for ``out_volume`` output sites of
         ``lattice`` at ``dtype`` — known before they are built."""
-        d = len(neighbour_slots(lattice)) + diag
-        return out_volume * d * (n * n * np.dtype(dtype).itemsize + 8)
+        shapes = _DenseBlockHop.shapes(lattice, out_volume, n, diag)
+        return math.prod(shapes["rows"]) * np.dtype(dtype).itemsize + math.prod(shapes["idx"]) * 8
 
     @property
     def nbytes(self) -> int:
@@ -172,7 +196,8 @@ class BatchedCoarseSchur:
     site block read once per application for all ``K`` systems.  The
     parity-gathered link stacks and site blocks are built per dtype, the
     first time a stack of that dtype arrives — and so are the dense LU
-    factors :meth:`solve_multi` solves with.
+    factors :meth:`solve_multi` solves with — unless a restored setup
+    holds them already (:meth:`adopt`).
     """
 
     def __init__(self, op):
@@ -218,6 +243,61 @@ class BatchedCoarseSchur:
         """Forget the parity tables at ``dtype``; the next stack of that
         dtype gathers them again."""
         self._tables.pop(np.dtype(dtype), None)
+
+    _HOPS = ("to_other", "to_own")
+
+    def streamed(self, dtype, factor: bool = False) -> dict[str, np.ndarray]:
+        """What a solve at ``dtype`` reads, by name: both hops' tables
+        and indices, ``x_ee``, ``x_oo_inv`` and, with ``factor``, the LU
+        factors ``lu`` (in LAPACK's column order) and their row order
+        ``perm`` — gathered and factored here if no solve has yet.
+        :meth:`adopt` holds them again."""
+        dtype = np.dtype(dtype)
+        *hops, x_ee, x_oo_inv = self._at(dtype)
+        out = {
+            f"{side}.{name}": array
+            for side, hop in zip(self._HOPS, hops)
+            for name, array in hop.arrays().items()
+        }
+        out |= {"x_ee": x_ee, "x_oo_inv": x_oo_inv}
+        if factor:
+            out["lu"], out["perm"] = self._factor(dtype)
+        return out
+
+    def streamed_layout(self, dtype, factor: bool = False) -> dict[str, tuple]:
+        """``(shape, dtype)`` of every array :meth:`streamed` returns —
+        known before they are built."""
+        vh, n = self._own.size, self.op.site_dof
+        index = np.dtype(np.int64)
+        hop = _DenseBlockHop.shapes(self.op.lattice, vh, n)
+        out = {
+            f"{side}.{name}": (shape, index if name == "idx" else np.dtype(dtype))
+            for side in self._HOPS
+            for name, shape in hop.items()
+        }
+        out["x_ee"] = out["x_oo_inv"] = ((vh, n, n), np.dtype(dtype))
+        if factor:
+            out["lu"] = ((self.unknowns, self.unknowns), np.dtype(dtype))
+            out["perm"] = ((self.unknowns,), index)
+        return out
+
+    def adopt(self, dtype, arrays: dict[str, np.ndarray], factor: bool = False) -> None:
+        """Hold ``arrays`` — :meth:`streamed` of a system of this shape —
+        as the tables (and, with ``factor``, the factors) at ``dtype``:
+        nothing is gathered, inverted, assembled or factored.  The LU
+        factors must be in column order, which the triangular solves
+        read without a copy."""
+        dtype = np.dtype(dtype)
+        if factor and not arrays["lu"].flags.f_contiguous:
+            raise ValueError("LU factors must be Fortran-ordered")
+        lattice = self.op.lattice
+        hops = [
+            _DenseBlockHop.adopt(lattice, arrays[f"{side}.rows"], arrays[f"{side}.idx"])
+            for side in self._HOPS
+        ]
+        self._tables[dtype] = (*hops, arrays["x_ee"], arrays["x_oo_inv"])
+        if factor:
+            self._factors[dtype] = (arrays["lu"], arrays["perm"])
 
     def apply_multi(self, halves: np.ndarray) -> np.ndarray:
         to_other, to_own, diag_own, dinv_other = self._at(compute_dtype(halves))

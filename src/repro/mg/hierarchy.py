@@ -10,14 +10,16 @@ code path serves all levels — the same property QUDA exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ..coarse import CoarseOperator, coarsen_operator
-from ..dirac.mrhs import batched_schur_for, solves_directly
+from ..dirac.mrhs import BatchedCoarseSchur, batched_schur_for, solves_directly
 from ..dirac.wilson_kernel import WilsonKernel, supports_wilson_kernel
 from ..lattice import NDIM, Blocking
-from ..precision import COMPLEX128, dtype_of
+from ..precision import COMPLEX128, adopt_reduced, dtype_of, reduced
 from ..telemetry.tracer import get_tracer
 from ..transfer import Transfer
 from .params import LevelParams, MGParams
@@ -109,10 +111,59 @@ def _level(
     )
 
 
+class _Stream(NamedTuple):
+    """One table a solve streams that :meth:`MultigridHierarchy.arrays`
+    does not hold, as named parts: ``get`` returns them (building them if
+    no solve has), ``layout`` their ``(shape, dtype)`` and ``adopt`` holds
+    given ones in their place."""
+
+    name: str
+    get: Callable[[], dict]
+    layout: Callable[[], dict]
+    adopt: Callable[[dict], None]
+
+
+def _whole(array) -> dict:
+    return {"": array}
+
+
+def _basis_copy(transfer: Transfer, dtype) -> dict[str, np.ndarray]:
+    return _whole(reduced(transfer, "_basis", dtype))
+
+
+def _adopt_basis_copy(transfer: Transfer, dtype, parts: dict[str, np.ndarray]) -> None:
+    adopt_reduced(transfer, "_basis", dtype, parts[""])
+
+
+def _x_inv(op: CoarseOperator) -> dict[str, np.ndarray]:
+    return _whole(op._x_inv)  # noqa: SLF001
+
+
+def _adopt_x_inv(op: CoarseOperator, parts: dict[str, np.ndarray]) -> None:
+    op.__dict__["_x_inv"] = parts[""]  # what the cached property would hold
+
+
+def _coarsest_tables(schur, dtype, factor: bool) -> dict[str, np.ndarray]:
+    """The coarsest system's streamed tables, without the whole-lattice
+    inverse their gather leaves on the operator: no solve reads it once
+    they exist, and a restored hierarchy does not hold it."""
+    transient = "_x_inv" not in vars(schur.op)
+    try:
+        return schur.streamed(dtype, factor)
+    finally:
+        if transient:
+            vars(schur.op).pop("_x_inv", None)
+
+
 def _coarsest_level(index: int, op, params: MGParams) -> MGLevel:
-    # its tables and dense factors are built by the first solve
+    # its tables and dense factors are built by the first solve (a
+    # restored setup holds them: from_arrays with streamed)
     schur = batched_schur_for(op) if params.coarsest_schur else None
     return MGLevel(index=index, op=op, schur=schur)
+
+
+def _part_name(name: str, part: str) -> str:
+    return f"{name}.{part}" if part else name
 
 
 class MultigridHierarchy:
@@ -195,24 +246,33 @@ class MultigridHierarchy:
                 f"[mg setup] coarsest level {len(levels) - 1}: {lat!r} "
                 f"ns={current.ns} nc={current.nc}"
             )
-        return cls._verified(levels, params)
+        return cls(levels, params)._verified()
 
     @classmethod
     def from_arrays(
-        cls, fine_op, params: MGParams, arrays: dict[str, np.ndarray]
+        cls,
+        fine_op,
+        params: MGParams,
+        arrays: dict[str, np.ndarray],
+        streamed: bool = False,
     ) -> "MultigridHierarchy":
         """Assemble the hierarchy whose :meth:`arrays` these are, computing
         nothing: no relaxation, no QR, no Galerkin product, no operator
-        apply.  Every array is checked against ``fine_op`` and ``params``
-        level by level; a missing one, or one of another shape or dtype,
-        raises ``ValueError``.  The restart path of the solve service's
+        apply.  With ``streamed``, ``arrays`` also holds its
+        :meth:`streamed_arrays`, which the hierarchy holds in place of
+        building them, so that its first solve builds nothing either.
+        Every array is checked against ``fine_op`` and ``params`` level
+        by level; a missing one, or one of another shape or dtype, raises
+        ``ValueError``.  The restart path of the solve service's
         persistent setup cache."""
 
-        def member(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        def member(name: str, shape: tuple[int, ...], dtype=COMPLEX128) -> np.ndarray:
             found = arrays.get(name)
-            if found is None or found.shape != shape or found.dtype != np.complex128:
+            if found is None or found.shape != shape or found.dtype != dtype:
                 got = "nothing" if found is None else f"{found.dtype} {found.shape}"
-                raise ValueError(f"setup array {name!r}: need complex128 {shape}, got {got}")
+                raise ValueError(
+                    f"setup array {name!r}: need {np.dtype(dtype).name} {shape}, got {got}"
+                )
             return found
 
         rng = np.random.default_rng()  # drawn from by a Chebyshev smoother only
@@ -232,20 +292,25 @@ class MultigridHierarchy:
             hop = member(f"hop{index + 1}", (NDIM, 2, vc, n, n))
             current = CoarseOperator(blocking.coarse, x, hop, 2, lp.n_null)
         levels.append(_coarsest_level(len(params.levels), current, params))
-        return cls._verified(levels, params)
-
-    @classmethod
-    def _verified(cls, levels: list[MGLevel], params: MGParams) -> "MultigridHierarchy":
         hierarchy = cls(levels, params)
-        if params.verify_level != "off":
+        if streamed:
+            for stream in hierarchy._streams():
+                stream.adopt({
+                    part: member(_part_name(stream.name, part), shape, dtype)
+                    for part, (shape, dtype) in stream.layout().items()
+                })
+        return hierarchy._verified()
+
+    def _verified(self) -> "MultigridHierarchy":
+        if self.params.verify_level != "off":
             # opt-in sampled invariant checking of the setup output
             # (prolongator orthonormality, Galerkin consistency,
             # gamma5-hermiticity); emits verify.* telemetry and warns on
             # violation without altering the build.
             from ..verify.runtime import verify_setup
 
-            verify_setup(hierarchy, origin="mg.setup")
-        return hierarchy
+            verify_setup(self, origin="mg.setup")
+        return self
 
     @property
     def n_levels(self) -> int:
@@ -274,6 +339,79 @@ class MultigridHierarchy:
             out[f"hop{lev.index + 1}"] = below.hop_blocks
         return out
 
+    def streamed_arrays(self) -> dict[str, np.ndarray]:
+        """What a solve streams beyond :meth:`arrays`, at the dtypes the
+        configured precisions stream it in — the tables
+        :meth:`setup_memory_bytes` books before first use — by name: per
+        coarsening ``i`` the reduced copies of its transfer basis
+        (``basis{i}.complex64``); per coarse level ``i`` that relaxes its
+        inverse site blocks ``x_inv{i}`` (complex128), the
+        distinct-neighbour table the cycle applies
+        (``table{i}.<dtype>.rows`` / ``.idx``) and its red-black system's
+        parity tables at the smoother's dtype (``schur{i}.<dtype>.*``);
+        on the coarsest level the system's tables at the cycle's dtype
+        and, where it is solved directly, its LU factors (``.lu``, in
+        column order) and row order (``.perm``).  Whatever no solve has
+        built yet is built here and kept, as the first solve would keep
+        it.  :meth:`from_arrays` with ``streamed`` holds them again."""
+        return {
+            _part_name(stream.name, part): array
+            for stream in self._streams()
+            for part, array in stream.get().items()
+        }
+
+    def _streams(self) -> list[_Stream]:
+        """Every table :meth:`streamed_arrays` names, by the rule
+        :meth:`setup_memory_bytes` books them by."""
+        params = self.params
+        cycle_dtype = dtype_of(params.coarse_precision)
+        smoother_dtype = dtype_of(params.smoother_precision)
+        reduced_dtypes = sorted({smoother_dtype, cycle_dtype} - {COMPLEX128}, key=str)
+        streams: list[_Stream] = []
+        for lev in self.levels:
+            i, op = lev.index, lev.op
+            for dtype in reduced_dtypes if lev.transfer is not None else ():
+                streams.append(_Stream(
+                    f"basis{i}.{dtype.name}",
+                    partial(_basis_copy, lev.transfer, dtype),
+                    partial(_whole, (lev.transfer._basis.shape, dtype)),
+                    partial(_adopt_basis_copy, lev.transfer, dtype),
+                ))
+            if not isinstance(op, CoarseOperator):
+                continue
+            if not lev.is_coarsest:
+                streams.append(_Stream(
+                    f"x_inv{i}", partial(_x_inv, op),
+                    partial(_whole, (op.x_blocks.shape, COMPLEX128)),
+                    partial(_adopt_x_inv, op),
+                ))
+            schur = lev.schur if lev.is_coarsest else getattr(lev.smoother, "schur", None)
+            if not isinstance(schur, BatchedCoarseSchur):
+                schur = None
+            if lev.is_coarsest and schur is not None:
+                factor = lev.solved_directly
+                streams.append(_Stream(
+                    f"schur{i}.{cycle_dtype.name}",
+                    partial(_coarsest_tables, schur, cycle_dtype, factor),
+                    partial(schur.streamed_layout, cycle_dtype, factor),
+                    partial(schur.adopt, cycle_dtype, factor=factor),
+                ))
+                continue
+            streams.append(_Stream(
+                f"table{i}.{cycle_dtype.name}",
+                partial(op.streamed, cycle_dtype),
+                partial(op.streamed_layout, cycle_dtype),
+                partial(op.adopt, cycle_dtype),
+            ))
+            if schur is not None:
+                streams.append(_Stream(
+                    f"schur{i}.{smoother_dtype.name}",
+                    partial(schur.streamed, smoother_dtype),
+                    partial(schur.streamed_layout, smoother_dtype),
+                    partial(schur.adopt, smoother_dtype),
+                ))
+        return streams
+
     def setup_memory_bytes(self) -> int:
         """Approximate resident size of the setup: null vectors, every
         ndarray attribute of the level operators (coarse stencils, link
@@ -287,9 +425,10 @@ class MultigridHierarchy:
         directly (in place of that operator's own table, which a
         red-black coarsest solve never builds).
         Kernel tables, reduced copies, the factors and the inverse site
-        blocks of a level that relaxes are built on first use but booked
-        at their known size from the start, so a setup restored from
-        disk counts the same as one that has already run.
+        blocks of a level that relaxes are built on first use (or held
+        from disk: :meth:`streamed_arrays` are these) but booked at their
+        known size from the start, so a setup restored from disk counts
+        the same as one that has already run.
         Drives LRU accounting in setup caches."""
         params = self.params
         cycle_dtype = dtype_of(params.coarse_precision)
@@ -302,8 +441,8 @@ class MultigridHierarchy:
                 if isinstance(value, np.ndarray):
                     total += value.nbytes
             if lev.index and not lev.is_coarsest and "_x_inv" not in vars(lev.op):
-                # inverted by this level's relaxation; a restored setup
-                # leaves it to the first solve
+                # inverted by this level's relaxation; a setup rebuilt
+                # from null vectors leaves it to the first solve
                 total += lev.op.x_blocks.nbytes
             if supports_wilson_kernel(lev.op):
                 half_volume = lev.op.lattice.half_volume

@@ -6,6 +6,7 @@ from .policy import (
     COMPLEX64,
     COMPLEX128,
     Precision,
+    adopt_reduced,
     apply_precision,
     compute_dtype,
     dtype_of,
@@ -19,6 +20,7 @@ __all__ = [
     "COMPLEX64",
     "COMPLEX128",
     "Precision",
+    "adopt_reduced",
     "apply_precision",
     "compute_dtype",
     "dtype_of",

@@ -70,6 +70,12 @@ def reduced(owner, name: str, dtype: np.dtype) -> np.ndarray:
     return copies[key]
 
 
+def adopt_reduced(owner, name: str, dtype: np.dtype, table: np.ndarray) -> None:
+    """Hold ``table`` as the ``dtype`` copy :func:`reduced` would cast of
+    ``owner.<name>``: how a restored setup holds a copy it read from disk."""
+    owner.__dict__.setdefault("_reduced", {})[(name, np.dtype(dtype))] = table
+
+
 def enter_precision(
     stack: np.ndarray, precision: Precision
 ) -> tuple[np.ndarray, np.ndarray | None]:

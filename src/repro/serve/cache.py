@@ -12,26 +12,56 @@ its whole lifetime, including restarts.
 * an in-memory LRU keyed by the deterministic content fingerprint of
   (gauge field, operator scalars, canonicalized params), accounted and
   evicted by :meth:`MultigridHierarchy.setup_memory_bytes`;
-* optional disk persistence of the built hierarchy — its
-  :meth:`~MultigridHierarchy.arrays`: null vectors, transfer bases and
-  Galerkin coarse operators — so a restarted service loads the setup
-  with :meth:`~MultigridHierarchy.from_arrays` and runs no relaxation,
-  no QR and no Galerkin product.  Files are uncompressed (``np.savez``):
-  complex128 arrays compress by ~3%, and decompressing cost ~10% of a
-  restore.  Each is written under a temporary name and renamed into
-  place, so no reader sees half of one;
-* revalidation on load: a stored entry is used only if its recorded
-  gauge/operator/params fingerprints match the live request, otherwise
-  it is treated as a miss and rebuilt.  A file of the first format
-  (null vectors only, ``version`` 1) is still a disk hit: it is rebuilt
-  from its null vectors once and rewritten in the current format.
+* optional disk persistence of the built hierarchy, one file per key:
+  its :meth:`~MultigridHierarchy.arrays` (null vectors, transfer bases,
+  Galerkin coarse operators) and its
+  :meth:`~MultigridHierarchy.streamed_arrays` (what the cycle streams at
+  the configured precisions: reduced-precision bases, distinct-neighbour
+  and parity tables, inverse site blocks, the coarsest LU factors).  A
+  restarted service maps the file and holds every array as a read-only
+  view into the map (:meth:`~MultigridHierarchy.from_arrays`): it runs
+  no relaxation, no QR and no Galerkin product, and its first solve
+  gathers, inverts and factors nothing;
+* revalidation on load: a stored entry is used only if it is whole and
+  its recorded gauge/operator/params fingerprints match the live
+  request, otherwise it is treated as a miss and rebuilt.
+
+The file (format version 3, :func:`write_setup_file` /
+:func:`read_setup_file`) is a 24-byte prelude — magic, checksum, header
+length, little-endian — then a JSON header (version, ``n_levels``, the
+three fingerprints, and each array's name, dtype, shape, order and
+offset), then the raw array payloads, each starting on a 64-byte
+boundary, the file zero-padded to one.  It is written under a
+temporary name and renamed into place, so no reader sees half of one
+and a mapped file is never modified: a rewrite replaces the name, and
+a hierarchy mapping the old file keeps reading it.
+
+The checksum is the 64-bit modular sum of the little-endian words after
+the checksum field — header, padding and payloads: one
+``np.add.reduce`` over a ``uint64`` view of the map, at memory speed.
+A flipped bit changes one word by ``±2^b``, which is never 0 modulo
+``2^64``; an error burst of up to 64 bits spans at most two adjacent
+words, and the changes it makes to them cannot cancel, so every
+single-bit flip and every burst of up to 64 bits reads as damage.
+Other damage is caught only with probability ``1 - 2^-64``, which is
+the cache's bar: a damaged file must mean "rebuild", and it is not a
+defence against a deliberate forgery.  A CRC would catch more patterns
+but cost as much as reading the file.
+
+Files of the earlier formats are ``np.savez`` archives at the same name
+and are told apart by their first bytes: version 2 (the arrays of
+:meth:`~MultigridHierarchy.arrays`) restores once through the archive
+reader, version 1 (null vectors only) rebuilds from its null vectors
+once, and either is rewritten as version 3.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import os
+import struct
 import tempfile
 import threading
 import zipfile
@@ -47,8 +77,16 @@ from ..mg.params import MGParams
 from ..telemetry.metrics import get_registry
 from ..telemetry.tracer import get_tracer
 
-_DISK_VERSION = 2
+_DISK_VERSION = 3
+_ARCHIVE = 2  # an np.savez archive of MultigridHierarchy.arrays()
 _NULL_VECTORS_ONLY = 1  # the first format: rebuilt from its null vectors
+
+_MAGIC = b"MGSETUP\x03"
+#: magic, checksum, header length
+_PRELUDE = struct.Struct("<8sQQ")
+#: where the checksummed words begin: just after the checksum field
+_SUMMED = 16
+_ALIGN = 64
 
 # Operator scalar attributes that (with the gauge field) determine the
 # fine matrix, and therefore the null space the setup produces.
@@ -106,6 +144,84 @@ def setup_cache_key(op, params: MGParams) -> str:
     return _Fingerprints.of(op, params).key
 
 
+# -- the setup file --------------------------------------------------------
+
+
+def _aligned(offset: int) -> int:
+    return -(-offset // _ALIGN) * _ALIGN
+
+
+def _word_sum(words: np.ndarray) -> int:
+    """The modular sum of little-endian 64-bit words."""
+    return int(np.add.reduce(words.view("<u8"), dtype=np.uint64))
+
+
+def write_setup_file(fh, header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write one setup file to the binary file object ``fh``: the
+    prelude, ``header`` (JSON values) with each array's layout added
+    under ``"arrays"``, and the payloads, each in its own memory order
+    (a Fortran-ordered array stays Fortran-ordered)."""
+    entries, payloads, offset = [], [], 0
+    for name, array in arrays.items():
+        order = "F" if array.flags.f_contiguous and not array.flags.c_contiguous else "C"
+        payload = np.asarray(array, order=order)
+        if payload.dtype.itemsize % 8:
+            raise ValueError(f"setup array {name!r}: {payload.dtype} is not word-sized")
+        entries.append({
+            "name": name, "dtype": payload.dtype.str, "shape": list(payload.shape),
+            "order": order, "offset": offset,
+        })
+        payloads.append(payload.ravel(order="K"))
+        offset = _aligned(offset + payload.nbytes)
+    head = json.dumps({**header, "arrays": entries}).encode()
+    prelude = np.zeros(_aligned(_PRELUDE.size + len(head)), dtype=np.uint8)
+    prelude[_PRELUDE.size : _PRELUDE.size + len(head)] = np.frombuffer(head, np.uint8)
+    _PRELUDE.pack_into(prelude, 0, _MAGIC, 0, len(head))
+    checksum = _word_sum(prelude[_SUMMED:]) + sum(_word_sum(p) for p in payloads)
+    _PRELUDE.pack_into(prelude, 0, _MAGIC, checksum % 2**64, len(head))
+    fh.write(prelude)
+    for payload in payloads:
+        fh.write(payload)
+        fh.write(bytes(_aligned(payload.nbytes) - payload.nbytes))
+
+
+def read_setup_file(path: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and arrays of the setup file at ``path``, every array a
+    read-only view into one map of the file.  ``ValueError`` on a file
+    that is not one, or is damaged (checksum, truncation, layout)."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _ALIGN or size % _ALIGN:
+            raise ValueError(f"not a setup file: {size} bytes")
+        view = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    magic, checksum, head_len = _PRELUDE.unpack_from(view)
+    if magic != _MAGIC:
+        raise ValueError("not a setup file: bad magic")
+    if _word_sum(np.frombuffer(view, np.uint8, offset=_SUMMED)) != checksum:
+        raise ValueError("setup file checksum mismatch")
+    start = _aligned(_PRELUDE.size + head_len)
+    header = json.loads(view[_PRELUDE.size : _PRELUDE.size + head_len])
+    arrays = {}
+    for entry in header.pop("arrays"):
+        dtype, shape = np.dtype(entry["dtype"]), tuple(entry["shape"])
+        offset = start + entry["offset"]
+        if offset + dtype.itemsize * int(np.prod(shape)) > size:
+            raise ValueError(f"setup array {entry['name']!r} runs past the file")
+        arrays[entry["name"]] = np.ndarray(
+            shape, dtype, buffer=view, offset=offset, order=entry["order"]
+        )
+    return header, arrays
+
+
+def _read_archive(path: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and arrays of a version 1 or 2 ``np.savez`` archive."""
+    with open(path, "rb") as fh, np.load(fh) as data:
+        header = {"version": int(data["version"]), "n_levels": int(data["n_levels"])}
+        header |= {name: str(data[name]) for name in _Fingerprints._fields}
+        arrays = {name: data[name] for name in data.files if name not in header}
+    return header, arrays
+
+
 class SetupCache:
     """LRU cache of built hierarchies with optional disk persistence.
 
@@ -117,9 +233,10 @@ class SetupCache:
         unbounded; the most recently used entry is never evicted.
     disk_dir:
         Directory for persisted setups (created on demand), one
-        uncompressed ``mgsetup-<key>.npz`` per entry holding the
-        hierarchy's arrays; a restart loads them instead of computing
-        anything.  ``None`` disables persistence.
+        ``mgsetup-<key>.npz`` setup file per entry holding the
+        hierarchy's arrays (the name predates the format: files of
+        every version live at it); a restart maps them instead of
+        computing anything.  ``None`` disables persistence.
 
     Thread safety: concurrent ``get_or_build`` calls for *different*
     keys build in parallel; calls for the same key serialize on a
@@ -251,19 +368,14 @@ class SetupCache:
             return
         os.makedirs(self.disk_dir, exist_ok=True)
         with get_tracer().span("serve.setup_cache.persist"):
+            header = {"version": _DISK_VERSION, "n_levels": len(params.levels), **fps._asdict()}
+            arrays = hierarchy.arrays() | hierarchy.streamed_arrays()
             fd, tmp = tempfile.mkstemp(
                 prefix=f"mgsetup-{fps.key}.", suffix=".tmp", dir=self.disk_dir
             )
             try:
-                # a file object: np.savez appends ".npz" to a bare path
                 with os.fdopen(fd, "wb") as fh:
-                    np.savez(
-                        fh,
-                        version=_DISK_VERSION,
-                        n_levels=len(params.levels),
-                        **fps._asdict(),
-                        **hierarchy.arrays(),
-                    )
+                    write_setup_file(fh, header, arrays)
                 os.replace(tmp, path)
             except BaseException:
                 os.unlink(tmp)
@@ -274,35 +386,39 @@ class SetupCache:
         path = self._path(fps.key)
         if path is None or not os.path.exists(path):
             return None
-        header = {"version", "n_levels", *fps._fields}
         try:
-            with open(path, "rb") as fh, np.load(fh) as data:
-                version = int(data["version"])
-                ok = (
-                    version in (_NULL_VECTORS_ONLY, _DISK_VERSION)
-                    and all(str(data[name]) == fp for name, fp in fps._asdict().items())
-                    and int(data["n_levels"]) == len(params.levels)
-                )
-                if not ok:
-                    self._book("invalid")
-                    return None
-                arrays = {name: data[name] for name in data.files if name not in header}
+            with open(path, "rb") as fh:
+                archive = fh.read(4) == b"PK\x03\x04"
+            header, arrays = (_read_archive if archive else read_setup_file)(path)
+            version = header["version"]
+            ok = (
+                version in ((_NULL_VECTORS_ONLY, _ARCHIVE) if archive else (_DISK_VERSION,))
+                and all(header[name] == fp for name, fp in fps._asdict().items())
+                and header["n_levels"] == len(params.levels)
+            )
+            if not ok:
+                self._book("invalid")
+                return None
             with get_tracer().span("serve.setup_cache.restore", version=version):
-                if version == _DISK_VERSION:
-                    hierarchy = MultigridHierarchy.from_arrays(op, params, arrays)
-                else:
+                if version == _NULL_VECTORS_ONLY:
                     nulls = [list(arrays[f"level{i}"]) for i in range(len(params.levels))]
                     hierarchy = MultigridHierarchy.build(
                         op, params, np.random.default_rng(), null_vectors=nulls
                     )
+                else:
+                    hierarchy = MultigridHierarchy.from_arrays(
+                        op, params, arrays, streamed=version == _DISK_VERSION
+                    )
         except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, zlib.error):
-            # A truncated npz raises zipfile.BadZipFile and a corrupted
-            # member zlib.error/EOFError — none of which are OSError — and
-            # a member of the wrong shape or dtype ValueError; a damaged
-            # cache file must mean "rebuild", never a crash.
+            # A damaged setup file fails its checksum (ValueError); a
+            # truncated archive raises zipfile.BadZipFile and a corrupted
+            # member zlib.error/EOFError — none of which are OSError; an
+            # array of the wrong shape or dtype raises ValueError and a
+            # header missing a field KeyError.  A damaged cache file must
+            # mean "rebuild", never a crash.
             self._book("invalid")
             return None
-        if version == _NULL_VECTORS_ONLY:
+        if version != _DISK_VERSION:
             self._persist(fps, params, hierarchy)
         self._book("disk_hits", tier="disk")
         return hierarchy

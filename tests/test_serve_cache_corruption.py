@@ -1,27 +1,38 @@
 """Disk-persistence failure paths of the setup cache.
 
 A restarted service must treat *any* damaged cache file — truncated,
-garbage, tampered, or holding an array of another shape or dtype — as a
-miss and rebuild, never crash: the cache is an optimization, not a
-dependency.  Truncation is the interesting case: ``np.load`` raises
-``zipfile.BadZipFile`` (not ``OSError``) for it, a path that was
-previously uncaught.  A write that fails leaves no file behind, and a
-file of the first format (null vectors only) is still used.
+garbage, tampered, flipped in a single bit, or holding an array of
+another shape or dtype — as a miss and rebuild, never crash: the cache
+is an optimization, not a dependency.  A setup file is checksummed, so
+damage anywhere in it reads as ``invalid``; the tampering cases are
+written through the same writer, with a valid checksum, so that each
+reaches the check behind it (fingerprints, members, shapes).  A write
+that fails leaves no file behind, a file is replaced while a hierarchy
+maps it without disturbing that hierarchy, and files of the earlier
+``np.savez`` formats are still used and rewritten.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.gauge import gauge_fingerprint
+from repro.mg import MultigridSolver
 from repro.mg.params import LevelParams, MGParams
-from repro.serve.cache import SetupCache, setup_cache_key
+from repro.serve import cache as cache_module
+from repro.serve.cache import (
+    SetupCache,
+    read_setup_file,
+    setup_cache_key,
+    write_setup_file,
+)
 from repro.telemetry.tracer import get_tracer
 
 pytestmark = pytest.mark.serve
@@ -56,6 +67,30 @@ def _rebuilds(tmp_path, wilson448, params):
     return cache
 
 
+def _contents(path):
+    """The header and arrays of a setup file, copied out of its map."""
+    header, arrays = read_setup_file(str(path))
+    return header, {name: np.array(array) for name, array in arrays.items()}
+
+
+def _write(path, header, arrays):
+    """Write a setup file with a valid checksum, replacing ``path``
+    whole, as the cache does (a mapped file is never written into)."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        write_setup_file(fh, header, arrays)
+    os.replace(tmp, path)
+
+
+def _rewrite(path, header=None, **changes):
+    """Rewrite the persisted file with header fields and members replaced
+    (``None`` drops a member)."""
+    fields, payload = _contents(path)
+    fields.update(header or {})
+    payload.update(changes)
+    _write(path, fields, {k: v for k, v in payload.items() if v is not None})
+
+
 def test_valid_file_is_a_disk_hit(persisted, wilson448, params):
     tmp_path, _path = persisted
     cache = SetupCache(disk_dir=str(tmp_path))
@@ -88,50 +123,33 @@ def test_empty_file_rebuilds(persisted, wilson448, params):
 
 def test_tampered_gauge_fingerprint_invalidates(persisted, wilson448, params):
     tmp_path, path = persisted
-    with np.load(path) as data:
-        payload = dict(data)
-    payload["gauge_fp"] = np.array("0" * 64)
-    np.savez_compressed(path, **payload)
+    _rewrite(path, header={"gauge_fp": "0" * 64})
     cache = _rebuilds(tmp_path, wilson448, params)
     assert cache.stats["invalid"] == 1
 
 
 def test_missing_member_invalidates(persisted, wilson448, params):
-    # a structurally valid npz missing the null-vector arrays must be
+    # a structurally valid file missing the null-vector arrays must be
     # rejected via the KeyError path, not KeyError-crash
     tmp_path, path = persisted
-    with np.load(path) as data:
-        payload = {
-            k: data[k] for k in ("version", "n_levels", "gauge_fp", "op_fp",
-                                 "params_fp")
-        }
-    np.savez_compressed(path, **payload)
+    header, _ = _contents(path)
+    _write(path, header, {})
     cache = _rebuilds(tmp_path, wilson448, params)
     assert cache.stats["invalid"] == 1
 
 
-def _rewrite(path, **changes):
-    """Rewrite the persisted file with members replaced (``None`` drops one)."""
-    with np.load(path) as data:
-        payload = dict(data)
-    payload.update(changes)
-    np.savez(path, **{k: v for k, v in payload.items() if v is not None})
-
-
 def test_member_of_the_wrong_shape_rebuilds(persisted, wilson448, params):
     tmp_path, path = persisted
-    with np.load(path) as data:
-        basis = data["basis0"]
-    _rewrite(path, basis0=basis[..., :-1])
+    _, arrays = _contents(path)
+    _rewrite(path, basis0=arrays["basis0"][..., :-1])
     cache = _rebuilds(tmp_path, wilson448, params)
     assert cache.stats["invalid"] == 1
 
 
 def test_member_of_the_wrong_dtype_rebuilds(persisted, wilson448, params):
     tmp_path, path = persisted
-    with np.load(path) as data:
-        x = data["x1"]
-    _rewrite(path, x1=x.astype(np.complex64))
+    _, arrays = _contents(path)
+    _rewrite(path, x1=arrays["x1"].astype(np.complex64))
     cache = _rebuilds(tmp_path, wilson448, params)
     assert cache.stats["invalid"] == 1
 
@@ -143,21 +161,38 @@ def test_missing_coarse_operator_rebuilds(persisted, wilson448, params):
     assert cache.stats["invalid"] == 1
 
 
-def test_first_format_file_is_a_disk_hit_and_is_upgraded(persisted, wilson448, params):
-    # a file as the first format wrote it: the null vectors and the
-    # fingerprints, compressed
+def test_missing_streamed_table_rebuilds(persisted, wilson448, params):
+    # a version-3 file holds what the cycle streams; one without it is
+    # not whole
     tmp_path, path = persisted
-    with np.load(path) as data:
-        header = {k: data[k] for k in ("n_levels", "gauge_fp", "op_fp", "params_fp")}
-        nulls = data["null0"]
-    path.unlink()
-    np.savez_compressed(path, version=1, level0=nulls, **header)
+    _, arrays = _contents(path)
+    streamed = sorted(name for name in arrays if name.startswith("schur1."))
+    assert streamed
+    _rewrite(path, **{streamed[0]: None})
+    cache = _rebuilds(tmp_path, wilson448, params)
+    assert cache.stats["invalid"] == 1
+
+
+def _write_archive(path, savez, **members):
+    """Replace ``path`` with an ``np.savez`` archive, as the earlier
+    formats were written (through a file object: ``np.savez`` appends
+    ".npz" to a bare path)."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        savez(fh, **members)
+    os.replace(tmp, path)
+
+
+def _upgrades(tmp_path, path, wilson448, params, first):
+    """A file of an earlier format is a disk hit, is rewritten as a
+    setup file, and the rewrite restores the same hierarchy with no
+    setup work."""
     upgraded = SetupCache(disk_dir=str(tmp_path))
-    first = upgraded.get_or_build(wilson448, params)
+    hierarchy = upgraded.get_or_build(wilson448, params)
     assert (upgraded.stats["disk_hits"], upgraded.stats["misses"]) == (1, 0)
     assert upgraded.stats["invalid"] == 0
-    with np.load(path) as data:
-        assert int(data["version"]) == 2
+    header, _ = read_setup_file(str(path))
+    assert header["version"] == 3
     telemetry.enable()
     telemetry.reset()
     try:
@@ -169,19 +204,113 @@ def test_first_format_file_is_a_disk_hit_and_is_upgraded(persisted, wilson448, p
         telemetry.reset()
     assert cache.stats["disk_hits"] == 1
     for name, array in first.arrays().items():
+        assert np.array_equal(hierarchy.arrays()[name], array)
         assert np.array_equal(second.arrays()[name], array)
 
 
-def test_failed_persist_leaves_no_file(tmp_path, wilson448, params, monkeypatch):
-    savez = np.savez
+def test_first_format_file_is_a_disk_hit_and_is_upgraded(persisted, wilson448, params):
+    # a file as the first format wrote it: the null vectors and the
+    # fingerprints, compressed
+    tmp_path, path = persisted
+    header, arrays = _contents(path)
+    nulls = arrays["null0"]
+    first = SetupCache(disk_dir=str(tmp_path)).get_or_build(wilson448, params)
+    fields = {k: header[k] for k in ("n_levels", "gauge_fp", "op_fp", "params_fp")}
+    _write_archive(path, np.savez_compressed, version=1, level0=nulls, **fields)
+    _upgrades(tmp_path, path, wilson448, params, first)
 
-    def dies_halfway(fh, **arrays):
-        whole = io.BytesIO()
-        savez(whole, **arrays)
-        fh.write(whole.getvalue()[: whole.tell() // 2])
+
+def test_second_format_file_is_a_disk_hit_and_is_upgraded(persisted, wilson448, params):
+    # a file as the second format wrote it: an uncompressed archive of
+    # the hierarchy's arrays and the fingerprints, no streamed tables
+    tmp_path, path = persisted
+    header, _ = _contents(path)
+    first = SetupCache(disk_dir=str(tmp_path)).get_or_build(wilson448, params)
+    fields = {k: header[k] for k in ("n_levels", "gauge_fp", "op_fp", "params_fp")}
+    _write_archive(path, np.savez, version=2, **fields, **first.arrays())
+    _upgrades(tmp_path, path, wilson448, params, first)
+
+
+def _regions(path):
+    """Byte offsets of a setup file by what they hold: the prelude
+    (magic, checksum, header length), the JSON header, the payloads, and
+    the padding after the header and after each payload."""
+    blob = path.read_bytes()
+    head_len = int.from_bytes(blob[16:24], "little")
+    _, arrays = read_setup_file(str(path))
+    base = np.frombuffer(arrays["null0"].base, np.uint8).ctypes.data  # the map
+    covered = np.zeros(len(blob), dtype=bool)
+    covered[: 24 + head_len] = True
+    payload = []
+    for array in arrays.values():
+        offset = array.ctypes.data - base
+        covered[offset : offset + array.nbytes] = True
+        payload.append((offset, offset + array.nbytes))
+    return {
+        "prelude": (0, 24), "header": (24, 24 + head_len),
+        "padding": np.flatnonzero(~covered), "payload": payload,
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_flipped_bit_anywhere_reads_invalid_and_is_repaired(
+    tmp_path_factory, wilson448, params, data
+):
+    tmp_path = tmp_path_factory.mktemp("flip")
+    SetupCache(disk_dir=str(tmp_path)).get_or_build(
+        wilson448, params, np.random.default_rng(3)
+    )
+    path = tmp_path / f"mgsetup-{setup_cache_key(wilson448, params)}.npz"
+    regions = _regions(path)
+    assert len(regions["padding"])
+    where = data.draw(st.sampled_from(sorted(regions)), label="region")
+    if where == "padding":
+        offset = data.draw(st.sampled_from(regions["padding"].tolist()), label="offset")
+    else:
+        lo, hi = regions[where] if where != "payload" else data.draw(
+            st.sampled_from(regions["payload"]), label="member"
+        )
+        offset = data.draw(st.integers(lo, hi - 1), label="offset")
+    bit = data.draw(st.integers(0, 7), label="bit")
+    blob = bytearray(path.read_bytes())
+    blob[offset] ^= 1 << bit
+    path.write_bytes(bytes(blob))
+    cache = _rebuilds(tmp_path, wilson448, params)
+    assert cache.stats["invalid"] == 1
+    repaired = SetupCache(disk_dir=str(tmp_path))
+    repaired.get_or_build(wilson448, params)
+    assert (repaired.stats["disk_hits"], repaired.stats["invalid"]) == (1, 0)
+
+
+@pytest.mark.chaos
+def test_a_file_replaced_while_mapped_leaves_its_reader_whole(persisted, wilson448, params):
+    """A restored hierarchy reads views into the map of its file; other
+    caches persisting the same key (another hierarchy, three times over)
+    replace the name, never the mapped bytes: the hierarchy still solves
+    bitwise as before, and the file on disk is the last one written."""
+    tmp_path, path = persisted
+    mapped = SetupCache(disk_dir=str(tmp_path)).get_or_build(wilson448, params)
+    b = np.random.default_rng(9).standard_normal((wilson448.lattice.volume, 4, 3)) + 0j
+    before = MultigridSolver.from_hierarchy(mapped).solve(b, tol=1e-8)
+    other = SetupCache().get_or_build(wilson448, params, np.random.default_rng(4))
+    for _ in range(3):
+        SetupCache(disk_dir=str(tmp_path)).seed(wilson448, params, other)
+    after = MultigridSolver.from_hierarchy(mapped).solve(b, tol=1e-8)
+    assert np.array_equal(after.x, before.x)
+    assert after.iterations == before.iterations
+    assert after.telemetry.level_stats == before.telemetry.level_stats
+    _, arrays = read_setup_file(str(path))
+    assert np.array_equal(arrays["null0"], other.arrays()["null0"])
+    assert not np.array_equal(arrays["null0"], mapped.arrays()["null0"])
+
+
+def test_failed_persist_leaves_no_file(tmp_path, wilson448, params, monkeypatch):
+    def dies_halfway(fh, header, arrays):
+        write_setup_file(fh, header, dict(list(arrays.items())[: len(arrays) // 2]))
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(np, "savez", dies_halfway)
+    monkeypatch.setattr(cache_module, "write_setup_file", dies_halfway)
     with pytest.raises(OSError, match="No space"):
         SetupCache(disk_dir=str(tmp_path)).get_or_build(
             wilson448, params, np.random.default_rng(3)
