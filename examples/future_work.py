@@ -1,12 +1,9 @@
 """The paper's Section 9 future-work agenda, exercised end to end.
 
-Four items, each implemented in this library:
+Two items, each implemented in this library:
 
 1. **Multiple right-hand sides** — batched solves share stencil loads.
-2. **CA-GMRES coarse solver** — s-step Krylov trades matvecs for
-   synchronizations, attacking the Figure-4 coarsest-level wall.
-3. **Schwarz smoothing** — domain-cut relaxation with zero halo traffic.
-4. **Heterogeneous placement** — CPU vs GPU per level, autotuned.
+2. **Heterogeneous placement** — CPU vs GPU per level, autotuned.
 
 Run:  python examples/future_work.py
 """
@@ -18,15 +15,14 @@ import numpy as np
 from repro.coarse import coarsen_operator
 from repro.dirac import WilsonCloverOperator
 from repro.gauge import disordered_field
-from repro.lattice import Blocking, Lattice, Partition
+from repro.lattice import Blocking, Lattice
 from repro.machine import (
     MODERN_CPU,
     MachineModel,
     choose_placement,
     mg_level_specs,
 )
-from repro.mg import SchwarzMRSmoother
-from repro.solvers import MRSmoother, batched_gcr, ca_gmres, gcr, gmres
+from repro.solvers import batched_gcr, gcr
 from repro.transfer import Transfer
 from repro.workloads import ISO64
 
@@ -56,31 +52,7 @@ def main() -> None:
           f"({t_s / t_b:.2f}x from operator reuse); all converged: "
           f"{all(r.converged for r in batched)}")
 
-    # -- 2. CA-GMRES -------------------------------------------------------
-    print("\n=== CA-GMRES(s): synchronizations on the coarsest grid ===")
-    b = rng.standard_normal(cshape) + 1j * rng.standard_normal(cshape)
-    res_g = gmres(coarse, b, tol=1e-8, maxiter=600)
-    print(f"GMRES      : {res_g.matvecs:4d} matvecs, "
-          f"{res_g.telemetry.attrs['reductions']:5d} global reductions")
-    for s in (2, 4, 8):
-        res = ca_gmres(coarse, b, tol=1e-8, maxiter=600, s=s)
-        print(f"CA-GMRES({s}): {res.matvecs:4d} matvecs, "
-              f"{res.telemetry.attrs['reductions']:5d} global reductions "
-              f"(converged={res.converged})")
-
-    # -- 3. Schwarz smoothing ----------------------------------------------
-    print("\n=== Schwarz (halo-free) smoothing vs global MR ===")
-    bfine = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    for name, smoother in [
-        ("global MR", MRSmoother(op, steps=4)),
-        ("Schwarz MR", SchwarzMRSmoother(op, Partition(lat, (1, 1, 2, 2)), steps=4)),
-    ]:
-        res = gcr(op, bfine, tol=1e-8, maxiter=3000, preconditioner=smoother)
-        print(f"{name:>10}: {res.iterations:4d} preconditioned GCR iterations")
-    print("(the Schwarz variant pays iterations but sends zero halo bytes"
-          "\n while smoothing — the strong-scaling trade of Section 9)")
-
-    # -- 4. heterogeneous placement ----------------------------------------
+    # -- 2. heterogeneous placement ----------------------------------------
     print("\n=== per-level CPU/GPU placement (Iso64 at 512 nodes) ===")
     model = MachineModel()
     levels = mg_level_specs(ISO64.dims, ISO64.blockings[64], [24, 32])

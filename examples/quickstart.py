@@ -2,11 +2,10 @@
 
 Builds a small near-critical lattice QCD problem from scratch —
 synthetic gauge field, Wilson-Clover Dirac operator, right-hand side —
-and solves it three ways, reproducing the paper's central comparison in
+and solves it two ways, reproducing the paper's central comparison in
 miniature:
 
 * red-black preconditioned BiCGStab (the pre-multigrid state of the art),
-* CGNR on the normal equations (the classical fallback),
 * adaptive geometric multigrid (GCR outer, K-cycle preconditioner).
 
 Run:  python examples/quickstart.py
@@ -21,7 +20,7 @@ from repro.fields import SpinorField
 from repro.gauge import average_plaquette, disordered_field
 from repro.lattice import Lattice
 from repro.mg import LevelParams, MGParams, MultigridSolver
-from repro.solvers import bicgstab, cgnr, norm
+from repro.solvers import bicgstab, norm
 
 
 def main() -> None:
@@ -49,14 +48,6 @@ def main() -> None:
         f"BiCGStab (red-black): {res_bi.iterations:5d} iterations, "
         f"{t_bi:6.2f}s, true resid "
         f"{norm(b.data - op.apply(x_bi)) / b.norm():.2e}"
-    )
-
-    # -- CGNR --------------------------------------------------------------
-    t0 = time.perf_counter()
-    res_cg = cgnr(op, b.data, tol=tol, maxiter=100000)
-    print(
-        f"CGNR                : {res_cg.iterations:5d} iterations, "
-        f"{time.perf_counter() - t0:6.2f}s"
     )
 
     # -- adaptive multigrid -------------------------------------------------

@@ -5,10 +5,10 @@ Lattice QCD Multigrid on GPUs Using Fine-Grained Parallelization"
 The package provides the full stack the paper builds on: lattice
 geometry, synthetic SU(3) gauge ensembles, the Wilson-Clover Dirac
 operator (isotropic and anisotropic),
-Krylov solvers (CG/BiCGStab/GCR/GMRES/CA-GMRES/MR) with mixed precision
-and lockstep multi-RHS batching, adaptive geometric multigrid with
+Krylov solvers (GCR, BiCGStab) with mixed precision and lockstep
+multi-RHS batching, adaptive geometric multigrid with
 chirality-preserving aggregation and Galerkin coarse operators
-(K/V/W-cycles, Schur/Chebyshev/Schwarz smoothers), a domain-decomposed
+(K/V/W-cycles, a red-black MR smoother on every level), a domain-decomposed
 (simulated-MPI) execution path, and calibrated GPU/cluster performance
 models that regenerate the paper's figures and tables.
 

@@ -1,9 +1,8 @@
-"""The lattice Dirac operator: gammas, Wilson-Clover, red-black, adjoints."""
+"""The lattice Dirac operator: gammas, Wilson-Clover, red-black."""
 
 from .clover import CloverTerm
 from .even_odd import SchurOperator
 from .gamma import NS, chirality_slices, gamma5, gamma_matrices, projectors, sigma_munu
-from .normal import AdjointOperator, NormalOperator
 from .projection import project, projected_hop, reconstruct
 from .stencil import StencilOperator
 from .wilson import WilsonCloverOperator
@@ -17,11 +16,9 @@ __all__ = [
     "gamma_matrices",
     "projectors",
     "sigma_munu",
-    "AdjointOperator",
     "project",
     "projected_hop",
     "reconstruct",
-    "NormalOperator",
     "StencilOperator",
     "WilsonCloverOperator",
 ]

@@ -265,7 +265,7 @@ def operator_application_cost_multi(
 def apply_stack(op, vs: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
     """``op`` on a ``(K, ...)`` stack: its ``apply_multi`` when it has
     one, else ``apply`` system by system (counting and partitioned
-    wrappers, Chebyshev and Schwarz smoothers, dense test operators).
+    wrappers, dense test operators).
 
     ``live`` (the indices of the systems still running) restricts the
     work to ``vs[live]``: the other rows come back zero, and are not

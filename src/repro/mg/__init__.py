@@ -3,7 +3,6 @@
 from .hierarchy import MGLevel, MultigridHierarchy
 from .kcycle import KCyclePreconditioner, LevelStats, gcr_reductions
 from .params import LevelParams, MGParams
-from .schwarz import DomainDecomposedOperator, SchwarzMRSmoother
 from .setup import generate_null_vectors
 from .smoother import SchurMRSmoother
 from .solver import MultigridSolver
@@ -16,8 +15,6 @@ __all__ = [
     "gcr_reductions",
     "LevelParams",
     "MGParams",
-    "DomainDecomposedOperator",
-    "SchwarzMRSmoother",
     "generate_null_vectors",
     "SchurMRSmoother",
     "MultigridSolver",

@@ -23,7 +23,6 @@ from ..precision import COMPLEX128, adopt_reduced, dtype_of, reduced
 from ..telemetry.tracer import get_tracer
 from ..transfer import Transfer
 from .params import LevelParams, MGParams
-from .schwarz import SchwarzMRSmoother
 from .setup import generate_null_vectors
 from .smoother import SchurMRSmoother
 
@@ -64,47 +63,19 @@ class MGLevel:
         return self.is_coarsest and self.index > 1 and solves_directly(self.schur)
 
 
-def _build_smoother(
-    op, schur, lp: LevelParams, params: MGParams, rng: np.random.Generator
-):
-    """Construct the configured smoother for one level, over the
-    level's red-black system ``schur``."""
-    if params.smoother_type == "schur-mr":
-        return SchurMRSmoother(
-            op,
-            steps=lp.smoother_steps,
-            omega=lp.smoother_omega,
-            precision=params.smoother_precision,
-            schur=schur,
-        )
-    if params.smoother_type == "chebyshev":
-        from ..solvers.chebyshev import ChebyshevSmoother
-
-        return ChebyshevSmoother(op, degree=lp.smoother_steps, rng=rng)
-    # "schwarz": cut along the configured process grid where it tiles;
-    # levels too coarse for the grid fall back to the Schur-MR smoother
-    from ..lattice import Partition
-
-    assert params.schwarz_grid is not None
-    try:
-        partition = Partition(op.lattice, params.schwarz_grid)
-    except ValueError:
-        return SchurMRSmoother(
-            op, steps=lp.smoother_steps, omega=lp.smoother_omega,
-            precision=params.smoother_precision, schur=schur,
-        )
-    return SchwarzMRSmoother(
-        op, partition, steps=lp.smoother_steps, omega=lp.smoother_omega
-    )
-
-
 def _level(
-    index: int, op, lp: LevelParams, params: MGParams, rng: np.random.Generator,
+    index: int, op, lp: LevelParams, params: MGParams,
     schur, transfer: Transfer, nulls: list[np.ndarray],
 ) -> MGLevel:
     """One coarsening level, whether its transfer was just built or
-    loaded: the level owns ``schur`` and a smoother over it."""
-    smoother = _build_smoother(op, schur, lp, params, rng)
+    loaded: the level owns ``schur`` and the MR smoother over it."""
+    smoother = SchurMRSmoother(
+        op,
+        steps=lp.smoother_steps,
+        omega=lp.smoother_omega,
+        precision=params.smoother_precision,
+        schur=schur,
+    )
     return MGLevel(
         index=index, op=op, params=lp, transfer=transfer, smoother=smoother,
         schur=schur, null_vectors=nulls,
@@ -230,7 +201,7 @@ class MultigridHierarchy:
                         blocking = Blocking(current.lattice, lp.block)
                         transfer = Transfer(blocking, nulls)
                     levels.append(
-                        _level(index, current, lp, params, rng, schur, transfer, nulls)
+                        _level(index, current, lp, params, schur, transfer, nulls)
                     )
                     with tracer.span("coarsen", level=index):
                         coarse = coarsen_operator(current, transfer)
@@ -246,7 +217,7 @@ class MultigridHierarchy:
                 f"[mg setup] coarsest level {len(levels) - 1}: {lat!r} "
                 f"ns={current.ns} nc={current.nc}"
             )
-        return cls(levels, params)._verified()
+        return cls(levels, params)
 
     @classmethod
     def from_arrays(
@@ -275,7 +246,6 @@ class MultigridHierarchy:
                 )
             return found
 
-        rng = np.random.default_rng()  # drawn from by a Chebyshev smoother only
         levels: list[MGLevel] = []
         current = fine_op
         for index, lp in enumerate(params.levels):
@@ -287,7 +257,7 @@ class MultigridHierarchy:
             basis = member(f"basis{index}", (vc, 2, rows, lp.n_null))
             transfer = Transfer.from_basis(blocking, basis, ns, nc)
             schur = batched_schur_for(current)
-            levels.append(_level(index, current, lp, params, rng, schur, transfer, nulls))
+            levels.append(_level(index, current, lp, params, schur, transfer, nulls))
             x = member(f"x{index + 1}", (vc, n, n))
             hop = member(f"hop{index + 1}", (NDIM, 2, vc, n, n))
             current = CoarseOperator(blocking.coarse, x, hop, 2, lp.n_null)
@@ -299,18 +269,7 @@ class MultigridHierarchy:
                     part: member(_part_name(stream.name, part), shape, dtype)
                     for part, (shape, dtype) in stream.layout().items()
                 })
-        return hierarchy._verified()
-
-    def _verified(self) -> "MultigridHierarchy":
-        if self.params.verify_level != "off":
-            # opt-in sampled invariant checking of the setup output
-            # (prolongator orthonormality, Galerkin consistency,
-            # gamma5-hermiticity); emits verify.* telemetry and warns on
-            # violation without altering the build.
-            from ..verify.runtime import verify_setup
-
-            verify_setup(self, origin="mg.setup")
-        return self
+        return hierarchy
 
     @property
     def n_levels(self) -> int:
@@ -385,9 +344,7 @@ class MultigridHierarchy:
                     partial(_whole, (op.x_blocks.shape, COMPLEX128)),
                     partial(_adopt_x_inv, op),
                 ))
-            schur = lev.schur if lev.is_coarsest else getattr(lev.smoother, "schur", None)
-            if not isinstance(schur, BatchedCoarseSchur):
-                schur = None
+            schur = lev.schur if isinstance(lev.schur, BatchedCoarseSchur) else None
             if lev.is_coarsest and schur is not None:
                 factor = lev.solved_directly
                 streams.append(_Stream(
@@ -416,7 +373,7 @@ class MultigridHierarchy:
         """Approximate resident size of the setup: null vectors, every
         ndarray attribute of the level operators (coarse stencils, link
         copies, clover blocks), the fine-grid kernel tables, the
-        reduced-precision copies of the transfer bases, the
+        transfer bases and their reduced-precision copies, the
         distinct-neighbour table of each coarse operator the cycle
         applies, at the cycle's dtype, and the parity-gathered
         dense-block tables of each coarse level's one red-black system
@@ -454,15 +411,16 @@ class MultigridHierarchy:
                 total += red_black(cycle_dtype)
                 if lev.solved_directly:
                     total += lev.schur.factor_bytes(cycle_dtype)
-            for dtype in reduced_dtypes:
-                # transfers know the size of their copies
-                book = getattr(lev.transfer, "reduced_bytes", None)
-                total += book(dtype) if book is not None else 0
+            if lev.transfer is not None:
+                total += lev.transfer._basis.nbytes
+                for dtype in reduced_dtypes:
+                    total += lev.transfer.reduced_bytes(dtype)
             book = getattr(lev.op, "reduced_bytes", None)
             if book is not None and red_black is None:
                 # a coarse operator the cycle applies: its table at that dtype
                 total += book(cycle_dtype)
-            book = getattr(getattr(lev.smoother, "schur", None), "table_bytes", None)
-            if book is not None:
+            book = getattr(lev.schur, "table_bytes", None)
+            if book is not None and not lev.is_coarsest:
+                # the system the smoother sweeps, at its dtype
                 total += book(dtype_of(params.smoother_precision))
         return total

@@ -12,8 +12,8 @@ Each application at level ``l``:
 4. prolongate and correct,
 5. post-smooth the defect of the corrected iterate.
 
-With the red-black smoother the two smoothings are one relaxation of
-the Schur system, held across the coarse correction
+The two smoothings are one relaxation of the Schur system, held
+across the coarse correction
 (:class:`~repro.mg.smoother.SchurMRSmoother`): the first hands back its
 defect instead of an iterate, the second restarts from the corrected
 Schur-parity iterate and reconstructs the other parity once.  The
@@ -45,14 +45,13 @@ from functools import partial
 
 import numpy as np
 
-from ..dirac.stencil import apply_stack, operator_application_cost_multi
+from ..dirac.stencil import operator_application_cost_multi
 from ..precision import dtype_of, enter_precision, leave_precision
 from ..solvers.base import SolveResult
 from ..solvers.gcr import lockstep_gcr
 from ..solvers.mixed import reduced_storage
 from ..telemetry.tracer import get_tracer
 from .hierarchy import MGLevel, MultigridHierarchy
-from .smoother import SchurMRSmoother
 
 
 @dataclass
@@ -130,11 +129,8 @@ def _step_cost(lev: MGLevel, step: str, k: int, dtype) -> tuple[float, float]:
     if step == "residual":
         return operator_application_cost_multi(lev.op, k, dtype)
     if step == "smoother":
-        # at the dtype the smoother streams: that of the precision it
-        # owns, or the cycle's when it declares none
-        precision = getattr(lev.smoother, "precision", None)
-        if precision is not None:
-            dtype = dtype_of(precision)
+        # at the dtype of the precision the smoother owns
+        dtype = dtype_of(lev.smoother.precision)
         flops, nbytes = operator_application_cost_multi(lev.op, k, dtype)
         n = lev.params.smoother_steps + 1
         return (n * flops, n * nbytes)
@@ -244,16 +240,11 @@ class KCyclePreconditioner:
 
     def _cycle(self, rs: np.ndarray) -> np.ndarray:
         lev = self.hierarchy.levels[self.level]
-        op, transfer, smoother = lev.op, lev.transfer, lev.smoother
+        transfer, smoother = lev.transfer, lev.smoother
         run = partial(booked, lev, self.counts[self.level])
-        red_black = isinstance(smoother, SchurMRSmoother)
-        # 1. pre-smooth; the red-black smoother hands back ``rs - M z``
-        # and holds ``z`` on the Schur parity
-        if red_black:
-            r1, held = run("smoother", partial(smoother.apply, hold=True), rs, phase="pre")
-        else:
-            z = run("smoother", apply_stack, smoother, rs, phase="pre")
-            r1 = rs - run("residual", op.apply_multi, z)
+        # 1. pre-smooth: hands back ``rs - M z`` and holds ``z`` on the
+        # Schur parity
+        r1, held = run("smoother", partial(smoother.apply, hold=True), rs, phase="pre")
         # 2. defect restriction
         rc = run("restrict", transfer.restrict_multi, r1)
         # 3. coarse solve (K-cycle-preconditioned GCR; direct or GCR when coarsest)
@@ -261,11 +252,7 @@ class KCyclePreconditioner:
         # 4. prolongate and correct
         e = run("prolong", transfer.prolong_multi, ec)
         # 5. post-smooth the defect of the corrected iterate
-        if red_black:
-            return run("smoother", partial(smoother.apply, resume=(held, e)), rs, phase="post")
-        z = z + e
-        r2 = rs - run("residual", op.apply_multi, z)
-        return z + run("smoother", apply_stack, smoother, r2, phase="post")
+        return run("smoother", partial(smoother.apply, resume=(held, e)), rs, phase="post")
 
     # ------------------------------------------------------------------
     def _coarse_solve(self, rc: np.ndarray) -> np.ndarray:

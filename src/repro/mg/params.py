@@ -40,8 +40,6 @@ class MGParams:
     outer_maxiter: int = 200
     outer_nkrylov: int = 10
     cycle_type: str = "K"  # "K" (paper), "V", or "W"
-    smoother_type: str = "schur-mr"  # "schur-mr" (paper), "chebyshev", "schwarz"
-    schwarz_grid: tuple[int, int, int, int] | None = None  # for "schwarz"
     # The preconditioner is held and computed in single precision under
     # the double outer GCR (paper Section 7.1): ``coarse_precision`` is
     # the precision of the whole cycle body (QUDA's "precondition
@@ -50,29 +48,11 @@ class MGParams:
     smoother_precision: Precision = Precision.SINGLE
     coarse_precision: Precision = Precision.SINGLE
     coarsest_schur: bool = True  # red-black preconditioned coarsest solve
-    # Opt-in runtime verification (repro.verify): "off" (default),
-    # "setup" samples the setup-output invariants after every hierarchy
-    # build, "solve" additionally recomputes every solve's residual.
-    # Purely observational — never changes the numerics — and therefore
-    # excluded from the configuration fingerprint.
-    verify_level: str = "off"
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.verify_level not in ("off", "setup", "solve"):
-            raise ValueError(
-                f"verify_level must be 'off', 'setup' or 'solve', "
-                f"got {self.verify_level!r}"
-            )
         if self.cycle_type not in ("K", "V", "W"):
             raise ValueError(f"cycle_type must be 'K', 'V' or 'W', got {self.cycle_type!r}")
-        if self.smoother_type not in ("schur-mr", "chebyshev", "schwarz"):
-            raise ValueError(
-                f"smoother_type must be 'schur-mr', 'chebyshev' or 'schwarz', "
-                f"got {self.smoother_type!r}"
-            )
-        if self.smoother_type == "schwarz" and self.schwarz_grid is None:
-            raise ValueError("smoother_type 'schwarz' requires schwarz_grid")
 
     @property
     def n_levels(self) -> int:
@@ -88,9 +68,7 @@ class MGParams:
         Tuples become lists, enums their string values, and ``extra`` is
         key-sorted, so two :class:`MGParams` describing the same
         configuration canonicalize identically regardless of how they
-        were constructed.  ``verify_level`` is excluded: verification is
-        observational, so a verified and an unverified run of the same
-        configuration share setup-cache entries.
+        were constructed.
         """
 
         def _clean(obj):
@@ -102,9 +80,7 @@ class MGParams:
                 return [_clean(x) for x in obj]
             return obj
 
-        out = _clean(asdict(self))
-        out.pop("verify_level", None)
-        return out
+        return _clean(asdict(self))
 
     def fingerprint(self) -> str:
         """Deterministic content hash of the full configuration.

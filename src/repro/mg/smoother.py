@@ -3,8 +3,7 @@
 :class:`SchurMRSmoother` relaxes the red-black preconditioned (Schur)
 system with a fixed number of MR steps and reconstructs the opposite
 parity exactly — the "red-black preconditioning on all levels" of paper
-Section 7.1, substantially stronger per application than relaxing the
-full-lattice system (:class:`~repro.solvers.mr.MRSmoother`).
+Section 7.1, and the only smoother the cycle runs.
 
 It works on a ``(K, V, ns, nc)`` stack of residuals (paper Section 9):
 the Schur system is the half-volume site-fastest kernel on the fine

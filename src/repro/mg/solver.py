@@ -130,12 +130,6 @@ class MultigridSolver:
             )
             book_gcr(fine, cycle.counts[0], results, self.params.outer_nkrylov)
         self._publish_telemetry(results, sp, cycle.counts)
-        if self.params.verify_level == "solve":
-            from ..verify.runtime import verify_solve
-
-            for b, result in zip(bs, results):
-                reports = verify_solve(fine.op, b, result, origin="mg.solve")
-                result.telemetry.attrs["verify"] = [r.to_dict() for r in reports]
         return results
 
     def _publish_telemetry(

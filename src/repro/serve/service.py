@@ -108,10 +108,6 @@ class ServeConfig:
     max_wait_s: InitVar[object] = None
     queue_capacity: int = 64  # pending-request bound (backpressure)
     n_workers: int = 1  # solver worker threads
-    # Opt-in runtime verification (repro.verify): "setup" checks the
-    # setup-output invariants of every registered hierarchy, "solve"
-    # additionally recomputes each delivered result's residual.
-    verify_level: str = "off"
     # Postmortem capture: on timeout, failure or detected stall the
     # service assembles a repro.blackbox/v1 dump (always kept in memory
     # as ``service.last_blackbox``); a directory here persists each dump
@@ -128,9 +124,6 @@ class ServeConfig:
     label: str | None = None
 
     def __post_init__(self, max_wait_s=None):
-        from ..verify.runtime import validate_level
-
-        validate_level(self.verify_level)
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.queue_capacity < 1:
@@ -236,8 +229,8 @@ class SolveService:
         self.stats = Counters(
             (
                 "submitted", "completed", "rejected", "timeouts", "failed",
-                "cancelled", "batches", "batched_systems", "verify_checks",
-                "verify_failures", "stalls_detected", "blackbox_dumps",
+                "cancelled", "batches", "batched_systems", "stalls_detected",
+                "blackbox_dumps",
             ),
             # the thread-CPU total excludes cross-service contention on
             # shared cores, which is what the fleet tier's device-time
@@ -282,11 +275,6 @@ class SolveService:
     ) -> None:
         """Make ``op`` solvable under ``name``; setup comes via the cache."""
         hierarchy = self.cache.get_or_build(op, params, rng)
-        if self.config.verify_level != "off":
-            from ..verify.runtime import verify_setup
-
-            reports = verify_setup(hierarchy, origin="serve.register")
-            self._book_verify(reports)
         solver = MultigridSolver.from_hierarchy(hierarchy, params)
         with self._cond:
             if self._closed:
@@ -317,11 +305,6 @@ class SolveService:
         """Retry-hint seconds; caller holds ``self._cond``."""
         mean_solve = self.stats["solve_s_total"] / max(self.stats["completed"], 1)
         return max(len(self._pending), 1) * mean_solve
-
-    def _book_verify(self, reports) -> None:
-        """Fold runtime-verification reports into the service stats."""
-        self.stats.bump("verify_checks", len(reports))
-        self.stats.bump("verify_failures", sum(1 for r in reports if not r.passed))
 
     # -- submission -----------------------------------------------------
     def submit(
@@ -605,16 +588,6 @@ class SolveService:
             dt = time.perf_counter() - t0
             cdt = time.thread_time() - c0
         self.stats.add_seconds(solve_s_total=dt, solve_cpu_s_total=cdt)
-        if self.config.verify_level == "solve":
-            from ..verify.runtime import verify_solve
-
-            fine_op = entry.solver.hierarchy.levels[0].op
-            for req, res in zip(live, results):
-                reports = verify_solve(
-                    fine_op, req.rhs, res, origin="serve.solve"
-                )
-                res.telemetry.attrs["verify"] = [r.to_dict() for r in reports]
-                self._book_verify(reports)
         done = time.perf_counter()
         for req, res in zip(live, results):
             # each result carries its own request's trace; the batch ran

@@ -1,4 +1,6 @@
-"""Krylov solvers: CG/CGNE/CGNR, BiCGStab, MR, flexible GCR, mixed precision."""
+"""Krylov solvers: flexible GCR (the multigrid outer and coarse solver,
+paper Section 7.1) and BiCGStab with its mixed-precision driver (the
+paper's Table 3 baseline)."""
 
 from .base import (
     OperatorCounter,
@@ -9,12 +11,8 @@ from .base import (
     vdot,
 )
 from .bicgstab import bicgstab
-from .cg import cg, cgne, cgnr
-from .chebyshev import ChebyshevSmoother, estimate_lambda_max
 from .gcr import batched_gcr, gcr
-from .gmres import ca_gmres, gmres
 from .mixed import PrecisionOperator, mixed_precision_solve
-from .mr import MRSmoother, mr
 
 __all__ = [
     "OperatorCounter",
@@ -23,18 +21,9 @@ __all__ = [
     "norm2",
     "vdot",
     "bicgstab",
-    "cg",
-    "cgne",
-    "cgnr",
     "batched_gcr",
     "validate_rhs_stack",
-    "ChebyshevSmoother",
-    "estimate_lambda_max",
     "gcr",
-    "ca_gmres",
-    "gmres",
     "PrecisionOperator",
     "mixed_precision_solve",
-    "MRSmoother",
-    "mr",
 ]

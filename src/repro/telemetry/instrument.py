@@ -1,6 +1,6 @@
 """Solver instrumentation helpers.
 
-Every Krylov driver (``gcr``, ``bicgstab``, ``cg``, ``mr``, ...) wears
+Every Krylov driver (``gcr``, ``bicgstab``) wears
 :func:`instrumented_solver`: with telemetry off the wrapper is a flag
 test and a plain call; with telemetry on, the solve runs inside a
 ``solve.<name>`` span and books its iteration/matvec totals and final
@@ -38,9 +38,9 @@ def record_invariant(report, origin: str = "registry") -> None:
 
     ``report`` is a :class:`~repro.verify.report.InvariantReport`; every
     evaluation books ``verify.checks`` and failures additionally book
-    ``verify.failures``, labelled by ``invariant`` name and ``origin`` (the
-    consumption layer: ``registry``, ``mg.setup``, ``mg.solve``,
-    ``serve.register``, ``serve.solve``).
+    ``verify.failures``, labelled by ``invariant`` name and ``origin``
+    (the consumer that ran the check; the registry runner passes
+    ``registry``).
     """
     reg = get_registry()
     if not reg.enabled:

@@ -8,16 +8,12 @@ orthonormality of the prolongator, the Galerkin condition
 M̂ = P†MP, even/odd Schur equivalence, halo-exchange exactness, SU(3)
 link unitarity, precision round-trip error bounds.  This package turns
 those invariants into a *registry* of named, severity-tagged checks
-with three consumption layers:
+with two consumption layers:
 
 1. **CLI** — ``repro check <dataset>`` runs the registry against a
    built hierarchy and prints/exports a JSON report
    (:mod:`~repro.verify.runner`);
-2. **runtime** — ``MGParams(verify_level="setup"|"solve")`` and
-   ``ServeConfig(verify_level=...)`` sample invariants inside the
-   production setup/solve paths and emit ``verify.*`` telemetry
-   (:mod:`~repro.verify.runtime`);
-3. **pytest** — ``tests/test_verify_registry.py`` runs every entry as a
+2. **pytest** — ``tests/test_verify_registry.py`` runs every entry as a
    parametrized tier-1 test, plus hypothesis property tests drawing
    random problems from ``tests/strategies.py``.
 
@@ -35,12 +31,10 @@ from .golden import (
 from .registry import REGISTRY, Invariant, get, invariant, names, run_invariant, run_registry
 from .report import SCHEMA, SEVERITIES, InvariantReport, VerificationReport
 from .runner import run_check
-from .runtime import LEVELS, validate_level, verify_setup, verify_solve
 
 __all__ = [
     "Invariant",
     "InvariantReport",
-    "LEVELS",
     "REGISTRY",
     "SCHEMA",
     "SEVERITIES",
@@ -55,9 +49,6 @@ __all__ = [
     "run_check",
     "run_invariant",
     "run_registry",
-    "validate_level",
-    "verify_setup",
-    "verify_solve",
     "write_golden",
 ]
 

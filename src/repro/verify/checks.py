@@ -20,7 +20,6 @@ import numpy as np
 from ..coarse.galerkin import galerkin_violation
 from ..comm import PartitionedOperator
 from ..dirac.even_odd import SchurOperator
-from ..dirac.normal import gamma5_hermiticity_violation
 from ..gauge.loops import average_plaquette
 from ..lattice import NDIM, Partition
 from ..precision import Precision, apply_precision, rel_epsilon
@@ -34,6 +33,21 @@ EXACT_TOL = 1e-10
 def _rel(diff: np.ndarray, ref: np.ndarray) -> float:
     scale = max(np.linalg.norm(ref.ravel()), np.finfo(np.float64).tiny)
     return float(np.linalg.norm(diff.ravel()) / scale)
+
+
+def gamma5_hermiticity_violation(op, v: np.ndarray, w: np.ndarray) -> float:
+    """Relative violation of ``<w, g5 M v> = conj(<v, g5 M w>)``.
+
+    Exact gamma5-hermiticity — ``(g5 M)^dag = g5 M``, the property the
+    chirality-preserving aggregation rests on — makes this ~machine
+    epsilon for any probe pair ``(v, w)``.
+    """
+    g5mv = op.apply_gamma5(op.apply(v))
+    g5mw = op.apply_gamma5(op.apply(w))
+    a = np.vdot(w.ravel(), g5mv.ravel())
+    b = np.conj(np.vdot(v.ravel(), g5mw.ravel()))
+    scale = np.linalg.norm(w.ravel()) * np.linalg.norm(g5mv.ravel())
+    return float(abs(a - b) / max(scale, np.finfo(np.float64).tiny))
 
 
 # ----------------------------------------------------------------------

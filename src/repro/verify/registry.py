@@ -5,11 +5,10 @@ Wilson-clover / multigrid stack (gamma5-hermiticity, P†P = I, the
 Galerkin condition, Schur equivalence, ...), implemented as a function
 ``fn(ctx) -> InvariantReport | list[InvariantReport]`` over a
 :class:`~repro.verify.context.VerifyContext`.  Implementations register
-themselves with the :func:`invariant` decorator; three consumers share
+themselves with the :func:`invariant` decorator; two consumers share
 the registry:
 
 * the ``repro check <dataset>`` CLI (:mod:`repro.verify.runner`),
-* the opt-in runtime sampling mode (:mod:`repro.verify.runtime`),
 * the pytest bridge (``tests/test_verify_registry.py``), which runs
   every entry as a parametrized tier-1 test.
 """

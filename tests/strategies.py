@@ -138,17 +138,14 @@ def dense_systems(draw, kind: str = "general", max_n: int = 24):
     """A random dense system ``(DenseOperator, b)``.
 
     ``kind``:
-      * ``"spd"`` — hermitian positive definite (CG territory),
       * ``"hermitian_indefinite"`` — hermitian with both signs in the
-        spectrum (full-subspace GCR/GMRES territory),
+        spectrum (full-subspace GCR territory),
       * ``"general"`` — diagonally dominated non-hermitian (BiCGStab).
     """
     n = draw(st.integers(4, max_n))
     rng = np.random.default_rng(draw(SEEDS))
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    if kind == "spd":
-        a = a @ a.conj().T + n * np.eye(n)
-    elif kind == "hermitian_indefinite":
+    if kind == "hermitian_indefinite":
         h = 0.5 * (a + a.conj().T)
         evals, evecs = np.linalg.eigh(h)
         # push every eigenvalue away from zero, keeping its sign; make

@@ -22,7 +22,8 @@ class TestSmoothness:
         from repro.dirac import WilsonCloverOperator
         from repro.gauge import disordered_field
         from repro.lattice import Lattice
-        from repro.solvers import MRSmoother, bicgstab, gcr
+        from repro.mg import SchurMRSmoother
+        from repro.solvers import bicgstab, gcr
         from tests.conftest import random_spinor
 
         lat = Lattice((4, 4, 4, 8))
@@ -32,7 +33,7 @@ class TestSmoothness:
         res_bi = bicgstab(op, b, tol=1e-8, maxiter=50000)
         res_gcr = gcr(
             op, b, tol=1e-8, maxiter=5000,
-            preconditioner=MRSmoother(op, steps=4),
+            preconditioner=SchurMRSmoother(op, steps=4),
         )
         assert smoothness(res_gcr.residual_history) == 0.0  # GCR minimizes
         assert smoothness(res_bi.residual_history) > 0.1  # BiCGStab is erratic

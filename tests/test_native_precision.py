@@ -27,16 +27,15 @@ from repro.dirac import SchurOperator, WilsonCloverOperator
 from repro.dirac.mrhs import BatchedCoarseSchur
 from repro.dirac.wilson_kernel import SiteFastestSchur
 from repro.gauge import disordered_field
-from repro.lattice import Blocking, Lattice, Partition
+from repro.lattice import Blocking, Lattice
 from repro.mg import (
     KCyclePreconditioner,
     MultigridHierarchy,
     MultigridSolver,
     SchurMRSmoother,
-    SchwarzMRSmoother,
 )
 from repro.precision import Precision
-from repro.solvers import ChebyshevSmoother, PrecisionOperator
+from repro.solvers import PrecisionOperator
 from repro.transfer import Transfer
 
 C64, C128 = np.dtype(np.complex64), np.dtype(np.complex128)
@@ -81,8 +80,6 @@ class Kernels:
         self.coarse_schur = SchurOperator(self.coarse, parity=0)
         self.batched_coarse_schur = BatchedCoarseSchur(self.coarse)
         self.even, self.coarse_even = lat.even_sites, self.coarse.lattice.even_sites
-        self.chebyshev = ChebyshevSmoother(op, degree=3, rng=np.random.default_rng(33))
-        self.schwarz = SchwarzMRSmoother(op, Partition(lat, (1, 1, 1, 2)))
 
 
 #: name -> callable(kernels, cast); ``cast`` brings a stored complex128
@@ -129,9 +126,6 @@ ENTRY_POINTS = {
     "transfer.prolong": lambda p, c: p.transfer.prolong(c(p.vc)),
     "transfer.restrict_multi": lambda p, c: p.transfer.restrict_multi(c(p.vs)),
     "transfer.prolong_multi": lambda p, c: p.transfer.prolong_multi(c(p.vcs)),
-    # (f) smoothers that declare no precision run at the dtype they are handed
-    "chebyshev.apply": lambda p, c: p.chebyshev.apply(c(p.v)),
-    "schwarz.apply": lambda p, c: p.schwarz.apply(c(p.v)),
 }
 
 
@@ -404,26 +398,6 @@ def test_scale_covariance(twins, scale):
     assert [r.iterations for r in many] == [r.iterations for r in many_want]
 
 
-@pytest.mark.parametrize("smoother_type", ("chebyshev", "schwarz"))
-def test_precisionless_smoothers_follow_the_cycle(twins, smoother_type, monkeypatch):
-    """(f) in a default cycle the chebyshev and schwarz smoothers are
-    handed, and return, complex64."""
-    ds, single, _, bs = twins
-    op = single.levels[0].op
-    params = dataclasses.replace(
-        single.params, smoother_type=smoother_type, schwarz_grid=(1, 1, 1, 2)
-    )
-    hierarchy = MultigridHierarchy.build(
-        op, params, np.random.default_rng(1), null_vectors=single.export_null_vectors()
-    )
-    spy = DtypeSpy(monkeypatch)
-    spy.watch(hierarchy.levels[0].smoother, "apply", "L0.smoother")
-    assert not hasattr(hierarchy.levels[0].smoother, "precision")
-    result = MultigridSolver.from_hierarchy(hierarchy).solve(bs[0], tol=ds.target_residuum)
-    assert result.converged
-    assert spy.seen["L0.smoother.apply"] == {C64}
-
-
 # ----------------------------------------------------------------------
 # (g) DOUBLE is the all-double arithmetic, untouched
 # ----------------------------------------------------------------------
@@ -483,19 +457,19 @@ def _aniso40_build(op, params, precision: Precision, seed: int) -> MultigridHier
 @pytest.mark.parametrize("seed", range(1, 7))
 def test_single_relaxed_setup_solves_like_a_double_relaxed_one(twins, seed):
     """Outer iterations within one of the all-double setup's on every
-    setup seed, and the invariant registry green on both."""
-    from repro.verify import verify_setup
+    setup seed, and the setup-output invariants green on both."""
+    from repro.verify import VerifyContext, run_registry
 
     ds, single, _, bs = twins
     op, tol = single.levels[0].op, ds.target_residuum
+    invariants = ["transfer.orthonormality", "coarse.galerkin",
+                  "coarse.gamma5_hermiticity", "dirac.gamma5_hermiticity"]
     iterations = {}
     for precision in (Precision.SINGLE, Precision.DOUBLE):
         hierarchy = _aniso40_build(op, single.params, precision, seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a violated invariant warns
-            reports = verify_setup(hierarchy)
-        for invariant in ("transfer.orthonormality", "coarse.galerkin",
-                          "coarse.gamma5_hermiticity", "dirac.gamma5_hermiticity"):
+        ctx = VerifyContext(hierarchy=hierarchy, n_probes=1)
+        reports = run_registry(ctx, invariants).reports
+        for invariant in invariants:
             assert any(rep.name.startswith(invariant) for rep in reports)
         assert all(rep.passed for rep in reports)
         result = MultigridSolver.from_hierarchy(hierarchy).solve(bs[0], tol=tol)

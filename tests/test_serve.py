@@ -416,24 +416,3 @@ class TestServeTelemetry:
         finally:
             telemetry.disable()
 
-
-class TestRuntimeVerification:
-    def test_verify_level_validated(self):
-        with pytest.raises(ValueError, match="verify_level"):
-            ServeConfig(verify_level="paranoid")
-
-    def test_solve_level_checks_every_result(self, op, params, sources):
-        with make_service(op, params, verify_level="solve") as svc:
-            results = svc.solve_many("wc", sources[:3], tol=TOL)
-            # setup invariants at register() + one residual check per solve
-            assert svc.stats["verify_checks"] >= 4 + len(results)
-            assert svc.stats["verify_failures"] == 0
-        for res in results:
-            attached = res.telemetry.attrs["verify"]
-            assert attached and all(d["passed"] for d in attached)
-
-    def test_off_level_attaches_nothing(self, op, params, sources):
-        with make_service(op, params) as svc:
-            res = svc.solve("wc", sources[0], tol=TOL)
-        assert "verify" not in res.telemetry.attrs
-        assert svc.stats["verify_checks"] == 0

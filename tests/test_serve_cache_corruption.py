@@ -382,15 +382,6 @@ def test_key_depends_on_operator_scalars(wilson448, params, gauge448):
     assert setup_cache_key(wilson448, params) != setup_cache_key(other, params)
 
 
-def test_key_ignores_verify_level(wilson448, params):
-    verified = MGParams(
-        levels=params.levels, outer_tol=params.outer_tol, verify_level="solve"
-    )
-    assert setup_cache_key(wilson448, params) == setup_cache_key(
-        wilson448, verified
-    )
-
-
 def test_disk_disabled_never_touches_fs(tmp_path, wilson448, params, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cache = SetupCache()  # no disk_dir

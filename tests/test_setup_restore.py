@@ -158,12 +158,14 @@ def test_from_arrays_refuses_arrays_of_another_configuration(round_trip, op):
 
 def _setup_arrays(hierarchy):
     """Every array the setup holds beyond the fine operator the caller
-    passed in and the complex128 transfer bases: null vectors, the
-    bases' copies, coarse operators, their inverses and tables, the
-    red-black systems' tables and factors."""
+    passed in: null vectors, the transfer bases and their copies, coarse
+    operators, their inverses and tables, the red-black systems' tables
+    and factors."""
     for lev in hierarchy.levels:
         yield from lev.null_vectors
         owners = [lev.transfer] if lev.transfer is not None else []
+        if lev.transfer is not None:
+            yield lev.transfer._basis  # noqa: SLF001
         if lev.index:
             owners.append(lev.op)
             yield from (v for v in vars(lev.op).values() if isinstance(v, np.ndarray))
@@ -180,9 +182,8 @@ def _setup_arrays(hierarchy):
 
 def _walked_bytes(hierarchy):
     """The setup's resident bytes as ``setup_memory_bytes`` defines them,
-    counted array by array: the setup's own (not the complex128 transfer
-    bases, which it has never counted), the fine operator's arrays and
-    the kernel tables built on it."""
+    counted array by array: the setup's own, the fine operator's arrays
+    and the kernel tables built on it."""
     fine = hierarchy.levels[0].op
     own = sum(v.nbytes for v in vars(fine).values() if isinstance(v, np.ndarray))
     kernels = sum(
@@ -265,8 +266,7 @@ def test_first_solve_after_a_restore_builds_nothing(round_trip, op, tmp_path, mo
         (lu, _), = coarsest.schur._factors.values()  # noqa: SLF001
         assert all(f is lu for f in factors) and not lu.flags.owndata
     assert restored.setup_memory_bytes() == booked == _walked_bytes(restored)
-    bases = [lev.transfer._basis for lev in restored.levels[:-1]]  # noqa: SLF001
-    assert not [a.shape for a in [*_setup_arrays(restored), *bases] if a.flags.writeable]
+    assert not [a.shape for a in _setup_arrays(restored) if a.flags.writeable]
 
 
 #: configurations beside the default whose cycles stream other tables

@@ -11,9 +11,8 @@ corrected iterate (DESIGN.md sections 20 and 21).
 Pinned here: the identity at every precision boundary the smoother can
 sit behind — for the ``z`` the held iterate reconstructs to — that what
 travels is a return value (nothing parked on the shared smoother), that
-the cycle still reaches the smoother through ``lev.smoother.apply``
-(what the benchmark harness wraps), and that smoothers without the
-identity keep their operator application.
+and that the cycle still reaches the smoother through
+``lev.smoother.apply`` (what the benchmark harness wraps).
 
 Run the group with ``pytest -q -m mrhs``.
 """
@@ -23,13 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.mg import (
-    KCyclePreconditioner,
-    LevelParams,
-    MGParams,
-    MultigridSolver,
-    SchurMRSmoother,
-)
+from repro.mg import KCyclePreconditioner, SchurMRSmoother
 from repro.dirac import wilson_kernel
 from repro.precision import Precision, dtype_of
 from repro.solvers import PrecisionOperator
@@ -136,24 +129,6 @@ def test_cycle_reaches_the_smoother_through_its_instance_attribute(aniso40_solve
     # a red-black cycle applies no operator of its own
     assert pre.counts[0].op_applies == 0
     assert pre.counts[1].op_applies == pre.counts[1].gcr_iters
-
-
-@pytest.mark.parametrize("smoother_type", ("chebyshev", "schwarz"))
-def test_smoothers_without_the_identity_keep_their_operator_application(
-    wilson44, lat44, smoother_type
-):
-    params = MGParams(
-        levels=[LevelParams(block=(2, 2, 2, 2), n_null=4, null_iters=10)],
-        smoother_type=smoother_type,
-        schwarz_grid=(1, 1, 1, 2),
-        outer_tol=1e-6,
-    )
-    solver = MultigridSolver(wilson44, params, np.random.default_rng(3))
-    assert not isinstance(solver.hierarchy.levels[0].smoother, SchurMRSmoother)
-    result = solver.solve(random_spinor(lat44, seed=46))
-    assert result.converged
-    # the GCR's matvec and both defects of every cycle
-    assert result.telemetry.level_stats[0]["op_applies"] == 3 * result.iterations
 
 
 @pytest.mark.parametrize("precision", (Precision.SINGLE, Precision.HALF))

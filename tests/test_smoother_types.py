@@ -1,4 +1,4 @@
-"""Multigrid smoother selection: schur-mr (paper), chebyshev, schwarz."""
+"""The multigrid smoother: the paper's red-black MR smoother converges the solve."""
 
 import numpy as np
 import pytest
@@ -19,11 +19,10 @@ def problem():
     return op, random_spinor(lat, seed=77)
 
 
-def solve_with(op, b, smoother_type, **extra):
+def solve_with(op, b, **extra):
     params = MGParams(
         levels=[LevelParams(block=(2, 2, 2, 4), n_null=8, null_iters=50)],
         outer_tol=1e-8,
-        smoother_type=smoother_type,
         **extra,
     )
     mgs = MultigridSolver(op, params, np.random.default_rng(5))
@@ -31,36 +30,9 @@ def solve_with(op, b, smoother_type, **extra):
 
 
 class TestSmootherTypes:
-    @pytest.mark.parametrize(
-        "stype,extra",
-        [
-            ("schur-mr", {}),
-            ("chebyshev", {}),
-            ("schwarz", {"schwarz_grid": (1, 1, 2, 2)}),
-        ],
-    )
+    @pytest.mark.parametrize("stype,extra", [("schur-mr", {})])
     def test_all_types_converge(self, problem, stype, extra):
         op, b = problem
-        res = solve_with(op, b, stype, **extra)
+        res = solve_with(op, b, **extra)
         assert res.converged, stype
         assert norm(b - op.apply(res.x)) / norm(b) < 2e-8
-
-    def test_paper_smoother_is_strongest(self, problem):
-        op, b = problem
-        iters = {
-            stype: solve_with(op, b, stype, **extra).iterations
-            for stype, extra in [
-                ("schur-mr", {}),
-                ("schwarz", {"schwarz_grid": (1, 1, 2, 2)}),
-            ]
-        }
-        # cutting couplings can only weaken the smoother
-        assert iters["schur-mr"] <= iters["schwarz"]
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ValueError):
-            MGParams(levels=[], smoother_type="jacobi")
-
-    def test_schwarz_requires_grid(self):
-        with pytest.raises(ValueError):
-            MGParams(levels=[], smoother_type="schwarz")

@@ -1,84 +1,16 @@
-"""Krylov solvers: CG/CGNE/CGNR, BiCGStab, MR, GCR."""
+"""Krylov solvers: BiCGStab and GCR."""
 
 import numpy as np
 import pytest
 
-from repro.dirac import NormalOperator, SchurOperator
-from repro.solvers import (
-    MRSmoother,
-    bicgstab,
-    cg,
-    cgne,
-    cgnr,
-    gcr,
-    mr,
-    norm,
-)
+from repro.dirac import SchurOperator
+from repro.mg import SchurMRSmoother
+from repro.solvers import bicgstab, gcr, norm
 from tests.conftest import random_spinor
 
 
 def true_residual(op, x, b):
     return norm(b - op.apply(x)) / norm(b)
-
-
-class TestCG:
-    def test_converges_on_normal_system(self, wilson44, lat44):
-        n = NormalOperator(wilson44)
-        b = random_spinor(lat44, seed=60)
-        res = cg(n, b, tol=1e-8, maxiter=2000)
-        assert res.converged
-        assert true_residual(n, res.x, b) < 2e-8
-
-    def test_final_residual_reported_correctly(self, wilson44, lat44):
-        n = NormalOperator(wilson44)
-        b = random_spinor(lat44, seed=61)
-        res = cg(n, b, tol=1e-6, maxiter=2000)
-        assert res.final_residual == pytest.approx(true_residual(n, res.x, b), rel=1e-3)
-
-    def test_zero_rhs(self, wilson44, lat44):
-        n = NormalOperator(wilson44)
-        res = cg(n, np.zeros((lat44.volume, 4, 3), dtype=complex))
-        assert res.converged and res.iterations == 0
-        assert norm(res.x) == 0.0
-
-    def test_initial_guess(self, wilson44, lat44):
-        n = NormalOperator(wilson44)
-        b = random_spinor(lat44, seed=62)
-        exact = cg(n, b, tol=1e-10, maxiter=4000).x
-        warm = cg(n, b, x0=exact, tol=1e-8, maxiter=10)
-        assert warm.converged
-        assert warm.iterations <= 2
-
-    def test_maxiter_respected(self, wilson44, lat44):
-        n = NormalOperator(wilson44)
-        b = random_spinor(lat44, seed=63)
-        res = cg(n, b, tol=1e-30, maxiter=5)
-        assert not res.converged
-        assert res.iterations == 5
-
-    def test_residual_history_monotone(self, wilson44, lat44):
-        # CG residuals may oscillate slightly but should trend down
-        n = NormalOperator(wilson44)
-        b = random_spinor(lat44, seed=64)
-        res = cg(n, b, tol=1e-8, maxiter=2000)
-        assert res.residual_history[-1] < res.residual_history[0]
-
-
-class TestCGNormalEquations:
-    def test_cgnr_solves_original_system(self, wilson44, lat44):
-        b = random_spinor(lat44, seed=65)
-        res = cgnr(wilson44, b, tol=1e-8, maxiter=3000)
-        assert true_residual(wilson44, res.x, b) < 1e-6
-
-    def test_cgne_solves_original_system(self, wilson44, lat44):
-        b = random_spinor(lat44, seed=66)
-        res = cgne(wilson44, b, tol=1e-8, maxiter=3000)
-        assert true_residual(wilson44, res.x, b) < 1e-6
-
-    def test_matvec_accounting_doubled(self, wilson44, lat44):
-        b = random_spinor(lat44, seed=67)
-        res = cgnr(wilson44, b, tol=1e-6, maxiter=2000)
-        assert res.matvecs >= 2 * res.iterations
 
 
 class TestBiCGStab:
@@ -92,13 +24,6 @@ class TestBiCGStab:
         b = random_spinor(lat44, seed=69)
         res = bicgstab(wilson44, b, tol=1e-8)
         assert res.matvecs <= 2 * res.iterations + 1
-
-    def test_faster_than_cgnr(self, wilson448, lat448):
-        # the paper's reason for preferring BiCGStab over CGNE/CGNR
-        b = random_spinor(lat448, seed=70)
-        res_b = bicgstab(wilson448, b, tol=1e-8, maxiter=10000)
-        res_c = cgnr(wilson448, b, tol=1e-8, maxiter=10000)
-        assert res_b.matvecs < res_c.matvecs
 
     def test_zero_rhs(self, wilson44, lat44):
         res = bicgstab(wilson44, np.zeros((lat44.volume, 4, 3), dtype=complex))
@@ -126,41 +51,6 @@ class TestBiCGStab:
         assert red.iterations < full.iterations
 
 
-class TestMR:
-    def test_reduces_residual(self, wilson44, lat44):
-        b = random_spinor(lat44, seed=74)
-        res = mr(wilson44, b, maxiter=4)
-        assert res.residual_history[-1] < res.residual_history[0]
-
-    def test_fixed_iteration_count(self, wilson44, lat44):
-        b = random_spinor(lat44, seed=75)
-        res = mr(wilson44, b, maxiter=7)
-        assert res.iterations == 7
-
-    def test_omega_one_locally_optimal(self, wilson44, lat44):
-        # one full MR step with omega=1 minimizes |r - a Mr| over a
-        b = random_spinor(lat44, seed=76)
-        r1 = mr(wilson44, b, maxiter=1, omega=1.0).residual_history[-1]
-        r_damped = mr(wilson44, b, maxiter=1, omega=0.5).residual_history[-1]
-        assert r1 <= r_damped + 1e-12
-
-    def test_converges_with_tolerance(self, wilson44, lat44):
-        b = random_spinor(lat44, seed=77)
-        res = mr(wilson44, b, tol=1e-3, maxiter=10000)
-        assert res.converged
-        assert res.final_residual < 1e-3
-
-    def test_smoother_interface(self, wilson44, lat44):
-        s = MRSmoother(wilson44, steps=4)
-        r = random_spinor(lat44, seed=78)
-        z = s.apply(r)
-        assert norm(r - wilson44.apply(z)) < norm(r)
-
-    def test_zero_rhs(self, wilson44, lat44):
-        res = mr(wilson44, np.zeros((lat44.volume, 4, 3), dtype=complex))
-        assert res.converged
-
-
 class TestGCR:
     def test_converges_unpreconditioned(self, wilson44, lat44):
         b = random_spinor(lat44, seed=79)
@@ -183,7 +73,7 @@ class TestGCR:
             b,
             tol=1e-8,
             maxiter=3000,
-            preconditioner=MRSmoother(wilson448, steps=4),
+            preconditioner=SchurMRSmoother(wilson448, steps=4),
         )
         assert pre.converged
         assert pre.iterations < plain.iterations

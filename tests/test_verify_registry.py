@@ -124,49 +124,18 @@ class TestBrokenOperatorIsCaught:
         assert reports[0].error
 
 
-# -- runtime mode -------------------------------------------------------
-
-class TestRuntimeMode:
-    def test_verify_level_validated(self):
-        with pytest.raises(ValueError, match="verify_level"):
-            MGParams(levels=[], verify_level="sometimes")
-
-    def test_verify_level_excluded_from_fingerprint(self):
-        lp = LevelParams(block=(2, 2, 2, 4), n_null=4)
-        a = MGParams(levels=[lp], verify_level="off")
-        b = MGParams(levels=[lp], verify_level="solve")
-        assert a.fingerprint() == b.fingerprint()
-        assert "verify_level" not in a.canonical_dict()
-
-    def test_setup_verification_emits_telemetry(self, wilson448):
-        params = MGParams(
-            levels=[LevelParams(block=(2, 2, 2, 4), n_null=4, null_iters=10)],
-            verify_level="setup",
-        )
+    def test_every_verdict_is_booked_into_telemetry(self, tiny_hierarchy):
         telemetry.enable()
         telemetry.reset()
         try:
-            MultigridHierarchy.build(wilson448, params, np.random.default_rng(5))
-            metrics = telemetry.get_registry().collect(kind="counter")
-            checks = [m for m in metrics if m.name == "verify.checks"]
+            reports = run_invariant(
+                get_invariant("transfer.orthonormality"), _ctx_for(tiny_hierarchy)
+            )
+            checks = [
+                m for m in telemetry.get_registry().collect(kind="counter")
+                if m.name == "verify.checks"
+            ]
         finally:
             telemetry.disable()
-        assert checks, "no verify.checks counter booked during setup"
-        assert sum(m.value for m in checks) >= 4
-
-    def test_solve_verification_attaches_reports(self, wilson448):
-        from repro.mg.solver import MultigridSolver
-
-        params = MGParams(
-            levels=[LevelParams(block=(2, 2, 2, 4), n_null=4, null_iters=10)],
-            outer_tol=1e-6,
-            verify_level="solve",
-        )
-        solver = MultigridSolver(wilson448, params, np.random.default_rng(5))
-        rng = np.random.default_rng(7)
-        shape = (wilson448.lattice.volume, wilson448.ns, wilson448.nc)
-        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        res = solver.solve(b)
-        attached = res.telemetry.attrs["verify"]
-        assert attached and all(d["passed"] for d in attached)
-        assert {d["name"] for d in attached} == {"mg.residual_truthful"}
+            telemetry.reset()
+        assert sum(m.value for m in checks) == len(reports)

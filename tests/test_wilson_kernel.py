@@ -364,6 +364,7 @@ def test_setup_memory_books_kernel_tables_before_they_exist(gauge44):
         assert built == WilsonKernel.table_bytes(half_volume, dtype)
         assert built >= (op._u_fwd.nbytes + op._u_bwd.nbytes) * np.dtype(dtype).itemsize // 16  # noqa: SLF001
         tables += built
+    basis = transfer._basis.nbytes  # noqa: SLF001 — resident as long as the setup
     copies = transfer.reduced_bytes(np.complex64)
     # the coarsest level is only reached through its red-black system:
     # its gathered tables live on the level and are booked in place of
@@ -383,7 +384,7 @@ def test_setup_memory_books_kernel_tables_before_they_exist(gauge44):
         for value in list(vars(lev.op).values()) + lev.null_vectors
         if isinstance(value, np.ndarray)
     )
-    assert booked == own_arrays + tables + copies + red_black[np.complex64]
+    assert booked == own_arrays + tables + basis + copies + red_black[np.complex64]
     assert hierarchy.setup_memory_bytes() == booked  # building them changes nothing
     # an all-double configuration builds, and books, none of the copies
     double = MGParams(
