@@ -75,6 +75,9 @@ class CoarseOperator(StencilOperator):
 
     @cached_property
     def _x_inv(self) -> np.ndarray:
+        """Every site's inverse block, for the reference
+        :meth:`apply_diag_inv`; the red-black system inverts its own
+        sites' blocks instead."""
         return np.linalg.inv(self.x_blocks)
 
     # ------------------------------------------------------------------
@@ -114,13 +117,6 @@ class CoarseOperator(StencilOperator):
         shape — as the ``dtype`` table, gathering nothing."""
         self._tables[np.dtype(dtype)] = _DenseBlockHop.adopt(
             self.lattice, arrays["rows"], arrays["idx"]
-        )
-
-    def reduced_bytes(self, dtype) -> int:
-        """Bytes of the ``dtype`` table an application reads — known
-        before it is built."""
-        return _DenseBlockHop.table_bytes(
-            self.lattice, self.lattice.volume, self.site_dof, dtype, diag=True
         )
 
     def apply_diag(self, v: np.ndarray) -> np.ndarray:

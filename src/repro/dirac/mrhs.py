@@ -28,7 +28,6 @@ problem, not a throughput one).
 
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
@@ -150,13 +149,6 @@ class _DenseBlockHop:
         d = len(neighbour_slots(lattice)) + diag
         return {"rows": (out_volume, n, d * n), "idx": (out_volume, d)}
 
-    @staticmethod
-    def table_bytes(lattice, out_volume: int, n: int, dtype, diag: bool = False) -> int:
-        """Bytes of the table and index for ``out_volume`` output sites of
-        ``lattice`` at ``dtype`` — known before they are built."""
-        shapes = _DenseBlockHop.shapes(lattice, out_volume, n, diag)
-        return math.prod(shapes["rows"]) * np.dtype(dtype).itemsize + math.prod(shapes["idx"]) * 8
-
     @property
     def nbytes(self) -> int:
         return self._rows.nbytes + self._idx.nbytes
@@ -195,9 +187,12 @@ class BatchedCoarseSchur:
     half-volume ``(K, V/2, ns, nc)`` stacks, with every dense link and
     site block read once per application for all ``K`` systems.  The
     parity-gathered link stacks and site blocks are built per dtype, the
-    first time a stack of that dtype arrives — and so are the dense LU
-    factors :meth:`solve_multi` solves with — unless a restored setup
-    holds them already (:meth:`adopt`).
+    first time a stack of that dtype arrives — ``X_oo^{-1}`` inverted
+    from the odd sites' blocks alone, in complex128, so the operator
+    holds no inverse for it — and so are the dense LU factors
+    :meth:`solve_multi` solves with, unless a restored setup holds them
+    already (:meth:`adopt`).  What they take is :meth:`streamed_layout`,
+    known before they exist.
     """
 
     def __init__(self, op):
@@ -212,19 +207,6 @@ class BatchedCoarseSchur:
         """Size of the red-black system: half the sites, ``N`` per site."""
         return self._own.size * self.op.site_dof
 
-    def table_bytes(self, dtype) -> int:
-        """Bytes of the parity-gathered tables at ``dtype`` (both hops'
-        distinct-neighbour rows and indices, ``X_ee`` and ``X_oo^{-1}``)
-        — known before they are built."""
-        vh, n = self._own.size, self.op.site_dof
-        hops = 2 * _DenseBlockHop.table_bytes(self.op.lattice, vh, n, dtype)
-        return hops + 2 * vh * n * n * np.dtype(dtype).itemsize
-
-    def factor_bytes(self, dtype) -> int:
-        """Bytes of the dense LU factors at ``dtype`` and their row
-        order — known before they are computed."""
-        return self.unknowns**2 * np.dtype(dtype).itemsize + self.unknowns * 8
-
     def _at(self, dtype):
         """``(hop to other, hop to own, X_ee, X_oo^{-1})`` at ``dtype``."""
         tables = self._tables.get(dtype)
@@ -234,8 +216,8 @@ class BatchedCoarseSchur:
                 _DenseBlockHop(op, out_sites=other, src_sites=own, dtype=dtype),
                 _DenseBlockHop(op, out_sites=own, src_sites=other, dtype=dtype),
                 np.ascontiguousarray(op.x_blocks[own], dtype=dtype),
-                # inverted once, in double, on the operator
-                np.ascontiguousarray(op._x_inv[other], dtype=dtype),  # noqa: SLF001
+                # the odd sites' blocks only, inverted in double
+                np.ascontiguousarray(np.linalg.inv(op.x_blocks[other]), dtype=dtype),
             )
         return tables
 

@@ -9,6 +9,7 @@ code path serves all levels — the same property QUDA exploits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
@@ -106,35 +107,19 @@ def _adopt_basis_copy(transfer: Transfer, dtype, parts: dict[str, np.ndarray]) -
     adopt_reduced(transfer, "_basis", dtype, parts[""])
 
 
-def _x_inv(op: CoarseOperator) -> dict[str, np.ndarray]:
-    return _whole(op._x_inv)  # noqa: SLF001
-
-
-def _adopt_x_inv(op: CoarseOperator, parts: dict[str, np.ndarray]) -> None:
-    op.__dict__["_x_inv"] = parts[""]  # what the cached property would hold
-
-
-def _coarsest_tables(schur, dtype, factor: bool) -> dict[str, np.ndarray]:
-    """The coarsest system's streamed tables, without the whole-lattice
-    inverse their gather leaves on the operator: no solve reads it once
-    they exist, and a restored hierarchy does not hold it."""
-    transient = "_x_inv" not in vars(schur.op)
-    try:
-        return schur.streamed(dtype, factor)
-    finally:
-        if transient:
-            vars(schur.op).pop("_x_inv", None)
-
-
 def _coarsest_level(index: int, op, params: MGParams) -> MGLevel:
     # its tables and dense factors are built by the first solve (a
-    # restored setup holds them: from_arrays with streamed)
+    # restored setup holds them)
     schur = batched_schur_for(op) if params.coarsest_schur else None
     return MGLevel(index=index, op=op, schur=schur)
 
 
 def _part_name(name: str, part: str) -> str:
     return f"{name}.{part}" if part else name
+
+
+def _layout_bytes(layout: dict[str, tuple]) -> int:
+    return sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layout.values())
 
 
 class MultigridHierarchy:
@@ -159,8 +144,9 @@ class MultigridHierarchy:
         (as returned by :meth:`export_null_vectors`) — skips the
         expensive ``generate_null_vectors`` relaxation entirely; the
         transfer, Galerkin coarsening and smoothers are rebuilt from
-        them deterministically.  A setup cache file of the first format
-        (null vectors only) restores through this path once.
+        them deterministically.  Every array of the setup is built here
+        but what the cycle streams (:meth:`streamed_arrays`), which the
+        first solve builds.
         """
         if null_vectors is not None and len(null_vectors) != len(params.levels):
             raise ValueError(
@@ -225,13 +211,12 @@ class MultigridHierarchy:
         fine_op,
         params: MGParams,
         arrays: dict[str, np.ndarray],
-        streamed: bool = False,
     ) -> "MultigridHierarchy":
-        """Assemble the hierarchy whose :meth:`arrays` these are, computing
-        nothing: no relaxation, no QR, no Galerkin product, no operator
-        apply.  With ``streamed``, ``arrays`` also holds its
-        :meth:`streamed_arrays`, which the hierarchy holds in place of
-        building them, so that its first solve builds nothing either.
+        """Assemble the hierarchy whose :meth:`arrays` and
+        :meth:`streamed_arrays` these are, computing nothing: no
+        relaxation, no QR, no Galerkin product, no operator apply, and
+        its first solve gathers, inverts, casts and factors nothing
+        either — it holds the streamed tables instead of building them.
         Every array is checked against ``fine_op`` and ``params`` level
         by level; a missing one, or one of another shape or dtype, raises
         ``ValueError``.  The restart path of the solve service's
@@ -263,12 +248,11 @@ class MultigridHierarchy:
             current = CoarseOperator(blocking.coarse, x, hop, 2, lp.n_null)
         levels.append(_coarsest_level(len(params.levels), current, params))
         hierarchy = cls(levels, params)
-        if streamed:
-            for stream in hierarchy._streams():
-                stream.adopt({
-                    part: member(_part_name(stream.name, part), shape, dtype)
-                    for part, (shape, dtype) in stream.layout().items()
-                })
+        for stream in hierarchy._streams():
+            stream.adopt({
+                part: member(_part_name(stream.name, part), shape, dtype)
+                for part, (shape, dtype) in stream.layout().items()
+            })
         return hierarchy
 
     @property
@@ -288,14 +272,23 @@ class MultigridHierarchy:
         coarsening ``i`` its null-vector stack ``null{i}`` and transfer
         basis ``basis{i}``, and the Galerkin operator of the level below,
         ``x{i+1}`` / ``hop{i+1}``.  :meth:`from_arrays` (same operator,
-        same params) reassembles this hierarchy from them."""
-        out: dict[str, np.ndarray] = {}
+        same params, with :meth:`streamed_arrays`) reassembles this
+        hierarchy from them."""
+        return {
+            name: np.stack(parts) if name.startswith("null") else parts[0]
+            for name, parts in self._unstacked().items()
+        }
+
+    def _unstacked(self) -> dict[str, list[np.ndarray]]:
+        """:meth:`arrays` before the null vectors are stacked: each
+        name's arrays, one per null vector for ``null{i}``."""
+        out: dict[str, list[np.ndarray]] = {}
         for lev in self.levels[:-1]:
             below = self.levels[lev.index + 1].op
-            out[f"null{lev.index}"] = np.stack(lev.null_vectors)
-            out[f"basis{lev.index}"] = lev.transfer._basis
-            out[f"x{lev.index + 1}"] = below.x_blocks
-            out[f"hop{lev.index + 1}"] = below.hop_blocks
+            out[f"null{lev.index}"] = lev.null_vectors
+            out[f"basis{lev.index}"] = [lev.transfer._basis]
+            out[f"x{lev.index + 1}"] = [below.x_blocks]
+            out[f"hop{lev.index + 1}"] = [below.hop_blocks]
         return out
 
     def streamed_arrays(self) -> dict[str, np.ndarray]:
@@ -303,16 +296,16 @@ class MultigridHierarchy:
         configured precisions stream it in — the tables
         :meth:`setup_memory_bytes` books before first use — by name: per
         coarsening ``i`` the reduced copies of its transfer basis
-        (``basis{i}.complex64``); per coarse level ``i`` that relaxes its
-        inverse site blocks ``x_inv{i}`` (complex128), the
+        (``basis{i}.complex64``); per coarse level ``i`` that relaxes, the
         distinct-neighbour table the cycle applies
         (``table{i}.<dtype>.rows`` / ``.idx``) and its red-black system's
-        parity tables at the smoother's dtype (``schur{i}.<dtype>.*``);
-        on the coarsest level the system's tables at the cycle's dtype
-        and, where it is solved directly, its LU factors (``.lu``, in
-        column order) and row order (``.perm``).  Whatever no solve has
-        built yet is built here and kept, as the first solve would keep
-        it.  :meth:`from_arrays` with ``streamed`` holds them again."""
+        parity tables at the smoother's dtype (``schur{i}.<dtype>.*``,
+        ``X_oo^{-1}`` on the odd sites among them); on the coarsest level
+        the system's tables at the cycle's dtype and, where it is solved
+        directly, its LU factors (``.lu``, in column order) and row order
+        (``.perm``).  Whatever no solve has built yet is built here and
+        kept, as the first solve would keep it.  :meth:`from_arrays`
+        holds them again."""
         return {
             _part_name(stream.name, part): array
             for stream in self._streams()
@@ -320,8 +313,8 @@ class MultigridHierarchy:
         }
 
     def _streams(self) -> list[_Stream]:
-        """Every table :meth:`streamed_arrays` names, by the rule
-        :meth:`setup_memory_bytes` books them by."""
+        """Every table :meth:`streamed_arrays` names; their layouts are
+        what :meth:`setup_memory_bytes` books for them."""
         params = self.params
         cycle_dtype = dtype_of(params.coarse_precision)
         smoother_dtype = dtype_of(params.smoother_precision)
@@ -338,18 +331,12 @@ class MultigridHierarchy:
                 ))
             if not isinstance(op, CoarseOperator):
                 continue
-            if not lev.is_coarsest:
-                streams.append(_Stream(
-                    f"x_inv{i}", partial(_x_inv, op),
-                    partial(_whole, (op.x_blocks.shape, COMPLEX128)),
-                    partial(_adopt_x_inv, op),
-                ))
             schur = lev.schur if isinstance(lev.schur, BatchedCoarseSchur) else None
             if lev.is_coarsest and schur is not None:
                 factor = lev.solved_directly
                 streams.append(_Stream(
                     f"schur{i}.{cycle_dtype.name}",
-                    partial(_coarsest_tables, schur, cycle_dtype, factor),
+                    partial(schur.streamed, cycle_dtype, factor),
                     partial(schur.streamed_layout, cycle_dtype, factor),
                     partial(schur.adopt, cycle_dtype, factor=factor),
                 ))
@@ -370,57 +357,24 @@ class MultigridHierarchy:
         return streams
 
     def setup_memory_bytes(self) -> int:
-        """Approximate resident size of the setup: null vectors, every
-        ndarray attribute of the level operators (coarse stencils, link
-        copies, clover blocks), the fine-grid kernel tables, the
-        transfer bases and their reduced-precision copies, the
-        distinct-neighbour table of each coarse operator the cycle
-        applies, at the cycle's dtype, and the parity-gathered
-        dense-block tables of each coarse level's one red-black system
-        at the dtype that streams them — the smoother's, on the coarsest
-        level the cycle's with its dense LU factors where it is solved
-        directly (in place of that operator's own table, which a
-        red-black coarsest solve never builds).
-        Kernel tables, reduced copies, the factors and the inverse site
-        blocks of a level that relaxes are built on first use (or held
-        from disk: :meth:`streamed_arrays` are these) but booked at their
-        known size from the start, so a setup restored from disk counts
-        the same as one that has already run.
-        Drives LRU accounting in setup caches."""
-        params = self.params
-        cycle_dtype = dtype_of(params.coarse_precision)
-        reduced_dtypes = {dtype_of(params.smoother_precision), cycle_dtype} - {COMPLEX128}
-        total = 0
-        for lev in self.levels:
-            for vec in lev.null_vectors:
-                total += vec.nbytes
-            for value in vars(lev.op).values():
-                if isinstance(value, np.ndarray):
-                    total += value.nbytes
-            if lev.index and not lev.is_coarsest and "_x_inv" not in vars(lev.op):
-                # inverted by this level's relaxation; a setup rebuilt
-                # from null vectors leaves it to the first solve
-                total += lev.op.x_blocks.nbytes
-            if supports_wilson_kernel(lev.op):
-                half_volume = lev.op.lattice.half_volume
-                for dtype in {COMPLEX128} | reduced_dtypes:
-                    total += WilsonKernel.table_bytes(half_volume, dtype)
-            # the coarsest level is only reached through its system
-            red_black = getattr(lev.schur, "table_bytes", None) if lev.is_coarsest else None
-            if red_black is not None:
-                total += red_black(cycle_dtype)
-                if lev.solved_directly:
-                    total += lev.schur.factor_bytes(cycle_dtype)
-            if lev.transfer is not None:
-                total += lev.transfer._basis.nbytes
-                for dtype in reduced_dtypes:
-                    total += lev.transfer.reduced_bytes(dtype)
-            book = getattr(lev.op, "reduced_bytes", None)
-            if book is not None and red_black is None:
-                # a coarse operator the cycle applies: its table at that dtype
-                total += book(cycle_dtype)
-            book = getattr(lev.schur, "table_bytes", None)
-            if book is not None and not lev.is_coarsest:
-                # the system the smoother sweeps, at its dtype
-                total += book(dtype_of(params.smoother_precision))
-        return total
+        """Resident size of the setup, from shapes: the fine operator's
+        own arrays and the fine-grid kernel tables at every dtype a solve
+        applies it in (the outer solve's complex128 and the cycle's
+        reduced ones), :meth:`arrays` (null vectors, transfer bases,
+        Galerkin operators) and :meth:`streamed_arrays` (reduced basis
+        copies, coarse distinct-neighbour and parity tables, the
+        coarsest LU factors).  What the cycle streams is built on first
+        use, or held from disk, but booked at its layout from the start,
+        so one number holds before and after any solve and for a built,
+        persisted or restored setup alike.  Drives LRU accounting in
+        setup caches."""
+        fine = self.levels[0].op
+        total = sum(v.nbytes for v in vars(fine).values() if isinstance(v, np.ndarray))
+        if supports_wilson_kernel(fine):
+            params = self.params
+            dtypes = {COMPLEX128} | {
+                dtype_of(params.smoother_precision), dtype_of(params.coarse_precision)
+            }
+            total += sum(WilsonKernel.table_bytes(fine.lattice.half_volume, d) for d in dtypes)
+        total += sum(a.nbytes for parts in self._unstacked().values() for a in parts)
+        return total + sum(_layout_bytes(stream.layout()) for stream in self._streams())

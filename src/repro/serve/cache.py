@@ -17,16 +17,16 @@ its whole lifetime, including restarts.
   Galerkin coarse operators) and its
   :meth:`~MultigridHierarchy.streamed_arrays` (what the cycle streams at
   the configured precisions: reduced-precision bases, distinct-neighbour
-  and parity tables, inverse site blocks, the coarsest LU factors).  A
-  restarted service maps the file and holds every array as a read-only
-  view into the map (:meth:`~MultigridHierarchy.from_arrays`): it runs
-  no relaxation, no QR and no Galerkin product, and its first solve
-  gathers, inverts and factors nothing;
-* revalidation on load: a stored entry is used only if it is whole and
-  its recorded gauge/operator/params fingerprints match the live
-  request, otherwise it is treated as a miss and rebuilt.
+  and parity tables, the coarsest LU factors).  A restarted service
+  maps the file and holds every array as a read-only view into the map
+  (:meth:`~MultigridHierarchy.from_arrays`): it runs no relaxation, no
+  QR and no Galerkin product, and its first solve gathers, inverts and
+  factors nothing;
+* revalidation on load: a stored entry is used only if it is a whole
+  setup file and its recorded gauge/operator/params fingerprints match
+  the live request, otherwise it is ``invalid``, a miss, and rebuilt.
 
-The file (format version 3, :func:`write_setup_file` /
+The file (format version 3, the only one, :func:`write_setup_file` /
 :func:`read_setup_file`) is a 24-byte prelude — magic, checksum, header
 length, little-endian — then a JSON header (version, ``n_levels``, the
 three fingerprints, and each array's name, dtype, shape, order and
@@ -48,11 +48,11 @@ the cache's bar: a damaged file must mean "rebuild", and it is not a
 defence against a deliberate forgery.  A CRC would catch more patterns
 but cost as much as reading the file.
 
-Files of the earlier formats are ``np.savez`` archives at the same name
-and are told apart by their first bytes: version 2 (the arrays of
-:meth:`~MultigridHierarchy.arrays`) restores once through the archive
-reader, version 1 (null vectors only) rebuilds from its null vectors
-once, and either is rewritten as version 3.
+Any other file at a key's name — the ``np.savez`` archives of earlier
+formats among them — is not a setup file: it reads ``invalid`` and is
+rebuilt and replaced, like a damaged one.  No key could name one: every
+such file was written under a params fingerprint that no current
+:class:`MGParams` produces.
 """
 
 from __future__ import annotations
@@ -64,8 +64,6 @@ import os
 import struct
 import tempfile
 import threading
-import zipfile
-import zlib
 from collections import OrderedDict
 from typing import NamedTuple
 
@@ -78,8 +76,6 @@ from ..telemetry.metrics import get_registry
 from ..telemetry.tracer import get_tracer
 
 _DISK_VERSION = 3
-_ARCHIVE = 2  # an np.savez archive of MultigridHierarchy.arrays()
-_NULL_VECTORS_ONLY = 1  # the first format: rebuilt from its null vectors
 
 _MAGIC = b"MGSETUP\x03"
 #: magic, checksum, header length
@@ -213,15 +209,6 @@ def read_setup_file(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
-def _read_archive(path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """The header and arrays of a version 1 or 2 ``np.savez`` archive."""
-    with open(path, "rb") as fh, np.load(fh) as data:
-        header = {"version": int(data["version"]), "n_levels": int(data["n_levels"])}
-        header |= {name: str(data[name]) for name in _Fingerprints._fields}
-        arrays = {name: data[name] for name in data.files if name not in header}
-    return header, arrays
-
-
 class SetupCache:
     """LRU cache of built hierarchies with optional disk persistence.
 
@@ -234,9 +221,10 @@ class SetupCache:
     disk_dir:
         Directory for persisted setups (created on demand), one
         ``mgsetup-<key>.npz`` setup file per entry holding the
-        hierarchy's arrays (the name predates the format: files of
-        every version live at it); a restart maps them instead of
-        computing anything.  ``None`` disables persistence.
+        hierarchy's arrays and what its cycle streams (the name
+        predates the format); a restart maps them instead of computing
+        anything, and any file there that is not a whole setup file of
+        the key is rebuilt and replaced.  ``None`` disables persistence.
 
     Thread safety: concurrent ``get_or_build`` calls for *different*
     keys build in parallel; calls for the same key serialize on a
@@ -387,38 +375,24 @@ class SetupCache:
         if path is None or not os.path.exists(path):
             return None
         try:
-            with open(path, "rb") as fh:
-                archive = fh.read(4) == b"PK\x03\x04"
-            header, arrays = (_read_archive if archive else read_setup_file)(path)
-            version = header["version"]
+            header, arrays = read_setup_file(path)
             ok = (
-                version in ((_NULL_VECTORS_ONLY, _ARCHIVE) if archive else (_DISK_VERSION,))
+                header["version"] == _DISK_VERSION
                 and all(header[name] == fp for name, fp in fps._asdict().items())
                 and header["n_levels"] == len(params.levels)
             )
             if not ok:
                 self._book("invalid")
                 return None
-            with get_tracer().span("serve.setup_cache.restore", version=version):
-                if version == _NULL_VECTORS_ONLY:
-                    nulls = [list(arrays[f"level{i}"]) for i in range(len(params.levels))]
-                    hierarchy = MultigridHierarchy.build(
-                        op, params, np.random.default_rng(), null_vectors=nulls
-                    )
-                else:
-                    hierarchy = MultigridHierarchy.from_arrays(
-                        op, params, arrays, streamed=version == _DISK_VERSION
-                    )
-        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, zlib.error):
-            # A damaged setup file fails its checksum (ValueError); a
-            # truncated archive raises zipfile.BadZipFile and a corrupted
-            # member zlib.error/EOFError — none of which are OSError; an
-            # array of the wrong shape or dtype raises ValueError and a
-            # header missing a field KeyError.  A damaged cache file must
+            with get_tracer().span("serve.setup_cache.restore", version=_DISK_VERSION):
+                hierarchy = MultigridHierarchy.from_arrays(op, params, arrays)
+        except (OSError, ValueError, KeyError):
+            # Anything but a whole setup file — damaged, truncated, empty
+            # or of another format — fails read_setup_file (ValueError);
+            # an array of the wrong shape or dtype raises ValueError and
+            # a header missing a field KeyError.  A bad cache file must
             # mean "rebuild", never a crash.
             self._book("invalid")
             return None
-        if version != _DISK_VERSION:
-            self._persist(fps, params, hierarchy)
         self._book("disk_hits", tier="disk")
         return hierarchy

@@ -9,7 +9,7 @@ payload that the benchmark harness and the performance models consume.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,11 +107,8 @@ def validate_rhs_stack(op, bs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SolveResult:
-    """Outcome of an iterative solve.
-
-    ``telemetry`` is the typed measurement payload; the ``extra``
-    constructor keyword seeds ``telemetry.attrs``.
-    """
+    """Outcome of an iterative solve; ``telemetry`` is the typed
+    measurement payload."""
 
     x: np.ndarray
     converged: bool
@@ -121,11 +118,6 @@ class SolveResult:
     matvecs: int = 0
     inner_iterations: int = 0  # total inner iterations for nested solvers
     telemetry: SolveTelemetry = field(default_factory=SolveTelemetry)
-    extra: InitVar[dict | None] = None
-
-    def __post_init__(self, extra: dict | None) -> None:
-        if extra:
-            self.telemetry.attrs.update(extra)
 
     def to_dict(self, include_solution: bool = False) -> dict:
         """JSON-serializable form (used by the telemetry exporters)."""

@@ -32,6 +32,7 @@ import numpy as np
 
 from ..dirac.stencil import apply_stack
 from ..telemetry.instrument import instrumented_solver
+from ..telemetry.result import SolveTelemetry
 from .base import SolveResult, per_system
 
 _BREAKDOWN = 1e-30
@@ -172,7 +173,7 @@ def lockstep_bicgstab(
             histories[i][-1],
             histories[i],
             int(matvecs[i]),
-            extra={"matvec_batches": matvec_batches, "n_rhs": k},
+            telemetry=SolveTelemetry(attrs={"matvec_batches": matvec_batches, "n_rhs": k}),
         )
         for i in range(k)
     ]

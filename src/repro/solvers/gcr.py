@@ -27,6 +27,7 @@ import numpy as np
 
 from ..dirac.stencil import apply_stack
 from ..telemetry.instrument import instrumented_solver
+from ..telemetry.result import SolveTelemetry
 from .base import (
     SolveResult,
     batch_dot,
@@ -130,7 +131,7 @@ def lockstep_gcr(
             histories[i][-1],
             histories[i],
             int(matvecs[i]),
-            extra={"matvec_batches": matvec_batches, "n_rhs": k},
+            telemetry=SolveTelemetry(attrs={"matvec_batches": matvec_batches, "n_rhs": k}),
         )
         for i in range(k)
     ]

@@ -19,6 +19,7 @@ import numpy as np
 
 from ..dirac.stencil import apply_stack
 from ..precision import Precision, dtype_of, half_roundtrip
+from ..telemetry.result import SolveTelemetry
 from .base import SolveResult, norm
 
 
@@ -119,11 +120,13 @@ def mixed_precision_solve(
         history.append(rel)
         if rel < tol:
             return SolveResult(
-                x, True, total_inner, rel, history, matvecs, extra={"outer": outer}
+                x, True, total_inner, rel, history, matvecs,
+                telemetry=SolveTelemetry(attrs={"outer": outer}),
             )
         if len(history) > 2 and history[-1] > 0.9 * history[-2]:
             # inner precision has bottomed out; tighten the inner request
             inner_tol = max(inner_tol * 0.1, 1e-10)
     return SolveResult(
-        x, False, total_inner, history[-1], history, matvecs, extra={"outer": max_outer}
+        x, False, total_inner, history[-1], history, matvecs,
+        telemetry=SolveTelemetry(attrs={"outer": max_outer}),
     )

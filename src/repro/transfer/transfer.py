@@ -233,10 +233,6 @@ class Transfer:
         return SpinorField(self.fine_lattice, self.prolong(v.data))
 
     # ------------------------------------------------------------------
-    def reduced_bytes(self, dtype) -> int:
-        """Bytes of the ``dtype`` copy of the aggregate bases."""
-        return self._basis.size * np.dtype(dtype).itemsize
-
     def application_cost(self, dtype=COMPLEX128) -> tuple[float, float]:
         """``(flops, bytes)`` of one restrict *or* prolong of a ``dtype`` field.
 

@@ -12,8 +12,9 @@ dtypes and for stacks of 1 and 3:
   (``apply_diag + hop_sum_reference``; ``SchurOperator``'s
   ``*_reference`` bodies) to 1e-13 relative in complex128 and 1e-5 in
   complex64;
-* ``D = 8 - (extent-2 directions)`` and the table's size, which is what
-  ``reduced_bytes`` / ``table_bytes`` book before anything is built;
+* ``D = 8 - (extent-2 directions)`` and the tables' layout, which
+  ``streamed_layout`` declares (and the setup books) before anything is
+  built;
 * the dense Schur matrix on a lattice with no extent-2 direction.
 """
 
@@ -37,6 +38,11 @@ TOL = {C128: 1e-13, C64: 1e-5}
 
 def _cnormal(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _layout(arrays: dict) -> dict:
+    """``(shape, dtype)`` of built arrays, as ``streamed_layout`` gives them."""
+    return {name: (a.shape, a.dtype) for name, a in arrays.items()}
 
 
 def _operator(dims, nc: int = 3, seed: int = 0) -> CoarseOperator:
@@ -83,9 +89,8 @@ def test_operator_apply_matches_the_per_direction_sum(op, dtype, k):
     _close(op.apply_multi(vs.astype(dtype)), want, dtype)
     if k == 1:
         _close(op.apply(vs[0].astype(dtype)), want[0], dtype)
-    # built on first use, once per dtype, at the size booked beforehand
-    table = op._tables[dtype]  # noqa: SLF001
-    assert table.nbytes == op.reduced_bytes(dtype)
+    # built on first use, once per dtype, as declared beforehand
+    assert _layout(op._tables[dtype].arrays()) == op.streamed_layout(dtype)  # noqa: SLF001
 
 
 @pytest.mark.parametrize("dtype", (C128, C64))
@@ -109,8 +114,7 @@ def test_schur_matches_the_per_direction_reference(op, dtype, k):
         np.stack([reference.reconstruct_reference(h, b) for h, b in zip(halves, bs)]),
         dtype,
     )
-    built = sum(part.nbytes for part in batched._tables[dtype])  # noqa: SLF001
-    assert built == batched.table_bytes(dtype)
+    assert _layout(batched.streamed(dtype)) == batched.streamed_layout(dtype)
 
 
 @pytest.mark.parametrize("dtype, tol", ((C128, 1e-12), (C64, 1e-5)))

@@ -36,6 +36,7 @@ from repro.dirac.mrhs import BatchedCoarseSchur, solves_directly
 from repro.gauge import disordered_field
 from repro.lattice import Lattice
 from repro.mg import LevelParams, MGParams, MultigridHierarchy, MultigridSolver
+from repro.mg.hierarchy import _layout_bytes
 from repro.precision import Precision, dtype_of, half_roundtrip
 from repro.telemetry.export import iter_span_dicts
 from tests.conftest import random_spinor
@@ -206,26 +207,24 @@ def test_level_owns_one_system_built_on_first_use_and_booked_from_the_start(prec
     assert not schur._tables and not schur._factors  # noqa: SLF001
     relaxed = hierarchy.levels[1]
     assert set(relaxed.schur._tables) == ({C128} if dtype == C128 else set())  # noqa: SLF001
-    # ... and the inverse site blocks that relaxation needed, which the
-    # first solve used to invert: an operator attribute from build on
-    assert "_x_inv" in vars(relaxed.op) and "_x_inv" not in vars(coarsest.op)
+    # the relaxation inverted the odd sites' blocks only: no operator
+    # holds a whole-lattice inverse
+    assert not [lev.index for lev in hierarchy.levels if "_x_inv" in vars(lev.op)]
     booked = hierarchy.setup_memory_bytes()
     bare = MultigridHierarchy(
         hierarchy.levels[:-1] + [type(coarsest)(index=coarsest.index, op=coarsest.op)],
         hierarchy.params,
     )
     # in place of the operator's own table, which no solve builds
-    unread = coarsest.op.reduced_bytes(dtype)
+    unread = _layout_bytes(coarsest.op.streamed_layout(dtype))
     delta = booked - (bare.setup_memory_bytes() - unread)
-    assert delta == schur.table_bytes(dtype) + schur.factor_bytes(dtype)
-    # restored from disk books the same as cold-built: the restore ran no
-    # relaxation, so level 1's inverse is booked before it exists
+    assert delta == _layout_bytes(schur.streamed_layout(dtype, factor=True))
+    # rebuilt from the null vectors (no relaxation) books the same
     restored = MultigridHierarchy.build(
         WilsonCloverOperator(hierarchy.levels[0].op.gauge, mass=-0.3, c_sw=1.0),
         hierarchy.params, np.random.default_rng(0),
         null_vectors=hierarchy.export_null_vectors(),
     )
-    assert "_x_inv" not in vars(restored.levels[1].op)
     assert restored.setup_memory_bytes() == booked
 
     first = MultigridSolver.from_hierarchy(hierarchy, hierarchy.params)
@@ -243,12 +242,27 @@ def test_level_owns_one_system_built_on_first_use_and_booked_from_the_start(prec
     assert not getattr(coarsest.op, "_reduced", {})
     # level 1's one system holds the smoother's tables and nothing else
     assert set(relaxed.schur._tables) == {dtype}  # noqa: SLF001
-    assert _schur_bytes_built(relaxed.schur) == relaxed.schur.table_bytes(dtype)
-    # double, first inverted by the solve: the coarsest level's only
-    extra = coarsest.op._x_inv.nbytes  # noqa: SLF001
-    assert hierarchy.setup_memory_bytes() == booked + extra
+    assert _schur_bytes_built(relaxed.schur) == _layout_bytes(relaxed.schur.streamed_layout(dtype))
+    # the solves inverted no whole lattice either: the booking holds
+    assert not [lev.index for lev in hierarchy.levels if "_x_inv" in vars(lev.op)]
+    assert hierarchy.setup_memory_bytes() == booked
     assert MultigridSolver.from_hierarchy(restored).solve(b).converged
-    assert restored.setup_memory_bytes() == booked + extra
+    assert restored.setup_memory_bytes() == booked
+
+
+@pytest.mark.parametrize("dtype", (C64, C128))
+def test_the_odd_sites_inverse_is_the_whole_lattice_inverse_on_them(dtype):
+    """``X_oo^{-1}`` is inverted from the odd sites' blocks alone, in
+    double, and cast: bitwise what indexing the whole lattice's inverse
+    gave, on the level that relaxes and on the coarsest."""
+    precision = Precision.SINGLE if dtype == C64 else Precision.DOUBLE
+    hierarchy = _three_level(seed=35, coarse_precision=precision, smoother_precision=precision)
+    streamed = hierarchy.streamed_arrays()
+    for lev in hierarchy.levels[1:]:
+        odd = lev.schur._other  # noqa: SLF001
+        want = np.linalg.inv(lev.op.x_blocks)[odd].astype(dtype)
+        got = streamed[f"schur{lev.index}.{dtype.name}.x_oo_inv"]
+        assert got.dtype == dtype and np.array_equal(got, want), lev.index
 
 
 def test_no_complex128_table_outlives_the_setup_of_a_complex64_cycle():
@@ -287,8 +301,8 @@ def test_two_level_hierarchy_iterates_on_its_coarsest_grid():
     stats = result.telemetry.level_stats
     assert stats[1]["gcr_iters"] > 0 and stats[1]["reductions"] > 0
     assert coarsest.schur._tables and not coarsest.schur._factors  # noqa: SLF001
-    extra = coarsest.op._x_inv.nbytes  # noqa: SLF001 — double, first inverted by the solve
-    assert two_level.setup_memory_bytes() == booked + extra
+    assert "_x_inv" not in vars(coarsest.op)
+    assert two_level.setup_memory_bytes() == booked
 
 
 def test_coarsest_schur_off_keeps_the_operator_and_iterates():

@@ -8,8 +8,8 @@ damage anywhere in it reads as ``invalid``; the tampering cases are
 written through the same writer, with a valid checksum, so that each
 reaches the check behind it (fingerprints, members, shapes).  A write
 that fails leaves no file behind, a file is replaced while a hierarchy
-maps it without disturbing that hierarchy, and files of the earlier
-``np.savez`` formats are still used and rewritten.
+maps it without disturbing that hierarchy, and a file of an earlier
+``np.savez`` format is garbage like any other.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import telemetry
 from repro.gauge import gauge_fingerprint
 from repro.mg import MultigridSolver
 from repro.mg.params import LevelParams, MGParams
@@ -33,7 +32,6 @@ from repro.serve.cache import (
     setup_cache_key,
     write_setup_file,
 )
-from repro.telemetry.tracer import get_tracer
 
 pytestmark = pytest.mark.serve
 
@@ -107,13 +105,6 @@ def test_truncated_npz_rebuilds(persisted, wilson448, params):
     assert cache.stats["invalid"] == 1
 
 
-def test_garbage_bytes_rebuild(persisted, wilson448, params):
-    tmp_path, path = persisted
-    path.write_bytes(b"\x00\x01this is not a zip archive\xff" * 64)
-    cache = _rebuilds(tmp_path, wilson448, params)
-    assert cache.stats["invalid"] == 1
-
-
 def test_empty_file_rebuilds(persisted, wilson448, params):
     tmp_path, path = persisted
     path.write_bytes(b"")
@@ -183,52 +174,48 @@ def _write_archive(path, savez, **members):
     os.replace(tmp, path)
 
 
-def _upgrades(tmp_path, path, wilson448, params, first):
-    """A file of an earlier format is a disk hit, is rewritten as a
-    setup file, and the rewrite restores the same hierarchy with no
-    setup work."""
-    upgraded = SetupCache(disk_dir=str(tmp_path))
-    hierarchy = upgraded.get_or_build(wilson448, params)
-    assert (upgraded.stats["disk_hits"], upgraded.stats["misses"]) == (1, 0)
-    assert upgraded.stats["invalid"] == 0
+def _garbage(path):
+    path.write_bytes(b"\x00\x01this is not a zip archive\xff" * 64)
+
+
+def _first_format(path):
+    # as the first format wrote it: the null vectors and the
+    # fingerprints, compressed
+    header, arrays = _contents(path)
+    fields = {k: header[k] for k in ("n_levels", "gauge_fp", "op_fp", "params_fp")}
+    _write_archive(path, np.savez_compressed, version=1, level0=arrays["null0"], **fields)
+
+
+def _second_format(path):
+    # as the second format wrote it: an uncompressed archive of the
+    # hierarchy's arrays and the fingerprints, no streamed tables
+    header, arrays = _contents(path)
+    fields = {k: header[k] for k in ("n_levels", "gauge_fp", "op_fp", "params_fp")}
+    setup = {k: arrays[k] for k in ("null0", "basis0", "x1", "hop1")}
+    _write_archive(path, np.savez, version=2, **fields, **setup)
+
+
+NOT_A_SETUP_FILE = {"garbage": _garbage, "format-1": _first_format, "format-2": _second_format}
+
+
+@pytest.mark.parametrize("write", sorted(NOT_A_SETUP_FILE))
+def test_a_file_that_is_not_a_setup_file_rebuilds(persisted, wilson448, params, write):
+    """Garbage, or an archive of an earlier format with the key's own
+    fingerprints, reads invalid; the rebuild replaces it with a setup
+    file that the next cache restores."""
+    tmp_path, path = persisted
+    NOT_A_SETUP_FILE[write](path)
+    cache = _rebuilds(tmp_path, wilson448, params)
+    assert cache.stats == {
+        "hits": 0, "disk_hits": 0, "misses": 1, "evictions": 0, "invalid": 1, "seeded": 0,
+    }
     header, _ = read_setup_file(str(path))
     assert header["version"] == 3
-    telemetry.enable()
-    telemetry.reset()
-    try:
-        cache = SetupCache(disk_dir=str(tmp_path))
-        second = cache.get_or_build(wilson448, params)
-        assert not get_tracer().find("coarsen")
-    finally:
-        telemetry.disable()
-        telemetry.reset()
-    assert cache.stats["disk_hits"] == 1
-    for name, array in first.arrays().items():
-        assert np.array_equal(hierarchy.arrays()[name], array)
-        assert np.array_equal(second.arrays()[name], array)
-
-
-def test_first_format_file_is_a_disk_hit_and_is_upgraded(persisted, wilson448, params):
-    # a file as the first format wrote it: the null vectors and the
-    # fingerprints, compressed
-    tmp_path, path = persisted
-    header, arrays = _contents(path)
-    nulls = arrays["null0"]
-    first = SetupCache(disk_dir=str(tmp_path)).get_or_build(wilson448, params)
-    fields = {k: header[k] for k in ("n_levels", "gauge_fp", "op_fp", "params_fp")}
-    _write_archive(path, np.savez_compressed, version=1, level0=nulls, **fields)
-    _upgrades(tmp_path, path, wilson448, params, first)
-
-
-def test_second_format_file_is_a_disk_hit_and_is_upgraded(persisted, wilson448, params):
-    # a file as the second format wrote it: an uncompressed archive of
-    # the hierarchy's arrays and the fingerprints, no streamed tables
-    tmp_path, path = persisted
-    header, _ = _contents(path)
-    first = SetupCache(disk_dir=str(tmp_path)).get_or_build(wilson448, params)
-    fields = {k: header[k] for k in ("n_levels", "gauge_fp", "op_fp", "params_fp")}
-    _write_archive(path, np.savez, version=2, **fields, **first.arrays())
-    _upgrades(tmp_path, path, wilson448, params, first)
+    restored = SetupCache(disk_dir=str(tmp_path))
+    restored.get_or_build(wilson448, params)
+    assert (restored.stats["disk_hits"], restored.stats["misses"], restored.stats["invalid"]) == (
+        1, 0, 0,
+    )
 
 
 def _regions(path):

@@ -269,6 +269,29 @@ def test_first_solve_after_a_restore_builds_nothing(round_trip, op, tmp_path, mo
     assert not [a.shape for a in _setup_arrays(restored) if a.flags.writeable]
 
 
+def test_booking_holds_through_two_solves_on_every_path(round_trip, op, tmp_path):
+    """A memory-only cold build, a persisted build and its restore book
+    the same bytes before a first solve, after it and after a second —
+    what an ``nbytes`` walk counts once the solves have built everything
+    the cycle streams."""
+    params = round_trip[0].params
+    cold = SetupCache().get_or_build(op, params, np.random.default_rng(5))
+    persisted = SetupCache(disk_dir=str(tmp_path)).get_or_build(
+        op, params, np.random.default_rng(5)
+    )
+    restored = SetupCache(disk_dir=str(tmp_path)).get_or_build(op, params)
+    b = np.random.default_rng(8).standard_normal((op.lattice.volume, 4, 3)) + 0j
+    booked = {}
+    for path, hierarchy in (("cold", cold), ("persisted", persisted), ("restored", restored)):
+        solver = MultigridSolver.from_hierarchy(hierarchy)
+        booked[path] = [hierarchy.setup_memory_bytes()]
+        for _ in range(2):
+            assert solver.solve(b, tol=1e-8).converged
+            booked[path].append(hierarchy.setup_memory_bytes())
+        assert booked[path] == [_walked_bytes(hierarchy)] * 3, path
+    assert booked["cold"] == booked["persisted"] == booked["restored"]
+
+
 #: configurations beside the default whose cycles stream other tables
 CONFIGURATIONS = {
     "double": dict(smoother_precision=Precision.DOUBLE, coarse_precision=Precision.DOUBLE),

@@ -211,8 +211,8 @@ class TestSolveResultTelemetry:
     def _result(self, **kw):
         return SolveResult(np.zeros(4), True, 3, 1e-9, [1.0, 1e-9], 5, **kw)
 
-    def test_constructor_extra_kwarg_still_accepted(self):
-        r = self._result(extra={"reductions": 12})
+    def test_constructor_takes_telemetry_attrs(self):
+        r = self._result(telemetry=SolveTelemetry(attrs={"reductions": 12}))
         assert r.telemetry.attrs["reductions"] == 12
 
     def test_to_dict_round_trips_through_json(self):

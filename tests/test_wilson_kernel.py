@@ -23,6 +23,7 @@ from repro.dirac.wilson_kernel import BLOCK, WilsonKernel, wilson_kernel_for
 from repro.gauge import disordered_field
 from repro.lattice import Lattice
 from repro.mg import MultigridHierarchy
+from repro.mg.hierarchy import _layout_bytes
 from repro.mg.params import LevelParams, MGParams
 from repro.mg.setup import generate_null_vectors
 from repro.mg.smoother import SchurMRSmoother
@@ -351,8 +352,7 @@ def test_setup_memory_books_kernel_tables_before_they_exist(gauge44):
     hierarchy = MultigridHierarchy.build(op, params, rng, null_vectors=nulls)
     assert list(op._wilson_kernel) == [np.dtype(np.complex128)]  # noqa: SLF001
     assert _reduced_built(hierarchy) == 0
-    coarse, transfer = hierarchy.levels[1].op, hierarchy.levels[0].transfer
-    coarse._x_inv  # noqa: B018, SLF001 — an operator attribute once inverted
+    transfer = hierarchy.levels[0].transfer
     booked = hierarchy.setup_memory_bytes()
     # the outer GCR applies level 0 in double, the default cycle applies
     # every level in complex64
@@ -365,14 +365,16 @@ def test_setup_memory_books_kernel_tables_before_they_exist(gauge44):
         assert built >= (op._u_fwd.nbytes + op._u_bwd.nbytes) * np.dtype(dtype).itemsize // 16  # noqa: SLF001
         tables += built
     basis = transfer._basis.nbytes  # noqa: SLF001 — resident as long as the setup
-    copies = transfer.reduced_bytes(np.complex64)
+    copies = transfer._basis.size * np.dtype(np.complex64).itemsize  # noqa: SLF001
     # the coarsest level is only reached through its red-black system:
     # its gathered tables live on the level and are booked in place of
     # the operator's own copies, which no solve casts (a two-level
     # hierarchy iterates there, so there are no dense factors to book)
     assert _reduced_built(hierarchy) == copies
     schur = hierarchy.levels[1].schur
-    red_black = {dtype: schur.table_bytes(dtype) for dtype in (np.complex128, np.complex64)}
+    red_black = {
+        dtype: _layout_bytes(schur.streamed_layout(dtype)) for dtype in (np.complex128, np.complex64)
+    }
     (to_other, to_own, diag, dinv), = schur._tables.values()  # noqa: SLF001
     assert not schur._factors  # noqa: SLF001
     assert red_black[np.complex64] == (
@@ -426,8 +428,7 @@ def test_restored_setup_books_the_same_bytes_as_a_cold_build(gauge44, tmp_path):
         assert _default_solve(built).converged
         assert _reduced_built(built) > 0
     assert hierarchy.setup_memory_bytes() == cold_hierarchy.setup_memory_bytes()
-    inverse = hierarchy.levels[1].op._x_inv.nbytes  # noqa: SLF001 — double, first inverted by the solve
-    assert hierarchy.setup_memory_bytes() == warm.nbytes + inverse
+    assert hierarchy.setup_memory_bytes() == warm.nbytes
 
 
 def test_smoother_construction_stays_off_the_restore_budget():
