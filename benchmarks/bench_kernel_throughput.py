@@ -58,9 +58,9 @@ def test_bench_wilson_clover_apply(benchmark, fine_setup):
 
 def test_bench_schur_apply(benchmark, fine_setup):
     lat, op, v = fine_setup
-    schur = SchurOperator(op, 0)
-    half = v[lat.even_sites]
-    benchmark(schur.apply, half)
+    schur = SchurOperator(op)
+    halves = v[None, lat.even_sites]
+    benchmark(schur.apply_multi, halves)
 
 
 def test_bench_clover_construction(benchmark, fine_setup):

@@ -34,7 +34,7 @@ def main() -> None:
     )
     print(f"[setup] {time.perf_counter() - t0:.1f}s")
 
-    schur = SchurOperator(op, parity=0)
+    schur = SchurOperator(op)
 
     mg_iters, bi_iters, mg_times, bi_times = [], [], [], []
     for spin in range(4):
@@ -47,7 +47,7 @@ def main() -> None:
 
             t0 = time.perf_counter()
             res_bi = bicgstab(
-                schur, schur.prepare_source(b.data),
+                schur, schur.prepare_multi(b.data[None])[0],
                 tol=ds.target_residuum, maxiter=100000,
             )
             bi_times.append(time.perf_counter() - t0)

@@ -39,11 +39,11 @@ def main() -> None:
     tol = 1e-8
 
     # -- BiCGStab on the red-black (Schur) system ------------------------
-    schur = SchurOperator(op, parity=0)
+    schur = SchurOperator(op)
     t0 = time.perf_counter()
-    res_bi = bicgstab(schur, schur.prepare_source(b.data), tol=tol, maxiter=100000)
+    res_bi = bicgstab(schur, schur.prepare_multi(b.data[None])[0], tol=tol, maxiter=100000)
     t_bi = time.perf_counter() - t0
-    x_bi = schur.reconstruct(res_bi.x, b.data)
+    x_bi = schur.reconstruct_multi(res_bi.x[None], b.data[None])[0]
     print(
         f"BiCGStab (red-black): {res_bi.iterations:5d} iterations, "
         f"{t_bi:6.2f}s, true resid "

@@ -1,7 +1,7 @@
 """The lattice Dirac operator: gammas, Wilson-Clover, red-black."""
 
 from .clover import CloverTerm
-from .even_odd import SchurOperator
+from .even_odd import SchurOperator, SchurReference
 from .gamma import NS, chirality_slices, gamma5, gamma_matrices, projectors, sigma_munu
 from .projection import project, projected_hop, reconstruct
 from .stencil import StencilOperator
@@ -10,6 +10,7 @@ from .wilson import WilsonCloverOperator
 __all__ = [
     "CloverTerm",
     "SchurOperator",
+    "SchurReference",
     "NS",
     "chirality_slices",
     "gamma5",

@@ -6,15 +6,17 @@ fine grid that is a property of the production kernel
 (:mod:`repro.dirac.wilson_kernel`): it takes a leading ``K`` axis and
 loops the right-hand sides inside each cache block of sites, so link
 and clover tables are read once for all ``K`` systems, and
-:class:`~repro.dirac.even_odd.SchurOperator` exposes it as
-``apply_multi`` / ``prepare_multi`` / ``reconstruct_multi``.  On coarse
-grids there is no spin structure to exploit; :class:`BatchedCoarseSchur`
-folds the batch into the right-hand side of one dense-block GEMM per
-site and hop on genuine half-volume fields, at the dtype of the stack it
-is handed.  A site's row of blocks spans its *distinct* neighbours only
-(:class:`_DenseBlockHop`, which :class:`~repro.coarse.CoarseOperator`
-applies too): on an extent-2 direction ``x + mu`` and ``x - mu`` are one
-site and their links are summed once, when the table is built.
+:class:`~repro.dirac.even_odd.SchurOperator` is the red-black system on
+it.  On coarse grids there is no spin structure to exploit;
+:class:`BatchedCoarseSchur` folds the batch into the right-hand side of
+one dense-block GEMM per site and hop on genuine half-volume fields, at
+the dtype of the stack it is handed.  Both have the one red-black
+interface of :mod:`repro.dirac.even_odd`, and :func:`batched_schur_for`
+is the one place that chooses between them.  A site's row of blocks
+spans its *distinct* neighbours only (:class:`_DenseBlockHop`, which
+:class:`~repro.coarse.CoarseOperator` applies too): on an extent-2
+direction ``x + mu`` and ``x - mu`` are one site and their links are
+summed once, when the table is built.
 
 A red-black system small enough to hold densely is not iterated on at
 all: :meth:`BatchedCoarseSchur.solve_multi` assembles the Schur matrix
@@ -37,7 +39,7 @@ from ..lattice import NDIM
 from ..precision import COMPLEX128, compute_dtype
 from ..telemetry.metrics import get_registry
 from ..telemetry.tracer import get_tracer
-from .even_odd import SchurOperator, SiteMajorSystem
+from .even_odd import SchurOperator, SiteMajorNative
 
 #: Largest red-black system, in unknowns, that is factored densely
 #: instead of iterated on.  A guard on first-use cost and memory, not a
@@ -55,9 +57,9 @@ from .even_odd import SchurOperator, SiteMajorSystem
 #: the setup before it costs; 3-4 s — five setups — and 128 MB one
 #: doubling further (section 20's run).  No workload in this repository
 #: lies above it (the benchmark's coarsest systems have 96 and 1024
-#: unknowns); the iterated side is reached by ``coarsest_schur=False``,
-#: by operators that are not dense-block, by two-level hierarchies, and
-#: in tests by setting this constant.
+#: unknowns); the iterated side — the red-black GCR on the same system —
+#: is reached by two-level hierarchies and, in tests, by setting this
+#: constant.
 DIRECT_MAX_UNKNOWNS = 2048
 
 
@@ -179,11 +181,12 @@ def _dense_blocks_apply_multi(mats: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.transpose(2, 0, 1)).reshape(vs.shape)
 
 
-class BatchedCoarseSchur:
-    """Batched red-black Schur for dense-block (coarse) operators.
+class BatchedCoarseSchur(SiteMajorNative):
+    """The red-black system of a dense-block (coarse) operator.
 
-    The batched methods of :class:`SchurOperator` one level down:
-    ``apply_multi`` evaluates ``(X_ee - Y_eo X_oo^{-1} Y_oe) x_e`` on genuine
+    The interface of :class:`SchurOperator` one level down, computing on
+    its public stack (it is its own native view): ``apply_multi``
+    evaluates ``(X_ee - Y_eo X_oo^{-1} Y_oe) x_e`` on genuine
     half-volume ``(K, V/2, ns, nc)`` stacks, with every dense link and
     site block read once per application for all ``K`` systems.  The
     parity-gathered link stacks and site blocks are built per dtype, the
@@ -286,11 +289,6 @@ class BatchedCoarseSchur:
         mid = _dense_blocks_apply_multi(dinv_other, to_other.apply(halves))
         return _dense_blocks_apply_multi(diag_own, halves) - to_own.apply(mid)
 
-    def native(self, dtype) -> SiteMajorSystem:
-        """This system over its native stack, which is the public one:
-        the tables are gathered at the dtype of the stack applied."""
-        return SiteMajorSystem(self)
-
     def prepare_multi(self, bs: np.ndarray) -> np.ndarray:
         """Schur right-hand sides ``b_e - Y_eo X_oo^{-1} b_o`` for a stack."""
         _, to_own, _, dinv_other = self._at(compute_dtype(bs))
@@ -390,22 +388,18 @@ class BatchedCoarseSchur:
 
 
 def solves_directly(schur) -> bool:
-    """The one rule of the coarsest solve: a dense-block red-black
-    system of at most :data:`DIRECT_MAX_UNKNOWNS` unknowns can be solved
-    by :meth:`BatchedCoarseSchur.solve_multi`; anything else — a larger
-    system, any other operator, no red-black system at all — is
+    """The one rule of the coarsest solve: a red-black system that holds
+    dense factors (:meth:`BatchedCoarseSchur.solve_multi`) solves
+    directly up to :data:`DIRECT_MAX_UNKNOWNS` unknowns; a larger one is
     iterated on."""
-    return (
-        isinstance(schur, BatchedCoarseSchur)
-        and schur.unknowns <= DIRECT_MAX_UNKNOWNS
-    )
+    return hasattr(schur, "solve_multi") and schur.unknowns <= DIRECT_MAX_UNKNOWNS
 
 
 def batched_schur_for(op):
-    """The fastest batched red-black system ``op`` supports: stacked
-    dense-block GEMMs on a coarse operator, else
-    :class:`~repro.dirac.even_odd.SchurOperator` itself — the production
-    kernel on the fine grid, a per-system loop for any other stencil."""
+    """The red-black system of ``op``, and the one place that chooses
+    it: stacked dense-block GEMMs on a coarse operator, else the
+    production kernel's :class:`~repro.dirac.even_odd.SchurOperator`
+    (``TypeError`` for an operator with neither)."""
     if supports_dense_block_schur(op):
         return BatchedCoarseSchur(op)
-    return SchurOperator(op, parity=0)
+    return SchurOperator(op)

@@ -37,14 +37,16 @@ one: there is no separate single-vector formulation.
 
 Every public entry point of the package keeps the site-major
 ``(V, 4, 3)`` / ``(V/2, 4, 3)`` shapes; the ``*_sites`` methods below
-convert on entry and exit (a transpose copy of the field, small next
-to the hop itself).  The MR smoother, which iterates on the red-black
-system, converts once per smoothing instead: :class:`SiteFastestSchur`
+and the red-black system of the fine grid
+(:class:`~repro.dirac.even_odd.SchurOperator`) convert on entry and
+exit (a transpose copy of the field, small next to the hop itself).
+The MR smoother, which iterates on the red-black system, converts once
+per smoothing instead: :class:`SiteFastestSchur`
 (``SchurOperator.native``) is the system over the site-fastest stack,
 entered once and left once.
 ``WilsonCloverOperator.apply_reference``,
 ``StencilOperator.hop_sum_reference`` and the zero-padded algebra of
-:class:`~repro.dirac.even_odd.SchurOperator` remain as the oracles the
+:class:`~repro.dirac.even_odd.SchurReference` remain as the oracles the
 kernel is tested against (``tests/test_wilson_kernel.py``).
 """
 
@@ -123,7 +125,7 @@ class WilsonKernel:
     ``hop``/``diag``/``diag_inv`` work on site-fastest half-volume
     stacks ``(K, 3, 4, V/2)``; a field *of* parity ``p`` lists the sites
     of ``lattice.sites_of_parity(p)`` in that order.  The ``*_sites``
-    methods are the same operations at the package's site-major
+    methods are full-lattice operations at the package's site-major
     boundary.  Tables, temporaries and results are all ``dtype``: a
     complex64 kernel streams half the bytes of a complex128 one.
     """
@@ -299,34 +301,11 @@ class WilsonKernel:
         even, odd = self._parity_fields(vs)
         return self._full_field(self.hop(0, odd), self.hop(1, even))
 
-    def schur_apply_sites(self, parity: int, halves: np.ndarray) -> np.ndarray:
-        """``(A_pp - H_pq A_qq^{-1} H_qp) x_p`` on ``(K, V/2, 4, 3)``."""
-        system = SiteFastestSchur(self, parity)
-        return system.leave(system.apply_multi(system.enter(halves)))
-
-    def schur_prepare_sites(self, parity: int, bs: np.ndarray) -> np.ndarray:
-        """Schur right-hand sides ``b_p - H_pq A_qq^{-1} b_q``."""
-        other = 1 - parity
-        b_other = to_site_fastest(bs[:, self.sites[other]], self.dtype)
-        corr = self.hop(parity, self.diag_inv(other, b_other))
-        return bs[:, self.sites[parity]] - corr.transpose(0, 3, 2, 1)
-
-    def schur_reconstruct_sites(
-        self, parity: int, xs_half: np.ndarray, bs: np.ndarray
-    ) -> np.ndarray:
-        """Full-lattice solutions, ``x_q = A_qq^{-1} (b_q - H_qp x_p)``."""
-        other = 1 - parity
-        rhs = to_site_fastest(bs[:, self.sites[other]], self.dtype)
-        rhs -= self.hop(other, to_site_fastest(xs_half, self.dtype))
-        out = np.empty(bs.shape, dtype=self.dtype)
-        out[:, self.sites[parity]] = xs_half
-        out[:, self.sites[other]] = self.diag_inv(other, rhs).transpose(0, 3, 2, 1)
-        return out
-
 
 class SiteFastestSchur:
-    """The red-black system of one parity over its native stack: the
-    site-fastest half-volume ``(K, 3, 4, V/2)`` the kernel sweeps.
+    """The fine red-black system over its native stack: the site-fastest
+    half-volume ``(K, 3, 4, V/2)`` the kernel sweeps
+    (``SchurOperator.native``).
 
     A loop that iterates on the system converts once with :meth:`enter`,
     applies :meth:`apply_multi` with no conversion inside, and converts
@@ -337,9 +316,8 @@ class SiteFastestSchur:
     #: (colour, spin); the others are the system and the site
     component_axes = (1, 2)
 
-    def __init__(self, kernel: WilsonKernel, parity: int):
+    def __init__(self, kernel: WilsonKernel):
         self.kernel = kernel
-        self.parity = parity
 
     def enter(self, halves: np.ndarray) -> np.ndarray:
         """Site-major ``(K, V/2, 4, 3)`` -> native, at the kernel's dtype."""
@@ -350,8 +328,8 @@ class SiteFastestSchur:
         return to_site_major(native)
 
     def apply_multi(self, x: np.ndarray) -> np.ndarray:
-        """``(A_pp - H_pq A_qq^{-1} H_qp) x_p`` on a native stack."""
-        kernel, parity, other = self.kernel, self.parity, 1 - self.parity
-        out = kernel.diag(parity, x)
-        out -= kernel.hop(parity, kernel.diag_inv(other, kernel.hop(other, x)))
+        """``(A_ee - H_eo A_oo^{-1} H_oe) x_e`` on a native stack."""
+        kernel = self.kernel
+        out = kernel.diag(0, x)
+        out -= kernel.hop(0, kernel.diag_inv(1, kernel.hop(1, x)))
         return out

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ..coarse import CoarseOperator, coarsen_operator
-from ..dirac.mrhs import BatchedCoarseSchur, batched_schur_for, solves_directly
+from ..dirac.mrhs import batched_schur_for, solves_directly
 from ..dirac.wilson_kernel import WilsonKernel, supports_wilson_kernel
 from ..lattice import NDIM, Blocking
 from ..precision import COMPLEX128, adopt_reduced, dtype_of, reduced
@@ -36,7 +36,7 @@ class MGLevel:
     are ``None`` on the coarsest level.  ``schur`` is the one red-black
     system of ``op``: what the setup relaxes, what the smoother sweeps
     and, on the coarsest level, what every cycle over this hierarchy
-    solves (``None`` there with ``MGParams.coarsest_schur`` off).
+    solves.
     """
 
     index: int
@@ -44,7 +44,7 @@ class MGLevel:
     params: LevelParams | None = None
     transfer: Transfer | None = None
     smoother: SchurMRSmoother | None = None
-    schur: object | None = None  # SchurOperator, BatchedCoarseSchur on a Galerkin operator
+    schur: object | None = None  # SchurOperator; BatchedCoarseSchur on a Galerkin operator
     null_vectors: list[np.ndarray] = field(default_factory=list)
 
     @property
@@ -107,11 +107,10 @@ def _adopt_basis_copy(transfer: Transfer, dtype, parts: dict[str, np.ndarray]) -
     adopt_reduced(transfer, "_basis", dtype, parts[""])
 
 
-def _coarsest_level(index: int, op, params: MGParams) -> MGLevel:
+def _coarsest_level(index: int, op) -> MGLevel:
     # its tables and dense factors are built by the first solve (a
     # restored setup holds them)
-    schur = batched_schur_for(op) if params.coarsest_schur else None
-    return MGLevel(index=index, op=op, schur=schur)
+    return MGLevel(index=index, op=op, schur=batched_schur_for(op))
 
 
 def _part_name(name: str, part: str) -> str:
@@ -196,7 +195,7 @@ class MultigridHierarchy:
                         # complex128; the cycle streams another dtype
                         current.drop_tables(COMPLEX128)
                     current = coarse
-            levels.append(_coarsest_level(len(params.levels), current, params))
+            levels.append(_coarsest_level(len(params.levels), current))
         if verbose:
             lat = current.lattice
             print(
@@ -246,7 +245,7 @@ class MultigridHierarchy:
             x = member(f"x{index + 1}", (vc, n, n))
             hop = member(f"hop{index + 1}", (NDIM, 2, vc, n, n))
             current = CoarseOperator(blocking.coarse, x, hop, 2, lp.n_null)
-        levels.append(_coarsest_level(len(params.levels), current, params))
+        levels.append(_coarsest_level(len(params.levels), current))
         hierarchy = cls(levels, params)
         for stream in hierarchy._streams():
             stream.adopt({
@@ -331,8 +330,8 @@ class MultigridHierarchy:
                 ))
             if not isinstance(op, CoarseOperator):
                 continue
-            schur = lev.schur if isinstance(lev.schur, BatchedCoarseSchur) else None
-            if lev.is_coarsest and schur is not None:
+            schur = lev.schur
+            if lev.is_coarsest:
                 factor = lev.solved_directly
                 streams.append(_Stream(
                     f"schur{i}.{cycle_dtype.name}",
@@ -347,13 +346,12 @@ class MultigridHierarchy:
                 partial(op.streamed_layout, cycle_dtype),
                 partial(op.adopt, cycle_dtype),
             ))
-            if schur is not None:
-                streams.append(_Stream(
-                    f"schur{i}.{smoother_dtype.name}",
-                    partial(schur.streamed, smoother_dtype),
-                    partial(schur.streamed_layout, smoother_dtype),
-                    partial(schur.adopt, smoother_dtype),
-                ))
+            streams.append(_Stream(
+                f"schur{i}.{smoother_dtype.name}",
+                partial(schur.streamed, smoother_dtype),
+                partial(schur.streamed_layout, smoother_dtype),
+                partial(schur.adopt, smoother_dtype),
+            ))
         return streams
 
     def setup_memory_bytes(self) -> int:

@@ -6,9 +6,10 @@ Each application at level ``l``:
 2. restrict the defect,
 3. solve the coarse system: with GCR preconditioned by the K-cycle of
    level ``l+1`` on intermediate levels (that nesting is what makes it a
-   K-cycle rather than a V-cycle), directly on a coarsest grid small
-   enough to hold densely below a coarse level
-   (:attr:`~repro.mg.hierarchy.MGLevel.solved_directly`),
+   K-cycle rather than a V-cycle); on the coarsest level its red-black
+   system, directly where it is small enough to hold densely below a
+   coarse level (:attr:`~repro.mg.hierarchy.MGLevel.solved_directly`)
+   and with GCR otherwise,
 4. prolongate and correct,
 5. post-smooth the defect of the corrected iterate.
 
@@ -216,11 +217,12 @@ class KCyclePreconditioner:
         self._inner: KCyclePreconditioner | None = None
         if not coarse.is_coarsest:
             self._inner = KCyclePreconditioner(hierarchy, level + 1, self.counts)
-        # the coarsest level is solved on its red-black system, if any
-        self._schur = coarse.schur if coarse.is_coarsest else None
-        # what the coarse solve inverts, as the cycle's precision stores it
+        # what the coarse solve inverts, as the cycle's precision stores
+        # it: the coarse operator under the next level's cycle, the
+        # red-black system on the coarsest level
         self._solve_op = reduced_storage(
-            coarse.op if self._schur is None else self._schur, params.coarse_precision
+            coarse.op if self._inner is not None else coarse.schur,
+            params.coarse_precision,
         )
 
     # ------------------------------------------------------------------
@@ -268,22 +270,31 @@ class KCyclePreconditioner:
                 rc2 = rc - booked(coarse, stats, "residual", self._solve_op.apply_multi, ec)
                 ec = ec + self._inner.apply(rc2)
             return ec
-        schur = self._schur
+        if self._inner is not None:
+            # K-cycle: GCR on the coarse operator, preconditioned by its cycle
+            results = lockstep_gcr(
+                self._solve_op,
+                rc,
+                tol=lp.coarse_tol,
+                maxiter=lp.coarse_maxiter,
+                nkrylov=coarse.params.nkrylov,
+                preconditioner=self._inner,
+            )
+            book_gcr(coarse, stats, results, coarse.params.nkrylov)
+            return np.stack([res.x for res in results])
+        schur = coarse.schur
         if coarse.solved_directly:
             # small enough to hold densely: no Krylov space to build
             book_direct(stats, schur, rc)
             half = self._solve_op.solve_multi(schur.prepare_multi(rc))
             return schur.reconstruct_multi(half, rc)
-        nkrylov = lp.nkrylov if self._inner is None else coarse.params.nkrylov
         results = lockstep_gcr(
             self._solve_op,
-            rc if schur is None else schur.prepare_multi(rc),
+            schur.prepare_multi(rc),
             tol=lp.coarse_tol,
             maxiter=lp.coarse_maxiter,
-            nkrylov=nkrylov,
-            preconditioner=self._inner,
+            nkrylov=lp.nkrylov,
         )
-        # red-black: source preparation and reconstruction cost a stencil each
-        book_gcr(coarse, stats, results, nkrylov, extra_applies=0 if schur is None else 2)
-        ec = np.stack([res.x for res in results])
-        return ec if schur is None else schur.reconstruct_multi(ec, rc)
+        # source preparation and reconstruction cost a stencil each
+        book_gcr(coarse, stats, results, lp.nkrylov, extra_applies=2)
+        return schur.reconstruct_multi(np.stack([res.x for res in results]), rc)

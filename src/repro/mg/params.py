@@ -47,7 +47,6 @@ class MGParams:
     # it.  DOUBLE reproduces the all-double arithmetic bit for bit.
     smoother_precision: Precision = Precision.SINGLE
     coarse_precision: Precision = Precision.SINGLE
-    coarsest_schur: bool = True  # red-black preconditioned coarsest solve
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -124,17 +124,17 @@ def measure_dataset(
     tracer = get_tracer()
 
     # -- BiCGStab baseline (red-black preconditioned) --------------------
-    schur = SchurOperator(op, parity=0)
+    schur = SchurOperator(op)
     meas = SolverMeasurement("BiCGStab")
     for b in sources:
-        bs = schur.prepare_source(b)
+        bs = schur.prepare_multi(b[None])[0]
         t0 = time.perf_counter()
         with tracer.span("measure.solve", dataset=dataset.label, solver="BiCGStab"):
             res = bicgstab(schur, bs, tol=tol, maxiter=100000)
         meas.wallclock_s.append(time.perf_counter() - t0)
         tight = bicgstab(schur, bs, x0=res.x, tol=tol * 1e-3, maxiter=100000)
-        x_full = schur.reconstruct(res.x, b)
-        x_true = schur.reconstruct(tight.x, b)
+        x_full = schur.reconstruct_multi(res.x[None], b[None])[0]
+        x_true = schur.reconstruct_multi(tight.x[None], b[None])[0]
         meas.iterations.append(res.iterations)
         meas.error_over_residual.append(_error_ratio(x_full, x_true, res.final_residual))
     out["BiCGStab"] = meas

@@ -114,7 +114,7 @@ def mixed_precision_solve(
         total_inner += inner.iterations
         matvecs += inner.matvecs
         x += inner.x
-        r = b - op.apply(x)  # true residual, double precision
+        r = b - apply_stack(op, x[None])[0]  # true residual, double precision
         matvecs += 1
         rel = norm(r) / bnorm
         history.append(rel)

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..coarse.galerkin import galerkin_violation
 from ..comm import PartitionedOperator
-from ..dirac.even_odd import SchurOperator
+from ..dirac.mrhs import batched_schur_for
 from ..gauge.loops import average_plaquette
 from ..lattice import NDIM, Partition
 from ..precision import Precision, apply_precision, rel_epsilon
@@ -115,21 +115,9 @@ def check_gamma5_hermiticity(ctx) -> InvariantReport:
     needs="operator",
 )
 def check_even_odd_schur(ctx) -> list[InvariantReport]:
-    rng = ctx.probe_rng(2)
-    schur = SchurOperator(ctx.op, parity=0)
-    worst_sys = 0.0
-    worst_rec = 0.0
-    for _ in range(ctx.n_probes):
-        x = ctx.probe(ctx.op, rng)
-        b = ctx.op.apply(x)
-        x_e = schur.restrict(x)
-        # the Schur matrix applied to the true even part must equal the
-        # prepared source of the true right-hand side ...
-        lhs = schur.apply(x_e)
-        rhs = schur.prepare_source(b)
-        worst_sys = max(worst_sys, _rel(lhs - rhs, rhs))
-        # ... and reconstruction from the even part must recover x
-        worst_rec = max(worst_rec, _rel(schur.reconstruct(x_e, b) - x, x))
+    worst_sys, worst_rec = _red_black_violations(
+        batched_schur_for(ctx.op), ctx.probe_rng(2), ctx
+    )
     return [
         InvariantReport.from_residual(
             "dirac.even_odd_schur.system", worst_sys, EXACT_TOL, parity=0
@@ -138,6 +126,25 @@ def check_even_odd_schur(ctx) -> list[InvariantReport]:
             "dirac.even_odd_schur.reconstruct", worst_rec, EXACT_TOL, parity=0
         ),
     ]
+
+
+def _red_black_violations(schur, rng, ctx) -> tuple[float, float]:
+    """Worst relative violations, over ``ctx.n_probes`` probes ``x`` with
+    ``b = M x`` each a stack of one, of the two identities of a red-black
+    system: the Schur matrix applied to the even part of ``x`` equals the
+    prepared source of ``b``, and reconstruction from that even part
+    recovers ``x``."""
+    op = schur.op
+    even = op.lattice.even_sites
+    worst_sys = worst_rec = 0.0
+    for _ in range(ctx.n_probes):
+        x = ctx.probe(op, rng)[None]
+        b = op.apply(x[0])[None]
+        x_e = x[:, even]
+        rhs = schur.prepare_multi(b)
+        worst_sys = max(worst_sys, _rel(schur.apply_multi(x_e) - rhs, rhs))
+        worst_rec = max(worst_rec, _rel(schur.reconstruct_multi(x_e, b) - x, x))
+    return worst_sys, worst_rec
 
 
 @invariant(
@@ -277,6 +284,40 @@ def check_coarse_gamma5(ctx) -> list[InvariantReport]:
                 worst,
                 EXACT_TOL,
                 level=lev.index,
+            )
+        )
+    return out
+
+
+@invariant(
+    "coarse.even_odd_schur",
+    severity="critical",
+    description="Every coarse level's red-black system, and the coarsest direct solve, are exact",
+    paper_ref="Sec 7.1 (red-black preconditioning on all levels; direct coarsest solve)",
+    needs="hierarchy",
+)
+def check_coarse_even_odd_schur(ctx) -> list[InvariantReport]:
+    rng = ctx.probe_rng(8)
+    out = []
+    for lev in ctx.hierarchy.levels[1:]:
+        # a fresh system of the level's operator, at complex128: the
+        # level's own holds the tables and factors of the cycle's dtype
+        schur = batched_schur_for(lev.op)
+        system, reconstruct = _red_black_violations(schur, rng, ctx)
+        worst, attrs = max(system, reconstruct), {}
+        if lev.solved_directly:
+            rhs = schur.prepare_multi(np.stack([ctx.probe(lev.op, rng)]))
+            direct = _rel(schur.apply_multi(schur.solve_multi(rhs)) - rhs, rhs)
+            worst, attrs = max(worst, direct), {"direct": direct}
+        out.append(
+            InvariantReport.from_residual(
+                f"coarse.even_odd_schur.level{lev.index}",
+                worst,
+                EXACT_TOL,
+                level=lev.index,
+                system=system,
+                reconstruct=reconstruct,
+                **attrs,
             )
         )
     return out

@@ -95,6 +95,14 @@ def random_spinor(lattice, ns=4, nc=3, seed=0):
     return r.standard_normal(shape) + 1j * r.standard_normal(shape)
 
 
+def schur_dense(system) -> np.ndarray:
+    """The Schur matrix of a red-black system as one dense array, from
+    one ``apply_multi`` over the unit vectors (tiny lattices only)."""
+    op, n = system.op, system.unknowns
+    units = np.eye(n, dtype=np.complex128).reshape(n, -1, op.ns, op.nc)
+    return system.apply_multi(units).reshape(n, n).T
+
+
 @pytest.fixture(scope="session")
 def spinor44(lat44):
     return random_spinor(lat44, seed=1)

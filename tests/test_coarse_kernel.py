@@ -9,8 +9,8 @@ on coarse lattices with 0, 1, 3 and 4 extent-2 directions, in both
 dtypes and for stacks of 1 and 3:
 
 * agreement with the per-direction formulation
-  (``apply_diag + hop_sum_reference``; ``SchurOperator``'s
-  ``*_reference`` bodies) to 1e-13 relative in complex128 and 1e-5 in
+  (``apply_diag + hop_sum_reference``; the zero-padded
+  ``SchurReference``) to 1e-13 relative in complex128 and 1e-5 in
   complex64;
 * ``D = 8 - (extent-2 directions)`` and the tables' layout, which
   ``streamed_layout`` declares (and the setup books) before anything is
@@ -24,9 +24,10 @@ import numpy as np
 import pytest
 
 from repro.coarse import CoarseOperator
-from repro.dirac.even_odd import SchurOperator
+from repro.dirac.even_odd import SchurReference
 from repro.dirac.mrhs import BatchedCoarseSchur, neighbour_slots
 from repro.lattice import NDIM, Lattice
+from tests.conftest import schur_dense
 
 pytestmark = pytest.mark.mrhs
 
@@ -96,22 +97,22 @@ def test_operator_apply_matches_the_per_direction_sum(op, dtype, k):
 @pytest.mark.parametrize("dtype", (C128, C64))
 @pytest.mark.parametrize("k", (1, 3))
 def test_schur_matches_the_per_direction_reference(op, dtype, k):
-    batched, reference = BatchedCoarseSchur(op), SchurOperator(op, parity=0)
+    batched, reference = BatchedCoarseSchur(op), SchurReference(op)
     bs = _stack(op, k, seed=20 + k)
     halves = _stack(op, k, seed=30 + k, volume=op.lattice.half_volume)
     _close(
         batched.apply_multi(halves.astype(dtype)),
-        np.stack([reference.apply_reference(h) for h in halves]),
+        reference.apply_multi(halves),
         dtype,
     )
     _close(
         batched.prepare_multi(bs.astype(dtype)),
-        np.stack([reference.prepare_source_reference(b) for b in bs]),
+        reference.prepare_multi(bs),
         dtype,
     )
     _close(
         batched.reconstruct_multi(halves.astype(dtype), bs.astype(dtype)),
-        np.stack([reference.reconstruct_reference(h, b) for h, b in zip(halves, bs)]),
+        reference.reconstruct_multi(halves, bs),
         dtype,
     )
     assert _layout(batched.streamed(dtype)) == batched.streamed_layout(dtype)
@@ -122,7 +123,7 @@ def test_block_assembly_without_an_extent_2_direction(dtype, tol):
     """Eight distinct neighbours: 64 block products per odd site."""
     op = _operator((4, 4, 4, 4), nc=2, seed=3)
     assert 2 not in op.lattice.dims
-    want = SchurOperator(op, parity=0).to_dense()
+    want = schur_dense(SchurReference(op))
     got = BatchedCoarseSchur(op).to_dense(dtype)
     assert got.dtype == dtype and got.shape == want.shape
     assert np.abs(got - want).max() <= tol * np.abs(want).max()

@@ -6,8 +6,8 @@ blocks, LU-factored once per dtype on first use and solved for a whole
 K-stack by one pair of triangular solves (DESIGN.md section 20).  Pinned
 here:
 
-* the block assembly against the column-by-column reference
-  (``SchurOperator.to_dense``), including lattices with 2-extent
+* the block assembly against the column-by-column matrix of the
+  zero-padded oracle (``SchurReference``), including lattices with 2-extent
   directions where ``+mu`` and ``-mu`` reach the same neighbour;
 * ``solve_multi`` against ``numpy.linalg.solve``, stack against singles,
   the zero right-hand side, the ``HALF`` storage path;
@@ -31,7 +31,7 @@ import pytest
 from repro import telemetry
 from repro.dirac import WilsonCloverOperator
 from repro.dirac import mrhs
-from repro.dirac.even_odd import SchurOperator
+from repro.dirac.even_odd import SchurOperator, SchurReference
 from repro.dirac.mrhs import BatchedCoarseSchur, solves_directly
 from repro.gauge import disordered_field
 from repro.lattice import Lattice
@@ -39,7 +39,7 @@ from repro.mg import LevelParams, MGParams, MultigridHierarchy, MultigridSolver
 from repro.mg.hierarchy import _layout_bytes
 from repro.precision import Precision, dtype_of, half_roundtrip
 from repro.telemetry.export import iter_span_dicts
-from tests.conftest import random_spinor
+from tests.conftest import random_spinor, schur_dense
 
 pytestmark = pytest.mark.mrhs
 
@@ -97,7 +97,7 @@ def _half_stack(op, k: int, seed: int, dtype=C128) -> np.ndarray:
 def test_block_assembly_matches_the_column_by_column_matrix(coarsest_ops, which, dtype, tol):
     op = coarsest_ops[which]
     assert 2 in op.lattice.dims  # +mu and -mu are the same neighbour there
-    want = SchurOperator(op, parity=0).to_dense()
+    want = schur_dense(SchurReference(op))
     got = BatchedCoarseSchur(op).to_dense(dtype)
     assert got.dtype == dtype and got.shape == want.shape
     assert np.abs(got - want).max() <= tol * np.abs(want).max()
@@ -111,7 +111,7 @@ def test_solve_multi_is_the_exact_solve_of_every_system(coarsest_ops, which, dty
     rhs = _half_stack(op, 3, seed=5, dtype=dtype)
     xs = schur.solve_multi(rhs)
     assert xs.dtype == dtype and xs.shape == rhs.shape
-    dense = SchurOperator(op, parity=0).to_dense()
+    dense = schur_dense(SchurReference(op))
     for x, b in zip(xs, rhs):
         want = np.linalg.solve(dense, b.reshape(-1).astype(C128))
         assert np.linalg.norm(x.reshape(-1) - want) <= tol * np.linalg.norm(want)
@@ -149,7 +149,6 @@ def test_half_precision_solves_through_the_storage_rounding(two_level):
 def test_one_rule_decides(two_level, aniso40_solve, monkeypatch):
     schur = two_level.levels[-1].schur
     assert isinstance(schur, BatchedCoarseSchur) and solves_directly(schur)
-    assert not solves_directly(None)  # coarsest_schur=False
     assert not solves_directly(SchurOperator(two_level.levels[0].op))  # not dense-block
     monkeypatch.setattr(mrhs, "DIRECT_MAX_UNKNOWNS", schur.unknowns - 1)
     assert not solves_directly(schur)
@@ -211,13 +210,11 @@ def test_level_owns_one_system_built_on_first_use_and_booked_from_the_start(prec
     # holds a whole-lattice inverse
     assert not [lev.index for lev in hierarchy.levels if "_x_inv" in vars(lev.op)]
     booked = hierarchy.setup_memory_bytes()
-    bare = MultigridHierarchy(
-        hierarchy.levels[:-1] + [type(coarsest)(index=coarsest.index, op=coarsest.op)],
-        hierarchy.params,
-    )
-    # in place of the operator's own table, which no solve builds
-    unread = _layout_bytes(coarsest.op.streamed_layout(dtype))
-    delta = booked - (bare.setup_memory_bytes() - unread)
+    # the coarsest level books its system with the factors, in place of
+    # the operator's own table, which no solve builds
+    streams = {stream.name: stream for stream in hierarchy._streams()}  # noqa: SLF001
+    assert f"table{coarsest.index}.{dtype.name}" not in streams
+    delta = _layout_bytes(streams[f"schur{coarsest.index}.{dtype.name}"].layout())
     assert delta == _layout_bytes(schur.streamed_layout(dtype, factor=True))
     # rebuilt from the null vectors (no relaxation) books the same
     restored = MultigridHierarchy.build(
@@ -230,7 +227,7 @@ def test_level_owns_one_system_built_on_first_use_and_booked_from_the_start(prec
     first = MultigridSolver.from_hierarchy(hierarchy, hierarchy.params)
     second = MultigridSolver.from_hierarchy(hierarchy, hierarchy.params)
     cycles = [solver.preconditioner._inner for solver in (first, second)]  # noqa: SLF001
-    assert cycles[0]._schur is cycles[1]._schur is schur  # noqa: SLF001
+    assert cycles[0]._solve_op is cycles[1]._solve_op is schur  # noqa: SLF001
     b = random_spinor(hierarchy.levels[0].op.lattice, seed=32)
     assert first.solve(b).converged
     factor = schur._factors[dtype]  # noqa: SLF001
@@ -303,21 +300,6 @@ def test_two_level_hierarchy_iterates_on_its_coarsest_grid():
     assert coarsest.schur._tables and not coarsest.schur._factors  # noqa: SLF001
     assert "_x_inv" not in vars(coarsest.op)
     assert two_level.setup_memory_bytes() == booked
-
-
-def test_coarsest_schur_off_keeps_the_operator_and_iterates():
-    hierarchy = _two_level((4, 4, 4, 4), seed=33)
-    params = hierarchy.params
-    off = MGParams(levels=params.levels, outer_tol=params.outer_tol, coarsest_schur=False)
-    plain = MultigridHierarchy.build(
-        hierarchy.levels[0].op, off, np.random.default_rng(0),
-        null_vectors=hierarchy.export_null_vectors(),
-    )
-    assert plain.levels[-1].schur is None
-    b = random_spinor(plain.levels[0].op.lattice, seed=34)
-    result = MultigridSolver.from_hierarchy(plain).solve(b)
-    assert result.converged
-    assert result.telemetry.level_stats[1]["gcr_iters"] > 0
 
 
 # ----------------------------------------------------------------------

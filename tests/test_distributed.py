@@ -112,5 +112,5 @@ class TestDistributedBiCGStab:
         # so it cannot be decomposed with a one-deep halo — this test
         # documents that the distributed path is for nearest-neighbour
         # stencils (fine and coarse operators), as in QUDA.
-        schur = SchurOperator(wilson448, 0)
+        schur = SchurOperator(wilson448)
         assert not hasattr(schur, "apply_hop_gathered")

@@ -99,7 +99,7 @@ class TestEndToEnd:
         ds, op = dataset_op
         b = random_spinor(ds.lattice(), seed=54)
         x_mg = dataset_mg.solve(b, tol=1e-10).x
-        schur = SchurOperator(op, 0)
-        res = bicgstab(schur, schur.prepare_source(b), tol=1e-11, maxiter=50000)
-        x_bi = schur.reconstruct(res.x, b)
+        schur = SchurOperator(op)
+        res = bicgstab(schur, schur.prepare_multi(b[None])[0], tol=1e-11, maxiter=50000)
+        x_bi = schur.reconstruct_multi(res.x[None], b[None])[0]
         assert norm(x_mg - x_bi) / norm(x_bi) < 1e-7

@@ -5,7 +5,8 @@ single right-hand side is K=1, so there is no second implementation to
 agree with.  What keeps "MRHS all the way down" safe instead:
 
 * every stacked kernel — fine/coarse Schur complements, transfers —
-  reproduces its single-field form and its ``*_reference`` oracle;
+  reproduces its stack of one and its oracle (``SchurReference``, the
+  ``*_reference`` kernels);
 * the smoother and one cycle application per level reproduce a literal
   five-step oracle written from the reference kernels and a textbook MR
   loop (:func:`oracle_cycle`);
@@ -26,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dirac import WilsonCloverOperator
-from repro.dirac.even_odd import SchurOperator
+from repro.dirac.even_odd import SchurOperator, SchurReference
 from repro.dirac.mrhs import (
     BatchedCoarseSchur,
     batched_schur_for,
@@ -46,7 +47,7 @@ from repro.solvers import (
     validate_rhs_stack,
     vdot,
 )
-from tests.conftest import random_spinor
+from tests.conftest import random_spinor, schur_dense
 from tests.strategies import SEEDS
 
 pytestmark = pytest.mark.mrhs
@@ -120,18 +121,17 @@ class TestLevelOperators:
         shape = (k, op.lattice.half_volume, op.ns, op.nc)
         halves = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         batched = schur.apply_multi(halves)
+        oracle = SchurReference(op)
         for i in range(k):
-            np.testing.assert_array_equal(batched[i], schur.apply(halves[i]))
-            np.testing.assert_allclose(
-                batched[i], schur.apply_reference(halves[i]), atol=1e-12
-            )
+            np.testing.assert_array_equal(batched[i], schur.apply_multi(halves[i : i + 1])[0])
+            np.testing.assert_allclose(batched[i], oracle.apply(halves[i]), atol=1e-12)
 
     @pytest.mark.parametrize("k", K_CASES)
     def test_coarse_schur_roundtrip(self, coarse_op, k):
-        """BatchedCoarseSchur prepare/apply/reconstruct == SchurOperator."""
+        """BatchedCoarseSchur prepare/apply/reconstruct == the zero-padded oracle."""
         mc = coarse_op
         assert supports_dense_block_schur(mc)
-        bschur, schur = BatchedCoarseSchur(mc), SchurOperator(mc, parity=0)
+        bschur, schur = BatchedCoarseSchur(mc), SchurReference(mc)
         bs = stack_for(mc.lattice, k, mc.ns, mc.nc, seed=330 + k)
         prep = bschur.prepare_multi(bs)
         applied = bschur.apply_multi(prep)
@@ -190,7 +190,7 @@ class TestSchurProperty:
         rng = np.random.default_rng(seed)
         u = disordered_field(lat, rng, 0.4, smear_steps=1)
         op = WilsonCloverOperator(u, mass=-0.2, c_sw=1.0)
-        schur = batched_schur_for(op)
+        schur, oracle = batched_schur_for(op), SchurReference(op)
         bs = np.asarray(
             rng.standard_normal((k, lat.volume, 4, 3))
             + 1j * rng.standard_normal((k, lat.volume, 4, 3))
@@ -198,11 +198,9 @@ class TestSchurProperty:
         prep = schur.prepare_multi(bs)
         recon = schur.reconstruct_multi(prep, bs)
         for i in range(k):
+            np.testing.assert_allclose(prep[i], oracle.prepare_source(bs[i]), atol=1e-11)
             np.testing.assert_allclose(
-                prep[i], schur.prepare_source_reference(bs[i]), atol=1e-11
-            )
-            np.testing.assert_allclose(
-                recon[i], schur.reconstruct_reference(prep[i], bs[i]), atol=1e-11
+                recon[i], oracle.reconstruct(prep[i], bs[i]), atol=1e-11
             )
 
 
@@ -231,15 +229,15 @@ def reference_restrict(transfer, fine):
 
 def oracle_smooth(lev, r):
     """``smoother_steps`` damped MR steps from zero on the Schur system."""
-    schur = SchurOperator(lev.op, parity=0)
-    res = schur.prepare_source_reference(r)
+    schur = SchurReference(lev.op)
+    res = schur.prepare_source(r)
     half = np.zeros_like(res)
     for _ in range(lev.params.smoother_steps):
-        q = schur.apply_reference(res)
+        q = schur.apply(res)
         alpha = lev.params.smoother_omega * vdot(q, res) / vdot(q, q).real
         half += alpha * res
         res -= alpha * q
-    return schur.reconstruct_reference(half, r)
+    return schur.reconstruct(half, r)
 
 
 def oracle_cycle(hierarchy, level, r):
@@ -249,10 +247,10 @@ def oracle_cycle(hierarchy, level, r):
     z = oracle_smooth(lev, r)  # 1. pre-smooth
     rc = reference_restrict(lev.transfer, r - reference_apply(lev.op)(z))  # 2.
     if coarse.is_coarsest:  # 3. the red-black system, solved exactly, on the coarsest level ...
-        schur = SchurOperator(coarse.op, parity=0)
-        rhs = schur.prepare_source_reference(rc)
-        half = np.linalg.solve(schur.to_dense(), rhs.reshape(-1)).reshape(rhs.shape)
-        ec = schur.reconstruct_reference(half, rc)
+        schur = SchurReference(coarse.op)
+        rhs = schur.prepare_source(rc)
+        half = np.linalg.solve(schur_dense(schur), rhs.reshape(-1)).reshape(rhs.shape)
+        ec = schur.reconstruct(half, rc)
     else:  # ... GCR preconditioned by the next level's cycle above it
         ec = gcr(
             _Ref(reference_apply(coarse.op)),

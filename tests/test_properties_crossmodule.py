@@ -78,12 +78,12 @@ class TestOperatorProperties:
     @settings(**SETTINGS)
     def test_schur_gamma5_hermiticity(self, problem):
         op, v, w = problem
-        schur = SchurOperator(op, 0)
-        hv = schur.half_volume
-        vh, wh = v[:hv], w[:hv]
-        g5 = op.gamma5_diag()[None, :, None]
-        lhs = np.vdot(wh.ravel(), (g5 * schur.apply(g5 * vh)).ravel())
-        rhs = np.conj(np.vdot(vh.ravel(), schur.apply(wh).ravel()))
+        schur = SchurOperator(op)
+        hv = op.lattice.half_volume
+        vh, wh = v[None, :hv], w[None, :hv]
+        g5 = op.gamma5_diag()[None, None, :, None]
+        lhs = np.vdot(wh.ravel(), (g5 * schur.apply_multi(g5 * vh)).ravel())
+        rhs = np.conj(np.vdot(vh.ravel(), schur.apply_multi(wh).ravel()))
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), 1.0)
 
 

@@ -296,7 +296,6 @@ def test_booking_holds_through_two_solves_on_every_path(round_trip, op, tmp_path
 CONFIGURATIONS = {
     "double": dict(smoother_precision=Precision.DOUBLE, coarse_precision=Precision.DOUBLE),
     "double-smoother": dict(smoother_precision=Precision.DOUBLE),
-    "iterated-coarsest": dict(coarsest_schur=False),
 }
 
 

@@ -167,7 +167,7 @@ def test_native_half_rounding_is_the_site_major_rounding(aniso40_solve):
     schur = aniso40_solve[1].hierarchy.levels[0].smoother.schur
     native = schur.native(C64)
     rng = np.random.default_rng(49)
-    shape = (3, schur.half_volume, 4, 3)
+    shape = (3, schur.op.lattice.half_volume, 4, 3)
     # per-site magnitudes apart, so that each site's scale matters
     mags = 10.0 ** rng.integers(-6, 6, size=shape[:2] + (1, 1))
     hs = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * mags).astype(C64)

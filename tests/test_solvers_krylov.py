@@ -36,9 +36,9 @@ class TestBiCGStab:
         assert warm.converged
 
     def test_on_schur_system(self, wilson448, lat448):
-        schur = SchurOperator(wilson448, 0)
+        schur = SchurOperator(wilson448)
         b = random_spinor(lat448, seed=72)
-        bs = schur.prepare_source(b)
+        bs = schur.prepare_multi(b[None])[0]
         res = bicgstab(schur, bs, tol=1e-9, maxiter=5000)
         assert res.converged
 
@@ -46,8 +46,8 @@ class TestBiCGStab:
         # red-black preconditioning accelerates convergence (Section 3.3)
         b = random_spinor(lat448, seed=73)
         full = bicgstab(wilson448, b, tol=1e-8, maxiter=20000)
-        schur = SchurOperator(wilson448, 0)
-        red = bicgstab(schur, schur.prepare_source(b), tol=1e-8, maxiter=20000)
+        schur = SchurOperator(wilson448)
+        red = bicgstab(schur, schur.prepare_multi(b[None])[0], tol=1e-8, maxiter=20000)
         assert red.iterations < full.iterations
 
 

@@ -34,9 +34,9 @@ class TestPrecisionOperator:
 class TestMixedPrecisionSolve:
     def test_half_inner_reaches_double_accuracy(self, wilson448, lat448):
         # the headline claim: half-precision iterations, no accuracy loss
-        schur = SchurOperator(wilson448, 0)
+        schur = SchurOperator(wilson448)
         b = random_spinor(lat448, seed=93)
-        bs = schur.prepare_source(b)
+        bs = schur.prepare_multi(b[None])[0]
         res = mixed_precision_solve(
             schur,
             bs,
@@ -46,23 +46,23 @@ class TestMixedPrecisionSolve:
             inner_kwargs={"maxiter": 400},
         )
         assert res.converged
-        assert norm(bs - schur.apply(res.x)) / norm(bs) < 1e-10
+        assert norm(bs - schur.apply_multi(res.x[None])[0]) / norm(bs) < 1e-10
 
     def test_beats_naive_half_solve(self, wilson448, lat448):
         # a pure half-precision solver stalls well above 1e-10
-        schur = SchurOperator(wilson448, 0)
+        schur = SchurOperator(wilson448)
         b = random_spinor(lat448, seed=94)
-        bs = schur.prepare_source(b)
+        bs = schur.prepare_multi(b[None])[0]
         naive = bicgstab(
             PrecisionOperator(schur, Precision.HALF), bs, tol=1e-10, maxiter=800
         )
-        true_rel = norm(bs - schur.apply(naive.x)) / norm(bs)
+        true_rel = norm(bs - schur.apply_multi(naive.x[None])[0]) / norm(bs)
         assert true_rel > 1e-9  # stalled
         mixed = mixed_precision_solve(
             schur, bs, bicgstab, tol=1e-10,
             inner_precision=Precision.HALF, inner_kwargs={"maxiter": 400},
         )
-        assert norm(bs - schur.apply(mixed.x)) / norm(bs) < 1e-10
+        assert norm(bs - schur.apply_multi(mixed.x[None])[0]) / norm(bs) < 1e-10
 
     def test_single_inner(self, wilson44, lat44):
         b = random_spinor(lat44, seed=95)

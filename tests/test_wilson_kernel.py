@@ -2,8 +2,8 @@
 
 ``repro.dirac.wilson_kernel`` is the only fine-grid formulation the
 package runs; the site-major ``apply_reference`` / ``hop_sum_reference``
-and the zero-padded Schur algebra (``SchurOperator.*_reference``) exist
-to check it.  Everything here is differential: kernel vs oracle at
+and the zero-padded Schur algebra (``SchurReference``) exist to check
+it.  Everything here is differential: kernel vs oracle at
 ``<= 1e-12`` relative, over boundary conditions, anisotropy, the
 clover-free operator, batch sizes, a lattice whose half volume leaves a
 ragged last cache block, and complex64 input (``<= 5e-6``).
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dirac import SchurOperator, WilsonCloverOperator
+from repro.dirac import SchurOperator, SchurReference, WilsonCloverOperator
 from repro.dirac.wilson_kernel import BLOCK, WilsonKernel, wilson_kernel_for
 from repro.gauge import disordered_field
 from repro.lattice import Lattice
@@ -31,6 +31,7 @@ from repro.precision import Precision
 from repro.serve.cache import SetupCache
 from repro.workloads.datasets import ANISO40_SCALED
 from strategies import SEEDS, lattices, wilson_operators
+from tests.conftest import schur_dense
 
 RTOL = 1e-12
 RTOL_SINGLE = 5e-6  # complex64 result vs the complex128 oracle
@@ -98,32 +99,31 @@ def test_apply_multi_matches_reference(op, stack, k):
 # ----------------------------------------------------------------------
 # red-black system
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("parity", (0, 1))
+@pytest.mark.parametrize("parity", (0,))  # the parity every system solves on
 def test_schur_matches_zero_padded_algebra(op, stack, parity):
-    schur = SchurOperator(op, parity=parity)
+    """A stack of one through the kernel is the oracle's single field."""
+    schur, oracle = SchurOperator(op), SchurReference(op)
     b = stack[0]
     half = b[op.lattice.sites_of_parity(parity)]
-    assert _rel_err(schur.apply(half), schur.apply_reference(half)) <= RTOL
+    assert _rel_err(schur.apply_multi(half[None])[0], oracle.apply(half)) <= RTOL
+    assert _rel_err(schur.prepare_multi(b[None])[0], oracle.prepare_source(b)) <= RTOL
     assert (
-        _rel_err(schur.prepare_source(b), schur.prepare_source_reference(b)) <= RTOL
-    )
-    assert (
-        _rel_err(schur.reconstruct(half, b), schur.reconstruct_reference(half, b))
+        _rel_err(schur.reconstruct_multi(half[None], b[None])[0], oracle.reconstruct(half, b))
         <= RTOL
     )
 
 
 @pytest.mark.parametrize("k", BATCHES)
 def test_batched_schur_matches_zero_padded_algebra(op, stack, k):
-    schur = SchurOperator(op, parity=0)
+    schur, oracle = SchurOperator(op), SchurReference(op)
     bs = stack[:k]
     halves = bs[:, op.lattice.even_sites]
     for got, want in (
-        (schur.apply_multi(halves), [schur.apply_reference(h) for h in halves]),
-        (schur.prepare_multi(bs), [schur.prepare_source_reference(b) for b in bs]),
+        (schur.apply_multi(halves), [oracle.apply(h) for h in halves]),
+        (schur.prepare_multi(bs), [oracle.prepare_source(b) for b in bs]),
         (
             schur.reconstruct_multi(halves, bs),
-            [schur.reconstruct_reference(h, b) for h, b in zip(halves, bs)],
+            [oracle.reconstruct(h, b) for h, b in zip(halves, bs)],
         ),
     ):
         want = np.stack(want)
@@ -152,7 +152,7 @@ def test_schur_matches_dense_complement(antiperiodic):
     complement = dense[np.ix_(e, e)] - dense[np.ix_(e, o)] @ np.linalg.solve(
         dense[np.ix_(o, o)], dense[np.ix_(o, e)]
     )
-    assert _rel_err(SchurOperator(op, parity=0).to_dense(), complement) <= RTOL
+    assert _rel_err(schur_dense(SchurOperator(op)), complement) <= RTOL
 
 
 # ----------------------------------------------------------------------
@@ -169,13 +169,13 @@ def test_complex64_input_is_computed_in_complex64(op, stack):
     assert _rel_err(got, op.apply_reference(v64)) <= RTOL_SINGLE
     assert wilson_kernel_for(op, np.complex64) is not wilson_kernel_for(op)
 
-    schur = SchurOperator(op, parity=0)
+    schur, oracle = SchurOperator(op), SchurReference(op)
     h32, h64 = v32[op.lattice.even_sites], v64[op.lattice.even_sites]
     for got, want in (
-        (schur.apply(h32), schur.apply_reference(h64)),
-        (schur.prepare_source(v32), schur.prepare_source_reference(v64)),
-        (schur.reconstruct(h32, v32), schur.reconstruct_reference(h64, v64)),
-        (schur.apply_reference(h32), schur.apply_reference(h64)),
+        (schur.apply_multi(h32[None])[0], oracle.apply(h64)),
+        (schur.prepare_multi(v32[None])[0], oracle.prepare_source(v64)),
+        (schur.reconstruct_multi(h32[None], v32[None])[0], oracle.reconstruct(h64, v64)),
+        (oracle.apply(h32), oracle.apply(h64)),
     ):
         assert got.dtype == np.complex64
         assert _rel_err(got, want) <= RTOL_SINGLE
@@ -229,9 +229,8 @@ def test_one_kernel_per_operator(op):
 # ----------------------------------------------------------------------
 class _ReferenceDriven:
     """The operator with ``apply`` and the primitives the red-black
-    algebra composes pinned to the site-major oracles: its
-    ``SchurOperator`` finds no kernel and runs the zero-padded
-    ``*_reference`` path over them."""
+    algebra composes pinned to the site-major oracles, for
+    ``SchurReference`` to run the zero-padded algebra over them."""
 
     def __init__(self, op):
         self.lattice, self.ns, self.nc = op.lattice, op.ns, op.nc
@@ -260,8 +259,10 @@ def test_null_vectors_match_reference_driven_setup(monkeypatch):
         got = generate_null_vectors(op, 3, rng_kernel, null_iters=20, dtype=dtype)
         # booked once per vector: what the setup caches' warm-hit assertions count
         assert registry.value("mg.null_vector_generations") == booked + 3
+        oracle_op = _ReferenceDriven(op)
         want = generate_null_vectors(
-            _ReferenceDriven(op), 3, rng_oracle, null_iters=20, dtype=dtype
+            oracle_op, 3, rng_oracle, null_iters=20, dtype=dtype,
+            schur=SchurReference(oracle_op),
         )
         for g, w in zip(got, want):
             assert g.dtype == np.complex128
@@ -285,10 +286,16 @@ def test_solve_counters_match_an_oracle_driven_solve(aniso40_solve, monkeypatch)
     null vectors are converged-relaxation round-off, see DESIGN.md
     section 17.)"""
     from repro.fields import SpinorField
-    from repro.mg import MultigridSolver
+    from repro.mg import MultigridSolver, hierarchy
 
     ds, solver, with_kernel = aniso40_solve
     op = WilsonCloverOperator(ds.gauge(), **ds.operator_kwargs())
+    factory = hierarchy.batched_schur_for
+    monkeypatch.setattr(
+        hierarchy,
+        "batched_schur_for",
+        lambda level_op: SchurReference(op) if level_op is op else factory(level_op),
+    )
     no_kernel = lambda op, dtype=None: None  # noqa: E731
     monkeypatch.setattr("repro.dirac.wilson_kernel.wilson_kernel_for", no_kernel)
     monkeypatch.setattr("repro.dirac.even_odd.wilson_kernel_for", no_kernel)

@@ -144,6 +144,7 @@ _BREAKDOWN = (
     ("reductions", "repro.mg.smoother", None, "batch_dot"),
     ("layout conversions", "repro.dirac.wilson_kernel", None, "to_site_fastest"),
     ("layout conversions", "repro.dirac.wilson_kernel", None, "to_site_major"),
+    ("layout conversions", "repro.dirac.even_odd", None, "to_site_fastest"),
     ("precision entry/exit", "repro.mg.smoother", None, "enter_precision"),
     ("precision entry/exit", "repro.mg.smoother", None, "leave_precision"),
     ("precision entry/exit", "repro.mg.kcycle", None, "enter_precision"),
