@@ -9,7 +9,11 @@ term *and* all hops internal to the aggregates).
 
 The blocks are built and kept in complex128, per direction and
 orientation (Galerkin products, the setup cache and verification read
-those).  An application reads them as one row of blocks per site over
+those).  The Galerkin product of a gamma5-hermitian operator keeps its
+structure: ``X = G X^dag G`` and ``Y^{-mu}(x) = G Y^{+mu}(x - mu)^dag G``
+with ``G`` the coarse gamma5 (:func:`gamma5_adjoint`), bit for bit, since
+:mod:`~repro.coarse.galerkin` derives the backward half from the forward
+one.  An application reads them as one row of blocks per site over
 the site itself and its *distinct* neighbours
 (:class:`~repro.dirac.mrhs._DenseBlockHop`): on an extent-2 direction
 ``x + mu`` and ``x - mu`` are one site, and its two links are summed
@@ -92,11 +96,6 @@ class CoarseOperator(StencilOperator):
             )
         return table
 
-    def drop_tables(self, dtype) -> None:
-        """Forget the table at ``dtype``; the next stack of that dtype
-        gathers it again."""
-        self._tables.pop(np.dtype(dtype), None)
-
     def streamed(self, dtype) -> dict[str, np.ndarray]:
         """The ``dtype`` table an application reads and its index, by
         name, gathered here if no stack of that dtype has been applied."""
@@ -120,8 +119,19 @@ class CoarseOperator(StencilOperator):
         )
 
     def apply_diag(self, v: np.ndarray) -> np.ndarray:
-        x_blocks = reduced(self, "x_blocks", compute_dtype(v))
-        return np.matmul(x_blocks, v.reshape(len(v), self.site_dof, 1)).reshape(v.shape)
+        return self.apply_diag_multi(v[None])[0]
+
+    def apply_diag_multi(
+        self, vs: np.ndarray, chirality: int | None = None
+    ) -> np.ndarray:
+        """``X`` on a ``(K, V, ns, nc)`` stack or a chiral stack
+        (:meth:`StencilOperator.apply_diag_multi`): one ``N x N`` (or
+        ``N x N/2``) by ``. x K`` multiply per site."""
+        x_blocks = reduced(self, "x_blocks", compute_dtype(vs))[:, :, self._dofs(chirality)]
+        k, vol = vs.shape[:2]
+        cols = vs.reshape(k, vol, -1).transpose(1, 2, 0)
+        out = np.matmul(x_blocks, cols).transpose(2, 0, 1)
+        return out.reshape(k, vol, self.ns, self.nc)
 
     def apply_diag_inv(self, v: np.ndarray) -> np.ndarray:
         x_inv = reduced(self, "_x_inv", compute_dtype(v))
@@ -134,17 +144,26 @@ class CoarseOperator(StencilOperator):
         return np.matmul(hop_blocks[mu, d], flat).reshape(nbr.shape)
 
     def apply_hop_sites(
-        self, mu: int, sign: int, sites: np.ndarray, vs: np.ndarray
+        self, mu: int, sign: int, sites: np.ndarray, vs: np.ndarray, chirality: int
     ) -> np.ndarray:
-        """Signed hop on the output sites ``sites`` for a ``(K, V, ns, nc)``
-        stack: one ``N x N`` by ``N x K`` multiply per site."""
+        """Signed hop on the output sites ``sites`` of a chiral stack
+        (:meth:`StencilOperator.apply_hop_sites`): one ``N x N/2`` by
+        ``N/2 x K`` multiply per site."""
         lat = self.lattice
         d = 0 if sign > 0 else 1
         table = (lat.fwd[mu] if sign > 0 else lat.bwd[mu])[sites]
-        blocks = reduced(self, "hop_blocks", compute_dtype(vs))[mu, d][sites]
+        hop_blocks = reduced(self, "hop_blocks", compute_dtype(vs))[mu, d]
+        blocks = hop_blocks[sites, :, self._dofs(chirality)]
         k, n = vs.shape[0], len(sites)
-        nbr = vs[:, table].reshape(k, n, self.site_dof).transpose(1, 2, 0)
+        # (site, dof, system), gathered in one pass
+        nbr = vs.reshape(k, lat.volume, -1).transpose(1, 2, 0)[table]
         return np.matmul(blocks, nbr).transpose(2, 0, 1).reshape(k, n, self.ns, self.nc)
+
+    def _dofs(self, chirality: int | None) -> slice:
+        """A site's dofs in ``chirality``; all of them for ``None``."""
+        if chirality is None:
+            return slice(None)
+        return slice(chirality * self.chiral_dof, (chirality + 1) * self.chiral_dof)
 
     def _apply_multi(self, vs: np.ndarray) -> np.ndarray:
         """Application to a ``(K, V, ns, nc)`` stack: one gather and one
@@ -159,19 +178,33 @@ class CoarseOperator(StencilOperator):
         """Deviation from the Eq-3 structure ``Y^{-mu}(x) = G Y^{+mu}(x-mu)^dag G``.
 
         ``G`` is the coarse gamma5; this is the coarse image of the fine
-        operator's gamma5-hermiticity and should hold to roundoff for
+        operator's gamma5-hermiticity, and holds bit for bit for
         operators produced by the Galerkin product of a gamma5-hermitian
-        fine operator.
+        fine operator (which derives the backward links).
         """
-        g = np.kron(self.gamma5_diag(), np.ones(self.nc))
-        worst = 0.0
+        return max(
+            float(np.abs(blocks - expect).max())
+            for name, blocks, expect in self.gamma5_partners()
+            if name != "X"
+        )
+
+    def gamma5_partners(self):
+        """``(name, blocks, expect)`` for each array gamma5-hermiticity
+        determines: ``X`` and ``G X^dag G``, each backward link and
+        ``G Y^{+mu}(x - mu)^dag G``.  Every ``expect`` is written into
+        one buffer: read each before taking the next."""
+        expect = np.empty_like(self.x_blocks)
+        yield "X", self.x_blocks, gamma5_adjoint(self.x_blocks, self.chiral_dof, expect)
         for mu in range(NDIM):
-            fwd_from_nbr = self.hop_blocks[mu, 0][self.lattice.bwd[mu]]
-            expect = g[None, :, None] * np.conj(
-                np.swapaxes(fwd_from_nbr, -1, -2)
-            ) * g[None, None, :]
-            worst = max(worst, float(np.abs(self.hop_blocks[mu, 1] - expect).max()))
-        return worst
+            forward = self.hop_blocks[mu, 0][self.lattice.bwd[mu]]
+            gamma5_adjoint(forward, self.chiral_dof, expect)
+            yield f"Y^-{mu}", self.hop_blocks[mu, 1], expect
+
+    @property
+    def chiral_dof(self) -> int:
+        """The dofs of a site in the first chirality, where ``G = +1``
+        (``G = -1`` on the rest)."""
+        return self.ns // 2 * self.nc
 
     def memory_bytes(self, precision_bytes: float = 4.0) -> float:
         """Storage footprint of the operator (for the performance model)."""
@@ -181,3 +214,17 @@ class CoarseOperator(StencilOperator):
 
     def __repr__(self) -> str:
         return f"CoarseOperator({self.lattice!r}, ns={self.ns}, nc={self.nc})"
+
+
+def gamma5_adjoint(
+    blocks: np.ndarray, half: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``G B^dag G`` of every ``N x N`` block ``B`` of ``blocks`` (into
+    ``out`` when given), with ``G`` the coarse gamma5, ``+1`` on the
+    first ``half`` dofs and ``-1`` on the rest: a transpose, a
+    conjugation and a negation of the off-chirality quadrants, so it is
+    exact."""
+    out = np.conjugate(np.swapaxes(blocks, -1, -2), out=out)
+    for quadrant in (out[..., :half, half:], out[..., half:, :half]):
+        np.negative(quadrant, out=quadrant)
+    return out

@@ -1,32 +1,45 @@
 """Galerkin construction of the coarse operator, ``M_hat = P^dag M P``.
 
-The fine operator is decomposed into its site-local term and eight hop
-terms.  A hop leaving an aggregate contributes to the corresponding
+The fine operator is decomposed into its site-local term ``A`` and eight
+hop terms.  A hop leaving an aggregate contributes to the corresponding
 coarse link ``Y``; a hop staying inside an aggregate and the site-local
 term contribute to the coarse diagonal ``X`` (paper Section 3.4).
 
 A coarse unit vector ``e_j`` — one at dof ``j`` of *every* coarse site —
-prolongs to a fine field whose image under ``M``, restricted, is
-column ``j`` of ``X + sum_{mu,d} Y[mu, d]`` at every coarse site at
-once.  The ``Y[mu, d]`` part of that sum is the restriction of the one
-hop term evaluated where it crosses an aggregate boundary, so
+prolongs to a fine field whose image under a term, restricted, is
+column ``j`` of that term's coarse blocks at every coarse site at once.
+Only the four forward hops are evaluated, each on every fine site in
+aggregate order.  Where the hop crosses an aggregate boundary (the same
+in-block slots in every aggregate) its restriction is the forward link,
+``Y[mu, +] = R (hop_{mu,+} P)|_crossing``; the rest is added to one
+accumulator that starts at ``A P e / 2``, whose restriction is
+``Z = R A P / 2 + F`` with ``F`` the forward hops internal to the
+aggregates.
 
-    ``Y[mu, d] = R (hop_{mu,d} P)|_boundary``,   ``X = R M P - sum Y``.
+The backward half follows from gamma5-hermiticity, ``gamma5 M gamma5 =
+M^dag``, and the chirality-preserving transfer (``R gamma5 = G R`` with
+``G`` the coarse gamma5): the backward internal hops restrict to
+``G F^dag G``, ``A`` to its own image, so
 
-All ``2 * Nc_hat`` columns travel as one stack: ``P e_j`` is column
-``j`` of the basis laid out on the lattice (a scatter, not a GEMM
-against the identity), ``M P`` is one ``apply_multi`` and one
-``restrict_multi``.  A hop leaves the aggregate from the same in-block
-slots in every aggregate — the boundary slab of its direction, a
-``1/b_mu`` share of the block — so each hop is evaluated on those sites
-only, in aggregate order, and restricted against only the matching rows
-of the basis (:meth:`~repro.transfer.Transfer.restrict_slab`): no
-zero-padded lattice is built or read.  This is exact (tested against
-``R M P`` on dense matrices).
+    ``X = Z + G Z^dag G``,   ``Y[mu, -](x) = G Y[mu, +](x - mu)^dag G``,
+
+and the coarse operator is gamma5-hermitian by construction, bit for
+bit.  That is the precondition: a gamma5-hermitian operator (checked on
+a coarse one) and a chirality-preserving transfer (every ``Transfer``).
+
+``P e_j`` lives in the chirality of ``j``, so each chirality's
+``Nc_hat`` columns travel as one chiral stack (the basis laid out on the
+lattice, a scatter), and the operator reads only that chirality's half
+of its spins or dofs.  The crossing slots and the accumulator are
+restricted against only the matching rows of the basis
+(:meth:`~repro.transfer.Transfer.restrict_slab`): no zero-padded
+lattice is built or read.  This is exact (tested against the
+term-by-term construction and ``R M P`` on dense matrices).
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 
 import numpy as np
@@ -35,45 +48,62 @@ from ..dirac.stencil import StencilOperator
 from ..lattice import NDIM
 from ..telemetry.tracer import get_tracer
 from ..transfer import Transfer
-from .coarse_op import CoarseOperator
+from .coarse_op import CoarseOperator, gamma5_adjoint
 
-#: Prolonged columns held at once.  The stack and its image under ``M``
-#: are live together, next to one boundary slab (a ``1/b_mu`` share of
-#: the stack), so the working set is about twice this.  Swept 256 kB to
-#: 64 MB on the benchmark configurations: flat from 4 MB up, 2-3x slower
-#: at 256 kB (DESIGN.md section 19).
+#: Prolonged columns held at once.  The stack, the accumulator and one
+#: hop's image are live together, so the working set is about three
+#: times this.  Swept 256 kB to 64 MB on the benchmark configurations:
+#: flat from 4 MB up, 2-3x slower at 256 kB (DESIGN.md section 19).
 _CHUNK_BYTES = 1 << 24
+
+#: Largest relative deviation from gamma5-hermiticity a coarse input may
+#: show: its backward half is derived, not read.
+_HERMITICITY_TOL = 1e-12
 
 
 def coarsen_operator(op: StencilOperator, transfer: Transfer) -> CoarseOperator:
-    """Compute the Galerkin coarse operator of ``op`` through ``transfer``."""
+    """Compute the Galerkin coarse operator of ``op`` through ``transfer``.
+
+    ``op`` must be gamma5-hermitian and ``transfer`` chirality-preserving:
+    the backward links and internal hops are derived from the forward
+    ones.  A :class:`CoarseOperator` input whose links or ``X`` blocks
+    deviate from gamma5-hermiticity by more than 1e-12 relative raises
+    ``ValueError``.
+    """
     if transfer.fine_lattice != op.lattice:
         raise ValueError("transfer fine lattice does not match operator lattice")
     if transfer.fine_ns != op.ns or transfer.fine_nc != op.nc:
         raise ValueError("transfer dof does not match operator dof")
+    if isinstance(op, CoarseOperator):
+        _require_gamma5_hermitian(op)
     blocking = transfer.blocking
     coarse = transfer.coarse_lattice
     ns_c, nc_c = transfer.coarse_ns, transfer.coarse_nc
     n = ns_c * nc_c
-    vc = coarse.volume
+    vc, bv = coarse.volume, blocking.block_volume
     vf = op.lattice.volume
 
+    # X holds Z until the loop is done
     x_blocks = np.empty((vc, n, n), dtype=np.complex128)
     hop_blocks = np.empty((NDIM, 2, vc, n, n), dtype=np.complex128)
-    # the in-block slots whose (mu, d) hop reads another aggregate (the
-    # same in every aggregate) and those fine sites, aggregate by aggregate
-    first = blocking.agg_sites[0]
-    boundary = []
+    # every fine site, aggregate by aggregate; an aggregate's slots are
+    # ordered by local coordinate, x fastest, so a field over them splits
+    # into the block axes (b_t, b_z, b_y, b_x) and the slots whose
+    # forward mu hop reads another aggregate (the same in every
+    # aggregate) are the last index of mu's axis, the rest stay inside
+    sites = blocking.agg_sites.ravel()
+    block_axes = blocking.block[::-1]
+    slot_grid = np.arange(bv).reshape(block_axes)
+    slots = []  # per direction: crossing and inside, indexing (K, V_c, *block_axes, ...)
     for mu in range(NDIM):
-        for d, (sign, crosses) in enumerate(
-            ((+1, blocking.crosses_block_fwd), (-1, blocking.crosses_block_bwd))
-        ):
-            slots = np.flatnonzero(crosses(mu)[first])
-            boundary.append((mu, d, sign, slots, blocking.agg_sites[:, slots].ravel()))
+        lead = (slice(None),) * (2 + NDIM - 1 - mu)
+        crossing = lead + (slice(blocking.block[mu] - 1, None),)
+        inside = lead + (slice(0, blocking.block[mu] - 1),)
+        slots.append((crossing, inside, slot_grid[crossing[2:]].ravel()))
 
     field_bytes = vf * op.ns * op.nc * np.dtype(np.complex128).itemsize
     chunk = max(1, _CHUNK_BYTES // field_bytes)
-    slab_share = sum(len(slots) for _, _, _, slots, _ in boundary) / blocking.block_volume
+    slab_share = sum(len(crossing) for _, _, crossing in slots) / bv
     span = get_tracer().current()
     spent = {"hop_s": 0.0, "restrict_s": 0.0}
 
@@ -86,39 +116,61 @@ def coarsen_operator(op: StencilOperator, transfer: Transfer) -> CoarseOperator:
         spent[phase] += time.perf_counter() - start
         return out
 
-    for lo in range(0, n, chunk):
-        cols = slice(lo, min(lo + chunk, n))
-        k = cols.stop - lo
-        basis_fine = transfer.unit_columns(cols)
-        image = timed("hop_s", op.apply_multi, basis_fine)
-        x_blocks[:, :, cols] = (
-            timed("restrict_s", transfer.restrict_multi, image)
-            .reshape(k, vc, n)
-            .transpose(1, 2, 0)
-        )
-        del image
-        for mu, d, sign, slots, sites in boundary:
-            slab = timed("hop_s", op.apply_hop_sites, mu, sign, sites, basis_fine)
-            slab = slab.reshape((k, vc, len(slots)) + slab.shape[2:])
-            link = timed("restrict_s", transfer.restrict_slab, slab, slots)
-            link = link.reshape(vc, n, k)
-            hop_blocks[mu, d, :, :, cols] = link
-            x_blocks[:, :, cols] -= link
+    # P e_j lives in the chirality of j: each chirality's columns travel
+    # as a chiral stack, so the operator reads only that chirality's half
+    for chi, lo in itertools.product(range(2), range(0, nc_c, chunk)):
+        cols = slice(chi * nc_c + lo, chi * nc_c + min(lo + chunk, nc_c))
+        k = cols.stop - cols.start
+        columns = transfer.unit_columns(chi, slice(lo, lo + k))
+        shape = (k, vc) + block_axes + (op.ns, op.nc)
+        acc = op.apply_diag_multi(columns, chi)[:, sites].reshape(shape)
+        acc *= 0.5
+        for mu, (crossing, inside, crossing_slots) in enumerate(slots):
+            hop = timed("hop_s", op.apply_hop_sites, mu, +1, sites, columns, chi)
+            hop = hop.reshape(shape)
+            link = timed("restrict_s", transfer.restrict_slab, hop[crossing], crossing_slots)
+            hop_blocks[mu, 0, :, :, cols] = link.reshape(vc, n, k)
+            acc[inside] += hop[inside]
+        z = timed("restrict_s", transfer.restrict_slab, acc, slice(None))
+        x_blocks[:, :, cols] = z.reshape(vc, n, k)
         if span is not None:
-            # the GEMMs (one restrict of the image, the slabs' share of
-            # one per hop), one full apply and the slabs' share of its
-            # eight hops
+            # the GEMMs (one full restrict, the crossing slabs' share of
+            # one per direction) and the site-local term plus the four
+            # forward hops — that share of the stencil's 2 * NDIM + 1
+            # terms — on a chiral stack, half of a full one
             t_flops, t_bytes = transfer.application_cost_multi(k)
             m_flops, m_bytes = op.application_cost_multi(k)
             restricts = 1 + slab_share
-            applies = 1 + slab_share / (2 * NDIM)
+            applies = (1 + NDIM) / (1 + 2 * NDIM) / 2
             span.attribute(
                 flops=restricts * t_flops + applies * m_flops,
                 bytes=restricts * t_bytes + applies * m_bytes,
             )
     if span is not None:
         span.annotate(**spent)
-    return CoarseOperator(coarse, x_blocks, hop_blocks, ns_c, nc_c)
+    coarse_op = CoarseOperator(coarse, x_blocks, hop_blocks, ns_c, nc_c)
+    half = coarse_op.chiral_dof
+    x_blocks += gamma5_adjoint(x_blocks, half)
+    for mu in range(NDIM):
+        gamma5_adjoint(hop_blocks[mu, 0][coarse.bwd[mu]], half, out=hop_blocks[mu, 1])
+    return coarse_op
+
+
+def _require_gamma5_hermitian(op: CoarseOperator) -> None:
+    """``ValueError`` unless ``op``'s ``X`` blocks and links are
+    gamma5-hermitian to :data:`_HERMITICITY_TOL` relative (a coarse
+    operator this module built is, bit for bit)."""
+    for name, blocks, expect in op.gamma5_partners():
+        if np.array_equal(blocks, expect):
+            continue
+        scale = max(float(np.abs(expect).max()), np.finfo(np.float64).tiny)
+        violation = float(np.abs(blocks - expect).max()) / scale
+        if violation > _HERMITICITY_TOL:
+            raise ValueError(
+                f"coarse operator is not gamma5-hermitian ({name} off by "
+                f"{violation:.2e} relative): its Galerkin product would "
+                f"derive wrong backward blocks"
+            )
 
 
 def galerkin_violation(

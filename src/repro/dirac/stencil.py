@@ -23,6 +23,7 @@ import numpy as np
 from ..fields import SpinorField
 from ..lattice import NDIM, Lattice
 from ..precision import COMPLEX128
+from .gamma import chirality_slices_for
 
 
 class StencilOperator(abc.ABC):
@@ -53,24 +54,42 @@ class StencilOperator(abc.ABC):
         gather (see :mod:`repro.comm.partitioned`).
         """
 
+    def apply_diag_multi(
+        self, vs: np.ndarray, chirality: int | None = None
+    ) -> np.ndarray:
+        """The site-local term of a ``(K, V, ns, nc)`` stack.
+
+        With ``chirality`` given, ``vs`` is a *chiral stack*
+        ``(K, V, ns/2, nc)``: the components in that chirality of a
+        stack that is zero in the other (what the Galerkin product
+        prolongs a coarse unit vector to); the result is the whole
+        ``(K, V, ns, nc)`` term.  The default applies :meth:`apply_diag`
+        system by system; operators with per-site matrices override it
+        with one batched multiply that reads only the chirality's
+        columns.
+        """
+        return np.stack([self.apply_diag(v) for v in self.full_stack(vs, chirality)])
+
     def apply_hop(self, mu: int, sign: int, v: np.ndarray) -> np.ndarray:
         """The signed hop term of ``M v`` reading neighbour ``x + sign*mu_hat``."""
         table = self.lattice.fwd[mu] if sign > 0 else self.lattice.bwd[mu]
         return self.apply_hop_gathered(mu, sign, v[table])
 
     def apply_hop_sites(
-        self, mu: int, sign: int, sites: np.ndarray, vs: np.ndarray
+        self, mu: int, sign: int, sites: np.ndarray, vs: np.ndarray, chirality: int
     ) -> np.ndarray:
-        """The signed hop term of ``M v`` on the output sites ``sites``
-        only, for a stack ``vs`` of shape ``(K, V, ns, nc)``; returns
-        ``(K, len(sites), ns, nc)``.
+        """The signed hop term on the output sites ``sites`` only, of the
+        chiral stack ``vs`` of ``chirality`` (as in
+        :meth:`apply_diag_multi`); returns ``(K, len(sites), ns, nc)``.
 
-        What the Galerkin product needs of a hop: its value where it
-        crosses an aggregate boundary.  The default evaluates
-        :meth:`apply_hop_gathered` system by system on a field that is
-        zero off ``sites``; operators with per-site matrices override
-        it with one batched multiply over the slab.
+        What the Galerkin product needs of a hop: its value on the
+        prolonged unit columns, aggregate by aggregate.  The default
+        evaluates :meth:`apply_hop_gathered` system by system on the full
+        stack, zero off ``sites``; operators with per-site matrices
+        override it with one batched multiply over the sites that reads
+        only the chirality's columns.
         """
+        vs = self.full_stack(vs, chirality)
         table = (self.lattice.fwd[mu] if sign > 0 else self.lattice.bwd[mu])[sites]
         out = np.empty((vs.shape[0], len(sites)) + vs.shape[2:], dtype=vs.dtype)
         nbr = np.zeros_like(vs[0])
@@ -78,6 +97,16 @@ class StencilOperator(abc.ABC):
             nbr[sites] = v[table]
             out[i] = self.apply_hop_gathered(mu, sign, nbr)[sites]
         return out
+
+    def full_stack(self, vs: np.ndarray, chirality: int | None) -> np.ndarray:
+        """The ``(K, V, ns, nc)`` stack whose ``chirality`` components are
+        the chiral stack ``vs`` and whose others are zero; ``vs`` itself
+        when ``chirality`` is ``None``."""
+        if chirality is None:
+            return vs
+        full = np.zeros(vs.shape[:2] + (self.ns, self.nc), dtype=vs.dtype)
+        full[:, :, chirality_slices_for(self.ns)[chirality]] = vs
+        return full
 
     # ------------------------------------------------------------------
     # derived operations

@@ -95,19 +95,40 @@ class WilsonCloverOperator(StencilOperator):
     # ------------------------------------------------------------------
     def apply_diag(self, v: np.ndarray) -> np.ndarray:
         """Clover/mass site-local term."""
-        return self._apply_blocks(reduced(self, "_diag_blocks", compute_dtype(v)), v)
+        return self.apply_diag_multi(v[None])[0]
+
+    def apply_diag_multi(
+        self, vs: np.ndarray, chirality: int | None = None
+    ) -> np.ndarray:
+        """Clover/mass site-local term of a ``(K, V, 4, 3)`` stack or of a
+        chiral stack (:meth:`StencilOperator.apply_diag_multi`), whose
+        chirality it keeps."""
+        blocks = reduced(self, "_diag_blocks", compute_dtype(vs))
+        return self._apply_blocks(blocks, vs, chirality)
 
     def apply_diag_inv(self, v: np.ndarray) -> np.ndarray:
-        return self._apply_blocks(reduced(self, "_diag_inv", compute_dtype(v)), v)
+        return self._apply_blocks(reduced(self, "_diag_inv", compute_dtype(v)), v[None])[0]
 
-    def _apply_blocks(self, blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Per-site chiral ``6x6`` blocks ``(V, 2, 6, 6)`` applied to
-        ``(V, 4, 3)``, one stacked matvec per chirality."""
-        vol = v.shape[0]
-        out = np.empty_like(v)
+    def _apply_blocks(
+        self, blocks: np.ndarray, vs: np.ndarray, chirality: int | None = None
+    ) -> np.ndarray:
+        """Per-site chiral ``6x6`` blocks ``(V, 2, 6, 6)`` applied to a
+        ``(K, V, 4, 3)`` stack, or to the chiral stack ``(K, V, 2, 3)``
+        of ``chirality`` (the result zero in the other chirality): one
+        ``6 x 6`` by ``6 x K`` multiply per site and chirality."""
+        k, vol = vs.shape[:2]
+        out = np.zeros((k, vol, self.ns, self.nc), dtype=vs.dtype)
         for chi, sl in enumerate(chirality_slices()):
-            x = v[:, sl, :].reshape(vol, 6, 1)
-            out[:, sl, :] = np.matmul(blocks[:, chi], x).reshape(vol, 2, 3)
+            if chirality is None:
+                x = vs[:, :, sl, :]
+            elif chi == chirality:
+                x = vs
+            else:
+                continue
+            x = x.reshape(k, vol, 6).transpose(1, 2, 0)
+            out[:, :, sl, :] = (
+                np.matmul(blocks[:, chi], x).transpose(2, 0, 1).reshape(k, vol, 2, 3)
+            )
         return out
 
     # ------------------------------------------------------------------
@@ -120,21 +141,25 @@ class WilsonCloverOperator(StencilOperator):
         return -0.5 * np.tensordot(colored, proj, axes=([1], [1])).transpose(0, 2, 1)
 
     def apply_hop_sites(
-        self, mu: int, sign: int, sites: np.ndarray, vs: np.ndarray
+        self, mu: int, sign: int, sites: np.ndarray, vs: np.ndarray, chirality: int
     ) -> np.ndarray:
-        """Signed hop on the output sites ``sites`` for a ``(K, V, 4, 3)``
-        stack: one ``3 x 3`` by ``3 x 4K`` multiply per site, then the
-        spin projector as one GEMM."""
+        """Signed hop on the output sites ``sites`` of a chiral stack
+        ``(K, V, 2, 3)`` (:meth:`StencilOperator.apply_hop_sites`): one
+        ``3 x 3`` by ``3 x 2K`` multiply per site, then the projector's
+        two columns of the chirality (the ``-1/2`` folded in) as one
+        GEMM."""
         dtype = compute_dtype(vs)
         fwd = sign > 0
         links = reduced(self, "_u_fwd" if fwd else "_u_bwd", dtype)[mu][sites]
         proj = reduced(self, "_proj_minus" if fwd else "_proj_plus", dtype)[mu]
+        proj = proj[:, chirality_slices()[chirality]]
         table = (self.lattice.fwd[mu] if fwd else self.lattice.bwd[mu])[sites]
         k, n = vs.shape[0], len(sites)
-        # (site, colour, system * spin)
-        nbr = vs[:, table].transpose(1, 3, 0, 2).reshape(n, 3, k * 4)
-        colored = np.matmul(links, nbr).reshape(n, 3, k, 4)
-        return (-0.5 * np.matmul(colored, proj.T)).transpose(2, 0, 3, 1)
+        # (site, colour, system * spin), gathered in one pass
+        nbr = vs.transpose(1, 3, 0, 2)[table].reshape(n, 3, k * 2)
+        colored = np.matmul(links, nbr).reshape(n * 3 * k, 2)
+        out = np.matmul(colored, -0.5 * proj.T).reshape(n, 3, k, NS)
+        return out.transpose(2, 0, 3, 1)
 
     def apply_hopping(self, v: np.ndarray) -> np.ndarray:
         """Sum of all eight hop terms, by the production kernel."""
@@ -148,7 +173,7 @@ class WilsonCloverOperator(StencilOperator):
         """Site-major full application (diagonal + all eight un-projected
         hops): the oracle the production kernel is tested against."""
         lat = self.lattice
-        out = self._apply_blocks(self._diag_blocks, v)
+        out = self._apply_blocks(self._diag_blocks, v[None])[0]
         for mu in range(NDIM):
             fwd = np.matmul(
                 self._u_fwd[mu][:, None, :, :], v[lat.fwd[mu]][..., None]

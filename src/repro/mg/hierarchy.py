@@ -189,12 +189,7 @@ class MultigridHierarchy:
                         _level(index, current, lp, params, schur, transfer, nulls)
                     )
                     with tracer.span("coarsen", level=index):
-                        coarse = coarsen_operator(current, transfer)
-                    if index and dtype_of(params.coarse_precision) != COMPLEX128:
-                        # the product applied this coarse operator in
-                        # complex128; the cycle streams another dtype
-                        current.drop_tables(COMPLEX128)
-                    current = coarse
+                        current = coarsen_operator(current, transfer)
             levels.append(_coarsest_level(len(params.levels), current))
         if verbose:
             lat = current.lattice

@@ -24,7 +24,10 @@ its whole lifetime, including restarts.
   factors nothing;
 * revalidation on load: a stored entry is used only if it is a whole
   setup file and its recorded gauge/operator/params fingerprints match
-  the live request, otherwise it is ``invalid``, a miss, and rebuilt.
+  the live request, otherwise it is ``invalid``, a miss, and rebuilt;
+* a write that fails (``OSError``: a full disk, a read-only directory)
+  is ``persist_failed`` and costs the disk copy only — the hierarchy is
+  kept in memory and returned.
 
 The file (format version 3, the only one, :func:`write_setup_file` /
 :func:`read_setup_file`) is a 24-byte prelude — magic, checksum, header
@@ -245,6 +248,7 @@ class SetupCache:
             "evictions": 0,
             "invalid": 0,
             "seeded": 0,
+            "persist_failed": 0,
         }
 
     # ------------------------------------------------------------------
@@ -278,7 +282,7 @@ class SetupCache:
                 rng = rng if rng is not None else np.random.default_rng()
                 with get_tracer().span("serve.setup_cache.build"):
                     hierarchy = MultigridHierarchy.build(op, params, rng)
-                self._persist(fps, params, hierarchy)
+                self._try_persist(fps, params, hierarchy)
             self._insert(key, hierarchy)
             return hierarchy
 
@@ -300,7 +304,7 @@ class SetupCache:
                 self._entries.move_to_end(key)
                 return key
         self._book("seeded")
-        self._persist(fps, params, hierarchy)
+        self._try_persist(fps, params, hierarchy)
         self._insert(key, hierarchy)
         return key
 
@@ -349,6 +353,15 @@ class SetupCache:
         if self.disk_dir is None:
             return None
         return os.path.join(self.disk_dir, f"mgsetup-{key}.npz")
+
+    def _try_persist(self, fps: _Fingerprints, params: MGParams, hierarchy) -> None:
+        """:meth:`_persist`, an ``OSError`` (a full disk, a read-only
+        directory) booked as ``persist_failed``: the disk copy is an
+        optimization, so the request keeps the hierarchy it built."""
+        try:
+            self._persist(fps, params, hierarchy)
+        except OSError:
+            self._book("persist_failed")
 
     def _persist(self, fps: _Fingerprints, params: MGParams, hierarchy) -> None:
         path = self._path(fps.key)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.coarse import CoarseOperator, coarsen_operator
+from repro.coarse.coarse_op import gamma5_adjoint
 from repro.dirac import WilsonCloverOperator
 from repro.lattice import NDIM, Blocking, Lattice
 from repro.transfer import Transfer
@@ -74,7 +75,8 @@ def coarsen_term_by_term(op, transfer) -> CoarseOperator:
 
 
 class TestStackedConstruction:
-    """All columns as one stack, X by subtraction, hops on boundary slabs."""
+    """Each chirality's columns as one stack, the forward hops on every
+    site, the backward half derived by gamma5-hermiticity."""
 
     @pytest.fixture(scope="class")
     def two_levels(self, wilson448, lat448):
@@ -111,10 +113,56 @@ class TestStackedConstruction:
         assert np.abs(got.x_blocks - want.x_blocks).max() <= 1e-13 * scale
         assert np.abs(got.hop_blocks - want.hop_blocks).max() <= 1e-13 * scale
 
+    def test_an_anisotropic_operator_equals_the_term_by_term_construction(
+        self, gauge448, lat448
+    ):
+        """Unequal hop weights, as in Aniso40 (xi = 3.5): the derived
+        backward half carries each direction's own weight."""
+        aniso = WilsonCloverOperator(gauge448, mass=-0.3, c_sw=1.0, anisotropy=3.5)
+        assert len(set(aniso.hop_weights)) == 2
+        transfer = Transfer(
+            Blocking(lat448, (2, 2, 2, 4)),
+            [random_spinor(lat448, seed=730 + k) for k in range(3)],
+        )
+        got = coarsen_operator(aniso, transfer)
+        want = coarsen_term_by_term(aniso, transfer)
+        scale = np.abs(want.x_blocks).max()
+        assert np.abs(got.x_blocks - want.x_blocks).max() <= 1e-13 * scale
+        assert np.abs(got.hop_blocks - want.hop_blocks).max() <= 1e-13 * scale
+
+    def test_both_levels_are_gamma5_hermitian_bit_for_bit(self, two_levels):
+        for _, _, coarse in two_levels:
+            assert coarse.link_hermiticity_violation() == 0.0
+            x = coarse.x_blocks
+            assert np.array_equal(gamma5_adjoint(x, coarse.chiral_dof), x)
+            g = np.kron(coarse.gamma5_diag(), np.ones(coarse.nc))
+            assert np.array_equal(g[:, None] * np.conj(np.swapaxes(x, -1, -2)) * g, x)
+
+    def test_a_coarse_input_that_is_not_gamma5_hermitian_is_refused(self, two_levels):
+        """The backward half of a product is derived from the forward
+        half, so an input that breaks the symmetry must raise, not yield
+        wrong backward links."""
+        mc1, t2, _ = two_levels[1]
+        rng = np.random.default_rng(740)
+        shape = mc1.hop_blocks.shape
+        random_hops = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        broken = CoarseOperator(mc1.lattice, mc1.x_blocks, random_hops, mc1.ns, mc1.nc)
+        with pytest.raises(ValueError, match="gamma5-hermitian"):
+            coarsen_operator(broken, t2)
+        shape = mc1.x_blocks.shape
+        random_x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        broken = CoarseOperator(mc1.lattice, random_x, mc1.hop_blocks, mc1.ns, mc1.nc)
+        with pytest.raises(ValueError, match="gamma5-hermitian"):
+            coarsen_operator(broken, t2)
+        # round-off below the tolerance is accepted
+        nudged = mc1.x_blocks * (1 + 1e-15 * rng.standard_normal(shape))
+        near = CoarseOperator(mc1.lattice, nudged, mc1.hop_blocks, mc1.ns, mc1.nc)
+        coarsen_operator(near, t2)
+
     def test_column_chunks_give_the_same_blocks(self, two_levels, monkeypatch):
         fine, transfer, coarse = two_levels[0]
         field_bytes = fine.lattice.volume * fine.site_dof * 16
-        # two columns per chunk: three chunks for the six columns
+        # two columns per chunk: two chunks for each chirality's three
         monkeypatch.setattr("repro.coarse.galerkin._CHUNK_BYTES", 2 * field_bytes)
         chunked = coarsen_operator(fine, transfer)
         # (a GEMM's summation order depends on its column count)
@@ -123,24 +171,33 @@ class TestStackedConstruction:
 
     @pytest.mark.parametrize("dtype", (np.complex128, np.complex64))
     def test_hop_on_a_site_slab_matches_the_gathered_hop(self, two_levels, dtype):
-        """The batched per-site multiplies of the two operator types
-        against the base class's system-by-system default."""
+        """The batched per-site multiplies of the two operator types on a
+        chiral stack against the base class's system-by-system default
+        and the whole-lattice hop of the full stack; the site-local term
+        of a chiral stack against the single-field one."""
         from repro.dirac.stencil import StencilOperator
 
         rtol = 1e-13 if dtype == np.complex128 else 1e-5
         for op in (two_levels[0][0], two_levels[0][2]):
             rng = np.random.default_rng(3)
-            shape = (3, op.lattice.volume, op.ns, op.nc)
-            vs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
+            shape = (3, op.lattice.volume, op.ns // 2, op.nc)
             sites = np.flatnonzero(rng.random(op.lattice.volume) < 0.3)
-            for mu in range(NDIM):
-                for sign in (+1, -1):
-                    got = op.apply_hop_sites(mu, sign, sites, vs)
-                    want = StencilOperator.apply_hop_sites(op, mu, sign, sites, vs)
-                    assert got.dtype == dtype and got.shape == want.shape
-                    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
-                    full = np.stack([op.apply_hop(mu, sign, v) for v in vs])
-                    assert np.abs(got - full[:, sites]).max() <= rtol * np.abs(full).max()
+            for chi in range(2):
+                vs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                vs = vs.astype(dtype)
+                whole = op.full_stack(vs, chi)
+                got = op.apply_diag_multi(vs, chi)
+                want = np.stack([op.apply_diag(v) for v in whole])
+                assert got.dtype == dtype
+                assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+                for mu in range(NDIM):
+                    for sign in (+1, -1):
+                        got = op.apply_hop_sites(mu, sign, sites, vs, chi)
+                        want = StencilOperator.apply_hop_sites(op, mu, sign, sites, vs, chi)
+                        assert got.dtype == dtype and got.shape == want.shape
+                        assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+                        full = np.stack([op.apply_hop(mu, sign, v) for v in whole])
+                        assert np.abs(got - full[:, sites]).max() <= rtol * np.abs(full).max()
 
 
 class TestEq3Structure:

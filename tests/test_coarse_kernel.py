@@ -129,10 +129,8 @@ def test_block_assembly_without_an_extent_2_direction(dtype, tol):
     assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
 
-def test_tables_are_built_per_dtype_and_dropped():
+def test_tables_are_built_per_dtype():
     op = _operator((2, 2, 2, 4))
     assert not op._tables  # noqa: SLF001 — nothing until a stack arrives
     op.apply_multi(_stack(op, 2, seed=40).astype(C64))
     assert set(op._tables) == {C64}  # noqa: SLF001
-    op.drop_tables(C64)
-    assert not op._tables  # noqa: SLF001

@@ -309,14 +309,14 @@ class DtypeSpy:
 
 def _fresh_default_hierarchy(twins):
     """The session null space on a new operator: no table of any dtype
-    has been built yet."""
+    has been built yet — the Galerkin product builds no kernel."""
     ds, single, _, _ = twins
     op = WilsonCloverOperator(ds.gauge(), **ds.operator_kwargs())
     hierarchy = MultigridHierarchy.build(
         op, single.params, np.random.default_rng(1),
         null_vectors=single.export_null_vectors(),
     )
-    op._wilson_kernel.clear()  # noqa: SLF001 — the Galerkin product's double kernel
+    assert not getattr(op, "_wilson_kernel", None)
     return hierarchy
 
 

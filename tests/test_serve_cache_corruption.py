@@ -7,9 +7,10 @@ is an optimization, not a dependency.  A setup file is checksummed, so
 damage anywhere in it reads as ``invalid``; the tampering cases are
 written through the same writer, with a valid checksum, so that each
 reaches the check behind it (fingerprints, members, shapes).  A write
-that fails leaves no file behind, a file is replaced while a hierarchy
-maps it without disturbing that hierarchy, and a file of an earlier
-``np.savez`` format is garbage like any other.
+that fails leaves no file behind and costs the request nothing, a file
+is replaced while a hierarchy maps it without disturbing that
+hierarchy, and a file of an earlier ``np.savez`` format is garbage
+like any other.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.gauge import gauge_fingerprint
 from repro.mg import MultigridSolver
 from repro.mg.params import LevelParams, MGParams
@@ -32,6 +34,7 @@ from repro.serve.cache import (
     setup_cache_key,
     write_setup_file,
 )
+from repro.telemetry.metrics import get_registry
 
 pytestmark = pytest.mark.serve
 
@@ -208,6 +211,7 @@ def test_a_file_that_is_not_a_setup_file_rebuilds(persisted, wilson448, params, 
     cache = _rebuilds(tmp_path, wilson448, params)
     assert cache.stats == {
         "hits": 0, "disk_hits": 0, "misses": 1, "evictions": 0, "invalid": 1, "seeded": 0,
+        "persist_failed": 0,
     }
     header, _ = read_setup_file(str(path))
     assert header["version"] == 3
@@ -293,17 +297,33 @@ def test_a_file_replaced_while_mapped_leaves_its_reader_whole(persisted, wilson4
 
 
 def test_failed_persist_leaves_no_file(tmp_path, wilson448, params, monkeypatch):
+    """A write that dies halfway (a full disk) costs the disk copy, not
+    the request: the hierarchy is returned and kept in memory, the
+    failure is booked, and no partial file is left behind."""
+
     def dies_halfway(fh, header, arrays):
         write_setup_file(fh, header, dict(list(arrays.items())[: len(arrays) // 2]))
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(cache_module, "write_setup_file", dies_halfway)
-    with pytest.raises(OSError, match="No space"):
-        SetupCache(disk_dir=str(tmp_path)).get_or_build(
-            wilson448, params, np.random.default_rng(3)
-        )
-    monkeypatch.undo()
+    cache = SetupCache(disk_dir=str(tmp_path))
+    telemetry.enable()
+    telemetry.reset()
+    try:
+        hierarchy = cache.get_or_build(wilson448, params, np.random.default_rng(3))
+        assert get_registry().value("serve.setup_cache.persist_failed") == 1
+    finally:
+        telemetry.disable()
+    assert hierarchy is not None
+    assert cache.stats["persist_failed"] == 1 and cache.stats["misses"] == 1
     assert os.listdir(tmp_path) == []
+    assert cache.get_or_build(wilson448, params) is hierarchy
+    assert cache.stats["hits"] == 1
+    # seeding books the same way
+    seeded = SetupCache(disk_dir=str(tmp_path))
+    seeded.seed(wilson448, params, hierarchy)
+    assert seeded.stats["persist_failed"] == 1 and os.listdir(tmp_path) == []
+    monkeypatch.undo()
     cache = _rebuilds(tmp_path, wilson448, params)
     assert cache.stats["invalid"] == 0
 
