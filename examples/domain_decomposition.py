@@ -2,9 +2,12 @@
 
 Splits a lattice over a simulated process grid, applies the
 Wilson-Clover and a Galerkin coarse operator through the halo-exchange
-code path, verifies bit-exact agreement with the single-domain
-operator, and prints the communication ledger — messages, bytes, and
-the surface-to-volume ratios that govern strong scaling.
+code path, verifies that it agrees with the single-domain operator to
+round-off (the single-domain fine apply runs the fused kernel, the
+decomposed one composes the site-local term and the gathered hops, so
+the two sum in different orders), and prints the communication ledger
+— messages, bytes, and the surface-to-volume ratios that govern strong
+scaling.
 
 Run:  python examples/domain_decomposition.py
 """
@@ -19,22 +22,28 @@ from repro.lattice import Blocking, Lattice, Partition
 from repro.transfer import Transfer
 
 
+#: largest relative difference allowed between the decomposed and the
+#: single-domain application: round-off, not a different operator
+RTOL = 1e-14
+
+
 def report(op, lattice, proc_grid, label):
     part = Partition(lattice, proc_grid)
     pop = PartitionedOperator(op, part)
     rng = np.random.default_rng(0)
     shape = (lattice.volume, op.ns, op.nc)
     v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    exact = np.array_equal(pop.apply(v), op.apply(v))
+    want = op.apply(v)
+    rel = np.linalg.norm(pop.apply(v) - want) / np.linalg.norm(want)
     t = pop.comm.traffic
     local_bytes = lattice.volume // part.num_ranks * op.ns * op.nc * 16
     print(
         f"{label:<10} grid {'x'.join(map(str, proc_grid))}: "
-        f"exact={exact}  msgs={t.messages:4d}  "
+        f"rel. diff={rel:.1e}  msgs={t.messages:4d}  "
         f"sent={t.bytes_sent / 1024:8.1f} KiB  "
         f"surface/volume={t.bytes_sent / max(part.num_ranks * local_bytes, 1):.3f}"
     )
-    assert exact
+    assert rel <= RTOL, f"{label} {proc_grid}: {rel:.2e} > {RTOL:.0e}"
 
 
 def main() -> None:

@@ -40,13 +40,11 @@ term-by-term construction and ``R M P`` on dense matrices).
 from __future__ import annotations
 
 import itertools
-import time
 
 import numpy as np
 
 from ..dirac.stencil import StencilOperator
 from ..lattice import NDIM
-from ..telemetry.tracer import get_tracer
 from ..transfer import Transfer
 from .coarse_op import CoarseOperator, gamma5_adjoint
 
@@ -81,7 +79,6 @@ def coarsen_operator(op: StencilOperator, transfer: Transfer) -> CoarseOperator:
     ns_c, nc_c = transfer.coarse_ns, transfer.coarse_nc
     n = ns_c * nc_c
     vc, bv = coarse.volume, blocking.block_volume
-    vf = op.lattice.volume
 
     # X holds Z until the loop is done
     x_blocks = np.empty((vc, n, n), dtype=np.complex128)
@@ -101,59 +98,40 @@ def coarsen_operator(op: StencilOperator, transfer: Transfer) -> CoarseOperator:
         inside = lead + (slice(0, blocking.block[mu] - 1),)
         slots.append((crossing, inside, slot_grid[crossing[2:]].ravel()))
 
-    field_bytes = vf * op.ns * op.nc * np.dtype(np.complex128).itemsize
-    chunk = max(1, _CHUNK_BYTES // field_bytes)
-    slab_share = sum(len(crossing) for _, _, crossing in slots) / bv
-    span = get_tracer().current()
-    spent = {"hop_s": 0.0, "restrict_s": 0.0}
-
-    def timed(phase: str, fn, *args):
-        """``fn(*args)``, its seconds booked to ``phase`` when traced."""
-        if span is None:
-            return fn(*args)
-        start = time.perf_counter()
-        out = fn(*args)
-        spent[phase] += time.perf_counter() - start
-        return out
-
     # P e_j lives in the chirality of j: each chirality's columns travel
     # as a chiral stack, so the operator reads only that chirality's half
-    for chi, lo in itertools.product(range(2), range(0, nc_c, chunk)):
-        cols = slice(chi * nc_c + lo, chi * nc_c + min(lo + chunk, nc_c))
-        k = cols.stop - cols.start
+    for chi, lo, k in column_chunks(op, transfer):
+        cols = slice(chi * nc_c + lo, chi * nc_c + lo + k)
         columns = transfer.unit_columns(chi, slice(lo, lo + k))
         shape = (k, vc) + block_axes + (op.ns, op.nc)
         acc = op.apply_diag_multi(columns, chi)[:, sites].reshape(shape)
         acc *= 0.5
         for mu, (crossing, inside, crossing_slots) in enumerate(slots):
-            hop = timed("hop_s", op.apply_hop_sites, mu, +1, sites, columns, chi)
-            hop = hop.reshape(shape)
-            link = timed("restrict_s", transfer.restrict_slab, hop[crossing], crossing_slots)
+            hop = op.apply_hop_sites(mu, +1, sites, columns, chi).reshape(shape)
+            link = transfer.restrict_slab(hop[crossing], crossing_slots)
             hop_blocks[mu, 0, :, :, cols] = link.reshape(vc, n, k)
             acc[inside] += hop[inside]
-        z = timed("restrict_s", transfer.restrict_slab, acc, slice(None))
+        z = transfer.restrict_slab(acc, slice(None))
         x_blocks[:, :, cols] = z.reshape(vc, n, k)
-        if span is not None:
-            # the GEMMs (one full restrict, the crossing slabs' share of
-            # one per direction) and the site-local term plus the four
-            # forward hops — that share of the stencil's 2 * NDIM + 1
-            # terms — on a chiral stack, half of a full one
-            t_flops, t_bytes = transfer.application_cost_multi(k)
-            m_flops, m_bytes = op.application_cost_multi(k)
-            restricts = 1 + slab_share
-            applies = (1 + NDIM) / (1 + 2 * NDIM) / 2
-            span.attribute(
-                flops=restricts * t_flops + applies * m_flops,
-                bytes=restricts * t_bytes + applies * m_bytes,
-            )
-    if span is not None:
-        span.annotate(**spent)
     coarse_op = CoarseOperator(coarse, x_blocks, hop_blocks, ns_c, nc_c)
     half = coarse_op.chiral_dof
     x_blocks += gamma5_adjoint(x_blocks, half)
     for mu in range(NDIM):
         gamma5_adjoint(hop_blocks[mu, 0][coarse.bwd[mu]], half, out=hop_blocks[mu, 1])
     return coarse_op
+
+
+def column_chunks(op: StencilOperator, transfer: Transfer) -> list[tuple[int, int, int]]:
+    """The chiral stacks of unit columns :func:`coarsen_operator`
+    prolongs, in order, as ``(chirality, first column, columns)``: at
+    most :data:`_CHUNK_BYTES` of ``op``'s complex128 fields each."""
+    field_bytes = op.lattice.volume * op.ns * op.nc * np.dtype(np.complex128).itemsize
+    chunk = max(1, _CHUNK_BYTES // field_bytes)
+    nc_c = transfer.coarse_nc
+    return [
+        (chi, lo, min(chunk, nc_c - lo))
+        for chi, lo in itertools.product(range(2), range(0, nc_c, chunk))
+    ]
 
 
 def _require_gamma5_hermitian(op: CoarseOperator) -> None:

@@ -30,15 +30,11 @@ problem, not a throughput one).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import scipy.linalg
 
 from ..lattice import NDIM
 from ..precision import COMPLEX128, compute_dtype
-from ..telemetry.metrics import get_registry
-from ..telemetry.tracer import get_tracer
 from .even_odd import SchurOperator, SiteMajorNative
 
 #: Largest red-black system, in unknowns, that is factored densely
@@ -345,29 +341,17 @@ class BatchedCoarseSchur(SiteMajorNative):
         return dense.reshape(vh * n, vh * n)
 
     def _factor(self, dtype):
-        """``(lu, perm)``: the LU factors of the dense Schur matrix at
-        ``dtype`` (LAPACK at that dtype) and the row order their
-        pivoting leaves — assembled and factored the first time a stack
-        of that dtype is to be solved."""
+        """``(lu, perm)`` at ``dtype``, factored the first time a stack of
+        that dtype is to be solved."""
         factor = self._factors.get(dtype)
         if factor is None:
-            with get_tracer().span(
-                "mg.coarsest.factor", n=self.unknowns, dtype=dtype.name
-            ) as sp:
-                t0 = time.perf_counter()
-                dense = self.to_dense(dtype)
-                t1 = time.perf_counter()
-                lu, piv = scipy.linalg.lu_factor(
-                    dense, overwrite_a=True, check_finite=False
-                )
-                perm = np.arange(len(piv))
-                for row, other in enumerate(piv):  # LAPACK's sequential row swaps
-                    perm[row], perm[other] = perm[other], perm[row]
-                t2 = time.perf_counter()
-                sp.annotate(assemble_s=t1 - t0, factor_s=t2 - t1)
-            get_registry().gauge("mg.coarsest_factor_s", dtype=dtype.name).set(t2 - t0)
-            factor = self._factors[dtype] = (lu, perm)
+            factor = self._factors[dtype] = self._factorise(dtype)
         return factor
+
+    def _factorise(self, dtype):
+        """The LU factors of the dense Schur matrix at ``dtype`` (LAPACK
+        at that dtype) and the row order their pivoting leaves."""
+        return lu_rows(self.to_dense(dtype))
 
     def solve_multi(self, rhs_halves: np.ndarray) -> np.ndarray:
         """Exact solutions of the red-black system for a ``(K, V/2, ns,
@@ -385,6 +369,16 @@ class BatchedCoarseSchur(SiteMajorNative):
             y = trsm(1.0, lu, pb.T, lower=1, diag=1, overwrite_b=1)
             x = trsm(1.0, lu, y, lower=0, overwrite_b=1).T
         return x.reshape(rhs_halves.shape)
+
+
+def lu_rows(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(lu, perm)``: ``dense`` overwritten by its LU factors and the row
+    order LAPACK's pivoting leaves, as one permutation."""
+    lu, piv = scipy.linalg.lu_factor(dense, overwrite_a=True, check_finite=False)
+    perm = np.arange(len(piv))
+    for row, other in enumerate(piv):  # LAPACK's sequential row swaps
+        perm[row], perm[other] = perm[other], perm[row]
+    return lu, perm
 
 
 def solves_directly(schur) -> bool:

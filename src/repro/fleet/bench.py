@@ -39,7 +39,7 @@ from ..dirac import WilsonCloverOperator
 from ..obs.slo import DEFAULT_SLOS
 from ..serve.cache import SetupCache
 from ..serve.service import ServeConfig
-from ..telemetry.metrics import get_registry
+from .. import telemetry
 from ..workloads.datasets import ANISO40_SCALED, ScaledDataset
 from ..workloads.presets import two_level_params
 from .placement import (
@@ -115,10 +115,9 @@ def run_fleet_bench(
     if n_ops is None:
         n_ops = 2 * max(shard_counts)
 
-    registry = get_registry()
-    force_metrics = metrics_out is not None and not registry.enabled
+    force_metrics = metrics_out is not None and not telemetry.enabled()
     if force_metrics:
-        registry.enabled = True
+        telemetry.enable()
 
     lattice = dataset.lattice()
     gauge = dataset.gauge()
@@ -287,10 +286,10 @@ def run_fleet_bench(
 
         out = pathlib.Path(metrics_out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(registry.expose_text(exemplars=True))
+        out.write_text(telemetry.get_registry().expose_text(exemplars=True))
         doc["metrics_out"] = str(out)
         if force_metrics:
-            registry.enabled = False
+            telemetry.disable()
     return doc
 
 

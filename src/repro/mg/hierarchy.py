@@ -16,15 +16,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..coarse import CoarseOperator, coarsen_operator
+from ..coarse import CoarseOperator, galerkin
 from ..dirac.mrhs import batched_schur_for, solves_directly
 from ..dirac.wilson_kernel import WilsonKernel, supports_wilson_kernel
 from ..lattice import NDIM, Blocking
 from ..precision import COMPLEX128, adopt_reduced, dtype_of, reduced
-from ..telemetry.tracer import get_tracer
 from ..transfer import Transfer
+from . import setup
 from .params import LevelParams, MGParams
-from .setup import generate_null_vectors
 from .smoother import SchurMRSmoother
 
 @dataclass(frozen=True)
@@ -107,6 +106,33 @@ def _adopt_basis_copy(transfer: Transfer, dtype, parts: dict[str, np.ndarray]) -
     adopt_reduced(transfer, "_basis", dtype, parts[""])
 
 
+def _coarsening(
+    index: int, op, lp: LevelParams, params: MGParams, rng, provided
+) -> tuple[MGLevel, CoarseOperator]:
+    """Level ``index`` over ``op`` (from relaxed near-null vectors, or the
+    ``provided`` ones) and the Galerkin operator below it."""
+    # gathers nothing until a stack arrives
+    schur = batched_schur_for(op)
+    if provided is not None:
+        nulls = _provided_null_vectors(index, lp, provided)
+    else:
+        # relax in the precision the cycle will run in
+        nulls = setup.generate_null_vectors(
+            op, lp.n_null, rng, null_iters=lp.null_iters,
+            dtype=dtype_of(params.coarse_precision), schur=schur,
+        )
+    transfer = Transfer(Blocking(op.lattice, lp.block), nulls)
+    level = _level(index, op, lp, params, schur, transfer, nulls)
+    return level, galerkin.coarsen_operator(op, transfer)
+
+
+def _provided_null_vectors(index: int, lp: LevelParams, provided) -> list[np.ndarray]:
+    """Level ``index``'s near-null vectors handed to the build, as complex128."""
+    if len(provided) != lp.n_null:
+        raise ValueError(f"level {index} expects {lp.n_null} null vectors, got {len(provided)}")
+    return [np.asarray(v, dtype=np.complex128) for v in provided]
+
+
 def _coarsest_level(index: int, op) -> MGLevel:
     # its tables and dense factors are built by the first solve (a
     # restored setup holds them)
@@ -152,45 +178,19 @@ class MultigridHierarchy:
                 f"need one null-vector set per coarsening "
                 f"({len(params.levels)}), got {len(null_vectors)}"
             )
-        tracer = get_tracer()
         levels: list[MGLevel] = []
         current = fine_op
-        with tracer.span("mg.setup", n_levels=len(params.levels) + 1):
-            for index, lp in enumerate(params.levels):
-                if verbose:
-                    print(
-                        f"[mg setup] level {index}: {current.lattice!r} "
-                        f"ns={current.ns} nc={current.nc}; generating {lp.n_null} "
-                        f"null vectors ({lp.null_iters} relaxation iters each)"
-                    )
-                with tracer.span("mg.setup.level", level=index):
-                    # gathers nothing until a stack arrives
-                    schur = batched_schur_for(current)
-                    if null_vectors is not None:
-                        provided = null_vectors[index]
-                        if len(provided) != lp.n_null:
-                            raise ValueError(
-                                f"level {index} expects {lp.n_null} null "
-                                f"vectors, got {len(provided)}"
-                            )
-                        with tracer.span("null-vectors-reuse", level=index):
-                            nulls = [np.asarray(v, dtype=np.complex128) for v in provided]
-                    else:
-                        with tracer.span("null-vectors", level=index):
-                            # relax in the precision the cycle will run in
-                            nulls = generate_null_vectors(
-                                current, lp.n_null, rng, null_iters=lp.null_iters,
-                                dtype=dtype_of(params.coarse_precision), schur=schur,
-                            )
-                    with tracer.span("transfer-build", level=index):
-                        blocking = Blocking(current.lattice, lp.block)
-                        transfer = Transfer(blocking, nulls)
-                    levels.append(
-                        _level(index, current, lp, params, schur, transfer, nulls)
-                    )
-                    with tracer.span("coarsen", level=index):
-                        current = coarsen_operator(current, transfer)
-            levels.append(_coarsest_level(len(params.levels), current))
+        for index, lp in enumerate(params.levels):
+            if verbose:
+                print(
+                    f"[mg setup] level {index}: {current.lattice!r} "
+                    f"ns={current.ns} nc={current.nc}; generating {lp.n_null} "
+                    f"null vectors ({lp.null_iters} relaxation iters each)"
+                )
+            provided = None if null_vectors is None else null_vectors[index]
+            level, current = _coarsening(index, current, lp, params, rng, provided)
+            levels.append(level)
+        levels.append(_coarsest_level(len(params.levels), current))
         if verbose:
             lat = current.lattice
             print(

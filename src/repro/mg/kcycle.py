@@ -34,25 +34,25 @@ coarse solve — then follows the dtype of the data.
 All work is counted in the cycle's own per-level :class:`LevelStats`
 (``KCyclePreconditioner.counts``), which a solve creates and returns in
 ``result.telemetry.level_stats`` for the paper's Figure 4 time
-breakdown; the hierarchy is only read.  :func:`booked`,
-:func:`book_gcr` and :func:`book_direct` are the only places a counter
-moves.
+breakdown; the hierarchy is only read.  The cycle opens no span: a
+trace shows its steps through :mod:`repro.telemetry.boundary`.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import partial
+from importlib import import_module
 
 import numpy as np
 
-from ..dirac.stencil import operator_application_cost_multi
-from ..precision import dtype_of, enter_precision, leave_precision
+from ..precision import enter_precision, leave_precision
 from ..solvers.base import SolveResult
-from ..solvers.gcr import lockstep_gcr
 from ..solvers.mixed import reduced_storage
-from ..telemetry.tracer import get_tracer
 from .hierarchy import MGLevel, MultigridHierarchy
+
+#: the driver's module, called through (``repro.solvers`` shadows its
+#: name with the ``gcr`` function), so that a wrapper installed there runs
+gcr = import_module("..solvers.gcr", __package__)
 
 
 @dataclass
@@ -62,9 +62,7 @@ class LevelStats:
     These drive the per-level time breakdown (paper Figure 4): the
     machine model converts them into kernel and reduction times.  The
     counters are deliberately plain attributes (hot-path increments);
-    :meth:`as_dict` snapshots them and :meth:`publish` books them into
-    a :class:`~repro.telemetry.MetricsRegistry` under ``mg.<counter>``
-    with a ``level`` label.
+    :meth:`as_dict` snapshots them.
     """
 
     op_applies: int = 0  # full-stencil applications (residuals, GCR matvecs)
@@ -77,11 +75,6 @@ class LevelStats:
     def as_dict(self) -> dict[str, int]:
         return asdict(self)
 
-    def publish(self, registry, level: int) -> None:
-        """Accumulate this snapshot into a metrics registry."""
-        for name, value in self.as_dict().items():
-            registry.counter(f"mg.{name}", level=level).inc(value)
-
 
 def gcr_reductions(iterations: int, nkrylov: int) -> int:
     """Global reductions incurred by ``iterations`` GCR steps.
@@ -92,100 +85,30 @@ def gcr_reductions(iterations: int, nkrylov: int) -> int:
     return sum((i % nkrylov) + 3 for i in range(iterations))
 
 
-#: the LevelStats counter a cycle step bumps once per system
-_STEP_COUNTER = {"residual": "op_applies", "restrict": "restricts", "prolong": "prolongs"}
-
-
-def booked(
-    lev: MGLevel, stats: LevelStats, step: str, fn, *args, **attrs
-) -> np.ndarray:
-    """Run the cycle step ``fn(*args)`` of level ``lev`` — the stack it
-    works on last — with all of its bookkeeping: the level's work
-    counters ``stats`` for the K systems, the span, and the span's
-    ``(flops, bytes)`` when tracing is live."""
-    k = args[-1].shape[0]
-    if step == "smoother":
-        # dslash-equivalents per system: the MR steps plus one — source
-        # preparation and reconstruction, half each; a held pair spends
-        # it as 1/2 + steps, then 1 + steps + 1/2, the same sum.  The
-        # two reductions of an MR step count once for the stack: one
-        # synchronisation point, however many systems it carries
-        stats.smoother_applies += (lev.params.smoother_steps + 1) * k
-        stats.reductions += 2 * lev.params.smoother_steps
-    elif step in _STEP_COUNTER:
-        counter = _STEP_COUNTER[step]
-        setattr(stats, counter, getattr(stats, counter) + k)
-    tracer = get_tracer()
-    level = lev.index + 1 if step == "coarse-solve" else lev.index
-    with tracer.span(step, level=level, n_rhs=k, **attrs) as sp:
-        out = fn(*args)
-        if tracer.enabled:
-            sp.attribute(*_step_cost(lev, step, k, args[-1].dtype))
-    return out
-
-
-def _step_cost(lev: MGLevel, step: str, k: int, dtype) -> tuple[float, float]:
-    if step in ("restrict", "prolong"):
-        return lev.transfer.application_cost_multi(k, dtype)
-    if step == "residual":
-        return operator_application_cost_multi(lev.op, k, dtype)
-    if step == "smoother":
-        # at the dtype of the precision the smoother owns
-        dtype = dtype_of(lev.smoother.precision)
-        flops, nbytes = operator_application_cost_multi(lev.op, k, dtype)
-        n = lev.params.smoother_steps + 1
-        return (n * flops, n * nbytes)
-    return (0.0, 0.0)  # kcycle, coarse-solve: their children book the work
+def booked(lev: MGLevel, stats: LevelStats, k: int) -> None:
+    """Count one smoothing of ``k`` systems on level ``lev`` into ``stats``:
+    dslash-equivalents per system, the MR steps plus one — source
+    preparation and reconstruction, half each; a held pair spends it as
+    1/2 + steps, then 1 + steps + 1/2, the same sum.  The two reductions
+    of an MR step count once for the stack: one synchronisation point,
+    however many systems it carries."""
+    stats.smoother_applies += (lev.params.smoother_steps + 1) * k
+    stats.reductions += 2 * lev.params.smoother_steps
 
 
 def book_gcr(
-    lev: MGLevel,
     stats: LevelStats,
     results: list[SolveResult],
     nkrylov: int,
     extra_applies: int = 0,
 ) -> None:
-    """Book a finished lockstep GCR over ``lev.op``: into ``stats`` the
-    applications each of the K systems received while it ran and, when
-    tracing is live, the solver's own matvec cost (plus
-    ``extra_applies`` stencil-equivalents per system spent around it).
-
-    Work done by nested K-cycle spans books itself, so only the driver's
-    direct operator applications land here — attributed costs stay
-    exclusive, like span self-times.  They ran inside the ``solve.gcr``
-    child of the open span (whose self-time excludes the nested
-    preconditioner), so the cost goes there; the open span is the
-    fallback.
-    """
-    k = len(results)
-    # the GCR applies its operator to the systems still running only
-    applies = sum(res.matvecs for res in results) + extra_applies * k
-    stats.op_applies += applies
+    """Book a finished lockstep GCR into ``stats``: the applications each
+    of the K systems received while it ran (plus ``extra_applies``
+    stencil-equivalents per system spent around it), its iterations and
+    its reductions."""
+    stats.op_applies += sum(res.matvecs for res in results) + extra_applies * len(results)
     stats.gcr_iters += sum(res.iterations for res in results)
     stats.reductions += sum(gcr_reductions(res.iterations, nkrylov) for res in results)
-    span = get_tracer().current()
-    if span is not None:
-        # per system of a k-stack: its share of the matrix traffic
-        flops, nbytes = operator_application_cost_multi(lev.op, k, results[0].x.dtype)
-        target = next(
-            (c for c in reversed(span.children) if c.name == "solve.gcr"), span
-        )
-        target.attribute(flops=applies * flops / k, bytes=applies * nbytes / k)
-
-
-def book_direct(stats: LevelStats, schur, rc: np.ndarray) -> None:
-    """Book a direct red-black solve of the stack ``rc`` into ``stats``: no
-    iteration and no reduction happened, source preparation and
-    reconstruction count a stencil each (as around the red-black GCR),
-    and the open ``coarse-solve`` span carries the pair of triangular
-    solves: ``n^2`` complex multiply-adds per system over one read of
-    the factors."""
-    k, n = rc.shape[0], schur.unknowns
-    stats.op_applies += 2 * k
-    span = get_tracer().current()
-    if span is not None:
-        span.annotate(direct=True)
-        span.attribute(flops=8.0 * n * n * k, bytes=n * n * rc.dtype.itemsize)
 
 
 class KCyclePreconditioner:
@@ -231,9 +154,7 @@ class KCyclePreconditioner:
         ``(K, V, ns, nc)`` of them."""
         rs = r[None] if r.ndim == 3 else r
         rp, scale = enter_precision(rs, self.hierarchy.params.coarse_precision)
-        lev = self.hierarchy.levels[self.level]
-        stats = self.counts[self.level]
-        z = leave_precision(booked(lev, stats, "kcycle", self._cycle, rp), rs, scale)
+        z = leave_precision(self._cycle(rp), rs, scale)
         return z[0] if r.ndim == 3 else z
 
     def apply_multi(self, rs: np.ndarray) -> np.ndarray:
@@ -243,18 +164,22 @@ class KCyclePreconditioner:
     def _cycle(self, rs: np.ndarray) -> np.ndarray:
         lev = self.hierarchy.levels[self.level]
         transfer, smoother = lev.transfer, lev.smoother
-        run = partial(booked, lev, self.counts[self.level])
+        stats, k = self.counts[self.level], rs.shape[0]
         # 1. pre-smooth: hands back ``rs - M z`` and holds ``z`` on the
         # Schur parity
-        r1, held = run("smoother", partial(smoother.apply, hold=True), rs, phase="pre")
+        booked(lev, stats, k)
+        r1, held = smoother.apply(rs, hold=True)
         # 2. defect restriction
-        rc = run("restrict", transfer.restrict_multi, r1)
+        stats.restricts += k
+        rc = transfer.restrict_multi(r1)
         # 3. coarse solve (K-cycle-preconditioned GCR; direct or GCR when coarsest)
-        ec = run("coarse-solve", self._coarse_solve, rc)
+        ec = self._coarse_solve(rc)
         # 4. prolongate and correct
-        e = run("prolong", transfer.prolong_multi, ec)
+        stats.prolongs += k
+        e = transfer.prolong_multi(ec)
         # 5. post-smooth the defect of the corrected iterate
-        return run("smoother", partial(smoother.apply, resume=(held, e)), rs, phase="post")
+        booked(lev, stats, k)
+        return smoother.apply(rs, resume=(held, e))
 
     # ------------------------------------------------------------------
     def _coarse_solve(self, rc: np.ndarray) -> np.ndarray:
@@ -267,12 +192,11 @@ class KCyclePreconditioner:
             # approximate solve, once (V) or twice with defect correction (W)
             ec = self._inner.apply(rc)
             if params.cycle_type == "W":
-                rc2 = rc - booked(coarse, stats, "residual", self._solve_op.apply_multi, ec)
-                ec = ec + self._inner.apply(rc2)
+                ec = ec + self._inner.apply(rc - self._residual(ec))
             return ec
         if self._inner is not None:
             # K-cycle: GCR on the coarse operator, preconditioned by its cycle
-            results = lockstep_gcr(
+            results = gcr.lockstep_gcr(
                 self._solve_op,
                 rc,
                 tol=lp.coarse_tol,
@@ -280,15 +204,17 @@ class KCyclePreconditioner:
                 nkrylov=coarse.params.nkrylov,
                 preconditioner=self._inner,
             )
-            book_gcr(coarse, stats, results, coarse.params.nkrylov)
+            book_gcr(stats, results, coarse.params.nkrylov)
             return np.stack([res.x for res in results])
         schur = coarse.schur
         if coarse.solved_directly:
-            # small enough to hold densely: no Krylov space to build
-            book_direct(stats, schur, rc)
+            # small enough to hold densely: no Krylov space to build, no
+            # iteration and no reduction; source preparation and
+            # reconstruction count a stencil each, as around the GCR
+            stats.op_applies += 2 * rc.shape[0]
             half = self._solve_op.solve_multi(schur.prepare_multi(rc))
             return schur.reconstruct_multi(half, rc)
-        results = lockstep_gcr(
+        results = gcr.lockstep_gcr(
             self._solve_op,
             schur.prepare_multi(rc),
             tol=lp.coarse_tol,
@@ -296,5 +222,10 @@ class KCyclePreconditioner:
             nkrylov=lp.nkrylov,
         )
         # source preparation and reconstruction cost a stencil each
-        book_gcr(coarse, stats, results, lp.nkrylov, extra_applies=2)
+        book_gcr(stats, results, lp.nkrylov, extra_applies=2)
         return schur.reconstruct_multi(np.stack([res.x for res in results]), rc)
+
+    def _residual(self, ec: np.ndarray) -> np.ndarray:
+        """The coarse operator on the W-cycle's first correction ``ec``."""
+        self.counts[self.level + 1].op_applies += ec.shape[0]
+        return self._solve_op.apply_multi(ec)

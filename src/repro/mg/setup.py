@@ -27,15 +27,17 @@ nothing below that precision's round-off is visible to the cycle.
 
 from __future__ import annotations
 
+from importlib import import_module
+
 import numpy as np
 
 from ..coarse import CoarseOperator
 from ..dirac.mrhs import batched_schur_for
-from ..dirac.stencil import operator_application_cost_multi
 from ..precision import COMPLEX128
-from ..solvers.bicgstab import lockstep_bicgstab
-from ..telemetry.metrics import get_registry
-from ..telemetry.tracer import get_tracer
+
+#: the driver's module, called through (``repro.solvers`` shadows its
+#: name with the ``bicgstab`` function), so that a wrapper installed there runs
+bicgstab = import_module("..solvers.bicgstab", __package__)
 
 
 def relaxation_floor(dtype) -> float:
@@ -54,31 +56,11 @@ def relaxation_floor(dtype) -> float:
     return max(1e-10, 1e3 * float(np.finfo(dtype).eps))
 
 
-def _book_relaxation(op, results, dtype) -> None:
-    """Say on the open span (``null-vectors`` under ``build``) what the
-    stacked relaxation did, and book its Schur applications, a
-    stencil-equivalent each: the one that formed the right-hand sides
-    and the reconstruction's half there, the solver's on its
-    ``solve.bicgstab`` child, where they ran — each system's share of a
-    stacked application for every one it received while it ran
-    (``applies``; a stopped system receives none)."""
-    span = get_tracer().current()
-    if span is None:
-        return
-    k = len(results)
-    applies = sum(res.matvecs for res in results)
-    span.annotate(
-        system="red-black",
-        n_rhs=k,
-        dtype=dtype.name,
-        iterations=max(res.iterations for res in results),
-        residual_max=max(res.final_residual for res in results),
-        applies=applies,
-    )
-    flops, nbytes = operator_application_cost_multi(op, k, dtype)
-    span.attribute(flops=1.5 * flops, bytes=1.5 * nbytes)
-    solve = next((c for c in reversed(span.children) if c.name == "solve.bicgstab"), span)
-    solve.attribute(flops=applies * flops / k, bytes=applies * nbytes / k)
+def relaxation_dtype(op, dtype) -> np.dtype:
+    """The dtype ``op`` relaxes in for a cycle that computes in
+    ``dtype``: that one, and complex128 on a Galerkin operator (see
+    :func:`generate_null_vectors`)."""
+    return COMPLEX128 if isinstance(op, CoarseOperator) else np.dtype(dtype)
 
 
 def generate_null_vectors(
@@ -118,21 +100,17 @@ def generate_null_vectors(
     nc = nc if nc is not None else op.nc
     shape = (op.lattice.volume, ns, nc)
     dtype = np.dtype(dtype)
-    # Booked per call so setup caches can assert a warm hit ran zero
-    # generations (the counter stays untouched on reuse).
-    get_registry().counter("mg.null_vector_generations").inc(n_vectors)
     x0 = np.empty((n_vectors,) + shape, dtype=np.complex128)
     for field in x0:
         field.real = rng.standard_normal(shape)
         field.imag = rng.standard_normal(shape)
     floor = relaxation_floor(dtype)
-    relaxed_in = COMPLEX128 if isinstance(op, CoarseOperator) else dtype
+    relaxed_in = relaxation_dtype(op, dtype)
     schur = schur if schur is not None else batched_schur_for(op)
     x0_e = x0[:, op.lattice.even_sites].astype(relaxed_in, copy=False)
-    results = lockstep_bicgstab(
+    results = bicgstab.lockstep_bicgstab(
         schur, schur.apply_multi(x0_e), tol=floor, maxiter=null_iters
     )
-    _book_relaxation(op, results, relaxed_in)
     v_e = x0_e - np.stack([res.x for res in results])
     # against a zero source: v_o = -A_oo^{-1} H_oe v_e
     vecs = schur.reconstruct_multi(v_e, np.zeros(x0.shape, dtype=relaxed_in))

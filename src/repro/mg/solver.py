@@ -16,11 +16,8 @@ import numpy as np
 
 from ..fields import SpinorField
 from ..solvers.base import SolveResult, validate_rhs_stack
-from ..solvers.gcr import lockstep_gcr
-from ..telemetry.metrics import get_registry
-from ..telemetry.tracer import Span, get_tracer
 from .hierarchy import MultigridHierarchy
-from .kcycle import KCyclePreconditioner, LevelStats, book_gcr
+from .kcycle import KCyclePreconditioner, book_gcr, gcr
 from .params import MGParams
 
 
@@ -113,57 +110,22 @@ class MultigridSolver:
         tol = tol if tol is not None else self.params.outer_tol
         maxiter = maxiter if maxiter is not None else self.params.outer_maxiter
         cycle = KCyclePreconditioner(self.hierarchy)
-        with get_tracer().span(
-            "mg.solve",
-            subspace=self.params.subspace_label(),
-            level=0,
-            n_rhs=len(bs),
-        ) as sp:
-            results = lockstep_gcr(
-                fine.op,
-                bs,
-                x0s,
-                tol=tol,
-                maxiter=maxiter,
-                nkrylov=self.params.outer_nkrylov,
-                preconditioner=cycle,
-            )
-            book_gcr(fine, cycle.counts[0], results, self.params.outer_nkrylov)
-        self._publish_telemetry(results, sp, cycle.counts)
-        return results
-
-    def _publish_telemetry(
-        self, results: list[SolveResult], sp, counts: list[LevelStats]
-    ) -> None:
-        """Fill every ``result.telemetry`` and the global metrics registry
-        with this solve's per-level ``counts``."""
+        results = gcr.lockstep_gcr(
+            fine.op,
+            bs,
+            x0s,
+            tol=tol,
+            maxiter=maxiter,
+            nkrylov=self.params.outer_nkrylov,
+            preconditioner=cycle,
+        )
+        book_gcr(cycle.counts[0], results, self.params.outer_nkrylov)
         subspace = self.params.subspace_label()
-        snapshot = {level: stats.as_dict() for level, stats in enumerate(counts)}
-        spans = [sp.to_dict()] if isinstance(sp, Span) else None
+        snapshot = {level: stats.as_dict() for level, stats in enumerate(cycle.counts)}
         for result in results:
             tele = result.telemetry
             tele.level_stats = snapshot
             tele.attrs["subspace"] = subspace
             tele.metrics["outer_iterations"] = float(result.iterations)
             tele.metrics["final_residual"] = float(result.final_residual)
-            if spans is not None:
-                # the request trace this solve belongs to (serve
-                # propagation; a served batch runs under its head
-                # request's context); lets slog/blackbox consumers join
-                # on the result alone
-                tele.attrs["trace_id"] = sp.trace_id
-                tele.spans = spans
-        registry = get_registry()
-        if registry.enabled:
-            registry.gauge("mg.n_levels").set(self.hierarchy.n_levels)
-            registry.counter("mg.solves", subspace=subspace).inc(len(results))
-            registry.counter("mg.outer_iterations", subspace=subspace).inc(
-                sum(result.iterations for result in results)
-            )
-            failures = sum(not result.converged for result in results)
-            if failures:
-                registry.counter("mg.convergence_failures", subspace=subspace).inc(
-                    failures
-                )
-            for level, stats in enumerate(counts):
-                stats.publish(registry, level)
+        return results

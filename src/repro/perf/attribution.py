@@ -1,6 +1,6 @@
 """Per-span and per-level performance attribution of measured traces.
 
-The solver hot paths book ``flops``/``bytes`` costs onto their spans
+The boundary table books ``flops``/``bytes`` costs onto the spans
 (:meth:`repro.telemetry.Span.attribute`); this module turns a measured
 ``repro.telemetry/v1`` document into a performance-annotated one:
 

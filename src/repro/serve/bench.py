@@ -17,7 +17,7 @@ import numpy as np
 
 from ..dirac import WilsonCloverOperator
 from ..obs.slo import DEFAULT_SLOS, render_slo_table
-from ..telemetry.metrics import get_registry
+from .. import telemetry
 from ..workloads.datasets import ANISO40_SCALED, ScaledDataset
 from ..workloads.presets import two_level_params
 from .cache import SetupCache
@@ -60,8 +60,8 @@ def run_serve_bench(
     Each run is measured against ``slo_specs`` (the defaults unless
     overridden; pass an empty tuple to disable) and the final document
     carries per-batch-size SLO verdicts.  ``metrics_out`` writes the
-    registry's final Prometheus exposition snapshot — enabling the
-    registry for the duration if needed; ``blackbox_dir`` persists any
+    registry's final Prometheus exposition snapshot — enabling
+    telemetry for the duration if needed; ``blackbox_dir`` persists any
     postmortem dumps the runs produce.
     """
     lattice = dataset.lattice()
@@ -73,10 +73,9 @@ def run_serve_bench(
     shape = (n_requests, lattice.volume, 4, 3)
     sources = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    registry = get_registry()
-    force_metrics = metrics_out is not None and not registry.enabled
+    force_metrics = metrics_out is not None and not telemetry.enabled()
     if force_metrics:
-        registry.enabled = True
+        telemetry.enable()
     cache = SetupCache()
     rows: list[dict] = []
     reference: np.ndarray | None = None
@@ -167,10 +166,10 @@ def run_serve_bench(
 
         out = pathlib.Path(metrics_out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(registry.expose_text(exemplars=True))
+        out.write_text(telemetry.get_registry().expose_text(exemplars=True))
         doc["metrics_out"] = str(out)
         if force_metrics:
-            registry.enabled = False
+            telemetry.disable()
     return doc
 
 

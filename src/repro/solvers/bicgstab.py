@@ -31,7 +31,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..dirac.stencil import apply_stack
-from ..telemetry.instrument import instrumented_solver
 from ..telemetry.result import SolveTelemetry
 from .base import SolveResult, per_system
 
@@ -59,7 +58,6 @@ def _ratio(num: np.ndarray, den: np.ndarray, where: np.ndarray) -> np.ndarray:
         return np.where(where, num / np.where(where, den, 1.0), 0.0)
 
 
-@instrumented_solver("bicgstab")
 def lockstep_bicgstab(
     op,
     bs: np.ndarray,

@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..dirac.stencil import apply_stack
-from ..telemetry.instrument import instrumented_solver
 from ..telemetry.result import SolveTelemetry
 from .base import (
     SolveResult,
@@ -36,7 +35,6 @@ from .base import (
 )
 
 
-@instrumented_solver("gcr")
 def lockstep_gcr(
     op,
     bs: np.ndarray,

@@ -1,33 +1,28 @@
 """Unified telemetry: hierarchical tracing, metrics, and trace export.
 
-This package is the single measurement substrate for the reproduction
-(ROADMAP "makes a hot path measurably faster" requires measuring it).
-It has three parts, mirroring how QUDA bakes profiling/autotuning
-instrumentation into the library itself (Clark et al., SC 2016):
+* :mod:`~repro.telemetry.tracer` — a hierarchical span tracer.  Spans
+  nest by call order (outer GCR → K-cycle per level →
+  smoother/restrict/prolong/coarse-solve), the tree the paper's
+  Figure 4 per-level breakdown is sliced from.
+* :mod:`~repro.telemetry.boundary` — the one table of what the numerics
+  show in a trace (callable, span, level rule, cost); they open none.
+* :mod:`~repro.telemetry.metrics` — counters, gauges and labelled
+  histograms; every traced solve publishes its per-level ``LevelStats``
+  and outer iterations here.
+* :mod:`~repro.telemetry.export` — the ``repro.telemetry/v1`` trace
+  document and the per-level breakdown table behind
+  ``repro.reporting.fig4``'s measured mode.
 
-* :mod:`~repro.telemetry.tracer` — a hierarchical span tracer.  Hot
-  paths wrap themselves in ``with tracer.span("name", level=l):``
-  blocks; nesting follows the call tree (outer GCR → K-cycle →
-  smoother/restrict/prolong/coarse-solve → halo exchange), so a solve
-  produces the same tree the paper's Figure 4 per-level breakdown is
-  sliced from.  Disabled tracing returns a shared no-op span: one
-  attribute test per call site, no allocation.
-* :mod:`~repro.telemetry.metrics` — a registry of counters, gauges and
-  labelled histograms into which every solve publishes the per-level
-  ``LevelStats`` it counted and its outer iterations: matvecs,
-  reductions, bytes moved and iteration counts all flow through one API.
-* :mod:`~repro.telemetry.export` — serialization of a (tracer,
-  registry) pair into one JSON trace document (schema
-  ``repro.telemetry/v1``) plus the human-readable per-level breakdown
-  table that backs ``repro.reporting.fig4`` in measured mode.
-
-Telemetry is **off by default**; ``repro.telemetry.enable()`` (or the
-CLI ``repro trace`` / ``--telemetry`` paths) switches both the global
-tracer and registry on.  :class:`SolveTelemetry` is the typed payload
-attached to every :class:`~repro.solvers.base.SolveResult`.
+Telemetry is **off by default**.  :func:`enable` (or the CLI ``repro
+trace`` / ``--telemetry`` paths) installs the boundary table and
+switches the global tracer and registry on; :func:`disable` puts every
+wrapped callable back — the one switch.  :class:`SolveTelemetry` is the
+typed payload of every :class:`~repro.solvers.base.SolveResult`.
 """
 
 from __future__ import annotations
+
+import sys
 
 from .context import (
     TraceContext,
@@ -49,7 +44,6 @@ from .export import (
     write_otlp,
     write_trace,
 )
-from .instrument import instrumented_solver, record_invariant, record_solve
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, get_registry
 from .result import SolveTelemetry
 from .tracer import Span, Tracer, get_tracer, span
@@ -73,14 +67,11 @@ __all__ = [
     "enabled",
     "get_registry",
     "get_tracer",
-    "instrumented_solver",
     "level_breakdown_table",
     "load_trace",
     "new_span_id",
     "new_trace_id",
     "otlp_document",
-    "record_invariant",
-    "record_solve",
     "reset",
     "span",
     "span_table",
@@ -92,15 +83,23 @@ __all__ = [
 
 
 def enable() -> None:
-    """Switch the global tracer and metrics registry on."""
+    """Switch the global tracer and metrics registry on and install the
+    boundary table."""
+    from . import boundary
+
+    boundary.install()
     get_tracer().enabled = True
     get_registry().enabled = True
 
 
 def disable() -> None:
-    """Switch the global tracer and metrics registry off (the default)."""
+    """Switch the global tracer and metrics registry off (the default)
+    and put every wrapped callable back."""
     get_tracer().enabled = False
     get_registry().enabled = False
+    boundary = sys.modules.get(f"{__name__}.boundary")
+    if boundary is not None:
+        boundary.uninstall()
 
 
 def enabled() -> bool:

@@ -1,14 +1,15 @@
 """Metrics registry: counters, gauges, and labelled histograms.
 
-Every multigrid solve publishes the per-level ``LevelStats`` it counted
-(:meth:`repro.mg.kcycle.LevelStats.publish`) and its outer iterations
-here, next to the solver, serve, fleet and verify counters.  A metric
+Every traced multigrid solve publishes the per-level ``LevelStats`` it
+counted and its outer iterations here (the ``mg.solve`` row of
+:mod:`repro.telemetry.boundary`), next to the solver, serve, fleet and
+verify counters.  A metric
 is identified by a name plus a frozen label set, so
 ``registry.counter("mg.op_applies", level=2)`` and ``level=1`` are
 independent series that export side by side.
 
 Like the tracer, a disabled registry hands out one shared null metric:
-hot paths pay a single attribute test and no allocation.
+a caller pays a single attribute test and no allocation.
 """
 
 from __future__ import annotations
@@ -390,5 +391,5 @@ _GLOBAL = MetricsRegistry(enabled=False)
 
 
 def get_registry() -> MetricsRegistry:
-    """The process-wide registry the solver hot paths report into."""
+    """The process-wide registry traced solves and the serving layers report into."""
     return _GLOBAL

@@ -6,7 +6,8 @@ recursion (outer GCR → K-cycle per level → smoother / restrict /
 prolong / coarse-solve → halo exchange).  Each span records a monotonic
 duration (``time.perf_counter``), the wall-clock instant it started
 (``time.time``), and arbitrary key/value attributes (most importantly
-``level`` for the multigrid hot paths).
+``level``); the numerics' spans are opened by
+:mod:`repro.telemetry.boundary`.
 
 Design constraints, in order:
 
@@ -16,10 +17,10 @@ Design constraints, in order:
 2. **Thread safety.**  The open-span stack is thread-local (each thread
    traces its own call tree); finished root spans are appended to a
    shared list under a lock.
-3. **No global mutable surprises.**  The module-level tracer exists for
-   convenience (hot paths must not thread a tracer argument through
-   every call), but :class:`Tracer` instances are independent and fully
-   testable in isolation.
+3. **No global mutable surprises.**  The module-level tracer is the one
+   the boundary table and the serving layers record into, but
+   :class:`Tracer` instances are independent and fully testable in
+   isolation.
 """
 
 from __future__ import annotations
@@ -252,6 +253,13 @@ class Tracer:
         stack = self._stack()
         return stack[-1] if stack else None
 
+    def level(self) -> int | None:
+        """The ``level`` of the innermost open span that carries one."""
+        for span in reversed(self._stack()):
+            if "level" in span.attrs:
+                return span.attrs["level"]
+        return None
+
     def recent_roots(self, n: int) -> list[Span]:
         """The last ``n`` finished root spans (for bounded dumps)."""
         with self._lock:
@@ -280,10 +288,10 @@ _GLOBAL = Tracer(enabled=False)
 
 
 def get_tracer() -> Tracer:
-    """The process-wide tracer the solver hot paths report into."""
+    """The process-wide tracer traced solves and the serving layers report into."""
     return _GLOBAL
 
 
 def span(name: str, **attrs):
-    """Open a span on the global tracer (convenience for hot paths)."""
+    """Open a span on the global tracer."""
     return _GLOBAL.span(name, **attrs)

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..telemetry.instrument import record_invariant
+from ..telemetry.metrics import get_registry
 from ..telemetry.tracer import get_tracer
 from .report import SEVERITIES, InvariantReport, VerificationReport
 
@@ -120,8 +120,13 @@ def run_invariant(inv: Invariant, ctx) -> list[InvariantReport]:
             r.duration_s = dt / len(reports)
         if hasattr(sp, "annotate"):
             sp.annotate(passed=all(r.passed for r in reports), checks=len(reports))
+    registry = get_registry()
     for r in reports:
-        record_invariant(r, origin="registry")
+        # ``origin``: the consumer that ran the check
+        registry.counter("verify.checks", invariant=r.name, origin="registry").inc()
+        if not r.passed:
+            registry.counter("verify.failures", invariant=r.name, origin="registry").inc()
+        registry.histogram("verify.residual", invariant=r.name).observe(r.residual)
     return reports
 
 

@@ -404,10 +404,11 @@ def test_factor_span_gauge_and_direct_coarse_solve_attributes():
     n = schur.unknowns
     (factor,) = [s for s in spans if s["name"] == "mg.coarsest.factor"]  # once per dtype
     assert factor["attrs"]["n"] == n and factor["attrs"]["dtype"] == "complex64"
-    assert factor["attrs"]["assemble_s"] > 0 and factor["attrs"]["factor_s"] > 0
-    assert factor_s == pytest.approx(
-        factor["attrs"]["assemble_s"] + factor["attrs"]["factor_s"]
-    )
+    # its two parts are its children: assembly, then the factorisation
+    assemble, lu = factor["children"]
+    assert (assemble["name"], lu["name"]) == ("mg.coarsest.assemble", "mg.coarsest.lu")
+    assert assemble["duration_s"] > 0 and lu["duration_s"] > 0
+    assert factor_s == pytest.approx(assemble["duration_s"] + lu["duration_s"])
     coarse = [s for s in spans if s["name"] == "coarse-solve" and s["attrs"]["level"] == 2]
     assert coarse
     for span in coarse:

@@ -37,7 +37,8 @@ from repro.dirac.wilson_kernel import supports_wilson_kernel
 from repro.gauge import disordered_field
 from repro.lattice import Lattice
 from repro.mg import LevelParams, MGParams, MultigridSolver
-from repro.mg.kcycle import KCyclePreconditioner, operator_application_cost_multi
+from repro.dirac.stencil import operator_application_cost_multi
+from repro.mg.kcycle import KCyclePreconditioner
 from repro.precision import Precision
 from repro import telemetry
 from repro.solvers import (

@@ -243,20 +243,23 @@ def _aniso40_operator() -> WilsonCloverOperator:
     return WilsonCloverOperator(ANISO40_SCALED.gauge(), **ANISO40_SCALED.operator_kwargs())
 
 
-def test_null_vectors_match_reference_driven_setup(monkeypatch):
+def test_null_vectors_match_reference_driven_setup(request):
     """The stacked relaxation through the kernel equals the one driven
     system by system through the site-major oracle, at either relaxation
     dtype; what comes back is complex128 and of unit norm."""
-    from repro.telemetry import get_registry
+    from repro import telemetry
+    from repro.mg import setup
 
     op = _aniso40_operator()
-    registry = get_registry()
-    monkeypatch.setattr(registry, "enabled", True)
+    registry = telemetry.get_registry()
+    # the one switch: it installs the wrapper that books the counter
+    telemetry.enable()
+    request.addfinalizer(telemetry.disable)
     # (20 iterations of complex64 round-off separate the two drivers)
     for dtype, rtol in ((np.complex128, 1e-9), (np.complex64, 2e-3)):
         rng_kernel, rng_oracle = np.random.default_rng(5), np.random.default_rng(5)
         booked = registry.value("mg.null_vector_generations")
-        got = generate_null_vectors(op, 3, rng_kernel, null_iters=20, dtype=dtype)
+        got = setup.generate_null_vectors(op, 3, rng_kernel, null_iters=20, dtype=dtype)
         # booked once per vector: what the setup caches' warm-hit assertions count
         assert registry.value("mg.null_vector_generations") == booked + 3
         oracle_op = _ReferenceDriven(op)

@@ -62,6 +62,10 @@ _SETUP_PHASES = {
 }
 
 
+#: child span of ``coarsen`` -> column of the Galerkin split
+_GALERKIN_SPLIT = {"coarsen.hop": "hop_s", "coarsen.restrict": "restrict_s"}
+
+
 def _relaxation_note(span) -> str:
     """What one ``null-vectors`` span's stacked relaxation ran: its
     systems, their iteration range and the applications they needed
@@ -119,8 +123,10 @@ def _profile_setup(label: str) -> int:
             if phase == "relax":
                 note = _relaxation_note(span)
             elif phase == "galerkin":
-                for key in split:
-                    split[key] += span.attrs.get(key, 0.0)
+                for child in span.children:
+                    key = _GALERKIN_SPLIT.get(child.name)
+                    if key is not None:
+                        split[key] += child.duration_s
         print(
             f"{level.attrs['level']:>5} {seconds['relax']:>8.4f} "
             f"{seconds['orthonormalise']:>15.4f} {seconds['galerkin']:>9.4f} "

@@ -30,10 +30,9 @@ import numpy as np
 from repro.coarse import CoarseOperator
 from repro.dirac import WilsonCloverOperator
 from repro.fields import SpinorField
-from repro.mg import MultigridSolver, hierarchy, setup
+from repro.mg import MultigridSolver, setup
 from repro.precision import COMPLEX128
 from repro.dirac.stencil import apply_stack
-from repro.solvers.bicgstab import lockstep_bicgstab
 from repro.workloads import SCALED_FOR_PAPER, mg_params_for
 
 DATASETS = ("Aniso40", "Iso48", "Iso64")
@@ -59,7 +58,9 @@ def full_system_null_vectors(
         field.imag = rng.standard_normal(shape)
     floor = setup.relaxation_floor(dtype)
     x0 = x0.astype(COMPLEX128 if isinstance(op, CoarseOperator) else dtype, copy=False)
-    results = setup.lockstep_bicgstab(op, apply_stack(op, x0), tol=floor, maxiter=null_iters)
+    results = setup.bicgstab.lockstep_bicgstab(
+        op, apply_stack(op, x0), tol=floor, maxiter=null_iters
+    )
     vecs = (x0 - np.stack([res.x for res in results])).astype(np.complex128, copy=False)
     return [vec / np.linalg.norm(vec.ravel()) for vec in vecs]
 
@@ -67,12 +68,12 @@ def full_system_null_vectors(
 @contextlib.contextmanager
 def full_system_relaxation():
     """Builds inside the block relax the full system."""
-    production = hierarchy.generate_null_vectors
-    hierarchy.generate_null_vectors = full_system_null_vectors
+    production = setup.generate_null_vectors
+    setup.generate_null_vectors = full_system_null_vectors
     try:
         yield
     finally:
-        hierarchy.generate_null_vectors = production
+        setup.generate_null_vectors = production
 
 
 @contextlib.contextmanager
@@ -80,16 +81,18 @@ def recorded_relaxations():
     """The solver results of every relaxation run inside the block,
     one list (a ``SolveResult`` per system) per level relaxed."""
     runs: list[list] = []
+    driver = setup.bicgstab  # the module the setup calls its driver through
+    production = driver.lockstep_bicgstab
 
     def recording(*args, **kwargs):
-        runs.append(lockstep_bicgstab(*args, **kwargs))
+        runs.append(production(*args, **kwargs))
         return runs[-1]
 
-    setup.lockstep_bicgstab = recording
+    driver.lockstep_bicgstab = recording
     try:
         yield runs
     finally:
-        setup.lockstep_bicgstab = lockstep_bicgstab
+        driver.lockstep_bicgstab = production
 
 
 def measure(op, ds, params, seed: int, relaxation) -> dict:
