@@ -11,7 +11,8 @@ import pytest
 
 from repro.coarse import coarsen_operator
 from repro.lattice import Blocking, Lattice
-from repro.solvers import batched_gcr, gcr
+from repro.solvers import batched_gcr
+from repro.solvers.gcr import gcr
 from repro.transfer import Transfer
 
 from tests.conftest import random_spinor

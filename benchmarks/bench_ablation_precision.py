@@ -16,7 +16,8 @@ import pytest
 
 from repro.dirac import SchurOperator, WilsonCloverOperator
 from repro.precision import Precision
-from repro.solvers import bicgstab, mixed_precision_solve, norm
+from repro.solvers import mixed_precision_solve, norm
+from repro.solvers.bicgstab import bicgstab
 from repro.workloads import ANISO40_SCALED
 
 from tests.conftest import random_spinor

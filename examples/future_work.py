@@ -22,7 +22,8 @@ from repro.machine import (
     choose_placement,
     mg_level_specs,
 )
-from repro.solvers import batched_gcr, gcr
+from repro.solvers import batched_gcr
+from repro.solvers.gcr import gcr
 from repro.transfer import Transfer
 from repro.workloads import ISO64
 

@@ -16,7 +16,7 @@ import numpy as np
 from repro.dirac import SchurOperator, WilsonCloverOperator
 from repro.fields import SpinorField
 from repro.mg import MultigridSolver
-from repro.solvers import bicgstab
+from repro.solvers.bicgstab import bicgstab
 from repro.workloads import ANISO40_SCALED, mg_params_for
 
 

@@ -20,7 +20,8 @@ from repro.fields import SpinorField
 from repro.gauge import average_plaquette, disordered_field
 from repro.lattice import Lattice
 from repro.mg import LevelParams, MGParams, MultigridSolver
-from repro.solvers import bicgstab, norm
+from repro.solvers import norm
+from repro.solvers.bicgstab import bicgstab
 
 
 def main() -> None:

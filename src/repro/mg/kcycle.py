@@ -41,18 +41,14 @@ trace shows its steps through :mod:`repro.telemetry.boundary`.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from importlib import import_module
 
 import numpy as np
 
 from ..precision import enter_precision, leave_precision
+from ..solvers import gcr
 from ..solvers.base import SolveResult
 from ..solvers.mixed import reduced_storage
 from .hierarchy import MGLevel, MultigridHierarchy
-
-#: the driver's module, called through (``repro.solvers`` shadows its
-#: name with the ``gcr`` function), so that a wrapper installed there runs
-gcr = import_module("..solvers.gcr", __package__)
 
 
 @dataclass

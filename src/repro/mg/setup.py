@@ -27,17 +27,12 @@ nothing below that precision's round-off is visible to the cycle.
 
 from __future__ import annotations
 
-from importlib import import_module
-
 import numpy as np
 
 from ..coarse import CoarseOperator
 from ..dirac.mrhs import batched_schur_for
 from ..precision import COMPLEX128
-
-#: the driver's module, called through (``repro.solvers`` shadows its
-#: name with the ``bicgstab`` function), so that a wrapper installed there runs
-bicgstab = import_module("..solvers.bicgstab", __package__)
+from ..solvers import bicgstab
 
 
 def relaxation_floor(dtype) -> float:

@@ -15,9 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..fields import SpinorField
+from ..solvers import gcr
 from ..solvers.base import SolveResult, validate_rhs_stack
 from .hierarchy import MultigridHierarchy
-from .kcycle import KCyclePreconditioner, book_gcr, gcr
+from .kcycle import KCyclePreconditioner, book_gcr
 from .params import MGParams
 
 

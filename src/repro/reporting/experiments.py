@@ -31,7 +31,8 @@ from ..machine import (
     mg_time,
 )
 from ..mg import MultigridSolver
-from ..solvers import bicgstab, norm
+from ..solvers import norm
+from ..solvers.bicgstab import bicgstab
 from ..fields import SpinorField
 from ..telemetry import SolveTelemetry
 from ..telemetry.tracer import get_tracer

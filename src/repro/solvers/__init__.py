@@ -1,6 +1,10 @@
 """Krylov solvers: flexible GCR (the multigrid outer and coarse solver,
 paper Section 7.1) and BiCGStab with its mixed-precision driver (the
-paper's Table 3 baseline)."""
+paper's Table 3 baseline).
+
+``repro.solvers.gcr`` and ``repro.solvers.bicgstab`` are the driver
+modules; their functions are imported from them
+(``from repro.solvers.gcr import gcr``)."""
 
 from .base import (
     OperatorCounter,
@@ -10,8 +14,7 @@ from .base import (
     validate_rhs_stack,
     vdot,
 )
-from .bicgstab import bicgstab
-from .gcr import batched_gcr, gcr
+from .gcr import batched_gcr
 from .mixed import PrecisionOperator, mixed_precision_solve
 
 __all__ = [
@@ -20,10 +23,8 @@ __all__ = [
     "norm",
     "norm2",
     "vdot",
-    "bicgstab",
     "batched_gcr",
     "validate_rhs_stack",
-    "gcr",
     "PrecisionOperator",
     "mixed_precision_solve",
 ]

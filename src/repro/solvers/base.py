@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..dirac.stencil import apply_stack
 from ..telemetry.result import SolveTelemetry
 
 
@@ -140,6 +141,70 @@ class SolveResult:
             f"SolveResult(converged={self.converged}, iterations={self.iterations}, "
             f"final_residual={self.final_residual:.3e}, matvecs={self.matvecs})"
         )
+
+
+class Lockstep:
+    """The state a lockstep driver starts from and assembles its results
+    out of; the drivers differ only in their recurrences.
+
+    ``xs`` / ``rs`` start from ``x0s`` (zero when it is ``None``, at the
+    cost of no application); a system with a zero (or NaN) right-hand
+    side is never ``active``.  Each system's ``targets`` is ``tol`` times
+    its norm, its history starts at its relative residual, and
+    :meth:`matvec` books an application on the systems still running.
+    """
+
+    def __init__(self, op, bs: np.ndarray, x0s: np.ndarray | None, tol: float):
+        k = bs.shape[0]
+        self.op = op
+        self.matvec_batches = 0
+        self.matvecs = np.zeros(k, dtype=int)
+        if x0s is None:
+            self.xs = np.zeros_like(bs)
+            self.rs = bs.copy()
+        else:
+            self.xs = x0s.copy()
+            self.rs = bs - self.matvec(self.xs, np.arange(k))
+        self.bnorms = np.sqrt(np.real(batch_dot(bs, bs)))
+        self.active = self.bnorms > 0
+        self.targets = tol * self.bnorms
+        rnorms = np.sqrt(np.real(batch_dot(self.rs, self.rs)))
+        self.histories = [
+            [float(rnorms[i] / self.bnorms[i])] if self.active[i] else [0.0]
+            for i in range(k)
+        ]
+        self.iters = np.zeros(k, dtype=int)
+
+    def matvec(self, vs: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """``op`` on the ``live`` systems of ``vs``, booked on each of
+        them and once on the stack."""
+        self.matvec_batches += 1
+        self.matvecs[live] += 1
+        return apply_stack(self.op, vs, live)
+
+    def record(self, systems: np.ndarray, rnorms: np.ndarray, it: int) -> None:
+        """Iteration ``it`` left ``systems`` (a mask) at residuals ``rnorms``."""
+        for i in np.flatnonzero(systems):
+            self.iters[i] = it
+            self.histories[i].append(float(rnorms[i] / self.bnorms[i]))
+
+    def results(self, converged: np.ndarray) -> list[SolveResult]:
+        """One :class:`SolveResult` per system; ``matvecs`` counts the
+        applications made while that system was running,
+        ``telemetry.attrs["matvec_batches"]`` the stacked calls."""
+        attrs = {"matvec_batches": self.matvec_batches, "n_rhs": len(self.histories)}
+        return [
+            SolveResult(
+                self.xs[i],
+                bool(converged[i]),
+                int(self.iters[i]),
+                history[-1],
+                history,
+                int(self.matvecs[i]),
+                telemetry=SolveTelemetry(attrs=dict(attrs)),
+            )
+            for i, history in enumerate(self.histories)
+        ]
 
 
 class OperatorCounter:

@@ -26,13 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dirac.stencil import apply_stack
-from ..telemetry.result import SolveTelemetry
-from .base import (
-    SolveResult,
-    batch_dot,
-    per_system,
-    validate_rhs_stack,
-)
+from .base import Lockstep, SolveResult, batch_dot, per_system, validate_rhs_stack
 
 
 def lockstep_gcr(
@@ -60,26 +54,8 @@ def lockstep_gcr(
     ``matvecs`` counts the operator applications made while that system
     was running, ``telemetry.attrs["matvec_batches"]`` the stacked calls.
     """
-    k = bs.shape[0]
-    matvec_batches = 0
-    matvecs = np.zeros(k, dtype=int)
-    if x0s is None:
-        xs = np.zeros_like(bs)
-        rs = bs.copy()
-    else:
-        xs = x0s.copy()
-        rs = bs - apply_stack(op, xs)
-        matvec_batches += 1
-        matvecs += 1
-    bnorms = np.sqrt(np.real(batch_dot(bs, bs)))
-    active = bnorms > 0
-    targets = tol * bnorms
-    rnorms = np.sqrt(np.real(batch_dot(rs, rs)))
-    histories = [
-        [float(rnorms[i] / bnorms[i])] if active[i] else [0.0] for i in range(k)
-    ]
-    iters = np.zeros(k, dtype=int)
-
+    run = Lockstep(op, bs, x0s, tol)
+    xs, rs, active, targets = run.xs, run.rs, run.active, run.targets
     basis: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (z, w, <w,w>)
     it = 0
     while it < maxiter and active.any():
@@ -91,9 +67,7 @@ def lockstep_gcr(
             z[~active] = 0
         else:
             z = apply_stack(preconditioner, rs, live)
-        w = apply_stack(op, z, live)
-        matvec_batches += 1
-        matvecs[live] += 1
+        w = run.matvec(z, live)
         # modified Gram-Schmidt against the current cycle's directions
         for zi, wi, wn in basis:
             proj = per_system(batch_dot(wi, w) / wn, w)
@@ -115,24 +89,12 @@ def lockstep_gcr(
         basis.append((z, w, wn))
         it += 1
         rnorms = np.sqrt(np.real(batch_dot(rs, rs)))
-        for i in np.flatnonzero(active):
-            iters[i] = it
-            histories[i].append(float(rnorms[i] / bnorms[i]))
+        run.record(active, rnorms, it)
         active &= ~(rnorms < targets)
 
-    return [
-        SolveResult(
-            xs[i],
-            # a NaN right-hand side has no norm to converge against
-            bool(bnorms[i] == 0 or histories[i][-1] * bnorms[i] <= targets[i]),
-            int(iters[i]),
-            histories[i][-1],
-            histories[i],
-            int(matvecs[i]),
-            telemetry=SolveTelemetry(attrs={"matvec_batches": matvec_batches, "n_rhs": k}),
-        )
-        for i in range(k)
-    ]
+    # a NaN right-hand side has no norm to converge against
+    last = np.array([history[-1] for history in run.histories])
+    return run.results((run.bnorms == 0) | (last * run.bnorms <= targets))
 
 
 def gcr(

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import inspect
 import threading
-from importlib import import_module
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -31,13 +30,10 @@ from ..lattice import NDIM
 from ..mg import hierarchy, kcycle, setup, smoother, solver
 from ..obs.convergence import record_convergence
 from ..precision import dtype_of
+from ..solvers import bicgstab, gcr
 from ..transfer import Transfer
 from .metrics import get_registry
 from .tracer import Span, get_tracer
-
-# the driver modules (``repro.solvers`` shadows their names with functions)
-gcr = import_module("repro.solvers.gcr")
-bicgstab = import_module("repro.solvers.bicgstab")
 
 #: level rule: the enclosing span's level, recorded on this one
 INHERIT = "inherit"

@@ -5,7 +5,8 @@ import pytest
 
 from repro.coarse import coarsen_operator
 from repro.lattice import Blocking
-from repro.solvers import OperatorCounter, batched_gcr, gcr, norm
+from repro.solvers import OperatorCounter, batched_gcr, norm
+from repro.solvers.gcr import gcr
 from repro.transfer import Transfer
 from tests.conftest import random_spinor
 

@@ -177,7 +177,7 @@ class TestPartitionedOperator:
 
     def test_usable_in_solver(self, wilson448, lat448):
         # a partitioned operator is a drop-in replacement in any solver
-        from repro.solvers import bicgstab
+        from repro.solvers.bicgstab import bicgstab
 
         part = Partition(lat448, (1, 1, 2, 2))
         pop = PartitionedOperator(wilson448, part)

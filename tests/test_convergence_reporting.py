@@ -23,7 +23,8 @@ class TestSmoothness:
         from repro.gauge import disordered_field
         from repro.lattice import Lattice
         from repro.mg import SchurMRSmoother
-        from repro.solvers import bicgstab, gcr
+        from repro.solvers.bicgstab import bicgstab
+        from repro.solvers.gcr import gcr
         from tests.conftest import random_spinor
 
         lat = Lattice((4, 4, 4, 8))

@@ -20,7 +20,8 @@ from repro.mg import (
     SchurMRSmoother,
     generate_null_vectors,
 )
-from repro.solvers import gcr, norm
+from repro.solvers import norm
+from repro.solvers.gcr import gcr
 from repro.transfer import Transfer
 from tests.conftest import random_spinor
 

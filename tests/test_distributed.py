@@ -10,7 +10,8 @@ from repro.comm.distributed import (
 )
 from repro.dirac import SchurOperator
 from repro.lattice import Partition
-from repro.solvers import bicgstab, norm
+from repro.solvers import norm
+from repro.solvers.bicgstab import bicgstab
 from tests.conftest import random_spinor
 
 

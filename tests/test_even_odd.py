@@ -49,7 +49,7 @@ class TestSchurSolveEquivalence:
         np.testing.assert_allclose(x_schur, x_direct, atol=1e-11)
 
     def test_reconstruction_satisfies_full_system(self, wilson448, lat448):
-        from repro.solvers import bicgstab
+        from repro.solvers.bicgstab import bicgstab
 
         schur = SchurOperator(wilson448)
         b = random_spinor(lat448, seed=5)[None]

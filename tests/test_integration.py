@@ -9,7 +9,8 @@ from repro.fields import SpinorField
 from repro.lattice import Lattice, Partition
 from repro.mg import LevelParams, MGParams, MultigridSolver
 from repro.precision import Precision
-from repro.solvers import bicgstab, norm
+from repro.solvers import norm
+from repro.solvers.bicgstab import bicgstab
 from repro.workloads import ANISO40_SCALED, run_propagator
 from tests.conftest import random_spinor
 

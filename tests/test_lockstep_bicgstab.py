@@ -11,19 +11,19 @@ finite iterates at any dtype.  The baselines built on ``bicgstab``
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 import pytest
 
+import repro.solvers.bicgstab as bicgstab_module
 from repro.comm import DistributedField, DistributedOperator, distributed_bicgstab
 from repro.dirac.stencil import apply_stack
 from repro.dirac import SchurOperator, WilsonCloverOperator
-from repro.lattice import Partition
+from repro.gauge import disordered_field
+from repro.lattice import Lattice, Partition
 from repro.mg.setup import relaxation_floor
-from repro.solvers import bicgstab, mixed_precision_solve
-from repro.solvers.base import SolveResult, norm, vdot
-from repro.solvers.bicgstab import lockstep_bicgstab
+from repro.solvers import mixed_precision_solve
+from repro.solvers.base import DOT_BLOCK, SolveResult, norm, vdot
+from repro.solvers.bicgstab import bicgstab, lockstep_bicgstab
 from repro.workloads.datasets import ANISO40_SCALED
 from strategies import DenseOperator
 from tests.conftest import random_spinor
@@ -116,6 +116,19 @@ def test_stack_equals_single_solves_on_a_wilson_operator(wilson448, lat448):
         assert res.telemetry.attrs["n_rhs"] == 4
     batches = stack[0].telemetry.attrs["matvec_batches"]
     assert batches == max(res.matvecs for res in stack)
+    # rows longer than one ?dotc block: each system is bitwise its solve alone
+    lat = Lattice((4, 4, 8, 8))
+    u = disordered_field(lat, np.random.default_rng(81), 0.5, smear_steps=1)
+    op = WilsonCloverOperator(u, mass=-0.3, c_sw=1.0)
+    assert lat.volume * 12 > DOT_BLOCK
+    for dtype in (np.complex64, np.complex128):
+        bs = np.stack([random_spinor(lat, seed=85 + i) for i in range(5)]).astype(dtype)
+        tol = relaxation_floor(dtype)
+        for b, res in zip(bs, lockstep_bicgstab(op, bs, tol=tol, maxiter=500)):
+            alone = bicgstab(op, b, tol=tol, maxiter=500)
+            assert res.converged and res.iterations == alone.iterations
+            assert res.residual_history == alone.residual_history
+            assert np.array_equal(res.x, alone.x)
 
 
 def test_stack_follows_an_initial_guess_and_the_iteration_cap(wilson44, lat44):
@@ -167,8 +180,7 @@ def test_half_step_zero_and_breakdown_systems_in_one_stack(monkeypatch):
     assert stack[3].iterations > 3 and stack[4].iterations > 3
     # the restart is what got the broken system there: without the
     # check its second iteration divides by rho_old * omega with rho = 0
-    # (the package re-exports the function under the module's name)
-    monkeypatch.setattr(sys.modules[lockstep_bicgstab.__module__], "_BREAKDOWN", 0.0)
+    monkeypatch.setattr(bicgstab_module, "_BREAKDOWN", 0.0)
     unchecked = lockstep_bicgstab(op, bs[2:3], tol=1e-8, maxiter=200)[0]
     assert broken.iterations == 3
     assert unchecked.residual_history[:2] == broken.residual_history[:2]

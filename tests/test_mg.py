@@ -16,7 +16,9 @@ from repro.mg import (
     gcr_reductions,
     generate_null_vectors,
 )
-from repro.solvers import bicgstab, gcr, norm
+from repro.solvers import norm
+from repro.solvers.bicgstab import bicgstab
+from repro.solvers.gcr import gcr
 from tests.conftest import random_spinor
 
 

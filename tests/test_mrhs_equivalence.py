@@ -41,13 +41,8 @@ from repro.dirac.stencil import operator_application_cost_multi
 from repro.mg.kcycle import KCyclePreconditioner
 from repro.precision import Precision
 from repro import telemetry
-from repro.solvers import (
-    batched_gcr,
-    gcr,
-    norm,
-    validate_rhs_stack,
-    vdot,
-)
+from repro.solvers import batched_gcr, norm, validate_rhs_stack, vdot
+from repro.solvers.gcr import gcr
 from tests.conftest import random_spinor, schur_dense
 from tests.strategies import SEEDS
 

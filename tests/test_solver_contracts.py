@@ -16,7 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.solvers import batched_gcr, bicgstab, gcr, norm
+from repro.solvers import batched_gcr, norm
+from repro.solvers.bicgstab import bicgstab
+from repro.solvers.gcr import gcr
 from strategies import dense_systems
 
 pytestmark = pytest.mark.verify

@@ -5,7 +5,9 @@ import pytest
 
 from repro.dirac import SchurOperator
 from repro.mg import SchurMRSmoother
-from repro.solvers import bicgstab, gcr, norm
+from repro.solvers import norm
+from repro.solvers.bicgstab import bicgstab
+from repro.solvers.gcr import gcr
 from tests.conftest import random_spinor
 
 

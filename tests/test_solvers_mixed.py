@@ -5,7 +5,8 @@ import pytest
 
 from repro.dirac import SchurOperator
 from repro.precision import Precision
-from repro.solvers import PrecisionOperator, bicgstab, mixed_precision_solve, norm
+from repro.solvers import PrecisionOperator, mixed_precision_solve, norm
+from repro.solvers.bicgstab import bicgstab
 from tests.conftest import random_spinor
 
 

@@ -10,7 +10,8 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.solvers import bicgstab, gcr
+from repro.solvers.bicgstab import bicgstab
+from repro.solvers.gcr import gcr
 
 SETTINGS = dict(
     max_examples=15,

@@ -8,6 +8,7 @@ installed by ``telemetry.enable()`` and removed by ``disable()``.
 from __future__ import annotations
 
 import ast
+import inspect
 import os
 import pathlib
 import subprocess
@@ -158,3 +159,19 @@ def test_the_first_traced_solve_is_the_second(solver):
     assert first == second
     assert (0, "mg.solve") in first and (1, "kcycle") in first
     assert (2, "coarse-solve") in first
+    # the outer and the level-1 GCR both run the wrapped driver
+    assert (0, "solve.gcr") in first and (1, "solve.gcr") in first
+
+
+def test_every_caller_holds_the_driver_module_the_table_wraps():
+    """``import repro.solvers.gcr as m`` is the module (the package binds
+    no function over it), and the module is what every caller calls the
+    lockstep driver through, so the row that wraps it there sees them all."""
+    import repro.solvers.bicgstab as bicgstab_module
+    import repro.solvers.gcr as gcr_module
+    from repro.mg import kcycle, setup
+    from repro.mg import solver as mg_solver
+
+    assert inspect.ismodule(gcr_module) and inspect.ismodule(bicgstab_module)
+    assert kcycle.gcr is mg_solver.gcr is boundary.gcr is gcr_module
+    assert setup.bicgstab is boundary.bicgstab is bicgstab_module

@@ -74,7 +74,7 @@ class TestScaledDatasets:
     def test_operator_nonsingular_at_working_mass(self):
         # delta_m above the calibrated critical point: a solve must work
         from repro.dirac import WilsonCloverOperator
-        from repro.solvers import bicgstab
+        from repro.solvers.bicgstab import bicgstab
 
         s = SCALED_FOR_PAPER["Aniso40"]
         op = WilsonCloverOperator(s.gauge(), **s.operator_kwargs())

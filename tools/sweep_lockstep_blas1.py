@@ -11,8 +11,9 @@ elementwise broadcast ``y += alpha[:, None, ...] * x``, already the
 same per system at every K.  This script is how both were chosen and
 how to re-check them on another host.  It times:
 
-* reductions: the one-pass ``einsum("ki,ki->k", conj(a), b)`` the loops
-  used before (it lives on only here), one ``np.vdot`` per system in a
+* reductions: the one-pass ``einsum("ki,ki->k", conj(a), b)`` all three
+  loops used before (BiCGStab's ``fused_dot`` was the last; the form
+  lives on only here), one ``np.vdot`` per system in a
   Python loop, and ``batch_dot`` (bitwise the ``np.vdot`` of a row of
   up to ``DOT_BLOCK`` elements);
 * updates: the broadcast against one in-place ``scipy.linalg.blas``
@@ -53,7 +54,8 @@ ROUNDS = 25
 
 
 def einsum_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The fused form the loops replaced: one pass over a conjugated copy."""
+    """The stack-fused form the three loops replaced: one pass over a
+    conjugated copy, rounded differently at every K."""
     k = a.shape[0]
     return np.einsum("ki,ki->k", np.conj(a.reshape(k, -1)), b.reshape(k, -1))
 

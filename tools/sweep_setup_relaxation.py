@@ -33,6 +33,7 @@ from repro.fields import SpinorField
 from repro.mg import MultigridSolver, setup
 from repro.precision import COMPLEX128
 from repro.dirac.stencil import apply_stack
+from repro.solvers import bicgstab
 from repro.workloads import SCALED_FOR_PAPER, mg_params_for
 
 DATASETS = ("Aniso40", "Iso48", "Iso64")
@@ -58,7 +59,7 @@ def full_system_null_vectors(
         field.imag = rng.standard_normal(shape)
     floor = setup.relaxation_floor(dtype)
     x0 = x0.astype(COMPLEX128 if isinstance(op, CoarseOperator) else dtype, copy=False)
-    results = setup.bicgstab.lockstep_bicgstab(
+    results = bicgstab.lockstep_bicgstab(
         op, apply_stack(op, x0), tol=floor, maxiter=null_iters
     )
     vecs = (x0 - np.stack([res.x for res in results])).astype(np.complex128, copy=False)
@@ -81,18 +82,17 @@ def recorded_relaxations():
     """The solver results of every relaxation run inside the block,
     one list (a ``SolveResult`` per system) per level relaxed."""
     runs: list[list] = []
-    driver = setup.bicgstab  # the module the setup calls its driver through
-    production = driver.lockstep_bicgstab
+    production = bicgstab.lockstep_bicgstab
 
     def recording(*args, **kwargs):
         runs.append(production(*args, **kwargs))
         return runs[-1]
 
-    driver.lockstep_bicgstab = recording
+    bicgstab.lockstep_bicgstab = recording
     try:
         yield runs
     finally:
-        driver.lockstep_bicgstab = production
+        bicgstab.lockstep_bicgstab = production
 
 
 def measure(op, ds, params, seed: int, relaxation) -> dict:
