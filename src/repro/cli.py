@@ -22,12 +22,11 @@ Usage::
                                [--invariants a,b,...] [--max-needs TIER]
     python -m repro.cli bench  run [--suite quick|full] | list
     python -m repro.cli perf   diff A B [--tolerance T] [--warn-only]
-    python -m repro.cli perf   trend [HISTORY] [--window N] [--warn-only]
 
 ``bench``/``perf`` route to the performance-observability layer
 (:mod:`repro.perf.cli`): ``bench run`` executes a curated measurement
-suite into the content-addressed ledger (+ ``BENCH_<suite>.json``
-trajectory file), ``perf diff`` compares two ledger entries (per
+suite into the content-addressed ledger (+ the committed baseline
+``BENCH_<suite>.json``), ``perf diff`` compares two ledger entries (per
 benchmark, with a median/MAD noise model) or two trace documents (per
 level and span name: self-time, span count, flops/bytes) and exits
 nonzero on regression.  Dataset arguments are case-insensitive and

@@ -40,6 +40,7 @@ from ..obs.slo import DEFAULT_SLOS
 from ..serve.cache import SetupCache
 from ..serve.service import ServeConfig
 from .. import telemetry
+from ..telemetry.metrics import percentile
 from ..workloads.datasets import ANISO40_SCALED, ScaledDataset
 from ..workloads.presets import two_level_params
 from .placement import (
@@ -67,10 +68,6 @@ def default_fleet(num_nodes: int, seed: int = 0) -> FleetSpec:
         .set_link_statistics(avg_bandwidth_gbs=1.0, avg_latency_us=500.0)
         .generate(name=f"fleet{num_nodes}", seed=seed)
     )
-
-
-def _percentile(samples: list[float], p: float) -> float:
-    return float(np.percentile(np.asarray(samples), p))
 
 
 def run_fleet_bench(
@@ -210,8 +207,8 @@ def run_fleet_bench(
                     "wall_rps": n_requests / wall,
                     "sim_makespan_s": makespan,
                     "agg_rps": (n_requests / makespan) if makespan > 0 else 0.0,
-                    "p50_s": _percentile(latencies, 50),
-                    "p95_s": _percentile(latencies, 95),
+                    "p50_s": percentile(latencies, 50),
+                    "p95_s": percentile(latencies, 95),
                     "all_converged": bool(all(r.converged for r in results)),
                     "timeouts": sum(
                         s["submitted"] - s["completed"] for s in shard_stats

@@ -13,9 +13,9 @@ the substrate a production serve tier debugs itself with:
 * :mod:`~repro.obs.slo` — declarative SLO specs evaluated over sliding
   windows with burn-rate alerting into the structured log;
 * :mod:`~repro.obs.forensics` — performance forensics over exported
-  traces: critical-path extraction, the halo overlap-headroom report,
-  Perfetto timeline export and the bench trajectory regression scan
-  (two traces are compared by ``repro perf diff``).
+  traces: critical-path extraction, the halo overlap-headroom report
+  and Perfetto timeline export (two traces, like two ledger entries,
+  are compared by ``repro perf diff``).
 
 Everything here consumes the trace context of
 :mod:`repro.telemetry.context`: one ``trace_id`` generated at serve
@@ -48,13 +48,11 @@ from .convergence import (
 from .forensics import (
     CriticalPathReport,
     OverlapReport,
-    TrendReport,
     critical_path,
     overlap_report,
     perfetto_document,
     render_critical_path,
     render_overlap,
-    scan_trajectory,
     write_perfetto,
 )
 from .slo import (
@@ -77,7 +75,6 @@ __all__ = [
     "SLOMonitor",
     "SLOSpec",
     "SLOStatus",
-    "TrendReport",
     "blackbox_document",
     "collect_convergence_series",
     "convergence_report",
@@ -92,7 +89,6 @@ __all__ = [
     "render_critical_path",
     "render_overlap",
     "render_slo_table",
-    "scan_trajectory",
     "subsample_history",
     "validate_blackbox",
     "write_blackbox",

@@ -17,10 +17,7 @@ questions every later performance PR is judged by:
 * :mod:`~repro.obs.forensics.perfetto` — Chrome/Perfetto trace-event
   export (track per shard, thread per multigrid level, convergence
   events as instants) so any trace — including stitched fleet runs —
-  opens in ui.perfetto.dev;
-* :mod:`~repro.obs.forensics.trend` — sequential regression scanning
-  over the ``BENCH_<suite>.history.json`` trajectory with median/MAD
-  robust z-scores, behind ``repro perf trend`` (warn-only in CI).
+  opens in ui.perfetto.dev.
 
 The span-walking modules take a span's level and self-time from
 :mod:`repro.telemetry.export` (``walk`` / ``self_seconds``), the same
@@ -44,12 +41,6 @@ from .overlap import (
     render_overlap,
 )
 from .perfetto import perfetto_document, write_perfetto
-from .trend import (
-    TrendPointVerdict,
-    TrendReport,
-    load_trajectory,
-    scan_trajectory,
-)
 
 __all__ = [
     "COMM_SPAN_NAMES",
@@ -57,14 +48,10 @@ __all__ = [
     "CriticalPathReport",
     "OverlapGroup",
     "OverlapReport",
-    "TrendPointVerdict",
-    "TrendReport",
     "critical_path",
-    "load_trajectory",
     "overlap_report",
     "perfetto_document",
     "render_critical_path",
     "render_overlap",
-    "scan_trajectory",
     "write_perfetto",
 ]

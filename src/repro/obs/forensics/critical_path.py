@@ -49,18 +49,6 @@ class CriticalPathNode:
     cumulative_s: float  # path self-time up to and including this hop
     attrs: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "level": self.level,
-            "depth": self.depth,
-            "self_s": self.self_s,
-            "duration_s": self.duration_s,
-            "share": self.share,
-            "cumulative_s": self.cumulative_s,
-            "attrs": dict(self.attrs),
-        }
-
 
 @dataclass
 class CriticalPathReport:
@@ -75,19 +63,6 @@ class CriticalPathReport:
     def coverage(self) -> float:
         """Fraction of its root's wall time the path's self-times explain."""
         return self.path_s / self.root_s if self.root_s > 0.0 else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "repro.critical-path/v1",
-            "path_s": self.path_s,
-            "total_s": self.total_s,
-            "root_s": self.root_s,
-            "coverage": self.coverage,
-            "nodes": [n.to_dict() for n in self.nodes],
-        }
-
-    def render(self) -> str:
-        return render_critical_path(self)
 
 
 def critical_path(spans: Iterable[dict]) -> CriticalPathReport:

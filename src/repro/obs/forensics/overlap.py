@@ -48,15 +48,6 @@ class CommSpanVerdict:
     verdict: str  # "hideable" | "partial" | "exposed"
     attrs: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "duration_s": self.duration_s,
-            "hidden_s": self.hidden_s,
-            "verdict": self.verdict,
-            "attrs": dict(self.attrs),
-        }
-
 
 @dataclass
 class OverlapGroup:
@@ -68,16 +59,6 @@ class OverlapGroup:
     compute_s: float
     hideable_s: float
     spans: list[CommSpanVerdict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "parent": self.parent,
-            "level": self.level,
-            "comm_s": self.comm_s,
-            "compute_s": self.compute_s,
-            "hideable_s": self.hideable_s,
-            "spans": [s.to_dict() for s in self.spans],
-        }
 
 
 @dataclass
@@ -102,21 +83,6 @@ class OverlapReport:
     @property
     def exposed_s(self) -> float:
         return self.comm_s - self.hideable_s
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "repro.overlap/v1",
-            "comm_s": self.comm_s,
-            "hideable_s": self.hideable_s,
-            "exposed_s": self.exposed_s,
-            "headroom_fraction": self.headroom_fraction,
-            "measured_s": self.measured_s,
-            "ideal_s": self.ideal_s,
-            "groups": [g.to_dict() for g in self.groups],
-        }
-
-    def render(self) -> str:
-        return render_overlap(self)
 
 
 def overlap_report(

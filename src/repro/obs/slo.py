@@ -28,11 +28,12 @@ Objectives:
 
 from __future__ import annotations
 
-import math
 import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
+
+from ..telemetry.metrics import percentile
 
 #: objective name -> implied error-budget fraction for latency quantiles
 _LATENCY_OBJECTIVES = {
@@ -132,22 +133,6 @@ class SLOStatus:
         }
 
 
-def _quantile(values: Sequence[float], p: float) -> float:
-    """Linear-interpolated percentile (same convention as Histogram)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (p / 100.0) * (len(ordered) - 1)
-    lo = math.floor(rank)
-    hi = math.ceil(rank)
-    if lo == hi:
-        return ordered[lo]
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-
 def _default_alert(event: str, **fields) -> None:
     """Alerts go to the serve structured log (and flight recorder)."""
     from ..serve.slog import log_event
@@ -212,7 +197,7 @@ class SLOMonitor:
             n = len(window)
             bad = sum(1 for o in window if o.bad_for(spec))
             if spec.objective in _LATENCY_OBJECTIVES:
-                measured = _quantile(
+                measured = percentile(
                     [o.latency_s for o in window], _LATENCY_OBJECTIVES[spec.objective]
                 )
                 compliant = n == 0 or measured <= spec.threshold

@@ -12,8 +12,8 @@ claims live in:
   every span and per-(level, phase) bucket (Figure 4's breakdown with
   Figure 2's column attached);
 * :mod:`~repro.perf.ledger` — ``repro bench run``: curated measurement
-  suites persisted to a content-addressed ledger plus the
-  ``BENCH_<suite>.json`` trajectory file at the repo root;
+  suites persisted to a content-addressed ledger plus the committed
+  baseline ``BENCH_<suite>.json`` at the repo root;
 * :mod:`~repro.perf.diff` — ``repro perf diff``: median-of-k + MAD
   noise-aware comparison of two ledger entries or two trace documents,
   exiting nonzero on regression (the CI gate every future PR inherits).

@@ -7,21 +7,15 @@ Routed from :mod:`repro.cli` (``python -m repro.cli bench ...`` /
                     [--ledger-dir DIR] [--no-trajectory] [--out FILE]
     repro bench list
     repro perf diff A B [--tolerance T] [--z Z] [--warn-only] [--json FILE]
-    repro perf trend [HISTORY] [--suite quick|full] [--window N] [--z Z]
-                     [--tolerance T] [--warn-only] [--json FILE]
 
-``bench run`` executes a curated measurement suite and appends the
-entry to the content-addressed ledger plus the ``BENCH_<suite>.json``
-trajectory file (and one compact point to
-``BENCH_<suite>.history.json``).  ``perf diff`` compares two ledger
-entries (per benchmark) or two trace documents (per level and span
-name: self-time, span count, flops/bytes) and exits 1 on regression
-(0 with ``--warn-only``, which still prints the verdict — the CI
-perf-smoke mode) and 2 on unreadable, unsupported or mismatched
-documents.  ``perf trend`` scans the history trajectory sequentially
-with median/MAD robust z-scores (:mod:`repro.obs.forensics.trend`) so
-slow drifts and regressions older than the latest pairwise diff still
-gate.
+``bench run`` executes a curated measurement suite and writes the
+entry to the content-addressed ledger and over the committed baseline
+``BENCH_<suite>.json`` (``--no-trajectory`` leaves the baseline alone).
+``perf diff`` compares two ledger entries (per benchmark) or two trace
+documents (per level and span name: self-time, span count,
+flops/bytes) and exits 1 on regression (0 with ``--warn-only``, which
+still prints the verdict — the CI perf-smoke mode) and 2 on
+unreadable, unsupported or mismatched documents.
 """
 
 from __future__ import annotations
@@ -87,38 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the machine-readable diff to FILE",
     )
 
-    trend = perf_sub.add_parser(
-        "trend", help="scan the bench trajectory for regressions"
-    )
-    trend.add_argument(
-        "history", nargs="?", default=None,
-        help="trajectory file (default BENCH_<suite>.history.json)",
-    )
-    trend.add_argument("--suite", choices=sorted(SUITES), default="quick")
-    trend.add_argument(
-        "--window", type=int, default=5,
-        help="baseline window in trajectory points (default 5)",
-    )
-    trend.add_argument(
-        "--z", type=float, default=3.0,
-        help="robust z-score a changepoint must clear (default 3)",
-    )
-    trend.add_argument(
-        "--tolerance", type=float, default=0.10,
-        help="relative slowdown a changepoint must clear (default 0.10)",
-    )
-    trend.add_argument(
-        "--min-points", type=int, default=4,
-        help="baseline points required before scanning (default 4)",
-    )
-    trend.add_argument(
-        "--warn-only", action="store_true",
-        help="always exit 0; print the verdict only (CI smoke mode)",
-    )
-    trend.add_argument(
-        "--json", default=None, metavar="FILE",
-        help="write the machine-readable trend report to FILE",
-    )
     return parser
 
 
@@ -134,25 +96,20 @@ def perf_main(argv: list[str]) -> int:
 
     if args.group == "bench" and args.command == "run":
         doc = run_suite(args.suite, repeats=args.repeats, verbose=True)
-        archive, trajectory = append_entry(
+        archive, baseline = append_entry(
             doc,
             ledger_dir=args.ledger_dir,
             trajectory_root=None if args.no_trajectory else ".",
         )
         print(f"\nledger entry {entry_digest(doc)[:12]} written to {archive}")
-        if trajectory is not None:
-            print(f"trajectory updated: {trajectory}")
+        if baseline is not None:
+            print(f"baseline updated: {baseline}")
         if args.out is not None:
             out = pathlib.Path(args.out)
             out.parent.mkdir(parents=True, exist_ok=True)
             out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
             print(f"entry copied to {out}")
         return 0
-
-    if args.group == "perf" and args.command == "trend":
-        from ..obs.forensics.trend import trend_main
-
-        return trend_main(args)
 
     # perf diff
     try:

@@ -8,10 +8,9 @@ metadata, and persists the entry twice:
 * **content-addressed ledger** — ``<ledger-dir>/<sha256[:12]>.json``,
   an append-only archive keyed by the entry's own bytes, so re-running
   an identical measurement never clobbers history;
-* **trajectory file** — ``BENCH_<suite>.json`` at the repo root, the
-  latest entry in-tree, which is what CI diffs against and what gives
-  every future PR an automatic regression verdict via
-  ``repro perf diff`` (:mod:`repro.perf.diff`).
+* **committed baseline** — ``BENCH_<suite>.json`` at the repo root, the
+  latest entry in-tree, which is what CI diffs a fresh entry against
+  with ``repro perf diff`` (:mod:`repro.perf.diff`).
 
 Every benchmark runs ``repeats`` times and records the full sample
 list plus median and MAD (median absolute deviation), the robust
@@ -33,11 +32,6 @@ from typing import Callable
 import numpy as np
 
 BENCH_SCHEMA = "repro.bench/v1"
-TRAJECTORY_SCHEMA = "repro.bench-trajectory/v1"
-
-#: trajectory retention cap — ~200 bench runs of compact points keeps
-#: the in-tree history reviewable while covering months of PRs
-MAX_TRAJECTORY_POINTS = 200
 
 
 # ----------------------------------------------------------------------
@@ -506,64 +500,6 @@ def entry_digest(doc: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def trajectory_point(doc: dict) -> dict:
-    """Compact one ledger entry into a trajectory point.
-
-    Keeps only what the ``repro perf trend`` scan needs: a timestamp,
-    the git revision and each benchmark's median/MAD —
-    so the in-tree history file stays a few bytes per run instead of
-    carrying every sample list.
-    """
-    meta = doc.get("meta", {})
-    return {
-        "ts": meta.get("timestamp"),
-        "git_rev": meta.get("git", {}).get("rev", ""),
-        "entry": entry_digest(doc)[:12],
-        "benchmarks": {
-            str(row["benchmark"]): {
-                "median": float(row["median"]),
-                "mad": float(row.get("mad", 0.0)),
-            }
-            for row in doc.get("rows", [])
-            if "benchmark" in row and "median" in row
-        },
-    }
-
-
-def append_trajectory_point(
-    doc: dict,
-    trajectory_root: str | pathlib.Path = ".",
-    max_points: int = MAX_TRAJECTORY_POINTS,
-) -> pathlib.Path:
-    """Append one compact point to ``BENCH_<suite>.history.json``.
-
-    The history document (schema ``repro.bench-trajectory/v1``) is the
-    input of the sequential regression scan
-    (:mod:`repro.obs.forensics.trend`); it is bounded at ``max_points``
-    (oldest dropped) so the committed file cannot grow without limit.
-    """
-    suite = doc.get("meta", {}).get("suite", "quick")
-    path = pathlib.Path(trajectory_root) / f"BENCH_{suite}.history.json"
-    if path.is_file():
-        history = load_trajectory(path)
-    else:
-        history = {"schema": TRAJECTORY_SCHEMA, "suite": suite, "points": []}
-    history["points"].append(trajectory_point(doc))
-    history["points"] = history["points"][-max_points:]
-    path.write_text(json.dumps(history, indent=1, sort_keys=True) + "\n")
-    return path
-
-
-def load_trajectory(path: str | pathlib.Path) -> dict:
-    """Read and validate one ``BENCH_<suite>.history.json`` document."""
-    doc = json.loads(pathlib.Path(path).read_text())
-    if not isinstance(doc, dict) or doc.get("schema") != TRAJECTORY_SCHEMA:
-        raise ValueError(f"{path}: not a {TRAJECTORY_SCHEMA} document")
-    if not isinstance(doc.get("points"), list):
-        raise ValueError(f"{path}: trajectory missing 'points' list")
-    return doc
-
-
 def append_entry(
     doc: dict,
     ledger_dir: str | pathlib.Path = ".perf-ledger",
@@ -572,10 +508,10 @@ def append_entry(
     """Persist one ledger entry.
 
     Writes the content-addressed archive file and, unless
-    ``trajectory_root`` is ``None``, the ``BENCH_<suite>.json``
-    trajectory file plus one compact point appended to
-    ``BENCH_<suite>.history.json`` (the ``repro perf trend`` input).
-    Returns ``(archive_path, trajectory_path)``.
+    ``trajectory_root`` is ``None``, the committed baseline
+    ``BENCH_<suite>.json`` in that directory (what ``repro perf diff``
+    compares a new entry against).  Returns ``(archive_path,
+    baseline_path)``.
     """
     digest = entry_digest(doc)
     ledger = pathlib.Path(ledger_dir)
@@ -583,13 +519,12 @@ def append_entry(
     payload = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     archive = ledger / f"{digest[:12]}.json"
     archive.write_text(payload)
-    trajectory = None
+    baseline = None
     if trajectory_root is not None:
         suite = doc.get("meta", {}).get("suite", "quick")
-        trajectory = pathlib.Path(trajectory_root) / f"BENCH_{suite}.json"
-        trajectory.write_text(payload)
-        append_trajectory_point(doc, trajectory_root)
-    return archive, trajectory
+        baseline = pathlib.Path(trajectory_root) / f"BENCH_{suite}.json"
+        baseline.write_text(payload)
+    return archive, baseline
 
 
 def load_entry(path: str | pathlib.Path) -> dict:

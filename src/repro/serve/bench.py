@@ -18,16 +18,13 @@ import numpy as np
 from ..dirac import WilsonCloverOperator
 from ..obs.slo import DEFAULT_SLOS, render_slo_table
 from .. import telemetry
+from ..telemetry.metrics import percentile
 from ..workloads.datasets import ANISO40_SCALED, ScaledDataset
 from ..workloads.presets import two_level_params
 from .cache import SetupCache
 from .service import ServeConfig, SolveService
 
 BENCH_SCHEMA = "repro.serve-bench/v1"
-
-
-def _percentile(samples: list[float], p: float) -> float:
-    return float(np.percentile(np.asarray(samples), p))
 
 
 def run_serve_bench(
@@ -118,9 +115,9 @@ def run_serve_bench(
             "max_batch": int(max_batch),
             "wall_s": wall,
             "throughput_rps": n_requests / wall,
-            "p50_s": _percentile(latencies, 50),
-            "p95_s": _percentile(latencies, 95),
-            "p99_s": _percentile(latencies, 99),
+            "p50_s": percentile(latencies, 50),
+            "p95_s": percentile(latencies, 95),
+            "p99_s": percentile(latencies, 99),
             "mean_iterations": float(np.mean([r.iterations for r in results])),
             "all_converged": bool(all(r.converged for r in results)),
             "batches": svc.stats["batches"],

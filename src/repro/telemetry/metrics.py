@@ -19,7 +19,7 @@ import random
 import re
 import threading
 import time
-from typing import Any
+from typing import Any, Iterable
 
 LabelKey = tuple[tuple[str, Any], ...]
 
@@ -29,6 +29,26 @@ LabelKey = tuple[tuple[str, Any], ...]
 #: exact; above it, uniform reservoir sampling keeps percentiles
 #: statistically faithful at O(cap) memory.
 DEFAULT_SAMPLE_CAP = 2048
+
+
+def percentile(values: Iterable[float], p: float) -> float:
+    """Linear-interpolated percentile ``p`` in [0, 100] of ``values``.
+
+    ``np.percentile``'s default rule, in plain Python.  An out-of-range
+    ``p`` raises; no values give 0.0; a single value is every percentile
+    of itself.
+    """
+    if not 0.0 <= p <= 100.0:
+        raise ValueError(f"percentile must be in [0, 100], got {p}")
+    ordered = sorted(values)
+    if not ordered:
+        return 0.0
+    rank = (p / 100.0) * (len(ordered) - 1)
+    lo, hi = math.floor(rank), math.ceil(rank)
+    if lo == hi:
+        return ordered[lo]
+    frac = rank - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 class _NullMetric:
@@ -190,34 +210,19 @@ class Histogram:
         return self._sum / self._seen
 
     def percentile(self, p: float) -> float:
-        """Linear-interpolated percentile ``p`` in [0, 100].
+        """:func:`percentile` ``p`` of the kept samples.
 
         Exact below the reservoir cap, estimated from the uniform
         reservoir above it — except ``p=0``/``p=100``, which are always
-        the exact running min/max.  Edge cases are well-defined: an
-        out-of-range ``p`` raises even when the histogram is empty; an
-        empty histogram returns 0.0; a single sample is every percentile
-        of itself.
+        the exact running min/max.  An out-of-range ``p`` raises even
+        when the histogram is empty; an empty histogram returns 0.0.
         """
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
         samples = self._snapshot()
-        if not samples:
-            return 0.0
-        if p == 0.0:
+        if samples and p == 0.0:
             return self._min
-        if p == 100.0:
+        if samples and p == 100.0:
             return self._max
-        ordered = sorted(samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (p / 100.0) * (len(ordered) - 1)
-        lo = math.floor(rank)
-        hi = math.ceil(rank)
-        if lo == hi:
-            return ordered[lo]
-        frac = rank - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        return percentile(samples, p)
 
     def to_dict(self) -> dict:
         out = {

@@ -1,7 +1,6 @@
 """Performance forensics: critical-path extraction, the halo overlap
-model, Perfetto trace-event export, span-granular trace diffing (the
-trace side of ``repro perf diff``) and the bench-trajectory regression
-scan.
+model, Perfetto trace-event export and span-granular trace diffing (the
+trace side of ``repro perf diff``).
 
 Everything here runs on synthetic ``repro.telemetry/v1`` span forests
 (plus real :class:`~repro.telemetry.Tracer` round-trips for the export
@@ -19,22 +18,14 @@ import pytest
 from repro.obs.forensics import (
     COMM_SPAN_NAMES,
     critical_path,
-    load_trajectory,
     overlap_report,
     perfetto_document,
     render_critical_path,
     render_overlap,
-    scan_trajectory,
     write_perfetto,
 )
-from repro.obs.forensics.trend import trend_main
 from repro.perf.cli import perf_main
 from repro.perf.diff import compare_documents, series_from_document
-from repro.perf.ledger import (
-    TRAJECTORY_SCHEMA,
-    append_trajectory_point,
-    trajectory_point,
-)
 from repro.telemetry import Tracer, span_table, trace_document
 
 pytestmark = pytest.mark.obs
@@ -133,13 +124,16 @@ class TestCriticalPath:
         assert "empty trace" in render_critical_path(rep)
 
     def test_render_and_to_dict(self):
+        # the report is rendered, never serialised: the table prints the
+        # path, shares and coverage the report holds
         rep = critical_path([solve_forest()])
         text = render_critical_path(rep)
         assert "critical path" in text and "smoother" in text
         assert "share" in text and "roof%" in text
-        d = rep.to_dict()
-        assert d["schema"] == "repro.critical-path/v1"
-        assert len(d["nodes"]) == 2
+        assert [n.name for n in rep.nodes] == ["mg.solve", "smoother"]
+        assert [n.share for n in rep.nodes] == pytest.approx([0.2, 0.8])
+        assert rep.coverage == pytest.approx(0.75)
+        assert "80.0%" in text and "(75.0% of the 1s root" in text
 
     def test_span_table_aggregates_across_paths(self):
         # the same kernel twice on different branches sums into one bucket
@@ -200,9 +194,16 @@ class TestOverlap:
         assert attrs == {"mu": 0, "sign": 1, "bytes": 1024.0}
 
     def test_to_dict_schema(self):
-        d = overlap_report([solve_forest()]).to_dict()
-        assert d["schema"] == "repro.overlap/v1"
-        assert d["headroom_fraction"] == pytest.approx(1.0)
+        # the report is rendered, never serialised: the text carries the
+        # groups, verdicts and headroom the report holds
+        rep = overlap_report([solve_forest()])
+        assert [(g.parent, g.level) for g in rep.groups] == [("mg.solve", 0)]
+        assert [s.verdict for s in rep.groups[0].spans] == ["hideable"]
+        assert rep.headroom_fraction == pytest.approx(1.0)
+        assert rep.exposed_s == pytest.approx(0.0)
+        text = render_overlap(rep)
+        assert "(100.0% headroom)" in text
+        assert "halo spans: 1 hideable, 0 partial, 0 exposed" in text
 
 
 # ----------------------------------------------------------------------
@@ -380,151 +381,3 @@ class TestTraceDiff:
         rc = perf_main(["perf", "diff", str(bad), str(bad)])
         assert rc == 2
         assert "error:" in capsys.readouterr().out
-
-
-# ----------------------------------------------------------------------
-# bench trajectory + trend scan
-# ----------------------------------------------------------------------
-def trajectory(values, key="mg.solve"):
-    return {
-        "schema": TRAJECTORY_SCHEMA,
-        "suite": "quick",
-        "points": [
-            {
-                "ts": f"2026-08-{i + 1:02d}T00:00:00Z",
-                "git_rev": f"rev{i:02d}",
-                "backend": "numpy",
-                "entry": f"entry{i:02d}",
-                "benchmarks": {key: {"median": v, "mad": 0.01 * v}},
-            }
-            for i, v in enumerate(values)
-        ],
-    }
-
-
-class TestTrajectoryLedger:
-    def _entry(self, median=1.0):
-        return {
-            "schema": "repro.bench/v1",
-            "meta": {
-                "suite": "quick",
-                "timestamp": "2026-08-09T00:00:00Z",
-                "git": {"rev": "abc123"},
-            },
-            "host": {"backend": "numpy"},
-            "rows": [{"benchmark": "mg.solve", "median": median, "mad": 0.01}],
-        }
-
-    def test_point_compaction(self):
-        pt = trajectory_point(self._entry())
-        assert pt["git_rev"] == "abc123"
-        assert pt["benchmarks"]["mg.solve"]["median"] == 1.0
-        assert len(pt["entry"]) == 12
-
-    def test_append_creates_and_grows(self, tmp_path):
-        p1 = append_trajectory_point(self._entry(1.0), tmp_path)
-        append_trajectory_point(self._entry(1.1), tmp_path)
-        assert p1.name == "BENCH_quick.history.json"
-        history = load_trajectory(p1)
-        assert history["schema"] == TRAJECTORY_SCHEMA
-        assert [pt["benchmarks"]["mg.solve"]["median"]
-                for pt in history["points"]] == [1.0, 1.1]
-
-    def test_append_caps_points(self, tmp_path):
-        for i in range(7):
-            append_trajectory_point(
-                self._entry(float(i)), tmp_path, max_points=5
-            )
-        history = load_trajectory(tmp_path / "BENCH_quick.history.json")
-        assert len(history["points"]) == 5
-        assert history["points"][0]["benchmarks"]["mg.solve"]["median"] == 2.0
-
-    def test_load_rejects_wrong_schema(self, tmp_path):
-        bad = tmp_path / "h.json"
-        bad.write_text(json.dumps({"schema": "other", "points": []}))
-        with pytest.raises(ValueError, match="not a"):
-            load_trajectory(bad)
-
-
-class TestTrendScan:
-    def test_flat_series_is_ok(self):
-        rep = scan_trajectory(trajectory([1.0] * 8))
-        assert rep.sufficient
-        assert rep.latest["mg.solve"].verdict == "ok"
-        assert rep.exit_code == 0
-
-    def test_step_regression_at_latest(self):
-        rep = scan_trajectory(trajectory([1.0] * 7 + [1.6]))
-        v = rep.latest["mg.solve"]
-        assert v.verdict == "regression"
-        assert v.ratio == pytest.approx(0.6)
-        assert rep.exit_code == 1
-        assert "REGRESSED" in rep.render()
-
-    def test_improvement_at_latest(self):
-        rep = scan_trajectory(trajectory([1.0] * 7 + [0.5]))
-        assert rep.latest["mg.solve"].verdict == "improvement"
-        assert rep.exit_code == 0  # improvements never fail CI
-
-    def test_historical_changepoint_annotated_not_gating(self):
-        # regression lands mid-series, later points inherit the new level:
-        # the landing point is named, the latest verdict stays ok
-        rep = scan_trajectory(trajectory([1.0] * 6 + [1.6] * 4))
-        assert rep.latest["mg.solve"].verdict == "ok"
-        assert rep.exit_code == 0
-        assert any(
-            v.verdict == "regression" and v.index == 6
-            for v in rep.changepoints
-        )
-        assert "changepoints along the trajectory" in rep.render()
-
-    def test_noise_floor_absorbs_jitter(self):
-        # +8% on a quiet series: under both tolerance and the sigma floor
-        rep = scan_trajectory(trajectory([1.0] * 7 + [1.08]))
-        assert rep.latest["mg.solve"].verdict == "ok"
-
-    def test_insufficient_history(self):
-        rep = scan_trajectory(trajectory([1.0, 1.0, 9.0]))
-        assert not rep.sufficient
-        assert rep.exit_code == 0
-        assert "insufficient history" in rep.render()
-
-    def test_schema_checked(self):
-        with pytest.raises(ValueError, match="perf trend needs"):
-            scan_trajectory({"schema": "nope"})
-
-    def test_to_dict(self):
-        d = scan_trajectory(trajectory([1.0] * 7 + [1.6])).to_dict()
-        assert d["schema"] == "repro.perf-trend/v1"
-        assert d["verdict"] == "regression"
-        assert d["latest"]["mg.solve"]["zscore"] > 3.0
-
-
-class TestTrendCLI:
-    class Args:
-        history = None
-        suite = "quick"
-        window = 5
-        z = 3.0
-        tolerance = 0.10
-        min_points = 4
-        warn_only = False
-        json = None
-
-    def test_missing_history_is_ok(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert trend_main(self.Args()) == 0
-        assert "no trajectory" in capsys.readouterr().out
-
-    def test_scan_json_and_warn_only(self, tmp_path, capsys):
-        hist = tmp_path / "h.json"
-        hist.write_text(json.dumps(trajectory([1.0] * 7 + [1.6])))
-        args = self.Args()
-        args.history = str(hist)
-        args.json = str(tmp_path / "trend.json")
-        assert trend_main(args) == 1
-        payload = json.loads((tmp_path / "trend.json").read_text())
-        assert payload["verdict"] == "regression"
-        assert "REGRESSED" in capsys.readouterr().out
-        args.warn_only = True
-        assert trend_main(args) == 0

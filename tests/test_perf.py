@@ -244,6 +244,8 @@ class TestLedger:
         assert trajectory == tmp_path / "BENCH_quick.json"
         assert load_entry(archive) == doc
         assert load_entry(trajectory) == doc
+        # the baseline is the one in-tree record: no history file beside it
+        assert {p.name for p in tmp_path.iterdir()} == {"BENCH_quick.json", "ledger"}
 
     def test_append_without_trajectory(self, tmp_path):
         archive, trajectory = append_entry(
@@ -384,6 +386,14 @@ class TestCli:
 
         assert resolve_dataset("aniso40-scaled") is ANISO40_SCALED
         assert resolve_dataset("Aniso40") is ANISO40_SCALED
+
+    def test_perf_trend_is_not_a_command(self, capsys):
+        from repro.perf.cli import perf_main
+
+        with pytest.raises(SystemExit) as exc:
+            perf_main(["perf", "trend"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'trend'" in capsys.readouterr().err
 
     def test_bench_list(self, capsys):
         from repro.cli import main

@@ -27,6 +27,7 @@ from repro.telemetry import (
     write_trace,
 )
 from repro.telemetry.export import iter_span_dicts
+from repro.telemetry.metrics import percentile
 from repro.telemetry.tracer import _NULL_SPAN
 from strategies import span_forests
 
@@ -186,6 +187,16 @@ class TestMetrics:
             h.observe(v)
         assert h.percentile(0) == 3.0
         assert h.percentile(100) == 9.0
+
+    @pytest.mark.parametrize("n", [1, 4, 6, 24])
+    def test_percentile_is_numpys_linear_rule(self, n):
+        # serve-bench and fleet-bench report p50/p95/p99 of their request
+        # latencies through this function
+        latencies = list(np.random.default_rng(n).exponential(0.05, n))
+        for p in (50, 95, 99):
+            assert percentile(latencies, p) == pytest.approx(
+                np.percentile(latencies, p), rel=1e-12, abs=0.0
+            )
 
     def test_disabled_registry_hands_out_null_metric(self):
         reg = MetricsRegistry(enabled=False)
