@@ -17,7 +17,6 @@ perf diff`` consume the same envelope.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 from functools import lru_cache
@@ -25,6 +24,7 @@ from functools import lru_cache
 from repro.machine import MachineModel
 from repro.perf.ledger import BENCH_SCHEMA, bench_document  # noqa: F401 (re-export)
 from repro.reporting.experiments import measure_dataset, price_dataset
+from repro.telemetry import write_document
 from repro.workloads import PAPER_DATASETS, SCALED_FOR_PAPER
 
 N_RHS = int(os.environ.get("REPRO_BENCH_RHS", "1"))
@@ -43,11 +43,7 @@ def write_bench_document(
     persist it there as ``<name>.json``.  Returns the document."""
     doc = bench_document(name, rows, meta)
     if BENCH_OUT:
-        out = pathlib.Path(BENCH_OUT)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{name}.json").write_text(
-            json.dumps(doc, indent=1, sort_keys=True) + "\n"
-        )
+        write_document(pathlib.Path(BENCH_OUT) / f"{name}.json", doc)
     return doc
 
 

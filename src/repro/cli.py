@@ -1,98 +1,92 @@
-"""Command-line entry point: regenerate any paper artifact.
+"""Command-line entry point: one ``repro`` command tree.
 
 Usage::
 
-    python -m repro.cli table1
-    python -m repro.cli table2
-    python -m repro.cli fig2
-    python -m repro.cli table3 [--mode replay|measured] [--rhs N]
-    python -m repro.cli fig3   [--mode replay|measured]
-    python -m repro.cli fig4   [--mode replay|measured]
-    python -m repro.cli all    [--mode replay]
-    python -m repro.cli trace  [dataset] [--telemetry out.json] [--otlp out.otlp.json]
-                               [--perfetto out.perfetto.json] [--convergence]
-                               [--critical-path] [--partition 1x1x2x2]
+    python -m repro.cli table1 | table2 | fig2 [--out DIR]
+    python -m repro.cli table3 | fig3 | fig4 | all
+                               [--mode replay|measured] [--rhs N]
+                               [--out DIR] [--telemetry FILE]
+    python -m repro.cli trace  [dataset] [--mrhs K] [--partition 1x1x2x2]
+                               [--convergence] [--critical-path]
+                               [--telemetry out.json] [--out DIR]
+                               [--otlp out.otlp.json] [--perfetto out.perfetto.json]
     python -m repro.cli serve-bench [dataset] [--batch-sizes 1,4,8,16] [--requests N]
-                               [--metrics-out FILE] [--blackbox-out DIR]
+                               [--metrics-out FILE] [--blackbox-out DIR] [--out DIR]
     python -m repro.cli fleet-bench [dataset] [--shards 1,2,4,8] [--skew both]
                                [--ops N] [--requests N] [--null-iters N]
                                [--metrics-out FILE] [--out DIR]
-    python -m repro.cli blackbox [path] [--events N]
     python -m repro.cli check  [dataset] [--json out.json] [--strategy 24/24]
                                [--invariants a,b,...] [--max-needs TIER]
-    python -m repro.cli bench  run [--suite quick|full] | list
-    python -m repro.cli perf   diff A B [--tolerance T] [--warn-only]
+    python -m repro.cli blackbox [path] [--events N]
+    python -m repro.cli bench  run [--suite quick|full] [--repeats K]
+                               [--ledger-dir DIR] [--no-trajectory] [--out FILE]
+    python -m repro.cli bench  list
+    python -m repro.cli perf   diff A B [--tolerance T] [--z Z] [--warn-only]
+                               [--json FILE]
 
-``bench``/``perf`` route to the performance-observability layer
-(:mod:`repro.perf.cli`): ``bench run`` executes a curated measurement
-suite into the content-addressed ledger (+ the committed baseline
-``BENCH_<suite>.json``), ``perf diff`` compares two ledger entries (per
-benchmark, with a median/MAD noise model) or two trace documents (per
-level and span name: self-time, span count, flops/bytes) and exits
-nonzero on regression.  Dataset arguments are case-insensitive and
-accept both paper labels (``Aniso40``) and scaled labels
-(``aniso40-scaled``); unknown names print the valid list and exit 2.
+Each command accepts only the options it reads (:data:`COMMANDS`);
+anything else is argparse's usage error, exit 2.  Dataset arguments are
+case-insensitive and accept both paper labels (``Aniso40``) and scaled
+labels (``aniso40-scaled``); unknown names print the valid list and
+exit 2.
 
-``check`` runs the numerical-invariant registry (:mod:`repro.verify`)
-against a scaled dataset: gauge-field sanity, gamma5-hermiticity,
-prolongator orthonormality, Galerkin consistency, Schur equivalence,
-halo-exchange agreement, precision bounds and solve truthfulness.  It
-prints the verdict table, writes a JSON report, and exits nonzero iff
-any *critical* invariant fails.  ``--invariants`` selects a subset by
-name; ``--max-needs gauge|operator|hierarchy|solve`` caps the expense
-tier (e.g. ``operator`` skips hierarchy builds and solves).
-
-``serve-bench`` runs the solve-service throughput benchmark: a burst of
-single-RHS requests is pushed through the dynamic batcher at several
-``max_batch`` settings and the requests/s and p50/p95 latencies are
-reported (Section 9 multi-RHS batching, measured end to end through the
-service).
-
-``fleet-bench`` runs the sharded fleet-serving benchmark
-(:mod:`repro.fleet`): one request burst is routed across 1..N shards
-of a simulated heterogeneous fleet (A100/L4/T4 node classes behind the
-cache-affinity router) under uniform and hot-key workloads, and the
-aggregate simulated requests/s, replication counts and hot-key
-survival ratio are reported as a ``repro.fleet/v1`` document.
+The paper artifacts render in replay mode (paper iteration counts
+through the machine model, seconds); ``--mode measured`` runs real
+solves on the scaled datasets first (minutes) and, with ``--telemetry
+FILE`` or ``--out DIR``, persists the trace of those solves
+(``DIR/trace.json``).  ``--out DIR`` also writes ``DIR/<artifact>.txt``.
 
 ``trace`` runs one measured multigrid solve on a scaled dataset with
-full telemetry enabled and exports the JSON trace document (nested
-spans for setup/smoother/restrict/prolong/coarse-solve plus per-level
-metrics).  ``--otlp FILE`` additionally exports the same span tree in
-OTLP-JSON shape for standard tracing backends; ``--perfetto FILE``
-exports a Chrome/Perfetto trace-event timeline (track per shard,
-thread per level, convergence events as instants); ``--convergence``
-renders the per-level convergence-history tables extracted from the
-iteration event streams; ``--critical-path`` prints the longest
-self-time-weighted span chain and the halo overlap-headroom report;
-``--partition AxBxCxD`` runs the outer solve through the simulated
-halo exchange so those reports have comm spans to classify; ``perf
-diff A B`` compares two such trace documents node by node.
-Measured-mode artifacts accept
-``--telemetry FILE`` to export the trace of their solves; with
-``--out DIR`` the trace is persisted to ``DIR/trace.json``
-automatically instead of being discarded after rendering.
+full telemetry enabled and writes the ``repro.telemetry/v1`` trace
+document (``--telemetry FILE``, else ``trace-<dataset>.json`` under
+``--out`` or the current directory).  ``--otlp FILE`` also exports the
+span tree in OTLP-JSON shape; ``--perfetto FILE`` exports a
+Chrome/Perfetto trace-event timeline (track per shard, thread per
+level, convergence events as instants); ``--convergence`` renders the
+per-level convergence-history tables; ``--critical-path`` prints the
+longest self-time-weighted span chain and the halo overlap-headroom
+report; ``--partition AxBxCxD`` runs the outer solve through the
+simulated halo exchange so those reports have comm spans to classify.
 
-``blackbox`` inspects flight-recorder postmortem dumps
-(``repro.blackbox/v1``): pointed at a directory it lists the dumps,
-pointed at a file it renders the incident timeline (``--events N``
-controls how much of the tail is shown).
+``serve-bench`` pushes a burst of single-RHS requests through the
+solve service's batcher at several ``max_batch`` settings and reports
+requests/s and p50/p95/p99 latencies (Section 9 multi-RHS batching,
+measured end to end); ``fleet-bench`` routes one burst across 1..N
+shards of a simulated heterogeneous fleet under uniform and hot-key
+workloads (:mod:`repro.fleet`).  ``--metrics-out FILE`` writes the
+final Prometheus exposition, ``--out DIR`` the JSON document
+(``serve-bench.json`` / ``fleet-bench.json``).
+
+``check`` runs the numerical-invariant registry (:mod:`repro.verify`)
+against a scaled dataset, prints the verdict table, writes the JSON
+report and exits nonzero iff any *critical* invariant fails;
+``--invariants`` selects a subset by name, ``--max-needs
+gauge|operator|hierarchy|solve`` caps the expense tier.
+
+``blackbox`` inspects the serve tier's postmortem dumps — trace
+documents whose ``events`` list is the flight-recorder ring: pointed
+at a directory it lists the ``blackbox-*.json`` dumps there, pointed
+at a file it renders the incident timeline (``--events N`` controls
+how much of the tail is shown).
+
+``bench run`` executes a curated measurement suite into the
+content-addressed ledger and over the committed baseline
+``BENCH_<suite>.json`` (``--no-trajectory`` leaves the baseline alone).
+``perf diff A B`` compares two ledger entries (per benchmark, with a
+median/MAD noise model) or two trace documents — dumps included — per
+level and span name (self-time, span count, flops/bytes); it exits 1
+on regression (0 with ``--warn-only``, which still prints the verdict)
+and 2 on unreadable, unsupported or mismatched documents.
 """
 
 from __future__ import annotations
 
 import argparse
 import pathlib
+from typing import Callable
 
 from . import telemetry
-
-ARTIFACTS = [
-    "table1", "table2", "table3", "fig2", "fig3", "fig4", "all", "trace",
-    "serve-bench", "fleet-bench", "check", "blackbox",
-]
-
-# command groups routed to the perf CLI (repro.perf.cli)
-PERF_GROUPS = ("bench", "perf")
+from .telemetry import read_document, write_document
 
 
 def resolve_dataset(name: str):
@@ -235,350 +229,31 @@ def run_trace(
     return doc
 
 
-def main_blackbox(args) -> int:
-    """List or render repro.blackbox/v1 postmortem dumps.
+def _artifacts(args) -> int:
+    """Render paper tables and figures (``all`` renders every one)."""
+    from .reporting import fig2, fig3, fig4, table1, table2, table3
 
-    The (reused) dataset positional is a path here: a directory lists
-    its dumps newest-first, a file renders the full incident view.
-    With no path given, the current directory is listed.
-    """
-    import sys
+    mode = getattr(args, "mode", "replay")
+    n_rhs = getattr(args, "rhs", 2)
+    trace_path = getattr(args, "telemetry", None)
+    renders = {
+        "table1": table1.render,
+        "table2": table2.render,
+        "fig2": fig2.render,
+        "table3": lambda: table3.main(mode=mode, n_rhs=n_rhs, verbose=False),
+        "fig3": lambda: fig3.main(mode=mode, n_rhs=n_rhs),
+        "fig4": lambda: fig4.render(mode=mode, n_rhs=n_rhs),
+    }
+    names = list(renders) if args.command == "all" else [args.command]
 
-    from .obs.blackbox import load_blackbox, render_blackbox
-
-    # the positional defaults to a dataset label; for blackbox it is a
-    # filesystem path, so the untouched default means "look here"
-    raw = args.dataset if args.dataset != "Aniso40" else "."
-    path = pathlib.Path(raw)
-    if path.is_dir():
-        dumps = sorted(path.glob("blackbox-*.json"), reverse=True)
-        if not dumps:
-            print(f"no blackbox dumps under {path}/")
-            return 0
-        print(f"{len(dumps)} blackbox dump(s) under {path}/ (newest first):")
-        for p in dumps:
-            try:
-                doc = load_blackbox(p)
-            except (OSError, ValueError) as exc:
-                print(f"  {p.name}  [unreadable: {exc}]")
-                continue
-            print(
-                f"  {p.name}  reason={doc['reason']}  "
-                f"trace={doc.get('trace_id') or '-'}  {doc['ts_iso']}"
-            )
-        return 0
-    if not path.is_file():
-        print(f"error: no such file or directory: {path}", file=sys.stderr)
-        return 2
-    try:
-        doc = load_blackbox(path)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(render_blackbox(doc, last_events=args.events))
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    import sys
-
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] in PERF_GROUPS:
-        from .perf.cli import perf_main
-
-        return perf_main(argv)
-
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Regenerate the tables and figures of Clark et al. (SC 2016)",
-    )
-    parser.add_argument("artifact", choices=ARTIFACTS)
-    parser.add_argument(
-        "dataset",
-        nargs="?",
-        default="Aniso40",
-        help="dataset label for the 'trace' artifact (default Aniso40)",
-    )
-    parser.add_argument(
-        "--mode",
-        choices=["replay", "measured"],
-        default="replay",
-        help="replay: paper iteration counts through the machine model (fast); "
-        "measured: run real solves on the scaled datasets first (minutes)",
-    )
-    parser.add_argument(
-        "--rhs", type=int, default=2, help="right-hand sides per measured solver"
-    )
-    parser.add_argument(
-        "--mrhs",
-        type=int,
-        default=1,
-        metavar="K",
-        help="for 'trace': solve a stack of K right-hand sides in one "
-        "multi-RHS solve instead of a single one",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="also write each artifact to DIR/<artifact>.txt (measured-mode "
-        "runs additionally persist their telemetry to DIR/trace.json)",
-    )
-    parser.add_argument(
-        "--telemetry",
-        default=None,
-        metavar="FILE",
-        help="export the telemetry trace of this run as a JSON document",
-    )
-    parser.add_argument(
-        "--batch-sizes",
-        default="1,4,8,16",
-        help="comma-separated max_batch settings for serve-bench",
-    )
-    parser.add_argument(
-        "--requests",
-        type=int,
-        default=16,
-        help="requests per serve-bench configuration",
-    )
-    parser.add_argument(
-        "--shards",
-        default="1,2,4,8",
-        help="comma-separated shard counts for fleet-bench",
-    )
-    parser.add_argument(
-        "--skew",
-        choices=["uniform", "hot", "both"],
-        default="both",
-        help="fleet-bench workload skew ('hot' also runs its uniform "
-        "baseline for the survival ratio)",
-    )
-    parser.add_argument(
-        "--ops",
-        type=int,
-        default=None,
-        help="fleet-bench: distinct ensembles registered on the router "
-        "(default 2x the largest shard count)",
-    )
-    parser.add_argument(
-        "--null-iters",
-        type=int,
-        default=40,
-        help="fleet-bench: null-vector setup iterations per hierarchy "
-        "(default 40; lower for smoke runs)",
-    )
-    parser.add_argument(
-        "--json",
-        default=None,
-        metavar="FILE",
-        help="where 'check' writes its JSON report "
-        "(default verify-<dataset>.json)",
-    )
-    parser.add_argument(
-        "--strategy",
-        default="24/24",
-        help="null-space strategy label for 'check' (default 24/24)",
-    )
-    parser.add_argument(
-        "--invariants",
-        default=None,
-        metavar="NAMES",
-        help="comma-separated subset of invariants for 'check' (default: all)",
-    )
-    parser.add_argument(
-        "--max-needs",
-        choices=["gauge", "operator", "hierarchy", "solve"],
-        default="solve",
-        help="most expensive context tier 'check' may use (default solve)",
-    )
-    parser.add_argument(
-        "--otlp",
-        default=None,
-        metavar="FILE",
-        help="also export the 'trace' span tree as OTLP JSON to FILE",
-    )
-    parser.add_argument(
-        "--perfetto",
-        default=None,
-        metavar="FILE",
-        help="also export the 'trace' span tree as a Chrome/Perfetto "
-        "trace-event file (opens in ui.perfetto.dev)",
-    )
-    parser.add_argument(
-        "--critical-path",
-        action="store_true",
-        help="print the critical-path and overlap-headroom reports for "
-        "the 'trace' span tree",
-    )
-    parser.add_argument(
-        "--partition",
-        default=None,
-        metavar="GRID",
-        help="trace: run the outer solve through a PartitionedOperator "
-        "over this process grid (e.g. 1x1x2x2), producing halo-exchange "
-        "spans for the overlap report",
-    )
-    parser.add_argument(
-        "--convergence",
-        action="store_true",
-        help="render per-level convergence-history tables from the "
-        "'trace' iteration event streams",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="FILE",
-        help="serve-bench/fleet-bench: write the final Prometheus metrics "
-        "snapshot (text exposition, with exemplars) to FILE",
-    )
-    parser.add_argument(
-        "--blackbox-out",
-        default=None,
-        metavar="DIR",
-        help="serve-bench: persist any postmortem blackbox dumps to DIR",
-    )
-    parser.add_argument(
-        "--events",
-        type=int,
-        default=20,
-        help="blackbox: flight-recorder events to show from the tail "
-        "(default 20)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.artifact == "blackbox":
-        return main_blackbox(args)
-
-    if args.artifact == "check":
-        from .verify.runner import main_check
-
-        args.dataset = resolve_dataset(args.dataset).label
-        return main_check(args)
-
-    if args.artifact == "serve-bench":
-        import json
-
-        from .serve import render_table, run_serve_bench
-
-        dataset = resolve_dataset(args.dataset)
-        batch_sizes = tuple(int(s) for s in args.batch_sizes.split(","))
-        doc = run_serve_bench(
-            dataset=dataset,
-            batch_sizes=batch_sizes,
-            n_requests=args.requests,
-            verbose=True,
-            metrics_out=args.metrics_out,
-            blackbox_dir=args.blackbox_out,
-        )
-        print()
-        print(render_table(doc))
-        if args.metrics_out is not None:
-            print(f"\nmetrics snapshot written to {args.metrics_out}")
-        if args.out is not None:
-            out_dir = pathlib.Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            path = out_dir / "serve-bench.json"
-            path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-            print(f"\nserve-bench document written to {path}")
-        return 0
-
-    if args.artifact == "fleet-bench":
-        import json
-
-        from .fleet import render_fleet_table, run_fleet_bench
-
-        dataset = resolve_dataset(args.dataset)
-        shard_counts = tuple(int(s) for s in args.shards.split(","))
-        doc = run_fleet_bench(
-            dataset=dataset,
-            shard_counts=shard_counts,
-            skew=args.skew,
-            n_requests=args.requests,
-            n_ops=args.ops,
-            null_iters=args.null_iters,
-            metrics_out=args.metrics_out,
-            verbose=True,
-        )
-        print()
-        print(render_fleet_table(doc))
-        if args.metrics_out is not None:
-            print(f"\nmetrics snapshot written to {args.metrics_out}")
-        if args.out is not None:
-            out_dir = pathlib.Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            path = out_dir / "fleet-bench.json"
-            path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-            print(f"\nfleet-bench document written to {path}")
-        return 0
-
-    if args.artifact == "trace":
-        doc = run_trace(args.dataset, mrhs=args.mrhs, partition=args.partition)
-        if args.convergence:
-            from .obs.convergence import convergence_report
-
-            print()
-            print(convergence_report(doc["spans"]))
-        if args.critical_path or args.partition is not None:
-            from .obs.forensics import (
-                critical_path,
-                overlap_report,
-                render_critical_path,
-                render_overlap,
-            )
-
-            print()
-            print(render_critical_path(critical_path(doc["spans"])))
-            print()
-            print(render_overlap(overlap_report(doc["spans"])))
-        path = args.telemetry
-        if path is None:
-            out_dir = pathlib.Path(args.out) if args.out else pathlib.Path(".")
-            path = out_dir / f"trace-{args.dataset}.json"
-        out = pathlib.Path(path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        import json
-
-        out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-        print(f"\ntrace written to {out}")
-        if args.otlp is not None:
-            from .telemetry import write_otlp
-
-            write_otlp(args.otlp, doc)
-            print(f"OTLP trace written to {args.otlp}")
-        if args.perfetto is not None:
-            from .obs.forensics import write_perfetto
-
-            write_perfetto(args.perfetto, doc)
-            print(f"Perfetto trace written to {args.perfetto}")
-        return 0
-
-    # Measured-mode solve traces used to be discarded after rendering;
-    # record them whenever there is somewhere to persist them to.
-    capture = args.mode == "measured" and (
-        args.telemetry is not None or args.out is not None
-    )
+    # measured-mode solves are traced whenever there is somewhere to
+    # persist the trace
+    capture = mode == "measured" and (trace_path is not None or args.out is not None)
     if capture:
         telemetry.enable()
         telemetry.reset()
-
-    from .reporting import fig2, fig3, fig4, table1, table2, table3
-
     try:
-        outputs: list[tuple[str, str]] = []
-        if args.artifact in ("table1", "all"):
-            outputs.append(("table1", table1.render()))
-        if args.artifact in ("table2", "all"):
-            outputs.append(("table2", table2.render()))
-        if args.artifact in ("fig2", "all"):
-            outputs.append(("fig2", fig2.render()))
-        if args.artifact in ("table3", "all"):
-            outputs.append(
-                ("table3", table3.main(mode=args.mode, n_rhs=args.rhs, verbose=False))
-            )
-        if args.artifact in ("fig3", "all"):
-            outputs.append(("fig3", fig3.main(mode=args.mode, n_rhs=args.rhs)))
-        if args.artifact in ("fig4", "all"):
-            outputs.append(("fig4", fig4.render(mode=args.mode, n_rhs=args.rhs)))
+        outputs = [(name, renders[name]()) for name in names]
     finally:
         if capture:
             telemetry.disable()
@@ -590,13 +265,436 @@ def main(argv: list[str] | None = None) -> int:
         for name, text in outputs:
             (out_dir / f"{name}.txt").write_text(text + "\n")
     if capture:
-        meta = {"kind": "artifact", "artifact": args.artifact, "mode": args.mode}
-        if args.telemetry is not None:
-            telemetry.write_trace(args.telemetry, meta=meta)
+        meta = {"kind": "artifact", "artifact": args.command, "mode": mode}
+        if trace_path is not None:
+            telemetry.write_trace(trace_path, meta=meta)
         if args.out is not None:
             telemetry.write_trace(pathlib.Path(args.out) / "trace.json", meta=meta)
         telemetry.reset()
     return 0
+
+
+def _trace(args) -> int:
+    doc = run_trace(args.dataset, mrhs=args.mrhs, partition=args.partition)
+    if args.convergence:
+        from .obs.convergence import convergence_report
+
+        print()
+        print(convergence_report(doc["spans"]))
+    if args.critical_path or args.partition is not None:
+        from .obs.forensics import (
+            critical_path,
+            overlap_report,
+            render_critical_path,
+            render_overlap,
+        )
+
+        print()
+        print(render_critical_path(critical_path(doc["spans"])))
+        print()
+        print(render_overlap(overlap_report(doc["spans"])))
+    path = args.telemetry
+    if path is None:
+        path = pathlib.Path(args.out or ".") / f"trace-{args.dataset}.json"
+    print(f"\ntrace written to {write_document(path, doc)}")
+    if args.otlp is not None:
+        from .telemetry import write_otlp
+
+        write_otlp(args.otlp, doc)
+        print(f"OTLP trace written to {args.otlp}")
+    if args.perfetto is not None:
+        from .obs.forensics import write_perfetto
+
+        write_perfetto(args.perfetto, doc)
+        print(f"Perfetto trace written to {args.perfetto}")
+    return 0
+
+
+def _write_bench(args, name: str, doc: dict) -> None:
+    """The tail both service benchmarks share: say where the metrics
+    went and persist the document under ``--out``."""
+    if args.metrics_out is not None:
+        print(f"\nmetrics snapshot written to {args.metrics_out}")
+    if args.out is not None:
+        path = write_document(pathlib.Path(args.out) / f"{name}.json", doc)
+        print(f"\n{name} document written to {path}")
+
+
+def _serve_bench(args) -> int:
+    from .serve import render_table, run_serve_bench
+
+    doc = run_serve_bench(
+        dataset=resolve_dataset(args.dataset),
+        batch_sizes=tuple(int(s) for s in args.batch_sizes.split(",")),
+        n_requests=args.requests,
+        verbose=True,
+        metrics_out=args.metrics_out,
+        blackbox_dir=args.blackbox_out,
+    )
+    print()
+    print(render_table(doc))
+    _write_bench(args, "serve-bench", doc)
+    return 0
+
+
+def _fleet_bench(args) -> int:
+    from .fleet import render_fleet_table, run_fleet_bench
+
+    doc = run_fleet_bench(
+        dataset=resolve_dataset(args.dataset),
+        shard_counts=tuple(int(s) for s in args.shards.split(",")),
+        skew=args.skew,
+        n_requests=args.requests,
+        n_ops=args.ops,
+        null_iters=args.null_iters,
+        metrics_out=args.metrics_out,
+        verbose=True,
+    )
+    print()
+    print(render_fleet_table(doc))
+    _write_bench(args, "fleet-bench", doc)
+    return 0
+
+
+def _check(args) -> int:
+    from .verify.runner import main_check
+
+    args.dataset = resolve_dataset(args.dataset).label
+    return main_check(args)
+
+
+def _blackbox(args) -> int:
+    """List a directory's dumps newest-first, or render one dump file."""
+    import sys
+
+    from .obs.blackbox import is_blackbox, render_blackbox
+    from .telemetry import load_trace
+
+    def load_dump(p: pathlib.Path) -> dict:
+        doc = load_trace(p)
+        if not is_blackbox(doc):
+            raise ValueError(f"{p}: a trace without flight-recorder events, not a dump")
+        return doc
+
+    path = pathlib.Path(args.path)
+    if path.is_dir():
+        dumps = sorted(path.glob("blackbox-*.json"), reverse=True)
+        if not dumps:
+            print(f"no blackbox dumps under {path}/")
+            return 0
+        print(f"{len(dumps)} blackbox dump(s) under {path}/ (newest first):")
+        for p in dumps:
+            try:
+                meta = load_dump(p)["meta"]
+            except (OSError, ValueError) as exc:
+                print(f"  {p.name}  [unreadable: {exc}]")
+                continue
+            print(
+                f"  {p.name}  reason={meta['reason']}  "
+                f"trace={meta.get('trace_id') or '-'}  {meta['ts_iso']}"
+            )
+        return 0
+    if not path.is_file():
+        print(f"error: no such file or directory: {path}", file=sys.stderr)
+        return 2
+    try:
+        doc = load_dump(path)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(render_blackbox(doc, last_events=args.events))
+    return 0
+
+
+def _bench_list(args) -> int:
+    from .perf.ledger import SUITES
+
+    for suite in sorted(SUITES):
+        print(f"{suite}:")
+        for name in SUITES[suite]:
+            print(f"  {name}")
+    return 0
+
+
+def _bench_run(args) -> int:
+    from .perf.ledger import append_entry, entry_digest, run_suite
+
+    doc = run_suite(args.suite, repeats=args.repeats, verbose=True)
+    archive, baseline = append_entry(
+        doc,
+        ledger_dir=args.ledger_dir,
+        trajectory_root=None if args.no_trajectory else ".",
+    )
+    print(f"\nledger entry {entry_digest(doc)[:12]} written to {archive}")
+    if baseline is not None:
+        print(f"baseline updated: {baseline}")
+    if args.out is not None:
+        print(f"entry copied to {write_document(args.out, doc)}")
+    return 0
+
+
+def _perf_diff(args) -> int:
+    from .perf.diff import compare_documents
+
+    try:
+        diff = compare_documents(
+            read_document(args.baseline),
+            read_document(args.candidate),
+            tolerance=args.tolerance,
+            z=args.z,
+        )
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}")
+        return 2
+    print(diff.render())
+    if args.json is not None:
+        write_document(args.json, diff.to_dict())
+    if args.warn_only:
+        return 0
+    return diff.exit_code
+
+
+# ----------------------------------------------------------------------
+# the command tree
+# ----------------------------------------------------------------------
+#: every option of the artifact and service commands, by flag
+OPTIONS: dict[str, dict] = {
+    "dataset": dict(
+        nargs="?",
+        default="Aniso40",
+        help="dataset label, paper or scaled, case-insensitive (default Aniso40)",
+    ),
+    "path": dict(
+        nargs="?",
+        default=".",
+        help="a directory to list dumps in, or one dump file to render "
+        "(default: the current directory)",
+    ),
+    "--mode": dict(
+        choices=["replay", "measured"],
+        default="replay",
+        help="replay: paper iteration counts through the machine model (fast); "
+        "measured: run real solves on the scaled datasets first (minutes)",
+    ),
+    "--rhs": dict(type=int, default=2, help="right-hand sides per measured solver"),
+    "--out": dict(
+        default=None,
+        metavar="DIR",
+        help="also write this command's outputs into DIR",
+    ),
+    "--telemetry": dict(
+        default=None,
+        metavar="FILE",
+        help="export the telemetry trace of this run as a JSON document",
+    ),
+    "--mrhs": dict(
+        type=int,
+        default=1,
+        metavar="K",
+        help="solve a stack of K right-hand sides in one multi-RHS solve "
+        "instead of a single one",
+    ),
+    "--partition": dict(
+        default=None,
+        metavar="GRID",
+        help="run the outer solve through a PartitionedOperator over this "
+        "process grid (e.g. 1x1x2x2), producing halo-exchange spans for "
+        "the overlap report",
+    ),
+    "--convergence": dict(
+        action="store_true",
+        help="render per-level convergence-history tables from the "
+        "iteration event streams",
+    ),
+    "--critical-path": dict(
+        action="store_true",
+        help="print the critical-path and overlap-headroom reports",
+    ),
+    "--otlp": dict(
+        default=None,
+        metavar="FILE",
+        help="also export the span tree as OTLP JSON to FILE",
+    ),
+    "--perfetto": dict(
+        default=None,
+        metavar="FILE",
+        help="also export the span tree as a Chrome/Perfetto trace-event "
+        "file (opens in ui.perfetto.dev)",
+    ),
+    "--batch-sizes": dict(
+        default="1,4,8,16", help="comma-separated max_batch settings"
+    ),
+    "--requests": dict(type=int, default=16, help="requests per configuration"),
+    "--metrics-out": dict(
+        default=None,
+        metavar="FILE",
+        help="write the final Prometheus metrics snapshot (text exposition, "
+        "with exemplars) to FILE",
+    ),
+    "--blackbox-out": dict(
+        default=None,
+        metavar="DIR",
+        help="persist any postmortem blackbox dumps to DIR",
+    ),
+    "--shards": dict(default="1,2,4,8", help="comma-separated shard counts"),
+    "--skew": dict(
+        choices=["uniform", "hot", "both"],
+        default="both",
+        help="workload skew ('hot' also runs its uniform baseline for the "
+        "survival ratio)",
+    ),
+    "--ops": dict(
+        type=int,
+        default=None,
+        help="distinct ensembles registered on the router "
+        "(default 2x the largest shard count)",
+    ),
+    "--null-iters": dict(
+        type=int,
+        default=40,
+        help="null-vector setup iterations per hierarchy "
+        "(default 40; lower for smoke runs)",
+    ),
+    "--json": dict(
+        default=None,
+        metavar="FILE",
+        help="where to write the JSON report (default verify-<dataset>.json)",
+    ),
+    "--strategy": dict(
+        default="24/24", help="null-space strategy label (default 24/24)"
+    ),
+    "--invariants": dict(
+        default=None,
+        metavar="NAMES",
+        help="comma-separated subset of invariants (default: all)",
+    ),
+    "--max-needs": dict(
+        choices=["gauge", "operator", "hierarchy", "solve"],
+        default="solve",
+        help="most expensive context tier to use (default solve)",
+    ),
+    "--events": dict(
+        type=int,
+        default=20,
+        help="flight-recorder events to show from the tail (default 20)",
+    ),
+}
+
+_ARTIFACT = ("--mode", "--rhs", "--out", "--telemetry")
+
+Handler = Callable[[argparse.Namespace], int]
+
+#: each command: its help line, handler and the arguments it reads —
+#: the only ones it accepts
+COMMANDS: dict[str, tuple[str, Handler, tuple[str, ...]]] = {
+    "table1": ("ensembles (Table 1)", _artifacts, ("--out",)),
+    "table2": ("MG parameters (Table 2)", _artifacts, ("--out",)),
+    "fig2": ("fine-grained GFLOPS curves (Figure 2)", _artifacts, ("--out",)),
+    "table3": ("solver comparison (Table 3)", _artifacts, _ARTIFACT),
+    "fig3": ("wallclock versus node count (Figure 3)", _artifacts, _ARTIFACT),
+    "fig4": ("time per level versus node count (Figure 4)", _artifacts, _ARTIFACT),
+    "all": ("every table and figure above", _artifacts, _ARTIFACT),
+    "trace": (
+        "one traced MG solve -> repro.telemetry/v1 document",
+        _trace,
+        ("dataset", "--mrhs", "--partition", "--convergence", "--critical-path",
+         "--telemetry", "--out", "--otlp", "--perfetto"),
+    ),
+    "serve-bench": (
+        "solve-service throughput versus max_batch",
+        _serve_bench,
+        ("dataset", "--batch-sizes", "--requests", "--metrics-out",
+         "--blackbox-out", "--out"),
+    ),
+    "fleet-bench": (
+        "sharded fleet-router throughput versus shard count and skew",
+        _fleet_bench,
+        ("dataset", "--shards", "--skew", "--requests", "--ops", "--null-iters",
+         "--metrics-out", "--out"),
+    ),
+    "check": (
+        "numerical-invariant registry -> repro.verify/v1 report",
+        _check,
+        ("dataset", "--json", "--strategy", "--invariants", "--max-needs"),
+    ),
+    "blackbox": (
+        "list or render postmortem dumps",
+        _blackbox,
+        ("path", "--events"),
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    from .perf.ledger import SUITES
+
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Regenerate the tables and figures of Clark et al. (SC 2016)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, (help_, handler, arguments) in COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_)
+        for flag in arguments:
+            cmd.add_argument(flag, **OPTIONS[flag])
+        cmd.set_defaults(handler=handler)
+
+    bench = sub.add_parser("bench", help="benchmark ledger")
+    bench_sub = bench.add_subparsers(dest="action", required=True)
+    run = bench_sub.add_parser("run", help="run a curated suite")
+    run.add_argument("--suite", choices=sorted(SUITES), default="quick")
+    run.add_argument(
+        "--repeats", type=int, default=None,
+        help="samples per benchmark (default: suite-specific)",
+    )
+    run.add_argument(
+        "--ledger-dir", default=".perf-ledger",
+        help="content-addressed archive directory (default .perf-ledger)",
+    )
+    run.add_argument(
+        "--no-trajectory", action="store_true",
+        help="skip updating BENCH_<suite>.json in the current directory",
+    )
+    run.add_argument(
+        "--out", default=None, metavar="FILE",
+        help="also write the entry to FILE (e.g. a CI artifact path)",
+    )
+    run.set_defaults(handler=_bench_run)
+    bench_sub.add_parser(
+        "list", help="list suites and their benchmarks"
+    ).set_defaults(handler=_bench_list)
+
+    perf = sub.add_parser("perf", help="performance comparisons")
+    perf_sub = perf.add_subparsers(dest="action", required=True)
+    diff = perf_sub.add_parser(
+        "diff", help="compare two ledger entries or two trace documents"
+    )
+    diff.add_argument("baseline", help="baseline document (A)")
+    diff.add_argument("candidate", help="candidate document (B)")
+    diff.add_argument(
+        "--tolerance", type=float, default=None,
+        help="relative slowdown tolerated before gating "
+        "(default 0.10 for ledger entries, 0.25 for traces)",
+    )
+    diff.add_argument(
+        "--z", type=float, default=3.0,
+        help="noise band width in robust standard deviations (default 3)",
+    )
+    diff.add_argument(
+        "--warn-only", action="store_true",
+        help="always exit 0; print the verdict only (CI smoke mode)",
+    )
+    diff.add_argument(
+        "--json", default=None, metavar="FILE",
+        help="write the machine-readable diff to FILE",
+    )
+    diff.set_defaults(handler=_perf_diff)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -112,127 +112,124 @@ def run_fleet_bench(
     if n_ops is None:
         n_ops = 2 * max(shard_counts)
 
-    force_metrics = metrics_out is not None and not telemetry.enabled()
-    if force_metrics:
-        telemetry.enable()
+    with telemetry.prometheus_snapshot(metrics_out):
+        lattice = dataset.lattice()
+        gauge = dataset.gauge()
+        params = two_level_params(dataset, null_iters=null_iters)
 
-    lattice = dataset.lattice()
-    gauge = dataset.gauge()
-    params = two_level_params(dataset, null_iters=null_iters)
+        # distinct ensembles: the same configuration at shifted quark
+        # masses (a quark-mass scan) — distinct fingerprints, so the
+        # router sees n_ops independent cache keys
+        base_kwargs = dataset.operator_kwargs()
+        ops = {}
+        for i in range(n_ops):
+            kwargs = dict(base_kwargs)
+            kwargs["mass"] = kwargs["mass"] + 1e-3 * i
+            ops[f"{dataset.label}/m{i}"] = WilsonCloverOperator(gauge, **kwargs)
 
-    # distinct ensembles: the same configuration at shifted quark
-    # masses (a quark-mass scan) — distinct fingerprints, so the
-    # router sees n_ops independent cache keys
-    base_kwargs = dataset.operator_kwargs()
-    ops = {}
-    for i in range(n_ops):
-        kwargs = dict(base_kwargs)
-        kwargs["mass"] = kwargs["mass"] + 1e-3 * i
-        ops[f"{dataset.label}/m{i}"] = WilsonCloverOperator(gauge, **kwargs)
+        # one shared hierarchy store for the whole sweep
+        source = SetupCache()
+        t_setup0 = time.perf_counter()
+        for name, op in ops.items():
+            source.get_or_build(op, params, np.random.default_rng(setup_seed))
+        setup_s = time.perf_counter() - t_setup0
 
-    # one shared hierarchy store for the whole sweep
-    source = SetupCache()
-    t_setup0 = time.perf_counter()
-    for name, op in ops.items():
-        source.get_or_build(op, params, np.random.default_rng(setup_seed))
-    setup_s = time.perf_counter() - t_setup0
+        rng = np.random.default_rng(rhs_seed)
+        shape = (n_requests, lattice.volume, 4, 3)
+        sources = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    rng = np.random.default_rng(rhs_seed)
-    shape = (n_requests, lattice.volume, 4, 3)
-    sources = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        op_names = sorted(ops)
+        loads = [
+            EnsembleLoad(name=name, dims=dataset.dims) for name in op_names
+        ]
+        # workload-aware node speeds: the same occupancy model the planner
+        # prices with, so simulated busy time and placement agree on what
+        # each node is worth on grids this small
+        factors = {
+            node.id: model_speed_factor(node, loads[0]) for node in fleet.nodes
+        }
 
-    op_names = sorted(ops)
-    loads = [
-        EnsembleLoad(name=name, dims=dataset.dims) for name in op_names
-    ]
-    # workload-aware node speeds: the same occupancy model the planner
-    # prices with, so simulated busy time and placement agree on what
-    # each node is worth on grids this small
-    factors = {
-        node.id: model_speed_factor(node, loads[0]) for node in fleet.nodes
-    }
-
-    rows: list[dict] = []
-    placement_doc: dict | None = None
-    for shards in shard_counts:
-        sub = fleet.subset(shards)
-        plan = plan_placement(sub, loads)
-        if shards == max(shard_counts):
-            placement_doc = plan.to_dict()
-        for mode in skews:
-            cfg = RouterConfig(
-                spill_threshold=spill_threshold,
-                serve=ServeConfig(
-                    max_batch=max_batch,
-                    queue_capacity=max(4 * n_requests, 64),
-                    n_workers=1,
-                ),
-                slo_specs=tuple(DEFAULT_SLOS),
-            )
-            with FleetRouter(
-                sub, cfg, hierarchy_source=source, speed_factors=factors
-            ) as router:
-                homes = plan.homes
-                for name in op_names:
-                    router.register(name, ops[name], params, home=homes[name])
-                targets = (
-                    [op_names[i % n_ops] for i in range(n_requests)]
-                    if mode == "uniform"
-                    else [op_names[0]] * n_requests
-                )
-                latencies: list[float] = []
-                t0 = time.perf_counter()
-                futures = []
-                for target, b in zip(targets, sources):
-                    start = time.perf_counter()
-                    fut = router.submit(target, b)
-                    fut.add_done_callback(
-                        lambda _f, s=start: latencies.append(
-                            time.perf_counter() - s
-                        )
-                    )
-                    futures.append(fut)
-                results = [f.result() for f in futures]
-                wall = time.perf_counter() - t0
-
-                shard_stats = router.shard_stats()
-                busy = [s["device_busy_s"] for s in shard_stats]
-                makespan = max(busy) if busy else 0.0
-                row = {
-                    "skew": mode,
-                    "shards": int(shards),
-                    "fleet": sub.name,
-                    "device_mix": sub.device_mix(),
-                    "wall_s": wall,
-                    "wall_rps": n_requests / wall,
-                    "sim_makespan_s": makespan,
-                    "agg_rps": (n_requests / makespan) if makespan > 0 else 0.0,
-                    "p50_s": percentile(latencies, 50),
-                    "p95_s": percentile(latencies, 95),
-                    "all_converged": bool(all(r.converged for r in results)),
-                    "timeouts": sum(
-                        s["submitted"] - s["completed"] for s in shard_stats
+        rows: list[dict] = []
+        placement_doc: dict | None = None
+        for shards in shard_counts:
+            sub = fleet.subset(shards)
+            plan = plan_placement(sub, loads)
+            if shards == max(shard_counts):
+                placement_doc = plan.to_dict()
+            for mode in skews:
+                cfg = RouterConfig(
+                    spill_threshold=spill_threshold,
+                    serve=ServeConfig(
+                        max_batch=max_batch,
+                        queue_capacity=max(4 * n_requests, 64),
+                        n_workers=1,
                     ),
-                    "spilled": router.stats["spilled"],
-                    "replications": router.stats["replications"],
-                    "shed": router.stats["shed"],
-                    "replica_counts": {
-                        name: len(router.replicas(name)) for name in op_names
-                    },
-                    "shards_detail": shard_stats,
-                }
-                if router.slo_monitor is not None:
-                    statuses = router.slo_monitor.evaluate()
-                    row["slo"] = [s.to_dict() for s in statuses]
-                    row["slo_compliant"] = all(s.compliant for s in statuses)
-            rows.append(row)
-            if verbose:
-                print(
-                    f"[fleet-bench] {mode:>7}  shards={shards:2d}  "
-                    f"agg {row['agg_rps']:8.2f} req/s  "
-                    f"wall {row['wall_rps']:6.2f} req/s  "
-                    f"repl {row['replications']}  spill {row['spilled']}"
+                    slo_specs=tuple(DEFAULT_SLOS),
                 )
+                with FleetRouter(
+                    sub, cfg, hierarchy_source=source, speed_factors=factors
+                ) as router:
+                    homes = plan.homes
+                    for name in op_names:
+                        router.register(name, ops[name], params, home=homes[name])
+                    targets = (
+                        [op_names[i % n_ops] for i in range(n_requests)]
+                        if mode == "uniform"
+                        else [op_names[0]] * n_requests
+                    )
+                    latencies: list[float] = []
+                    t0 = time.perf_counter()
+                    futures = []
+                    for target, b in zip(targets, sources):
+                        start = time.perf_counter()
+                        fut = router.submit(target, b)
+                        fut.add_done_callback(
+                            lambda _f, s=start: latencies.append(
+                                time.perf_counter() - s
+                            )
+                        )
+                        futures.append(fut)
+                    results = [f.result() for f in futures]
+                    wall = time.perf_counter() - t0
+
+                    shard_stats = router.shard_stats()
+                    busy = [s["device_busy_s"] for s in shard_stats]
+                    makespan = max(busy) if busy else 0.0
+                    row = {
+                        "skew": mode,
+                        "shards": int(shards),
+                        "fleet": sub.name,
+                        "device_mix": sub.device_mix(),
+                        "wall_s": wall,
+                        "wall_rps": n_requests / wall,
+                        "sim_makespan_s": makespan,
+                        "agg_rps": (n_requests / makespan) if makespan > 0 else 0.0,
+                        "p50_s": percentile(latencies, 50),
+                        "p95_s": percentile(latencies, 95),
+                        "all_converged": bool(all(r.converged for r in results)),
+                        "timeouts": sum(
+                            s["submitted"] - s["completed"] for s in shard_stats
+                        ),
+                        "spilled": router.stats["spilled"],
+                        "replications": router.stats["replications"],
+                        "shed": router.stats["shed"],
+                        "replica_counts": {
+                            name: len(router.replicas(name)) for name in op_names
+                        },
+                        "shards_detail": shard_stats,
+                    }
+                    if router.slo_monitor is not None:
+                        statuses = router.slo_monitor.evaluate()
+                        row["slo"] = [s.to_dict() for s in statuses]
+                        row["slo_compliant"] = all(s.compliant for s in statuses)
+                rows.append(row)
+                if verbose:
+                    print(
+                        f"[fleet-bench] {mode:>7}  shards={shards:2d}  "
+                        f"agg {row['agg_rps']:8.2f} req/s  "
+                        f"wall {row['wall_rps']:6.2f} req/s  "
+                        f"repl {row['replications']}  spill {row['spilled']}"
+                    )
 
     def _series(mode: str) -> dict[str, float]:
         return {
@@ -279,14 +276,7 @@ def run_fleet_bench(
             s: (hot[s] / uni[s]) if uni[s] > 0 else 0.0 for s in uni
         }
     if metrics_out is not None:
-        import pathlib
-
-        out = pathlib.Path(metrics_out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(telemetry.get_registry().expose_text(exemplars=True))
-        doc["metrics_out"] = str(out)
-        if force_metrics:
-            telemetry.disable()
+        doc["metrics_out"] = str(metrics_out)
     return doc
 
 

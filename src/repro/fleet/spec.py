@@ -29,6 +29,7 @@ import numpy as np
 from ..gpu.device import DEVICES, K20X, DeviceSpec
 from ..machine.network import NetworkSpec
 from ..perf.roofline import Roofline
+from ..telemetry.export import write_document
 
 #: arithmetic intensity (flops/byte) representative of MG solve work;
 #: both Wilson-clover and coarse stencils sit near 1 on the
@@ -164,21 +165,14 @@ class FleetSpec:
             nodes=tuple(FleetNode.from_dict(n) for n in d.get("nodes", ())),
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FleetSpec":
-        return cls.from_dict(json.loads(text))
-
     @classmethod
     def load(cls, path) -> "FleetSpec":
+        # a fleet spec is configuration, not a schema-tagged document
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json() + "\n")
+        write_document(path, self.to_dict())
 
 
 class FakeFleetGenerator:

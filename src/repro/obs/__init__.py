@@ -8,8 +8,9 @@ the substrate a production serve tier debugs itself with:
   on solver spans, plus a plateau/stall/divergence detector that works
   on any residual history with telemetry off;
 * :mod:`~repro.obs.blackbox` — an always-on flight recorder (bounded
-  ring buffer of recent events) and the ``repro.blackbox/v1`` dump the
-  serve tier writes on timeout, failure or detected stall;
+  ring buffer of recent events) and the dump the serve tier writes on
+  timeout, failure or detected stall (a ``repro.telemetry/v1`` trace
+  carrying the ring as its ``events``);
 * :mod:`~repro.obs.slo` — declarative SLO specs evaluated over sliding
   windows with burn-rate alerting into the structured log;
 * :mod:`~repro.obs.forensics` — performance forensics over exported
@@ -26,13 +27,10 @@ convergence events, its metric exemplars and its blackbox dump.
 from __future__ import annotations
 
 from .blackbox import (
-    BLACKBOX_SCHEMA,
     FlightRecorder,
     blackbox_document,
     get_recorder,
-    load_blackbox,
     render_blackbox,
-    validate_blackbox,
     write_blackbox,
 )
 from .convergence import (
@@ -64,7 +62,6 @@ from .slo import (
 )
 
 __all__ = [
-    "BLACKBOX_SCHEMA",
     "ConvergenceVerdict",
     "CriticalPathReport",
     "DEFAULT_DETECTOR",
@@ -81,7 +78,6 @@ __all__ = [
     "critical_path",
     "detect_anomalies",
     "get_recorder",
-    "load_blackbox",
     "overlap_report",
     "perfetto_document",
     "record_convergence",
@@ -90,7 +86,6 @@ __all__ = [
     "render_overlap",
     "render_slo_table",
     "subsample_history",
-    "validate_blackbox",
     "write_blackbox",
     "write_perfetto",
 ]

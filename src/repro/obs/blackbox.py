@@ -12,14 +12,16 @@ forget.
 
 On request timeout, solver failure, or a detected convergence stall,
 the serve tier snapshots the ring (plus the trace context, the metrics
-registry and the recent span forest) into a ``repro.blackbox/v1`` JSON
-dump — the "black box" a postmortem starts from, inspectable with
-``repro blackbox <file>``.
+registry and the recent span forest) into a dump — the "black box" a
+postmortem starts from, inspectable with ``repro blackbox <file>``.  A
+dump is a ``repro.telemetry/v1`` trace document whose ``meta`` names
+the incident and whose top-level ``events`` list is the ring, so every
+trace reader (``repro perf diff``, the critical path, Perfetto export)
+reads it too.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 import threading
 import time
@@ -27,8 +29,7 @@ from collections import deque
 from datetime import datetime, timezone
 from typing import Any
 
-BLACKBOX_SCHEMA = "repro.blackbox/v1"
-BLACKBOX_VERSION = 1
+from ..telemetry.export import SCHEMA, SCHEMA_VERSION, write_document
 
 #: default ring capacity; at ~10 events per request this holds the last
 #: ~50 requests of lifecycle history
@@ -107,13 +108,14 @@ def blackbox_document(
     tracer=None,
     meta: dict[str, Any] | None = None,
 ) -> dict:
-    """Assemble one ``repro.blackbox/v1`` postmortem document.
+    """Assemble one postmortem dump: a ``repro.telemetry/v1`` document.
 
-    Bundles the flight-recorder ring, the metrics-registry snapshot and
-    the most recent finished root spans (bounded at
-    :data:`MAX_DUMP_SPANS`) under the triggering ``reason`` and
-    ``trace_id`` — everything a postmortem needs to reconnect one
-    request's slog lifecycle, spans and convergence behavior.
+    Its spans are the most recent finished roots (bounded at
+    :data:`MAX_DUMP_SPANS`), its ``events`` the flight-recorder ring,
+    and its ``meta`` the caller's plus the triggering ``reason``,
+    ``trace_id``, ``ts``/``ts_iso`` and ``events_recorded`` —
+    everything a postmortem needs to reconnect one request's slog
+    lifecycle, spans and convergence behavior.
     """
     from ..telemetry.metrics import get_registry
     from ..telemetry.tracer import get_tracer
@@ -122,35 +124,26 @@ def blackbox_document(
     registry = registry if registry is not None else get_registry()
     tracer = tracer if tracer is not None else get_tracer()
     now = time.time()
-    roots = tracer.recent_roots(MAX_DUMP_SPANS)
     return {
-        "schema": BLACKBOX_SCHEMA,
-        "version": BLACKBOX_VERSION,
-        "reason": reason,
-        "ts": now,
-        "ts_iso": iso_ts(now),
-        "trace_id": trace_id,
-        "events": recorder.snapshot(),
-        "events_recorded": recorder.recorded,
-        "spans": [root.to_dict() for root in roots],
+        "schema": SCHEMA,
+        "version": SCHEMA_VERSION,
+        "meta": {
+            **(meta or {}),
+            "reason": reason,
+            "trace_id": trace_id,
+            "ts": now,
+            "ts_iso": iso_ts(now),
+            "events_recorded": recorder.recorded,
+        },
+        "spans": [root.to_dict() for root in tracer.recent_roots(MAX_DUMP_SPANS)],
         "metrics": registry.snapshot(),
-        "meta": dict(meta or {}),
+        "events": recorder.snapshot(),
     }
 
 
-def validate_blackbox(doc: dict) -> dict:
-    """Check the dump shape; returns ``doc`` for chaining."""
-    if not isinstance(doc, dict):
-        raise ValueError("blackbox document must be a mapping")
-    if doc.get("schema") != BLACKBOX_SCHEMA:
-        raise ValueError(f"unknown blackbox schema {doc.get('schema')!r}")
-    if doc.get("version") != BLACKBOX_VERSION:
-        raise ValueError(f"unsupported blackbox version {doc.get('version')!r}")
-    for key, typ in (("reason", str), ("events", list), ("spans", list),
-                     ("metrics", dict)):
-        if not isinstance(doc.get(key), typ):
-            raise ValueError(f"blackbox document missing {key!r}")
-    return doc
+def is_blackbox(doc: dict) -> bool:
+    """Whether a (validated) trace document is a postmortem dump."""
+    return isinstance(doc.get("events"), list) and "reason" in (doc.get("meta") or {})
 
 
 def write_blackbox(
@@ -158,30 +151,24 @@ def write_blackbox(
     doc: dict,
 ) -> pathlib.Path:
     """Write one dump into ``directory`` with a self-describing name."""
-    out_dir = pathlib.Path(directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stamp = iso_ts(doc["ts"]).replace(":", "").replace("-", "").replace(".", "")
-    trace8 = (doc.get("trace_id") or "notrace")[:8]
-    path = out_dir / f"blackbox-{stamp}-{doc['reason']}-{trace8}.json"
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True, default=str) + "\n")
-    return path
-
-
-def load_blackbox(path: str | pathlib.Path) -> dict:
-    """Read and validate a dump written by :func:`write_blackbox`."""
-    return validate_blackbox(json.loads(pathlib.Path(path).read_text()))
+    meta = doc["meta"]
+    stamp = iso_ts(meta["ts"]).replace(":", "").replace("-", "").replace(".", "")
+    trace8 = (meta.get("trace_id") or "notrace")[:8]
+    name = f"blackbox-{stamp}-{meta['reason']}-{trace8}.json"
+    return write_document(pathlib.Path(directory) / name, doc)
 
 
 def render_blackbox(doc: dict, last_events: int = 20) -> str:
     """Human-readable postmortem summary (the ``repro blackbox`` view)."""
+    meta = dict(doc["meta"])
     lines = [
-        f"blackbox dump — reason: {doc['reason']}  at {doc.get('ts_iso', '?')}",
-        f"trace_id: {doc.get('trace_id') or '(none)'}",
+        f"blackbox dump — reason: {meta.pop('reason')}  at {meta.pop('ts_iso', '?')}",
+        f"trace_id: {meta.pop('trace_id', None) or '(none)'}",
         f"events: {len(doc['events'])} in ring "
-        f"({doc.get('events_recorded', len(doc['events']))} recorded), "
+        f"({meta.pop('events_recorded', len(doc['events']))} recorded), "
         f"spans: {len(doc['spans'])} roots",
     ]
-    meta = doc.get("meta") or {}
+    meta.pop("ts", None)
     if meta:
         lines.append("meta: " + ", ".join(f"{k}={v}" for k, v in sorted(meta.items())))
     counters = doc.get("metrics", {}).get("counter", {})

@@ -28,11 +28,10 @@ per shard, cross-shard ``trace_id``s preserved in the args).
 
 from __future__ import annotations
 
-import json
 import pathlib
 from typing import Any, Iterable
 
-from ...telemetry.export import walk
+from ...telemetry.export import walk, write_document
 
 #: fallback process name when no span carries a shard attribute
 DEFAULT_TRACK = "repro"
@@ -177,9 +176,4 @@ def write_perfetto(
     path: str | pathlib.Path, doc_or_docs: dict | Iterable[dict]
 ) -> pathlib.Path:
     """Serialize the trace-event conversion to ``path`` (parents created)."""
-    out = pathlib.Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(
-        json.dumps(perfetto_document(doc_or_docs), indent=1, sort_keys=True) + "\n"
-    )
-    return out
+    return write_document(path, perfetto_document(doc_or_docs))

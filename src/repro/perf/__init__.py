@@ -33,7 +33,6 @@ from .ledger import (
     bench_document,
     entry_digest,
     git_metadata,
-    load_entry,
     median_mad,
     run_suite,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "compare_documents",
     "entry_digest",
     "git_metadata",
-    "load_entry",
     "median_mad",
     "resolve_roofline",
     "roofline_table",

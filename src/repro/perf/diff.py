@@ -24,6 +24,7 @@ make it blocking.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 
 from ..telemetry.export import SCHEMA as TRACE_SCHEMA
 from ..telemetry.export import span_table
@@ -102,6 +103,8 @@ class PerfDiff:
     rows: list[DiffRow] = field(default_factory=list)
     tolerance: float = 0.10
     z: float = 3.0
+    #: where each side was measured (:func:`provenance`), baseline first
+    provenance: tuple[str, str] = ("", "")
 
     @property
     def regressions(self) -> list[DiffRow]:
@@ -122,6 +125,9 @@ class PerfDiff:
             f"{len(self.improvements)} improvement(s) "
             f"(tolerance {self.tolerance:.0%}, z={self.z:g})"
         ]
+        for side, where in zip(("baseline", "candidate"), self.provenance):
+            if where:
+                lines.append(f"  {side}: {where}")
         lines.extend(row.render() for row in self.rows)
         verdict = "REGRESSED" if self.regressions else "OK"
         lines.append(f"verdict: {verdict}")
@@ -135,6 +141,25 @@ class PerfDiff:
             "verdict": "regression" if self.regressions else "ok",
             "rows": [r.to_dict() for r in self.rows],
         }
+
+
+def provenance(doc: dict) -> str:
+    """Where a document was measured, as far as it says: git revision,
+    UTC date and Python version (``rev f265aac, 2026-10-17, python
+    3.11.7``).  Timings from two host windows differ by more than most
+    regressions, so the diff header names both sides."""
+    meta = doc.get("meta") or {}
+    parts = []
+    rev = (meta.get("git") or {}).get("rev")
+    if rev:
+        parts.append(f"rev {rev[:7]}")
+    ts = meta.get("timestamp", meta.get("ts"))
+    if isinstance(ts, (int, float)):
+        parts.append(f"{datetime.fromtimestamp(ts, timezone.utc):%Y-%m-%d}")
+    python = (doc.get("host") or {}).get("python")
+    if python:
+        parts.append(f"python {python}")
+    return ", ".join(parts)
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +220,7 @@ def compare_documents(
         )
     if tolerance is None:
         tolerance = DEFAULT_TOLERANCE[a["schema"]]
-    diff = PerfDiff(tolerance=tolerance, z=z)
+    diff = PerfDiff(tolerance=tolerance, z=z, provenance=(provenance(a), provenance(b)))
     for key in sorted(set(series_a) | set(series_b)):
         sa, sb = series_a.get(key), series_b.get(key)
         if sa is None:

@@ -31,6 +31,8 @@ from typing import Callable
 
 import numpy as np
 
+from ..telemetry.export import write_document
+
 BENCH_SCHEMA = "repro.bench/v1"
 
 
@@ -514,22 +516,11 @@ def append_entry(
     baseline_path)``.
     """
     digest = entry_digest(doc)
-    ledger = pathlib.Path(ledger_dir)
-    ledger.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-    archive = ledger / f"{digest[:12]}.json"
-    archive.write_text(payload)
+    archive = write_document(pathlib.Path(ledger_dir) / f"{digest[:12]}.json", doc)
     baseline = None
     if trajectory_root is not None:
         suite = doc.get("meta", {}).get("suite", "quick")
-        baseline = pathlib.Path(trajectory_root) / f"BENCH_{suite}.json"
-        baseline.write_text(payload)
+        baseline = write_document(
+            pathlib.Path(trajectory_root) / f"BENCH_{suite}.json", doc
+        )
     return archive, baseline
-
-
-def load_entry(path: str | pathlib.Path) -> dict:
-    """Read one ledger entry (or any bench/trace JSON document)."""
-    doc = json.loads(pathlib.Path(path).read_text())
-    if not isinstance(doc, dict) or "schema" not in doc:
-        raise ValueError(f"{path}: not a repro measurement document")
-    return doc

@@ -70,75 +70,73 @@ def run_serve_bench(
     shape = (n_requests, lattice.volume, 4, 3)
     sources = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    force_metrics = metrics_out is not None and not telemetry.enabled()
-    if force_metrics:
-        telemetry.enable()
-    cache = SetupCache()
-    rows: list[dict] = []
-    reference: np.ndarray | None = None
-    for max_batch in batch_sizes:
-        config = ServeConfig(
-            max_batch=max_batch,
-            queue_capacity=max(2 * n_requests, 8),
-            n_workers=1,
-            slo_specs=tuple(slo_specs),
-            blackbox_dir=blackbox_dir,
-        )
-        with SolveService(config, cache=cache) as svc:
-            svc.register(
-                dataset.label, op, params, rng=np.random.default_rng(setup_seed)
+    with telemetry.prometheus_snapshot(metrics_out):
+        cache = SetupCache()
+        rows: list[dict] = []
+        reference: np.ndarray | None = None
+        for max_batch in batch_sizes:
+            config = ServeConfig(
+                max_batch=max_batch,
+                queue_capacity=max(2 * n_requests, 8),
+                n_workers=1,
+                slo_specs=tuple(slo_specs),
+                blackbox_dir=blackbox_dir,
             )
-            # warm-up solve: pays one-time lazy kernel construction
-            svc.solve(dataset.label, sources[0])
-
-            latencies: list[float] = []
-            t0 = time.perf_counter()
-            futures = []
-            for b in sources:
-                start = time.perf_counter()
-                fut = svc.submit(dataset.label, b)
-                fut.add_done_callback(
-                    lambda _f, s=start: latencies.append(time.perf_counter() - s)
+            with SolveService(config, cache=cache) as svc:
+                svc.register(
+                    dataset.label, op, params, rng=np.random.default_rng(setup_seed)
                 )
-                futures.append(fut)
-            results = [f.result() for f in futures]
-            wall = time.perf_counter() - t0
+                # warm-up solve: pays one-time lazy kernel construction
+                svc.solve(dataset.label, sources[0])
 
-        solutions = np.stack([r.x for r in results])
-        if reference is None:
-            reference = solutions
-            max_dev = 0.0
-        else:
-            scale = np.abs(reference).max()
-            max_dev = float(np.abs(solutions - reference).max() / scale)
-        row = {
-            "max_batch": int(max_batch),
-            "wall_s": wall,
-            "throughput_rps": n_requests / wall,
-            "p50_s": percentile(latencies, 50),
-            "p95_s": percentile(latencies, 95),
-            "p99_s": percentile(latencies, 99),
-            "mean_iterations": float(np.mean([r.iterations for r in results])),
-            "all_converged": bool(all(r.converged for r in results)),
-            "batches": svc.stats["batches"],
-            "max_dev_vs_batch1": max_dev,
-        }
-        if svc.slo_monitor is not None:
-            statuses = svc.slo_monitor.evaluate()
-            row["slo"] = [s.to_dict() for s in statuses]
-            row["slo_compliant"] = all(s.compliant for s in statuses)
-        if svc.stats["blackbox_dumps"]:
-            row["blackbox_dumps"] = svc.stats["blackbox_dumps"]
-        rows.append(row)
-        if verbose:
-            print(
-                f"[serve-bench] max_batch={max_batch:3d}  "
-                f"{row['throughput_rps']:7.2f} req/s  "
-                f"p50 {row['p50_s'] * 1e3:8.1f} ms  "
-                f"p95 {row['p95_s'] * 1e3:8.1f} ms  "
-                f"p99 {row['p99_s'] * 1e3:8.1f} ms  "
-                f"batches {row['batches']}"
-            )
+                latencies: list[float] = []
+                t0 = time.perf_counter()
+                futures = []
+                for b in sources:
+                    start = time.perf_counter()
+                    fut = svc.submit(dataset.label, b)
+                    fut.add_done_callback(
+                        lambda _f, s=start: latencies.append(time.perf_counter() - s)
+                    )
+                    futures.append(fut)
+                results = [f.result() for f in futures]
+                wall = time.perf_counter() - t0
+
+            solutions = np.stack([r.x for r in results])
+            if reference is None:
+                reference = solutions
+                max_dev = 0.0
+            else:
+                scale = np.abs(reference).max()
+                max_dev = float(np.abs(solutions - reference).max() / scale)
+            row = {
+                "max_batch": int(max_batch),
+                "wall_s": wall,
+                "throughput_rps": n_requests / wall,
+                "p50_s": percentile(latencies, 50),
+                "p95_s": percentile(latencies, 95),
+                "p99_s": percentile(latencies, 99),
+                "mean_iterations": float(np.mean([r.iterations for r in results])),
+                "all_converged": bool(all(r.converged for r in results)),
+                "batches": svc.stats["batches"],
+                "max_dev_vs_batch1": max_dev,
+            }
+            if svc.slo_monitor is not None:
+                statuses = svc.slo_monitor.evaluate()
+                row["slo"] = [s.to_dict() for s in statuses]
+                row["slo_compliant"] = all(s.compliant for s in statuses)
+            if svc.stats["blackbox_dumps"]:
+                row["blackbox_dumps"] = svc.stats["blackbox_dumps"]
+            rows.append(row)
+            if verbose:
+                print(
+                    f"[serve-bench] max_batch={max_batch:3d}  "
+                    f"{row['throughput_rps']:7.2f} req/s  "
+                    f"p50 {row['p50_s'] * 1e3:8.1f} ms  "
+                    f"p95 {row['p95_s'] * 1e3:8.1f} ms  "
+                    f"p99 {row['p99_s'] * 1e3:8.1f} ms  "
+                    f"batches {row['batches']}"
+                )
 
     base = rows[0]["throughput_rps"]
     doc = {
@@ -159,14 +157,7 @@ def run_serve_bench(
             r.get("slo_compliant", True) for r in rows
         )
     if metrics_out is not None:
-        import pathlib
-
-        out = pathlib.Path(metrics_out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(telemetry.get_registry().expose_text(exemplars=True))
-        doc["metrics_out"] = str(out)
-        if force_metrics:
-            telemetry.disable()
+        doc["metrics_out"] = str(metrics_out)
     return doc
 
 

@@ -109,7 +109,7 @@ class ServeConfig:
     queue_capacity: int = 64  # pending-request bound (backpressure)
     n_workers: int = 1  # solver worker threads
     # Postmortem capture: on timeout, failure or detected stall the
-    # service assembles a repro.blackbox/v1 dump (always kept in memory
+    # service assembles a blackbox dump (always kept in memory
     # as ``service.last_blackbox``); a directory here persists each dump
     # to disk for `repro blackbox`.
     blackbox_dir: str | None = None
@@ -240,7 +240,7 @@ class SolveService:
         self.slo_monitor = (
             SLOMonitor(self.config.slo_specs) if self.config.slo_specs else None
         )
-        #: most recent repro.blackbox/v1 document (postmortem state even
+        #: most recent blackbox dump (postmortem state even
         #: when no blackbox_dir is configured)
         self.last_blackbox: dict | None = None
         self._in_flight = 0
@@ -633,8 +633,8 @@ class SolveService:
                 self._emit(stall)
 
     def _dump_blackbox(self, event: RequestEvent) -> None:
-        """Assemble a repro.blackbox/v1 postmortem document for a
-        ``timeout``, ``failed`` or ``stall`` event.
+        """Assemble the blackbox dump of a ``timeout``, ``failed`` or
+        ``stall`` event.
 
         The dump is always retained in memory as ``self.last_blackbox``;
         when ``config.blackbox_dir`` is set it is also written to disk

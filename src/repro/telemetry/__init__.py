@@ -10,8 +10,9 @@
   histograms; every traced solve publishes its per-level ``LevelStats``
   and outer iterations here.
 * :mod:`~repro.telemetry.export` — the ``repro.telemetry/v1`` trace
-  document and the per-level breakdown table behind
-  ``repro.reporting.fig4``'s measured mode.
+  document, the per-level breakdown table behind
+  ``repro.reporting.fig4``'s measured mode, and the one JSON document
+  writer and reader (:func:`write_document` / :func:`read_document`).
 
 Telemetry is **off by default**.  :func:`enable` (or the CLI ``repro
 trace`` / ``--telemetry`` paths) installs the boundary table and
@@ -22,6 +23,8 @@ typed payload of every :class:`~repro.solvers.base.SolveResult`.
 
 from __future__ import annotations
 
+import contextlib
+import pathlib
 import sys
 
 from .context import (
@@ -38,9 +41,11 @@ from .export import (
     level_breakdown_table,
     load_trace,
     otlp_document,
+    read_document,
     span_table,
     trace_document,
     validate_trace,
+    write_document,
     write_otlp,
     write_trace,
 )
@@ -72,11 +77,14 @@ __all__ = [
     "new_span_id",
     "new_trace_id",
     "otlp_document",
+    "prometheus_snapshot",
+    "read_document",
     "reset",
     "span",
     "span_table",
     "trace_document",
     "validate_trace",
+    "write_document",
     "write_otlp",
     "write_trace",
 ]
@@ -110,3 +118,28 @@ def reset() -> None:
     """Drop all recorded spans and metrics (enabled flags unchanged)."""
     get_tracer().reset()
     get_registry().reset()
+
+
+@contextlib.contextmanager
+def prometheus_snapshot(path):
+    """Run the block with telemetry on and write the registry's final
+    Prometheus exposition (with exemplars) to ``path`` when it ends.
+
+    Telemetry already on stays on; otherwise it is switched on for the
+    block and off again in ``finally``, also when the block raises (the
+    snapshot is then not written).  With ``path`` None this does nothing.
+    """
+    if path is None:
+        yield
+        return
+    forced = not enabled()
+    if forced:
+        enable()
+    try:
+        yield
+        out = pathlib.Path(path)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(get_registry().expose_text(exemplars=True))
+    finally:
+        if forced:
+            disable()

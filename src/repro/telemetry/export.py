@@ -4,8 +4,15 @@ A *trace document* bundles the span forest of a tracer and the metric
 snapshot of a registry (plus caller metadata) under the versioned
 schema ``repro.telemetry/v1``.  The same document is produced by
 ``repro trace <dataset>``, by ``--telemetry out.json`` on measured-mode
-artifacts, and by ``tools/profile_solve.py --json`` — so the profiling
-workflow and the reporting pipeline read identical data.
+artifacts, by ``tools/profile_solve.py --json`` and — with the
+flight-recorder ring as a top-level ``events`` list — by the serve
+tier's blackbox dumps, so the profiling workflow, the reporting
+pipeline and a postmortem read identical data.
+
+Every JSON document the package writes goes through
+:func:`write_document` and every one it reads through
+:func:`read_document`, which insists on a ``schema`` and validates
+trace documents.
 
 The level/self-time rule lives here and nowhere else: a span's level is
 its ``level`` attribute, inherited from the nearest ancestor
@@ -75,6 +82,32 @@ def _validate_span(span: dict) -> None:
         _validate_span(child)
 
 
+def write_document(path: str | pathlib.Path, doc: dict) -> pathlib.Path:
+    """Write one JSON document to ``path`` (parents created).
+
+    Keys are sorted and values that JSON cannot encode are written as
+    their ``str`` (a dump's metadata must never fail to serialize).
+    """
+    out = pathlib.Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True, default=str) + "\n")
+    return out
+
+
+def read_document(path: str | pathlib.Path) -> dict:
+    """Read one document written by :func:`write_document`.
+
+    It must be a mapping that names its ``schema``; a trace document
+    (a blackbox dump included) is also checked by :func:`validate_trace`.
+    """
+    doc = json.loads(pathlib.Path(path).read_text())
+    if not isinstance(doc, dict) or "schema" not in doc:
+        raise ValueError(f"{path}: not a repro document (no 'schema')")
+    if doc["schema"] == SCHEMA:
+        validate_trace(doc)
+    return doc
+
+
 def write_trace(
     path: str | pathlib.Path,
     tracer: Tracer | None = None,
@@ -82,16 +115,12 @@ def write_trace(
     meta: dict[str, Any] | None = None,
 ) -> pathlib.Path:
     """Serialize the current trace to ``path`` (parents created)."""
-    doc = trace_document(tracer, registry, meta)
-    out = pathlib.Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    return out
+    return write_document(path, trace_document(tracer, registry, meta))
 
 
 def load_trace(path: str | pathlib.Path) -> dict:
-    """Read and validate a trace document written by :func:`write_trace`."""
-    return validate_trace(json.loads(pathlib.Path(path).read_text()))
+    """Read a document that must be a trace (or a blackbox dump)."""
+    return validate_trace(read_document(path))
 
 
 # ----------------------------------------------------------------------
@@ -179,10 +208,7 @@ def otlp_document(doc: dict) -> dict:
 
 def write_otlp(path: str | pathlib.Path, doc: dict) -> pathlib.Path:
     """Serialize ``doc`` (a v1 trace document) to OTLP JSON at ``path``."""
-    out = pathlib.Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(otlp_document(doc), indent=1, sort_keys=True) + "\n")
-    return out
+    return write_document(path, otlp_document(doc))
 
 
 # ----------------------------------------------------------------------

@@ -22,12 +22,7 @@ refactors cannot silently change solver behaviour.
 """
 
 from .context import VerifyContext
-from .golden import (
-    compare_golden,
-    golden_record,
-    load_golden,
-    write_golden,
-)
+from .golden import compare_golden, golden_record
 from .registry import REGISTRY, Invariant, get, invariant, names, run_invariant, run_registry
 from .report import SCHEMA, SEVERITIES, InvariantReport, VerificationReport
 from .runner import run_check
@@ -44,12 +39,10 @@ __all__ = [
     "get",
     "golden_record",
     "invariant",
-    "load_golden",
     "names",
     "run_check",
     "run_invariant",
     "run_registry",
-    "write_golden",
 ]
 
 # importing the package loads the standard checks into the registry

@@ -6,13 +6,11 @@ residual — so that performance refactors cannot silently change the
 numerics.  The comparator is tolerance-aware: iteration counts may
 drift by a small slack (different BLAS builds reassociate reductions),
 residuals by a bounded factor, but anything structural (level count,
-convergence flag) must match exactly.
+convergence flag) must match exactly.  Records are read and written
+with :func:`repro.telemetry.read_document` / :func:`~repro.telemetry.write_document`.
 """
 
 from __future__ import annotations
-
-import json
-import pathlib
 
 SCHEMA = "repro.golden/v1"
 
@@ -94,14 +92,3 @@ def compare_golden(
             f"tol {golden['tol']:.1e}"
         )
     return problems
-
-
-def load_golden(path) -> dict:
-    return json.loads(pathlib.Path(path).read_text())
-
-
-def write_golden(path, record: dict) -> pathlib.Path:
-    out = pathlib.Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    return out

@@ -10,9 +10,10 @@ JSON document (schema ``repro.verify/v1``).
 
 from __future__ import annotations
 
-import json
 import pathlib
 from dataclasses import dataclass, field
+
+from ..telemetry.export import write_document
 
 SCHEMA = "repro.verify/v1"
 
@@ -122,10 +123,7 @@ class VerificationReport:
         }
 
     def write(self, path) -> pathlib.Path:
-        out = pathlib.Path(path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n")
-        return out
+        return write_document(path, self.to_dict())
 
     def render(self) -> str:
         """Human-readable verdict table."""

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import COMMANDS, build_parser, main
 from repro.obs.blackbox import blackbox_document, iso_ts, write_blackbox
+from repro.telemetry import Tracer, write_trace
 
 
 class TestCli:
@@ -125,7 +126,7 @@ class TestBlackboxCommand:
         paths = []
         for ts, reason in ((1000.0, "timeout"), (2000.0, "stall")):
             doc = blackbox_document(reason, trace_id=reason[0] * 32, meta={"op": "w"})
-            doc["ts"], doc["ts_iso"] = ts, iso_ts(ts)
+            doc["meta"]["ts"], doc["meta"]["ts_iso"] = ts, iso_ts(ts)
             paths.append(write_blackbox(tmp_path, doc))
         return paths
 
@@ -149,7 +150,63 @@ class TestBlackboxCommand:
         assert "no such file" in capsys.readouterr().err
 
     def test_a_foreign_json_file_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "trace.json"
-        path.write_text(json.dumps({"schema": "repro.telemetry/v1"}))
+        path = tmp_path / "verify.json"
+        path.write_text(json.dumps({"schema": "repro.verify/v1"}))
         assert main(["blackbox", str(path)]) == 2
-        assert "unknown blackbox schema" in capsys.readouterr().err
+        assert "unknown trace schema" in capsys.readouterr().err
+        # a trace is a dump's format, but without the ring it is no dump
+        write_trace(path, tracer=Tracer(enabled=True))
+        assert main(["blackbox", str(path)]) == 2
+        assert "not a dump" in capsys.readouterr().err
+
+    def test_a_directory_named_like_a_dataset_is_listed(
+        self, dumps, tmp_path, monkeypatch, capsys
+    ):
+        aniso = tmp_path / "Aniso40"
+        aniso.mkdir()
+        dumps[0].rename(aniso / dumps[0].name)
+        monkeypatch.chdir(tmp_path)
+        assert main(["blackbox", "Aniso40"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "1 blackbox dump(s) under Aniso40/ (newest first):"
+        # no path lists the current directory
+        assert main(["blackbox"]) == 0
+        assert dumps[1].name in capsys.readouterr().out
+
+    def test_perf_diff_reads_dumps_as_traces(self, dumps, capsys):
+        assert main(["perf", "diff", str(dumps[0]), str(dumps[0])]) == 0
+        assert "verdict: OK" in capsys.readouterr().out
+
+
+class TestCommandTree:
+    """One parser: each command accepts exactly the options it reads."""
+
+    def test_option_pairs(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        pairs = {
+            (name, flag)
+            for name in COMMANDS
+            for action in sub.choices[name]._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        }
+        assert len(pairs) == 44
+        assert ("table1", "--out") in pairs and ("table1", "--mode") not in pairs
+        assert ("blackbox", "--events") in pairs
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--shards", "3"],
+            ["table1", "--mode", "measured"],
+            ["fig4", "--otlp", "x.json"],
+            ["blackbox", "--skew", "hot"],
+            ["perf", "trend"],
+        ],
+    )
+    def test_an_option_the_command_does_not_read_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err

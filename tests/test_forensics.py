@@ -24,7 +24,7 @@ from repro.obs.forensics import (
     render_overlap,
     write_perfetto,
 )
-from repro.perf.cli import perf_main
+from repro.cli import main
 from repro.perf.diff import compare_documents, series_from_document
 from repro.telemetry import Tracer, span_table, trace_document
 
@@ -365,7 +365,7 @@ class TestTraceDiff:
         pa.write_text(json.dumps(a))
         pb.write_text(json.dumps(b))
         out = tmp_path / "diff.json"
-        rc = perf_main(
+        rc = main(
             ["perf", "diff", str(pa), str(pb), "--warn-only", "--json", str(out)]
         )
         assert rc == 0  # warn-only despite the regression
@@ -373,11 +373,11 @@ class TestTraceDiff:
         assert payload["schema"] == "repro.perf-diff/v1"
         assert payload["verdict"] == "regression"
         assert "REGRESSED" in capsys.readouterr().out
-        assert perf_main(["perf", "diff", str(pa), str(pb)]) == 1
+        assert main(["perf", "diff", str(pa), str(pb)]) == 1
 
     def test_cli_bad_input_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        rc = perf_main(["perf", "diff", str(bad), str(bad)])
+        rc = main(["perf", "diff", str(bad), str(bad)])
         assert rc == 2
         assert "error:" in capsys.readouterr().out

@@ -14,13 +14,8 @@ import pathlib
 
 import pytest
 
-from repro.verify.golden import (
-    SCHEMA,
-    compare_golden,
-    golden_record,
-    load_golden,
-    write_golden,
-)
+from repro.telemetry import read_document, write_document
+from repro.verify.golden import SCHEMA, compare_golden, golden_record
 
 pytestmark = pytest.mark.verify
 
@@ -37,13 +32,13 @@ def fresh_record(aniso40_solve):
 
 def test_golden_record_matches(fresh_record, request):
     if request.config.getoption("--regen-golden"):
-        path = write_golden(GOLDEN_PATH, fresh_record)
+        path = write_document(GOLDEN_PATH, fresh_record)
         pytest.skip(f"golden record regenerated at {path}")
     assert GOLDEN_PATH.exists(), (
         f"no golden record at {GOLDEN_PATH}; create it with "
         f"`pytest {__file__} --regen-golden`"
     )
-    golden = load_golden(GOLDEN_PATH)
+    golden = read_document(GOLDEN_PATH)
     problems = compare_golden(fresh_record, golden)
     assert not problems, "convergence drifted from golden record:\n- " + "\n- ".join(
         problems

@@ -17,14 +17,12 @@ from types import SimpleNamespace
 import pytest
 
 from repro.obs.blackbox import (
-    BLACKBOX_SCHEMA,
     FlightRecorder,
     blackbox_document,
     get_recorder,
+    is_blackbox,
     iso_ts,
-    load_blackbox,
     render_blackbox,
-    validate_blackbox,
     write_blackbox,
 )
 from repro.obs.convergence import (
@@ -42,6 +40,7 @@ from repro.obs.slo import (
     render_slo_table,
 )
 from repro.serve.slog import RequestEvent
+from repro import telemetry
 from repro.telemetry import (
     MetricsRegistry,
     TraceContext,
@@ -51,6 +50,7 @@ from repro.telemetry import (
     new_span_id,
     new_trace_id,
     otlp_document,
+    trace_document,
 )
 from repro.telemetry.metrics import Histogram
 from repro.telemetry.tracer import Span
@@ -355,22 +355,27 @@ class TestFlightRecorder:
             tracer=Tracer(enabled=True),
             meta={"request_id": 1},
         )
-        assert doc["schema"] == BLACKBOX_SCHEMA
-        validate_blackbox(doc)
+        assert doc["schema"] == telemetry.SCHEMA
+        telemetry.validate_trace(doc)
         path = write_blackbox(tmp_path, doc)
         assert path.name.startswith("blackbox-") and "timeout" in path.name
-        loaded = load_blackbox(path)
-        assert loaded["trace_id"] == "d" * 32
+        loaded = telemetry.load_trace(path)
+        assert is_blackbox(loaded)
+        assert loaded["meta"]["trace_id"] == "d" * 32
         assert [e["kind"] for e in loaded["events"]] == ["enqueued", "timeout"]
-        assert loaded["meta"] == {"request_id": 1}
+        assert loaded["meta"]["request_id"] == 1
+        assert loaded["meta"]["events_recorded"] == 2
         text = render_blackbox(loaded)
         assert "reason: timeout" in text and "d" * 32 in text
+        assert "meta: request_id=1" in text
 
     def test_validate_rejects_foreign_documents(self):
         with pytest.raises(ValueError):
-            validate_blackbox({"schema": "other/v1"})
+            telemetry.validate_trace({"schema": "other/v1"})
         with pytest.raises(ValueError):
-            validate_blackbox({"schema": BLACKBOX_SCHEMA, "version": 99})
+            telemetry.validate_trace({"schema": telemetry.SCHEMA, "version": 99})
+        # a plain trace validates but is not a dump
+        assert not is_blackbox(trace_document(tracer=Tracer(enabled=True)))
 
 
 # ----------------------------------------------------------------------

@@ -3,24 +3,27 @@
 The acceptance path of the observability layer: a trace_id minted at
 submit() ingress must come back on the result, thread every slog
 record, and — when a request times out, a solve fails, or a stall is
-detected — land in a ``repro.blackbox/v1`` dump whose span forest
+detected — land in a blackbox dump (a ``repro.telemetry/v1`` trace) whose span forest
 carries the per-iteration convergence events.  Run the group with
 ``pytest -q -m obs``.
 """
 
 from __future__ import annotations
 
+import json
 import time
 
 import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.cli import main
 from repro.dirac import WilsonCloverOperator
 from repro.gauge import disordered_field
 from repro.lattice import Lattice
 from repro.mg import LevelParams, MGParams
-from repro.obs.blackbox import validate_blackbox
+from repro.obs.blackbox import is_blackbox
+from repro.obs.forensics import critical_path, perfetto_document
 from repro.obs.slo import DEFAULT_SLOS, SLOSpec
 from repro.serve import ServeConfig, SetupCache, SolveService
 from repro.serve.bench import render_table
@@ -280,11 +283,11 @@ class TestBlackboxDumps:
         finally:
             telemetry.disable()
 
-        validate_blackbox(doc)
-        assert doc["reason"] == "timeout"
+        assert is_blackbox(telemetry.validate_trace(doc))
+        assert doc["meta"]["reason"] == "timeout"
         # the dump names the timed-out request's trace, and that trace
         # threads the request's own slog lifecycle events
-        assert doc["trace_id"] == tid
+        assert doc["meta"]["trace_id"] == tid
         kinds = {
             e["kind"] for e in doc["events"] if e.get("trace_id") == tid
         }
@@ -296,6 +299,14 @@ class TestBlackboxDumps:
         # and the same dump is on disk for `repro blackbox`
         files = list(tmp_path.glob("blackbox-*timeout*.json"))
         assert len(files) == 1
+        assert telemetry.read_document(files[0]) == telemetry.validate_trace(
+            json.loads(json.dumps(doc, default=str))
+        )
+        # a dump is a trace: the comparator and the forensics read it
+        assert main(["perf", "diff", str(files[0]), str(files[0])]) == 0
+        assert critical_path(doc["spans"]).total_s > 0.0
+        timeline = perfetto_document(telemetry.read_document(files[0]))
+        assert any(e["ph"] == "X" for e in timeline["traceEvents"])
 
     def test_solver_failure_produces_dump(self, op, params, cache, sources):
         with make_service(op, params, cache, max_batch=1) as svc:
@@ -308,8 +319,8 @@ class TestBlackboxDumps:
                 future.result(timeout=10)
             _wait_for(lambda: svc.stats["blackbox_dumps"] >= 1)
             doc = svc.last_blackbox
-        validate_blackbox(doc)
-        assert doc["reason"] == "failure"
+        assert is_blackbox(telemetry.validate_trace(doc))
+        assert doc["meta"]["reason"] == "failure"
         assert "injected solver failure" in doc["meta"]["error"]
         assert svc.stats["failed"] == 1
 
@@ -341,8 +352,8 @@ class TestBlackboxDumps:
         assert svc.stats["stalls_detected"] == 1
         assert svc.stats["blackbox_dumps"] == 1
         doc = svc.last_blackbox
-        assert doc["reason"] == "stall"
-        assert doc["trace_id"] == "a" * 32
+        assert doc["meta"]["reason"] == "stall"
+        assert doc["meta"]["trace_id"] == "a" * 32
         assert doc["meta"]["verdicts"][0]["kind"] == "stall"
 
 
@@ -408,3 +419,33 @@ class TestServeSLOs:
         text = render_table(doc)
         assert "SLO compliance" in text and "PASS" in text
         assert "latency-p99" in text
+
+
+class TestServiceBenches:
+    """serve-bench and fleet-bench switch telemetry on for
+    ``metrics_out`` and off again, also when the run raises."""
+
+    @pytest.mark.parametrize("bench_name", ["serve", "fleet"])
+    def test_a_raising_run_leaves_telemetry_off(
+        self, bench_name, tmp_path, monkeypatch
+    ):
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        out = tmp_path / "metrics.prom"
+        if bench_name == "serve":
+            from repro.serve import bench
+
+            monkeypatch.setattr(bench.SolveService, "register", boom)
+            run, kwargs = bench.run_serve_bench, dict(batch_sizes=(1,))
+        else:
+            from repro.fleet import bench
+
+            monkeypatch.setattr(bench.SetupCache, "get_or_build", boom)
+            run, kwargs = bench.run_fleet_bench, dict(shard_counts=(1,), n_ops=1)
+        assert not telemetry.enabled()
+        with pytest.raises(RuntimeError, match="injected"):
+            run(n_requests=1, metrics_out=str(out), **kwargs)
+        assert not telemetry.enabled()
+        assert not out.exists()
+        telemetry.reset()

@@ -20,7 +20,6 @@ from repro.perf import (
     bench_document,
     compare_documents,
     entry_digest,
-    load_entry,
     median_mad,
     resolve_roofline,
     roofline_table,
@@ -28,6 +27,7 @@ from repro.perf import (
 from repro.perf.attribution import DERIVED_ATTRS, self_seconds
 from repro.perf.diff import MIN_GATED_SECONDS
 from repro.perf.ledger import append_entry
+from repro.telemetry import read_document
 
 pytestmark = pytest.mark.perf
 
@@ -242,8 +242,8 @@ class TestLedger:
         )
         assert archive.name == f"{entry_digest(doc)[:12]}.json"
         assert trajectory == tmp_path / "BENCH_quick.json"
-        assert load_entry(archive) == doc
-        assert load_entry(trajectory) == doc
+        assert read_document(archive) == doc
+        assert read_document(trajectory) == doc
         # the baseline is the one in-tree record: no history file beside it
         assert {p.name for p in tmp_path.iterdir()} == {"BENCH_quick.json", "ledger"}
 
@@ -260,7 +260,7 @@ class TestLedger:
         bad = tmp_path / "bad.json"
         bad.write_text('{"rows": []}')
         with pytest.raises(ValueError):
-            load_entry(bad)
+            read_document(bad)
 
     def test_median_mad(self):
         med, mad = median_mad([1.0, 2.0, 3.0, 4.0, 100.0])
@@ -388,10 +388,10 @@ class TestCli:
         assert resolve_dataset("Aniso40") is ANISO40_SCALED
 
     def test_perf_trend_is_not_a_command(self, capsys):
-        from repro.perf.cli import perf_main
+        from repro.cli import main
 
         with pytest.raises(SystemExit) as exc:
-            perf_main(["perf", "trend"])
+            main(["perf", "trend"])
         assert exc.value.code == 2
         assert "invalid choice: 'trend'" in capsys.readouterr().err
 
@@ -421,6 +421,23 @@ class TestCli:
         assert "REGRESSED" in capsys.readouterr().out
         assert json.loads(out_json.read_text())["verdict"] == "regression"
 
+    def test_perf_diff_header_names_where_each_side_was_measured(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        base, new = _fake_entry("quick"), _fake_entry("quick")
+        base["meta"].update(git={"rev": "f265aacd1093"}, timestamp=1792217413.0)
+        base["host"]["python"] = "3.11.7"
+        new["meta"]["git"] = {}
+        paths = [tmp_path / "base.json", tmp_path / "new.json"]
+        for path, doc in zip(paths, (base, new)):
+            path.write_text(json.dumps(doc))
+        assert main(["perf", "diff", *map(str, paths)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "  baseline: rev f265aac, 2026-10-17, python 3.11.7"
+        assert lines[2] == f"  candidate: python {new['host']['python']}"
+
     def test_perf_diff_cli_bad_input_exits_2(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -431,9 +448,9 @@ class TestCli:
     def test_perf_diff_cli_unsupported_schema_exits_2(self, tmp_path, capsys):
         from repro.cli import main
 
-        dump = tmp_path / "blackbox.json"
-        dump.write_text(json.dumps({"schema": "repro.blackbox/v1"}))
-        assert main(["perf", "diff", str(dump), str(dump)]) == 2
+        report = tmp_path / "verify.json"
+        report.write_text(json.dumps({"schema": "repro.verify/v1"}))
+        assert main(["perf", "diff", str(report), str(report)]) == 2
         assert "error:" in capsys.readouterr().out
 
     def test_perf_diff_cli_mixed_schemas_exit_2(self, tmp_path, capsys):

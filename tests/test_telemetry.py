@@ -21,9 +21,11 @@ from repro.telemetry import (
     Tracer,
     level_breakdown_table,
     load_trace,
+    read_document,
     span_table,
     trace_document,
     validate_trace,
+    write_document,
     write_trace,
 )
 from repro.telemetry.export import iter_span_dicts
@@ -271,6 +273,34 @@ class TestExport:
         with pytest.raises(ValueError):
             validate_trace(doc)
 
+    def test_one_reader_for_every_document(self, tmp_path):
+        path = tmp_path / "doc.json"
+        for bad in ("[1, 2]", '{"rows": []}'):
+            path.write_text(bad)
+            with pytest.raises(ValueError, match="no 'schema'"):
+                read_document(path)
+        # other schemas pass through; traces are validated on the way in
+        report = {"schema": "repro.verify/v1", "reports": []}
+        assert read_document(write_document(path, report)) == report
+        tr, reg = self._populated()
+        doc = trace_document(tr, reg)
+        del doc["spans"][0]["children"]
+        with pytest.raises(ValueError, match="span missing"):
+            read_document(write_document(path, doc))
+        # what JSON cannot encode is written as its str
+        odd = {"schema": "x/v1", "obj": object}
+        assert read_document(write_document(path, odd))["obj"] == str(object)
+
+    def test_run_trace_round_trip(self, tmp_path, capsys):
+        from repro.cli import run_trace
+
+        doc = run_trace("Aniso40", verbose=False)
+        assert not telemetry.enabled()
+        path = write_document(tmp_path / "sub" / "trace.json", doc)
+        # what JSON holds: tuples read back as lists, int keys as strings
+        assert read_document(path) == json.loads(json.dumps(doc))
+        assert load_trace(path)["meta"]["kind"] == "trace"
+
     def test_span_table_partitions_total(self):
         tr, reg = self._populated()
         doc = trace_document(tr, reg)
@@ -339,6 +369,23 @@ class TestGlobalToggle:
             telemetry.reset()
         assert not telemetry.enabled()
         assert telemetry.get_tracer().roots == []
+
+
+    def test_prometheus_snapshot_switches_off_when_the_block_raises(
+        self, tmp_path
+    ):
+        out = tmp_path / "metrics.prom"
+        with pytest.raises(RuntimeError):
+            with telemetry.prometheus_snapshot(out):
+                assert telemetry.enabled()
+                raise RuntimeError("boom")
+        assert not telemetry.enabled()
+        assert not out.exists()
+        with telemetry.prometheus_snapshot(out):
+            telemetry.get_registry().counter("probe.count").inc()
+        assert not telemetry.enabled()
+        assert "probe" in out.read_text()
+        telemetry.reset()
 
 
 class TestSolverIntegration:

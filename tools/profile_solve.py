@@ -271,12 +271,10 @@ def main(argv: list[str] | None = None) -> int:
             )
         finally:
             telemetry.disable()
-        text = json.dumps(doc, indent=1, sort_keys=True)
         if args.json == "-":
-            print(text)
+            print(json.dumps(doc, indent=1, sort_keys=True))
         else:
-            with open(args.json, "w") as fh:
-                fh.write(text + "\n")
+            telemetry.write_document(args.json, doc)
             print(
                 telemetry.level_breakdown_table(
                     telemetry.span_table(doc["spans"]),
