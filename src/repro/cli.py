@@ -25,7 +25,8 @@ Usage::
                                [--json FILE]
 
 Each command accepts only the options it reads (:data:`COMMANDS`);
-anything else is argparse's usage error, exit 2.  Dataset arguments are
+anything else is argparse's usage error against that command's usage
+line (``usage: repro table1 ...``), exit 2.  Dataset arguments are
 case-insensitive and accept both paper labels (``Aniso40``) and scaled
 labels (``aniso40-scaled``); unknown names print the valid list and
 exit 2.
@@ -625,6 +626,18 @@ COMMANDS: dict[str, tuple[str, Handler, tuple[str, ...]]] = {
 }
 
 
+class _Command(argparse.ArgumentParser):
+    """A command's parser: an argument it does not read is its own usage
+    error (``usage: repro table1 ...``), not the root parser's, which
+    would otherwise collect it and print the top-level usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     from .perf.ledger import SUITES
 
@@ -632,7 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Regenerate the tables and figures of Clark et al. (SC 2016)",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="command", parser_class=_Command
+    )
     for name, (help_, handler, arguments) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_)
         for flag in arguments:

@@ -32,8 +32,10 @@ a coarse one) and a chirality-preserving transfer (every ``Transfer``).
 lattice, a scatter), and the operator reads only that chirality's half
 of its spins or dofs.  The crossing slots and the accumulator are
 restricted against only the matching rows of the basis
-(:meth:`~repro.transfer.Transfer.restrict_slab`): no zero-padded
-lattice is built or read.  This is exact (tested against the
+(:meth:`~repro.transfer.Transfer.restrict_slab`), gathered and
+conjugated once per slot set for every column chunk
+(:meth:`~repro.transfer.Transfer.slab_rows`): no zero-padded lattice is
+built or read.  This is exact (tested against the
 term-by-term construction and ``R M P`` on dense matrices).
 """
 
@@ -91,12 +93,17 @@ def coarsen_operator(op: StencilOperator, transfer: Transfer) -> CoarseOperator:
     sites = blocking.agg_sites.ravel()
     block_axes = blocking.block[::-1]
     slot_grid = np.arange(bv).reshape(block_axes)
-    slots = []  # per direction: crossing and inside, indexing (K, V_c, *block_axes, ...)
+    # per direction: crossing and inside, indexing (K, V_c, *block_axes,
+    # ...), and the basis rows of the crossing slots; each slot set's rows
+    # are gathered and conjugated once for every column chunk
+    slots = []
     for mu in range(NDIM):
         lead = (slice(None),) * (2 + NDIM - 1 - mu)
         crossing = lead + (slice(blocking.block[mu] - 1, None),)
         inside = lead + (slice(0, blocking.block[mu] - 1),)
-        slots.append((crossing, inside, slot_grid[crossing[2:]].ravel()))
+        rows = transfer.slab_rows(slot_grid[crossing[2:]].ravel())
+        slots.append((crossing, inside, rows))
+    all_rows = transfer.slab_rows(slice(None))
 
     # P e_j lives in the chirality of j: each chirality's columns travel
     # as a chiral stack, so the operator reads only that chirality's half
@@ -106,12 +113,12 @@ def coarsen_operator(op: StencilOperator, transfer: Transfer) -> CoarseOperator:
         shape = (k, vc) + block_axes + (op.ns, op.nc)
         acc = op.apply_diag_multi(columns, chi)[:, sites].reshape(shape)
         acc *= 0.5
-        for mu, (crossing, inside, crossing_slots) in enumerate(slots):
+        for mu, (crossing, inside, crossing_rows) in enumerate(slots):
             hop = op.apply_hop_sites(mu, +1, sites, columns, chi).reshape(shape)
-            link = transfer.restrict_slab(hop[crossing], crossing_slots)
+            link = transfer.restrict_slab(hop[crossing], crossing_rows)
             hop_blocks[mu, 0, :, :, cols] = link.reshape(vc, n, k)
             acc[inside] += hop[inside]
-        z = transfer.restrict_slab(acc, slice(None))
+        z = transfer.restrict_slab(acc, all_rows)
         x_blocks[:, :, cols] = z.reshape(vc, n, k)
     coarse_op = CoarseOperator(coarse, x_blocks, hop_blocks, ns_c, nc_c)
     half = coarse_op.chiral_dof

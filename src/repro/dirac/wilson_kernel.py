@@ -21,12 +21,22 @@ short leading axes:
   move 2-spinors;
 * one ``np.take`` along the contiguous site axis gathers the
   neighbours of a block of output sites for all eight directions;
-* the link multiply is three broadcast multiply-adds over
-  ``(3, 2, 8, block)`` — one per source colour, no per-site dispatch;
+* the link multiply is three multiply-adds over ``(3, 2, 8, block)``,
+  one per source colour, against a link slab stored once per half-spin,
+  so the only broadcast is the compressed neighbours' over the leading
+  (row) axis — NumPy's fast path, no per-site dispatch;
 * one ``(4, 16)`` GEMM reconstructs the 4-spinors and sums the eight
-  directions (global ``-1/2`` folded in);
-* the chiral ``6x6`` clover/diagonal blocks are applied the same way
-  (one broadcast multiply, one reduction).
+  directions (global ``-1/2`` folded in), writing straight into the
+  output block;
+* the chiral ``6x6`` clover/diagonal blocks are tables in output order,
+  ``(colour, half-spin, source colour, source half-spin, chirality,
+  site)``: one multiply broadcasts a copied source block over the two
+  leading axes, one reduction over the six source pairs writes the
+  output block.
+
+Every elementwise pass therefore broadcasts over leading axes only;
+a broadcast over a middle axis costs NumPy up to twice the time of the
+same pass over contiguous operands (DESIGN.md section 17).
 
 The output-site axis is cut into :data:`BLOCK`-long pieces so the
 gathered neighbours, the link slab and the products of one block stay
@@ -60,9 +70,9 @@ from .gamma import projector_factors
 
 #: Output sites per cache block.  Swept on a half hop at K=1 and K=8 on
 #: V=1024 (4^3x16, one block per parity at this length) and V=8192
-#: (8^3x16), at complex128 and complex64; the curve is flat within 10%
-#: from 128 to 1024 and rises at 64 (per-call overhead) and from 2048 up
-#: (the temporaries leave L2).  One constant serves both dtypes.
+#: (8^3x16), at complex128 and complex64; 512 is the minimum (1024 within
+#: -5..+12%), and the curve rises below it (per-call overhead) and from
+#: 2048 up (the temporaries leave L2).  One constant serves both dtypes.
 #: DESIGN.md section 17 records the sweeps.
 BLOCK = 512
 
@@ -169,9 +179,12 @@ class WilsonKernel:
             neighbour = np.stack(
                 [position[(lat.fwd, lat.bwd)[o][mu][out_sites]] for mu, o in hops]
             )  # (8, V/2): position in the opposite-parity field
-            # (column, row, direction, site): links[b] is the slab that
-            # multiplies source colour b
-            self._links.append(_site_blocks(links.transpose(3, 2, 0, 1), dtype))
+            # (column, row, half-spin, direction, site): links[b] is the
+            # slab that multiplies source colour b, repeated over
+            # half-spin so the multiply broadcasts only the neighbours
+            slab = links.transpose(3, 2, 0, 1)[:, :, None]
+            slab = np.broadcast_to(slab, (3, 3, 2) + slab.shape[3:])
+            self._links.append(_site_blocks(slab, dtype))
             self._gather.append(
                 [
                     block.reshape(-1)
@@ -187,7 +200,8 @@ class WilsonKernel:
         sites per parity holds — known before it is built, so a setup
         restored from disk books the same size as one that has already
         run."""
-        complex_per_site = 2 * NDIM * 3 * 3 + 2 * 2 * 6 * 6  # links, diag + inverse
+        # links per half-spin, chiral diag + inverse
+        complex_per_site = 2 * NDIM * 3 * 3 * 2 + 2 * 2 * 6 * 6
         index_per_site = 2 * NDIM
         return 2 * half_volume * (
             complex_per_site * np.dtype(dtype).itemsize
@@ -202,14 +216,15 @@ class WilsonKernel:
     def _chiral_table(self, blocks: np.ndarray) -> list[np.ndarray]:
         """``(n, 2, 6, 6)`` chiral blocks -> blocked ``(3, 2, 3, 2, 2, n)``.
 
-        Axes: (source colour, source half-spin, colour, chirality,
-        half-spin, site) — the leading pair is the contracted index,
-        the rest is the site-fastest field shape with spin split into
-        (chirality, half-spin).
+        Axes: (colour, half-spin, source colour, source half-spin,
+        chirality, site) — the leading pair is the output's, the middle
+        pair the contracted index, and a source block held (source
+        colour, source half-spin, chirality, site) broadcasts over the
+        leading pair only.
         """
         n = blocks.shape[0]
         split = blocks.reshape(n, 2, 2, 3, 2, 3)  # site, chi, s, c, s', c'
-        return _site_blocks(split.transpose(5, 4, 3, 1, 2, 0), self.dtype)
+        return _site_blocks(split.transpose(3, 2, 5, 4, 1, 0), self.dtype)
 
     # ------------------------------------------------------------------
     # site-fastest sweeps
@@ -233,7 +248,7 @@ class WilsonKernel:
             by_colour = nbr.reshape(3, 1, 2, 2 * NDIM, n)
             acc = np.empty((3, 2, 2 * NDIM, n), dtype=self.dtype)
             tmp = np.empty_like(acc)
-            u0, u1, u2 = links[0][:, None], links[1][:, None], links[2][:, None]
+            u0, u1, u2 = links  # (row, half-spin, direction, site) each
             for i in range(k):
                 # indices are valid by construction; "clip" skips
                 # take's bounds-checking copy of the output
@@ -243,8 +258,10 @@ class WilsonKernel:
                 np.add(acc, tmp, out=acc)
                 np.multiply(u2, by_colour[2], out=tmp)
                 np.add(acc, tmp, out=acc)
-                out[i, :, :, lo:hi] = np.matmul(
-                    self._reconstruct, acc.reshape(3, 4 * NDIM, n)
+                np.matmul(
+                    self._reconstruct,
+                    acc.reshape(3, 4 * NDIM, n),
+                    out=out[i, :, :, lo:hi],
                 )
         return out
 
@@ -258,17 +275,22 @@ class WilsonKernel:
 
     def _chiral_apply(self, tables: list[np.ndarray], x: np.ndarray) -> np.ndarray:
         k, vh = x.shape[0], self.half_volume
-        # (K, source colour, source half-spin, 1, chirality, 1, site)
-        source = x.reshape(k, 3, 2, 2, vh).transpose(0, 1, 3, 2, 4)[
-            :, :, :, None, :, None, :
-        ]
+        # fields as (K, colour, half-spin, chirality, site): spin is
+        # (chirality, half-spin), so these are transposed views
+        source = x.reshape(k, 3, 2, 2, vh).transpose(0, 1, 3, 2, 4)
         out = np.empty((k, 3, 4, vh), dtype=self.dtype)
+        target = out.reshape(k, 3, 2, 2, vh).transpose(0, 1, 3, 2, 4)
         for (lo, hi), table in zip(self._bounds, tables):
+            n = hi - lo
+            src = np.empty((3, 2, 2, n), dtype=self.dtype)
             prod = np.empty(table.shape, dtype=self.dtype)
             for i in range(k):
-                np.multiply(table, source[i, ..., lo:hi], out=prod)
-                out[i, :, :, lo:hi] = np.add.reduce(
-                    prod.reshape(6, 3, 4, hi - lo), axis=0
+                np.copyto(src, source[i, ..., lo:hi])
+                np.multiply(table, src, out=prod)
+                # the six (source colour, source half-spin) pairs, summed
+                # in order into the output block
+                np.add.reduce(
+                    prod.reshape(3, 2, 6, 2, n), axis=2, out=target[i, ..., lo:hi]
                 )
         return out
 

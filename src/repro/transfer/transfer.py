@@ -199,25 +199,37 @@ class Transfer:
         )
         return out
 
-    def restrict_slab(self, slab: np.ndarray, slots: np.ndarray | slice) -> np.ndarray:
-        """``R`` of a ``(K, V_f, ns, nc)`` stack that vanishes outside the
-        in-block ``slots`` (indices, or ``slice(None)`` for all of them),
-        handed over as those sites only, aggregate by aggregate:
-        ``slab`` is ``(K, V_c, ..., ns, nc)``, its middle axes running
-        over ``slots`` in order (one axis of ``len(slots)``, or the block
-        axes cut to them).  Only the matching rows of the basis are read
-        — one ``(Nc_hat, rows) @ (rows, K)`` GEMM per aggregate and
-        chirality, batch last.  Returns ``(V_c, 2, Nc_hat, K)``."""
-        k, vc = slab.shape[0], self.coarse_lattice.volume
-        dtype = compute_dtype(slab)
-        basis = reduced(self, "_basis", dtype)
-        bv = self.blocking.block_volume
-        out = np.empty((vc, 2, self.coarse_nc, k), dtype=dtype)
-        for chi, sl in enumerate(chirality_slices_for(self.fine_ns)):
-            rows = basis[:, chi].reshape(vc, bv, -1, self.coarse_nc)[:, slots]
+    def slab_rows(self, slots: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray]:
+        """What :meth:`restrict_slab` multiplies a slab over the in-block
+        ``slots`` (indices, or ``slice(None)`` for all of them) by: per
+        chirality, the matching rows of the basis, conjugated and
+        transposed, ``(V_c, Nc_hat, rows)`` each, complex128 like the
+        basis.  Built once per slot set and reused by every slab over it
+        (the Galerkin product restricts one per column chunk)."""
+        vc, bv = self.coarse_lattice.volume, self.blocking.block_volume
+        adjoint = []
+        for chi in range(2):
+            rows = self._basis[:, chi].reshape(vc, bv, -1, self.coarse_nc)[:, slots]
             rows = rows.reshape(vc, -1, self.coarse_nc)
+            adjoint.append(np.conj(np.swapaxes(rows, -1, -2)))
+        return tuple(adjoint)
+
+    def restrict_slab(
+        self, slab: np.ndarray, rows: tuple[np.ndarray, np.ndarray]
+    ) -> np.ndarray:
+        """``R`` of a complex128 ``(K, V_f, ns, nc)`` stack that vanishes
+        outside some in-block slots, handed over as those sites only,
+        aggregate by aggregate: ``slab`` is ``(K, V_c, ..., ns, nc)``,
+        its middle axes running over the slots in order (one axis of
+        ``len(slots)``, or the block axes cut to them), and ``rows`` is
+        :meth:`slab_rows` of the same slots.  One ``(Nc_hat, rows) @
+        (rows, K)`` GEMM per aggregate and chirality, batch last.
+        Returns ``(V_c, 2, Nc_hat, K)``."""
+        k, vc = slab.shape[0], self.coarse_lattice.volume
+        out = np.empty((vc, 2, self.coarse_nc, k), dtype=COMPLEX128)
+        for chi, sl in enumerate(chirality_slices_for(self.fine_ns)):
             x = slab[..., sl, :].reshape(k, vc, -1).transpose(1, 2, 0)
-            out[:, chi] = np.matmul(np.conj(np.swapaxes(rows, -1, -2)), x)
+            out[:, chi] = np.matmul(rows[chi], x)
         return out
 
     # -- SpinorField conveniences ----------------------------------------

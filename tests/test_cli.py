@@ -210,3 +210,20 @@ class TestCommandTree:
             main(argv)
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [
+            (["table1", "--shards", "3"], "usage: repro table1 "),
+            (["bench", "run", "--shards", "3"], "usage: repro bench run "),
+        ],
+    )
+    def test_an_unread_option_is_reported_against_the_command_usage(
+        self, argv, usage, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(usage)
+        assert "unrecognized arguments: --shards 3" in err

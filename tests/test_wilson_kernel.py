@@ -19,7 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dirac import SchurOperator, SchurReference, WilsonCloverOperator
-from repro.dirac.wilson_kernel import BLOCK, WilsonKernel, wilson_kernel_for
+from repro.dirac.wilson_kernel import (
+    BLOCK,
+    SiteFastestSchur,
+    WilsonKernel,
+    wilson_kernel_for,
+)
 from repro.gauge import disordered_field
 from repro.lattice import Lattice
 from repro.mg import MultigridHierarchy
@@ -222,6 +227,78 @@ def test_one_kernel_per_operator(op):
     kernel = wilson_kernel_for(op)
     assert wilson_kernel_for(op) is kernel
     assert wilson_kernel_for(SchurMRSmoother(op).schur.op) is kernel
+
+
+# ----------------------------------------------------------------------
+# bitwise pin: the arithmetic the complex64 null space was drawn with
+# ----------------------------------------------------------------------
+def _broadcast_hop(kernel, parity, src):
+    """The hop as written with a ``(column, row, direction, site)`` link
+    slab, both operands of each multiply broadcast."""
+    k, vh = src.shape[0], kernel.half_volume
+    compressed = np.matmul(kernel._compress, src.reshape(k * 3, 4, vh))
+    compressed = compressed.reshape(k, 6, -1)
+    out = np.empty((k, 3, 4, vh), dtype=kernel.dtype)
+    blocks = zip(kernel._bounds, kernel._links[parity], kernel._gather[parity])
+    for (lo, hi), links, gather in blocks:
+        n = hi - lo
+        # (column, row, 1, direction, site)
+        u = np.ascontiguousarray(links[:, :, 0])[:, :, None]
+        for i in range(k):
+            by_colour = compressed[i][:, gather].reshape(3, 1, 2, 8, n)
+            acc = u[0] * by_colour[0]
+            acc += u[1] * by_colour[1]
+            acc += u[2] * by_colour[2]
+            acc = acc.reshape(3, 16, n)
+            out[i, :, :, lo:hi] = np.matmul(kernel._reconstruct, acc)
+    return out
+
+
+def _broadcast_chiral(kernel, tables, x):
+    """The chiral blocks as written with tables ``(source colour, source
+    half-spin, colour, chirality, half-spin, site)``, the source
+    broadcast over two middle axes and the six source pairs reduced on
+    the leading axis."""
+    k, vh = x.shape[0], kernel.half_volume
+    source = x.reshape(k, 3, 2, 2, vh).transpose(0, 1, 3, 2, 4)
+    source = source[:, :, :, None, :, None, :]
+    out = np.empty((k, 3, 4, vh), dtype=kernel.dtype)
+    for (lo, hi), table in zip(kernel._bounds, tables):
+        table = np.ascontiguousarray(table.transpose(2, 3, 0, 4, 1, 5))
+        for i in range(k):
+            prod = table * source[i, ..., lo:hi]
+            prod = prod.reshape(6, 3, 4, hi - lo)
+            out[i, :, :, lo:hi] = np.add.reduce(prod, axis=0)
+    return out
+
+
+@pytest.mark.parametrize(
+    "dims", [(4, 4, 4, 8), (6, 6, 6, 12)], ids=["one-block", "three-blocks"]
+)
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_kernel_is_bitwise_the_broadcast_formula(dims, dtype):
+    """Layout changes may not reassociate: a different rounding re-draws
+    the complex64 null space, and with it every setup's counters."""
+    lat = Lattice(dims)
+    gauge = disordered_field(lat, np.random.default_rng(5), 0.5)
+    op = WilsonCloverOperator(gauge, mass=-0.2, c_sw=1.0, anisotropy=3.5)
+    kernel = WilsonKernel(op, dtype)
+    assert len(kernel._bounds) == (1 if lat.half_volume <= BLOCK else 3)
+    rng = np.random.default_rng(6)
+    for k in (1, 3):
+        x = _cnormal(rng, (k, 3, 4, lat.half_volume)).astype(dtype)
+        for parity in (0, 1):
+            want = _broadcast_hop(kernel, parity, x)
+            assert np.array_equal(kernel.hop(parity, x), want)
+            for name in ("diag", "diag_inv"):
+                table = getattr(kernel, f"_{name}")[parity]
+                want = _broadcast_chiral(kernel, table, x)
+                assert np.array_equal(getattr(kernel, name)(parity, x), want)
+        inner = _broadcast_hop(kernel, 1, x)
+        inner = _broadcast_chiral(kernel, kernel._diag_inv[1], inner)
+        want = _broadcast_chiral(kernel, kernel._diag[0], x)
+        want -= _broadcast_hop(kernel, 0, inner)
+        assert np.array_equal(SiteFastestSchur(kernel).apply_multi(x), want)
 
 
 # ----------------------------------------------------------------------

@@ -63,7 +63,8 @@ def hop_k_folded(kernel, parity: int, src: np.ndarray) -> np.ndarray:
         by_colour = nbr.reshape(3, 1, 2, k, 2 * NDIM, n)
         acc = np.empty((3, 2, k, 2 * NDIM, n), dtype=kernel.dtype)
         tmp = np.empty_like(acc)
-        u0, u1, u2 = (links[b][:, None, None] for b in range(3))
+        # (row, half-spin, 1, direction, site): the slab broadcasts along K
+        u0, u1, u2 = (links[b][:, :, None] for b in range(3))
         np.take(compressed, gather, axis=3, out=nbr, mode="clip")
         np.multiply(u0, by_colour[0], out=acc)
         np.multiply(u1, by_colour[1], out=tmp)
